@@ -9,8 +9,13 @@ in closed form per frame via the common multiplier, with a bisection on
 the multiplier to meet the budget (water-filling). Step two linearizes
 each frame's distortion inside the consistency term around the step-one
 rates, which turns the penalty into the Euclidean norm of an affine map
-A r + b, and polishes the allocation by projected gradient descent over
-the same feasible set.
+A r + b, and minimizes the resulting convex objective over the same
+feasible set with a damped Newton method on the budget face.
+
+Both steps report kkt_residual with one unit-free meaning: the worst
+relative mismatch, over frames above the floor, between a frame's
+marginal (the objective's decrease per extra bit) and the common budget
+multiplier. It is zero at an exact optimum.
 """
 
 from __future__ import annotations
@@ -29,14 +34,35 @@ from .errors import (
     NotConverged,
     ParseError,
 )
-from .lightfield import FrameCoord, FrameGrid, WeightSet, proximity, spiral_order, unify_weights
+from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order, unify_weights
 from .metrics import CostBreakdown, DistortionSet, cost
-from .rdmodel import RDModelParams, eval_model, linearize
+from .rdmodel import RDModelParams, eval_model, tangent_lines
 
 log = logging.getLogger("lfalloc.allocator")
 
 # Default rate floor as a fraction of budget per frame.
 MIN_RATE_BUDGET_FRACTION = 1e-3
+
+# A consistency residual whose norm is below this fraction of the norm of
+# the terms that cancel in it counts as exactly zero, where the penalty
+# norm has its kink.
+ZERO_RESIDUAL = 1e-12
+
+# Relative rounding error of the objective, taken over the magnitudes
+# that cancel in it.
+ROUNDING = 1e-14
+
+# A rate within this relative distance of min_rate is on the floor, and a
+# total within it of the budget is on the budget face.
+ACTIVE_BOUND = 1e-9
+
+# A step-2 Newton step keeps every frame at or above this fraction of its
+# current rate.
+MIN_RATE_RATIO = 0.25
+
+# A Newton step cut below this length is retried with the majorizer of the
+# penalty norm.
+MAJORIZER_STEP = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,10 +77,10 @@ class AllocationProblem:
     min_rate: float | None = None
 
     def __post_init__(self):
-        if self.budget <= 0.0:
-            raise ValueError("budget must be positive")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be nonnegative")
+        if not math.isfinite(self.budget) or self.budget <= 0.0:
+            raise ValueError("budget must be positive and finite")
+        if not math.isfinite(self.lam) or self.lam < 0.0:
+            raise ValueError("lambda must be nonnegative and finite")
         coords = self.grid.coding_order
         missing = [c for c in coords if c not in self.models]
         if missing:
@@ -67,8 +93,8 @@ class AllocationProblem:
             object.__setattr__(
                 self, "min_rate", self.budget * MIN_RATE_BUDGET_FRACTION / n
             )
-        if self.min_rate <= 0.0:
-            raise ValueError("min_rate must be positive")
+        if not math.isfinite(self.min_rate) or self.min_rate <= 0.0:
+            raise ValueError("min_rate must be positive and finite")
         if self.min_rate * n > self.budget:
             raise InfeasibleBudget(
                 f"rate floor {self.min_rate!r} x {n} frames exceeds budget {self.budget!r}"
@@ -77,59 +103,40 @@ class AllocationProblem:
 
 @dataclass(frozen=True, eq=False)
 class AllocationResult:
-    """Solver output: rates plus diagnostics."""
+    """Solver output: rates plus diagnostics.
+
+    objective is None only for a step-one result that allocate() goes on
+    to refine, so the joint cost is evaluated once per allocation.
+    """
 
     rates: dict[FrameCoord, float]
-    objective: CostBreakdown
+    objective: CostBreakdown | None
     kkt_residual: float
     iterations: int
     budget_used: float
     step1_rates: dict[FrameCoord, float] | None = None
 
 
-@dataclass(frozen=True)
-class PenaltyRow:
-    """One stored row of the linearized consistency system."""
-
-    pair_index: int  # 1-based row number in the conceptual n*n row layout
-    i: int  # coding-order index of the first frame of the pair
-    j: int
-    coef_i: float
-    coef_j: float
-    rhs: float
-
-
 @dataclass(frozen=True, eq=False)
 class ConePenalty:
     """Sparse affine system A r + b for the linearized consistency term.
 
-    Only rows whose frame pair lies within the proximity radius are
-    stored; every stored row k touches exactly the two columns i and j of
-    its pair. The arrays are aligned: row t of the system is
+    One row per ordered pair of coupled frames (FrameGrid.coupled_pairs,
+    sorted by (i, j)); every row touches exactly the two columns of its
+    pair. The arrays are aligned: row t of the system is
     coef_i[t] * r[col_i[t]] + coef_j[t] * r[col_j[t]] + rhs[t].
+    slopes and intercepts hold each frame's tangent line at the
+    expansion point, in coding order.
     """
 
     n_frames: int
-    pair_index: np.ndarray
     col_i: np.ndarray
     col_j: np.ndarray
     coef_i: np.ndarray
     coef_j: np.ndarray
     rhs: np.ndarray
-
-    @property
-    def rows(self) -> tuple[PenaltyRow, ...]:
-        return tuple(
-            PenaltyRow(
-                pair_index=int(self.pair_index[t]),
-                i=int(self.col_i[t]),
-                j=int(self.col_j[t]),
-                coef_i=float(self.coef_i[t]),
-                coef_j=float(self.coef_j[t]),
-                rhs=float(self.rhs[t]),
-            )
-            for t in range(len(self.rhs))
-        )
+    slopes: np.ndarray
+    intercepts: np.ndarray
 
     def residual(self, rates: np.ndarray) -> np.ndarray:
         """A r + b for a rate vector in coding order."""
@@ -141,10 +148,19 @@ class ConePenalty:
 
     def apply_transpose(self, values: np.ndarray) -> np.ndarray:
         """A^T y accumulated deterministically in row order."""
-        out = np.zeros(self.n_frames)
-        np.add.at(out, self.col_i, self.coef_i * values)
-        np.add.at(out, self.col_j, self.coef_j * values)
-        return out
+        n = self.n_frames
+        return np.bincount(self.col_i, self.coef_i * values, n) + np.bincount(
+            self.col_j, self.coef_j * values, n
+        )
+
+    def gram(self) -> np.ndarray:
+        """Dense A^T A."""
+        n = self.n_frames
+        i, j = self.col_i, self.col_j
+        cross = self.coef_i * self.coef_j
+        flat = np.concatenate((i * (n + 1), j * (n + 1), i * n + j, j * n + i))
+        values = np.concatenate((self.coef_i ** 2, self.coef_j ** 2, cross, cross))
+        return np.bincount(flat, values, n * n).reshape(n, n)
 
 
 def _vectors(problem: AllocationProblem):
@@ -190,30 +206,32 @@ def penalized_objective(problem: AllocationProblem, penalty: ConePenalty, rates)
     return t_prime + problem.lam * float(np.linalg.norm(res))
 
 
-def project_rates(rates: np.ndarray, budget: float, min_rate: float) -> np.ndarray:
+def project_rates(rates: np.ndarray, budget: float, min_rate) -> np.ndarray:
     """Euclidean projection onto {r : r >= min_rate, sum(r) <= budget}.
 
-    Shift by the floor, clip negatives, and only if the clipped point
-    still exceeds the remaining budget project onto the scaled simplex
-    with the sort-based O(n log n) rule.
+    min_rate is one floor for every frame or an array of per-frame
+    floors. Shift by the floor, clip negatives, and only if the clipped
+    point still exceeds the remaining budget project onto the scaled
+    simplex with the sort-based O(n log n) rule.
     """
-    y = np.asarray(rates, dtype=float) - min_rate
-    slack = budget - min_rate * y.size
+    lower = np.asarray(min_rate, dtype=float)
+    y = np.asarray(rates, dtype=float) - lower
+    slack = budget - (float(lower) * y.size if lower.ndim == 0 else float(lower.sum()))
     if slack <= 0.0:
-        return np.full(y.size, min_rate)
+        return np.zeros(y.size) + lower
     clipped = np.maximum(y, 0.0)
     if float(clipped.sum()) <= slack:
-        return clipped + min_rate
+        return clipped + lower
     u = np.sort(y, kind="stable")[::-1]
     cumulative = np.cumsum(u)
     counts = np.arange(1, y.size + 1)
     thresholds = (cumulative - slack) / counts
     support = np.nonzero(u - thresholds > 0.0)[0]
     theta = thresholds[support[-1]]
-    return np.maximum(y - theta, 0.0) + min_rate
+    return np.maximum(y - theta, 0.0) + lower
 
 
-def solve_step1(problem: AllocationProblem) -> AllocationResult:
+def solve_step1(problem: AllocationProblem, *, evaluate: bool = True) -> AllocationResult:
     """Water-filling solution of the weighted-distortion-only problem.
 
     Stationarity gives r_f(mu) = (w_f^2 alpha_f |beta_f| / mu)**(1/(1-beta_f))
@@ -221,7 +239,8 @@ def solve_step1(problem: AllocationProblem) -> AllocationResult:
     within 1e-10 relative. Zero-weight frames gain nothing from rate and
     are pinned to the floor. The reported kkt_residual is the worst
     relative mismatch between the per-frame marginal and the common
-    multiplier over frames strictly above the floor.
+    multiplier over frames strictly above the floor. With evaluate False
+    the joint cost is not computed and objective is None.
     """
     coords, w, alpha, beta = _vectors(problem)
     n = len(coords)
@@ -270,7 +289,7 @@ def solve_step1(problem: AllocationProblem) -> AllocationResult:
     rates = {c: float(r) for c, r in zip(coords, rates_vec)}
     return AllocationResult(
         rates=rates,
-        objective=evaluate_cost(problem, rates),
+        objective=evaluate_cost(problem, rates) if evaluate else None,
         kkt_residual=kkt_residual,
         iterations=iterations,
         budget_used=float(rates_vec.sum()),
@@ -280,47 +299,85 @@ def solve_step1(problem: AllocationProblem) -> AllocationResult:
 def build_cone_penalty(problem: AllocationProblem, expansion_rates) -> ConePenalty:
     """Linearize the consistency term around expansion_rates.
 
-    For the ordered pair (f_i, f_j) with proximity delta > 0 the stored
-    row k = i*n + j + 1 (indices 0-based, k 1-based) reads
+    For every ordered pair (f_i, f_j) of coupled frames, with proximity
+    delta > 0, the row reads
 
         sqrt(delta) * min(w_i, w_j) * (D_i(r_i) - D_j(r_j))
 
     with each D replaced by its tangent at the expansion point, split into
-    the two rate coefficients and a constant. Self pairs and pairs beyond
-    the proximity radius are omitted.
+    the two rate coefficients and a constant.
     """
-    coords, w, _, _ = _vectors(problem)
+    _, w, alpha, beta = _vectors(problem)
     vec = _as_vector(problem, expansion_rates)
     if np.any(vec <= 0.0):
         raise DomainError("expansion rates must be positive")
-    n = len(coords)
-    tangents = [
-        linearize(problem.models[c], float(r)) for c, r in zip(coords, vec)
-    ]
-    pair_index, col_i, col_j, coef_i, coef_j, rhs = [], [], [], [], [], []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            delta = proximity(coords[i], coords[j])
-            if delta == 0.0:
-                continue
-            scale = math.sqrt(delta) * min(w[i], w[j])
-            pair_index.append(i * n + j + 1)
-            col_i.append(i)
-            col_j.append(j)
-            coef_i.append(scale * tangents[i].slope)
-            coef_j.append(-scale * tangents[j].slope)
-            rhs.append(scale * (tangents[i].intercept - tangents[j].intercept))
+    intercepts, slopes = tangent_lines(alpha, beta, vec)
+    pairs = problem.grid.coupled_pairs
+    i, j = pairs.i, pairs.j
+    scale = np.sqrt(pairs.delta) * np.minimum(w[i], w[j])
     return ConePenalty(
-        n_frames=n,
-        pair_index=np.array(pair_index, dtype=int),
-        col_i=np.array(col_i, dtype=int),
-        col_j=np.array(col_j, dtype=int),
-        coef_i=np.array(coef_i, dtype=float),
-        coef_j=np.array(coef_j, dtype=float),
-        rhs=np.array(rhs, dtype=float),
+        n_frames=len(vec),
+        col_i=i,
+        col_j=j,
+        coef_i=scale * slopes[i],
+        coef_j=-scale * slopes[j],
+        rhs=scale * (intercepts[i] - intercepts[j]),
+        slopes=slopes,
+        intercepts=intercepts,
     )
+
+
+def _zero_residual_point(penalty: ConePenalty, weighted, budget: float, floor: float):
+    """The budget-face point where every weighted frame's tangent takes one
+    common value, so that A r + b = 0 (zero-weight frames have zero rows
+    and sit at the floor). None when it would put a frame at or below the
+    floor; then no feasible point has a zero residual."""
+    slopes = penalty.slopes[weighted]
+    intercepts = penalty.intercepts[weighted]
+    spend = budget - floor * np.count_nonzero(~weighted)
+    level = (spend + np.sum(intercepts / slopes)) / np.sum(1.0 / slopes)
+    r = np.full(penalty.n_frames, floor)
+    r[weighted] = (level - intercepts) / slopes
+    return r if np.all(r[weighted] > floor) else None
+
+
+def _kink_certificate(penalty: ConePenalty, gram, grad_f, lam: float, weighted):
+    """Optimality test at a point where A r + b = 0 and every weighted frame
+    is above the floor.
+
+    There the norm's subdifferential is {A^T u : |u| <= 1}, so the point
+    is optimal when some u in the unit ball and multiplier mu >= 0 give
+    grad_f + lam A^T u + mu = 0 on the weighted frames. mu is fixed by
+    orthogonality to the null direction of A (1 / slope per frame) and u
+    is the least-norm solution. Returns (|u|, mu, marginals) with the
+    marginals -(grad_f + lam A^T u), or None when A has a larger null
+    space and the least-norm solve does not apply.
+    """
+    null = 1.0 / penalty.slopes[weighted]
+    mu = -float(null @ grad_f[weighted]) / float(null.sum())
+    target = -(grad_f[weighted] + mu) / lam
+    g = gram[np.ix_(weighted, weighted)]
+    unit = null / np.linalg.norm(null)
+    try:
+        z_w = np.linalg.solve(g + (np.trace(g) / unit.size) * np.outer(unit, unit), target)
+    except np.linalg.LinAlgError:
+        return None
+    if np.linalg.norm(g @ z_w - target) > 1e-8 * np.linalg.norm(target):
+        return None
+    z = np.zeros(penalty.n_frames)
+    z[weighted] = z_w
+    u = penalty.coef_i * z[penalty.col_i] + penalty.coef_j * z[penalty.col_j]
+    marginal = -(grad_f + lam * penalty.apply_transpose(u))
+    return float(np.linalg.norm(u)), mu, marginal
+
+
+def _marginal_mismatch(marginal, grad_f, free, mu: float) -> float:
+    """Worst relative gap between the marginals of free frames and mu; with
+    mu = 0 (budget slack) relative to the largest distortion marginal."""
+    if not np.any(free):
+        return 0.0
+    scale = mu if mu > 0.0 else float(np.max(np.abs(grad_f[free])))
+    return float(np.max(np.abs(marginal[free] - mu))) / scale
 
 
 def solve_step2(
@@ -328,117 +385,246 @@ def solve_step2(
     warm_start,
     penalty: ConePenalty,
     *,
-    max_iterations: int = 10_000,
-    tol: float = 1e-6,
-    stall_limit: int = 50,
+    max_iterations: int = 100,
+    tol: float = 1e-12,
 ) -> AllocationResult:
-    """Projected gradient descent on the smoothed penalized objective.
+    """Minimize the penalized objective P(r) = sum_f w_f^2 alpha_f r_f**beta_f
+    + lambda |A r + b| over the feasible set by damped Newton steps.
 
-    The consistency norm is smoothed to sqrt(|A r + b|^2 + eps^2) with
-    eps = 1e-9 * max(1, |b|) so the gradient exists at zero residual; the
-    smoothed and exact objectives then agree to about lambda * eps.
-    Every step is a projection of a gradient move onto the feasible set,
-    accepted under a backtracking sufficient-decrease test with the step
-    doubled between iterations.
+    Each iteration solves one KKT system on the budget face sum(r) = budget
+    with the dense Hessian diag(w^2 alpha beta (beta-1) r^(beta-2))
+    + (lambda / |y|) (A^T A - g g^T / |y|^2), y = A r + b, g = A^T y.
+    Frames at min_rate stay fixed while their multiplier is nonnegative,
+    and the budget is released when its multiplier would go negative;
+    zero-weight frames sit at the floor. The step is projected onto the
+    feasible set with no frame cut below a quarter of its rate, and
+    backtracked until the exact P falls enough (Armijo); a step cut very
+    short is retried with the norm's quadratic majorizer, which drops the
+    g g^T term. The stop is unit-free: half the squared Newton decrement,
+    the predicted excess of P over its minimum, at most tol * P or below
+    the rounding error of P; the step that passes the test is still taken
+    unless P visibly rises.
 
-    Convergence is declared when the projected-gradient norm
-    |r - P(r - t g)| / t falls below tol * (1 + |objective|), or when the
-    best exact objective stops improving beyond machine precision for
-    stall_limit consecutive iterations; the second test terminates runs
-    whose optimum sits at the nonsmooth tip of the penalty cone, where
-    the iterates dither at float resolution without the first test ever
-    firing. The iterate with the best exact objective, warm start
-    included, is returned, so the result never climbs above the warm
-    start. Running out of iterations raises NotConverged carrying the
-    best iterate.
+    The norm has a kink where A r + b = 0. The one budget-face point with
+    a zero residual is tried first and taken when it beats the warm start
+    and a dual certificate proves it optimal; at a zero residual the
+    certificate replaces the Newton test, and converged means its
+    marginal mismatch is at most tol.
+
+    Every accepted step lowers P, so the result is never above the warm
+    start projected onto the feasible set. kkt_residual is the marginal
+    mismatch at the result (see the module docstring). Running out of
+    iterations, or a search that can no longer lower P, raises
+    NotConverged carrying the last iterate.
     """
     coords, w, alpha, beta = _vectors(problem)
     lam = problem.lam
     budget = problem.budget
     floor = problem.min_rate
+    n = len(coords)
     w2a = w * w * alpha
-    eps = 1e-9 * max(1.0, float(np.linalg.norm(penalty.rhs)))
+    weighted = w2a > 0.0
+    # Rows gated by a zero weight vanish; with no other row the norm is 0.
+    coupled = lam > 0.0 and bool(np.any(penalty.coef_i))
+    gram = penalty.gram() if coupled else None
+    abs_i, abs_j, abs_rhs = np.abs(penalty.coef_i), np.abs(penalty.coef_j), np.abs(penalty.rhs)
 
-    def parts(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        return float(np.sum(w2a * vec ** beta)), penalty.residual(vec)
+    def objective(vec: np.ndarray) -> float:
+        value = float(np.sum(w2a * vec ** beta))
+        if coupled:
+            value += lam * float(np.linalg.norm(penalty.residual(vec)))
+        return value
 
-    r = project_rates(_as_vector(problem, warm_start), budget, floor)
-    t_prime, res = parts(r)
-    res_sq = float(res @ res)
-    smooth_norm = math.sqrt(res_sq + eps * eps)
-    objective = t_prime + lam * smooth_norm
-    exact_best = t_prime + lam * math.sqrt(res_sq)
-    r_best = r.copy()
-
-    def gradient(vec: np.ndarray, residual_vec: np.ndarray, norm: float) -> np.ndarray:
+    def distortion_derivatives(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grad = w2a * beta * vec ** (beta - 1.0)
-        if lam > 0.0:
-            grad = grad + (lam / norm) * penalty.apply_transpose(residual_vec)
-        return grad
+        return grad, grad * (beta - 1.0) / vec
 
-    grad = gradient(r, res, smooth_norm)
-    step = budget / (1.0 + float(np.linalg.norm(grad)))
+    def residual_scale(vec: np.ndarray) -> float:
+        """Norm of the terms that cancel in A r + b."""
+        terms = abs_i * vec[penalty.col_i] + abs_j * vec[penalty.col_j] + abs_rhs
+        return float(np.linalg.norm(terms))
+
+    def is_zero(vec: np.ndarray, res: np.ndarray) -> bool:
+        return float(np.linalg.norm(res)) <= ZERO_RESIDUAL * residual_scale(vec)
+
+    def certified(vec: np.ndarray):
+        if not np.all(vec[weighted] > floor):
+            return None
+        found = _kink_certificate(penalty, gram, distortion_derivatives(vec)[0], lam, weighted)
+        if found is None or found[0] > 1.0 or found[1] <= 0.0:
+            return None
+        return found
+
+    # The Hessian is assembled in place inside the bordered KKT matrix
+    # [[H, 1], [1^T, 0]]. Solving that system directly stays accurate when
+    # H alone is nearly singular, as the norm's Hessian is along y.
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[:n, n] = kkt[n, :n] = 1.0
+    hess = kkt[:n, :n]
+    diagonal = np.arange(n)
+
+    def newton_direction(grad, free, on_face):
+        d = np.zeros(n)
+        if on_face:
+            rows = np.append(np.nonzero(free)[0], n)
+            system = kkt if rows.size == n + 1 else kkt[np.ix_(rows, rows)]
+            sol = np.linalg.solve(system, np.append(-grad[free], 0.0))
+            d[free] = sol[:-1]
+            return d, float(sol[-1])
+        d[free] = np.linalg.solve(hess[np.ix_(free, free)], -grad[free])
+        return d, 0.0
+
+    def active_direction(grad, free, on_face) -> np.ndarray:
+        """Newton direction with the active set settled: a floor frame is
+        released when its multiplier is negative and the step raises it;
+        the budget is released when its multiplier is negative and the
+        step then spends less."""
+        d, nu = newton_direction(grad, free, on_face)
+        release = weighted & ~free & (grad + nu < 0.0)
+        if np.any(release):
+            wider, nu_wider = newton_direction(grad, free | release, on_face)
+            if np.all(wider[release] > 0.0):
+                d, nu, free = wider, nu_wider, free | release
+        if on_face and nu < 0.0:
+            off, _ = newton_direction(grad, free, False)
+            if off.sum() < 0.0:
+                d = off
+        return d
+
+    def projected(base: np.ndarray, move: np.ndarray) -> np.ndarray:
+        """base + move projected onto the feasible set with every frame
+        kept at or above a quarter of its rate: the power law's curvature
+        grows as the rate falls, so its quadratic model is trusted only
+        that far, and a frame pushed below the floor lands on it."""
+        return project_rates(base + move, budget, np.maximum(floor, MIN_RATE_RATIO * base))
+
+    def line_search(base: np.ndarray, base_value: float, grad, d):
+        """Backtracking (Armijo) along the projected step; t = 0 when P
+        cannot fall."""
+        t = 1.0
+        for _ in range(60):
+            candidate = projected(base, t * d)
+            value_c = objective(candidate)
+            decrease = base_value - value_c
+            if decrease > 0.0 and decrease >= -1e-4 * float(grad @ (candidate - base)):
+                return t, candidate, value_c
+            t *= 0.5
+        return 0.0, base, base_value
+
+    rank_one = np.empty((n, n)) if coupled else None
+    r = project_rates(_as_vector(problem, warm_start), budget, floor)
+    r[~weighted] = floor
+    value = objective(r)
+    if coupled and not is_zero(r, penalty.residual(r)):
+        kink = _zero_residual_point(penalty, weighted, budget, floor)
+        kink_value = math.inf if kink is None else objective(kink)
+        if kink_value < value and certified(kink) is not None:
+            r, value = kink, kink_value
+    start_value = value
+
     converged = False
-    pg_norm = math.inf
-    stall = 0
+    stop = "iteration cap"
+    kkt_residual = math.inf
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        step = min(step * 2.0, 1e3 * budget)
-        accepted = False
-        for _ in range(200):
-            candidate = project_rates(r - step * grad, budget, floor)
-            move = candidate - r
-            t_prime_c, res_c = parts(candidate)
-            res_sq_c = float(res_c @ res_c)
-            smooth_norm_c = math.sqrt(res_sq_c + eps * eps)
-            objective_c = t_prime_c + lam * smooth_norm_c
-            bound = (
-                objective
-                + float(grad @ move)
-                + float(move @ move) / (2.0 * step)
-                + 1e-12 * (1.0 + abs(objective))
-            )
-            if objective_c <= bound:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        pg_norm = float(np.linalg.norm(move)) / step
-        r = candidate
-        objective = objective_c
-        exact = t_prime_c + lam * math.sqrt(res_sq_c)
-        if exact < exact_best:
-            if exact < exact_best - 1e-12 * (1.0 + abs(exact_best)):
-                stall = 0
+        # A frame within rounding of the floor is on it.
+        snap = (r > floor) & (r <= floor * (1.0 + ACTIVE_BOUND))
+        if np.any(snap):
+            r[snap] = floor
+            value = objective(r)
+        free = weighted & (r > floor)
+        on_face = float(r.sum()) >= budget * (1.0 - ACTIVE_BOUND)
+        grad_f, curvature = distortion_derivatives(r)
+        grad = grad_f
+        at_kink = False
+        if coupled:
+            res = penalty.residual(r)
+            if is_zero(r, res):
+                found = certified(r)
+                if found is not None:
+                    _, mu, marginal = found
+                    kkt_residual = _marginal_mismatch(marginal, grad_f, free, mu)
+                    converged = kkt_residual <= tol
+                    stop = "certified zero residual"
+                    break
+                # Not provably optimal: step on the distortion term alone,
+                # which cannot certify convergence.
+                at_kink = True
             else:
-                stall += 1
-            exact_best = exact
-            r_best = r.copy()
-        else:
-            stall += 1
-        grad = gradient(r, res_c, smooth_norm_c)
-        if pg_norm < tol * (1.0 + abs(objective)) or stall >= stall_limit:
-            converged = True
+                norm = float(np.linalg.norm(res))
+                dual = penalty.apply_transpose(res / norm)
+                grad = grad_f + lam * dual
+                # In place: fresh n x n temporaries cost as much as the solve.
+                np.multiply(gram, lam / norm, out=hess)
+                np.multiply(dual[:, None], dual * (lam / norm), out=rank_one)
+                hess -= rank_one
+        if not coupled or at_kink:
+            hess.fill(0.0)
+        hess[diagonal, diagonal] += curvature
+        try:
+            d = active_direction(grad, free, on_face)
+            # P cannot resolve changes below its rounding error, so neither
+            # can the stop or the step that passes it.
+            resolution = ROUNDING * (value + (lam * residual_scale(r) if coupled else 0.0))
+            if not at_kink and -0.5 * float(grad @ d) <= tol * value + resolution:
+                # A converged Newton step improves P by less than rounding
+                # can show; it is kept unless P visibly rises or ends above
+                # the start.
+                candidate = projected(r, d)
+                value_c = objective(candidate)
+                if value_c <= min(value + resolution, start_value):
+                    r, value = candidate, min(value, value_c)
+                converged = True
+                stop = "Newton decrement"
+                break
+            t, candidate, value_c = line_search(r, value, grad, d)
+            if t < MAJORIZER_STEP and coupled and not at_kink:
+                # Near the norm's kink its Hessian is flat along y, so Newton
+                # overshoots; the quadratic majorizer of the norm, which
+                # keeps the curvature lambda / |y| A^T A along y, does not.
+                hess += rank_one
+                d = active_direction(grad, free, on_face)
+                t_mm, candidate_mm, value_mm = line_search(r, value, grad, d)
+                if value_mm < value_c:
+                    t, candidate, value_c = t_mm, candidate_mm, value_mm
+        except np.linalg.LinAlgError:
+            stop = "singular Newton system"
             break
+        if t == 0.0:
+            stop = "line search"
+            break
+        r, value = candidate, value_c
+
+    if not (coupled and stop == "certified zero residual"):
+        grad_f, _ = distortion_derivatives(r)
+        marginal = -grad_f
+        if coupled:
+            res = penalty.residual(r)
+            norm = float(np.linalg.norm(res))
+            if norm > 0.0:
+                marginal = marginal - lam * penalty.apply_transpose(res / norm)
+        free = weighted & (r > floor)
+        on_face = float(r.sum()) >= budget * (1.0 - ACTIVE_BOUND)
+        mu = float(np.mean(marginal[free])) if on_face and np.any(free) else 0.0
+        kkt_residual = _marginal_mismatch(marginal, grad_f, free, mu)
     log.debug(
-        "step2: %d iterations, projected-gradient norm %.3e, converged %s",
+        "step2: %d Newton iterations, stopped by %s, kkt_residual %.3e",
         iterations,
-        pg_norm,
-        converged,
+        stop,
+        kkt_residual,
     )
-    rates = {c: float(v) for c, v in zip(coords, r_best)}
+    rates = {c: float(v) for c, v in zip(coords, r)}
     result = AllocationResult(
         rates=rates,
         objective=evaluate_cost(problem, rates),
-        kkt_residual=float(pg_norm),
+        kkt_residual=kkt_residual,
         iterations=iterations,
-        budget_used=float(r_best.sum()),
+        budget_used=float(r.sum()),
     )
     if not converged:
         raise NotConverged(
-            f"projected gradient stopped after {iterations} iterations "
-            f"(projected-gradient norm {pg_norm:.3e})",
+            f"Newton method stopped by {stop} after {iterations} iterations "
+            f"(kkt_residual {kkt_residual:.3e})",
             result=result,
         )
     return result
@@ -448,13 +634,14 @@ def allocate(problem: AllocationProblem) -> AllocationResult:
     """Full two-step allocation.
 
     With lambda zero the step-one answer is already optimal and is
-    returned as is; otherwise step two polishes it against the linearized
+    returned as is; otherwise step two refines it against the linearized
     consistency penalty. The result carries the step-one rates for
-    diagnostics either way.
+    diagnostics either way, and the joint cost is evaluated once.
     """
-    step1 = solve_step1(problem)
     if problem.lam == 0.0:
+        step1 = solve_step1(problem)
         return replace(step1, step1_rates=dict(step1.rates))
+    step1 = solve_step1(problem, evaluate=False)
     penalty = build_cone_penalty(problem, step1.rates)
     step2 = solve_step2(problem, step1.rates, penalty)
     return replace(step2, step1_rates=dict(step1.rates))

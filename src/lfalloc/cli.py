@@ -223,12 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="uniform",
         help="first-pass target split",
     )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="reserved for stochastic adapters; the mock encoder is deterministic",
-    )
     p.add_argument("--output", required=True, help="iteration trace CSV to write")
     p.set_defaults(func=cmd_simulate)
 

@@ -4,12 +4,15 @@ The loop mirrors a low-delay chain: frames are encoded in coding order
 and each frame references the previously coded one. Around every frame's
 working quantizer a small sweep of trial compressions measures the local
 rate and distortion without advancing the chain; the sweep feeds the
-per-frame power-law model refit and the quantizer choice for the next
-pass. The first pass has no models yet, so it drives each frame toward a
-neutral per-frame budget share with a bisection on the adapter's
-monotone quantizer-rate response, which stands in for an encoder's
-default rate control. Later passes alternate the allocator with a
-re-encode until the realized rates settle.
+per-frame power-law model refit, and its sample nearest the frame's
+target rate is the committed encode. The first pass has no models yet,
+so it drives each frame toward a neutral per-frame budget share with a
+bisection on the adapter's monotone quantizer-rate response, which
+stands in for an encoder's default rate control. Later passes alternate
+the allocator with a re-encode until the realized rates settle; each
+re-encode sweep is centred on the quantizer that the log-linear
+rate-quantizer relation of the frame's previous sweep predicts for its
+allocated rate.
 
 mock_encode supplies a deterministic closed-form encoder for the whole
 loop: rate halves every rate_qp_halving quantizer steps, and SSE follows
@@ -22,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -128,7 +131,12 @@ class MockEncoder(EncoderAdapter):
 
 @dataclass(frozen=True, eq=False)
 class IterationEntry:
-    """Everything one pass over the sequence produced."""
+    """Everything one pass over the sequence produced.
+
+    qp_slopes holds each frame's least-squares slope of log2(rate) against
+    qp over its sweep, which centres the next pass's sweep; it is kept in
+    memory only and is not part of the trace file.
+    """
 
     qps: dict[FrameCoord, int]
     rates: dict[FrameCoord, float]
@@ -136,6 +144,7 @@ class IterationEntry:
     models: dict[FrameCoord, RDModelParams]
     cost: CostBreakdown
     wpsnr_db: float
+    qp_slopes: dict[FrameCoord, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,16 +230,63 @@ def _baseline_targets(
     raise ValueError(f"unknown baseline {baseline!r}")
 
 
-def _finish_entry(
+def _log2_rate_slope(samples: list[RDSample]) -> float:
+    """Least-squares slope of log2(rate) against qp over a sweep."""
+    qp = [s.qp for s in samples]
+    log_rate = [math.log2(s.rate) for s in samples]
+    qp_mean = sum(qp) / len(qp)
+    rate_mean = sum(log_rate) / len(log_rate)
+    spread = sum((q - qp_mean) ** 2 for q in qp)
+    return sum((q - qp_mean) * (y - rate_mean) for q, y in zip(qp, log_rate)) / spread
+
+
+def _predicted_qp(previous: IterationEntry, coord: FrameCoord, target_rate: float) -> int:
+    """Quantizer expected to hit target_rate, from the frame's last pass.
+
+    Follows the log-linear rate-qp relation fitted over the last sweep:
+    qp_prev + (log2 target - log2 rate_prev) / slope, rounded and clamped
+    to the valid range. Without a negative slope the last qp is kept.
+    """
+    qp_prev = previous.qps[coord]
+    slope = previous.qp_slopes.get(coord, 0.0)
+    if not slope < 0.0:
+        return qp_prev
+    shift = (math.log2(target_rate) - math.log2(previous.rates[coord])) / slope
+    return min(QP_MAX, max(QP_MIN, round(qp_prev + shift)))
+
+
+def _encode_pass(
     adapter: EncoderAdapter,
     grid: FrameGrid,
     weights: WeightSet,
     lam: float,
-    qps: dict[FrameCoord, int],
-    rates: dict[FrameCoord, float],
-    sses: dict[FrameCoord, float],
-    models: dict[FrameCoord, RDModelParams],
+    k_sweep: int,
+    aim,
 ) -> IterationEntry:
+    """One pass over the sequence in coding order.
+
+    Per frame: aim(coord, ref) gives the sweep centre and the target
+    rate; the trial sweep around the centre is measured, the sample
+    nearest the target is committed (encoding is deterministic in
+    (coord, qp, ref_state), so the sweep's measurement is the committed
+    encode), the model is refit from the sweep, and the chain advances.
+    """
+    ref = adapter.initial_reference()
+    qps, rates, sses, models, slopes = {}, {}, {}, {}, {}
+    for coord in grid.coding_order:
+        try:
+            center, target = aim(coord, ref)
+            sweep = trial_sweep(adapter, coord, center, k_sweep, ref)
+        except EncodeFailed as exc:
+            raise EncodeFailed(f"frame ({coord.u},{coord.v}): {exc}") from exc
+        qp = select_qp(sweep, target)
+        committed = next(s for s in sweep if s.qp == qp)
+        qps[coord] = qp
+        rates[coord] = committed.rate
+        sses[coord] = committed.sse
+        models[coord] = fit_power_model(sweep)
+        slopes[coord] = _log2_rate_slope(sweep)
+        ref = adapter.advance_reference(ref, committed.rate, committed.sse)
     breakdown = cost(grid, weights, DistortionSet(dict(sses)), lam)
     return IterationEntry(
         qps=qps,
@@ -239,6 +295,7 @@ def _finish_entry(
         models=models,
         cost=breakdown,
         wpsnr_db=wpsnr(breakdown.total, adapter.total_pixels),
+        qp_slopes=slopes,
     )
 
 
@@ -254,28 +311,20 @@ def run_first_iteration(
 ) -> IterationEntry:
     """First pass: drive every frame toward its baseline budget share.
 
-    Per frame, in coding order: pick the quantizer whose rate is nearest
-    the share, run the trial sweep around it, encode, fit the power-law
-    model from the sweep, then advance the reference chain.
+    Per frame, in coding order: search the quantizer whose rate is
+    nearest the share, sweep around it, commit the sweep sample nearest
+    the share (the searched quantizer, for an adapter whose rate falls
+    strictly with qp), fit the power-law model from the sweep, then
+    advance the reference chain.
     """
     if budget <= 0.0:
         raise ValueError("budget must be positive")
     targets = _baseline_targets(grid, weights, budget, baseline)
-    ref = adapter.initial_reference()
-    qps, rates, sses, models = {}, {}, {}, {}
-    for coord in grid.coding_order:
-        try:
-            qp = _qp_for_target(adapter, coord, targets[coord], ref)
-            sweep = trial_sweep(adapter, coord, qp, k_sweep, ref)
-            rate, sse = adapter.encode_frame(coord, qp, ref)
-        except EncodeFailed as exc:
-            raise EncodeFailed(f"frame ({coord.u},{coord.v}): {exc}") from exc
-        qps[coord] = qp
-        rates[coord] = rate
-        sses[coord] = sse
-        models[coord] = fit_power_model(sweep)
-        ref = adapter.advance_reference(ref, rate, sse)
-    return _finish_entry(adapter, grid, weights, lam, qps, rates, sses, models)
+
+    def aim(coord: FrameCoord, ref: Any) -> tuple[int, float]:
+        return _qp_for_target(adapter, coord, targets[coord], ref), targets[coord]
+
+    return _encode_pass(adapter, grid, weights, lam, k_sweep, aim)
 
 
 def run_iteration(
@@ -290,27 +339,19 @@ def run_iteration(
 ) -> IterationEntry:
     """One re-encode pass toward an allocation.
 
-    Per frame: sweep around the previous pass's quantizer, pick the
-    sample nearest the allocated rate, encode with it, refit the model
-    from the sweep, advance the chain.
+    Per frame: sweep around the quantizer predicted to hit the allocated
+    rate (_predicted_qp), commit the sample nearest that rate, refit the
+    model from the sweep, advance the chain.
     """
-    ref = adapter.initial_reference()
-    qps, rates, sses, models = {}, {}, {}, {}
-    for coord in grid.coding_order:
-        if coord not in allocation.rates:
-            raise IncompleteInput(f"allocation missing frame ({coord.u},{coord.v})")
-        try:
-            sweep = trial_sweep(adapter, coord, previous.qps[coord], k_sweep, ref)
-            qp = select_qp(sweep, allocation.rates[coord])
-            rate, sse = adapter.encode_frame(coord, qp, ref)
-        except EncodeFailed as exc:
-            raise EncodeFailed(f"frame ({coord.u},{coord.v}): {exc}") from exc
-        qps[coord] = qp
-        rates[coord] = rate
-        sses[coord] = sse
-        models[coord] = fit_power_model(sweep)
-        ref = adapter.advance_reference(ref, rate, sse)
-    return _finish_entry(adapter, grid, weights, lam, qps, rates, sses, models)
+    missing = [c for c in grid.coding_order if c not in allocation.rates]
+    if missing:
+        raise IncompleteInput(f"allocation missing frame ({missing[0].u},{missing[0].v})")
+
+    def aim(coord: FrameCoord, ref: Any) -> tuple[int, float]:
+        target = allocation.rates[coord]
+        return _predicted_qp(previous, coord, target), target
+
+    return _encode_pass(adapter, grid, weights, lam, k_sweep, aim)
 
 
 def run_to_convergence(

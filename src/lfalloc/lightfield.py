@@ -9,7 +9,9 @@ grid center.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,15 @@ from .errors import DegenerateWeights, ParseError, WeightChannelAbsent
 
 # Frames at L1 grid distance >= PROXIMITY_RADIUS do not interact.
 PROXIMITY_RADIUS = 3
+
+# Every grid displacement (du, dv) that couples two frames: the twelve
+# nonzero offsets strictly inside the proximity radius.
+COUPLING_OFFSETS = tuple(
+    (du, dv)
+    for du in range(1 - PROXIMITY_RADIUS, PROXIMITY_RADIUS)
+    for dv in range(1 - PROXIMITY_RADIUS, PROXIMITY_RADIUS)
+    if 0 < abs(du) + abs(dv) < PROXIMITY_RADIUS
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -55,6 +66,42 @@ class FrameGrid:
     @property
     def n_frames(self) -> int:
         return self.width * self.height
+
+    @cached_property
+    def coupled_pairs(self) -> CoupledPairs:
+        """Every ordered pair of distinct frames with nonzero proximity.
+
+        Built once per grid by enumerating COUPLING_OFFSETS, so the cost is
+        linear in the frame count. Rows are sorted by (i, j), indices in
+        coding order.
+        """
+        coords = self.coding_order
+        uu = np.array([c.u for c in coords])
+        vv = np.array([c.v for c in coords])
+        index = np.empty((self.width, self.height), dtype=int)
+        index[uu, vv] = np.arange(len(coords))
+        firsts, seconds, deltas = [], [], []
+        for du, dv in COUPLING_OFFSETS:
+            tu, tv = uu + du, vv + dv
+            inside = (tu >= 0) & (tu < self.width) & (tv >= 0) & (tv < self.height)
+            delta = float(PROXIMITY_RADIUS - abs(du) - abs(dv))
+            firsts.append(np.nonzero(inside)[0])
+            seconds.append(index[tu[inside], tv[inside]])
+            deltas.append(np.full(np.count_nonzero(inside), delta))
+        i, j, delta = (np.concatenate(parts) for parts in (firsts, seconds, deltas))
+        order = np.lexsort((j, i))
+        return CoupledPairs(i=i[order], j=j[order], delta=delta[order])
+
+
+@dataclass(frozen=True, eq=False)
+class CoupledPairs:
+    """Coupled frame pairs as aligned arrays: entry t links coding-order
+    frames i[t] and j[t] with proximity delta[t] > 0. Both directions of
+    every pair are present."""
+
+    i: np.ndarray
+    j: np.ndarray
+    delta: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +166,8 @@ def unify_weights(raw: dict[FrameCoord, float]) -> WeightSet:
     """Rescale raw frame weights so the largest becomes exactly one."""
     if not raw:
         raise DegenerateWeights("no frame weights given")
-    if any(w < 0.0 for w in raw.values()):
-        raise ValueError("raw weights must be nonnegative")
+    if not all(math.isfinite(w) and w >= 0.0 for w in raw.values()):
+        raise ValueError("raw weights must be nonnegative and finite")
     peak = max(raw.values())
     if peak <= 0.0:
         raise DegenerateWeights("all frame weights are zero")

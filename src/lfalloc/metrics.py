@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .lightfield import PROXIMITY_RADIUS, FrameCoord, FrameGrid, PixelFrame, WeightSet
+from .lightfield import FrameCoord, FrameGrid, PixelFrame, WeightSet
 
 # Peak sample value for 8-bit content, used by the wPSNR conversion.
 PEAK_SAMPLE_VALUE = 255.0
@@ -83,31 +83,28 @@ def _aligned(grid: FrameGrid, weights: WeightSet, distortions: DistortionSet):
         raise IncompleteInput(f"SSE missing for {missing[0]} and {len(missing) - 1} more")
     w = np.array([weights.unified[c] for c in coords])
     d = np.array([distortions.sse[c] for c in coords])
-    uu = np.array([c.u for c in coords])
-    vv = np.array([c.v for c in coords])
-    return w, d, uu, vv
+    return w, d
 
 
 def discontinuity(grid: FrameGrid, weights: WeightSet, distortions: DistortionSet) -> float:
     """Proximity-weighted squared SSE gaps, summed over ordered frame pairs.
 
-    Each unordered pair is counted twice (once per direction); self pairs
-    contribute exactly zero. The smaller of the two unified weights gates
+    Each unordered pair is counted twice (once per direction); a frame is
+    never paired with itself. The smaller of the two unified weights gates
     every pair, so a frame nobody cares about cannot create discontinuity.
     """
-    w, d, uu, vv = _aligned(grid, weights, distortions)
-    dist = np.abs(uu[:, None] - uu[None, :]) + np.abs(vv[:, None] - vv[None, :])
-    delta = np.maximum(0.0, float(PROXIMITY_RADIUS) - dist)
-    gate = np.minimum(w[:, None], w[None, :])
-    gap = d[:, None] - d[None, :]
-    return float(np.sum(delta * (gate * gap) ** 2))
+    w, d = _aligned(grid, weights, distortions)
+    pairs = grid.coupled_pairs
+    gate = np.minimum(w[pairs.i], w[pairs.j])
+    gap = d[pairs.i] - d[pairs.j]
+    return float(np.sum(pairs.delta * (gate * gap) ** 2))
 
 
 def cost(grid: FrameGrid, weights: WeightSet, distortions: DistortionSet, lam: float) -> CostBreakdown:
     """Joint cost: weighted distortion plus lam times sqrt(discontinuity)."""
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
-    w, d, _, _ = _aligned(grid, weights, distortions)
+    w, d = _aligned(grid, weights, distortions)
     wd = float(np.sum(w * w * d))
     disc = discontinuity(grid, weights, distortions)
     return CostBreakdown(

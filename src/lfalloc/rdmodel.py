@@ -40,6 +40,8 @@ class RDModelParams:
     sample_count: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
         if self.beta >= 0.0:
@@ -108,12 +110,18 @@ def linearize(params: RDModelParams, expansion_point: float) -> LinearizedRD:
     """
     if expansion_point <= 0.0:
         raise DomainError("expansion point must be positive")
-    a, b, r0 = params.alpha, params.beta, expansion_point
-    return LinearizedRD(
-        intercept=a * (1.0 - b) * r0 ** b,
-        slope=a * b * r0 ** (b - 1.0),
-        expansion_point=r0,
-    )
+    intercept, slope = tangent_lines(params.alpha, params.beta, expansion_point)
+    return LinearizedRD(intercept=intercept, slope=slope, expansion_point=expansion_point)
+
+
+def tangent_lines(alpha, beta, expansion_point):
+    """(intercept, slope) of the tangent to alpha * r**beta at expansion_point.
+
+    Works elementwise on numpy arrays, so one call linearizes every frame
+    of a grid; the caller checks that expansion points are positive.
+    """
+    r0 = expansion_point
+    return alpha * (1.0 - beta) * r0 ** beta, alpha * beta * r0 ** (beta - 1.0)
 
 
 SAMPLES_HEADER = "frame_index,qp,rate_bits,sse"

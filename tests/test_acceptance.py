@@ -132,7 +132,9 @@ def test_03_step2_matches_lattice_search():
         alpha = np.array([problem.models[c].alpha for c in order])
         beta = np.array([problem.models[c].beta for c in order])
         lam = problem.lam
-        rows = penalty.rows
+        rows = tuple(
+            zip(penalty.col_i, penalty.col_j, penalty.coef_i, penalty.coef_j, penalty.rhs)
+        )
         assert len(rows) == 12  # all ordered pairs of a 2x2 grid are in reach
 
         # Exhaustive search of the same objective over the budget face
@@ -161,8 +163,8 @@ def test_03_step2_matches_lattice_search():
             t_prime = dist[0][i] + d1[mask] + d2[mask] + dist[3][l_idx]
             rate = (i * step, rate1[mask], rate2[mask], l_idx * step)
             penalty_sq = np.zeros_like(t_prime)
-            for row in rows:
-                res = row.coef_i * rate[row.i] + row.coef_j * rate[row.j] + row.rhs
+            for fi, fj, coef_i, coef_j, rhs in rows:
+                res = coef_i * rate[fi] + coef_j * rate[fj] + rhs
                 penalty_sq += res * res
             g = t_prime + lam * np.sqrt(penalty_sq)
             t = int(np.argmin(g))
@@ -196,8 +198,8 @@ def test_03_step2_matches_lattice_search():
             )
             rate = (r0, r1, r2, r3)
             penalty_sq = np.zeros(t_prime.shape)
-            for row in rows:
-                res = row.coef_i * rate[row.i] + row.coef_j * rate[row.j] + row.rhs
+            for fi, fj, coef_i, coef_j, rhs in rows:
+                res = coef_i * rate[fi] + coef_j * rate[fj] + rhs
                 penalty_sq += res * res
             g = np.where(valid, t_prime + lam * np.sqrt(penalty_sq), np.inf)
             flat = int(np.argmin(g))
@@ -237,14 +239,14 @@ def test_03_step2_matches_lattice_search():
         r_star = center
         grad = w * w * alpha * beta * r_star ** (beta - 1.0)
         residuals = [
-            row.coef_i * r_star[row.i] + row.coef_j * r_star[row.j] + row.rhs
-            for row in rows
+            coef_i * r_star[fi] + coef_j * r_star[fj] + rhs
+            for fi, fj, coef_i, coef_j, rhs in rows
         ]
         norm = float(np.linalg.norm(residuals))
         if norm > 0.0:
-            for row, value in zip(rows, residuals):
-                grad[row.i] += lam * value * row.coef_i / norm
-                grad[row.j] += lam * value * row.coef_j / norm
+            for (fi, fj, coef_i, coef_j, _), value in zip(rows, residuals):
+                grad[fi] += lam * value * coef_i / norm
+                grad[fj] += lam * value * coef_j / norm
         assert float(grad.sum()) <= 1e-6 * float(np.abs(grad).sum())
 
 

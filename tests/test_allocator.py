@@ -283,21 +283,19 @@ class TestConePenalty:
             lam=5.0,
         )
         penalty = build_cone_penalty(problem, {c0: 8e5, c1: 6e5})
-        rows = penalty.rows
-        assert len(rows) == 2
+        assert len(penalty.rhs) == 2
         root2 = math.sqrt(2.0)
         slope0 = m0.alpha * m0.beta * 8e5 ** (m0.beta - 1.0)
         slope1 = m1.alpha * m1.beta * 6e5 ** (m1.beta - 1.0)
         icept0 = m0.alpha * (1.0 - m0.beta) * 8e5 ** m0.beta
         icept1 = m1.alpha * (1.0 - m1.beta) * 6e5 ** m1.beta
-        first, second = rows
-        assert (first.i, first.j, first.pair_index) == (0, 1, 2)
-        assert first.coef_i == pytest.approx(root2 * slope0, rel=1e-14)
-        assert first.coef_j == pytest.approx(-root2 * slope1, rel=1e-14)
-        assert first.rhs == pytest.approx(root2 * (icept0 - icept1), rel=1e-14)
-        assert (second.i, second.j, second.pair_index) == (1, 0, 3)
-        assert second.coef_i == pytest.approx(root2 * slope1, rel=1e-14)
-        assert second.coef_j == pytest.approx(-root2 * slope0, rel=1e-14)
+        assert (penalty.col_i[0], penalty.col_j[0]) == (0, 1)
+        assert penalty.coef_i[0] == pytest.approx(root2 * slope0, rel=1e-14)
+        assert penalty.coef_j[0] == pytest.approx(-root2 * slope1, rel=1e-14)
+        assert penalty.rhs[0] == pytest.approx(root2 * (icept0 - icept1), rel=1e-14)
+        assert (penalty.col_i[1], penalty.col_j[1]) == (1, 0)
+        assert penalty.coef_i[1] == pytest.approx(root2 * slope1, rel=1e-14)
+        assert penalty.coef_j[1] == pytest.approx(-root2 * slope0, rel=1e-14)
 
     def test_rows_follow_proximity_gating(self):
         problem = line_problem((REFERENCE_PAIRS[0],) * 5, budget=5e6)
@@ -309,12 +307,11 @@ class TestConePenalty:
             for j in range(5)
             if i != j and proximity(coords[i], coords[j]) > 0.0
         }
-        stored = {(row.i, row.j) for row in penalty.rows}
-        assert stored == expected
-        assert len(penalty.rows) == 14
-        for row in penalty.rows:
-            assert row.pair_index == row.i * 5 + row.j + 1
-            assert row.i != row.j
+        stored = list(zip(penalty.col_i.tolist(), penalty.col_j.tolist()))
+        assert set(stored) == expected
+        assert len(stored) == 14
+        assert stored == sorted(stored)  # row-major pair order
+        assert all(i != j for i, j in stored)
 
     def test_tangency_matches_model_gaps(self):
         rng = np.random.default_rng(2)
@@ -336,8 +333,8 @@ class TestConePenalty:
         rates = {c: float(r) for c, r in zip(coords, rng.uniform(5e5, 1.5e6, 6))}
         penalty = build_cone_penalty(problem, rates)
         residual = penalty.residual(np.array([rates[c] for c in coords]))
-        for value, row in zip(residual, penalty.rows):
-            ci, cj = coords[row.i], coords[row.j]
+        for value, i, j in zip(residual, penalty.col_i, penalty.col_j):
+            ci, cj = coords[i], coords[j]
             scale = math.sqrt(proximity(ci, cj)) * min(
                 weights.unified[ci], weights.unified[cj]
             )
@@ -362,7 +359,7 @@ class TestConePenalty:
 
 
 class TestSolveStep2:
-    """Projected gradient polish of the linearized objective."""
+    """Newton refinement of the linearized objective."""
 
     def test_zero_lambda_returns_warm_start(self):
         problem = line_problem(REFERENCE_PAIRS, budget=3e6, lam=0.0)
@@ -416,6 +413,26 @@ class TestSolveStep2:
         assert result.kkt_residual >= 0.0
         assert result.iterations >= 1
 
+    def test_leaves_a_zero_residual_start_that_is_not_optimal(self):
+        # With a small lambda the optimum has a nonzero residual, so a start
+        # on the norm's kink, where every tangent takes one value, must be
+        # left through the distortion term.
+        problem = replace(coupled_square(), lam=0.01)
+        step1 = solve_step1(problem)
+        penalty = build_cone_penalty(problem, step1.rates)
+        slopes, intercepts = penalty.slopes, penalty.intercepts
+        level = (problem.budget + np.sum(intercepts / slopes)) / np.sum(1.0 / slopes)
+        kink = (level - intercepts) / slopes
+        assert float(np.linalg.norm(penalty.residual(kink))) <= 1e-9 * np.abs(penalty.rhs).max()
+        from_kink = solve_step2(problem, kink, penalty)
+        from_step1 = solve_step2(problem, step1.rates, penalty)
+        assert penalized_objective(problem, penalty, from_kink.rates) == pytest.approx(
+            penalized_objective(problem, penalty, from_step1.rates), rel=1e-12
+        )
+        assert penalized_objective(problem, penalty, from_kink.rates) < penalized_objective(
+            problem, penalty, kink
+        )
+
     def test_iteration_cap_raises_with_best_iterate(self):
         problem = coupled_square()
         step1 = solve_step1(problem)
@@ -427,7 +444,6 @@ class TestSolveStep2:
                 penalty,
                 max_iterations=5,
                 tol=0.0,
-                stall_limit=10 ** 9,
             )
         carried = err.value.result
         assert carried is not None
@@ -437,6 +453,50 @@ class TestSolveStep2:
         rates = np.array(list(carried.rates.values()))
         assert float(rates.min()) >= problem.min_rate
         assert float(rates.sum()) <= problem.budget * (1.0 + 1e-10)
+
+
+class TestSolveStep2RealisticScale:
+    """Step 2 at the scale of real light fields: about 1e6 bits and 1e8 SSE
+    per frame, on grids up to 17x17."""
+
+    @pytest.mark.parametrize("side", [13, 17])
+    @pytest.mark.parametrize("lam", [1.0, 10.0, 100.0])
+    def test_converges_to_a_certified_optimum(self, side, lam):
+        rng = np.random.default_rng([side, int(lam)])
+        grid = spiral_order(side, side)
+        coords = grid.coding_order
+        n = len(coords)
+        alpha = 10.0 ** rng.uniform(7.5, 8.5, n)
+        beta = rng.uniform(-0.45, -0.22, n)
+        raw = rng.uniform(0.2, 1.0, n)
+        problem = AllocationProblem(
+            grid=grid,
+            weights=unify_weights({c: float(x) for c, x in zip(coords, raw)}),
+            models={
+                c: RDModelParams(alpha=float(a), beta=float(b))
+                for c, a, b in zip(coords, alpha, beta)
+            },
+            budget=1e6 * n,
+            lam=lam,
+        )
+        step1 = solve_step1(problem)
+        penalty = build_cone_penalty(problem, step1.rates)
+        result = solve_step2(problem, step1.rates, penalty)  # raises NotConverged on failure
+        before = penalized_objective(problem, penalty, step1.rates)
+        after = penalized_objective(problem, penalty, result.rates)
+        assert after <= before
+        assert result.kkt_residual <= 1e-6
+        rates = np.array([result.rates[c] for c in coords])
+        assert float(rates.min()) >= problem.min_rate
+        assert float(rates.sum()) <= problem.budget * (1.0 + 1e-10)
+
+        # The budget-face certificate of the step-2 lattice oracle: the
+        # implied budget multiplier is nonnegative.
+        w = np.array([problem.weights.unified[c] for c in coords])
+        grad = w * w * alpha * beta * rates ** (beta - 1.0)
+        residual = penalty.residual(rates)
+        grad += lam * penalty.apply_transpose(residual) / np.linalg.norm(residual)
+        assert float(grad.sum()) <= 1e-6 * float(np.abs(grad).sum())
 
 
 class TestAllocate:

@@ -131,6 +131,25 @@ class TestAllocateCommand:
         assert code == EXIT_INFEASIBLE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("budget", "nan"), ("lambda", "inf"), ("alpha", "inf"), ("weight", "nan")],
+    )
+    def test_non_finite_value_is_input_error(self, tmp_path, capsys, field, value):
+        problem = self.problem_path(tmp_path)
+        lines = problem.read_text().splitlines()
+        frame = next(k for k, line in enumerate(lines) if line.startswith("frame:"))
+        if field in ("budget", "lambda"):
+            lines = [f"{field}: {value}" if ln.startswith(f"{field}:") else ln for ln in lines]
+        else:
+            parts = lines[frame].split(",")
+            parts[{"weight": 2, "alpha": 3}[field]] = value
+            lines[frame] = ",".join(parts)
+        problem.write_text("\n".join(lines) + "\n")
+        code = main(["allocate", str(problem), "--output", str(tmp_path / "a.csv")])
+        assert code == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_problem_file(self, tmp_path, capsys):
         bad = tmp_path / "problem.txt"
         bad.write_text("width: 2\n")

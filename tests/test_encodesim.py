@@ -318,6 +318,21 @@ class TestRunIteration:
         assert abs(second.qps[FrameCoord(0, 0)] - 24) <= 1
         assert second.rates[FrameCoord(0, 0)] == 2e6
 
+    def test_far_target_settles_within_three_passes(self):
+        setup = single_frame_setup()
+        adapter = MockEncoder(setup.config)
+        coord = FrameCoord(0, 0)
+        entry = run_first_iteration(adapter, setup.grid, setup.weights, 1e6)
+        assert entry.qps[coord] == 30
+        target, _ = mock_encode(setup.config, coord, 40, 0.0)
+        allocation = self.allocation_for(entry, {coord: target})
+        for _ in range(3):
+            previous = entry
+            entry = run_iteration(adapter, entry, allocation, setup.grid, setup.weights)
+            if entry.qps == previous.qps:
+                break
+        assert entry.qps == previous.qps == {coord: 40}
+
     def test_missing_allocation_entry(self):
         setup = small_grid_setup()
         adapter = MockEncoder(setup.config)
@@ -370,6 +385,30 @@ class TestRunToConvergence:
             run_to_convergence(
                 adapter, decoupled_setup.grid, decoupled_setup.weights, 2e7, 0.0, 0
             )
+
+    def test_re_encode_passes_never_repeat_an_encode(self, coupled_setup):
+        passes = []
+
+        class CountingEncoder(MockEncoder):
+            def initial_reference(self):
+                passes.append([])
+                return super().initial_reference()
+
+            def encode_frame(self, coord, qp, ref_state):
+                passes[-1].append((coord, qp, ref_state))
+                return super().encode_frame(coord, qp, ref_state)
+
+        trace = run_to_convergence(
+            CountingEncoder(coupled_setup.config),
+            coupled_setup.grid,
+            coupled_setup.weights,
+            2e7,
+            5.0,
+            8,
+        )
+        assert len(passes) == len(trace.entries) >= 2
+        for calls in passes[1:]:
+            assert len(calls) == len(set(calls))
 
     def test_deterministic_rerun(self, coupled_setup):
         def run():

@@ -100,6 +100,11 @@ class TestUnifyWeights:
         with pytest.raises(ValueError):
             unify_weights({FrameCoord(0, 0): -1.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(ValueError):
+            unify_weights({FrameCoord(0, 0): 1.0, FrameCoord(1, 0): bad})
+
     def test_raw_values_kept(self):
         ws = unify_weights({FrameCoord(0, 0): 3.0, FrameCoord(1, 0): 6.0})
         assert ws.raw[FrameCoord(0, 0)] == 3.0
@@ -144,6 +149,28 @@ class TestProximity:
         a, b = FrameCoord(au, av), FrameCoord(bu, bv)
         assert proximity(a, b) == proximity(b, a)
         assert (proximity(a, b) == 0.0) == (l1_distance(a, b) >= 3)
+
+
+class TestCoupledPairs:
+    """Offset enumeration of the coupled frame pairs."""
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (2, 1), (1, 5), (3, 4), (6, 2), (9, 9)])
+    def test_matches_proximity_over_all_pairs(self, width, height):
+        grid = spiral_order(width, height)
+        coords = grid.coding_order
+        expected = [
+            (i, j, proximity(a, b))
+            for i, a in enumerate(coords)
+            for j, b in enumerate(coords)
+            if i != j and proximity(a, b) > 0.0
+        ]
+        pairs = grid.coupled_pairs
+        got = list(zip(pairs.i.tolist(), pairs.j.tolist(), pairs.delta.tolist()))
+        assert got == expected
+
+    def test_built_once_per_grid(self):
+        grid = spiral_order(4, 4)
+        assert grid.coupled_pairs is grid.coupled_pairs
 
 
 class TestSpiralOrder:

@@ -127,6 +127,23 @@ class TestDiscontinuity:
         slow = loop_discontinuity(grid, weights, d)
         assert fast == pytest.approx(slow, rel=1e-12)
 
+    def test_matches_dense_broadcast_at_17x17(self):
+        rng = np.random.default_rng(17)
+        grid = spiral_order(17, 17)
+        coords = grid.coding_order
+        raw = {c: float(w) for c, w in zip(coords, rng.uniform(0.2, 1.0, len(coords)))}
+        weights = unify_weights(raw)
+        sse = rng.uniform(1e6, 1e8, len(coords))
+        d = DistortionSet({c: float(v) for c, v in zip(coords, sse)})
+        w = np.array([weights.unified[c] for c in coords])
+        uu = np.array([c.u for c in coords])
+        vv = np.array([c.v for c in coords])
+        dist = np.abs(uu[:, None] - uu[None, :]) + np.abs(vv[:, None] - vv[None, :])
+        delta = np.maximum(0.0, 3.0 - dist)
+        gate = np.minimum(w[:, None], w[None, :])
+        dense = float(np.sum(delta * (gate * (sse[:, None] - sse[None, :])) ** 2))
+        assert discontinuity(grid, weights, d) == pytest.approx(dense, rel=1e-12)
+
     def test_shift_invariance_exact(self):
         grid, weights = pair_grid()
         base = DistortionSet({FrameCoord(0, 0): 1.0, FrameCoord(1, 0): 3.0})
