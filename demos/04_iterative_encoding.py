@@ -58,8 +58,9 @@ for index, entry in enumerate(trace.entries, start=1):
         f"{index:4d}  {total_rate:12.0f}  {entry.cost.total:14.1f}"
         f"  {entry.wpsnr_db:10.4f}"
     )
-state = "converged" if trace.converged else "stopped at the iteration cap"
+state = "converged" if trace.converged else "stopped unconverged"
 print(f"\n{state} after {len(trace.entries)} passes")
+print(f"{trace.encodes} encoder calls, {trace.cache_hits} repeats answered from the cache")
 
 first, last = trace.entries[0], trace.entries[-1]
 gain = (first.cost.total - last.cost.total) / first.cost.total

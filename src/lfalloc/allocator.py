@@ -36,7 +36,7 @@ from .errors import (
 )
 from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order, unify_weights
 from .metrics import CostBreakdown, DistortionSet, cost
-from .rdmodel import RDModelParams, eval_model, tangent_lines
+from .rdmodel import RDModelParams, tangent_lines
 
 log = logging.getLogger("lfalloc.allocator")
 
@@ -179,11 +179,11 @@ def _as_vector(problem: AllocationProblem, rates) -> np.ndarray:
 
 def predicted_distortions(problem: AllocationProblem, rates) -> DistortionSet:
     """Model-predicted SSE per frame at the given rates."""
+    coords, _, alpha, beta = _vectors(problem)
     vec = _as_vector(problem, rates)
-    coords = problem.grid.coding_order
-    return DistortionSet(
-        {c: eval_model(problem.models[c], float(r)) for c, r in zip(coords, vec)}
-    )
+    if np.any(vec <= 0.0):
+        raise DomainError("rate must be positive")
+    return DistortionSet(dict(zip(coords, (alpha * vec ** beta).tolist())))
 
 
 def evaluate_cost(problem: AllocationProblem, rates) -> CostBreakdown:
@@ -695,6 +695,10 @@ def read_problem_file(path) -> AllocationProblem:
                 )
             try:
                 coord = FrameCoord(int(parts[0]), int(parts[1]))
+                if coord in frames:
+                    raise ParseError(
+                        f"{path}: line {lineno}: duplicate frame ({coord.u},{coord.v})"
+                    )
                 frames[coord] = (float(parts[2]), float(parts[3]), float(parts[4]))
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: bad frame line") from exc
@@ -723,6 +727,9 @@ def read_problem_file(path) -> AllocationProblem:
             grid = FrameGrid(width=width, height=height, coding_order=order)
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}: bad order line") from exc
+    for c in frames:
+        if not (0 <= c.u < width and 0 <= c.v < height):
+            raise ParseError(f"{path}: frame ({c.u},{c.v}) outside the {width}x{height} grid")
     missing = [c for c in grid.coding_order if c not in frames]
     if missing:
         raise ParseError(f"{path}: no frame line for ({missing[0].u},{missing[0].v})")

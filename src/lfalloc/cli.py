@@ -133,6 +133,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"wpsnr {entry.wpsnr_db:.4g} dB"
         )
     print(f"converged {str(trace.converged).lower()} after {len(trace.entries)} iterations")
+    print(f"encoder calls {trace.encodes}, cache hits {trace.cache_hits}")
     print(f"wrote {args.output}")
     return EXIT_OK
 

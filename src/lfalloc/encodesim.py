@@ -7,12 +7,21 @@ rate and distortion without advancing the chain; the sweep feeds the
 per-frame power-law model refit, and its sample nearest the frame's
 target rate is the committed encode. The first pass has no models yet,
 so it drives each frame toward a neutral per-frame budget share with a
-bisection on the adapter's monotone quantizer-rate response, which
-stands in for an encoder's default rate control. Later passes alternate
-the allocator with a re-encode until the realized rates settle; each
-re-encode sweep is centred on the quantizer that the log-linear
-rate-quantizer relation of the frame's previous sweep predicts for its
-allocated rate.
+search on the adapter's monotone quantizer-rate response, which stands
+in for an encoder's default rate control; the search starts from the
+previous frame's quantizer and steps outward in doubling steps until it
+brackets the share, then bisects. Later passes alternate the allocator
+with a re-encode until the realized rates settle; each re-encode sweep
+is centred on the quantizer that the log-linear rate-quantizer relation
+of the frame's previous sweep predicts for its allocated rate. A loop
+whose pass repeats an earlier pass exactly can never settle, so it
+stops there unconverged.
+
+Encoding is deterministic in (coord, qp, ref_state), so
+run_to_convergence encodes each such triple at most once per run: a
+cache private to the run answers every repeat, whether it comes from the
+first pass's search, an overlapping sweep, or a later pass that returns
+to the same quantizers and references.
 
 mock_encode supplies a deterministic closed-form encoder for the whole
 loop: rate halves every rate_qp_halving quantizer steps, and SSE follows
@@ -49,8 +58,11 @@ class EncoderAdapter(ABC):
 
     encode_frame must be deterministic in (coord, qp, ref_state), with
     rate non-increasing and SSE non-decreasing in qp at a fixed reference.
-    Trial compressions call encode_frame without advancing the reference,
-    so they can never change the actual output.
+    ref_state must be hashable and advance_reference deterministic, so
+    that run_to_convergence can encode each triple once per run; the
+    default float state meets both. Trial compressions call encode_frame
+    without advancing the reference, so they can never change the actual
+    output.
     """
 
     def initial_reference(self) -> Any:
@@ -149,11 +161,50 @@ class IterationEntry:
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
-    """Ordered record of every pass plus the convergence flag."""
+    """Ordered record of every pass plus the convergence flag.
+
+    encodes counts the calls that reached the adapter's encode_frame and
+    cache_hits the encodes answered from the run's cache; both are kept
+    in memory only and are not part of the trace file.
+    """
 
     grid: FrameGrid
     entries: list[IterationEntry]
     converged: bool
+    encodes: int = 0
+    cache_hits: int = 0
+
+
+class _EncodeCache(EncoderAdapter):
+    """encode_frame memoized on (coord, qp, ref_state) for one loop run.
+
+    The reference hooks and total_pixels pass straight through on every
+    call; only encodes are cached.
+    """
+
+    def __init__(self, adapter: EncoderAdapter):
+        self.adapter = adapter
+        self.results: dict[tuple[FrameCoord, int, Any], tuple[float, float]] = {}
+        self.hits = 0
+
+    def initial_reference(self) -> Any:
+        return self.adapter.initial_reference()
+
+    def advance_reference(self, ref_state: Any, rate: float, sse: float) -> Any:
+        return self.adapter.advance_reference(ref_state, rate, sse)
+
+    def encode_frame(self, coord: FrameCoord, qp: int, ref_state: Any) -> tuple[float, float]:
+        key = (coord, qp, ref_state)
+        result = self.results.get(key)
+        if result is None:
+            result = self.results[key] = self.adapter.encode_frame(coord, qp, ref_state)
+        else:
+            self.hits += 1
+        return result
+
+    @property
+    def total_pixels(self) -> int:
+        return self.adapter.total_pixels
 
 
 def trial_sweep(
@@ -189,26 +240,63 @@ def select_qp(samples: list[RDSample], target_rate: float) -> int:
 
 
 def _qp_for_target(
-    adapter: EncoderAdapter, coord: FrameCoord, target_rate: float, ref_state: Any
+    adapter: EncoderAdapter,
+    coord: FrameCoord,
+    target_rate: float,
+    ref_state: Any,
+    start: int,
 ) -> int:
-    """First-pass quantizer choice: bisection on the monotone rate response."""
+    """First-pass quantizer choice on the monotone rate response.
+
+    Returns what a bisection over the whole range returns: QP_MIN when
+    its rate is at most the target, else QP_MAX when its rate is at
+    least the target, else whichever of the largest qp whose rate
+    exceeds the target and its upper neighbour lies nearer the target
+    (ties to the lower). The search starts at `start` and steps outward
+    in doubling steps until the target is bracketed (the unbounded
+    search of Bentley and Yao, 1976), then bisects, so a start near the
+    answer costs a few encodes instead of a full-range bisection.
+    """
 
     def rate_at(qp: int) -> float:
         return adapter.encode_frame(coord, qp, ref_state)[0]
 
-    lo, hi = QP_MIN, QP_MAX
-    if rate_at(lo) <= target_rate:
-        return lo
-    if rate_at(hi) >= target_rate:
-        return hi
-    # Invariant: rate(lo) > target > rate(hi).
+    # Bracket the answer: rate(lo) > target >= rate(hi).
+    rate = rate_at(start)
+    lo = hi = start
+    rate_lo = rate_hi = rate
+    step = 1
+    if rate > target_rate:
+        while rate_hi > target_rate:
+            if hi == QP_MAX:
+                return QP_MAX
+            lo, rate_lo = hi, rate_hi
+            hi = min(QP_MAX, hi + step)
+            rate_hi = rate_at(hi)
+            step *= 2
+    else:
+        while rate_lo <= target_rate:
+            if lo == QP_MIN:
+                return QP_MIN
+            hi, rate_hi = lo, rate_lo
+            lo = max(QP_MIN, lo - step)
+            rate_lo = rate_at(lo)
+            step *= 2
+    # When the target rate holds up to QP_MAX, QP_MAX wins. Probing hi + 1
+    # first rules that out at a quantizer the frame's sweep measures anyway.
+    if rate_hi == target_rate:
+        if hi == QP_MAX:
+            return QP_MAX
+        if rate_at(hi + 1) == target_rate and rate_at(QP_MAX) == target_rate:
+            return QP_MAX
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if rate_at(mid) > target_rate:
-            lo = mid
+        rate = rate_at(mid)
+        if rate > target_rate:
+            lo, rate_lo = mid, rate
         else:
-            hi = mid
-    if abs(rate_at(lo) - target_rate) <= abs(rate_at(hi) - target_rate):
+            hi, rate_hi = mid, rate
+    if abs(rate_lo - target_rate) <= abs(rate_hi - target_rate):
         return lo
     return hi
 
@@ -312,17 +400,21 @@ def run_first_iteration(
     """First pass: drive every frame toward its baseline budget share.
 
     Per frame, in coding order: search the quantizer whose rate is
-    nearest the share, sweep around it, commit the sweep sample nearest
-    the share (the searched quantizer, for an adapter whose rate falls
-    strictly with qp), fit the power-law model from the sweep, then
-    advance the reference chain.
+    nearest the share, starting from the previous frame's (the middle of
+    the range for the first frame), sweep around it, commit the sweep
+    sample nearest the share (the searched quantizer, for an adapter
+    whose rate falls strictly with qp), fit the power-law model from the
+    sweep, then advance the reference chain.
     """
     if budget <= 0.0:
         raise ValueError("budget must be positive")
     targets = _baseline_targets(grid, weights, budget, baseline)
+    start = (QP_MIN + QP_MAX) // 2
 
     def aim(coord: FrameCoord, ref: Any) -> tuple[int, float]:
-        return _qp_for_target(adapter, coord, targets[coord], ref), targets[coord]
+        nonlocal start
+        start = _qp_for_target(adapter, coord, targets[coord], ref, start)
+        return start, targets[coord]
 
     return _encode_pass(adapter, grid, weights, lam, k_sweep, aim)
 
@@ -371,16 +463,21 @@ def run_to_convergence(
 
     Settled means the largest relative per-frame rate change between two
     consecutive passes falls below rate_change_tol. Hitting max_iters
-    first leaves converged False; the trace is returned either way. An
-    allocator that runs out of iterations contributes its best feasible
-    iterate instead of aborting the loop.
+    first, or a pass that repeats an earlier pass's qps, rates, qp slopes
+    and models (the whole input of the next pass, so the loop would cycle
+    for good), leaves converged False; the trace is returned either way.
+    An allocator that runs out of iterations contributes its best
+    feasible iterate instead of aborting the loop. The adapter sees each
+    (coord, qp, ref_state) at most once per call.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    adapter = _EncodeCache(adapter)
     first = run_first_iteration(
         adapter, grid, weights, budget, lam=lam, k_sweep=k_sweep, baseline=baseline
     )
     entries = [first]
+    seen = {_pass_state(grid, first): 1}
     converged = False
     for _ in range(max_iters - 1):
         previous = entries[-1]
@@ -414,7 +511,33 @@ def run_to_convergence(
         if change < rate_change_tol:
             converged = True
             break
-    return IterationTrace(grid=grid, entries=entries, converged=converged)
+        state = _pass_state(grid, entry)
+        if state in seen:
+            log.warning(
+                "iteration %d repeats iteration %d: the loop cycles with period %d",
+                len(entries),
+                seen[state],
+                len(entries) - seen[state],
+            )
+            break
+        seen[state] = len(entries)
+    encodes = len(adapter.results)
+    log.info("encoder calls %d, cache hits %d", encodes, adapter.hits)
+    return IterationTrace(
+        grid=grid,
+        entries=entries,
+        converged=converged,
+        encodes=encodes,
+        cache_hits=adapter.hits,
+    )
+
+
+def _pass_state(grid: FrameGrid, entry: IterationEntry) -> tuple:
+    """Everything of a pass that the next pass depends on."""
+    return tuple(
+        (entry.qps[c], entry.rates[c], entry.qp_slopes[c], entry.models[c])
+        for c in grid.coding_order
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,6 +593,10 @@ def read_mock_config(path) -> MockSetup:
                 raise ParseError(f"{path}: line {lineno}: expected '{MOCK_FRAME_FIELDS}'")
             try:
                 coord = FrameCoord(int(parts[0]), int(parts[1]))
+                if coord in params:
+                    raise ParseError(
+                        f"{path}: line {lineno}: duplicate frame ({coord.u},{coord.v})"
+                    )
                 params[coord] = (float(parts[2]), float(parts[3]))
                 raw_weights[coord] = float(parts[4]) if len(parts) == 5 else 1.0
             except ValueError as exc:
@@ -484,6 +611,9 @@ def read_mock_config(path) -> MockSetup:
     except ValueError as exc:
         raise ParseError(f"{path}: bad grid dimensions") from exc
     grid = spiral_order(width, height)
+    for c in params:
+        if not (0 <= c.u < width and 0 <= c.v < height):
+            raise ParseError(f"{path}: frame ({c.u},{c.v}) outside the {width}x{height} grid")
     missing = [c for c in grid.coding_order if c not in params]
     if missing:
         raise ParseError(f"{path}: no frame line for ({missing[0].u},{missing[0].v})")

@@ -499,6 +499,34 @@ class TestSolveStep2RealisticScale:
         assert float(grad.sum()) <= 1e-6 * float(np.abs(grad).sum())
 
 
+class TestPredictedDistortions:
+    """Model SSE per frame, evaluated over the whole grid at once."""
+
+    def test_equals_per_frame_eval_model_exactly(self):
+        rng = np.random.default_rng(17)
+        grid = spiral_order(17, 17)
+        coords = grid.coding_order
+        models = {
+            c: RDModelParams(alpha=10.0 ** rng.uniform(7.5, 8.5), beta=rng.uniform(-0.45, -0.22))
+            for c in coords
+        }
+        problem = AllocationProblem(
+            grid=grid,
+            weights=unify_weights({c: 1.0 for c in coords}),
+            models=models,
+            budget=1e6 * len(coords),
+            lam=0.0,
+        )
+        rates = rng.uniform(1e3, 5e6, len(coords))
+        predicted = predicted_distortions(problem, rates).sse
+        assert predicted == {c: eval_model(models[c], float(r)) for c, r in zip(coords, rates)}
+
+    def test_non_positive_rate_is_domain_error(self):
+        problem = coupled_square()
+        with pytest.raises(DomainError):
+            predicted_distortions(problem, np.array([1e6, 1e6, 0.0, 1e6]))
+
+
 class TestAllocate:
     """The combined two-step entry point."""
 

@@ -27,6 +27,7 @@ from lfalloc.cli import (
 )
 from lfalloc.lightfield import grid_to_text
 from test_allocator import coupled_square
+from test_encodesim import small_grid_setup
 
 REFERENCE_PAIRS = ((4.46e7, -0.261), (1.96e8, -0.383), (6.93e7, -0.284))
 
@@ -150,6 +151,20 @@ class TestAllocateCommand:
         assert code == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", ["repeat", "off_grid"])
+    def test_extra_frame_line_is_input_error(self, tmp_path, capsys, extra):
+        problem = self.problem_path(tmp_path)
+        text = problem.read_text()
+        frame = next(ln for ln in text.splitlines() if ln.startswith("frame: 1,1,"))
+        if extra == "off_grid":
+            frame = frame.replace("frame: 1,1,", "frame: 5,5,")
+        problem.write_text(text + frame + "\n")
+        code = main(["allocate", str(problem), "--output", str(tmp_path / "a.csv")])
+        assert code == EXIT_INPUT
+        assert ("duplicate frame (1,1)" if extra == "repeat" else "outside") in (
+            capsys.readouterr().err
+        )
+
     def test_bad_problem_file(self, tmp_path, capsys):
         bad = tmp_path / "problem.txt"
         bad.write_text("width: 2\n")
@@ -207,6 +222,35 @@ class TestSimulateCommand:
         )
         assert code == EXIT_OK
         assert "converged false after 1 iterations" in capsys.readouterr().out
+
+    def test_reports_encoder_calls(self, tmp_path, capsys, decoupled_setup):
+        config = self.config_path(tmp_path, decoupled_setup)
+        code = main(
+            ["simulate", str(config), "--budget", "2e7", "--output", str(tmp_path / "t.csv")]
+        )
+        assert code == EXIT_OK
+        line = next(
+            ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("encoder calls")
+        )
+        calls, hits = (int(part.split()[-1]) for part in line.split(","))
+        assert calls > 0 and hits > 0
+
+    @pytest.mark.parametrize("extra", ["repeat", "off_grid"])
+    def test_extra_frame_line_is_input_error(self, tmp_path, capsys, extra):
+        setup = small_grid_setup()
+        config = self.config_path(tmp_path, setup)
+        text = config.read_text()
+        frame = next(ln for ln in text.splitlines() if ln.startswith("frame: 1,1,"))
+        if extra == "off_grid":
+            frame = frame.replace("frame: 1,1,", "frame: 5,5,")
+        config.write_text(text + frame + "\n")
+        code = main(
+            ["simulate", str(config), "--budget", "4e6", "--output", str(tmp_path / "t.csv")]
+        )
+        assert code == EXIT_INPUT
+        assert ("duplicate frame (1,1)" if extra == "repeat" else "outside") in (
+            capsys.readouterr().err
+        )
 
     def test_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "mock.txt"

@@ -1,8 +1,11 @@
 """Mock encoder, trial sweeps, quantizer selection, and the encode loop."""
 
+import logging
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfalloc import (
     AllocationResult,
@@ -29,7 +32,14 @@ from lfalloc import (
     write_mock_config,
     write_trace_csv,
 )
-from lfalloc.encodesim import last_iteration_distortions, trace_to_parsed
+from lfalloc import encodesim
+from lfalloc.encodesim import (
+    QP_MAX,
+    QP_MIN,
+    _qp_for_target,
+    last_iteration_distortions,
+    trace_to_parsed,
+)
 
 
 def single_frame_setup(a=3e7, b=-0.3, **kwargs):
@@ -37,6 +47,18 @@ def single_frame_setup(a=3e7, b=-0.3, **kwargs):
     config = MockEncoderConfig(frame_params={FrameCoord(0, 0): (a, b)}, **kwargs)
     weights = unify_weights({FrameCoord(0, 0): 1.0})
     return MockSetup(config=config, grid=grid, weights=weights)
+
+
+class CountingEncoder(MockEncoder):
+    """MockEncoder that records every encode_frame call it receives."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.calls = []
+
+    def encode_frame(self, coord, qp, ref_state):
+        self.calls.append((coord, qp, ref_state))
+        return super().encode_frame(coord, qp, ref_state)
 
 
 def small_grid_setup(gamma=0.0):
@@ -206,6 +228,75 @@ class TestSelectQp:
     def test_empty_sweep(self):
         with pytest.raises(ValueError):
             select_qp([], 1.0)
+
+
+class TableEncoder(MockEncoder):
+    """One frame whose rate per qp is read from a table."""
+
+    def __init__(self, rates):
+        super().__init__(single_frame_setup().config)
+        self.rates = rates
+
+    def encode_frame(self, coord, qp, ref_state):
+        return self.rates[qp], 1.0
+
+
+def scan_qp_for_target(rates, target):
+    """The full-range bisection's answer, by brute force."""
+    if rates[QP_MIN] <= target:
+        return QP_MIN
+    if rates[QP_MAX] >= target:
+        return QP_MAX
+    lo = max(qp for qp in range(QP_MIN, QP_MAX + 1) if rates[qp] > target)
+    return lo if abs(rates[lo] - target) <= abs(rates[lo + 1] - target) else lo + 1
+
+
+@st.composite
+def rate_tables(draw):
+    """Non-increasing rates over the qp range, with plateaus, and a target
+    that is often one of the rates (often the last one)."""
+    top = draw(st.one_of(st.integers(1, 200), st.integers(1, 10**6)))
+    drops = draw(
+        st.lists(st.integers(0, 5), min_size=QP_MAX - QP_MIN, max_size=QP_MAX - QP_MIN)
+    )
+    rates = [float(top)]
+    for drop in drops:
+        rates.append(max(rates[-1] - drop, 0.0))
+    target = draw(
+        st.one_of(
+            st.sampled_from(rates),
+            st.just(rates[-1]),
+            st.floats(-1.0, top + 10.0, allow_nan=False),
+            st.sampled_from(rates).map(lambda r: r + 0.5),
+        )
+    )
+    return rates, target
+
+
+class TestQpForTarget:
+    """The first pass's seeded quantizer search."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rate_tables(), st.integers(QP_MIN, QP_MAX))
+    def test_matches_full_range_scan(self, table, start):
+        rates, target = table
+        adapter = TableEncoder(rates)
+        found = _qp_for_target(adapter, FrameCoord(0, 0), target, 0.0, start)
+        assert found == scan_qp_for_target(rates, target)
+
+    def test_start_at_the_answer_costs_two_encodes(self):
+        setup = single_frame_setup()
+        adapter = CountingEncoder(setup.config)
+        qp = _qp_for_target(adapter, FrameCoord(0, 0), 1.1e6, 0.0, 29)
+        assert qp == 29
+        assert len(adapter.calls) == 2
+
+    def test_any_start_costs_at_most_a_bisection_and_a_gallop(self):
+        setup = single_frame_setup()
+        for start in range(QP_MIN, QP_MAX + 1):
+            adapter = CountingEncoder(setup.config)
+            assert _qp_for_target(adapter, FrameCoord(0, 0), 1.1e6, 0.0, start) == 29
+            assert len(adapter.calls) <= 12
 
 
 class TestRunFirstIteration:
@@ -409,6 +500,85 @@ class TestRunToConvergence:
         assert len(passes) == len(trace.entries) >= 2
         for calls in passes[1:]:
             assert len(calls) == len(set(calls))
+
+    def test_no_encode_repeats_within_a_run(self, coupled_setup):
+        adapter = CountingEncoder(coupled_setup.config)
+        trace = run_to_convergence(
+            adapter, coupled_setup.grid, coupled_setup.weights, 2e7, 5.0, 8
+        )
+        assert len(trace.entries) >= 2
+        assert len(adapter.calls) == len(set(adapter.calls)) == trace.encodes
+        assert trace.cache_hits > 0
+
+    def test_fresh_adapters_give_identical_counts_and_bytes(self, tmp_path, coupled_setup):
+        def run(path):
+            adapter = CountingEncoder(coupled_setup.config)
+            trace = run_to_convergence(
+                adapter, coupled_setup.grid, coupled_setup.weights, 2e7, 5.0, 8
+            )
+            write_trace_csv(trace, path)
+            return adapter.calls, trace.encodes, trace.cache_hits, path.read_bytes()
+
+        assert run(tmp_path / "a.csv") == run(tmp_path / "b.csv")
+
+    def test_tuple_reference_states(self, coupled_setup):
+        class TupleReferenceEncoder(MockEncoder):
+            """Carries (frames coded so far, last SSE) as the reference."""
+
+            def initial_reference(self):
+                return (0, 0.0)
+
+            def advance_reference(self, ref_state, rate, sse):
+                return (ref_state[0] + 1, sse)
+
+            def encode_frame(self, coord, qp, ref_state):
+                return super().encode_frame(coord, qp, ref_state[1])
+
+        def run(adapter):
+            return run_to_convergence(
+                adapter, coupled_setup.grid, coupled_setup.weights, 2e7, 5.0, 8
+            )
+
+        tupled = run(TupleReferenceEncoder(coupled_setup.config))
+        plain = run(MockEncoder(coupled_setup.config))
+        assert tupled.converged
+        assert [e.qps for e in tupled.entries] == [e.qps for e in plain.entries]
+        assert [e.sses for e in tupled.entries] == [e.sses for e in plain.entries]
+
+    def test_cycling_loop_stops_unconverged(self, monkeypatch, caplog):
+        # The first frame's SSE sets the second frame's fitted alpha through
+        # the reference; this allocator gives the first frame the low rate
+        # whenever that alpha is low, so the rates swing forever.
+        grid = spiral_order(2, 1)
+        first, second = grid.coding_order
+        config = MockEncoderConfig(
+            frame_params={first: (3e7, -0.3), second: (3e7, -0.3)},
+            dependency_gamma=0.5,
+            ref_norm=2e6,
+        )
+        weights = unify_weights({first: 1.0, second: 1.0})
+        low, high = 4e5, 1.6e6
+        sse_mid = mock_encode(config, first, 30, 0.0)[1] * 1.25 ** 0.3
+        threshold = 3e7 * (1.0 + 0.5 * sse_mid / 2e6)
+
+        def swinging_allocate(problem):
+            a = problem.models[second].alpha
+            rates = {first: low, second: high} if a < threshold else {first: high, second: low}
+            return AllocationResult(
+                rates=rates, objective=None, kkt_residual=0.0, iterations=1, budget_used=2e6
+            )
+
+        monkeypatch.setattr(encodesim, "allocate", swinging_allocate)
+        with caplog.at_level(logging.WARNING, logger="lfalloc.encodesim"):
+            trace = run_to_convergence(MockEncoder(config), grid, weights, 2e6, 0.0, 40)
+        assert not trace.converged
+        assert len(trace.entries) < 10
+        last = trace.entries[-1]
+        assert any(
+            e.qps == last.qps and e.rates == last.rates and e.models == last.models
+            for e in trace.entries[:-1]
+        )
+        assert "cycles with period 2" in caplog.text
 
     def test_deterministic_rerun(self, coupled_setup):
         def run():
