@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import records
 from .errors import (
     DomainError,
     IncompleteInput,
@@ -675,80 +676,32 @@ def read_problem_file(path) -> AllocationProblem:
     grid coordinate. Optional: min_rate and an explicit coding order
     (spiral by default).
     """
-    scalars: dict[str, str] = {}
-    frames: dict[FrameCoord, tuple[float, float, float]] = {}
-    order_text: str | None = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition(":")
-        if not sep:
-            raise ParseError(f"{path}: line {lineno}: expected 'key: value'")
-        key = key.strip()
-        value = value.strip()
-        if key == "frame":
-            parts = value.split(",")
-            if len(parts) != 5:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected '{PROBLEM_FRAME_FIELDS}'"
-                )
-            try:
-                coord = FrameCoord(int(parts[0]), int(parts[1]))
-                if coord in frames:
-                    raise ParseError(
-                        f"{path}: line {lineno}: duplicate frame ({coord.u},{coord.v})"
-                    )
-                frames[coord] = (float(parts[2]), float(parts[3]), float(parts[4]))
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: bad frame line") from exc
-        elif key == "order":
-            order_text = value
-        else:
-            scalars[key] = value
+    values, frames = records.key_values(
+        path, _PROBLEM_KEYS, ("budget", "lambda"), _PROBLEM_FRAME, PROBLEM_FRAME_FIELDS
+    )
+    width, height, order = values["width"], values["height"], values.get("order")
     try:
-        width = int(scalars["width"])
-        height = int(scalars["height"])
-        budget = float(scalars["budget"])
-        lam = float(scalars["lambda"])
-        min_rate = float(scalars["min_rate"]) if "min_rate" in scalars else None
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad scalar value") from exc
-    if order_text is None:
-        grid = spiral_order(width, height)
-    else:
-        try:
-            order = tuple(
-                FrameCoord(int(pair.split(",")[0]), int(pair.split(",")[1]))
-                for pair in order_text.split(";")
-            )
-            grid = FrameGrid(width=width, height=height, coding_order=order)
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: bad order line") from exc
-    for c in frames:
-        if not (0 <= c.u < width and 0 <= c.v < height):
-            raise ParseError(f"{path}: frame ({c.u},{c.v}) outside the {width}x{height} grid")
-    missing = [c for c in grid.coding_order if c not in frames]
-    if missing:
-        raise ParseError(f"{path}: no frame line for ({missing[0].u},{missing[0].v})")
-    weights = unify_weights({c: frames[c][0] for c in grid.coding_order})
-    try:
-        models = {
-            c: RDModelParams(alpha=frames[c][1], beta=frames[c][2])
-            for c in grid.coding_order
-        }
+        grid = spiral_order(width, height) if order is None else FrameGrid(width, height, order)
+        rows = [(c, frames[c.u, c.v]) for c in grid.coding_order]
+        return AllocationProblem(
+            grid=grid,
+            weights=unify_weights({c: weight for c, (weight, _, _) in rows}),
+            models={c: RDModelParams(alpha, beta) for c, (_, alpha, beta) in rows},
+            budget=values["budget"],
+            lam=values["lambda"],
+            min_rate=values.get("min_rate"),
+        )
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return AllocationProblem(
-        grid=grid,
-        weights=weights,
-        models=models,
-        budget=budget,
-        lam=lam,
-        min_rate=min_rate,
-    )
+
+
+def _coding_order(text: str) -> tuple[FrameCoord, ...]:
+    return tuple(FrameCoord(*records.fields(pair, (int, int), "u,v")) for pair in text.split(";"))
+
+
+_PROBLEM_FRAME = (int, int, records.finite, records.finite, records.finite)
+_PROBLEM_KEYS = dict.fromkeys(("budget", "lambda", "min_rate"), records.finite)
+_PROBLEM_KEYS["order"] = _coding_order
 
 
 ALLOCATION_HEADER = "u,v,rate_bits"
@@ -773,26 +726,24 @@ def read_allocation_file(path) -> tuple[dict[FrameCoord, float], dict[str, float
     """Parse rates and diagnostics back from an allocation file."""
     rates: dict[FrameCoord, float] = {}
     diagnostics: dict[str, float] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped == ALLOCATION_HEADER or stripped == "# diagnostics":
-            continue
-        if stripped.startswith("#"):
-            parts = stripped[1:].split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}: line {lineno}: bad diagnostics line")
-            try:
-                diagnostics[parts[0]] = float(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: bad number") from exc
-            continue
-        parts = stripped.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}: line {lineno}: expected 'u,v,rate_bits'")
-        try:
-            rates[FrameCoord(int(parts[0]), int(parts[1]))] = float(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: bad number") from exc
+
+    def record(line: str) -> None:
+        if line[0] != "#":
+            u, v, rate = records.fields(line, _RATE_FIELDS, ALLOCATION_HEADER)
+            records.put(rates, FrameCoord(u, v), rate, "frame")
+        elif line != "# diagnostics":
+            name, value = records.fields(line[1:], (str, str), "# name value", sep=None)
+            records.put_known(diagnostics, _DIAGNOSTICS, name, value)
+
+    records.read(path, record, ALLOCATION_HEADER, comments=True)
     if not rates:
         raise ParseError(f"{path}: no rate rows")
     return rates, diagnostics
+
+
+_RATE_FIELDS = (int, int, records.finite)
+# kkt_residual is inf when step 2 stops without converging.
+_DIAGNOSTICS = dict.fromkeys(
+    ("weighted_distortion", "discontinuity", "lambda", "total", "iterations", "budget_used"),
+    records.finite,
+) | {"kkt_residual": records.finite_or_inf}

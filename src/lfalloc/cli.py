@@ -67,8 +67,6 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     samples = rdmodel.read_samples_csv(args.samples)
-    if not samples:
-        raise ParseError(f"{args.samples}: no sample rows")
     models = {}
     for key, frame_samples in samples.items():
         try:
@@ -154,6 +152,12 @@ def _load_distortions(path: str) -> metrics.DistortionSet:
 def cmd_metrics(args: argparse.Namespace) -> int:
     distortions = _load_distortions(args.input)
     width, height, raw = read_weight_map_csv(args.weights)
+    outside = sorted(distortions.sse.keys() - raw.keys())
+    if outside:
+        raise ParseError(
+            f"{args.input}: frame ({outside[0].u},{outside[0].v}) outside the "
+            f"{width}x{height} grid of {args.weights}"
+        )
     grid = spiral_order(width, height)
     weights = unify_weights(raw)
     breakdown = metrics.cost(grid, weights, distortions, args.lam)

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from . import records
 from .allocator import AllocationProblem, AllocationResult, allocate
 from .errors import EncodeFailed, IncompleteInput, NotConverged, ParseError
 from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order, unify_weights
@@ -97,14 +98,14 @@ class MockEncoderConfig:
         if not self.frame_params:
             raise ValueError("frame_params must not be empty")
         for coord, (a, b) in self.frame_params.items():
-            if a <= 0.0 or b >= 0.0:
-                raise ValueError(f"frame ({coord.u},{coord.v}) needs a > 0 and b < 0")
-        if self.rate_anchor <= 0.0 or self.ref_norm <= 0.0:
-            raise ValueError("rate_anchor and ref_norm must be positive")
-        if self.dependency_gamma < 0.0:
-            raise ValueError("dependency_gamma must be nonnegative")
-        if self.rate_qp_halving <= 0.0:
-            raise ValueError("rate_qp_halving must be positive")
+            if not (0.0 < a < math.inf and -math.inf < b < 0.0):
+                raise ValueError(f"frame ({coord.u},{coord.v}) needs finite a > 0 and b < 0")
+        if not (0.0 < self.rate_anchor < math.inf and 0.0 < self.ref_norm < math.inf):
+            raise ValueError("rate_anchor and ref_norm must be positive and finite")
+        if not 0.0 <= self.dependency_gamma < math.inf:
+            raise ValueError("dependency_gamma must be nonnegative and finite")
+        if not 0.0 < self.rate_qp_halving < math.inf:
+            raise ValueError("rate_qp_halving must be positive and finite")
         if self.frame_pixels <= 0:
             raise ValueError("frame_pixels must be positive")
 
@@ -574,62 +575,29 @@ def read_mock_config(path) -> MockSetup:
 
     Frame lines carry u,v,a,b and an optional raw weight (default 1), so
     one file fully describes a simulation's encoder, grid, and weights.
+    An optional key left out keeps MockEncoderConfig's default.
     """
-    scalars: dict[str, str] = {}
-    params: dict[FrameCoord, tuple[float, float]] = {}
-    raw_weights: dict[FrameCoord, float] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition(":")
-        if not sep:
-            raise ParseError(f"{path}: line {lineno}: expected 'key: value'")
-        key = key.strip()
-        value = value.strip()
-        if key == "frame":
-            parts = value.split(",")
-            if len(parts) not in (4, 5):
-                raise ParseError(f"{path}: line {lineno}: expected '{MOCK_FRAME_FIELDS}'")
-            try:
-                coord = FrameCoord(int(parts[0]), int(parts[1]))
-                if coord in params:
-                    raise ParseError(
-                        f"{path}: line {lineno}: duplicate frame ({coord.u},{coord.v})"
-                    )
-                params[coord] = (float(parts[2]), float(parts[3]))
-                raw_weights[coord] = float(parts[4]) if len(parts) == 5 else 1.0
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: bad frame line") from exc
-        else:
-            scalars[key] = value
-    try:
-        width = int(scalars["width"])
-        height = int(scalars["height"])
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad grid dimensions") from exc
-    grid = spiral_order(width, height)
-    for c in params:
-        if not (0 <= c.u < width and 0 <= c.v < height):
-            raise ParseError(f"{path}: frame ({c.u},{c.v}) outside the {width}x{height} grid")
-    missing = [c for c in grid.coding_order if c not in params]
-    if missing:
-        raise ParseError(f"{path}: no frame line for ({missing[0].u},{missing[0].v})")
+    values, frames = records.key_values(
+        path, _MOCK_KEYS, (), _MOCK_FRAME, MOCK_FRAME_FIELDS, defaults=("1",)
+    )
+    width, height = values.pop("width"), values.pop("height")
+    rows = [(FrameCoord(u, v), row) for (u, v), row in frames.items()]
     try:
         config = MockEncoderConfig(
-            frame_params=params,
-            qp_anchor=int(scalars.get("qp0", 30)),
-            rate_anchor=float(scalars.get("rate0", 1e6)),
-            dependency_gamma=float(scalars.get("gamma", 0.0)),
-            ref_norm=float(scalars.get("ref_norm", 1e6)),
-            rate_qp_halving=float(scalars.get("rate_qp_halving", 6.0)),
-            frame_pixels=int(scalars.get("frame_pixels", 271_250)),
+            frame_params={c: (a, b) for c, (a, b, _) in rows},
+            **{_MOCK_FIELDS.get(key, key): value for key, value in values.items()},
         )
+        weights = unify_weights({c: w for c, (_, _, w) in rows})
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return MockSetup(config=config, grid=grid, weights=unify_weights(raw_weights))
+    return MockSetup(config=config, grid=spiral_order(width, height), weights=weights)
+
+
+_MOCK_FRAME = (int, int, records.finite, records.finite, records.finite)
+_MOCK_KEYS = dict.fromkeys(("rate0", "gamma", "ref_norm", "rate_qp_halving"), records.finite)
+_MOCK_KEYS.update(qp0=int, frame_pixels=int)
+# Keys whose MockEncoderConfig field has another name; the rest share it.
+_MOCK_FIELDS = {"qp0": "qp_anchor", "rate0": "rate_anchor", "gamma": "dependency_gamma"}
 
 
 TRACE_HEADER = "iteration,u,v,qp,rate_bits,sse,alpha,beta"
@@ -684,55 +652,39 @@ def write_trace_csv(trace: IterationTrace | ParsedTrace, path) -> None:
 
 def read_trace_csv(path) -> ParsedTrace:
     iterations: list[ParsedTraceIteration] = []
-    pending_rows: list[tuple[int, int, int, float, float, float, float]] = []
-    pending_index = 1
-    converged = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped == TRACE_HEADER:
-            continue
-        if stripped.startswith("#"):
-            parts = stripped[1:].split()
-            if parts[:1] == ["iteration"] and len(parts) == 6:
-                try:
-                    iterations.append(
-                        ParsedTraceIteration(
-                            rows=pending_rows,
-                            total_cost=float(parts[3]),
-                            wpsnr_db=float(parts[5]),
-                        )
-                    )
-                except ValueError as exc:
-                    raise ParseError(f"{path}: line {lineno}: bad summary") from exc
-                pending_rows = []
-                pending_index += 1
-            elif parts[:1] == ["converged"] and len(parts) == 2:
-                converged = parts[1] == "true"
-            else:
-                raise ParseError(f"{path}: line {lineno}: bad comment row")
-            continue
-        parts = stripped.split(",")
-        if len(parts) != 8:
-            raise ParseError(f"{path}: line {lineno}: expected '{TRACE_HEADER}'")
-        try:
-            if int(parts[0]) != pending_index:
-                raise ParseError(f"{path}: line {lineno}: out-of-order iteration")
-            pending_rows.append(
-                (
-                    int(parts[1]),
-                    int(parts[2]),
-                    int(parts[3]),
-                    float(parts[4]),
-                    float(parts[5]),
-                    float(parts[6]),
-                    float(parts[7]),
-                )
+    rows: list[tuple[int, int, int, float, float, float, float]] = []
+    converged: bool | None = None
+
+    def record(line: str) -> None:
+        nonlocal rows, converged
+        if converged is not None:
+            raise ValueError("record after '# converged'")
+        if line[0] != "#":
+            index, *row = records.fields(line, _TRACE_FIELDS, TRACE_HEADER)
+            if index != len(iterations) + 1:
+                raise ValueError("out-of-order iteration")
+            rows.append(tuple(row))
+        elif line.startswith("# iteration "):
+            _, index, _, total_cost, _, wpsnr_db = records.fields(
+                line[1:], _SUMMARY_FIELDS, "# iteration N total_cost C wpsnr Q", sep=None
             )
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: bad number") from exc
-    if pending_rows or converged is None or not iterations:
+            if index != len(iterations) + 1 or len({row[:2] for row in rows}) < len(rows):
+                raise ValueError(f"iteration {index} is out of order or repeats a frame")
+            iterations.append(ParsedTraceIteration(rows, total_cost, wpsnr_db))
+            rows = []
+        elif line in ("# converged true", "# converged false"):
+            converged = line == "# converged true"
+        else:
+            raise ValueError("bad comment row")
+
+    records.read(path, record, TRACE_HEADER, comments=True)
+    if rows or converged is None or not iterations:
         raise ParseError(f"{path}: truncated trace")
     return ParsedTrace(iterations=iterations, converged=converged)
+
+
+_TRACE_FIELDS = (int, int, int, int) + (records.finite,) * 4
+_SUMMARY_FIELDS = (str, int, str, records.finite, str, records.finite_or_inf)
 
 
 def last_iteration_distortions(parsed: ParsedTrace) -> DistortionSet:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import records
 from .errors import DegenerateWeights, ParseError, WeightChannelAbsent
 
 # Frames at L1 grid distance >= PROXIMITY_RADIUS do not interact.
@@ -53,14 +54,13 @@ class FrameGrid:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("grid dimensions must be positive")
-        lattice = {
-            FrameCoord(u, v)
-            for u in range(self.width)
-            for v in range(self.height)
-        }
         order = tuple(self.coding_order)
         object.__setattr__(self, "coding_order", order)
-        if len(order) != len(lattice) or set(order) != lattice:
+        # The count is checked first, so a huge width or height from a
+        # file never builds a huge lattice.
+        if len(order) != self.width * self.height or set(order) != {
+            FrameCoord(u, v) for u in range(self.width) for v in range(self.height)
+        }:
             raise ValueError("coding_order must be a permutation of the grid")
 
     @property
@@ -221,30 +221,19 @@ def grid_to_text(grid: FrameGrid) -> str:
 
 
 def grid_from_text(text: str) -> FrameGrid:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ParseError("empty grid text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError("grid header must be 'width height'")
+    """Parse grid_to_text's form: a 'width height' line, then one u,v per line."""
+    rows: list[list[int]] = []
+
+    def record(line: str) -> None:
+        spec, sep = ("u,v", ",") if rows else ("width height", None)
+        rows.append(records.fields(line, (int, int), spec, sep))
+
+    records.read("grid text", record, text=text)
+    (width, height), *order = rows
     try:
-        width, height = int(head[0]), int(head[1])
+        return FrameGrid(width, height, tuple(FrameCoord(u, v) for u, v in order))
     except ValueError as exc:
-        raise ParseError(f"bad grid header {lines[0]!r}") from exc
-    order = []
-    for lineno, ln in enumerate(lines[1:], 2):
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'u,v', got {ln!r}")
-        try:
-            order.append(FrameCoord(int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad coordinate {ln!r}") from exc
-    try:
-        return FrameGrid(width=width, height=height, coding_order=tuple(order))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(f"grid text: {exc}") from exc
 
 
 def write_frame_grid(grid: FrameGrid, path) -> None:
@@ -260,26 +249,11 @@ def read_weight_map_csv(path) -> tuple[int, int, dict[FrameCoord, float]]:
 
     Returns (width, height, weights); weights are raw, not yet unified.
     """
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            rows.append([float(tok) for tok in stripped.split(",")])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: bad weight row") from exc
-    if not rows:
-        raise ParseError(f"{path}: no weight rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    rows = records.read(path, lambda line: [records.finite(w) for w in line.split(",")])
+    if any(len(row) != len(rows[0]) for row in rows):
         raise ParseError(f"{path}: ragged weight rows")
-    weights = {
-        FrameCoord(u, v): rows[v][u]
-        for v in range(len(rows))
-        for u in range(width)
-    }
-    return width, len(rows), weights
+    weights = {FrameCoord(u, v): w for v, row in enumerate(rows) for u, w in enumerate(row)}
+    return len(rows[0]), len(rows), weights
 
 
 def _next_pgm_token(data: bytes, pos: int) -> tuple[bytes, int]:

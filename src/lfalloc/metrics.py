@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import records
 from .errors import (
     DomainError,
     IncompleteInput,
     InsufficientPoints,
     NoOverlap,
-    ParseError,
     ShapeMismatch,
 )
 from .lightfield import FrameCoord, FrameGrid, PixelFrame, WeightSet
@@ -36,8 +36,8 @@ class DistortionSet:
     sse: dict[FrameCoord, float]
 
     def __post_init__(self):
-        if any(v < 0.0 for v in self.sse.values()):
-            raise ValueError("SSE values must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in self.sse.values()):
+            raise ValueError("SSE values must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -177,6 +177,7 @@ def format_cost_breakdown(breakdown: CostBreakdown) -> str:
 
 
 CURVE_HEADER = "rate_bits,quality_db"
+_CURVE_FIELDS = (records.finite, records.finite)
 
 
 def write_curve_csv(points: list[RDPoint], path) -> None:
@@ -186,21 +187,10 @@ def write_curve_csv(points: list[RDPoint], path) -> None:
 
 
 def read_curve_csv(path) -> list[RDPoint]:
-    points = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#") or stripped == CURVE_HEADER:
-            continue
-        parts = stripped.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"{path}: line {lineno}: expected 'rate,quality'")
-        try:
-            points.append(RDPoint(rate=float(parts[0]), quality=float(parts[1])))
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: bad number") from exc
-    if not points:
-        raise ParseError(f"{path}: no curve points")
-    return points
+    def point(line: str) -> RDPoint:
+        return RDPoint(*records.fields(line, _CURVE_FIELDS, CURVE_HEADER))
+
+    return records.read(path, point, CURVE_HEADER)
 
 
 SSE_HEADER = "u,v,sse"
@@ -214,17 +204,10 @@ def write_sse_csv(distortions: DistortionSet, path) -> None:
 
 def read_sse_csv(path) -> DistortionSet:
     sse: dict[FrameCoord, float] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#") or stripped == SSE_HEADER:
-            continue
-        parts = stripped.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}: line {lineno}: expected 'u,v,sse'")
-        try:
-            sse[FrameCoord(int(parts[0]), int(parts[1]))] = float(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: bad number") from exc
-    if not sse:
-        raise ParseError(f"{path}: no SSE rows")
+
+    def record(line: str) -> None:
+        u, v, value = records.fields(line, (int, int, records.finite), SSE_HEADER)
+        records.put(sse, FrameCoord(u, v), value, "frame")
+
+    records.read(path, record, SSE_HEADER)
     return DistortionSet(sse=sse)

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, InsufficientSamples, NonDecreasingRD, ParseError
+from . import records
+from .errors import DomainError, InsufficientSamples, NonDecreasingRD
 
 
 @dataclass(frozen=True)
@@ -26,8 +27,8 @@ class RDSample:
     sse: float
 
     def __post_init__(self):
-        if self.rate <= 0.0 or self.sse <= 0.0:
-            raise ValueError("rate and sse must be positive for log fitting")
+        if not (0.0 < self.rate < math.inf and 0.0 < self.sse < math.inf):
+            raise ValueError("rate and sse must be positive and finite for log fitting")
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,8 @@ def tangent_lines(alpha, beta, expansion_point):
 
 SAMPLES_HEADER = "frame_index,qp,rate_bits,sse"
 MODELS_HEADER = "frame_index,alpha,beta,r_squared"
+_SAMPLE_FIELDS = (str, int, records.finite, records.finite)
+_MODEL_FIELDS = (str, records.finite, records.finite, records.finite)
 
 
 def write_samples_csv(samples: dict[str, list[RDSample]], path) -> None:
@@ -143,22 +146,12 @@ def read_samples_csv(path) -> dict[str, list[RDSample]]:
     Frame identifiers are kept as strings in first-appearance order.
     """
     samples: dict[str, list[RDSample]] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#") or stripped == SAMPLES_HEADER:
-            continue
-        parts = stripped.split(",")
-        if len(parts) != 4:
-            raise ParseError(
-                f"{path}: line {lineno}: expected 'frame_index,qp,rate_bits,sse'"
-            )
-        try:
-            sample = RDSample(qp=int(parts[1]), rate=float(parts[2]), sse=float(parts[3]))
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-        samples.setdefault(parts[0], []).append(sample)
-    if not samples:
-        raise ParseError(f"{path}: no sample rows")
+
+    def record(line: str) -> None:
+        frame_id, qp, rate, sse = records.fields(line, _SAMPLE_FIELDS, SAMPLES_HEADER)
+        samples.setdefault(frame_id, []).append(RDSample(qp=qp, rate=rate, sse=sse))
+
+    records.read(path, record, SAMPLES_HEADER)
     return samples
 
 
@@ -173,21 +166,10 @@ def write_models_csv(models: dict[str, RDModelParams], path) -> None:
 
 def read_models_csv(path) -> dict[str, RDModelParams]:
     models: dict[str, RDModelParams] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#") or stripped == MODELS_HEADER:
-            continue
-        parts = stripped.split(",")
-        if len(parts) != 4:
-            raise ParseError(
-                f"{path}: line {lineno}: expected 'frame_index,alpha,beta,r_squared'"
-            )
-        try:
-            models[parts[0]] = RDModelParams(
-                alpha=float(parts[1]), beta=float(parts[2]), r_squared=float(parts[3])
-            )
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    if not models:
-        raise ParseError(f"{path}: no model rows")
+
+    def record(line: str) -> None:
+        frame_id, alpha, beta, r_squared = records.fields(line, _MODEL_FIELDS, MODELS_HEADER)
+        records.put(models, frame_id, RDModelParams(alpha, beta, r_squared), "frame")
+
+    records.read(path, record, MODELS_HEADER)
     return models

@@ -1,21 +1,43 @@
 """Command-line workflow: subcommands, exit codes, and output formats."""
 
+import math
+import re
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfalloc import (
+    AllocationResult,
     DistortionSet,
     FrameCoord,
+    ParseError,
+    RDModelParams,
     RDPoint,
     RDSample,
+    allocate,
     read_allocation_file,
+    read_curve_csv,
+    read_frame_grid,
+    read_mock_config,
     read_models_csv,
+    read_problem_file,
+    read_samples_csv,
+    read_sse_csv,
     read_trace_csv,
+    read_weight_map_csv,
     spiral_order,
+    write_allocation_file,
     write_curve_csv,
+    write_frame_grid,
     write_mock_config,
+    write_models_csv,
     write_problem_file,
     write_samples_csv,
     write_sse_csv,
+    write_trace_csv,
 )
 from lfalloc.cli import (
     EXIT_INFEASIBLE,
@@ -25,6 +47,7 @@ from lfalloc.cli import (
     EXIT_OK,
     main,
 )
+from lfalloc.encodesim import ParsedTrace, ParsedTraceIteration
 from lfalloc.lightfield import grid_to_text
 from test_allocator import coupled_square
 from test_encodesim import small_grid_setup
@@ -408,3 +431,235 @@ class TestSpiralCommand:
     def test_bad_dimensions(self, capsys):
         assert main(["spiral", "0", "3"]) == EXIT_INPUT
         capsys.readouterr()
+
+
+def cli_inputs(command, tmp):
+    """argv for one subcommand, with inputs written by the library's writers,
+    and the path of the input file that the record tests rewrite."""
+    out = str(tmp / "out.txt")
+    if command == "fit":
+        path = tmp / "samples.csv"
+        write_reference_samples(path)
+        return ["fit", str(path), "--output", out], path
+    if command == "allocate":
+        path = tmp / "problem.txt"
+        write_problem_file(coupled_square(), path)
+        return ["allocate", str(path), "--output", out], path
+    if command == "simulate":
+        path = tmp / "mock.txt"
+        write_mock_config(small_grid_setup(gamma=0.2), path)
+        argv = ["simulate", str(path), "--budget", "4e6", "--max-iters", "3"]
+        return argv + ["--output", out], path
+    if command in ("metrics", "metrics-trace"):
+        sse = {c: 1e5 * (k + 1) for k, c in enumerate(spiral_order(2, 2).coding_order)}
+        if command == "metrics":
+            path = tmp / "sse.csv"
+            write_sse_csv(DistortionSet(sse), path)
+        else:
+            path = tmp / "trace.csv"
+            rows = [(c.u, c.v, 30, 1e6, value, 3e7, -0.3) for c, value in sse.items()]
+            write_trace_csv(ParsedTrace([ParsedTraceIteration(rows, 1e6, 40.0)], True), path)
+        weights = tmp / "weights.csv"
+        weights.write_text("1,0.5\n0.25,1\n")
+        argv = ["metrics", str(path), "--weights", str(weights), "--lambda", "5"]
+        return argv + ["--pixels", "400", "--output", out], path
+    assert command == "bdrate"
+    anchor = [RDPoint(rate=1e5 * 2 ** i, quality=30.0 + 4 * i) for i in range(5)]
+    path = tmp / "anchor.csv"
+    other = tmp / "test.csv"
+    write_curve_csv(anchor, path)
+    write_curve_csv([RDPoint(p.rate * 1.1, p.quality) for p in anchor], other)
+    return ["bdrate", str(path), str(other), "--output", out], path
+
+
+def replace_field(prefix, index, value):
+    """Edit: field `index` (comma-separated) of the first line starting with prefix."""
+
+    def edit(lines):
+        k = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+        parts = lines[k].split(",")
+        parts[index] = value
+        lines[k] = ",".join(parts)
+
+    return edit
+
+
+def repeat_line(prefix):
+    return lambda lines: lines.append(next(line for line in lines if line.startswith(prefix)))
+
+
+def set_line(prefix, text):
+    """Edit: the first line starting with prefix becomes text."""
+
+    def edit(lines):
+        lines[next(k for k, line in enumerate(lines) if line.startswith(prefix))] = text
+
+    return edit
+
+
+# Non-finite and contradictory inputs: (command, edit of the input's lines,
+# whether the error names the edited line). Each must exit 2 with the file
+# named in the message.
+RECORD_DEFECTS = {
+    "sse_nan": ("metrics", replace_field("0,0,", 2, "nan"), True),
+    "sse_inf": ("metrics", replace_field("0,0,", 2, "inf"), True),
+    "trace_sse_nan": ("metrics-trace", replace_field("1,0,0,", 5, "nan"), True),
+    "curve_rate_inf": ("bdrate", replace_field("400000.0,", 0, "inf"), True),
+    "curve_quality_nan": ("bdrate", replace_field("400000.0,", 1, "nan"), True),
+    "samples_rate_inf": ("fit", replace_field("1,32,", 2, "inf"), True),
+    "problem_weight_nan": ("allocate", replace_field("frame: 1,1,", 2, "nan"), True),
+    "mock_gamma_nan": ("simulate", set_line("gamma:", "gamma: nan"), True),
+    "mock_law_inf": ("simulate", replace_field("frame: 1,1,", 2, "inf"), True),
+    "repeated_budget": ("allocate", repeat_line("budget:"), True),
+    "repeated_gamma": ("simulate", repeat_line("gamma:"), True),
+    "unknown_key": ("allocate", set_line("budget:", "budgte: 1e6"), True),
+    "repeated_order": ("allocate", repeat_line("order:"), True),
+    "three_field_order_pair": ("allocate", set_line("order:", "order: 1,1;0,0,7;1,0;0,1"), True),
+    "repeated_sse_row": ("metrics", repeat_line("1,1,"), True),
+    "sse_row_off_grid": ("metrics", lambda lines: lines.append("5,5,1.0"), False),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(RECORD_DEFECTS))
+def test_record_defect_is_input_error(tmp_path, capsys, defect):
+    command, edit, names_line = RECORD_DEFECTS[defect]
+    argv, path = cli_inputs(command, tmp_path)
+    lines = path.read_text().splitlines()
+    valid = list(lines)
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    line = next(k for k, (a, b) in enumerate(zip(valid + [None], lines), 1) if a != b)
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    prefix = f"error: {path}: line {line}: " if names_line else f"error: {path}: "
+    assert err.startswith(prefix), err
+
+
+def test_library_readers_reject_defects(tmp_path):
+    """Readers no subcommand calls follow the same record rules."""
+    allocation = tmp_path / "allocation.csv"
+    write_allocation_file(allocate(coupled_square()), allocation)
+    text = allocation.read_text()
+    allocation.write_text(text.replace("\n# diagnostics", "\n0,0,1.0\n# diagnostics"))
+    with pytest.raises(ParseError, match=r"line 6: duplicate frame \(0,0\)"):
+        read_allocation_file(allocation)
+    models = tmp_path / "models.csv"
+    write_models_csv({"0": RDModelParams(4.46e7, -0.261), "1": RDModelParams(1e8, -0.3)}, models)
+    models.write_text(models.read_text() + "0,1.0,-0.2,1.0\n")
+    with pytest.raises(ParseError, match="line 4: duplicate frame '0'"):
+        read_models_csv(models)
+    weights = tmp_path / "weights.csv"
+    weights.write_text("1,0.5\n0.25,nan\n")
+    with pytest.raises(ParseError, match="line 2: non-finite"):
+        read_weight_map_csv(weights)
+
+
+def test_writers_round_trip(tmp_path):
+    """Every writer's output reads back to equal values, inf diagnostics included."""
+    grid = spiral_order(3, 2)
+    write_frame_grid(grid, tmp_path / "grid.txt")
+    assert read_frame_grid(tmp_path / "grid.txt") == grid
+
+    samples = write_reference_samples(tmp_path / "samples.csv")
+    assert read_samples_csv(tmp_path / "samples.csv") == samples
+
+    models = {"0": RDModelParams(4.46e7, -0.261, 0.977), "c": RDModelParams(1.96e8, -0.383)}
+    write_models_csv(models, tmp_path / "models.csv")
+    back = read_models_csv(tmp_path / "models.csv")
+    assert {k: (m.alpha, m.beta, m.r_squared) for k, m in back.items()} == {
+        k: (m.alpha, m.beta, m.r_squared) for k, m in models.items()
+    }
+
+    problem = coupled_square()
+    write_problem_file(problem, tmp_path / "problem.txt")
+    again = read_problem_file(tmp_path / "problem.txt")
+    assert again.grid == problem.grid and again.weights.raw == problem.weights.raw
+    scalars = ("budget", "lam", "min_rate")
+    assert [getattr(again, k) for k in scalars] == [getattr(problem, k) for k in scalars]
+    assert {c: (m.alpha, m.beta) for c, m in again.models.items()} == {
+        c: (m.alpha, m.beta) for c, m in problem.models.items()
+    }
+
+    solved = allocate(problem)
+    result = AllocationResult(
+        rates=solved.rates,
+        objective=solved.objective,
+        kkt_residual=math.inf,
+        iterations=100,
+        budget_used=solved.budget_used,
+    )
+    write_allocation_file(result, tmp_path / "allocation.csv")
+    rates, diagnostics = read_allocation_file(tmp_path / "allocation.csv")
+    assert rates == result.rates
+    assert diagnostics == {
+        "weighted_distortion": result.objective.weighted_distortion,
+        "discontinuity": result.objective.discontinuity,
+        "lambda": result.objective.lam,
+        "total": result.objective.total,
+        "kkt_residual": math.inf,
+        "iterations": 100.0,
+        "budget_used": result.budget_used,
+    }
+
+    setup = small_grid_setup(gamma=0.2)
+    write_mock_config(setup, tmp_path / "mock.txt")
+    mock = read_mock_config(tmp_path / "mock.txt")
+    assert mock.grid == setup.grid and mock.weights.raw == setup.weights.raw
+    assert vars(mock.config) == vars(setup.config)
+
+    rows = [(0, 0, 30, 1e6, 0.0, 3e7, -0.3), (1, 0, 31, 9e5, 2.5, 3e7, -0.31)]
+    trace = ParsedTrace([ParsedTraceIteration(rows, 0.0, math.inf)], False)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    parsed = read_trace_csv(tmp_path / "trace.csv")
+    assert parsed.converged is False
+    [iteration] = parsed.iterations
+    assert (iteration.rows, iteration.total_cost, iteration.wpsnr_db) == (rows, 0.0, math.inf)
+
+    points = [RDPoint(1e5 * 1.7 ** i, 30.0 + 3.1 * i) for i in range(5)]
+    write_curve_csv(points, tmp_path / "curve.csv")
+    assert read_curve_csv(tmp_path / "curve.csv") == points
+
+    distortions = {FrameCoord(0, 0): 1.25, FrameCoord(1, 0): 3.5e6}
+    write_sse_csv(DistortionSet(distortions), tmp_path / "sse.csv")
+    assert read_sse_csv(tmp_path / "sse.csv").sse == distortions
+
+
+FUZZ_COMMANDS = ("fit", "allocate", "simulate", "metrics", "bdrate")
+FUZZ_VALUES = ("nan", "inf", "-1", "spam")
+
+
+@st.composite
+def mutated(draw, text):
+    """text with up to three edits: a field replaced by a bad value, a line
+    duplicated, dropped or moved off the grid, or the text truncated."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("field", "duplicate", "drop", "off_grid", "truncate")))
+        if kind == "field":
+            tokens = re.split(r"([,:;]\s*)", lines[k])
+            tokens[2 * draw(st.integers(0, len(tokens) // 2))] = draw(st.sampled_from(FUZZ_VALUES))
+            lines[k] = "".join(tokens)
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[k])
+        elif kind == "drop":
+            del lines[k]
+        elif kind == "off_grid":
+            lines[k] = re.sub(r"^(frame: )?\d+,\d+,", r"\g<1>9,9,", lines[k])
+        else:
+            return "\n".join(lines)[: draw(st.integers(0, len(text)))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_input_exits_with_a_documented_code(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, path = cli_inputs(command, Path(tmp))
+        valid = path.read_text()
+        text = data.draw(st.one_of(st.text(max_size=300), mutated(valid)), label="input")
+        path.write_text(text)
+        assert main(argv) in (EXIT_OK, EXIT_INPUT, EXIT_MODEL, EXIT_INFEASIBLE, EXIT_METRIC)

@@ -98,6 +98,29 @@ class TestMockEncoderConfig:
         with pytest.raises(ValueError):
             MockEncoderConfig(frame_params=params, frame_pixels=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("a", math.inf),
+            ("b", math.nan),
+            ("b", -math.inf),
+            ("rate_anchor", math.inf),
+            ("ref_norm", math.nan),
+            ("dependency_gamma", math.nan),
+            ("dependency_gamma", math.inf),
+            ("rate_qp_halving", math.inf),
+        ],
+    )
+    def test_non_finite_values(self, field, value):
+        law = {"a": 1e7, "b": -0.3}
+        scalars = {}
+        if field in law:
+            law[field] = value
+        else:
+            scalars[field] = value
+        with pytest.raises(ValueError):
+            MockEncoderConfig(frame_params={FrameCoord(0, 0): (law["a"], law["b"])}, **scalars)
+
 
 class TestMockEncode:
     """Closed-form quantizer response."""

@@ -93,6 +93,11 @@ class TestWeightedDistortion:
         with pytest.raises(ValueError):
             DistortionSet({FrameCoord(0, 0): -1.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_sse_rejected_by_set(self, value):
+        with pytest.raises(ValueError):
+            DistortionSet({FrameCoord(0, 0): 1.0, FrameCoord(1, 0): value})
+
 
 class TestDiscontinuity:
     """Proximity-gated squared SSE gaps over ordered pairs."""

@@ -49,6 +49,11 @@ class TestValueTypes:
         with pytest.raises(ValueError):
             RDSample(qp=30, rate=1.0, sse=-1.0)
 
+    @pytest.mark.parametrize("rate, sse", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)])
+    def test_sample_requires_finite_values(self, rate, sse):
+        with pytest.raises(ValueError):
+            RDSample(qp=30, rate=rate, sse=sse)
+
     def test_params_require_positive_alpha(self):
         with pytest.raises(ValueError):
             RDModelParams(alpha=0.0, beta=-0.3)
