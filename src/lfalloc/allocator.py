@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,6 @@ import numpy as np
 from . import records
 from .errors import (
     DomainError,
-    IncompleteInput,
     InfeasibleBudget,
     NotConverged,
     ParseError,
@@ -68,7 +67,13 @@ MAJORIZER_STEP = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class AllocationProblem:
-    """One allocation instance over a frame grid."""
+    """One allocation instance over a frame grid.
+
+    The weights and models are read once, at construction, into the
+    coding-order vectors w (unified weights), alpha and beta that every
+    solver step uses; changing the tables afterwards does not change the
+    rates.
+    """
 
     grid: FrameGrid
     weights: WeightSet
@@ -76,19 +81,19 @@ class AllocationProblem:
     budget: float
     lam: float = 0.0
     min_rate: float | None = None
+    w: np.ndarray = field(init=False, repr=False)
+    alpha: np.ndarray = field(init=False, repr=False)
+    beta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not math.isfinite(self.budget) or self.budget <= 0.0:
             raise ValueError("budget must be positive and finite")
         if not math.isfinite(self.lam) or self.lam < 0.0:
             raise ValueError("lambda must be nonnegative and finite")
-        coords = self.grid.coding_order
-        missing = [c for c in coords if c not in self.models]
-        if missing:
-            raise IncompleteInput(f"models missing for {missing[0]}")
-        missing = [c for c in coords if c not in self.weights.unified]
-        if missing:
-            raise IncompleteInput(f"weights missing for {missing[0]}")
+        models = self.grid.align(self.models, "models")
+        object.__setattr__(self, "w", np.array(self.grid.align(self.weights.unified, "weights")))
+        object.__setattr__(self, "alpha", np.array([m.alpha for m in models]))
+        object.__setattr__(self, "beta", np.array([m.beta for m in models]))
         n = self.grid.n_frames
         if self.min_rate is None:
             object.__setattr__(
@@ -164,27 +169,19 @@ class ConePenalty:
         return np.bincount(flat, values, n * n).reshape(n, n)
 
 
-def _vectors(problem: AllocationProblem):
-    coords = problem.grid.coding_order
-    w = np.array([problem.weights.unified[c] for c in coords])
-    alpha = np.array([problem.models[c].alpha for c in coords])
-    beta = np.array([problem.models[c].beta for c in coords])
-    return coords, w, alpha, beta
-
-
 def _as_vector(problem: AllocationProblem, rates) -> np.ndarray:
     if isinstance(rates, dict):
-        return np.array([rates[c] for c in problem.grid.coding_order], dtype=float)
+        return np.array(problem.grid.align(rates, "rates"), dtype=float)
     return np.asarray(rates, dtype=float)
 
 
 def predicted_distortions(problem: AllocationProblem, rates) -> DistortionSet:
     """Model-predicted SSE per frame at the given rates."""
-    coords, _, alpha, beta = _vectors(problem)
     vec = _as_vector(problem, rates)
     if np.any(vec <= 0.0):
         raise DomainError("rate must be positive")
-    return DistortionSet(dict(zip(coords, (alpha * vec ** beta).tolist())))
+    sse = problem.alpha * vec ** problem.beta
+    return DistortionSet(dict(zip(problem.grid.coding_order, sse.tolist())))
 
 
 def evaluate_cost(problem: AllocationProblem, rates) -> CostBreakdown:
@@ -200,9 +197,9 @@ def evaluate_cost(problem: AllocationProblem, rates) -> CostBreakdown:
 def penalized_objective(problem: AllocationProblem, penalty: ConePenalty, rates) -> float:
     """Post-linearization objective: weighted model distortion plus
     lambda times the norm of the affine consistency residual."""
-    coords, w, alpha, beta = _vectors(problem)
+    w = problem.w
     vec = _as_vector(problem, rates)
-    t_prime = float(np.sum(w * w * alpha * vec ** beta))
+    t_prime = float(np.sum(w * w * problem.alpha * vec ** problem.beta))
     res = penalty.residual(vec)
     return t_prime + problem.lam * float(np.linalg.norm(res))
 
@@ -243,7 +240,8 @@ def solve_step1(problem: AllocationProblem, *, evaluate: bool = True) -> Allocat
     multiplier over frames strictly above the floor. With evaluate False
     the joint cost is not computed and objective is None.
     """
-    coords, w, alpha, beta = _vectors(problem)
+    w, alpha, beta = problem.w, problem.alpha, problem.beta
+    coords = problem.grid.coding_order
     n = len(coords)
     floor = problem.min_rate
     budget = problem.budget
@@ -308,11 +306,11 @@ def build_cone_penalty(problem: AllocationProblem, expansion_rates) -> ConePenal
     with each D replaced by its tangent at the expansion point, split into
     the two rate coefficients and a constant.
     """
-    _, w, alpha, beta = _vectors(problem)
+    w = problem.w
     vec = _as_vector(problem, expansion_rates)
     if np.any(vec <= 0.0):
         raise DomainError("expansion rates must be positive")
-    intercepts, slopes = tangent_lines(alpha, beta, vec)
+    intercepts, slopes = tangent_lines(problem.alpha, problem.beta, vec)
     pairs = problem.grid.coupled_pairs
     i, j = pairs.i, pairs.j
     scale = np.sqrt(pairs.delta) * np.minimum(w[i], w[j])
@@ -418,12 +416,13 @@ def solve_step2(
     iterations, or a search that can no longer lower P, raises
     NotConverged carrying the last iterate.
     """
-    coords, w, alpha, beta = _vectors(problem)
+    coords = problem.grid.coding_order
+    w, beta = problem.w, problem.beta
     lam = problem.lam
     budget = problem.budget
     floor = problem.min_rate
     n = len(coords)
-    w2a = w * w * alpha
+    w2a = w * w * problem.alpha
     weighted = w2a > 0.0
     # Rows gated by a zero weight vanish; with no other row the norm is 0.
     coupled = lam > 0.0 and bool(np.any(penalty.coef_i))
@@ -661,11 +660,9 @@ def write_problem_file(problem: AllocationProblem, path) -> None:
         f"min_rate: {problem.min_rate!r}",
         "order: " + ";".join(f"{c.u},{c.v}" for c in problem.grid.coding_order),
     ]
-    for c in problem.grid.coding_order:
-        m = problem.models[c]
-        lines.append(
-            f"frame: {c.u},{c.v},{problem.weights.raw[c]!r},{m.alpha!r},{m.beta!r}"
-        )
+    raw = problem.grid.align(problem.weights.raw, "weights")
+    vectors = zip(problem.grid.coding_order, raw, problem.alpha.tolist(), problem.beta.tolist())
+    lines.extend(f"frame: {c.u},{c.v},{w!r},{a!r},{b!r}" for c, w, a, b in vectors)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -682,11 +679,12 @@ def read_problem_file(path) -> AllocationProblem:
     width, height, order = values["width"], values["height"], values.get("order")
     try:
         grid = spiral_order(width, height) if order is None else FrameGrid(width, height, order)
-        rows = [(c, frames[c.u, c.v]) for c in grid.coding_order]
+        coords = grid.coding_order
+        weight, alpha, beta = zip(*grid.align(frames, "frame lines"))
         return AllocationProblem(
             grid=grid,
-            weights=unify_weights({c: weight for c, (weight, _, _) in rows}),
-            models={c: RDModelParams(alpha, beta) for c, (_, alpha, beta) in rows},
+            weights=unify_weights(dict(zip(coords, weight))),
+            models={c: RDModelParams(a, b) for c, a, b in zip(coords, alpha, beta)},
             budget=values["budget"],
             lam=values["lambda"],
             min_rate=values.get("min_rate"),
@@ -699,7 +697,7 @@ def _coding_order(text: str) -> tuple[FrameCoord, ...]:
     return tuple(FrameCoord(*records.fields(pair, (int, int), "u,v")) for pair in text.split(";"))
 
 
-_PROBLEM_FRAME = (int, int, records.finite, records.finite, records.finite)
+_PROBLEM_FRAME = (int, int, records.nonnegative, records.finite, records.finite)
 _PROBLEM_KEYS = dict.fromkeys(("budget", "lambda", "min_rate"), records.finite)
 _PROBLEM_KEYS["order"] = _coding_order
 

@@ -91,8 +91,6 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         overrides["lam"] = args.lam
     if args.min_rate is not None:
         overrides["min_rate"] = args.min_rate
-    if args.step1_only:
-        overrides["lam"] = 0.0
     if overrides:
         problem = replace(problem, **overrides)
     try:
@@ -207,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, help="override the file's bit budget")
     p.add_argument("--lambda", dest="lam", type=float, help="override the file's lambda")
     p.add_argument("--min-rate", type=float, help="override the per-frame rate floor")
-    p.add_argument(
-        "--step1-only",
-        action="store_true",
-        help="skip the consistency refinement (same as --lambda 0)",
-    )
     p.add_argument("--output", required=True, help="allocation CSV to write")
     p.set_defaults(func=cmd_allocate)
 

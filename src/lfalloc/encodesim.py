@@ -40,7 +40,7 @@ from typing import Any
 
 from . import records
 from .allocator import AllocationProblem, AllocationResult, allocate
-from .errors import EncodeFailed, IncompleteInput, NotConverged, ParseError
+from .errors import EncodeFailed, NotConverged, ParseError
 from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order, unify_weights
 from .metrics import CostBreakdown, DistortionSet, cost, wpsnr
 from .rdmodel import RDModelParams, RDSample, fit_power_model
@@ -250,13 +250,14 @@ def _qp_for_target(
     """First-pass quantizer choice on the monotone rate response.
 
     Returns what a bisection over the whole range returns: QP_MIN when
-    its rate is at most the target, else QP_MAX when its rate is at
-    least the target, else whichever of the largest qp whose rate
-    exceeds the target and its upper neighbour lies nearer the target
-    (ties to the lower). The search starts at `start` and steps outward
-    in doubling steps until the target is bracketed (the unbounded
-    search of Bentley and Yao, 1976), then bisects, so a start near the
-    answer costs a few encodes instead of a full-range bisection.
+    its rate is at most the target, else QP_MAX when its rate exceeds
+    the target, else whichever of the smallest qp whose rate is at most
+    the target and its lower neighbour lies nearer the target (ties to
+    the lower, as in select_qp). The search starts at `start` and steps
+    outward in doubling steps until the target is bracketed (the
+    unbounded search of Bentley and Yao, 1976), then bisects, so a start
+    near the answer costs a few encodes instead of a full-range
+    bisection.
     """
 
     def rate_at(qp: int) -> float:
@@ -283,13 +284,6 @@ def _qp_for_target(
             lo = max(QP_MIN, lo - step)
             rate_lo = rate_at(lo)
             step *= 2
-    # When the target rate holds up to QP_MAX, QP_MAX wins. Probing hi + 1
-    # first rules that out at a quantizer the frame's sweep measures anyway.
-    if rate_hi == target_rate:
-        if hi == QP_MAX:
-            return QP_MAX
-        if rate_at(hi + 1) == target_rate and rate_at(QP_MAX) == target_rate:
-            return QP_MAX
     while hi - lo > 1:
         mid = (lo + hi) // 2
         rate = rate_at(mid)
@@ -307,16 +301,14 @@ def _baseline_targets(
 ) -> dict[FrameCoord, float]:
     coords = grid.coding_order
     if baseline == "uniform":
-        share = budget / len(coords)
-        return {c: share for c in coords}
-    if baseline == "weight2":
-        squares = {c: weights.unified[c] ** 2 for c in coords}
-        total = sum(squares.values())
-        if total <= 0.0:
-            share = budget / len(coords)
-            return {c: share for c in coords}
-        return {c: budget * sq / total for c, sq in squares.items()}
-    raise ValueError(f"unknown baseline {baseline!r}")
+        return dict.fromkeys(coords, budget / len(coords))
+    if baseline != "weight2":
+        raise ValueError(f"unknown baseline {baseline!r}")
+    squares = [w ** 2 for w in grid.align(weights.unified, "weights")]
+    total = sum(squares)
+    if total <= 0.0:
+        return dict.fromkeys(coords, budget / len(coords))
+    return {c: budget * sq / total for c, sq in zip(coords, squares)}
 
 
 def _log2_rate_slope(samples: list[RDSample]) -> float:
@@ -436,9 +428,7 @@ def run_iteration(
     rate (_predicted_qp), commit the sample nearest that rate, refit the
     model from the sweep, advance the chain.
     """
-    missing = [c for c in grid.coding_order if c not in allocation.rates]
-    if missing:
-        raise IncompleteInput(f"allocation missing frame ({missing[0].u},{missing[0].v})")
+    grid.align(allocation.rates, "allocation")
 
     def aim(coord: FrameCoord, ref: Any) -> tuple[int, float]:
         target = allocation.rates[coord]
@@ -458,12 +448,11 @@ def run_to_convergence(
     k_sweep: int = 2,
     min_rate: float | None = None,
     baseline: str = "uniform",
-    rate_change_tol: float = RATE_CHANGE_TOL,
 ) -> IterationTrace:
     """Alternate allocation and re-encoding until the rates settle.
 
     Settled means the largest relative per-frame rate change between two
-    consecutive passes falls below rate_change_tol. Hitting max_iters
+    consecutive passes falls below RATE_CHANGE_TOL. Hitting max_iters
     first, or a pass that repeats an earlier pass's qps, rates, qp slopes
     and models (the whole input of the next pass, so the loop would cycle
     for good), leaves converged False; the trace is returned either way.
@@ -499,17 +488,15 @@ def run_to_convergence(
             adapter, previous, allocation, grid, weights, lam=lam, k_sweep=k_sweep
         )
         entries.append(entry)
-        change = max(
-            abs(entry.rates[c] - previous.rates[c]) / previous.rates[c]
-            for c in grid.coding_order
-        )
+        moves = zip(grid.align(entry.rates, "rates"), grid.align(previous.rates, "rates"))
+        change = max(abs(new - old) / old for new, old in moves)
         log.info(
             "iteration %d: cost %.6g, max rate change %.4f",
             len(entries),
             entry.cost.total,
             change,
         )
-        if change < rate_change_tol:
+        if change < RATE_CHANGE_TOL:
             converged = True
             break
         state = _pass_state(grid, entry)
@@ -534,11 +521,9 @@ def run_to_convergence(
 
 
 def _pass_state(grid: FrameGrid, entry: IterationEntry) -> tuple:
-    """Everything of a pass that the next pass depends on."""
-    return tuple(
-        (entry.qps[c], entry.rates[c], entry.qp_slopes[c], entry.models[c])
-        for c in grid.coding_order
-    )
+    """Everything of a pass that the next pass depends on, per frame."""
+    tables = (entry.qps, entry.rates, entry.qp_slopes, entry.models)
+    return tuple(zip(*(grid.align(table, "pass") for table in tables)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -564,9 +549,10 @@ def write_mock_config(setup: MockSetup, path) -> None:
         f"rate_qp_halving: {setup.config.rate_qp_halving!r}",
         f"frame_pixels: {setup.config.frame_pixels}",
     ]
-    for c in setup.grid.coding_order:
-        a, b = setup.config.frame_params[c]
-        lines.append(f"frame: {c.u},{c.v},{a!r},{b!r},{setup.weights.raw[c]!r}")
+    params = setup.grid.align(setup.config.frame_params, "mock parameters")
+    raw = setup.grid.align(setup.weights.raw, "weights")
+    for c, (a, b), weight in zip(setup.grid.coding_order, params, raw):
+        lines.append(f"frame: {c.u},{c.v},{a!r},{b!r},{weight!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -593,7 +579,7 @@ def read_mock_config(path) -> MockSetup:
     return MockSetup(config=config, grid=spiral_order(width, height), weights=weights)
 
 
-_MOCK_FRAME = (int, int, records.finite, records.finite, records.finite)
+_MOCK_FRAME = (int, int, records.finite, records.finite, records.nonnegative)
 _MOCK_KEYS = dict.fromkeys(("rate0", "gamma", "ref_norm", "rate_qp_halving"), records.finite)
 _MOCK_KEYS.update(qp0=int, frame_pixels=int)
 # Keys whose MockEncoderConfig field has another name; the rest share it.
@@ -619,14 +605,15 @@ class ParsedTrace:
 
 
 def trace_to_parsed(trace: IterationTrace) -> ParsedTrace:
+    grid = trace.grid
     iterations = []
     for entry in trace.entries:
-        rows = []
-        for c in trace.grid.coding_order:
-            m = entry.models[c]
-            rows.append(
-                (c.u, c.v, entry.qps[c], entry.rates[c], entry.sses[c], m.alpha, m.beta)
-            )
+        tables = (entry.qps, entry.rates, entry.sses, entry.models)
+        columns = (grid.align(table, "pass") for table in tables)
+        rows = [
+            (c.u, c.v, qp, rate, sse, m.alpha, m.beta)
+            for c, qp, rate, sse, m in zip(grid.coding_order, *columns)
+        ]
         iterations.append(
             ParsedTraceIteration(
                 rows=rows, total_cost=entry.cost.total, wpsnr_db=entry.wpsnr_db
@@ -683,7 +670,7 @@ def read_trace_csv(path) -> ParsedTrace:
     return ParsedTrace(iterations=iterations, converged=converged)
 
 
-_TRACE_FIELDS = (int, int, int, int) + (records.finite,) * 4
+_TRACE_FIELDS = (int,) * 4 + (records.finite, records.nonnegative, records.finite, records.finite)
 _SUMMARY_FIELDS = (str, int, str, records.finite, str, records.finite_or_inf)
 
 

@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from . import records
-from .errors import DegenerateWeights, ParseError, WeightChannelAbsent
+from .errors import DegenerateWeights, IncompleteInput, ParseError, WeightChannelAbsent
 
 # Frames at L1 grid distance >= PROXIMITY_RADIUS do not interact.
 PROXIMITY_RADIUS = 3
@@ -32,15 +33,15 @@ COUPLING_OFFSETS = tuple(
 )
 
 
-@dataclass(frozen=True, order=True)
-class FrameCoord:
-    """Integer (u, v) position of a perspective frame on the camera grid."""
+class FrameCoord(NamedTuple):
+    """Integer (u, v) position of a perspective frame on the camera grid.
+
+    A (u, v) tuple with named fields: it hashes, compares and sorts as that
+    tuple and is equal to it.
+    """
 
     u: int
     v: int
-
-    def __iter__(self):
-        return iter((self.u, self.v))
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,15 @@ class FrameGrid:
     @property
     def n_frames(self) -> int:
         return self.width * self.height
+
+    def align(self, table: Mapping[FrameCoord, object], what: str) -> list:
+        """table's values in coding order, the layout of every per-frame
+        vector; a frame the table lacks raises IncompleteInput naming it."""
+        try:
+            return [table[c] for c in self.coding_order]
+        except KeyError as exc:
+            u, v = exc.args[0]
+            raise IncompleteInput(f"{what} missing for frame ({u},{v})") from None
 
     @cached_property
     def coupled_pairs(self) -> CoupledPairs:
@@ -249,7 +259,7 @@ def read_weight_map_csv(path) -> tuple[int, int, dict[FrameCoord, float]]:
 
     Returns (width, height, weights); weights are raw, not yet unified.
     """
-    rows = records.read(path, lambda line: [records.finite(w) for w in line.split(",")])
+    rows = records.read(path, lambda line: [records.nonnegative(w) for w in line.split(",")])
     if any(len(row) != len(rows[0]) for row in rows):
         raise ParseError(f"{path}: ragged weight rows")
     weights = {FrameCoord(u, v): w for v, row in enumerate(rows) for u, w in enumerate(row)}

@@ -18,7 +18,6 @@ import numpy as np
 from . import records
 from .errors import (
     DomainError,
-    IncompleteInput,
     InsufficientPoints,
     NoOverlap,
     ShapeMismatch,
@@ -74,16 +73,16 @@ def weighted_distortion(sse: float, unified_weight: float) -> float:
 
 
 def _aligned(grid: FrameGrid, weights: WeightSet, distortions: DistortionSet):
-    coords = grid.coding_order
-    missing = [c for c in coords if c not in weights.unified]
-    if missing:
-        raise IncompleteInput(f"weights missing for {missing[0]} and {len(missing) - 1} more")
-    missing = [c for c in coords if c not in distortions.sse]
-    if missing:
-        raise IncompleteInput(f"SSE missing for {missing[0]} and {len(missing) - 1} more")
-    w = np.array([weights.unified[c] for c in coords])
-    d = np.array([distortions.sse[c] for c in coords])
-    return w, d
+    """Unified weights and SSE as coding-order vectors."""
+    w = np.array(grid.align(weights.unified, "weights"))
+    return w, np.array(grid.align(distortions.sse, "SSE"))
+
+
+def _discontinuity(grid: FrameGrid, w: np.ndarray, d: np.ndarray) -> float:
+    pairs = grid.coupled_pairs
+    gate = np.minimum(w[pairs.i], w[pairs.j])
+    gap = d[pairs.i] - d[pairs.j]
+    return float(np.sum(pairs.delta * (gate * gap) ** 2))
 
 
 def discontinuity(grid: FrameGrid, weights: WeightSet, distortions: DistortionSet) -> float:
@@ -93,11 +92,7 @@ def discontinuity(grid: FrameGrid, weights: WeightSet, distortions: DistortionSe
     never paired with itself. The smaller of the two unified weights gates
     every pair, so a frame nobody cares about cannot create discontinuity.
     """
-    w, d = _aligned(grid, weights, distortions)
-    pairs = grid.coupled_pairs
-    gate = np.minimum(w[pairs.i], w[pairs.j])
-    gap = d[pairs.i] - d[pairs.j]
-    return float(np.sum(pairs.delta * (gate * gap) ** 2))
+    return _discontinuity(grid, *_aligned(grid, weights, distortions))
 
 
 def cost(grid: FrameGrid, weights: WeightSet, distortions: DistortionSet, lam: float) -> CostBreakdown:
@@ -106,7 +101,7 @@ def cost(grid: FrameGrid, weights: WeightSet, distortions: DistortionSet, lam: f
         raise ValueError("lambda must be nonnegative")
     w, d = _aligned(grid, weights, distortions)
     wd = float(np.sum(w * w * d))
-    disc = discontinuity(grid, weights, distortions)
+    disc = _discontinuity(grid, w, d)
     return CostBreakdown(
         weighted_distortion=wd,
         discontinuity=disc,
@@ -206,7 +201,7 @@ def read_sse_csv(path) -> DistortionSet:
     sse: dict[FrameCoord, float] = {}
 
     def record(line: str) -> None:
-        u, v, value = records.fields(line, (int, int, records.finite), SSE_HEADER)
+        u, v, value = records.fields(line, (int, int, records.nonnegative), SSE_HEADER)
         records.put(sse, FrameCoord(u, v), value, "frame")
 
     records.read(path, record, SSE_HEADER)

@@ -5,7 +5,8 @@ A file is read as its non-blank lines, stripped. Lines that start with
 trace, whose comments carry data. A format with a header must start with
 exactly that line. A record splits into a fixed number of fields, each
 converted on its own; numbers must be finite, except the documented
-infinite diagnostics (an allocation's kkt_residual, a trace's wpsnr).
+infinite diagnostics (an allocation's kkt_residual, a trace's wpsnr), and
+SSE and weights must not be negative.
 Each key or frame appears once. Key-value files hold `key: value` lines
 with known keys and one `frame: u,v,...` line per coordinate of their
 width x height grid. Every error is a ParseError that names the source
@@ -25,6 +26,14 @@ def finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text.strip()!r}")
+    return value
+
+
+def nonnegative(text: str) -> float:
+    """A number field that must be finite and not negative."""
+    value = finite(text)
+    if value < 0.0:
+        raise ValueError(f"negative number {text.strip()!r}")
     return value
 
 

@@ -104,15 +104,23 @@ class TestAllocationProblem:
         grid = spiral_order(2, 1)
         weights = unify_weights({c: 1.0 for c in grid.coding_order})
         models = {grid.coding_order[0]: RDModelParams(alpha=1e7, beta=-0.3)}
-        with pytest.raises(IncompleteInput):
+        with pytest.raises(IncompleteInput, match=r"models missing for frame \(0,0\)"):
             AllocationProblem(grid=grid, weights=weights, models=models, budget=1e6)
 
     def test_missing_weight(self):
         grid = spiral_order(2, 1)
         weights = unify_weights({grid.coding_order[0]: 1.0})
         models = {c: RDModelParams(alpha=1e7, beta=-0.3) for c in grid.coding_order}
-        with pytest.raises(IncompleteInput):
+        with pytest.raises(IncompleteInput, match=r"weights missing for frame \(0,0\)"):
             AllocationProblem(grid=grid, weights=weights, models=models, budget=1e6)
+
+    def test_tables_read_once(self):
+        problem = line_problem(REFERENCE_PAIRS, budget=3e6)
+        before = solve_step1(problem, evaluate=False).rates
+        for c in problem.grid.coding_order:
+            problem.models[c] = RDModelParams(alpha=1.0, beta=-1.0)
+            problem.weights.unified[c] = 0.5
+        assert solve_step1(problem, evaluate=False).rates == before
 
     def test_nonpositive_budget(self):
         with pytest.raises(ValueError):

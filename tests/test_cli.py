@@ -120,15 +120,6 @@ class TestAllocateCommand:
         assert len(rates) == 4
         assert diagnostics["budget_used"] == pytest.approx(4e6, rel=1e-9)
 
-    def test_step1_only_equals_zero_lambda(self, tmp_path, capsys):
-        problem = self.problem_path(tmp_path)
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        assert main(["allocate", str(problem), "--step1-only", "--output", str(a)]) == EXIT_OK
-        assert main(["allocate", str(problem), "--lambda", "0", "--output", str(b)]) == EXIT_OK
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
-
     def test_budget_override(self, tmp_path, capsys):
         problem = self.problem_path(tmp_path)
         output = tmp_path / "alloc.csv"
@@ -450,7 +441,7 @@ def cli_inputs(command, tmp):
         write_mock_config(small_grid_setup(gamma=0.2), path)
         argv = ["simulate", str(path), "--budget", "4e6", "--max-iters", "3"]
         return argv + ["--output", out], path
-    if command in ("metrics", "metrics-trace"):
+    if command in ("metrics", "metrics-trace", "metrics-weights"):
         sse = {c: 1e5 * (k + 1) for k, c in enumerate(spiral_order(2, 2).coding_order)}
         if command == "metrics":
             path = tmp / "sse.csv"
@@ -462,7 +453,8 @@ def cli_inputs(command, tmp):
         weights = tmp / "weights.csv"
         weights.write_text("1,0.5\n0.25,1\n")
         argv = ["metrics", str(path), "--weights", str(weights), "--lambda", "5"]
-        return argv + ["--pixels", "400", "--output", out], path
+        argv += ["--pixels", "400", "--output", out]
+        return argv, weights if command == "metrics-weights" else path
     assert command == "bdrate"
     anchor = [RDPoint(rate=1e5 * 2 ** i, quality=30.0 + 4 * i) for i in range(5)]
     path = tmp / "anchor.csv"
@@ -497,7 +489,7 @@ def set_line(prefix, text):
     return edit
 
 
-# Non-finite and contradictory inputs: (command, edit of the input's lines,
+# Non-finite, negative and contradictory inputs: (command, edit of the input's lines,
 # whether the error names the edited line). Each must exit 2 with the file
 # named in the message.
 RECORD_DEFECTS = {
@@ -517,6 +509,11 @@ RECORD_DEFECTS = {
     "three_field_order_pair": ("allocate", set_line("order:", "order: 1,1;0,0,7;1,0;0,1"), True),
     "repeated_sse_row": ("metrics", repeat_line("1,1,"), True),
     "sse_row_off_grid": ("metrics", lambda lines: lines.append("5,5,1.0"), False),
+    "sse_negative": ("metrics", replace_field("0,0,", 2, "-5"), True),
+    "trace_sse_negative": ("metrics-trace", replace_field("1,0,0,", 5, "-5"), True),
+    "weight_map_negative": ("metrics-weights", replace_field("0.25,", 0, "-1"), True),
+    "problem_weight_negative": ("allocate", replace_field("frame: 1,1,", 2, "-1"), True),
+    "mock_weight_negative": ("simulate", replace_field("frame: 1,1,", 4, "-1"), True),
 }
 
 

@@ -268,7 +268,7 @@ def scan_qp_for_target(rates, target):
     """The full-range bisection's answer, by brute force."""
     if rates[QP_MIN] <= target:
         return QP_MIN
-    if rates[QP_MAX] >= target:
+    if rates[QP_MAX] > target:
         return QP_MAX
     lo = max(qp for qp in range(QP_MIN, QP_MAX + 1) if rates[qp] > target)
     return lo if abs(rates[lo] - target) <= abs(rates[lo + 1] - target) else lo + 1
@@ -454,7 +454,8 @@ class TestRunIteration:
         partial = dict(first.rates)
         partial.pop(setup.grid.coding_order[-1])
         allocation = self.allocation_for(first, partial)
-        with pytest.raises(IncompleteInput):
+        u, v = setup.grid.coding_order[-1]
+        with pytest.raises(IncompleteInput, match=rf"allocation missing for frame \({u},{v}\)"):
             run_iteration(adapter, first, allocation, setup.grid, setup.weights)
 
 

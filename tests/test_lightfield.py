@@ -9,6 +9,7 @@ from lfalloc import (
     DegenerateWeights,
     FrameCoord,
     FrameGrid,
+    IncompleteInput,
     ParseError,
     PixelFrame,
     WeightChannelAbsent,
@@ -171,6 +172,49 @@ class TestCoupledPairs:
     def test_built_once_per_grid(self):
         grid = spiral_order(4, 4)
         assert grid.coupled_pairs is grid.coupled_pairs
+
+
+class TestFrameCoord:
+    """A frame key is a (u, v) tuple with named fields."""
+
+    def test_equals_and_hashes_as_its_tuple(self):
+        coord = FrameCoord(2, 3)
+        assert coord == (2, 3)
+        assert hash(coord) == hash((2, 3))
+        assert {(2, 3): "x"}[coord] == "x"
+
+    def test_sorts_like_tuples(self):
+        coords = [FrameCoord(1, 0), FrameCoord(0, 2), FrameCoord(0, 1), FrameCoord(1, -1)]
+        assert sorted(coords) == sorted(tuple(c) for c in coords)
+        assert FrameCoord(0, 5) < FrameCoord(1, 0)
+
+    def test_unpacks_and_names_fields(self):
+        u, v = FrameCoord(4, 7)
+        assert (u, v) == (4, 7)
+        assert FrameCoord(4, 7).u == 4 and FrameCoord(4, 7).v == 7
+
+    def test_repr(self):
+        assert repr(FrameCoord(0, 1)) == "FrameCoord(u=0, v=1)"
+
+
+class TestAlign:
+    """A per-frame table read into coding order."""
+
+    def test_values_in_coding_order(self):
+        grid = spiral_order(3, 2)
+        table = {c: c.u * 10 + c.v for c in sorted(grid.coding_order)}
+        assert grid.align(table, "values") == [c.u * 10 + c.v for c in grid.coding_order]
+
+    def test_plain_tuple_keys(self):
+        grid = spiral_order(2, 2)
+        table = {(u, v): (u, v) for u in range(2) for v in range(2)}
+        assert grid.align(table, "values") == list(grid.coding_order)
+
+    def test_missing_frame_is_named(self):
+        grid = spiral_order(2, 2)
+        table = {c: 1.0 for c in grid.coding_order if c != (0, 1)}
+        with pytest.raises(IncompleteInput, match=r"^widths missing for frame \(0,1\)$"):
+            grid.align(table, "widths")
 
 
 class TestSpiralOrder:

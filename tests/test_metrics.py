@@ -188,6 +188,11 @@ class TestDiscontinuity:
 class TestCost:
     """Weighted distortion plus lambda times the consistency root."""
 
+    def test_missing_frame_is_named(self):
+        grid, weights = pair_grid()
+        with pytest.raises(IncompleteInput, match=r"SSE missing for frame \(1,0\)"):
+            cost(grid, weights, DistortionSet({FrameCoord(0, 0): 1.0}), 1.0)
+
     def test_hand_breakdown(self):
         grid, weights = pair_grid()
         d = DistortionSet({FrameCoord(0, 0): 1.0, FrameCoord(1, 0): 3.0})
