@@ -2,9 +2,10 @@
 
 Models are only as good as the encodes they were fitted on, and encodes
 depend on the rates the models suggested. The loop alternates the two:
-encode at the current targets, refit the models from trial sweeps,
-re-solve the allocation, and stop once no frame's rate moves by more
-than 1%.
+encode at the current targets, refit each frame's model from its
+committed encode and the neighbouring quantizer on the far side of its
+target, re-solve the allocation, and stop once no frame's rate moves by
+more than 1%.
 """
 
 from lfalloc import (

@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
 )
 from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order, unify_weights
-from .metrics import CostBreakdown, DistortionSet, cost
+from .metrics import CostBreakdown, DistortionSet, joint_cost
 from .rdmodel import RDModelParams, tangent_lines
 
 log = logging.getLogger("lfalloc.allocator")
@@ -175,23 +175,23 @@ def _as_vector(problem: AllocationProblem, rates) -> np.ndarray:
     return np.asarray(rates, dtype=float)
 
 
-def predicted_distortions(problem: AllocationProblem, rates) -> DistortionSet:
-    """Model-predicted SSE per frame at the given rates."""
+def _predicted_sse(problem: AllocationProblem, rates) -> np.ndarray:
     vec = _as_vector(problem, rates)
     if np.any(vec <= 0.0):
         raise DomainError("rate must be positive")
-    sse = problem.alpha * vec ** problem.beta
+    return problem.alpha * vec ** problem.beta
+
+
+def predicted_distortions(problem: AllocationProblem, rates) -> DistortionSet:
+    """Model-predicted SSE per frame at the given rates."""
+    sse = _predicted_sse(problem, rates)
     return DistortionSet(dict(zip(problem.grid.coding_order, sse.tolist())))
 
 
 def evaluate_cost(problem: AllocationProblem, rates) -> CostBreakdown:
-    """Joint cost of an allocation under the problem's models and lambda."""
-    return cost(
-        problem.grid,
-        problem.weights,
-        predicted_distortions(problem, rates),
-        problem.lam,
-    )
+    """Joint cost of an allocation under the problem's models, weights
+    (its w, read at construction) and lambda."""
+    return joint_cost(problem.grid, problem.w, _predicted_sse(problem, rates), problem.lam)
 
 
 def penalized_objective(problem: AllocationProblem, penalty: ConePenalty, rates) -> float:
@@ -655,14 +655,16 @@ def write_problem_file(problem: AllocationProblem, path) -> None:
     lines = [
         f"width: {problem.grid.width}",
         f"height: {problem.grid.height}",
-        f"budget: {problem.budget!r}",
-        f"lambda: {problem.lam!r}",
-        f"min_rate: {problem.min_rate!r}",
+        f"budget: {records.number(problem.budget)}",
+        f"lambda: {records.number(problem.lam)}",
+        f"min_rate: {records.number(problem.min_rate)}",
         "order: " + ";".join(f"{c.u},{c.v}" for c in problem.grid.coding_order),
     ]
     raw = problem.grid.align(problem.weights.raw, "weights")
     vectors = zip(problem.grid.coding_order, raw, problem.alpha.tolist(), problem.beta.tolist())
-    lines.extend(f"frame: {c.u},{c.v},{w!r},{a!r},{b!r}" for c, w, a, b in vectors)
+    lines.extend(
+        f"frame: {c.u},{c.v}," + ",".join(map(records.number, values)) for c, *values in vectors
+    )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -708,15 +710,16 @@ ALLOCATION_HEADER = "u,v,rate_bits"
 def write_allocation_file(result: AllocationResult, path) -> None:
     """Rates CSV plus a commented diagnostics block."""
     lines = [ALLOCATION_HEADER]
-    lines.extend(f"{c.u},{c.v},{r!r}" for c, r in result.rates.items())
+    lines.extend(f"{c.u},{c.v},{records.number(r)}" for c, r in result.rates.items())
     lines.append("# diagnostics")
-    lines.append(f"# weighted_distortion {result.objective.weighted_distortion!r}")
-    lines.append(f"# discontinuity {result.objective.discontinuity!r}")
-    lines.append(f"# lambda {result.objective.lam!r}")
-    lines.append(f"# total {result.objective.total!r}")
-    lines.append(f"# kkt_residual {result.kkt_residual!r}")
+    objective = result.objective
+    lines.append(f"# weighted_distortion {records.number(objective.weighted_distortion)}")
+    lines.append(f"# discontinuity {records.number(objective.discontinuity)}")
+    lines.append(f"# lambda {records.number(objective.lam)}")
+    lines.append(f"# total {records.number(objective.total)}")
+    lines.append(f"# kkt_residual {records.number(result.kkt_residual)}")
     lines.append(f"# iterations {result.iterations}")
-    lines.append(f"# budget_used {result.budget_used!r}")
+    lines.append(f"# budget_used {records.number(result.budget_used)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import allocator, encodesim, metrics, rdmodel
+from . import allocator, encodesim, metrics, rdmodel, records
 from .errors import (
     DomainError,
     InfeasibleBudget,
@@ -118,7 +118,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         args.budget,
         args.lam,
         args.max_iters,
-        k_sweep=args.k_sweep,
         min_rate=args.min_rate,
         baseline=args.baseline,
     )
@@ -160,7 +159,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     weights = unify_weights(raw)
     breakdown = metrics.cost(grid, weights, distortions, args.lam)
     quality = metrics.wpsnr(breakdown.total, args.pixels)
-    report = metrics.format_cost_breakdown(breakdown) + f"wpsnr_db {quality!r}\n"
+    report = metrics.format_cost_breakdown(breakdown) + f"wpsnr_db {records.number(quality)}\n"
     if args.output is not None:
         Path(args.output).write_text(report)
     print(f"weighted_distortion {breakdown.weighted_distortion:.4g}")
@@ -213,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, required=True, help="total bit budget")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--max-iters", type=int, default=8)
-    p.add_argument("--k-sweep", type=int, default=2, help="trial sweep half-width")
     p.add_argument("--min-rate", type=float, help="per-frame rate floor")
     p.add_argument(
         "--baseline",

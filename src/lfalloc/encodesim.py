@@ -1,34 +1,38 @@
 """Iterative encode loop against a pluggable encoder adapter.
 
 The loop mirrors a low-delay chain: frames are encoded in coding order
-and each frame references the previously coded one. Around every frame's
-working quantizer a small sweep of trial compressions measures the local
-rate and distortion without advancing the chain; the sweep feeds the
-per-frame power-law model refit, and its sample nearest the frame's
-target rate is the committed encode. The first pass has no models yet,
-so it drives each frame toward a neutral per-frame budget share with a
-search on the adapter's monotone quantizer-rate response, which stands
-in for an encoder's default rate control; the search starts from the
-previous frame's quantizer and steps outward in doubling steps until it
-brackets the share, then bisects. Later passes alternate the allocator
-with a re-encode until the realized rates settle; each re-encode sweep
-is centred on the quantizer that the log-linear rate-quantizer relation
-of the frame's previous sweep predicts for its allocated rate. A loop
-whose pass repeats an earlier pass exactly can never settle, so it
-stops there unconverged.
+and each frame references the previously coded one. Every pass treats a
+frame the same way: a search on the adapter's monotone quantizer-rate
+response finds the quantizer nearest the frame's target rate, starting
+from a seed quantizer and stepping outward in doubling steps until it
+brackets the target, then bisecting; that quantizer is the committed
+encode. The per-frame power-law model is refit from two samples at the
+frame's current reference, the committed encode and its neighbour on the
+far side of the target, which the search has already measured; only when
+those two rates are equal does a small trial sweep around the commit
+supply the fit instead.
+
+The first pass has no models yet, so it drives each frame toward a
+neutral per-frame budget share, which stands in for an encoder's default
+rate control; its searches start from the previous frame's quantizer.
+Later passes alternate the allocator with a re-encode until the realized
+rates settle; each re-encode search starts from the quantizer that the
+log-linear rate-quantizer relation of the frame's previous fit predicts
+for its allocated rate. A loop whose pass repeats an earlier pass exactly
+can never settle, so it stops there unconverged.
 
 Encoding is deterministic in (coord, qp, ref_state), so
 run_to_convergence encodes each such triple at most once per run: a
-cache private to the run answers every repeat, whether it comes from the
-first pass's search, an overlapping sweep, or a later pass that returns
+cache private to the run answers every repeat, whether it comes from a
+fit reading the search's samples again or from a later pass that returns
 to the same quantizers and references.
 
 mock_encode supplies a deterministic closed-form encoder for the whole
 loop: rate halves every rate_qp_halving quantizer steps, and SSE follows
-a hidden per-frame power law in rate, inflated by the reference frame's
-SSE when the dependency gain is positive.
+a hidden per-frame power law in rate, optionally curved in log-log
+space, inflated by the reference frame's SSE when the dependency gain is
+positive.
 """
-
 from __future__ import annotations
 
 import logging
@@ -52,6 +56,10 @@ QP_MAX = 51
 
 # Relative per-frame rate change below which the loop counts as settled.
 RATE_CHANGE_TOL = 0.01
+
+# Half-width of the trial sweep a frame is fitted from when the committed
+# encode and its neighbour have equal rates.
+FALLBACK_HALF_WIDTH = 2
 
 
 class EncoderAdapter(ABC):
@@ -93,6 +101,7 @@ class MockEncoderConfig:
     ref_norm: float = 1e6
     rate_qp_halving: float = 6.0
     frame_pixels: int = 271_250
+    curvature: float = 0.0
 
     def __post_init__(self):
         if not self.frame_params:
@@ -108,6 +117,8 @@ class MockEncoderConfig:
             raise ValueError("rate_qp_halving must be positive and finite")
         if self.frame_pixels <= 0:
             raise ValueError("frame_pixels must be positive")
+        if not 0.0 <= self.curvature < math.inf:
+            raise ValueError("curvature must be nonnegative and finite")
 
 
 def mock_encode(
@@ -116,11 +127,16 @@ def mock_encode(
     """Closed-form stand-in for a real encoder.
 
     rate = rate_anchor * 2**(-(qp - qp_anchor) / rate_qp_halving)
-    sse  = a * rate**b * (1 + gamma * ref_sse / ref_norm)
+    sse  = a * rate**b * exp(curvature * ln(rate / rate_anchor)**2)
+             * (1 + gamma * ref_sse / ref_norm)
+
+    A positive curvature makes the log-log slope of SSE against rate vary
+    with rate; at zero the law is an exact power law.
     """
     a, b = config.frame_params[coord]
     rate = config.rate_anchor * 2.0 ** (-(qp - config.qp_anchor) / config.rate_qp_halving)
-    sse = a * rate ** b * (1.0 + config.dependency_gamma * ref_sse / config.ref_norm)
+    bend = math.exp(config.curvature * math.log(rate / config.rate_anchor) ** 2)
+    sse = a * rate ** b * bend * (1.0 + config.dependency_gamma * ref_sse / config.ref_norm)
     return rate, sse
 
 
@@ -147,8 +163,8 @@ class IterationEntry:
     """Everything one pass over the sequence produced.
 
     qp_slopes holds each frame's least-squares slope of log2(rate) against
-    qp over its sweep, which centres the next pass's sweep; it is kept in
-    memory only and is not part of the trace file.
+    qp over its fit samples, which seeds the next pass's quantizer search;
+    it is kept in memory only and is not part of the trace file.
     """
 
     qps: dict[FrameCoord, int]
@@ -228,18 +244,6 @@ def trial_sweep(
     return samples
 
 
-def select_qp(samples: list[RDSample], target_rate: float) -> int:
-    """Sweep sample whose measured rate lies closest to the target.
-
-    The trial measurements are the quantizer-rate relation here; ties go
-    to the lower qp, which favors quality.
-    """
-    if not samples:
-        raise ValueError("empty sweep")
-    best = min(samples, key=lambda s: (abs(s.rate - target_rate), s.qp))
-    return best.qp
-
-
 def _qp_for_target(
     adapter: EncoderAdapter,
     coord: FrameCoord,
@@ -247,16 +251,16 @@ def _qp_for_target(
     ref_state: Any,
     start: int,
 ) -> int:
-    """First-pass quantizer choice on the monotone rate response.
+    """Quantizer choice on the monotone rate response.
 
     Returns what a bisection over the whole range returns: QP_MIN when
     its rate is at most the target, else QP_MAX when its rate exceeds
     the target, else whichever of the smallest qp whose rate is at most
     the target and its lower neighbour lies nearer the target (ties to
-    the lower, as in select_qp). The search starts at `start` and steps
-    outward in doubling steps until the target is bracketed (the
+    the lower, which favors quality). The search starts at `start` and
+    steps outward in doubling steps until the target is bracketed (the
     unbounded search of Bentley and Yao, 1976), then bisects, so a start
-    near the answer costs a few encodes instead of a full-range
+    next to the answer costs two encodes instead of a full-range
     bisection.
     """
 
@@ -312,7 +316,7 @@ def _baseline_targets(
 
 
 def _log2_rate_slope(samples: list[RDSample]) -> float:
-    """Least-squares slope of log2(rate) against qp over a sweep."""
+    """Least-squares slope of log2(rate) against qp over fit samples."""
     qp = [s.qp for s in samples]
     log_rate = [math.log2(s.rate) for s in samples]
     qp_mean = sum(qp) / len(qp)
@@ -324,7 +328,7 @@ def _log2_rate_slope(samples: list[RDSample]) -> float:
 def _predicted_qp(previous: IterationEntry, coord: FrameCoord, target_rate: float) -> int:
     """Quantizer expected to hit target_rate, from the frame's last pass.
 
-    Follows the log-linear rate-qp relation fitted over the last sweep:
+    Follows the log-linear rate-qp relation fitted in the last pass:
     qp_prev + (log2 target - log2 rate_prev) / slope, rounded and clamped
     to the valid range. Without a negative slope the last qp is kept.
     """
@@ -336,37 +340,63 @@ def _predicted_qp(previous: IterationEntry, coord: FrameCoord, target_rate: floa
     return min(QP_MAX, max(QP_MIN, round(qp_prev + shift)))
 
 
+def _fit_samples(
+    adapter: EncoderAdapter, coord: FrameCoord, qp: int, target_rate: float, ref_state: Any
+) -> list[RDSample]:
+    """Samples a frame's model is fitted from, all at its current reference.
+
+    The committed encode at qp and its neighbour on the far side of the
+    target (the inner neighbour at either end of the range), which the
+    quantizer search has measured; when the two rates are equal they fix
+    no slope, and the trial sweep of half-width FALLBACK_HALF_WIDTH
+    around qp is used instead.
+    """
+    rate, sse = adapter.encode_frame(coord, qp, ref_state)
+    other = qp + 1 if rate > target_rate else qp - 1
+    if not QP_MIN <= other <= QP_MAX:
+        other = 2 * qp - other
+    other_rate, other_sse = adapter.encode_frame(coord, other, ref_state)
+    if other_rate == rate:
+        return trial_sweep(adapter, coord, qp, FALLBACK_HALF_WIDTH, ref_state)
+    pair = [RDSample(qp, rate, sse), RDSample(other, other_rate, other_sse)]
+    return sorted(pair, key=lambda s: s.qp)
+
+
 def _encode_pass(
     adapter: EncoderAdapter,
     grid: FrameGrid,
     weights: WeightSet,
     lam: float,
-    k_sweep: int,
-    aim,
+    targets: dict[FrameCoord, float],
+    starts: dict[FrameCoord, int] | None,
 ) -> IterationEntry:
     """One pass over the sequence in coding order.
 
-    Per frame: aim(coord, ref) gives the sweep centre and the target
-    rate; the trial sweep around the centre is measured, the sample
-    nearest the target is committed (encoding is deterministic in
-    (coord, qp, ref_state), so the sweep's measurement is the committed
-    encode), the model is refit from the sweep, and the chain advances.
+    Per frame: search the quantizer nearest the target rate
+    (_qp_for_target), starting from starts[coord], or without starts from
+    the previous frame's answer (the middle of the range for the first
+    frame); commit it (encoding is deterministic in (coord, qp,
+    ref_state), so the search's measurement is the committed encode);
+    refit the model and the rate-qp slope from _fit_samples; advance the
+    chain.
     """
     ref = adapter.initial_reference()
+    qp = (QP_MIN + QP_MAX) // 2
     qps, rates, sses, models, slopes = {}, {}, {}, {}, {}
     for coord in grid.coding_order:
+        target = targets[coord]
         try:
-            center, target = aim(coord, ref)
-            sweep = trial_sweep(adapter, coord, center, k_sweep, ref)
+            start = qp if starts is None else starts[coord]
+            qp = _qp_for_target(adapter, coord, target, ref, start)
+            samples = _fit_samples(adapter, coord, qp, target, ref)
         except EncodeFailed as exc:
             raise EncodeFailed(f"frame ({coord.u},{coord.v}): {exc}") from exc
-        qp = select_qp(sweep, target)
-        committed = next(s for s in sweep if s.qp == qp)
+        committed = next(s for s in samples if s.qp == qp)
         qps[coord] = qp
         rates[coord] = committed.rate
         sses[coord] = committed.sse
-        models[coord] = fit_power_model(sweep)
-        slopes[coord] = _log2_rate_slope(sweep)
+        models[coord] = fit_power_model(samples)
+        slopes[coord] = _log2_rate_slope(samples)
         ref = adapter.advance_reference(ref, committed.rate, committed.sse)
     breakdown = cost(grid, weights, DistortionSet(dict(sses)), lam)
     return IterationEntry(
@@ -387,29 +417,20 @@ def run_first_iteration(
     budget: float,
     *,
     lam: float = 0.0,
-    k_sweep: int = 2,
     baseline: str = "uniform",
 ) -> IterationEntry:
     """First pass: drive every frame toward its baseline budget share.
 
     Per frame, in coding order: search the quantizer whose rate is
     nearest the share, starting from the previous frame's (the middle of
-    the range for the first frame), sweep around it, commit the sweep
-    sample nearest the share (the searched quantizer, for an adapter
-    whose rate falls strictly with qp), fit the power-law model from the
-    sweep, then advance the reference chain.
+    the range for the first frame), commit it, fit the power-law model
+    from the commit and its neighbour on the far side of the share, then
+    advance the reference chain.
     """
     if budget <= 0.0:
         raise ValueError("budget must be positive")
     targets = _baseline_targets(grid, weights, budget, baseline)
-    start = (QP_MIN + QP_MAX) // 2
-
-    def aim(coord: FrameCoord, ref: Any) -> tuple[int, float]:
-        nonlocal start
-        start = _qp_for_target(adapter, coord, targets[coord], ref, start)
-        return start, targets[coord]
-
-    return _encode_pass(adapter, grid, weights, lam, k_sweep, aim)
+    return _encode_pass(adapter, grid, weights, lam, targets, None)
 
 
 def run_iteration(
@@ -420,21 +441,17 @@ def run_iteration(
     weights: WeightSet,
     *,
     lam: float = 0.0,
-    k_sweep: int = 2,
 ) -> IterationEntry:
     """One re-encode pass toward an allocation.
 
-    Per frame: sweep around the quantizer predicted to hit the allocated
-    rate (_predicted_qp), commit the sample nearest that rate, refit the
-    model from the sweep, advance the chain.
+    Per frame: search the quantizer nearest the allocated rate, starting
+    from the one _predicted_qp expects to hit it, commit it, refit the
+    model from the commit and its neighbour on the far side of the
+    allocated rate, advance the chain.
     """
-    grid.align(allocation.rates, "allocation")
-
-    def aim(coord: FrameCoord, ref: Any) -> tuple[int, float]:
-        target = allocation.rates[coord]
-        return _predicted_qp(previous, coord, target), target
-
-    return _encode_pass(adapter, grid, weights, lam, k_sweep, aim)
+    targets = dict(zip(grid.coding_order, grid.align(allocation.rates, "allocation")))
+    starts = {c: _predicted_qp(previous, c, target) for c, target in targets.items()}
+    return _encode_pass(adapter, grid, weights, lam, targets, starts)
 
 
 def run_to_convergence(
@@ -445,7 +462,6 @@ def run_to_convergence(
     lam: float,
     max_iters: int,
     *,
-    k_sweep: int = 2,
     min_rate: float | None = None,
     baseline: str = "uniform",
 ) -> IterationTrace:
@@ -463,9 +479,7 @@ def run_to_convergence(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     adapter = _EncodeCache(adapter)
-    first = run_first_iteration(
-        adapter, grid, weights, budget, lam=lam, k_sweep=k_sweep, baseline=baseline
-    )
+    first = run_first_iteration(adapter, grid, weights, budget, lam=lam, baseline=baseline)
     entries = [first]
     seen = {_pass_state(grid, first): 1}
     converged = False
@@ -484,9 +498,7 @@ def run_to_convergence(
         except NotConverged as exc:
             log.warning("allocator did not fully converge; using best iterate")
             allocation = exc.result
-        entry = run_iteration(
-            adapter, previous, allocation, grid, weights, lam=lam, k_sweep=k_sweep
-        )
+        entry = run_iteration(adapter, previous, allocation, grid, weights, lam=lam)
         entries.append(entry)
         moves = zip(grid.align(entry.rates, "rates"), grid.align(previous.rates, "rates"))
         change = max(abs(new - old) / old for new, old in moves)
@@ -539,20 +551,22 @@ MOCK_FRAME_FIELDS = "u,v,a,b[,weight]"
 
 
 def write_mock_config(setup: MockSetup, path) -> None:
+    config = setup.config
     lines = [
         f"width: {setup.grid.width}",
         f"height: {setup.grid.height}",
-        f"qp0: {setup.config.qp_anchor}",
-        f"rate0: {setup.config.rate_anchor!r}",
-        f"gamma: {setup.config.dependency_gamma!r}",
-        f"ref_norm: {setup.config.ref_norm!r}",
-        f"rate_qp_halving: {setup.config.rate_qp_halving!r}",
-        f"frame_pixels: {setup.config.frame_pixels}",
+        f"qp0: {config.qp_anchor}",
+        f"rate0: {records.number(config.rate_anchor)}",
+        f"gamma: {records.number(config.dependency_gamma)}",
+        f"ref_norm: {records.number(config.ref_norm)}",
+        f"rate_qp_halving: {records.number(config.rate_qp_halving)}",
+        f"frame_pixels: {config.frame_pixels}",
+        f"curvature: {records.number(config.curvature)}",
     ]
-    params = setup.grid.align(setup.config.frame_params, "mock parameters")
+    params = setup.grid.align(config.frame_params, "mock parameters")
     raw = setup.grid.align(setup.weights.raw, "weights")
     for c, (a, b), weight in zip(setup.grid.coding_order, params, raw):
-        lines.append(f"frame: {c.u},{c.v},{a!r},{b!r},{weight!r}")
+        lines.append(f"frame: {c.u},{c.v}," + ",".join(map(records.number, (a, b, weight))))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -581,7 +595,7 @@ def read_mock_config(path) -> MockSetup:
 
 _MOCK_FRAME = (int, int, records.finite, records.finite, records.nonnegative)
 _MOCK_KEYS = dict.fromkeys(("rate0", "gamma", "ref_norm", "rate_qp_halving"), records.finite)
-_MOCK_KEYS.update(qp0=int, frame_pixels=int)
+_MOCK_KEYS.update(qp0=int, frame_pixels=int, curvature=records.nonnegative)
 # Keys whose MockEncoderConfig field has another name; the rest share it.
 _MOCK_FIELDS = {"qp0": "qp_anchor", "rate0": "rate_anchor", "gamma": "dependency_gamma"}
 
@@ -627,11 +641,11 @@ def write_trace_csv(trace: IterationTrace | ParsedTrace, path) -> None:
     parsed = trace_to_parsed(trace) if isinstance(trace, IterationTrace) else trace
     lines = [TRACE_HEADER]
     for index, iteration in enumerate(parsed.iterations, 1):
-        for u, v, qp, rate, sse, alpha, beta in iteration.rows:
-            lines.append(f"{index},{u},{v},{qp},{rate!r},{sse!r},{alpha!r},{beta!r}")
+        for u, v, qp, *values in iteration.rows:
+            lines.append(f"{index},{u},{v},{qp}," + ",".join(map(records.number, values)))
         lines.append(
-            f"# iteration {index} total_cost {iteration.total_cost!r} "
-            f"wpsnr {iteration.wpsnr_db!r}"
+            f"# iteration {index} total_cost {records.number(iteration.total_cost)} "
+            f"wpsnr {records.number(iteration.wpsnr_db)}"
         )
     lines.append(f"# converged {str(parsed.converged).lower()}")
     Path(path).write_text("\n".join(lines) + "\n")

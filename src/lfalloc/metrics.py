@@ -95,11 +95,17 @@ def discontinuity(grid: FrameGrid, weights: WeightSet, distortions: DistortionSe
     return _discontinuity(grid, *_aligned(grid, weights, distortions))
 
 
-def cost(grid: FrameGrid, weights: WeightSet, distortions: DistortionSet, lam: float) -> CostBreakdown:
+def cost(
+    grid: FrameGrid, weights: WeightSet, distortions: DistortionSet, lam: float
+) -> CostBreakdown:
     """Joint cost: weighted distortion plus lam times sqrt(discontinuity)."""
+    return joint_cost(grid, *_aligned(grid, weights, distortions), lam)
+
+
+def joint_cost(grid: FrameGrid, w: np.ndarray, d: np.ndarray, lam: float) -> CostBreakdown:
+    """cost() over coding-order vectors of unified weights w and SSE d."""
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
-    w, d = _aligned(grid, weights, distortions)
     wd = float(np.sum(w * w * d))
     disc = _discontinuity(grid, w, d)
     return CostBreakdown(
@@ -164,10 +170,10 @@ def bd_rate(anchor: list[RDPoint], test: list[RDPoint]) -> float:
 def format_cost_breakdown(breakdown: CostBreakdown) -> str:
     """Structured text form of a cost breakdown."""
     return (
-        f"weighted_distortion {breakdown.weighted_distortion!r}\n"
-        f"discontinuity {breakdown.discontinuity!r}\n"
-        f"lambda {breakdown.lam!r}\n"
-        f"total {breakdown.total!r}\n"
+        f"weighted_distortion {records.number(breakdown.weighted_distortion)}\n"
+        f"discontinuity {records.number(breakdown.discontinuity)}\n"
+        f"lambda {records.number(breakdown.lam)}\n"
+        f"total {records.number(breakdown.total)}\n"
     )
 
 
@@ -177,7 +183,7 @@ _CURVE_FIELDS = (records.finite, records.finite)
 
 def write_curve_csv(points: list[RDPoint], path) -> None:
     lines = [CURVE_HEADER]
-    lines.extend(f"{p.rate!r},{p.quality!r}" for p in points)
+    lines.extend(f"{records.number(p.rate)},{records.number(p.quality)}" for p in points)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -193,7 +199,7 @@ SSE_HEADER = "u,v,sse"
 
 def write_sse_csv(distortions: DistortionSet, path) -> None:
     lines = [SSE_HEADER]
-    lines.extend(f"{c.u},{c.v},{v!r}" for c, v in distortions.sse.items())
+    lines.extend(f"{c.u},{c.v},{records.number(v)}" for c, v in distortions.sse.items())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

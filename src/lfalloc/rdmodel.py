@@ -135,7 +135,8 @@ def write_samples_csv(samples: dict[str, list[RDSample]], path) -> None:
     lines = [SAMPLES_HEADER]
     for frame_id, frame_samples in samples.items():
         lines.extend(
-            f"{frame_id},{s.qp},{s.rate!r},{s.sse!r}" for s in frame_samples
+            f"{frame_id},{s.qp},{records.number(s.rate)},{records.number(s.sse)}"
+            for s in frame_samples
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -158,7 +159,7 @@ def read_samples_csv(path) -> dict[str, list[RDSample]]:
 def write_models_csv(models: dict[str, RDModelParams], path) -> None:
     lines = [MODELS_HEADER]
     lines.extend(
-        f"{frame_id},{m.alpha!r},{m.beta!r},{m.r_squared!r}"
+        f"{frame_id}," + ",".join(map(records.number, (m.alpha, m.beta, m.r_squared)))
         for frame_id, m in models.items()
     )
     Path(path).write_text("\n".join(lines) + "\n")

@@ -10,7 +10,8 @@ SSE and weights must not be negative.
 Each key or frame appears once. Key-value files hold `key: value` lines
 with known keys and one `frame: u,v,...` line per coordinate of their
 width x height grid. Every error is a ParseError that names the source
-and, for a record, its line.
+and, for a record, its line. Writers format every float field with
+number(), so a file reads back as the values it was written from.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ import math
 from pathlib import Path
 
 from .errors import ParseError
+
+
+def number(value) -> str:
+    """A float field as written: the shortest text that reads back as the
+    same float, for a Python float and a numpy scalar alike."""
+    return repr(float(value))
 
 
 def finite(text: str) -> float:

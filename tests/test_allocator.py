@@ -122,6 +122,16 @@ class TestAllocationProblem:
             problem.weights.unified[c] = 0.5
         assert solve_step1(problem, evaluate=False).rates == before
 
+    def test_cost_reads_the_problems_own_weights(self):
+        problem = line_problem(REFERENCE_PAIRS, budget=3e6, lam=10.0)
+        before = allocate(problem)
+        for c in problem.grid.coding_order:
+            problem.weights.unified[c] = 0.5
+        del problem.weights.unified[problem.grid.coding_order[-1]]
+        after = allocate(problem)
+        assert after.rates == before.rates
+        assert after.objective == before.objective
+
     def test_nonpositive_budget(self):
         with pytest.raises(ValueError):
             line_problem(REFERENCE_PAIRS, budget=0.0)
@@ -585,6 +595,26 @@ class TestProblemIO:
         write_problem_file(problem, first)
         write_problem_file(read_problem_file(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_numpy_scalars_round_trip(self, tmp_path):
+        grid = spiral_order(2, 1)
+        weights = unify_weights(dict(zip(grid.coding_order, np.array([1.0, 0.36]))))
+        model = RDModelParams(np.float64(4.46e7), np.float64(-0.261))
+        problem = AllocationProblem(
+            grid=grid,
+            weights=weights,
+            models=dict.fromkeys(grid.coding_order, model),
+            budget=np.float64(2e6),
+            lam=np.float64(1.0),
+            min_rate=np.float64(10.0),
+        )
+        path = tmp_path / "p.txt"
+        write_problem_file(problem, path)
+        back = read_problem_file(path)
+        assert (back.budget, back.lam, back.min_rate) == (2e6, 1.0, 10.0)
+        assert back.weights.raw == weights.raw
+        assert back.alpha.tolist() == problem.alpha.tolist()
+        assert back.beta.tolist() == problem.beta.tolist()
 
     def test_problem_defaults_floor_when_absent(self, tmp_path):
         path = tmp_path / "p.txt"

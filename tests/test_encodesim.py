@@ -1,8 +1,10 @@
-"""Mock encoder, trial sweeps, quantizer selection, and the encode loop."""
+"""Mock encoder, trial sweeps, quantizer search, and the encode loop."""
 
 import logging
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,6 @@ from lfalloc import (
     run_first_iteration,
     run_iteration,
     run_to_convergence,
-    select_qp,
     spiral_order,
     trial_sweep,
     unify_weights,
@@ -97,6 +98,8 @@ class TestMockEncoderConfig:
             MockEncoderConfig(frame_params=params, rate_qp_halving=0.0)
         with pytest.raises(ValueError):
             MockEncoderConfig(frame_params=params, frame_pixels=0)
+        with pytest.raises(ValueError):
+            MockEncoderConfig(frame_params=params, curvature=-0.1)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -109,6 +112,8 @@ class TestMockEncoderConfig:
             ("dependency_gamma", math.nan),
             ("dependency_gamma", math.inf),
             ("rate_qp_halving", math.inf),
+            ("curvature", math.nan),
+            ("curvature", math.inf),
         ],
     )
     def test_non_finite_values(self, field, value):
@@ -148,6 +153,19 @@ class TestMockEncode:
         )
         _, sse = mock_encode(setup.config, FrameCoord(0, 0), 30, 2.0)
         assert sse == 10.0
+
+    def test_curvature_bends_the_log_log_slope(self):
+        curved = single_frame_setup(a=5.0, b=-0.3, curvature=0.02).config
+        coord = FrameCoord(0, 0)
+        assert mock_encode(curved, coord, 30, 0.0)[1] == 5.0 * 1e6 ** -0.3
+
+        def slope(config, qp):
+            (r0, d0), (r1, d1) = (mock_encode(config, coord, q, 0.0) for q in (qp, qp + 1))
+            return math.log(d1 / d0) / math.log(r1 / r0)
+
+        exact = single_frame_setup(a=5.0, b=-0.3).config
+        assert slope(exact, 10) == pytest.approx(slope(exact, 40), rel=1e-9)
+        assert slope(curved, 10) > slope(curved, 40) + 0.1
 
     def test_monotone_in_qp(self):
         setup = single_frame_setup()
@@ -229,30 +247,6 @@ class TestTrialSweep:
             assert eval_model(fit, sample.rate) == pytest.approx(sample.sse, rel=1e-9)
 
 
-class TestSelectQp:
-    """Nearest-rate quantizer choice over a sweep."""
-
-    def test_exact_hit(self):
-        samples = [RDSample(qp=q, rate=1600.0 / 2 ** i, sse=1.0 + i) for i, q in enumerate((10, 11, 12))]
-        assert select_qp(samples, 800.0) == 11
-
-    def test_tie_prefers_lower_qp(self):
-        samples = [RDSample(qp=10, rate=800.0, sse=1.0), RDSample(qp=11, rate=400.0, sse=2.0)]
-        assert select_qp(samples, 600.0) == 10
-
-    def test_target_above_all_rates(self):
-        samples = [RDSample(qp=q, rate=1000.0 - 100 * q, sse=1.0 + q) for q in range(3)]
-        assert select_qp(samples, 1e9) == 0
-
-    def test_target_below_all_rates(self):
-        samples = [RDSample(qp=q, rate=1000.0 - 100 * q, sse=1.0 + q) for q in range(3)]
-        assert select_qp(samples, 0.001) == 2
-
-    def test_empty_sweep(self):
-        with pytest.raises(ValueError):
-            select_qp([], 1.0)
-
-
 class TableEncoder(MockEncoder):
     """One frame whose rate per qp is read from a table."""
 
@@ -297,7 +291,30 @@ def rate_tables(draw):
 
 
 class TestQpForTarget:
-    """The first pass's seeded quantizer search."""
+    """The seeded quantizer search every pass commits from."""
+
+    def assert_answer(self, rates, target, expected):
+        assert scan_qp_for_target(rates, target) == expected
+        for start in (QP_MIN, expected, QP_MAX):
+            found = _qp_for_target(TableEncoder(rates), FrameCoord(0, 0), target, 0.0, start)
+            assert found == expected
+
+    def test_exact_hit(self):
+        rates = [1600.0 / 2 ** (qp / 6) for qp in range(QP_MAX + 1)]
+        self.assert_answer(rates, rates[12], 12)
+
+    def test_tie_prefers_lower_qp(self):
+        rates = [800.0 - 10 * qp for qp in range(QP_MAX + 1)]
+        self.assert_answer(rates, 795.0, 0)
+        self.assert_answer(rates, 595.0, 20)
+
+    def test_target_above_all_rates(self):
+        rates = [1000.0 - 10 * qp for qp in range(QP_MAX + 1)]
+        self.assert_answer(rates, 1e9, QP_MIN)
+
+    def test_target_below_all_rates(self):
+        rates = [1000.0 - 10 * qp for qp in range(QP_MAX + 1)]
+        self.assert_answer(rates, 0.001, QP_MAX)
 
     @settings(max_examples=200, deadline=None)
     @given(rate_tables(), st.integers(QP_MIN, QP_MAX))
@@ -320,6 +337,93 @@ class TestQpForTarget:
             adapter = CountingEncoder(setup.config)
             assert _qp_for_target(adapter, FrameCoord(0, 0), 1.1e6, 0.0, start) == 29
             assert len(adapter.calls) <= 12
+
+
+class PlateauEncoder(MockEncoder):
+    """MockEncoder whose rate stops falling at QP_MAX - 1."""
+
+    def encode_frame(self, coord, qp, ref_state):
+        rate, sse = super().encode_frame(coord, qp, ref_state)
+        if qp == QP_MAX:
+            rate = super().encode_frame(coord, qp - 1, ref_state)[0]
+        return rate, sse
+
+
+class TestPairFit:
+    """Each frame is fitted from its committed encode and one neighbour."""
+
+    def test_re_encode_costs_at_most_two_calls_per_frame(self, coupled_setup):
+        passes = []
+
+        class PassCountingEncoder(MockEncoder):
+            def initial_reference(self):
+                passes.append([])
+                return super().initial_reference()
+
+            def encode_frame(self, coord, qp, ref_state):
+                passes[-1].append(coord)
+                return super().encode_frame(coord, qp, ref_state)
+
+        trace = run_to_convergence(
+            PassCountingEncoder(coupled_setup.config),
+            coupled_setup.grid,
+            coupled_setup.weights,
+            2e7,
+            5.0,
+            8,
+        )
+        assert len(passes) == len(trace.entries) >= 3
+        for calls in passes[1:]:
+            assert max(Counter(calls).values(), default=0) <= 2
+        assert sum(map(len, passes[1:])) > 0
+
+    def test_plateau_takes_the_sweep_fallback(self, monkeypatch):
+        setup = single_frame_setup()
+        sweeps = []
+
+        def recorded_sweep(adapter, coord, center_qp, k, ref_state):
+            sweeps.append((center_qp, k))
+            return trial_sweep(adapter, coord, center_qp, k, ref_state)
+
+        monkeypatch.setattr(encodesim, "trial_sweep", recorded_sweep)
+        entry = run_first_iteration(PlateauEncoder(setup.config), setup.grid, setup.weights, 1.0)
+        assert entry.qps[FrameCoord(0, 0)] == QP_MAX
+        assert sweeps == [(QP_MAX, 2)]
+        model = entry.models[FrameCoord(0, 0)]
+        assert model.sample_count == 3
+        assert model.beta < 0.0
+
+    def test_strict_response_never_sweeps(self, monkeypatch, coupled_setup):
+        def no_sweep(*args):
+            raise AssertionError("trial sweep on a strictly falling rate response")
+
+        monkeypatch.setattr(encodesim, "trial_sweep", no_sweep)
+        for budget in (1.0, 2e7, 1e12):
+            run_to_convergence(
+                MockEncoder(coupled_setup.config),
+                coupled_setup.grid,
+                coupled_setup.weights,
+                budget,
+                5.0,
+                3,
+            )
+
+    def test_fit_samples_are_measured_at_the_current_reference(self, coupled_setup):
+        config = coupled_setup.config
+        trace = run_to_convergence(
+            MockEncoder(config), coupled_setup.grid, coupled_setup.weights, 2e7, 5.0, 8
+        )
+        assert len(trace.entries) >= 3
+        for entry in trace.entries:
+            ref = 0.0
+            for coord in coupled_setup.grid.coding_order:
+                a, b = config.frame_params[coord]
+                inflation = 1.0 + config.dependency_gamma * ref / config.ref_norm
+                model = entry.models[coord]
+                assert model.alpha == pytest.approx(a * inflation, rel=1e-9)
+                assert model.beta == pytest.approx(b, rel=1e-9)
+                assert model.sample_count == 2
+                ref = entry.sses[coord]
 
 
 class TestRunFirstIteration:
@@ -427,7 +531,7 @@ class TestRunIteration:
         assert first.qps[FrameCoord(0, 0)] == 30
         allocation = self.allocation_for(first, {FrameCoord(0, 0): 2e6})
         second = run_iteration(
-            adapter, first, allocation, setup.grid, setup.weights, k_sweep=7
+            adapter, first, allocation, setup.grid, setup.weights
         )
         assert abs(second.qps[FrameCoord(0, 0)] - 24) <= 1
         assert second.rates[FrameCoord(0, 0)] == 2e6
@@ -659,7 +763,30 @@ class TestMockConfigIO:
         assert setup.config.qp_anchor == 30
         assert setup.config.rate_anchor == 1e6
         assert setup.config.dependency_gamma == 0.0
+        assert setup.config.curvature == 0.0
         assert setup.weights.unified[FrameCoord(0, 0)] == 1.0
+
+    def test_numpy_scalars_round_trip(self, tmp_path):
+        grid = spiral_order(2, 1)
+        config = MockEncoderConfig(
+            frame_params={c: (np.float64(3e7), np.float64(-0.3)) for c in grid.coding_order},
+            rate_anchor=np.float64(1e6),
+            dependency_gamma=np.float64(0.5),
+            curvature=np.float64(0.02),
+        )
+        weights = unify_weights(dict(zip(grid.coding_order, np.array([1.0, 0.36]))))
+        path = tmp_path / "mock.txt"
+        write_mock_config(MockSetup(config=config, grid=grid, weights=weights), path)
+        back = read_mock_config(path)
+        assert back.config.frame_params == config.frame_params
+        assert (back.config.dependency_gamma, back.config.curvature) == (0.5, 0.02)
+        assert back.weights.raw == weights.raw
+
+    def test_negative_curvature(self, tmp_path):
+        path = tmp_path / "mock.txt"
+        path.write_text("width: 1\nheight: 1\ncurvature: -0.1\nframe: 0,0,3e7,-0.3\n")
+        with pytest.raises(ParseError, match="line 3"):
+            read_mock_config(path)
 
     def test_optional_weight_column(self, tmp_path):
         path = tmp_path / "mock.txt"
