@@ -2,10 +2,14 @@
 
 Models are only as good as the encodes they were fitted on, and encodes
 depend on the rates the models suggested. The loop alternates the two:
-encode at the current targets, refit each frame's model from its
-committed encode and the neighbouring quantizer on the far side of its
-target, re-solve the allocation, and stop once no frame's rate moves by
-more than 1%.
+encode at the current targets, refit the models, re-solve the
+allocation, and stop once no frame's rate moves by more than 1%. A frame
+whose quantizer moves is refit from its committed encode and the
+neighbouring quantizer on the far side of its target (2 encoder calls).
+A frame whose quantizer holds is encoded once, and its model keeps its
+exponent while the scale is rescaled to that encode (1 call, or none
+when its reference frame did not change either). The "held" column
+counts those frames per pass.
 """
 
 from lfalloc import (
@@ -52,12 +56,13 @@ trace = run_to_convergence(
     max_iters=8,
 )
 
-print("pass  total rate     joint cost T   wPSNR (dB)")
+print("pass  total rate     joint cost T   wPSNR (dB)  held")
 for index, entry in enumerate(trace.entries, start=1):
     total_rate = sum(entry.rates.values())
+    held = sum(model.sample_count == 1 for model in entry.models.values())
     print(
         f"{index:4d}  {total_rate:12.0f}  {entry.cost.total:14.1f}"
-        f"  {entry.wpsnr_db:10.4f}"
+        f"  {entry.wpsnr_db:10.4f}  {held:4d}"
     )
 state = "converged" if trace.converged else "stopped unconverged"
 print(f"\n{state} after {len(trace.entries)} passes")

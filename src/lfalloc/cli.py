@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="mock encoder configuration file")
     p.add_argument("--budget", type=float, required=True, help="total bit budget")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--max-iters", type=int, default=8)
+    p.add_argument("--max-iters", type=int, default=24)
     p.add_argument("--min-rate", type=float, help="per-frame rate floor")
     p.add_argument(
         "--baseline",

@@ -1,25 +1,36 @@
 """Iterative encode loop against a pluggable encoder adapter.
 
 The loop mirrors a low-delay chain: frames are encoded in coding order
-and each frame references the previously coded one. Every pass treats a
-frame the same way: a search on the adapter's monotone quantizer-rate
-response finds the quantizer nearest the frame's target rate, starting
-from a seed quantizer and stepping outward in doubling steps until it
-brackets the target, then bisecting; that quantizer is the committed
-encode. The per-frame power-law model is refit from two samples at the
-frame's current reference, the committed encode and its neighbour on the
-far side of the target, which the search has already measured; only when
-those two rates are equal does a small trial sweep around the commit
-supply the fit instead.
+and each frame references the previously coded one. A frame is searched
+and pair-fitted unless its quantizer holds. The search runs on the
+adapter's monotone quantizer-rate response and finds the quantizer
+nearest the frame's target rate, starting from a seed quantizer and
+stepping outward in doubling steps until it brackets the target, then
+bisecting; that quantizer is the committed encode. The per-frame
+power-law model is then refit from two samples at the frame's current
+reference, the committed encode and its neighbour on the far side of the
+target, which the search has already measured; only when those two rates
+are equal does a small trial sweep around the commit supply the fit
+instead. A searched frame costs 2 encoder calls when its seed quantizer
+is the answer or next to it.
 
 The first pass has no models yet, so it drives each frame toward a
 neutral per-frame budget share, which stands in for an encoder's default
-rate control; its searches start from the previous frame's quantizer.
-Later passes alternate the allocator with a re-encode until the realized
-rates settle; each re-encode search starts from the quantizer that the
-log-linear rate-quantizer relation of the frame's previous fit predicts
-for its allocated rate. A loop whose pass repeats an earlier pass exactly
-can never settle, so it stops there unconverged.
+rate control; it searches every frame, starting from the previous
+frame's quantizer. Later passes alternate the allocator with a re-encode
+until the realized rates settle. Each re-encoded frame starts from the
+quantizer that the log-linear rate-quantizer relation of its previous
+fit predicts for its allocated rate. When that is its previous quantizer
+(a held frame), the frame is encoded once there, and the relation's
+slope predicts the rate of the neighbour on the far side of the target.
+If the search's nearest-rate rule would keep the quantizer, that encode
+is committed: beta and the slope carry over from the previous fit and
+alpha is rescaled to the encode. A held frame then costs 1 encoder call,
+or none when its reference did not change either. A held frame that the
+prediction does not confirm is searched like a moved one. Beta is never
+carried across a move; on a mock whose log-log slope varies with rate
+that keeps many loops from settling. A loop whose pass repeats an
+earlier pass exactly can never settle, so it stops there unconverged.
 
 Encoding is deterministic in (coord, qp, ref_state), so
 run_to_convergence encodes each such triple at most once per run: a
@@ -38,7 +49,7 @@ from __future__ import annotations
 import logging
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -163,8 +174,10 @@ class IterationEntry:
     """Everything one pass over the sequence produced.
 
     qp_slopes holds each frame's least-squares slope of log2(rate) against
-    qp over its fit samples, which seeds the next pass's quantizer search;
-    it is kept in memory only and is not part of the trace file.
+    qp over its fit samples, carried over unchanged for a held frame. It
+    seeds the next pass's quantizer search and predicts a held frame's
+    neighbour; it is kept in memory only and is not part of the trace
+    file.
     """
 
     qps: dict[FrameCoord, int]
@@ -343,13 +356,14 @@ def _predicted_qp(previous: IterationEntry, coord: FrameCoord, target_rate: floa
 def _fit_samples(
     adapter: EncoderAdapter, coord: FrameCoord, qp: int, target_rate: float, ref_state: Any
 ) -> list[RDSample]:
-    """Samples a frame's model is fitted from, all at its current reference.
+    """Samples a searched frame's model is fitted from, all at its current reference.
 
     The committed encode at qp and its neighbour on the far side of the
     target (the inner neighbour at either end of the range), which the
     quantizer search has measured; when the two rates are equal they fix
     no slope, and the trial sweep of half-width FALLBACK_HALF_WIDTH
-    around qp is used instead.
+    around qp is used instead. A held frame that _holds confirms needs
+    none of these: its one encode rescales the previous model's alpha.
     """
     rate, sse = adapter.encode_frame(coord, qp, ref_state)
     other = qp + 1 if rate > target_rate else qp - 1
@@ -362,23 +376,71 @@ def _fit_samples(
     return sorted(pair, key=lambda s: s.qp)
 
 
+def _holds(qp: int, rate: float, slope: float, target_rate: float) -> bool:
+    """Whether _qp_for_target would return qp, by a predicted neighbour.
+
+    The neighbour on the far side of the target is not encoded: its rate
+    is predicted from qp's rate along the log2 rate-qp slope. The rule is
+    _qp_for_target's: the nearer rate wins and a tie goes to the lower qp
+    (a neighbour still on qp's side of the target always wins), and a
+    range end is kept when the target lies beyond it.
+    """
+    if not slope < 0.0:
+        return False
+    above = rate > target_rate
+    other = qp + 1 if above else qp - 1
+    if not QP_MIN <= other <= QP_MAX:
+        return True
+    other_rate = rate * 2.0 ** (slope * (other - qp))
+    if above:
+        return rate - target_rate <= target_rate - other_rate
+    return other_rate - target_rate > target_rate - rate
+
+
+def _held_fit(
+    adapter: EncoderAdapter,
+    previous: IterationEntry | None,
+    coord: FrameCoord,
+    qp: int,
+    target_rate: float,
+    ref_state: Any,
+) -> tuple[float, float, RDModelParams, float] | None:
+    """(rate, sse, model, slope) of a held frame from one encode at qp.
+
+    None unless qp is the frame's previous qp and _holds confirms it. The
+    model keeps the previous beta, with alpha rescaled so that it passes
+    through the encode, and the rate-qp slope carries over.
+    """
+    if previous is None or qp != previous.qps[coord]:
+        return None
+    rate, sse = adapter.encode_frame(coord, qp, ref_state)
+    slope = previous.qp_slopes.get(coord, 0.0)
+    if not _holds(qp, rate, slope, target_rate):
+        return None
+    model = previous.models[coord]
+    return rate, sse, replace(model, alpha=sse / rate ** model.beta, sample_count=1), slope
+
+
 def _encode_pass(
     adapter: EncoderAdapter,
     grid: FrameGrid,
     weights: WeightSet,
     lam: float,
     targets: dict[FrameCoord, float],
-    starts: dict[FrameCoord, int] | None,
+    previous: IterationEntry | None,
 ) -> IterationEntry:
     """One pass over the sequence in coding order.
 
-    Per frame: search the quantizer nearest the target rate
-    (_qp_for_target), starting from starts[coord], or without starts from
-    the previous frame's answer (the middle of the range for the first
-    frame); commit it (encoding is deterministic in (coord, qp,
-    ref_state), so the search's measurement is the committed encode);
-    refit the model and the rate-qp slope from _fit_samples; advance the
-    chain.
+    Per frame, a held frame (one whose _predicted_qp is its previous
+    pass's qp) is encoded once at that qp, and when _holds confirms it
+    that encode is committed with the model and slope of _held_fit.
+    Every other frame, and a held frame that _holds does not confirm,
+    searches the quantizer nearest the target rate (_qp_for_target),
+    starting from _predicted_qp, or in the first pass from the previous
+    frame's answer (the middle of the range for the first frame); commits
+    it (encoding is deterministic in (coord, qp, ref_state), so the
+    search's measurement is the committed encode); and refits the model
+    and the slope from _fit_samples. Then the chain advances.
     """
     ref = adapter.initial_reference()
     qp = (QP_MIN + QP_MAX) // 2
@@ -386,18 +448,24 @@ def _encode_pass(
     for coord in grid.coding_order:
         target = targets[coord]
         try:
-            start = qp if starts is None else starts[coord]
-            qp = _qp_for_target(adapter, coord, target, ref, start)
-            samples = _fit_samples(adapter, coord, qp, target, ref)
+            start = qp if previous is None else _predicted_qp(previous, coord, target)
+            held = _held_fit(adapter, previous, coord, start, target, ref)
+            if held is None:
+                qp = _qp_for_target(adapter, coord, target, ref, start)
+                samples = _fit_samples(adapter, coord, qp, target, ref)
+                rate, sse = next((s.rate, s.sse) for s in samples if s.qp == qp)
+                model, slope = fit_power_model(samples), _log2_rate_slope(samples)
+            else:
+                qp = start
+                rate, sse, model, slope = held
         except EncodeFailed as exc:
             raise EncodeFailed(f"frame ({coord.u},{coord.v}): {exc}") from exc
-        committed = next(s for s in samples if s.qp == qp)
         qps[coord] = qp
-        rates[coord] = committed.rate
-        sses[coord] = committed.sse
-        models[coord] = fit_power_model(samples)
-        slopes[coord] = _log2_rate_slope(samples)
-        ref = adapter.advance_reference(ref, committed.rate, committed.sse)
+        rates[coord] = rate
+        sses[coord] = sse
+        models[coord] = model
+        slopes[coord] = slope
+        ref = adapter.advance_reference(ref, rate, sse)
     breakdown = cost(grid, weights, DistortionSet(dict(sses)), lam)
     return IterationEntry(
         qps=qps,
@@ -444,14 +512,17 @@ def run_iteration(
 ) -> IterationEntry:
     """One re-encode pass toward an allocation.
 
-    Per frame: search the quantizer nearest the allocated rate, starting
-    from the one _predicted_qp expects to hit it, commit it, refit the
-    model from the commit and its neighbour on the far side of the
-    allocated rate, advance the chain.
+    Per frame: start from the quantizer _predicted_qp expects to hit the
+    allocated rate. A held frame, one whose start is its previous pass's
+    qp, is encoded once there; when _holds confirms that the search would
+    keep it, that encode is committed with beta and the rate-qp slope
+    carried over and alpha rescaled to it (1 encoder call, sample_count
+    1). Any other frame is searched from the start, committed, and refit
+    from the commit and its neighbour on the far side of the allocated
+    rate (2 calls). Then the chain advances.
     """
     targets = dict(zip(grid.coding_order, grid.align(allocation.rates, "allocation")))
-    starts = {c: _predicted_qp(previous, c, target) for c, target in targets.items()}
-    return _encode_pass(adapter, grid, weights, lam, targets, starts)
+    return _encode_pass(adapter, grid, weights, lam, targets, previous)
 
 
 def run_to_convergence(
@@ -503,10 +574,11 @@ def run_to_convergence(
         moves = zip(grid.align(entry.rates, "rates"), grid.align(previous.rates, "rates"))
         change = max(abs(new - old) / old for new, old in moves)
         log.info(
-            "iteration %d: cost %.6g, max rate change %.4f",
+            "iteration %d: cost %.6g, max rate change %.4f, %d frames held",
             len(entries),
             entry.cost.total,
             change,
+            sum(model.sample_count == 1 for model in entry.models.values()),
         )
         if change < RATE_CHANGE_TOL:
             converged = True
