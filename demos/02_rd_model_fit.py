@@ -14,7 +14,7 @@ from lfalloc import (
     MockEncoderConfig,
     eval_model,
     fit_power_model,
-    linearize,
+    tangent_lines,
     trial_sweep,
 )
 
@@ -51,12 +51,12 @@ for rate in (3e5, 6e5, 1.2e6):
 # curve at the point and underestimates it everywhere else, which is
 # what lets the allocation step treat distortion differences linearly.
 expansion = 8e5
-line = linearize(params, expansion)
+intercept, slope = tangent_lines(params.alpha, params.beta, expansion)
 print(f"\ntangent line at R0 = {expansion:.0f}:")
-print(f"  intercept {line.intercept:.4f}, slope {line.slope:.8f}")
+print(f"  intercept {intercept:.4f}, slope {slope:.8f}")
 for rate in (4e5, 8e5, 1.6e6):
     exact = eval_model(params, rate)
-    approx = line.value(rate)
+    approx = intercept + slope * rate
     print(
         f"  R={rate:9.0f}  exact {exact:12.2f}  tangent {approx:12.2f}"
         f"  gap {exact - approx:10.2f}"

@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
 )
 from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order, unify_weights
-from .metrics import CostBreakdown, DistortionSet, joint_cost
+from .metrics import CostBreakdown, joint_cost
 from .rdmodel import RDModelParams, tangent_lines
 
 log = logging.getLogger("lfalloc.allocator")
@@ -63,6 +63,9 @@ MIN_RATE_RATIO = 0.25
 # A Newton step cut below this length is retried with the majorizer of the
 # penalty norm.
 MAJORIZER_STEP = 1e-3
+
+# Step 2 converges only where kkt_residual is at most this.
+KKT_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,14 +112,10 @@ class AllocationProblem:
 
 @dataclass(frozen=True, eq=False)
 class AllocationResult:
-    """Solver output: rates plus diagnostics.
-
-    objective is None only for a step-one result that allocate() goes on
-    to refine, so the joint cost is evaluated once per allocation.
-    """
+    """Solver output: rates plus diagnostics."""
 
     rates: dict[FrameCoord, float]
-    objective: CostBreakdown | None
+    objective: CostBreakdown
     kkt_residual: float
     iterations: int
     budget_used: float
@@ -182,16 +181,24 @@ def _predicted_sse(problem: AllocationProblem, rates) -> np.ndarray:
     return problem.alpha * vec ** problem.beta
 
 
-def predicted_distortions(problem: AllocationProblem, rates) -> DistortionSet:
-    """Model-predicted SSE per frame at the given rates."""
-    sse = _predicted_sse(problem, rates)
-    return DistortionSet(dict(zip(problem.grid.coding_order, sse.tolist())))
-
-
 def evaluate_cost(problem: AllocationProblem, rates) -> CostBreakdown:
     """Joint cost of an allocation under the problem's models, weights
     (its w, read at construction) and lambda."""
     return joint_cost(problem.grid, problem.w, _predicted_sse(problem, rates), problem.lam)
+
+
+def _result(
+    problem: AllocationProblem, r: np.ndarray, kkt_residual: float, iterations: int
+) -> AllocationResult:
+    """The AllocationResult of coding-order rates r: rates by frame, joint
+    cost and spend."""
+    return AllocationResult(
+        rates=dict(zip(problem.grid.coding_order, r.tolist())),
+        objective=evaluate_cost(problem, r),
+        kkt_residual=kkt_residual,
+        iterations=iterations,
+        budget_used=float(r.sum()),
+    )
 
 
 def penalized_objective(problem: AllocationProblem, penalty: ConePenalty, rates) -> float:
@@ -229,20 +236,17 @@ def project_rates(rates: np.ndarray, budget: float, min_rate) -> np.ndarray:
     return np.maximum(y - theta, 0.0) + lower
 
 
-def solve_step1(problem: AllocationProblem, *, evaluate: bool = True) -> AllocationResult:
+def solve_step1(problem: AllocationProblem) -> AllocationResult:
     """Water-filling solution of the weighted-distortion-only problem.
 
     Stationarity gives r_f(mu) = (w_f^2 alpha_f |beta_f| / mu)**(1/(1-beta_f))
     per positive-weight frame; a bisection on mu > 0 matches the budget to
     within 1e-10 relative. Zero-weight frames gain nothing from rate and
-    are pinned to the floor. The reported kkt_residual is the worst
-    relative mismatch between the per-frame marginal and the common
-    multiplier over frames strictly above the floor. With evaluate False
-    the joint cost is not computed and objective is None.
+    are pinned to the floor. kkt_residual is the marginal mismatch at mu
+    (see the module docstring).
     """
     w, alpha, beta = problem.w, problem.alpha, problem.beta
-    coords = problem.grid.coding_order
-    n = len(coords)
+    n = problem.grid.n_frames
     floor = problem.min_rate
     budget = problem.budget
     positive = w > 0.0
@@ -277,22 +281,11 @@ def solve_step1(problem: AllocationProblem, *, evaluate: bool = True) -> Allocat
             hi = mu
     gap, mu, r_pos = best
     log.debug("step1: %d bisection iterations, budget gap %.3e", iterations, gap)
-    rates_vec = np.full(n, floor)
-    rates_vec[positive] = r_pos
-    interior = r_pos > floor
-    if np.any(interior):
-        marginal = coeff[interior] * r_pos[interior] ** (b_pos[interior] - 1.0)
-        kkt_residual = float(np.max(np.abs(marginal - mu)) / mu)
-    else:
-        kkt_residual = 0.0
-    rates = {c: float(r) for c, r in zip(coords, rates_vec)}
-    return AllocationResult(
-        rates=rates,
-        objective=evaluate_cost(problem, rates) if evaluate else None,
-        kkt_residual=kkt_residual,
-        iterations=iterations,
-        budget_used=float(rates_vec.sum()),
-    )
+    r = np.full(n, floor)
+    r[positive] = r_pos
+    marginal = mu_for_rate(r_pos)
+    kkt_residual = _marginal_mismatch(marginal, marginal, r_pos > floor, mu)
+    return _result(problem, r, kkt_residual, iterations)
 
 
 def build_cone_penalty(problem: AllocationProblem, expansion_rates) -> ConePenalty:
@@ -308,8 +301,6 @@ def build_cone_penalty(problem: AllocationProblem, expansion_rates) -> ConePenal
     """
     w = problem.w
     vec = _as_vector(problem, expansion_rates)
-    if np.any(vec <= 0.0):
-        raise DomainError("expansion rates must be positive")
     intercepts, slopes = tangent_lines(problem.alpha, problem.beta, vec)
     pairs = problem.grid.coupled_pairs
     i, j = pairs.i, pairs.j
@@ -412,28 +403,23 @@ def solve_step2(
 
     Every accepted step lowers P, so the result is never above the warm
     start projected onto the feasible set. kkt_residual is the marginal
-    mismatch at the result (see the module docstring). Running out of
-    iterations, or a search that can no longer lower P, raises
-    NotConverged carrying the last iterate.
+    mismatch at the result (see the module docstring), and a Newton stop
+    counts as converged only when it is at most KKT_TOLERANCE. Running
+    out of iterations, a search that can no longer lower P, or a Newton
+    stop with unequal marginals raises NotConverged carrying the last
+    iterate.
     """
-    coords = problem.grid.coding_order
     w, beta = problem.w, problem.beta
     lam = problem.lam
     budget = problem.budget
     floor = problem.min_rate
-    n = len(coords)
+    n = problem.grid.n_frames
     w2a = w * w * problem.alpha
     weighted = w2a > 0.0
     # Rows gated by a zero weight vanish; with no other row the norm is 0.
     coupled = lam > 0.0 and bool(np.any(penalty.coef_i))
     gram = penalty.gram() if coupled else None
     abs_i, abs_j, abs_rhs = np.abs(penalty.coef_i), np.abs(penalty.coef_j), np.abs(penalty.rhs)
-
-    def objective(vec: np.ndarray) -> float:
-        value = float(np.sum(w2a * vec ** beta))
-        if coupled:
-            value += lam * float(np.linalg.norm(penalty.residual(vec)))
-        return value
 
     def distortion_derivatives(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grad = w2a * beta * vec ** (beta - 1.0)
@@ -504,7 +490,7 @@ def solve_step2(
         t = 1.0
         for _ in range(60):
             candidate = projected(base, t * d)
-            value_c = objective(candidate)
+            value_c = penalized_objective(problem, penalty, candidate)
             decrease = base_value - value_c
             if decrease > 0.0 and decrease >= -1e-4 * float(grad @ (candidate - base)):
                 return t, candidate, value_c
@@ -514,10 +500,10 @@ def solve_step2(
     rank_one = np.empty((n, n)) if coupled else None
     r = project_rates(_as_vector(problem, warm_start), budget, floor)
     r[~weighted] = floor
-    value = objective(r)
+    value = penalized_objective(problem, penalty, r)
     if coupled and not is_zero(r, penalty.residual(r)):
         kink = _zero_residual_point(penalty, weighted, budget, floor)
-        kink_value = math.inf if kink is None else objective(kink)
+        kink_value = math.inf if kink is None else penalized_objective(problem, penalty, kink)
         if kink_value < value and certified(kink) is not None:
             r, value = kink, kink_value
     start_value = value
@@ -531,7 +517,7 @@ def solve_step2(
         snap = (r > floor) & (r <= floor * (1.0 + ACTIVE_BOUND))
         if np.any(snap):
             r[snap] = floor
-            value = objective(r)
+            value = penalized_objective(problem, penalty, r)
         free = weighted & (r > floor)
         on_face = float(r.sum()) >= budget * (1.0 - ACTIVE_BOUND)
         grad_f, curvature = distortion_derivatives(r)
@@ -571,7 +557,7 @@ def solve_step2(
                 # can show; it is kept unless P visibly rises or ends above
                 # the start.
                 candidate = projected(r, d)
-                value_c = objective(candidate)
+                value_c = penalized_objective(problem, penalty, candidate)
                 if value_c <= min(value + resolution, start_value):
                     r, value = candidate, min(value, value_c)
                 converged = True
@@ -607,20 +593,16 @@ def solve_step2(
         on_face = float(r.sum()) >= budget * (1.0 - ACTIVE_BOUND)
         mu = float(np.mean(marginal[free])) if on_face and np.any(free) else 0.0
         kkt_residual = _marginal_mismatch(marginal, grad_f, free, mu)
+        # A small Newton decrement certifies nothing while the marginals
+        # still disagree.
+        converged = converged and kkt_residual <= KKT_TOLERANCE
     log.debug(
         "step2: %d Newton iterations, stopped by %s, kkt_residual %.3e",
         iterations,
         stop,
         kkt_residual,
     )
-    rates = {c: float(v) for c, v in zip(coords, r)}
-    result = AllocationResult(
-        rates=rates,
-        objective=evaluate_cost(problem, rates),
-        kkt_residual=kkt_residual,
-        iterations=iterations,
-        budget_used=float(r.sum()),
-    )
+    result = _result(problem, r, kkt_residual, iterations)
     if not converged:
         raise NotConverged(
             f"Newton method stopped by {stop} after {iterations} iterations "
@@ -636,15 +618,14 @@ def allocate(problem: AllocationProblem) -> AllocationResult:
     With lambda zero the step-one answer is already optimal and is
     returned as is; otherwise step two refines it against the linearized
     consistency penalty. The result carries the step-one rates for
-    diagnostics either way, and the joint cost is evaluated once.
+    diagnostics either way.
     """
-    if problem.lam == 0.0:
-        step1 = solve_step1(problem)
-        return replace(step1, step1_rates=dict(step1.rates))
-    step1 = solve_step1(problem, evaluate=False)
-    penalty = build_cone_penalty(problem, step1.rates)
-    step2 = solve_step2(problem, step1.rates, penalty)
-    return replace(step2, step1_rates=dict(step1.rates))
+    step1 = solve_step1(problem)
+    result = step1
+    if problem.lam > 0.0:
+        penalty = build_cone_penalty(problem, step1.rates)
+        result = solve_step2(problem, step1.rates, penalty)
+    return replace(result, step1_rates=dict(step1.rates))
 
 
 PROBLEM_FRAME_FIELDS = "u,v,weight,alpha,beta"

@@ -32,11 +32,11 @@ carried across a move; on a mock whose log-log slope varies with rate
 that keeps many loops from settling. A loop whose pass repeats an
 earlier pass exactly can never settle, so it stops there unconverged.
 
-Encoding is deterministic in (coord, qp, ref_state), so
-run_to_convergence encodes each such triple at most once per run: a
-cache private to the run answers every repeat, whether it comes from a
-fit reading the search's samples again or from a later pass that returns
-to the same quantizers and references.
+Encoding is deterministic in (coord, qp, ref_state), so a pass encodes
+each such triple at most once, and run_to_convergence at most once per
+run: a cache private to the pass, or to the run, answers every repeat,
+whether it comes from a fit reading the search's samples again or from a
+later pass that returns to the same quantizers and references.
 
 mock_encode supplies a deterministic closed-form encoder for the whole
 loop: rate halves every rate_qp_halving quantizer steps, and SSE follows
@@ -51,7 +51,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import records
 from .allocator import AllocationProblem, AllocationResult, allocate
@@ -79,10 +79,10 @@ class EncoderAdapter(ABC):
     encode_frame must be deterministic in (coord, qp, ref_state), with
     rate non-increasing and SSE non-decreasing in qp at a fixed reference.
     ref_state must be hashable and advance_reference deterministic, so
-    that run_to_convergence can encode each triple once per run; the
-    default float state meets both. Trial compressions call encode_frame
-    without advancing the reference, so they can never change the actual
-    output.
+    that a pass, or a run_to_convergence run, can encode each triple
+    once; the default float state meets both. Trial compressions call
+    encode_frame without advancing the reference, so they can never
+    change the actual output.
     """
 
     def initial_reference(self) -> Any:
@@ -206,7 +206,7 @@ class IterationTrace:
 
 
 class _EncodeCache(EncoderAdapter):
-    """encode_frame memoized on (coord, qp, ref_state) for one loop run.
+    """encode_frame memoized on (coord, qp, ref_state) for one pass or run.
 
     The reference hooks and total_pixels pass straight through on every
     call; only encodes are cached.
@@ -257,14 +257,8 @@ def trial_sweep(
     return samples
 
 
-def _qp_for_target(
-    adapter: EncoderAdapter,
-    coord: FrameCoord,
-    target_rate: float,
-    ref_state: Any,
-    start: int,
-) -> int:
-    """Quantizer choice on the monotone rate response.
+def _qp_for_target(rate_at: Callable[[int], float], target_rate: float, start: int) -> int:
+    """Quantizer choice on the monotone rate response rate_at(qp).
 
     Returns what a bisection over the whole range returns: QP_MIN when
     its rate is at most the target, else QP_MAX when its rate exceeds
@@ -276,10 +270,6 @@ def _qp_for_target(
     next to the answer costs two encodes instead of a full-range
     bisection.
     """
-
-    def rate_at(qp: int) -> float:
-        return adapter.encode_frame(coord, qp, ref_state)[0]
-
     # Bracket the answer: rate(lo) > target >= rate(hi).
     rate = rate_at(start)
     lo = hi = start
@@ -377,24 +367,15 @@ def _fit_samples(
 
 
 def _holds(qp: int, rate: float, slope: float, target_rate: float) -> bool:
-    """Whether _qp_for_target would return qp, by a predicted neighbour.
+    """Whether _qp_for_target would return qp, by predicted neighbours.
 
-    The neighbour on the far side of the target is not encoded: its rate
-    is predicted from qp's rate along the log2 rate-qp slope. The rule is
-    _qp_for_target's: the nearer rate wins and a tie goes to the lower qp
-    (a neighbour still on qp's side of the target always wins), and a
-    range end is kept when the target lies beyond it.
+    Started at qp, the search looks at no rate but qp's and its neighbour
+    on the far side of the target before it answers qp; that neighbour is
+    not encoded but predicted from qp's rate along the log2 rate-qp slope.
     """
-    if not slope < 0.0:
-        return False
-    above = rate > target_rate
-    other = qp + 1 if above else qp - 1
-    if not QP_MIN <= other <= QP_MAX:
-        return True
-    other_rate = rate * 2.0 ** (slope * (other - qp))
-    if above:
-        return rate - target_rate <= target_rate - other_rate
-    return other_rate - target_rate > target_rate - rate
+    return slope < 0.0 and _qp_for_target(
+        lambda q: rate * 2.0 ** (slope * (q - qp)), target_rate, qp
+    ) == qp
 
 
 def _held_fit(
@@ -440,8 +421,11 @@ def _encode_pass(
     frame's answer (the middle of the range for the first frame); commits
     it (encoding is deterministic in (coord, qp, ref_state), so the
     search's measurement is the committed encode); and refits the model
-    and the slope from _fit_samples. Then the chain advances.
+    and the slope from _fit_samples. Then the chain advances. An adapter
+    that is not already an encode cache gets one for the pass.
     """
+    if not isinstance(adapter, _EncodeCache):
+        adapter = _EncodeCache(adapter)
     ref = adapter.initial_reference()
     qp = (QP_MIN + QP_MAX) // 2
     qps, rates, sses, models, slopes = {}, {}, {}, {}, {}
@@ -451,7 +435,9 @@ def _encode_pass(
             start = qp if previous is None else _predicted_qp(previous, coord, target)
             held = _held_fit(adapter, previous, coord, start, target, ref)
             if held is None:
-                qp = _qp_for_target(adapter, coord, target, ref, start)
+                qp = _qp_for_target(
+                    lambda q: adapter.encode_frame(coord, q, ref)[0], target, start
+                )
                 samples = _fit_samples(adapter, coord, qp, target, ref)
                 rate, sse = next((s.rate, s.sse) for s in samples if s.qp == qp)
                 model, slope = fit_power_model(samples), _log2_rate_slope(samples)

@@ -67,11 +67,6 @@ def compute_sse(original: PixelFrame, decoded: PixelFrame) -> float:
     return float(np.sum(diff * diff))
 
 
-def weighted_distortion(sse: float, unified_weight: float) -> float:
-    """Scale a frame SSE by the squared unified weight."""
-    return unified_weight * unified_weight * sse
-
-
 def _aligned(grid: FrameGrid, weights: WeightSet, distortions: DistortionSet):
     """Unified weights and SSE as coding-order vectors."""
     w = np.array(grid.align(weights.unified, "weights"))

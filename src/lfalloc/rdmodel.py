@@ -1,8 +1,8 @@
 """Per-frame power-law rate-distortion models.
 
 Each frame's SSE is modeled as alpha * rate**beta with alpha > 0 and
-beta < 0, fitted by least squares in log-log space. The linearization
-helper expands the model to first order around a rate, which is what the
+beta < 0, fitted by least squares in log-log space. tangent_lines
+expands the model to first order around a rate, which is what the
 allocator's cone penalty consumes.
 """
 
@@ -49,18 +49,6 @@ class RDModelParams:
             raise ValueError("beta must be negative")
 
 
-@dataclass(frozen=True)
-class LinearizedRD:
-    """First-order expansion of a power-law model around a rate."""
-
-    intercept: float
-    slope: float
-    expansion_point: float
-
-    def value(self, rate: float) -> float:
-        return self.intercept + self.slope * rate
-
-
 def fit_power_model(samples: list[RDSample]) -> RDModelParams:
     """Fit alpha * rate**beta to samples by least squares on the logs.
 
@@ -102,26 +90,18 @@ def eval_model(params: RDModelParams, rate):
     return float(out) if out.ndim == 0 else out
 
 
-def linearize(params: RDModelParams, expansion_point: float) -> LinearizedRD:
-    """Tangent line of the model at expansion_point.
+def tangent_lines(alpha, beta, expansion_point):
+    """(intercept, slope) of the tangent to alpha * r**beta at expansion_point.
 
     intercept = alpha * (1 - beta) * r0**beta and
     slope = alpha * beta * r0**(beta - 1), so the tangent touches the
     model exactly at r0 and lies below it elsewhere (the model is convex).
-    """
-    if expansion_point <= 0.0:
-        raise DomainError("expansion point must be positive")
-    intercept, slope = tangent_lines(params.alpha, params.beta, expansion_point)
-    return LinearizedRD(intercept=intercept, slope=slope, expansion_point=expansion_point)
-
-
-def tangent_lines(alpha, beta, expansion_point):
-    """(intercept, slope) of the tangent to alpha * r**beta at expansion_point.
-
     Works elementwise on numpy arrays, so one call linearizes every frame
-    of a grid; the caller checks that expansion points are positive.
+    of a grid.
     """
     r0 = expansion_point
+    if np.any(np.asarray(r0) <= 0.0):
+        raise DomainError("expansion point must be positive")
     return alpha * (1.0 - beta) * r0 ** beta, alpha * beta * r0 ** (beta - 1.0)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from lfalloc import (
     AllocationProblem,
+    DistortionSet,
     DomainError,
     FrameCoord,
     IncompleteInput,
@@ -19,8 +20,8 @@ from lfalloc import (
     build_cone_penalty,
     discontinuity,
     eval_model,
+    evaluate_cost,
     penalized_objective,
-    predicted_distortions,
     project_rates,
     proximity,
     read_allocation_file,
@@ -32,6 +33,7 @@ from lfalloc import (
     write_allocation_file,
     write_problem_file,
 )
+from lfalloc.allocator import _predicted_sse
 
 REFERENCE_PAIRS = ((4.46e7, -0.261), (1.96e8, -0.383), (6.93e7, -0.284))
 
@@ -69,6 +71,26 @@ def square_problem(pairs, budget, lam, min_rate=None):
 def coupled_square():
     pairs = REFERENCE_PAIRS + ((1.0e8, -0.33),)
     return square_problem(pairs, budget=4e6, lam=5.0, min_rate=1e4)
+
+
+def sparse_problem(width, height, budget, lam, min_rate, frames):
+    """Spiral-order problem where only the frames given as
+    {(u, v): (weight, alpha, beta)} carry weight; every other frame has
+    weight 0 and the model (1e7, -0.3)."""
+    grid = spiral_order(width, height)
+    weights = dict.fromkeys(grid.coding_order, 0.0)
+    models = dict.fromkeys(grid.coding_order, RDModelParams(alpha=1e7, beta=-0.3))
+    for (u, v), (weight, alpha, beta) in frames.items():
+        weights[FrameCoord(u, v)] = weight
+        models[FrameCoord(u, v)] = RDModelParams(alpha=alpha, beta=beta)
+    return AllocationProblem(
+        grid=grid,
+        weights=unify_weights(weights),
+        models=models,
+        budget=budget,
+        lam=lam,
+        min_rate=min_rate,
+    )
 
 
 def bisect_projection(values, budget, floor):
@@ -116,11 +138,11 @@ class TestAllocationProblem:
 
     def test_tables_read_once(self):
         problem = line_problem(REFERENCE_PAIRS, budget=3e6)
-        before = solve_step1(problem, evaluate=False).rates
+        before = solve_step1(problem).rates
         for c in problem.grid.coding_order:
             problem.models[c] = RDModelParams(alpha=1.0, beta=-1.0)
             problem.weights.unified[c] = 0.5
-        assert solve_step1(problem, evaluate=False).rates == before
+        assert solve_step1(problem).rates == before
 
     def test_cost_reads_the_problems_own_weights(self):
         problem = line_problem(REFERENCE_PAIRS, budget=3e6, lam=10.0)
@@ -365,9 +387,8 @@ class TestConePenalty:
         penalty = build_cone_penalty(problem, step1.rates)
         vec = np.array([step1.rates[c] for c in problem.grid.coding_order])
         norm_sq = float(penalty.residual(vec) @ penalty.residual(vec))
-        reference = discontinuity(
-            problem.grid, problem.weights, predicted_distortions(problem, step1.rates)
-        )
+        sse = {c: eval_model(problem.models[c], r) for c, r in step1.rates.items()}
+        reference = discontinuity(problem.grid, problem.weights, DistortionSet(sse))
         assert norm_sq == pytest.approx(reference, rel=1e-10)
 
     def test_nonpositive_expansion_rate(self):
@@ -473,6 +494,61 @@ class TestSolveStep2:
         assert float(rates.sum()) <= problem.budget * (1.0 + 1e-10)
 
 
+    def test_budget_release_reaches_the_face_optimum(self):
+        # Step 1 gives all the slack to frame (1,0) and leaves the other two
+        # on the floor. Without the budget release step 2 stops there, with
+        # kkt_residual 0 (one free frame) and P 9.8% above the optimum,
+        # which gives all the slack to frame (2,0).
+        problem = sparse_problem(3, 1, 3e6, 993042.6579482057, 847219.218527628, {
+            (1, 0): (0.7189246880062344, 842747405.1611978, -0.2678738862200973),
+            (2, 0): (0.2715732607633288, 673010472.2322755, -0.13642929569670664),
+            (0, 0): (0.275897682424718, 262939049.34606063, -0.47982545959878986),
+        })
+        step1 = solve_step1(problem)
+        penalty = build_cone_penalty(problem, step1.rates)
+        result = solve_step2(problem, step1.rates, penalty)
+        p = penalized_objective(problem, penalty, result.rates)
+
+        # Every point of a 200-step lattice over the budget face.
+        floor, steps = problem.min_rate, 200
+        slack = problem.budget - 3 * floor
+        lattice = [
+            np.array([i, j, steps - i - j]) * (slack / steps) + floor
+            for i in range(steps + 1)
+            for j in range(steps + 1 - i)
+        ]
+        oracle = min(penalized_objective(problem, penalty, r) for r in lattice)
+        assert p <= oracle * (1.0 + 1e-9)
+
+    def test_majorizer_retry_converges(self):
+        # Near the kink the Newton step is cut short. Without the majorizer
+        # retry the line search stalls and step 2 ends in NotConverged after
+        # 20 iterations.
+        problem = sparse_problem(2, 5, 1e7, 8.390025061079646, 1000.0, {
+            (0, 3): (0.5694415144504064, 15843608.402156865, -0.21386907407418987),
+            (1, 1): (0.056597285421270745, 42167252.43228885, -0.4491927690819515),
+            (0, 0): (0.29614801694906895, 6206724.511488373, -0.16711322211126095),
+        })
+        assert allocate(problem).kkt_residual <= 1e-9
+
+    def test_newton_stop_with_unequal_marginals_is_not_converged(self):
+        # The Newton decrement falls below its tolerance with 0.58% of the
+        # budget unspent and kkt_residual near 9e6; a lattice plus
+        # Nelder-Mead search puts the optimum at P = 1,127,168.87.
+        problem = sparse_problem(5, 1, 5e6, 701176.6042372836, 1000.0, {
+            (3, 0): (0.9053794285336533, 19420444.4894804, -0.19956024645893455),
+            (4, 0): (0.05676246705702981, 136341342.08788058, -0.1348650911994494),
+            (0, 0): (0.20775064066398202, 2290655.597111679, -0.2576448279186422),
+        })
+        penalty = build_cone_penalty(problem, solve_step1(problem).rates)
+        try:
+            result = allocate(problem)
+        except NotConverged:
+            return
+        p = penalized_objective(problem, penalty, result.rates)
+        assert p == pytest.approx(1127168.87, rel=1e-6)
+
+
 class TestSolveStep2RealisticScale:
     """Step 2 at the scale of real light fields: about 1e6 bits and 1e8 SSE
     per frame, on grids up to 17x17."""
@@ -536,13 +612,13 @@ class TestPredictedDistortions:
             lam=0.0,
         )
         rates = rng.uniform(1e3, 5e6, len(coords))
-        predicted = predicted_distortions(problem, rates).sse
-        assert predicted == {c: eval_model(models[c], float(r)) for c, r in zip(coords, rates)}
+        predicted = _predicted_sse(problem, rates).tolist()
+        assert predicted == [eval_model(models[c], float(r)) for c, r in zip(coords, rates)]
 
     def test_non_positive_rate_is_domain_error(self):
         problem = coupled_square()
         with pytest.raises(DomainError):
-            predicted_distortions(problem, np.array([1e6, 1e6, 0.0, 1e6]))
+            evaluate_cost(problem, np.array([1e6, 1e6, 0.0, 1e6]))
 
 
 class TestAllocate:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfalloc import (
+    AllocationProblem,
     AllocationResult,
     EncodeFailed,
     FrameCoord,
@@ -19,6 +20,7 @@ from lfalloc import (
     MockSetup,
     ParseError,
     RDSample,
+    allocate,
     eval_model,
     fit_power_model,
     mock_encode,
@@ -249,17 +251,6 @@ class TestTrialSweep:
             assert eval_model(fit, sample.rate) == pytest.approx(sample.sse, rel=1e-9)
 
 
-class TableEncoder(MockEncoder):
-    """One frame whose rate per qp is read from a table."""
-
-    def __init__(self, rates):
-        super().__init__(single_frame_setup().config)
-        self.rates = rates
-
-    def encode_frame(self, coord, qp, ref_state):
-        return self.rates[qp], 1.0
-
-
 def scan_qp_for_target(rates, target):
     """The full-range bisection's answer, by brute force."""
     if rates[QP_MIN] <= target:
@@ -292,13 +283,18 @@ def rate_tables(draw):
     return rates, target
 
 
+def rate_at(adapter):
+    """The rate response of frame (0,0) at reference 0."""
+    return lambda qp: adapter.encode_frame(FrameCoord(0, 0), qp, 0.0)[0]
+
+
 class TestQpForTarget:
     """The seeded quantizer search every pass commits from."""
 
     def assert_answer(self, rates, target, expected):
         assert scan_qp_for_target(rates, target) == expected
         for start in (QP_MIN, expected, QP_MAX):
-            found = _qp_for_target(TableEncoder(rates), FrameCoord(0, 0), target, 0.0, start)
+            found = _qp_for_target(rates.__getitem__, target, start)
             assert found == expected
 
     def test_exact_hit(self):
@@ -322,14 +318,13 @@ class TestQpForTarget:
     @given(rate_tables(), st.integers(QP_MIN, QP_MAX))
     def test_matches_full_range_scan(self, table, start):
         rates, target = table
-        adapter = TableEncoder(rates)
-        found = _qp_for_target(adapter, FrameCoord(0, 0), target, 0.0, start)
+        found = _qp_for_target(rates.__getitem__, target, start)
         assert found == scan_qp_for_target(rates, target)
 
     def test_start_at_the_answer_costs_two_encodes(self):
         setup = single_frame_setup()
         adapter = CountingEncoder(setup.config)
-        qp = _qp_for_target(adapter, FrameCoord(0, 0), 1.1e6, 0.0, 29)
+        qp = _qp_for_target(rate_at(adapter), 1.1e6, 29)
         assert qp == 29
         assert len(adapter.calls) == 2
 
@@ -337,7 +332,7 @@ class TestQpForTarget:
         setup = single_frame_setup()
         for start in range(QP_MIN, QP_MAX + 1):
             adapter = CountingEncoder(setup.config)
-            assert _qp_for_target(adapter, FrameCoord(0, 0), 1.1e6, 0.0, start) == 29
+            assert _qp_for_target(rate_at(adapter), 1.1e6, start) == 29
             assert len(adapter.calls) <= 12
 
 
@@ -680,6 +675,18 @@ class TestRunIteration:
             if entry.qps == previous.qps:
                 break
         assert entry.qps == previous.qps == {coord: 40}
+
+    def test_standalone_passes_encode_each_triple_once(self, coupled_setup):
+        grid, weights = coupled_setup.grid, coupled_setup.weights
+        adapter = CountingEncoder(coupled_setup.config)
+        first = run_first_iteration(adapter, grid, weights, 2e7, lam=5.0)
+        first_calls, adapter.calls = adapter.calls, []
+        problem = AllocationProblem(
+            grid=grid, weights=weights, models=first.models, budget=2e7, lam=5.0
+        )
+        run_iteration(adapter, first, allocate(problem), grid, weights, lam=5.0)
+        for calls in (first_calls, adapter.calls):
+            assert len(calls) == len(set(calls)) > grid.n_frames
 
     def test_missing_allocation_entry(self):
         setup = small_grid_setup()

@@ -27,7 +27,6 @@ from lfalloc import (
     read_sse_csv,
     spiral_order,
     unify_weights,
-    weighted_distortion,
     wpsnr,
     write_curve_csv,
     write_sse_csv,
@@ -81,13 +80,7 @@ class TestComputeSse:
 
 
 class TestWeightedDistortion:
-    """Squared-weight scaling of a frame SSE."""
-
-    def test_square_law(self):
-        assert weighted_distortion(100.0, 0.5) == 25.0
-
-    def test_unit_weight_passthrough(self):
-        assert weighted_distortion(42.0, 1.0) == 42.0
+    """Per-frame SSE that the weighted distortion is built from."""
 
     def test_negative_sse_rejected_by_set(self):
         with pytest.raises(ValueError):

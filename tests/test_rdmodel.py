@@ -1,4 +1,4 @@
-"""Power-law model fitting, evaluation, linearization, and CSV forms."""
+"""Power-law model fitting, evaluation, tangent lines, and CSV forms."""
 
 import math
 from decimal import Decimal, getcontext
@@ -11,16 +11,15 @@ from hypothesis import strategies as st
 from lfalloc import (
     DomainError,
     InsufficientSamples,
-    LinearizedRD,
     NonDecreasingRD,
     ParseError,
     RDModelParams,
     RDSample,
     eval_model,
     fit_power_model,
-    linearize,
     read_models_csv,
     read_samples_csv,
+    tangent_lines,
     write_models_csv,
     write_samples_csv,
 )
@@ -174,16 +173,13 @@ class TestLinearize:
     """Tangent expansion of the model around a rate."""
 
     def test_inverse_law_tangent(self):
-        tangent = linearize(RDModelParams(alpha=1.0, beta=-1.0), 1.0)
-        assert tangent.intercept == 2.0
-        assert tangent.slope == -1.0
-        assert tangent.expansion_point == 1.0
+        assert tangent_lines(1.0, -1.0, 1.0) == (2.0, -1.0)
 
     def test_touches_model_at_expansion_point(self):
         params = RDModelParams(alpha=6.93e7, beta=-0.284)
         r0 = 5e5
-        tangent = linearize(params, r0)
-        assert tangent.value(r0) == pytest.approx(eval_model(params, r0), rel=1e-12)
+        intercept, slope = tangent_lines(params.alpha, params.beta, r0)
+        assert intercept + slope * r0 == pytest.approx(eval_model(params, r0), rel=1e-12)
 
     @pytest.mark.parametrize("alpha,beta", REFERENCE_PAIRS)
     def test_slope_matches_central_difference(self, alpha, beta):
@@ -191,22 +187,20 @@ class TestLinearize:
         r0 = 8e5
         h = 1e-4 * r0
         fd = (eval_model(params, r0 + h) - eval_model(params, r0 - h)) / (2.0 * h)
-        assert linearize(params, r0).slope == pytest.approx(fd, rel=1e-5)
+        assert tangent_lines(alpha, beta, r0)[1] == pytest.approx(fd, rel=1e-5)
 
     def test_underestimates_away_from_tangency(self):
         params = RDModelParams(alpha=4.46e7, beta=-0.261)
         r0 = 8e5
-        tangent = linearize(params, r0)
-        assert tangent.value(0.5 * r0) < eval_model(params, 0.5 * r0)
-        assert tangent.value(2.0 * r0) < eval_model(params, 2.0 * r0)
+        intercept, slope = tangent_lines(params.alpha, params.beta, r0)
+        for rate in (0.5 * r0, 2.0 * r0):
+            assert intercept + slope * rate < eval_model(params, rate)
 
     def test_nonpositive_expansion_point(self):
         with pytest.raises(DomainError):
-            linearize(RDModelParams(alpha=1.0, beta=-1.0), 0.0)
-
-    def test_value_is_affine(self):
-        tangent = LinearizedRD(intercept=3.0, slope=-0.5, expansion_point=1.0)
-        assert tangent.value(4.0) == 1.0
+            tangent_lines(1.0, -1.0, 0.0)
+        with pytest.raises(DomainError):
+            tangent_lines(np.ones(2), -np.ones(2), np.array([1.0, -2.0]))
 
 
 class TestModelIO:
