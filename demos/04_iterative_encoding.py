@@ -10,6 +10,14 @@ A frame whose quantizer holds is encoded once, and its model keeps its
 exponent while the scale is rescaled to that encode (1 call, or none
 when its reference frame did not change either). The "held" column
 counts those frames per pass.
+
+Moving one frame's quantizer changes the reference of the frame after
+it. From the second pass on, each frame carries a reference elasticity,
+the change of its log model SSE per unit change of its reference's log
+SSE (the "elast." column is its mean). Before a re-encode the allocation
+is repeated a few times against models corrected for the references the
+frames are predicted to see, which costs no encoder calls and saves
+passes.
 """
 
 from lfalloc import (
@@ -56,13 +64,14 @@ trace = run_to_convergence(
     max_iters=8,
 )
 
-print("pass  total rate     joint cost T   wPSNR (dB)  held")
+print("pass  total rate     joint cost T   wPSNR (dB)  held  elast.")
 for index, entry in enumerate(trace.entries, start=1):
     total_rate = sum(entry.rates.values())
     held = sum(model.sample_count == 1 for model in entry.models.values())
+    elasticity = sum(entry.ref_elasticities.values()) / (len(entry.ref_elasticities) - 1)
     print(
         f"{index:4d}  {total_rate:12.0f}  {entry.cost.total:14.1f}"
-        f"  {entry.wpsnr_db:10.4f}  {held:4d}"
+        f"  {entry.wpsnr_db:10.4f}  {held:4d}  {elasticity:6.3f}"
     )
 state = "converged" if trace.converged else "stopped unconverged"
 print(f"\n{state} after {len(trace.entries)} passes")

@@ -13,8 +13,9 @@ A r + b, and minimizes the resulting convex objective over the same
 feasible set with a damped Newton method on the budget face.
 
 Both steps report kkt_residual with one unit-free meaning: the worst
-relative mismatch, over frames above the floor, between a frame's
-marginal (the objective's decrease per extra bit) and the common budget
+relative mismatch between a frame's marginal (the objective's decrease
+per extra bit) and the common budget multiplier, over the frames above
+the floor and the weighted floor frames whose marginal exceeds the
 multiplier. It is zero at an exact optimum.
 """
 
@@ -284,7 +285,8 @@ def solve_step1(problem: AllocationProblem) -> AllocationResult:
     r = np.full(n, floor)
     r[positive] = r_pos
     marginal = mu_for_rate(r_pos)
-    kkt_residual = _marginal_mismatch(marginal, marginal, r_pos > floor, mu)
+    free = r_pos > floor
+    kkt_residual = _marginal_mismatch(marginal, marginal, free, ~free, mu)
     return _result(problem, r, kkt_residual, iterations)
 
 
@@ -361,13 +363,16 @@ def _kink_certificate(penalty: ConePenalty, gram, grad_f, lam: float, weighted):
     return float(np.linalg.norm(u)), mu, marginal
 
 
-def _marginal_mismatch(marginal, grad_f, free, mu: float) -> float:
-    """Worst relative gap between the marginals of free frames and mu; with
-    mu = 0 (budget slack) relative to the largest distortion marginal."""
-    if not np.any(free):
+def _marginal_mismatch(marginal, grad_f, free, floored, mu: float) -> float:
+    """Worst relative gap between mu and the marginals of free frames and of
+    floor frames whose marginal exceeds mu (their multiplier is negative,
+    so they should rise); with mu = 0 (budget slack) relative to the
+    largest distortion marginal among them."""
+    counted = free | (floored & (marginal > mu))
+    if not np.any(counted):
         return 0.0
-    scale = mu if mu > 0.0 else float(np.max(np.abs(grad_f[free])))
-    return float(np.max(np.abs(marginal[free] - mu))) / scale
+    scale = mu if mu > 0.0 else float(np.max(np.abs(grad_f[counted])))
+    return float(np.max(np.abs(marginal[counted] - mu))) / scale
 
 
 def solve_step2(
@@ -529,7 +534,7 @@ def solve_step2(
                 found = certified(r)
                 if found is not None:
                     _, mu, marginal = found
-                    kkt_residual = _marginal_mismatch(marginal, grad_f, free, mu)
+                    kkt_residual = _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
                     converged = kkt_residual <= tol
                     stop = "certified zero residual"
                     break
@@ -592,7 +597,7 @@ def solve_step2(
         free = weighted & (r > floor)
         on_face = float(r.sum()) >= budget * (1.0 - ACTIVE_BOUND)
         mu = float(np.mean(marginal[free])) if on_face and np.any(free) else 0.0
-        kkt_residual = _marginal_mismatch(marginal, grad_f, free, mu)
+        kkt_residual = _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
         # A small Newton decrement certifies nothing while the marginals
         # still disagree.
         converged = converged and kkt_residual <= KKT_TOLERANCE

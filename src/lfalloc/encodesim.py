@@ -32,6 +32,18 @@ carried across a move; on a mock whose log-log slope varies with rate
 that keeps many loops from settling. A loop whose pass repeats an
 earlier pass exactly can never settle, so it stops there unconverged.
 
+Each frame's distortion depends on its reference, so moving one frame's
+quantizer moves the models of the frames after it. Every pass estimates
+per frame a reference elasticity: the change of the frame's log model
+SSE per unit change of its reference's log SSE since the pass before.
+Before a re-encode the loop anticipates the references the frames will
+see: it predicts the quantizer each frame will commit at its allocated
+rate, and so the SSE of each reference, scales each frame's alpha by the
+predicted change of its reference's SSE raised to the elasticity, and
+allocates again, for a few rounds. That costs no encodes. Where every
+frame holds its quantizer every scale is 1, so the loop keeps its fixed
+points; it usually reaches one in fewer passes.
+
 Encoding is deterministic in (coord, qp, ref_state), so a pass encodes
 each such triple at most once, and run_to_convergence at most once per
 run: a cache private to the pass, or to the run, answers every repeat,
@@ -71,6 +83,13 @@ RATE_CHANGE_TOL = 0.01
 # Half-width of the trial sweep a frame is fitted from when the committed
 # encode and its neighbour have equal rates.
 FALLBACK_HALF_WIDTH = 2
+
+# Re-allocations against reference-corrected models before each re-encode.
+ANTICIPATION_ROUNDS = 4
+
+# A reference whose log SSE moved by no more than this between two passes
+# leaves the frame's reference elasticity as it was.
+ELASTICITY_MIN_SHIFT = 1e-3
 
 
 class EncoderAdapter(ABC):
@@ -176,8 +195,12 @@ class IterationEntry:
     qp_slopes holds each frame's least-squares slope of log2(rate) against
     qp over its fit samples, carried over unchanged for a held frame. It
     seeds the next pass's quantizer search and predicts a held frame's
-    neighbour; it is kept in memory only and is not part of the trace
-    file.
+    neighbour. ref_elasticities holds each frame's reference elasticity,
+    the change of its log model SSE per unit change of its reference's
+    log SSE over the last two passes, clamped to [0, 1] (0 for the first
+    frame and throughout the first pass); the next allocation uses it to
+    anticipate the reference the frame will see. Both are kept in memory
+    only and are not part of the trace file.
     """
 
     qps: dict[FrameCoord, int]
@@ -187,6 +210,7 @@ class IterationEntry:
     cost: CostBreakdown
     wpsnr_db: float
     qp_slopes: dict[FrameCoord, float] = field(default_factory=dict)
+    ref_elasticities: dict[FrameCoord, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,6 +426,38 @@ def _held_fit(
     return rate, sse, replace(model, alpha=sse / rate ** model.beta, sample_count=1), slope
 
 
+def _reference_elasticities(
+    grid: FrameGrid,
+    previous: IterationEntry | None,
+    models: dict[FrameCoord, RDModelParams],
+    rates: dict[FrameCoord, float],
+    sses: dict[FrameCoord, float],
+) -> dict[FrameCoord, float]:
+    """Each frame's reference elasticity after a pass that followed previous.
+
+    For frame i > 0 in coding order: the change of log model SSE at the
+    frame's new rate, from the previous model to the new one, over the
+    change of log SSE of frame i-1, clamped to [0, 1]. It is re-estimated
+    only when that reference's log SSE moved by more than
+    ELASTICITY_MIN_SHIFT; otherwise the previous estimate is kept. The
+    first frame reads 0, and so does every frame of the first pass.
+    """
+    order = grid.coding_order
+    elasticities = dict.fromkeys(order, 0.0)
+    if previous is None:
+        return elasticities
+    for ref, coord in zip(order, order[1:]):
+        elasticity = previous.ref_elasticities.get(coord, 0.0)
+        ref_shift = math.log(sses[ref] / previous.sses[ref])
+        if abs(ref_shift) > ELASTICITY_MIN_SHIFT:
+            new, old = models[coord], previous.models[coord]
+            log_rate = math.log(rates[coord])
+            shift = math.log(new.alpha / old.alpha) + (new.beta - old.beta) * log_rate
+            elasticity = min(1.0, max(0.0, shift / ref_shift))
+        elasticities[coord] = elasticity
+    return elasticities
+
+
 def _encode_pass(
     adapter: EncoderAdapter,
     grid: FrameGrid,
@@ -421,8 +477,10 @@ def _encode_pass(
     frame's answer (the middle of the range for the first frame); commits
     it (encoding is deterministic in (coord, qp, ref_state), so the
     search's measurement is the committed encode); and refits the model
-    and the slope from _fit_samples. Then the chain advances. An adapter
-    that is not already an encode cache gets one for the pass.
+    and the slope from _fit_samples. Then the chain advances. After the
+    pass, each frame's reference elasticity is estimated from the change
+    since previous. An adapter that is not already an encode cache gets
+    one for the pass.
     """
     if not isinstance(adapter, _EncodeCache):
         adapter = _EncodeCache(adapter)
@@ -461,6 +519,7 @@ def _encode_pass(
         cost=breakdown,
         wpsnr_db=wpsnr(breakdown.total, adapter.total_pixels),
         qp_slopes=slopes,
+        ref_elasticities=_reference_elasticities(grid, previous, models, rates, sses),
     )
 
 
@@ -524,6 +583,12 @@ def run_to_convergence(
 ) -> IterationTrace:
     """Alternate allocation and re-encoding until the rates settle.
 
+    Each re-encode pass targets the allocation against the previous
+    pass's models, corrected by _anticipated for the reference each frame
+    is predicted to see; the first two passes are never corrected, since
+    the first pass leaves every reference elasticity at 0. The per-pass
+    INFO line counts held frames and the targets outside the quantizer
+    range (committed at QP_MAX above the target or at QP_MIN below it).
     Settled means the largest relative per-frame rate change between two
     consecutive passes falls below RATE_CHANGE_TOL. Hitting max_iters
     first, or a pass that repeats an earlier pass's qps, rates, qp slopes
@@ -550,21 +615,19 @@ def run_to_convergence(
             lam=lam,
             min_rate=min_rate,
         )
-        try:
-            allocation = allocate(problem)
-        except NotConverged as exc:
-            log.warning("allocator did not fully converge; using best iterate")
-            allocation = exc.result
+        allocation = _anticipated(problem, previous, _allocate(problem))
         entry = run_iteration(adapter, previous, allocation, grid, weights, lam=lam)
         entries.append(entry)
         moves = zip(grid.align(entry.rates, "rates"), grid.align(previous.rates, "rates"))
         change = max(abs(new - old) / old for new, old in moves)
         log.info(
-            "iteration %d: cost %.6g, max rate change %.4f, %d frames held",
+            "iteration %d: cost %.6g, max rate change %.4f, %d frames held, "
+            "%d targets outside the quantizer range",
             len(entries),
             entry.cost.total,
             change,
             sum(model.sample_count == 1 for model in entry.models.values()),
+            _out_of_range(entry, allocation.rates),
         )
         if change < RATE_CHANGE_TOL:
             converged = True
@@ -590,9 +653,75 @@ def run_to_convergence(
     )
 
 
+def _allocate(problem: AllocationProblem) -> AllocationResult:
+    """allocate, or its best feasible iterate when it runs out of iterations."""
+    try:
+        return allocate(problem)
+    except NotConverged as exc:
+        log.warning("allocator did not fully converge; using best iterate")
+        return exc.result
+
+
+def _reference_scales(
+    grid: FrameGrid, previous: IterationEntry, targets: dict[FrameCoord, float]
+) -> dict[FrameCoord, float]:
+    """Per frame, the factor on alpha for the reference it is predicted to see.
+
+    Walks the coding order. A frame's factor is its reference's predicted
+    SSE ratio raised to the frame's reference elasticity. The frame is
+    predicted to commit _predicted_qp at its target, at its previous rate
+    moved along its rate-qp slope, so its own SSE ratio is its factor
+    times (rate ratio)**beta. A frame that holds its qp passes its factor
+    on unchanged, so when every frame holds every factor is 1.
+    """
+    scales = {}
+    ref_ratio = 1.0
+    for coord in grid.coding_order:
+        scale = ref_ratio ** previous.ref_elasticities.get(coord, 0.0)
+        shift = _predicted_qp(previous, coord, targets[coord]) - previous.qps[coord]
+        rate_ratio = 2.0 ** (previous.qp_slopes.get(coord, 0.0) * shift)
+        ref_ratio = scale * rate_ratio ** previous.models[coord].beta
+        scales[coord] = scale
+    return scales
+
+
+def _anticipated(
+    problem: AllocationProblem, previous: IterationEntry, allocation: AllocationResult
+) -> AllocationResult:
+    """Allocation against models corrected for the references of the next pass.
+
+    Up to ANTICIPATION_ROUNDS times: scale each frame's alpha in the
+    previous pass's models by _reference_scales at the current targets and
+    allocate again. Stops early when the scales repeat, so a state where
+    every frame holds keeps the unscaled allocation. Costs no encodes.
+    """
+    scales = dict.fromkeys(problem.grid.coding_order, 1.0)
+    for _ in range(ANTICIPATION_ROUNDS):
+        update = _reference_scales(problem.grid, previous, allocation.rates)
+        if update == scales:
+            break
+        scales = update
+        models = {
+            coord: replace(model, alpha=model.alpha * scales[coord])
+            for coord, model in previous.models.items()
+        }
+        allocation = _allocate(replace(problem, models=models))
+    return allocation
+
+
+def _out_of_range(entry: IterationEntry, targets: dict[FrameCoord, float]) -> int:
+    """Frames whose target no quantizer reaches: committed at QP_MAX above it
+    or at QP_MIN below it."""
+    return sum(
+        (qp == QP_MAX and entry.rates[coord] > targets[coord])
+        or (qp == QP_MIN and entry.rates[coord] < targets[coord])
+        for coord, qp in entry.qps.items()
+    )
+
+
 def _pass_state(grid: FrameGrid, entry: IterationEntry) -> tuple:
     """Everything of a pass that the next pass depends on, per frame."""
-    tables = (entry.qps, entry.rates, entry.qp_slopes, entry.models)
+    tables = (entry.qps, entry.rates, entry.qp_slopes, entry.models, entry.ref_elasticities)
     return tuple(zip(*(grid.align(table, "pass") for table in tables)))
 
 

@@ -494,16 +494,31 @@ class TestSolveStep2:
         assert float(rates.sum()) <= problem.budget * (1.0 + 1e-10)
 
 
-    def test_budget_release_reaches_the_face_optimum(self):
-        # Step 1 gives all the slack to frame (1,0) and leaves the other two
-        # on the floor. Without the budget release step 2 stops there, with
-        # kkt_residual 0 (one free frame) and P 9.8% above the optimum,
-        # which gives all the slack to frame (2,0).
-        problem = sparse_problem(3, 1, 3e6, 993042.6579482057, 847219.218527628, {
+    @staticmethod
+    def floor_split_problem():
+        """Step 1 gives all the slack to frame (1,0) and leaves the other two
+        on the floor; the optimum gives all the slack to frame (2,0)."""
+        return sparse_problem(3, 1, 3e6, 993042.6579482057, 847219.218527628, {
             (1, 0): (0.7189246880062344, 842747405.1611978, -0.2678738862200973),
             (2, 0): (0.2715732607633288, 673010472.2322755, -0.13642929569670664),
             (0, 0): (0.275897682424718, 262939049.34606063, -0.47982545959878986),
         })
+
+    def test_floor_frame_that_should_rise_counts_in_kkt_residual(self):
+        # At the step-1 split one frame is free and the two on the floor have
+        # marginals above mu: they should rise, so the point is not optimal.
+        problem = self.floor_split_problem()
+        step1 = solve_step1(problem)
+        penalty = build_cone_penalty(problem, step1.rates)
+        with pytest.raises(NotConverged) as err:
+            solve_step2(problem, step1.rates, penalty, max_iterations=0)
+        assert err.value.result.rates == step1.rates
+        assert err.value.result.kkt_residual > 1.0
+
+    def test_budget_release_reaches_the_face_optimum(self):
+        # Without the budget release step 2 stops at the step-1 split, with
+        # P 9.8% above the optimum.
+        problem = self.floor_split_problem()
         step1 = solve_step1(problem)
         penalty = build_cone_penalty(problem, step1.rates)
         result = solve_step2(problem, step1.rates, penalty)

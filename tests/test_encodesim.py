@@ -512,6 +512,11 @@ class TestHeldFrames:
 def curved_mock(side, k):
     """Seeded side x side mock on the benchmark recipe, with a log-log slope
     that varies with rate (curvature 0.02)."""
+    return seeded_mock(side, k, 0.02)
+
+
+def seeded_mock(side, k, curvature=0.0):
+    """Seeded side x side mock on the benchmark recipe (gamma 0.5)."""
     rng = np.random.default_rng([side, k])
     grid = spiral_order(side, side)
     n = grid.n_frames
@@ -522,7 +527,7 @@ def curved_mock(side, k):
         frame_params={c: (float(a), float(b)) for c, a, b in zip(grid.coding_order, alpha, beta)},
         dependency_gamma=0.5,
         ref_norm=2e6,
-        curvature=0.02,
+        curvature=curvature,
     )
     weights = unify_weights({c: float(w) for c, w in zip(grid.coding_order, raw)})
     return MockSetup(config=config, grid=grid, weights=weights)
@@ -549,6 +554,111 @@ class TestCurvedMockSettling:
                     )
                     settled += trace.converged
         assert settled >= 27
+
+
+class TestReferenceAnticipation:
+    """Allocations against models corrected for the reference each frame will see."""
+
+    @staticmethod
+    def run(setup, lam, max_iters=24, budget=None):
+        budget = budget or 1e6 * setup.grid.n_frames
+        adapter = MockEncoder(setup.config)
+        return run_to_convergence(adapter, setup.grid, setup.weights, budget, lam, max_iters)
+
+    @staticmethod
+    def plain(setup, entry, lam, budget):
+        """The allocation against entry's models, and its problem."""
+        problem = AllocationProblem(
+            grid=setup.grid, weights=setup.weights, models=entry.models, budget=budget, lam=lam
+        )
+        return problem, allocate(problem)
+
+    def test_elasticity_follows_the_mock_dependency(self, coupled_setup):
+        # On the exact mock a frame's SSE carries the factor
+        # 1 + gamma * s / ref_norm for a reference SSE s, whose log-log slope
+        # gamma * s / (ref_norm + gamma * s) lies between its values at the
+        # reference's old and new SSE.
+        trace = self.run(coupled_setup, 5.0, 8, 2e7)
+        gamma, norm = coupled_setup.config.dependency_gamma, coupled_setup.config.ref_norm
+        order = coupled_setup.grid.coding_order
+        assert set(trace.entries[0].ref_elasticities.values()) == {0.0}
+        estimated = 0
+        for before, after in zip(trace.entries, trace.entries[1:]):
+            assert after.ref_elasticities[order[0]] == 0.0
+            for ref, coord in zip(order, order[1:]):
+                elasticity = after.ref_elasticities[coord]
+                old, new = before.sses[ref], after.sses[ref]
+                if abs(math.log(new / old)) <= encodesim.ELASTICITY_MIN_SHIFT:
+                    assert elasticity == before.ref_elasticities[coord]
+                    continue
+                lo, hi = sorted(gamma * s / (norm + gamma * s) for s in (old, new))
+                assert lo - 1e-9 <= elasticity <= hi + 1e-9
+                estimated += 1
+        assert estimated >= len(order)
+
+    def test_settled_state_keeps_the_plain_allocation(self, coupled_setup, monkeypatch):
+        trace = self.run(coupled_setup, 5.0, 8, 2e7)
+        assert trace.converged
+        last = trace.entries[-1]
+        assert min(list(last.ref_elasticities.values())[1:]) > 0.0
+        problem, plain = self.plain(coupled_setup, last, 5.0, 2e7)
+        assert all(
+            _predicted_qp(last, c, plain.rates[c]) == last.qps[c]
+            for c in coupled_setup.grid.coding_order
+        )
+        calls = []
+        monkeypatch.setattr(encodesim, "allocate", lambda p: calls.append(p) or allocate(p))
+        assert encodesim._anticipated(problem, last, plain) is plain
+        assert calls == []
+
+    def test_unsettled_state_moves_the_allocation(self, coupled_setup):
+        trace = self.run(coupled_setup, 5.0, 2, 2e7)
+        problem, plain = self.plain(coupled_setup, trace.entries[1], 5.0, 2e7)
+        anticipated = encodesim._anticipated(problem, trace.entries[1], plain)
+        assert anticipated.rates != plain.rates
+        assert sum(anticipated.rates.values()) == pytest.approx(2e7, rel=1e-9)
+
+    def test_first_two_passes_are_unchanged(self, monkeypatch):
+        # The first pass has no elasticity estimate, so the second pass's
+        # allocation is the plain one.
+        setup = seeded_mock(7, 0)
+        on = self.run(setup, 10.0)
+        monkeypatch.setattr(encodesim, "ANTICIPATION_ROUNDS", 0)
+        off = self.run(setup, 10.0)
+        assert len(on.entries) > 2 and len(off.entries) > 2
+        for a, b in zip(on.entries[:2], off.entries[:2]):
+            assert (a.qps, a.rates, a.sses, a.models) == (b.qps, b.rates, b.sses, b.models)
+        assert on.entries[2].qps != off.entries[2].qps
+
+    def test_fewer_encoder_calls_to_convergence(self, monkeypatch):
+        # Measured: 7,024 calls and 152 passes against 8,837 and 220 without
+        # anticipation, and 30 loops settle against 29.
+        def totals():
+            calls, passes, settled = Counter(), 0, 0
+            for side in (5, 7):
+                for k in range(8):
+                    setup = seeded_mock(side, k)
+                    for lam in (0.0, 10.0):
+                        trace = self.run(setup, lam)
+                        calls[side, lam] += trace.encodes
+                        passes += len(trace.entries)
+                        settled += trace.converged
+            return calls, passes, settled
+
+        calls, passes, settled = totals()
+        monkeypatch.setattr(encodesim, "ANTICIPATION_ROUNDS", 0)
+        calls_off, passes_off, settled_off = totals()
+        assert all(calls[key] < calls_off[key] for key in calls_off)
+        assert calls.total() <= 0.85 * calls_off.total()
+        assert passes <= 0.8 * passes_off
+        assert settled >= settled_off
+
+    def test_out_of_range_targets_are_logged(self, decoupled_setup, caplog):
+        # Every frame's share of a tiny budget lies below its rate at QP_MAX.
+        with caplog.at_level(logging.INFO, logger="lfalloc.encodesim"):
+            trace = self.run(decoupled_setup, 0.0, 3, 1e3)
+        assert all(qp == QP_MAX for qp in trace.entries[-1].qps.values())
+        assert "25 targets outside the quantizer range" in caplog.text
 
 
 class TestRunFirstIteration:
