@@ -68,6 +68,13 @@ MAJORIZER_STEP = 1e-3
 # Step 2 converges only where kkt_residual is at most this.
 KKT_TOLERANCE = 1e-6
 
+# Step 2's unit-free stop: the predicted excess of P over its minimum at
+# most this fraction of P, or, at the kink, a marginal mismatch at most it.
+STEP2_TOL = 1e-12
+
+# Newton iterations step 2 runs before it raises NotConverged.
+STEP2_MAX_ITERATIONS = 100
+
 
 @dataclass(frozen=True, eq=False)
 class AllocationProblem:
@@ -379,9 +386,6 @@ def solve_step2(
     problem: AllocationProblem,
     warm_start,
     penalty: ConePenalty,
-    *,
-    max_iterations: int = 100,
-    tol: float = 1e-12,
 ) -> AllocationResult:
     """Minimize the penalized objective P(r) = sum_f w_f^2 alpha_f r_f**beta_f
     + lambda |A r + b| over the feasible set by damped Newton steps.
@@ -396,23 +400,23 @@ def solve_step2(
     backtracked until the exact P falls enough (Armijo); a step cut very
     short is retried with the norm's quadratic majorizer, which drops the
     g g^T term. The stop is unit-free: half the squared Newton decrement,
-    the predicted excess of P over its minimum, at most tol * P or below
-    the rounding error of P; the step that passes the test is still taken
-    unless P visibly rises.
+    the predicted excess of P over its minimum, at most STEP2_TOL * P or
+    below the rounding error of P; the step that passes the test is still
+    taken unless P visibly rises.
 
     The norm has a kink where A r + b = 0. The one budget-face point with
     a zero residual is tried first and taken when it beats the warm start
     and a dual certificate proves it optimal; at a zero residual the
     certificate replaces the Newton test, and converged means its
-    marginal mismatch is at most tol.
+    marginal mismatch is at most STEP2_TOL.
 
     Every accepted step lowers P, so the result is never above the warm
     start projected onto the feasible set. kkt_residual is the marginal
     mismatch at the result (see the module docstring), and a Newton stop
     counts as converged only when it is at most KKT_TOLERANCE. Running
-    out of iterations, a search that can no longer lower P, or a Newton
-    stop with unequal marginals raises NotConverged carrying the last
-    iterate.
+    out of iterations (STEP2_MAX_ITERATIONS), a search that can no longer
+    lower P, or a Newton stop with unequal marginals raises NotConverged
+    carrying the last iterate.
     """
     w, beta = problem.w, problem.beta
     lam = problem.lam
@@ -517,7 +521,7 @@ def solve_step2(
     stop = "iteration cap"
     kkt_residual = math.inf
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, STEP2_MAX_ITERATIONS + 1):
         # A frame within rounding of the floor is on it.
         snap = (r > floor) & (r <= floor * (1.0 + ACTIVE_BOUND))
         if np.any(snap):
@@ -535,7 +539,7 @@ def solve_step2(
                 if found is not None:
                     _, mu, marginal = found
                     kkt_residual = _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
-                    converged = kkt_residual <= tol
+                    converged = kkt_residual <= STEP2_TOL
                     stop = "certified zero residual"
                     break
                 # Not provably optimal: step on the distortion term alone,
@@ -557,7 +561,7 @@ def solve_step2(
             # P cannot resolve changes below its rounding error, so neither
             # can the stop or the step that passes it.
             resolution = ROUNDING * (value + (lam * residual_scale(r) if coupled else 0.0))
-            if not at_kink and -0.5 * float(grad @ d) <= tol * value + resolution:
+            if not at_kink and -0.5 * float(grad @ d) <= STEP2_TOL * value + resolution:
                 # A converged Newton step improves P by less than rounding
                 # can show; it is kept unless P visibly rises or ends above
                 # the start.

@@ -119,7 +119,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         args.lam,
         args.max_iters,
         min_rate=args.min_rate,
-        baseline=args.baseline,
     )
     encodesim.write_trace_csv(trace, args.output)
     for index, entry in enumerate(trace.entries, 1):
@@ -213,12 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--max-iters", type=int, default=24)
     p.add_argument("--min-rate", type=float, help="per-frame rate floor")
-    p.add_argument(
-        "--baseline",
-        choices=("uniform", "weight2"),
-        default="uniform",
-        help="first-pass target split",
-    )
     p.add_argument("--output", required=True, help="iteration trace CSV to write")
     p.set_defaults(func=cmd_simulate)
 

@@ -14,19 +14,23 @@ are equal does a small trial sweep around the commit supply the fit
 instead. A searched frame costs 2 encoder calls when its seed quantizer
 is the answer or next to it.
 
-The first pass has no models yet, so it drives each frame toward a
-neutral per-frame budget share, which stands in for an encoder's default
-rate control; it searches every frame, starting from the previous
-frame's quantizer. Later passes alternate the allocator with a re-encode
-until the realized rates settle. Each re-encoded frame starts from the
-quantizer that the log-linear rate-quantizer relation of its previous
-fit predicts for its allocated rate. When that is its previous quantizer
-(a held frame), the frame is encoded once there, and the relation's
-slope predicts the rate of the neighbour on the far side of the target.
-If the search's nearest-rate rule would keep the quantizer, that encode
-is committed: beta and the slope carry over from the previous fit and
-alpha is rescaled to the encode. A held frame then costs 1 encoder call,
-or none when its reference did not change either. A held frame that the
+run_to_convergence is the loop's one entry point. Its first pass has no
+models yet, so it drives each frame toward the uniform budget share,
+which stands in for an encoder's default rate control; it searches every
+frame, starting from the previous frame's quantizer. Later passes
+alternate the allocator with a re-encode until the realized rates
+settle.
+
+One rule predicts the quantizer a frame will commit: the search's own
+nearest-rate rule, run on rates predicted from one encode (qp, rate)
+along the log-linear rate-quantizer slope of the frame's last fit
+(_predicted_commit). Each re-encoded frame starts its search from the
+prediction made from its previous pass. When that is its previous
+quantizer (a held frame), the frame is encoded once there, and if the
+same rule applied to that encode keeps the quantizer, the encode is
+committed: beta and the slope carry over from the previous fit and alpha
+is rescaled to the encode. A held frame then costs 1 encoder call, or
+none when its reference did not change either. A held frame that the
 prediction does not confirm is searched like a moved one. Beta is never
 carried across a move; on a mock whose log-log slope varies with rate
 that keeps many loops from settling. A loop whose pass repeats an
@@ -37,18 +41,18 @@ quantizer moves the models of the frames after it. Every pass estimates
 per frame a reference elasticity: the change of the frame's log model
 SSE per unit change of its reference's log SSE since the pass before.
 Before a re-encode the loop anticipates the references the frames will
-see: it predicts the quantizer each frame will commit at its allocated
-rate, and so the SSE of each reference, scales each frame's alpha by the
-predicted change of its reference's SSE raised to the elasticity, and
-allocates again, for a few rounds. That costs no encodes. Where every
-frame holds its quantizer every scale is 1, so the loop keeps its fixed
-points; it usually reaches one in fewer passes.
+see: it predicts by the same rule the quantizer each frame will commit
+at its allocated rate, and so the SSE of each reference, scales each
+frame's alpha by the predicted change of its reference's SSE raised to
+the elasticity, and allocates again, for a few rounds. That costs no
+encodes. Where every frame holds its quantizer every scale is 1, so the
+loop keeps its fixed points; it usually reaches one in fewer passes.
 
-Encoding is deterministic in (coord, qp, ref_state), so a pass encodes
-each such triple at most once, and run_to_convergence at most once per
-run: a cache private to the pass, or to the run, answers every repeat,
-whether it comes from a fit reading the search's samples again or from a
-later pass that returns to the same quantizers and references.
+Encoding is deterministic in (coord, qp, ref_state), so
+run_to_convergence encodes each such triple at most once per run: a
+cache private to the run answers every repeat, whether it comes from a
+fit reading the search's samples again or from a later pass that returns
+to the same quantizers and references.
 
 mock_encode supplies a deterministic closed-form encoder for the whole
 loop: rate halves every rate_qp_halving quantizer steps, and SSE follows
@@ -98,10 +102,10 @@ class EncoderAdapter(ABC):
     encode_frame must be deterministic in (coord, qp, ref_state), with
     rate non-increasing and SSE non-decreasing in qp at a fixed reference.
     ref_state must be hashable and advance_reference deterministic, so
-    that a pass, or a run_to_convergence run, can encode each triple
-    once; the default float state meets both. Trial compressions call
-    encode_frame without advancing the reference, so they can never
-    change the actual output.
+    that a run_to_convergence run can encode each triple once; the
+    default float state meets both. Trial compressions call encode_frame
+    without advancing the reference, so they can never change the actual
+    output.
     """
 
     def initial_reference(self) -> Any:
@@ -193,9 +197,9 @@ class IterationEntry:
     """Everything one pass over the sequence produced.
 
     qp_slopes holds each frame's least-squares slope of log2(rate) against
-    qp over its fit samples, carried over unchanged for a held frame. It
-    seeds the next pass's quantizer search and predicts a held frame's
-    neighbour. ref_elasticities holds each frame's reference elasticity,
+    qp over its fit samples, carried over unchanged for a held frame.
+    _predicted_commit reads it for the next pass's search seed, held-frame
+    confirmation and anticipated commit. ref_elasticities holds each frame's reference elasticity,
     the change of its log model SSE per unit change of its reference's
     log SSE over the last two passes, clamped to [0, 1] (0 for the first
     frame and throughout the first pass); the next allocation uses it to
@@ -230,7 +234,7 @@ class IterationTrace:
 
 
 class _EncodeCache(EncoderAdapter):
-    """encode_frame memoized on (coord, qp, ref_state) for one pass or run.
+    """encode_frame memoized on (coord, qp, ref_state) for one run.
 
     The reference hooks and total_pixels pass straight through on every
     call; only encodes are cached.
@@ -327,21 +331,6 @@ def _qp_for_target(rate_at: Callable[[int], float], target_rate: float, start: i
     return hi
 
 
-def _baseline_targets(
-    grid: FrameGrid, weights: WeightSet, budget: float, baseline: str
-) -> dict[FrameCoord, float]:
-    coords = grid.coding_order
-    if baseline == "uniform":
-        return dict.fromkeys(coords, budget / len(coords))
-    if baseline != "weight2":
-        raise ValueError(f"unknown baseline {baseline!r}")
-    squares = [w ** 2 for w in grid.align(weights.unified, "weights")]
-    total = sum(squares)
-    if total <= 0.0:
-        return dict.fromkeys(coords, budget / len(coords))
-    return {c: budget * sq / total for c, sq in zip(coords, squares)}
-
-
 def _log2_rate_slope(samples: list[RDSample]) -> float:
     """Least-squares slope of log2(rate) against qp over fit samples."""
     qp = [s.qp for s in samples]
@@ -352,19 +341,16 @@ def _log2_rate_slope(samples: list[RDSample]) -> float:
     return sum((q - qp_mean) * (y - rate_mean) for q, y in zip(qp, log_rate)) / spread
 
 
-def _predicted_qp(previous: IterationEntry, coord: FrameCoord, target_rate: float) -> int:
-    """Quantizer expected to hit target_rate, from the frame's last pass.
+def _predicted_commit(qp: int, rate: float, slope: float, target_rate: float) -> int:
+    """The quantizer _qp_for_target would commit at target_rate, predicted
+    from one encode.
 
-    Follows the log-linear rate-qp relation fitted in the last pass:
-    qp_prev + (log2 target - log2 rate_prev) / slope, rounded and clamped
-    to the valid range. Without a negative slope the last qp is kept.
+    The search runs on rates predicted from (qp, rate) along the log2
+    rate-qp slope, starting at qp. Without a negative slope qp is kept.
     """
-    qp_prev = previous.qps[coord]
-    slope = previous.qp_slopes.get(coord, 0.0)
     if not slope < 0.0:
-        return qp_prev
-    shift = (math.log2(target_rate) - math.log2(previous.rates[coord])) / slope
-    return min(QP_MAX, max(QP_MIN, round(qp_prev + shift)))
+        return qp
+    return _qp_for_target(lambda q: rate * 2.0 ** (slope * (q - qp)), target_rate, qp)
 
 
 def _fit_samples(
@@ -376,7 +362,7 @@ def _fit_samples(
     target (the inner neighbour at either end of the range), which the
     quantizer search has measured; when the two rates are equal they fix
     no slope, and the trial sweep of half-width FALLBACK_HALF_WIDTH
-    around qp is used instead. A held frame that _holds confirms needs
+    around qp is used instead. A held frame that _held_fit confirms needs
     none of these: its one encode rescales the previous model's alpha.
     """
     rate, sse = adapter.encode_frame(coord, qp, ref_state)
@@ -390,18 +376,6 @@ def _fit_samples(
     return sorted(pair, key=lambda s: s.qp)
 
 
-def _holds(qp: int, rate: float, slope: float, target_rate: float) -> bool:
-    """Whether _qp_for_target would return qp, by predicted neighbours.
-
-    Started at qp, the search looks at no rate but qp's and its neighbour
-    on the far side of the target before it answers qp; that neighbour is
-    not encoded but predicted from qp's rate along the log2 rate-qp slope.
-    """
-    return slope < 0.0 and _qp_for_target(
-        lambda q: rate * 2.0 ** (slope * (q - qp)), target_rate, qp
-    ) == qp
-
-
 def _held_fit(
     adapter: EncoderAdapter,
     previous: IterationEntry | None,
@@ -412,15 +386,16 @@ def _held_fit(
 ) -> tuple[float, float, RDModelParams, float] | None:
     """(rate, sse, model, slope) of a held frame from one encode at qp.
 
-    None unless qp is the frame's previous qp and _holds confirms it. The
-    model keeps the previous beta, with alpha rescaled so that it passes
-    through the encode, and the rate-qp slope carries over.
+    None unless qp is the frame's previous qp, its kept rate-qp slope is
+    negative, and _predicted_commit from the encode confirms qp. The model
+    keeps the previous beta, with alpha rescaled so that it passes through
+    the encode, and the slope carries over.
     """
     if previous is None or qp != previous.qps[coord]:
         return None
     rate, sse = adapter.encode_frame(coord, qp, ref_state)
     slope = previous.qp_slopes.get(coord, 0.0)
-    if not _holds(qp, rate, slope, target_rate):
+    if not (slope < 0.0 and _predicted_commit(qp, rate, slope, target_rate) == qp):
         return None
     model = previous.models[coord]
     return rate, sse, replace(model, alpha=sse / rate ** model.beta, sample_count=1), slope
@@ -466,41 +441,43 @@ def _encode_pass(
     targets: dict[FrameCoord, float],
     previous: IterationEntry | None,
 ) -> IterationEntry:
-    """One pass over the sequence in coding order.
+    """One pass over the sequence in coding order toward targets, a rate
+    per frame (IncompleteInput names a frame it misses).
 
-    Per frame, a held frame (one whose _predicted_qp is its previous
-    pass's qp) is encoded once at that qp, and when _holds confirms it
-    that encode is committed with the model and slope of _held_fit.
-    Every other frame, and a held frame that _holds does not confirm,
-    searches the quantizer nearest the target rate (_qp_for_target),
-    starting from _predicted_qp, or in the first pass from the previous
-    frame's answer (the middle of the range for the first frame); commits
-    it (encoding is deterministic in (coord, qp, ref_state), so the
-    search's measurement is the committed encode); and refits the model
-    and the slope from _fit_samples. Then the chain advances. After the
-    pass, each frame's reference elasticity is estimated from the change
-    since previous. An adapter that is not already an encode cache gets
-    one for the pass.
+    Per frame, a held frame (one whose _predicted_commit from its
+    previous pass is that pass's qp) is encoded once at that qp, and when
+    _held_fit confirms it that encode is committed with _held_fit's model
+    and slope. Every other frame, and a held frame that _held_fit does
+    not confirm, searches the quantizer nearest the target rate
+    (_qp_for_target), starting from _predicted_commit, or in the first
+    pass (previous None) from the previous frame's answer (the middle of
+    the range for the first frame); commits it (encoding is deterministic
+    in (coord, qp, ref_state), so the search's measurement is the
+    committed encode); and refits the model and the slope from
+    _fit_samples. Then the chain advances. After the pass, each frame's
+    reference elasticity is estimated from the change since previous.
+    The adapter sees every encode of the pass: a search's samples are
+    read again by the fit, so give it a cache to encode each triple once.
     """
-    if not isinstance(adapter, _EncodeCache):
-        adapter = _EncodeCache(adapter)
     ref = adapter.initial_reference()
     qp = (QP_MIN + QP_MAX) // 2
     qps, rates, sses, models, slopes = {}, {}, {}, {}, {}
-    for coord in grid.coding_order:
-        target = targets[coord]
+    for coord, target in zip(grid.coding_order, grid.align(targets, "targets")):
         try:
-            start = qp if previous is None else _predicted_qp(previous, coord, target)
-            held = _held_fit(adapter, previous, coord, start, target, ref)
-            if held is None:
-                qp = _qp_for_target(
-                    lambda q: adapter.encode_frame(coord, q, ref)[0], target, start
+            if previous is not None:
+                qp = _predicted_commit(
+                    previous.qps[coord],
+                    previous.rates[coord],
+                    previous.qp_slopes.get(coord, 0.0),
+                    target,
                 )
+            held = _held_fit(adapter, previous, coord, qp, target, ref)
+            if held is None:
+                qp = _qp_for_target(lambda q: adapter.encode_frame(coord, q, ref)[0], target, qp)
                 samples = _fit_samples(adapter, coord, qp, target, ref)
                 rate, sse = next((s.rate, s.sse) for s in samples if s.qp == qp)
                 model, slope = fit_power_model(samples), _log2_rate_slope(samples)
             else:
-                qp = start
                 rate, sse, model, slope = held
         except EncodeFailed as exc:
             raise EncodeFailed(f"frame ({coord.u},{coord.v}): {exc}") from exc
@@ -523,53 +500,6 @@ def _encode_pass(
     )
 
 
-def run_first_iteration(
-    adapter: EncoderAdapter,
-    grid: FrameGrid,
-    weights: WeightSet,
-    budget: float,
-    *,
-    lam: float = 0.0,
-    baseline: str = "uniform",
-) -> IterationEntry:
-    """First pass: drive every frame toward its baseline budget share.
-
-    Per frame, in coding order: search the quantizer whose rate is
-    nearest the share, starting from the previous frame's (the middle of
-    the range for the first frame), commit it, fit the power-law model
-    from the commit and its neighbour on the far side of the share, then
-    advance the reference chain.
-    """
-    if budget <= 0.0:
-        raise ValueError("budget must be positive")
-    targets = _baseline_targets(grid, weights, budget, baseline)
-    return _encode_pass(adapter, grid, weights, lam, targets, None)
-
-
-def run_iteration(
-    adapter: EncoderAdapter,
-    previous: IterationEntry,
-    allocation: AllocationResult,
-    grid: FrameGrid,
-    weights: WeightSet,
-    *,
-    lam: float = 0.0,
-) -> IterationEntry:
-    """One re-encode pass toward an allocation.
-
-    Per frame: start from the quantizer _predicted_qp expects to hit the
-    allocated rate. A held frame, one whose start is its previous pass's
-    qp, is encoded once there; when _holds confirms that the search would
-    keep it, that encode is committed with beta and the rate-qp slope
-    carried over and alpha rescaled to it (1 encoder call, sample_count
-    1). Any other frame is searched from the start, committed, and refit
-    from the commit and its neighbour on the far side of the allocated
-    rate (2 calls). Then the chain advances.
-    """
-    targets = dict(zip(grid.coding_order, grid.align(allocation.rates, "allocation")))
-    return _encode_pass(adapter, grid, weights, lam, targets, previous)
-
-
 def run_to_convergence(
     adapter: EncoderAdapter,
     grid: FrameGrid,
@@ -579,44 +509,43 @@ def run_to_convergence(
     max_iters: int,
     *,
     min_rate: float | None = None,
-    baseline: str = "uniform",
 ) -> IterationTrace:
     """Alternate allocation and re-encoding until the rates settle.
 
-    Each re-encode pass targets the allocation against the previous
-    pass's models, corrected by _anticipated for the reference each frame
-    is predicted to see; the first two passes are never corrected, since
-    the first pass leaves every reference elasticity at 0. The per-pass
-    INFO line counts held frames and the targets outside the quantizer
-    range (committed at QP_MAX above the target or at QP_MIN below it).
-    Settled means the largest relative per-frame rate change between two
-    consecutive passes falls below RATE_CHANGE_TOL. Hitting max_iters
-    first, or a pass that repeats an earlier pass's qps, rates, qp slopes
-    and models (the whole input of the next pass, so the loop would cycle
-    for good), leaves converged False; the trace is returned either way.
-    An allocator that runs out of iterations contributes its best
-    feasible iterate instead of aborting the loop. The adapter sees each
-    (coord, qp, ref_state) at most once per call.
+    Budget, lambda and min_rate are checked by AllocationProblem's rules
+    before the first encode. The first pass drives every frame toward the
+    uniform share budget / n_frames. Each re-encode pass targets the
+    allocation against the previous pass's models, corrected by
+    _anticipated for the reference each frame is predicted to see; the
+    first two passes are never corrected, since the first pass leaves
+    every reference elasticity at 0. The per-pass INFO line counts held
+    frames and the targets outside the quantizer range (committed at
+    QP_MAX above the target or at QP_MIN below it). Settled means the
+    largest relative per-frame rate change between two consecutive passes
+    falls below RATE_CHANGE_TOL. Hitting max_iters first, or a pass that
+    repeats an earlier pass's qps, rates, qp slopes and models (the whole
+    input of the next pass, so the loop would cycle for good), leaves
+    converged False; the trace is returned either way. An allocator that
+    runs out of iterations contributes its best feasible iterate instead
+    of aborting the loop. The adapter sees each (coord, qp, ref_state) at
+    most once per call.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    # Every pass after the first swaps its models into this problem; the
+    # placeholder models only let it check the scalars up front.
+    placeholder = dict.fromkeys(grid.coding_order, RDModelParams(alpha=1.0, beta=-1.0))
+    problem = AllocationProblem(grid, weights, placeholder, budget, lam, min_rate)
     adapter = _EncodeCache(adapter)
-    first = run_first_iteration(adapter, grid, weights, budget, lam=lam, baseline=baseline)
-    entries = [first]
-    seen = {_pass_state(grid, first): 1}
+    share = dict.fromkeys(grid.coding_order, budget / grid.n_frames)
+    entries = [_encode_pass(adapter, grid, weights, lam, share, None)]
+    seen = {_pass_state(grid, entries[0]): 1}
     converged = False
     for _ in range(max_iters - 1):
         previous = entries[-1]
-        problem = AllocationProblem(
-            grid=grid,
-            weights=weights,
-            models=previous.models,
-            budget=budget,
-            lam=lam,
-            min_rate=min_rate,
-        )
+        problem = replace(problem, models=previous.models)
         allocation = _anticipated(problem, previous, _allocate(problem))
-        entry = run_iteration(adapter, previous, allocation, grid, weights, lam=lam)
+        entry = _encode_pass(adapter, grid, weights, lam, allocation.rates, previous)
         entries.append(entry)
         moves = zip(grid.align(entry.rates, "rates"), grid.align(previous.rates, "rates"))
         change = max(abs(new - old) / old for new, old in moves)
@@ -669,8 +598,8 @@ def _reference_scales(
 
     Walks the coding order. A frame's factor is its reference's predicted
     SSE ratio raised to the frame's reference elasticity. The frame is
-    predicted to commit _predicted_qp at its target, at its previous rate
-    moved along its rate-qp slope, so its own SSE ratio is its factor
+    predicted to commit _predicted_commit at its target, at its previous
+    rate moved along its rate-qp slope, so its own SSE ratio is its factor
     times (rate ratio)**beta. A frame that holds its qp passes its factor
     on unchanged, so when every frame holds every factor is 1.
     """
@@ -678,8 +607,9 @@ def _reference_scales(
     ref_ratio = 1.0
     for coord in grid.coding_order:
         scale = ref_ratio ** previous.ref_elasticities.get(coord, 0.0)
-        shift = _predicted_qp(previous, coord, targets[coord]) - previous.qps[coord]
-        rate_ratio = 2.0 ** (previous.qp_slopes.get(coord, 0.0) * shift)
+        qp, slope = previous.qps[coord], previous.qp_slopes.get(coord, 0.0)
+        shift = _predicted_commit(qp, previous.rates[coord], slope, targets[coord]) - qp
+        rate_ratio = 2.0 ** (slope * shift)
         ref_ratio = scale * rate_ratio ** previous.models[coord].beta
         scales[coord] = scale
     return scales

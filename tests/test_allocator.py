@@ -33,6 +33,7 @@ from lfalloc import (
     write_allocation_file,
     write_problem_file,
 )
+from lfalloc import allocator
 from lfalloc.allocator import _predicted_sse
 
 REFERENCE_PAIRS = ((4.46e7, -0.261), (1.96e8, -0.383), (6.93e7, -0.284))
@@ -472,18 +473,14 @@ class TestSolveStep2:
             problem, penalty, kink
         )
 
-    def test_iteration_cap_raises_with_best_iterate(self):
+    def test_iteration_cap_raises_with_best_iterate(self, monkeypatch):
         problem = coupled_square()
         step1 = solve_step1(problem)
         penalty = build_cone_penalty(problem, step1.rates)
+        monkeypatch.setattr(allocator, "STEP2_MAX_ITERATIONS", 5)
+        monkeypatch.setattr(allocator, "STEP2_TOL", 0.0)
         with pytest.raises(NotConverged) as err:
-            solve_step2(
-                problem,
-                step1.rates,
-                penalty,
-                max_iterations=5,
-                tol=0.0,
-            )
+            solve_step2(problem, step1.rates, penalty)
         carried = err.value.result
         assert carried is not None
         before = penalized_objective(problem, penalty, step1.rates)
@@ -504,14 +501,15 @@ class TestSolveStep2:
             (0, 0): (0.275897682424718, 262939049.34606063, -0.47982545959878986),
         })
 
-    def test_floor_frame_that_should_rise_counts_in_kkt_residual(self):
+    def test_floor_frame_that_should_rise_counts_in_kkt_residual(self, monkeypatch):
         # At the step-1 split one frame is free and the two on the floor have
         # marginals above mu: they should rise, so the point is not optimal.
         problem = self.floor_split_problem()
         step1 = solve_step1(problem)
         penalty = build_cone_penalty(problem, step1.rates)
+        monkeypatch.setattr(allocator, "STEP2_MAX_ITERATIONS", 0)
         with pytest.raises(NotConverged) as err:
-            solve_step2(problem, step1.rates, penalty, max_iterations=0)
+            solve_step2(problem, step1.rates, penalty)
         assert err.value.result.rates == step1.rates
         assert err.value.result.kkt_residual > 1.0
 

@@ -249,6 +249,25 @@ class TestSimulateCommand:
         calls, hits = (int(part.split()[-1]) for part in line.split(","))
         assert calls > 0 and hits > 0
 
+    @pytest.mark.parametrize(
+        "option, value, name",
+        [
+            ("--budget", "nan", "budget"),
+            ("--budget", "inf", "budget"),
+            ("--lambda", "nan", "lambda"),
+            ("--min-rate", "nan", "min_rate"),
+            ("--min-rate", "-1", "min_rate"),
+        ],
+    )
+    def test_bad_loop_scalar_is_input_error(self, tmp_path, capsys, option, value, name):
+        # Rejected before the first encode, so a single pass cannot slip through.
+        config = self.config_path(tmp_path, small_grid_setup())
+        trace = tmp_path / "t.csv"
+        argv = ["simulate", str(config), "--budget", "4e6", "--max-iters", "1"]
+        assert main(argv + [option, value, "--output", str(trace)]) == EXIT_INPUT
+        assert name in capsys.readouterr().err
+        assert not trace.exists()
+
     @pytest.mark.parametrize("extra", ["repeat", "off_grid"])
     def test_extra_frame_line_is_input_error(self, tmp_path, capsys, extra):
         setup = small_grid_setup()

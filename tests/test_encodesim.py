@@ -3,6 +3,7 @@
 import logging
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from lfalloc import (
     AllocationProblem,
-    AllocationResult,
     EncodeFailed,
     FrameCoord,
     IncompleteInput,
@@ -26,8 +26,6 @@ from lfalloc import (
     mock_encode,
     read_mock_config,
     read_trace_csv,
-    run_first_iteration,
-    run_iteration,
     run_to_convergence,
     spiral_order,
     trial_sweep,
@@ -39,8 +37,9 @@ from lfalloc import encodesim
 from lfalloc.encodesim import (
     QP_MAX,
     QP_MIN,
-    _holds,
-    _predicted_qp,
+    _encode_pass,
+    _held_fit,
+    _predicted_commit,
     _qp_for_target,
     last_iteration_distortions,
     trace_to_parsed,
@@ -64,6 +63,16 @@ class CountingEncoder(MockEncoder):
     def encode_frame(self, coord, qp, ref_state):
         self.calls.append((coord, qp, ref_state))
         return super().encode_frame(coord, qp, ref_state)
+
+
+def uniform(grid, budget):
+    """The first pass's targets: the uniform share of budget per frame."""
+    return dict.fromkeys(grid.coding_order, budget / grid.n_frames)
+
+
+def first_pass(adapter, setup, budget):
+    """The loop's first pass on setup at lambda 0, toward the uniform share."""
+    return _encode_pass(adapter, setup.grid, setup.weights, 0.0, uniform(setup.grid, budget), None)
 
 
 def small_grid_setup(gamma=0.0):
@@ -383,7 +392,7 @@ class TestPairFit:
             return trial_sweep(adapter, coord, center_qp, k, ref_state)
 
         monkeypatch.setattr(encodesim, "trial_sweep", recorded_sweep)
-        entry = run_first_iteration(PlateauEncoder(setup.config), setup.grid, setup.weights, 1.0)
+        entry = first_pass(PlateauEncoder(setup.config), setup, 1.0)
         assert entry.qps[FrameCoord(0, 0)] == QP_MAX
         assert sweeps == [(QP_MAX, 2)]
         model = entry.models[FrameCoord(0, 0)]
@@ -427,21 +436,37 @@ class TestPairFit:
 class TestHeldFrames:
     """A frame whose quantizer holds is encoded once and its alpha rescaled."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(1.0, 1e6), st.integers(QP_MIN, QP_MAX), st.data())
-    def test_holds_agrees_with_the_search(self, scale, qp, data):
-        # Rates halve per qp, so the predicted neighbour is exact and so
-        # are the midpoints, where the tie goes to the lower qp.
-        rates = [scale * 2.0 ** -q for q in range(QP_MAX + 1)]
-        near = st.integers(max(QP_MIN, qp - 2), min(QP_MAX, qp + 2)).map(rates.__getitem__)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1.0, 1e7),
+        st.floats(-16.0, -1e-9),
+        st.integers(QP_MIN, QP_MAX),
+        st.data(),
+    )
+    def test_predicted_commit_agrees_with_the_search(self, rate, slope, qp, data):
+        # The rates predicted from (qp, rate) along the slope, computed as
+        # _predicted_commit computes them, so midpoints tie exactly.
+        rates = [rate * 2.0 ** (slope * (q - qp)) for q in range(QP_MAX + 1)]
+        near = st.integers(max(QP_MIN, qp - 3), min(QP_MAX - 1, qp + 3))
         target = data.draw(
-            st.one_of(near, near.map(lambda r: 0.75 * r), st.floats(0.0, 2.0 * scale))
+            st.one_of(
+                near.map(rates.__getitem__),
+                near.map(lambda q: (rates[q] + rates[q + 1]) / 2),
+                near.map(lambda q: 0.75 * rates[q]),
+                st.floats(0.0, 2.0 * rates[QP_MIN]),
+            )
         )
-        holds = _holds(qp, rates[qp], -1.0, target)
-        assert holds == (scan_qp_for_target(rates, target) == qp)
+        assert _predicted_commit(qp, rate, slope, target) == scan_qp_for_target(rates, target)
 
-    def test_no_slope_never_holds(self):
-        assert not _holds(30, 1e6, 0.0, 1e6)
+    def test_no_slope_never_holds(self, coupled_setup):
+        adapter = MockEncoder(coupled_setup.config)
+        entry = first_pass(adapter, coupled_setup, 2e7)
+        flat = replace(entry, qp_slopes=dict.fromkeys(entry.qps, 0.0))
+        coord = coupled_setup.grid.coding_order[0]
+        qp, rate = entry.qps[coord], entry.rates[coord]
+        assert _predicted_commit(qp, rate, 0.0, 2.0 * rate) == qp
+        assert _held_fit(adapter, entry, coord, qp, rate, 0.0) is not None
+        assert _held_fit(adapter, flat, coord, qp, rate, 0.0) is None
 
     def test_held_frame_costs_at_most_one_call(self, coupled_setup):
         passes = []
@@ -475,6 +500,27 @@ class TestHeldFrames:
             seen.update(calls)
         assert held_with_new_encode > 0
 
+    def test_held_exactly_when_the_qp_stays(self):
+        # On the exact mock a frame's rate depends on its qp alone, so the
+        # rates predicted along the kept slope are the rates the search
+        # measures, and a re-encoded frame keeps its qp only by holding.
+        for side in (5, 7):
+            for k in range(8):
+                setup = seeded_mock(side, k)
+                for lam in (0.0, 10.0):
+                    trace = run_to_convergence(
+                        MockEncoder(setup.config),
+                        setup.grid,
+                        setup.weights,
+                        1e6 * setup.grid.n_frames,
+                        lam,
+                        24,
+                    )
+                    for previous, entry in zip(trace.entries, trace.entries[1:]):
+                        for coord, qp in entry.qps.items():
+                            held = entry.models[coord].sample_count == 1
+                            assert held == (qp == previous.qps[coord]), (side, k, lam, coord)
+
     def test_held_qp_off_target_falls_back_to_the_search(self):
         # The second frame's rate doubles for every 5e5 of reference SSE, so
         # moving the first frame shifts it by about three quantizer steps at
@@ -490,14 +536,12 @@ class TestHeldFrames:
                 return rate * 2.0 ** (ref_state / 5e5), sse
 
         adapter = ReferenceRateEncoder(config)
-        entry = run_first_iteration(adapter, grid, weights, 2e6)
+        entry = _encode_pass(adapter, grid, weights, 0.0, uniform(grid, 2e6), None)
         target = entry.rates[second]
-        rates = {first: mock_encode(config, first, 42, 0.0)[0], second: target}
-        allocation = AllocationResult(
-            rates=rates, objective=None, kkt_residual=0.0, iterations=1, budget_used=0.0
-        )
-        assert _predicted_qp(entry, second, target) == entry.qps[second]
-        moved = run_iteration(adapter, entry, allocation, grid, weights)
+        targets = {first: mock_encode(config, first, 42, 0.0)[0], second: target}
+        held = entry.qps[second]
+        assert _predicted_commit(held, entry.rates[second], entry.qp_slopes[second], target) == held
+        moved = _encode_pass(adapter, grid, weights, 0.0, targets, entry)
         ref = moved.sses[first]
         table = [adapter.encode_frame(second, qp, ref)[0] for qp in range(QP_MAX + 1)]
         qp = moved.qps[second]
@@ -517,7 +561,17 @@ def curved_mock(side, k):
 
 def seeded_mock(side, k, curvature=0.0):
     """Seeded side x side mock on the benchmark recipe (gamma 0.5)."""
-    rng = np.random.default_rng([side, k])
+    return recipe_mock(np.random.default_rng([side, k]), side, curvature)
+
+
+def benchmark_mock(seed, k):
+    """Mock k of the benchmark's loop at seed, the 13x13 mock that
+    perfbench/workloads.make_mock draws from stream(seed, 2, k)."""
+    return recipe_mock(np.random.default_rng([seed, 2, k]), 13)
+
+
+def recipe_mock(rng, side, curvature=0.0):
+    """side x side mock drawn from rng on the benchmark recipe (gamma 0.5)."""
     grid = spiral_order(side, side)
     n = grid.n_frames
     alpha = 10.0 ** rng.uniform(7.5, 8.5, n)
@@ -603,7 +657,8 @@ class TestReferenceAnticipation:
         assert min(list(last.ref_elasticities.values())[1:]) > 0.0
         problem, plain = self.plain(coupled_setup, last, 5.0, 2e7)
         assert all(
-            _predicted_qp(last, c, plain.rates[c]) == last.qps[c]
+            _predicted_commit(last.qps[c], last.rates[c], last.qp_slopes[c], plain.rates[c])
+            == last.qps[c]
             for c in coupled_setup.grid.coding_order
         )
         calls = []
@@ -631,7 +686,7 @@ class TestReferenceAnticipation:
         assert on.entries[2].qps != off.entries[2].qps
 
     def test_fewer_encoder_calls_to_convergence(self, monkeypatch):
-        # Measured: 7,024 calls and 152 passes against 8,837 and 220 without
+        # Measured: 7,039 calls and 159 passes against 8,822 and 222 without
         # anticipation, and 30 loops settle against 29.
         def totals():
             calls, passes, settled = Counter(), 0, 0
@@ -653,6 +708,13 @@ class TestReferenceAnticipation:
         assert passes <= 0.8 * passes_off
         assert settled >= settled_off
 
+    @pytest.mark.parametrize("seed, k", [(1, 10), (2, 8), (10, 2), (10, 6)])
+    def test_benchmark_mocks_settle(self, seed, k):
+        # These cycled with period 2-4 while the anticipated commit rounded
+        # in log rate and the search picked the nearest linear rate.
+        setup = benchmark_mock(seed, k)
+        assert self.run(setup, 10.0, 40).converged
+
     def test_out_of_range_targets_are_logged(self, decoupled_setup, caplog):
         # Every frame's share of a tiny budget lies below its rate at QP_MAX.
         with caplog.at_level(logging.INFO, logger="lfalloc.encodesim"):
@@ -662,12 +724,11 @@ class TestReferenceAnticipation:
 
 
 class TestRunFirstIteration:
-    """Baseline-share first pass."""
+    """The first pass, toward the uniform budget share."""
 
     def test_single_frame_targets_whole_budget(self):
         setup = single_frame_setup()
-        adapter = MockEncoder(setup.config)
-        entry = run_first_iteration(adapter, setup.grid, setup.weights, 1e6)
+        entry = first_pass(MockEncoder(setup.config), setup, 1e6)
         assert entry.qps[FrameCoord(0, 0)] == 30
         assert entry.rates[FrameCoord(0, 0)] == 1e6
 
@@ -677,57 +738,38 @@ class TestRunFirstIteration:
             frame_params={c: (3e7, -0.3) for c in grid.coding_order}, frame_pixels=1000
         )
         weights = unify_weights({c: 1.0 for c in grid.coding_order})
-        entry = run_first_iteration(MockEncoder(config), grid, weights, 9e6)
+        entry = first_pass(MockEncoder(config), MockSetup(config, grid, weights), 9e6)
         assert set(entry.qps.values()) == {30}
 
     def test_huge_budget_clamps_to_lowest_qp(self):
         setup = single_frame_setup()
-        adapter = MockEncoder(setup.config)
-        entry = run_first_iteration(adapter, setup.grid, setup.weights, 1e12)
+        entry = first_pass(MockEncoder(setup.config), setup, 1e12)
         assert entry.qps[FrameCoord(0, 0)] == 0
 
     def test_tiny_budget_clamps_to_highest_qp(self):
         setup = single_frame_setup()
-        adapter = MockEncoder(setup.config)
-        entry = run_first_iteration(adapter, setup.grid, setup.weights, 1.0)
+        entry = first_pass(MockEncoder(setup.config), setup, 1.0)
         assert entry.qps[FrameCoord(0, 0)] == 51
 
-    def test_weight2_baseline_shifts_rate_toward_heavy_frames(self):
-        grid = spiral_order(2, 1)
-        heavy, light = grid.coding_order
-        config = MockEncoderConfig(
-            frame_params={c: (3e7, -0.3) for c in grid.coding_order}, frame_pixels=1000
-        )
-        weights = unify_weights({heavy: 1.0, light: 0.5})
-        entry = run_first_iteration(
-            MockEncoder(config), grid, weights, 2e6, baseline="weight2"
-        )
-        assert entry.rates[heavy] > entry.rates[light]
-
-    def test_unknown_baseline(self):
-        setup = single_frame_setup()
-        with pytest.raises(ValueError):
-            run_first_iteration(
-                MockEncoder(setup.config), setup.grid, setup.weights, 1e6, baseline="spam"
-            )
-
     def test_bad_budget(self):
+        # run_to_convergence rejects it before the first encode.
         setup = single_frame_setup()
-        with pytest.raises(ValueError):
-            run_first_iteration(MockEncoder(setup.config), setup.grid, setup.weights, 0.0)
+        adapter = CountingEncoder(setup.config)
+        for budget in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="budget"):
+                run_to_convergence(adapter, setup.grid, setup.weights, budget, 0.0, 3)
+        assert adapter.calls == []
 
     def test_models_fitted_per_frame(self):
         setup = small_grid_setup(gamma=0.2)
-        adapter = MockEncoder(setup.config)
-        entry = run_first_iteration(adapter, setup.grid, setup.weights, 4e6)
+        entry = first_pass(MockEncoder(setup.config), setup, 4e6)
         assert set(entry.models) == set(setup.grid.coding_order)
         assert math.isfinite(entry.cost.total)
         assert math.isfinite(entry.wpsnr_db)
 
     def test_realized_chain_matches_manual_walk(self):
         setup = small_grid_setup(gamma=0.5)
-        adapter = MockEncoder(setup.config)
-        entry = run_first_iteration(adapter, setup.grid, setup.weights, 4e6)
+        entry = first_pass(MockEncoder(setup.config), setup, 4e6)
         ref = 0.0
         for coord in setup.grid.coding_order:
             rate, sse = mock_encode(setup.config, coord, entry.qps[coord], ref)
@@ -737,37 +779,23 @@ class TestRunFirstIteration:
 
 
 class TestRunIteration:
-    """Re-encode passes toward an allocation."""
-
-    def allocation_for(self, entry, rates):
-        return AllocationResult(
-            rates=rates,
-            objective=entry.cost,
-            kkt_residual=0.0,
-            iterations=1,
-            budget_used=sum(rates.values()),
-        )
+    """Re-encode passes toward per-frame target rates."""
 
     def test_fixed_point_keeps_qps(self):
         setup = small_grid_setup(gamma=0.2)
         adapter = MockEncoder(setup.config)
-        first = run_first_iteration(adapter, setup.grid, setup.weights, 4e6)
-        allocation = self.allocation_for(first, dict(first.rates))
-        second = run_iteration(
-            adapter, first, allocation, setup.grid, setup.weights
-        )
+        first = first_pass(adapter, setup, 4e6)
+        second = _encode_pass(adapter, setup.grid, setup.weights, 0.0, dict(first.rates), first)
         assert second.qps == first.qps
         assert second.rates == first.rates
 
     def test_doubled_rate_drops_qp_by_halving_span(self):
         setup = single_frame_setup()
         adapter = MockEncoder(setup.config)
-        first = run_first_iteration(adapter, setup.grid, setup.weights, 1e6)
+        first = first_pass(adapter, setup, 1e6)
         assert first.qps[FrameCoord(0, 0)] == 30
-        allocation = self.allocation_for(first, {FrameCoord(0, 0): 2e6})
-        second = run_iteration(
-            adapter, first, allocation, setup.grid, setup.weights
-        )
+        targets = {FrameCoord(0, 0): 2e6}
+        second = _encode_pass(adapter, setup.grid, setup.weights, 0.0, targets, first)
         assert abs(second.qps[FrameCoord(0, 0)] - 24) <= 1
         assert second.rates[FrameCoord(0, 0)] == 2e6
 
@@ -775,39 +803,25 @@ class TestRunIteration:
         setup = single_frame_setup()
         adapter = MockEncoder(setup.config)
         coord = FrameCoord(0, 0)
-        entry = run_first_iteration(adapter, setup.grid, setup.weights, 1e6)
+        entry = first_pass(adapter, setup, 1e6)
         assert entry.qps[coord] == 30
-        target, _ = mock_encode(setup.config, coord, 40, 0.0)
-        allocation = self.allocation_for(entry, {coord: target})
+        targets = {coord: mock_encode(setup.config, coord, 40, 0.0)[0]}
         for _ in range(3):
             previous = entry
-            entry = run_iteration(adapter, entry, allocation, setup.grid, setup.weights)
+            entry = _encode_pass(adapter, setup.grid, setup.weights, 0.0, targets, entry)
             if entry.qps == previous.qps:
                 break
         assert entry.qps == previous.qps == {coord: 40}
 
-    def test_standalone_passes_encode_each_triple_once(self, coupled_setup):
-        grid, weights = coupled_setup.grid, coupled_setup.weights
-        adapter = CountingEncoder(coupled_setup.config)
-        first = run_first_iteration(adapter, grid, weights, 2e7, lam=5.0)
-        first_calls, adapter.calls = adapter.calls, []
-        problem = AllocationProblem(
-            grid=grid, weights=weights, models=first.models, budget=2e7, lam=5.0
-        )
-        run_iteration(adapter, first, allocate(problem), grid, weights, lam=5.0)
-        for calls in (first_calls, adapter.calls):
-            assert len(calls) == len(set(calls)) > grid.n_frames
-
     def test_missing_allocation_entry(self):
         setup = small_grid_setup()
         adapter = MockEncoder(setup.config)
-        first = run_first_iteration(adapter, setup.grid, setup.weights, 4e6)
+        first = first_pass(adapter, setup, 4e6)
         partial = dict(first.rates)
         partial.pop(setup.grid.coding_order[-1])
-        allocation = self.allocation_for(first, partial)
         u, v = setup.grid.coding_order[-1]
-        with pytest.raises(IncompleteInput, match=rf"allocation missing for frame \({u},{v}\)"):
-            run_iteration(adapter, first, allocation, setup.grid, setup.weights)
+        with pytest.raises(IncompleteInput, match=rf"targets missing for frame \({u},{v}\)"):
+            _encode_pass(adapter, setup.grid, setup.weights, 0.0, partial, first)
 
 
 class TestRunToConvergence:
@@ -939,9 +953,7 @@ class TestRunToConvergence:
         def swinging_allocate(problem):
             a = problem.models[second].alpha
             rates = {first: low, second: high} if a < threshold else {first: high, second: low}
-            return AllocationResult(
-                rates=rates, objective=None, kkt_residual=0.0, iterations=1, budget_used=2e6
-            )
+            return replace(allocate(problem), rates=rates)
 
         monkeypatch.setattr(encodesim, "allocate", swinging_allocate)
         with caplog.at_level(logging.WARNING, logger="lfalloc.encodesim"):
@@ -971,8 +983,6 @@ class TestRunToConvergence:
             assert a.sses == b.sses
 
     def test_converged_state_is_stable_one_more_pass(self, decoupled_setup):
-        from lfalloc import AllocationProblem, allocate
-
         adapter = MockEncoder(decoupled_setup.config)
         trace = run_to_convergence(
             adapter, decoupled_setup.grid, decoupled_setup.weights, 2e7, 0.0, 8
@@ -986,8 +996,9 @@ class TestRunToConvergence:
             budget=2e7,
             lam=0.0,
         )
-        extra = run_iteration(
-            adapter, last, allocate(problem), decoupled_setup.grid, decoupled_setup.weights
+        targets = allocate(problem).rates
+        extra = _encode_pass(
+            adapter, decoupled_setup.grid, decoupled_setup.weights, 0.0, targets, last
         )
         for c in decoupled_setup.grid.coding_order:
             assert abs(extra.rates[c] - last.rates[c]) / last.rates[c] < 0.01
