@@ -9,28 +9,17 @@ pseudo-temporal coding order.
 
 import numpy as np
 
-from lfalloc import (
-    FrameCoord,
-    PixelFrame,
-    frame_weight,
-    proximity,
-    spiral_order,
-    unify_weights,
-)
+from lfalloc import FrameCoord, frame_weight, proximity, spiral_order, unify_weights
 
-rng = np.random.default_rng(42)
-
-# A 3x3 light field of 8x8 frames. The weight maps fade with distance
+# A 3x3 light field of 8x8 frames. The confidence maps fade with distance
 # from the grid center, the way capture confidence drops off-axis.
 width, height = 3, 3
 raw_weights = {}
 for u in range(width):
     for v in range(height):
         falloff = 1.0 / (1.0 + 0.6 * (abs(u - 1) + abs(v - 1)))
-        samples = rng.integers(0, 256, size=(8, 8)).astype(float)
         confidence = np.full((8, 8), 200.0 * falloff)
-        frame = PixelFrame(samples=samples, weight_samples=confidence)
-        raw_weights[FrameCoord(u, v)] = frame_weight(frame)
+        raw_weights[FrameCoord(u, v)] = frame_weight(confidence)
 
 print("raw per-frame weights (mean of the confidence map):")
 for coord, value in sorted(raw_weights.items()):

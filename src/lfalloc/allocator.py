@@ -627,13 +627,19 @@ def allocate(problem: AllocationProblem) -> AllocationResult:
     With lambda zero the step-one answer is already optimal and is
     returned as is; otherwise step two refines it against the linearized
     consistency penalty. The result carries the step-one rates for
-    diagnostics either way.
+    diagnostics either way. A problem whose scale overflows, divides by
+    zero or makes an invalid value anywhere in the solve raises
+    ValueError instead of warning and going on.
     """
-    step1 = solve_step1(problem)
-    result = step1
-    if problem.lam > 0.0:
-        penalty = build_cone_penalty(problem, step1.rates)
-        result = solve_step2(problem, step1.rates, penalty)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            step1 = solve_step1(problem)
+            result = step1
+            if problem.lam > 0.0:
+                penalty = build_cone_penalty(problem, step1.rates)
+                result = solve_step2(problem, step1.rates, penalty)
+    except FloatingPointError as exc:
+        raise ValueError(f"problem scale is outside floating-point range ({exc})") from exc
     return replace(result, step1_rates=dict(step1.rates))
 
 

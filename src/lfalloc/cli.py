@@ -134,8 +134,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _load_distortions(path: str) -> metrics.DistortionSet:
     """Accept either a per-frame SSE table or a full trace (final pass used)."""
-    with open(path) as handle:
-        first = handle.readline().strip()
+    first = records.read_text(path).partition("\n")[0].strip()
     if first == encodesim.TRACE_HEADER:
         return encodesim.last_iteration_distortions(encodesim.read_trace_csv(path))
     if first == metrics.SSE_HEADER:

@@ -9,10 +9,10 @@ stepping outward in doubling steps until it brackets the target, then
 bisecting; that quantizer is the committed encode. The per-frame
 power-law model is then refit from two samples at the frame's current
 reference, the committed encode and its neighbour on the far side of the
-target, which the search has already measured; only when those two rates
-are equal does a small trial sweep around the commit supply the fit
-instead. A searched frame costs 2 encoder calls when its seed quantizer
-is the answer or next to it.
+target, which the search has already measured; when those two rates are
+equal, the pair reaches out to the first quantizer whose rate differs. A
+searched frame costs 2 encoder calls when its seed quantizer is the
+answer or next to it.
 
 run_to_convergence is the loop's one entry point. Its first pass has no
 models yet, so it drives each frame toward the uniform budget share,
@@ -71,7 +71,7 @@ from typing import Any, Callable
 
 from . import records
 from .allocator import AllocationProblem, AllocationResult, allocate
-from .errors import EncodeFailed, NotConverged, ParseError
+from .errors import EncodeFailed, InsufficientSamples, NotConverged, ParseError
 from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order, unify_weights
 from .metrics import CostBreakdown, DistortionSet, cost, wpsnr
 from .rdmodel import RDModelParams, RDSample, fit_power_model
@@ -83,10 +83,6 @@ QP_MAX = 51
 
 # Relative per-frame rate change below which the loop counts as settled.
 RATE_CHANGE_TOL = 0.01
-
-# Half-width of the trial sweep a frame is fitted from when the committed
-# encode and its neighbour have equal rates.
-FALLBACK_HALF_WIDTH = 2
 
 # Re-allocations against reference-corrected models before each re-encode.
 ANTICIPATION_ROUNDS = 4
@@ -360,20 +356,26 @@ def _fit_samples(
 
     The committed encode at qp and its neighbour on the far side of the
     target (the inner neighbour at either end of the range), which the
-    quantizer search has measured; when the two rates are equal they fix
-    no slope, and the trial sweep of half-width FALLBACK_HALF_WIDTH
-    around qp is used instead. A held frame that _held_fit confirms needs
-    none of these: its one encode rescales the previous model's alpha.
+    quantizer search has measured. When the neighbour's rate equals the
+    commit's, the pair widens: outward on that side to the first
+    quantizer whose rate differs, then on the other side. A rate that is
+    the same at every quantizer raises InsufficientSamples. A held frame
+    that _held_fit confirms needs none of these: its one encode rescales
+    the previous model's alpha.
     """
     rate, sse = adapter.encode_frame(coord, qp, ref_state)
-    other = qp + 1 if rate > target_rate else qp - 1
-    if not QP_MIN <= other <= QP_MAX:
-        other = 2 * qp - other
-    other_rate, other_sse = adapter.encode_frame(coord, other, ref_state)
-    if other_rate == rate:
-        return trial_sweep(adapter, coord, qp, FALLBACK_HALF_WIDTH, ref_state)
-    pair = [RDSample(qp, rate, sse), RDSample(other, other_rate, other_sse)]
-    return sorted(pair, key=lambda s: s.qp)
+    step = 1 if rate > target_rate else -1
+    if not QP_MIN <= qp + step <= QP_MAX:
+        step = -step
+    for side in (step, -step):
+        other = qp + side
+        while QP_MIN <= other <= QP_MAX:
+            other_rate, other_sse = adapter.encode_frame(coord, other, ref_state)
+            if other_rate != rate:
+                pair = [RDSample(qp, rate, sse), RDSample(other, other_rate, other_sse)]
+                return sorted(pair, key=lambda s: s.qp)
+            other += side
+    raise InsufficientSamples(f"frame ({coord.u},{coord.v}): rate {rate!r} at every quantizer")
 
 
 def _held_fit(

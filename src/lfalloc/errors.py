@@ -9,16 +9,8 @@ class ParseError(LfallocError):
     """Malformed input file or text record."""
 
 
-class WeightChannelAbsent(LfallocError):
-    """A per-pixel weight channel was required but the frame has none."""
-
-
 class DegenerateWeights(LfallocError):
     """All raw frame weights are zero, so they cannot be rescaled."""
-
-
-class ShapeMismatch(LfallocError):
-    """Two pixel arrays that must align have different shapes."""
 
 
 class IncompleteInput(LfallocError):

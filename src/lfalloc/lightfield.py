@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from . import records
-from .errors import DegenerateWeights, IncompleteInput, ParseError, WeightChannelAbsent
+from .errors import DegenerateWeights, IncompleteInput, ParseError
 
 # Frames at L1 grid distance >= PROXIMITY_RADIUS do not interact.
 PROXIMITY_RADIUS = 3
@@ -115,41 +114,6 @@ class CoupledPairs:
 
 
 @dataclass(frozen=True, eq=False)
-class PixelFrame:
-    """One perspective frame: pixel samples plus an optional weight channel."""
-
-    samples: np.ndarray
-    weight_samples: np.ndarray | None = None
-
-    def __post_init__(self):
-        samples = np.array(self.samples, dtype=float)
-        if samples.ndim != 2 or samples.size == 0:
-            raise ValueError("samples must be a non-empty 2-d array")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        if self.weight_samples is not None:
-            weights = np.array(self.weight_samples, dtype=float)
-            if weights.shape != samples.shape:
-                raise ValueError("weight channel shape must match samples")
-            if np.any(weights < 0.0):
-                raise ValueError("weight samples must be nonnegative")
-            weights.setflags(write=False)
-            object.__setattr__(self, "weight_samples", weights)
-
-    @property
-    def pixel_width(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def pixel_height(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def pixel_count(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True, eq=False)
 class WeightSet:
     """Raw per-frame weights plus their rescaling to a unit maximum."""
 
@@ -165,11 +129,15 @@ class WeightSet:
             raise ValueError("unified weights must have maximum exactly 1")
 
 
-def frame_weight(frame: PixelFrame) -> float:
-    """Reduce a frame's per-pixel weight channel to its mean."""
-    if frame.weight_samples is None:
-        raise WeightChannelAbsent("frame carries no weight channel")
-    return float(np.mean(frame.weight_samples))
+def frame_weight(weight_map) -> float:
+    """Reduce a frame's per-pixel weight map, a non-empty 2-d array of
+    finite nonnegative values, to its mean."""
+    weights = np.asarray(weight_map, dtype=float)
+    if weights.ndim != 2 or weights.size == 0:
+        raise ValueError("weight map must be a non-empty 2-d array")
+    if not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise ValueError("weight map must be finite and nonnegative")
+    return float(np.mean(weights))
 
 
 def unify_weights(raw: dict[FrameCoord, float]) -> WeightSet:
@@ -230,30 +198,6 @@ def grid_to_text(grid: FrameGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def grid_from_text(text: str) -> FrameGrid:
-    """Parse grid_to_text's form: a 'width height' line, then one u,v per line."""
-    rows: list[list[int]] = []
-
-    def record(line: str) -> None:
-        spec, sep = ("u,v", ",") if rows else ("width height", None)
-        rows.append(records.fields(line, (int, int), spec, sep))
-
-    records.read("grid text", record, text=text)
-    (width, height), *order = rows
-    try:
-        return FrameGrid(width, height, tuple(FrameCoord(u, v) for u, v in order))
-    except ValueError as exc:
-        raise ParseError(f"grid text: {exc}") from exc
-
-
-def write_frame_grid(grid: FrameGrid, path) -> None:
-    Path(path).write_text(grid_to_text(grid))
-
-
-def read_frame_grid(path) -> FrameGrid:
-    return grid_from_text(Path(path).read_text())
-
-
 def read_weight_map_csv(path) -> tuple[int, int, dict[FrameCoord, float]]:
     """Read raw frame weights: one CSV row per v, one value per u.
 
@@ -264,64 +208,3 @@ def read_weight_map_csv(path) -> tuple[int, int, dict[FrameCoord, float]]:
         raise ParseError(f"{path}: ragged weight rows")
     weights = {FrameCoord(u, v): w for v, row in enumerate(rows) for u, w in enumerate(row)}
     return len(rows[0]), len(rows), weights
-
-
-def _next_pgm_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        ch = data[pos : pos + 1]
-        if ch in b" \t\r\n":
-            pos += 1
-        elif ch == b"#":
-            end = data.find(b"\n", pos)
-            pos = n if end < 0 else end + 1
-        else:
-            break
-    if pos >= n:
-        raise ParseError("truncated PGM header")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in b" \t\r\n":
-        pos += 1
-    return data[start:pos], pos
-
-
-def read_weight_pgm(path) -> PixelFrame:
-    """Load a P2 or P5 grayscale map as a frame's weight channel.
-
-    Gray levels are used as raw weights; unify_weights removes any
-    dependence on the file's maxval scale.
-    """
-    data = Path(path).read_bytes()
-    magic, pos = _next_pgm_token(data, 0)
-    if magic not in (b"P2", b"P5"):
-        raise ParseError(f"{path}: not a PGM file (magic {magic!r})")
-    fields = []
-    for _ in range(3):
-        token, pos = _next_pgm_token(data, pos)
-        try:
-            fields.append(int(token))
-        except ValueError as exc:
-            raise ParseError(f"{path}: bad PGM header token {token!r}") from exc
-    width, height, maxval = fields
-    if width < 1 or height < 1 or not 0 < maxval < 65536:
-        raise ParseError(f"{path}: bad PGM dimensions or maxval")
-    count = width * height
-    if magic == b"P2":
-        tokens = data[pos:].split()
-        if len(tokens) != count:
-            raise ParseError(f"{path}: expected {count} samples, got {len(tokens)}")
-        try:
-            values = np.array([int(t) for t in tokens], dtype=float)
-        except ValueError as exc:
-            raise ParseError(f"{path}: non-integer PGM sample") from exc
-    else:
-        raw = data[pos + 1 :]  # single whitespace byte separates header and raster
-        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        need = count * dtype.itemsize
-        if len(raw) < need:
-            raise ParseError(f"{path}: raster too short ({len(raw)} < {need} bytes)")
-        values = np.frombuffer(raw[:need], dtype=dtype).astype(float)
-    if np.any(values > maxval):
-        raise ParseError(f"{path}: sample exceeds maxval")
-    grid = values.reshape(height, width)
-    return PixelFrame(samples=grid, weight_samples=grid)

@@ -16,13 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import records
-from .errors import (
-    DomainError,
-    InsufficientPoints,
-    NoOverlap,
-    ShapeMismatch,
-)
-from .lightfield import FrameCoord, FrameGrid, PixelFrame, WeightSet
+from .errors import DomainError, InsufficientPoints, NoOverlap
+from .lightfield import FrameCoord, FrameGrid, WeightSet
 
 # Peak sample value for 8-bit content, used by the wPSNR conversion.
 PEAK_SAMPLE_VALUE = 255.0
@@ -55,16 +50,6 @@ class RDPoint:
 
     rate: float
     quality: float
-
-
-def compute_sse(original: PixelFrame, decoded: PixelFrame) -> float:
-    """Sum of squared sample differences between two frames."""
-    if original.samples.shape != decoded.samples.shape:
-        raise ShapeMismatch(
-            f"frame shapes differ: {original.samples.shape} vs {decoded.samples.shape}"
-        )
-    diff = decoded.samples - original.samples
-    return float(np.sum(diff * diff))
 
 
 def _aligned(grid: FrameGrid, weights: WeightSet, distortions: DistortionSet):

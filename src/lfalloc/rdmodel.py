@@ -108,7 +108,6 @@ def tangent_lines(alpha, beta, expansion_point):
 SAMPLES_HEADER = "frame_index,qp,rate_bits,sse"
 MODELS_HEADER = "frame_index,alpha,beta,r_squared"
 _SAMPLE_FIELDS = (str, int, records.finite, records.finite)
-_MODEL_FIELDS = (str, records.finite, records.finite, records.finite)
 
 
 def write_samples_csv(samples: dict[str, list[RDSample]], path) -> None:
@@ -143,14 +142,3 @@ def write_models_csv(models: dict[str, RDModelParams], path) -> None:
         for frame_id, m in models.items()
     )
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_models_csv(path) -> dict[str, RDModelParams]:
-    models: dict[str, RDModelParams] = {}
-
-    def record(line: str) -> None:
-        frame_id, alpha, beta, r_squared = records.fields(line, _MODEL_FIELDS, MODELS_HEADER)
-        records.put(models, frame_id, RDModelParams(alpha, beta, r_squared), "frame")
-
-    records.read(path, record, MODELS_HEADER)
-    return models

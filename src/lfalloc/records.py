@@ -62,16 +62,22 @@ def fields(text: str, converters, spec: str, sep: str | None = ",", defaults=())
     return [convert(part) for convert, part in zip(converters, parts)]
 
 
-def read(source, record, header: str | None = None, *, comments: bool = False, text=None) -> list:
-    """record(line) for every record line of source (or of text, when given).
+def read_text(path) -> str:
+    """The file's text; bytes that do not decode raise ParseError naming it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def read(source, record, header: str | None = None, *, comments: bool = False) -> list:
+    """record(line) for every record line of the file source.
 
     No record lines, a missing header, or a ValueError from record raise
     ParseError naming the source and line.
     """
-    if text is None:
-        text = Path(source).read_text()
     results = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(read_text(source).splitlines(), 1):
         line = line.strip()
         if not line or (line[0] == "#" and not comments):
             continue

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfalloc import (
+    AllocationProblem,
     AllocationResult,
     DistortionSet,
     FrameCoord,
@@ -18,20 +19,19 @@ from lfalloc import (
     RDPoint,
     RDSample,
     allocate,
+    fit_power_model,
     read_allocation_file,
     read_curve_csv,
-    read_frame_grid,
     read_mock_config,
-    read_models_csv,
     read_problem_file,
     read_samples_csv,
     read_sse_csv,
     read_trace_csv,
     read_weight_map_csv,
     spiral_order,
+    unify_weights,
     write_allocation_file,
     write_curve_csv,
-    write_frame_grid,
     write_mock_config,
     write_models_csv,
     write_problem_file,
@@ -73,11 +73,12 @@ class TestFitCommand:
     def test_recovers_models(self, tmp_path, capsys):
         samples = tmp_path / "samples.csv"
         models = tmp_path / "models.csv"
-        write_reference_samples(samples)
+        fitted = {key: fit_power_model(s) for key, s in write_reference_samples(samples).items()}
         assert main(["fit", str(samples), "--output", str(models)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "frame 0: alpha 4.46e+07, beta -0.261, r_squared 1 (5 samples)" in out
-        fitted = read_models_csv(models)
+        write_models_csv(fitted, tmp_path / "expected.csv")
+        assert models.read_bytes() == (tmp_path / "expected.csv").read_bytes()
         for i, (alpha, beta) in enumerate(REFERENCE_PAIRS):
             assert fitted[str(i)].alpha == pytest.approx(alpha, rel=1e-6)
             assert fitted[str(i)].beta == pytest.approx(beta, rel=1e-6)
@@ -551,6 +552,68 @@ def test_record_defect_is_input_error(tmp_path, capsys, defect):
     assert err.startswith(prefix), err
 
 
+@pytest.mark.parametrize(
+    "command", ["fit", "allocate", "simulate", "bdrate", "metrics", "metrics-weights"]
+)
+def test_non_utf8_input_is_named(tmp_path, capsys, command):
+    argv, path = cli_inputs(command, tmp_path)
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: "), err
+
+
+def scaled_problem(rate_scale=1.0, sse_scale=1.0, min_rate=None, first_alpha=None):
+    """A 3x3 problem at lambda 10 with 1e6 bits per frame, in rate units
+    scaled by rate_scale and SSE units scaled by sse_scale; first_alpha
+    replaces the first frame's alpha."""
+    grid = spiral_order(3, 3)
+    models, weights = {}, {}
+    for k, c in enumerate(grid.coding_order):
+        beta = -(0.22 + 0.025 * k)
+        alpha = 10 ** (7.5 + 0.1 * k) * sse_scale * rate_scale ** -beta
+        models[c] = RDModelParams(first_alpha if k == 0 and first_alpha else alpha, beta)
+        weights[c] = 0.2 + 0.1 * k
+    return AllocationProblem(
+        grid=grid,
+        weights=unify_weights(weights),
+        models=models,
+        budget=9e6 * rate_scale,
+        lam=10.0,
+        min_rate=min_rate,
+    )
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [
+        {"rate_scale": 1e250},
+        {"rate_scale": 1e-250},
+        {"sse_scale": 1e200},
+        {"sse_scale": 1e-200},
+        {"min_rate": 1e-308},
+        {"first_alpha": 1e308},
+        {"first_alpha": 1e-308},
+    ],
+    ids=lambda scale: ",".join(f"{key}={value:g}" for key, value in scale.items()),
+)
+def test_extreme_scale_is_input_error(tmp_path, capsys, scale):
+    """Finite inputs whose scale over- or underflows in the solver exit 2,
+    without a traceback or a warning."""
+    problem = tmp_path / "problem.txt"
+    write_problem_file(scaled_problem(**scale), problem)
+    assert main(["allocate", str(problem), "--output", str(tmp_path / "a.csv")]) == EXIT_INPUT
+    assert "outside floating-point range" in capsys.readouterr().err
+
+
+def test_extreme_loop_budget_is_input_error(tmp_path, capsys):
+    config = tmp_path / "mock.txt"
+    write_mock_config(small_grid_setup(), config)
+    argv = ["simulate", str(config), "--budget", "1e-300", "--max-iters", "3"]
+    assert main(argv + ["--output", str(tmp_path / "t.csv")]) == EXIT_INPUT
+    assert "outside floating-point range" in capsys.readouterr().err
+
+
 def test_library_readers_reject_defects(tmp_path):
     """Readers no subcommand calls follow the same record rules."""
     allocation = tmp_path / "allocation.csv"
@@ -559,11 +622,6 @@ def test_library_readers_reject_defects(tmp_path):
     allocation.write_text(text.replace("\n# diagnostics", "\n0,0,1.0\n# diagnostics"))
     with pytest.raises(ParseError, match=r"line 6: duplicate frame \(0,0\)"):
         read_allocation_file(allocation)
-    models = tmp_path / "models.csv"
-    write_models_csv({"0": RDModelParams(4.46e7, -0.261), "1": RDModelParams(1e8, -0.3)}, models)
-    models.write_text(models.read_text() + "0,1.0,-0.2,1.0\n")
-    with pytest.raises(ParseError, match="line 4: duplicate frame '0'"):
-        read_models_csv(models)
     weights = tmp_path / "weights.csv"
     weights.write_text("1,0.5\n0.25,nan\n")
     with pytest.raises(ParseError, match="line 2: non-finite"):
@@ -572,19 +630,8 @@ def test_library_readers_reject_defects(tmp_path):
 
 def test_writers_round_trip(tmp_path):
     """Every writer's output reads back to equal values, inf diagnostics included."""
-    grid = spiral_order(3, 2)
-    write_frame_grid(grid, tmp_path / "grid.txt")
-    assert read_frame_grid(tmp_path / "grid.txt") == grid
-
     samples = write_reference_samples(tmp_path / "samples.csv")
     assert read_samples_csv(tmp_path / "samples.csv") == samples
-
-    models = {"0": RDModelParams(4.46e7, -0.261, 0.977), "c": RDModelParams(1.96e8, -0.383)}
-    write_models_csv(models, tmp_path / "models.csv")
-    back = read_models_csv(tmp_path / "models.csv")
-    assert {k: (m.alpha, m.beta, m.r_squared) for k, m in back.items()} == {
-        k: (m.alpha, m.beta, m.r_squared) for k, m in models.items()
-    }
 
     problem = coupled_square()
     write_problem_file(problem, tmp_path / "problem.txt")

@@ -15,6 +15,7 @@ from lfalloc import (
     EncodeFailed,
     FrameCoord,
     IncompleteInput,
+    InsufficientSamples,
     MockEncoder,
     MockEncoderConfig,
     MockSetup,
@@ -355,6 +356,13 @@ class PlateauEncoder(MockEncoder):
         return rate, sse
 
 
+class FlatRateEncoder(MockEncoder):
+    """MockEncoder whose rate is the same at every quantizer."""
+
+    def encode_frame(self, coord, qp, ref_state):
+        return 1e6, super().encode_frame(coord, qp, ref_state)[1]
+
+
 class TestPairFit:
     """Each frame is fitted from its committed encode and one neighbour."""
 
@@ -383,21 +391,27 @@ class TestPairFit:
             assert max(Counter(calls).values(), default=0) <= 2
         assert sum(map(len, passes[1:])) > 0
 
-    def test_plateau_takes_the_sweep_fallback(self, monkeypatch):
+    def test_plateau_widens_the_pair(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("trial sweep in the loop")
+
+        monkeypatch.setattr(encodesim, "trial_sweep", no_sweep)
         setup = single_frame_setup()
-        sweeps = []
-
-        def recorded_sweep(adapter, coord, center_qp, k, ref_state):
-            sweeps.append((center_qp, k))
-            return trial_sweep(adapter, coord, center_qp, k, ref_state)
-
-        monkeypatch.setattr(encodesim, "trial_sweep", recorded_sweep)
-        entry = first_pass(PlateauEncoder(setup.config), setup, 1.0)
-        assert entry.qps[FrameCoord(0, 0)] == QP_MAX
-        assert sweeps == [(QP_MAX, 2)]
-        model = entry.models[FrameCoord(0, 0)]
-        assert model.sample_count == 3
+        adapter = PlateauEncoder(setup.config)
+        coord = FrameCoord(0, 0)
+        entry = first_pass(adapter, setup, 1.0)
+        assert entry.qps[coord] == QP_MAX
+        ref = adapter.initial_reference()
+        pair = [RDSample(qp, *adapter.encode_frame(coord, qp, ref)) for qp in (QP_MAX - 2, QP_MAX)]
+        model = entry.models[coord]
+        assert model == fit_power_model(pair)
+        assert model.sample_count == 2
         assert model.beta < 0.0
+
+    def test_flat_rate_response_is_insufficient(self):
+        setup = single_frame_setup()
+        with pytest.raises(InsufficientSamples):
+            first_pass(FlatRateEncoder(setup.config), setup, 1.0)
 
     def test_strict_response_never_sweeps(self, monkeypatch, coupled_setup):
         def no_sweep(*args):

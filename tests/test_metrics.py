@@ -16,11 +16,8 @@ from lfalloc import (
     InsufficientPoints,
     NoOverlap,
     ParseError,
-    PixelFrame,
     RDPoint,
-    ShapeMismatch,
     bd_rate,
-    compute_sse,
     cost,
     discontinuity,
     read_curve_csv,
@@ -53,30 +50,6 @@ def pair_grid():
     grid = spiral_order(2, 1)
     weights = unify_weights({c: 1.0 for c in grid.coding_order})
     return grid, weights
-
-
-class TestComputeSse:
-    """Sum of squared sample differences."""
-
-    def test_identical_frames(self):
-        frame = PixelFrame(samples=np.arange(6.0).reshape(2, 3))
-        assert compute_sse(frame, frame) == 0.0
-
-    def test_three_four_five(self):
-        a = PixelFrame(samples=np.array([[0.0, 0.0]]))
-        b = PixelFrame(samples=np.array([[3.0, 4.0]]))
-        assert compute_sse(a, b) == 25.0
-
-    def test_unit_offset(self):
-        a = PixelFrame(samples=np.zeros((2, 2)))
-        b = PixelFrame(samples=np.ones((2, 2)))
-        assert compute_sse(a, b) == 4.0
-
-    def test_shape_mismatch(self):
-        a = PixelFrame(samples=np.zeros((2, 2)))
-        b = PixelFrame(samples=np.zeros((2, 3)))
-        with pytest.raises(ShapeMismatch):
-            compute_sse(a, b)
 
 
 class TestWeightedDistortion:

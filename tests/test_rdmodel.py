@@ -17,10 +17,8 @@ from lfalloc import (
     RDSample,
     eval_model,
     fit_power_model,
-    read_models_csv,
     read_samples_csv,
     tangent_lines,
-    write_models_csv,
     write_samples_csv,
 )
 
@@ -204,7 +202,7 @@ class TestLinearize:
 
 
 class TestModelIO:
-    """Sample and model CSV round trips and their diagnostics."""
+    """Sample CSV round trips and their diagnostics."""
 
     def test_samples_round_trip(self, tmp_path):
         samples = {
@@ -241,29 +239,3 @@ class TestModelIO:
         path.write_text("frame_index,qp,rate_bits,sse\n")
         with pytest.raises(ParseError):
             read_samples_csv(path)
-
-    def test_models_round_trip(self, tmp_path):
-        models = {
-            "0": RDModelParams(alpha=4.46e7, beta=-0.261, r_squared=0.977),
-            "1": RDModelParams(alpha=1.96e8, beta=-0.383, r_squared=0.985),
-        }
-        path = tmp_path / "models.csv"
-        write_models_csv(models, path)
-        back = read_models_csv(path)
-        assert back.keys() == models.keys()
-        for key in models:
-            assert back[key].alpha == models[key].alpha
-            assert back[key].beta == models[key].beta
-            assert back[key].r_squared == models[key].r_squared
-
-    def test_models_reject_bad_parameters(self, tmp_path):
-        path = tmp_path / "models.csv"
-        path.write_text("frame_index,alpha,beta,r_squared\n0,0.0,-0.3,1.0\n")
-        with pytest.raises(ParseError):
-            read_models_csv(path)
-
-    def test_models_empty(self, tmp_path):
-        path = tmp_path / "models.csv"
-        path.write_text("frame_index,alpha,beta,r_squared\n")
-        with pytest.raises(ParseError):
-            read_models_csv(path)
