@@ -1,11 +1,11 @@
-"""Drive the encode-model-allocate loop until the rates settle.
+"""Drive the encode-model-allocate loop until no quantizer moves.
 
 Models are only as good as the encodes they were fitted on, and encodes
 depend on the rates the models suggested. The loop alternates the two:
 encode at the current targets, refit the models, re-solve the
-allocation, and stop once no frame's rate moves by more than 1%. A frame
-whose quantizer moves is refit from its committed encode and the
-neighbouring quantizer on the far side of its target (2 encoder calls).
+allocation, and stop once no quantizer moves. A frame whose quantizer
+moves is refit from its committed encode and the neighbouring quantizer
+on the far side of its target (2 encoder calls).
 A frame whose quantizer holds is encoded once, and its model keeps its
 exponent while the scale is rescaled to that encode (1 call, or none
 when its reference frame did not change either). The "held" column

@@ -664,17 +664,22 @@ def write_problem_file(problem: AllocationProblem, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_problem_file(path) -> AllocationProblem:
+def read_problem_file(path, **overrides) -> AllocationProblem:
     """Parse an allocation problem file.
 
     Required keys: width, height, budget, lambda, and one frame line per
     grid coordinate. Optional: min_rate and an explicit coding order
-    (spiral by default).
+    (spiral by default). overrides maps budget, lam or min_rate to a
+    value that replaces the file's; None keeps the file's. The problem is
+    built once, so a floor that neither gives follows the budget in
+    effect.
     """
     values, frames = records.key_values(
         path, _PROBLEM_KEYS, ("budget", "lambda"), _PROBLEM_FRAME, PROBLEM_FRAME_FIELDS
     )
     width, height, order = values["width"], values["height"], values.get("order")
+    scalars = dict(budget=values["budget"], lam=values["lambda"], min_rate=values.get("min_rate"))
+    scalars.update((key, value) for key, value in overrides.items() if value is not None)
     try:
         grid = spiral_order(width, height) if order is None else FrameGrid(width, height, order)
         coords = grid.coding_order
@@ -683,9 +688,7 @@ def read_problem_file(path) -> AllocationProblem:
             grid=grid,
             weights=unify_weights(dict(zip(coords, weight))),
             models={c: RDModelParams(a, b) for c, a, b in zip(coords, alpha, beta)},
-            budget=values["budget"],
-            lam=values["lambda"],
-            min_rate=values.get("min_rate"),
+            **scalars,
         )
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
@@ -739,7 +742,8 @@ def read_allocation_file(path) -> tuple[dict[FrameCoord, float], dict[str, float
 
 
 _RATE_FIELDS = (int, int, records.finite)
-# kkt_residual is inf when step 2 stops without converging.
+# allocate writes a finite kkt_residual on every exit; the reader still
+# accepts inf.
 _DIAGNOSTICS = dict.fromkeys(
     ("weighted_distortion", "discontinuity", "lambda", "total", "iterations", "budget_used"),
     records.finite,

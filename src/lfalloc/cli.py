@@ -19,7 +19,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import allocator, encodesim, metrics, rdmodel, records
@@ -83,16 +82,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
-    problem = allocator.read_problem_file(args.problem)
-    overrides = {}
-    if args.budget is not None:
-        overrides["budget"] = args.budget
-    if args.lam is not None:
-        overrides["lam"] = args.lam
-    if args.min_rate is not None:
-        overrides["min_rate"] = args.min_rate
-    if overrides:
-        problem = replace(problem, **overrides)
+    problem = allocator.read_problem_file(
+        args.problem, budget=args.budget, lam=args.lam, min_rate=args.min_rate
+    )
     try:
         result = allocator.allocate(problem)
     except NotConverged as exc:

@@ -18,8 +18,7 @@ run_to_convergence is the loop's one entry point. Its first pass has no
 models yet, so it drives each frame toward the uniform budget share,
 which stands in for an encoder's default rate control; it searches every
 frame, starting from the previous frame's quantizer. Later passes
-alternate the allocator with a re-encode until the realized rates
-settle.
+alternate the allocator with a re-encode until no quantizer moves.
 
 One rule predicts the quantizer a frame will commit: the search's own
 nearest-rate rule, run on rates predicted from one encode (qp, rate)
@@ -65,7 +64,7 @@ from __future__ import annotations
 import logging
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -80,9 +79,6 @@ log = logging.getLogger("lfalloc.encodesim")
 
 QP_MIN = 0
 QP_MAX = 51
-
-# Relative per-frame rate change below which the loop counts as settled.
-RATE_CHANGE_TOL = 0.01
 
 # Re-allocations against reference-corrected models before each re-encode.
 ANTICIPATION_ROUNDS = 4
@@ -209,8 +205,8 @@ class IterationEntry:
     models: dict[FrameCoord, RDModelParams]
     cost: CostBreakdown
     wpsnr_db: float
-    qp_slopes: dict[FrameCoord, float] = field(default_factory=dict)
-    ref_elasticities: dict[FrameCoord, float] = field(default_factory=dict)
+    qp_slopes: dict[FrameCoord, float]
+    ref_elasticities: dict[FrameCoord, float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,7 +392,7 @@ def _held_fit(
     if previous is None or qp != previous.qps[coord]:
         return None
     rate, sse = adapter.encode_frame(coord, qp, ref_state)
-    slope = previous.qp_slopes.get(coord, 0.0)
+    slope = previous.qp_slopes[coord]
     if not (slope < 0.0 and _predicted_commit(qp, rate, slope, target_rate) == qp):
         return None
     model = previous.models[coord]
@@ -424,7 +420,7 @@ def _reference_elasticities(
     if previous is None:
         return elasticities
     for ref, coord in zip(order, order[1:]):
-        elasticity = previous.ref_elasticities.get(coord, 0.0)
+        elasticity = previous.ref_elasticities[coord]
         ref_shift = math.log(sses[ref] / previous.sses[ref])
         if abs(ref_shift) > ELASTICITY_MIN_SHIFT:
             new, old = models[coord], previous.models[coord]
@@ -468,10 +464,7 @@ def _encode_pass(
         try:
             if previous is not None:
                 qp = _predicted_commit(
-                    previous.qps[coord],
-                    previous.rates[coord],
-                    previous.qp_slopes.get(coord, 0.0),
-                    target,
+                    previous.qps[coord], previous.rates[coord], previous.qp_slopes[coord], target
                 )
             held = _held_fit(adapter, previous, coord, qp, target, ref)
             if held is None:
@@ -512,7 +505,7 @@ def run_to_convergence(
     *,
     min_rate: float | None = None,
 ) -> IterationTrace:
-    """Alternate allocation and re-encoding until the rates settle.
+    """Alternate allocation and re-encoding until no quantizer moves.
 
     Budget, lambda and min_rate are checked by AllocationProblem's rules
     before the first encode. The first pass drives every frame toward the
@@ -520,12 +513,13 @@ def run_to_convergence(
     allocation against the previous pass's models, corrected by
     _anticipated for the reference each frame is predicted to see; the
     first two passes are never corrected, since the first pass leaves
-    every reference elasticity at 0. The per-pass INFO line counts held
-    frames and the targets outside the quantizer range (committed at
-    QP_MAX above the target or at QP_MIN below it). Settled means the
-    largest relative per-frame rate change between two consecutive passes
-    falls below RATE_CHANGE_TOL. Hitting max_iters first, or a pass that
-    repeats an earlier pass's qps, rates, qp slopes and models (the whole
+    every reference elasticity at 0. The per-pass INFO line counts the
+    quantizers that moved, held frames and the targets outside the
+    quantizer range (committed at QP_MAX above the target or at QP_MIN
+    below it). Settled means the pass committed the previous pass's
+    quantizer for every frame; under the adapter's determinism contract
+    it then repeats the previous pass's encodes exactly. Hitting max_iters
+    first, or a pass that repeats an earlier pass's _pass_state (the whole
     input of the next pass, so the loop would cycle for good), leaves
     converged False; the trace is returned either way. An allocator that
     runs out of iterations contributes its best feasible iterate instead
@@ -534,7 +528,7 @@ def run_to_convergence(
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    # Every pass after the first swaps its models into this problem; the
+    # _anticipated swaps each pass's models into this problem; the
     # placeholder models only let it check the scalars up front.
     placeholder = dict.fromkeys(grid.coding_order, RDModelParams(alpha=1.0, beta=-1.0))
     problem = AllocationProblem(grid, weights, placeholder, budget, lam, min_rate)
@@ -545,22 +539,20 @@ def run_to_convergence(
     converged = False
     for _ in range(max_iters - 1):
         previous = entries[-1]
-        problem = replace(problem, models=previous.models)
-        allocation = _anticipated(problem, previous, _allocate(problem))
+        allocation = _anticipated(problem, previous)
         entry = _encode_pass(adapter, grid, weights, lam, allocation.rates, previous)
         entries.append(entry)
-        moves = zip(grid.align(entry.rates, "rates"), grid.align(previous.rates, "rates"))
-        change = max(abs(new - old) / old for new, old in moves)
+        moved = sum(qp != previous.qps[coord] for coord, qp in entry.qps.items())
         log.info(
-            "iteration %d: cost %.6g, max rate change %.4f, %d frames held, "
+            "iteration %d: cost %.6g, %d quantizers moved, %d frames held, "
             "%d targets outside the quantizer range",
             len(entries),
             entry.cost.total,
-            change,
+            moved,
             sum(model.sample_count == 1 for model in entry.models.values()),
             _out_of_range(entry, allocation.rates),
         )
-        if change < RATE_CHANGE_TOL:
+        if moved == 0:
             converged = True
             break
         state = _pass_state(grid, entry)
@@ -608,8 +600,8 @@ def _reference_scales(
     scales = {}
     ref_ratio = 1.0
     for coord in grid.coding_order:
-        scale = ref_ratio ** previous.ref_elasticities.get(coord, 0.0)
-        qp, slope = previous.qps[coord], previous.qp_slopes.get(coord, 0.0)
+        scale = ref_ratio ** previous.ref_elasticities[coord]
+        qp, slope = previous.qps[coord], previous.qp_slopes[coord]
         shift = _predicted_commit(qp, previous.rates[coord], slope, targets[coord]) - qp
         rate_ratio = 2.0 ** (slope * shift)
         ref_ratio = scale * rate_ratio ** previous.models[coord].beta
@@ -617,27 +609,29 @@ def _reference_scales(
     return scales
 
 
-def _anticipated(
-    problem: AllocationProblem, previous: IterationEntry, allocation: AllocationResult
-) -> AllocationResult:
-    """Allocation against models corrected for the references of the next pass.
+def _anticipated(problem: AllocationProblem, previous: IterationEntry) -> AllocationResult:
+    """Allocation against previous's models corrected for the references of
+    the next pass.
 
-    Up to ANTICIPATION_ROUNDS times: scale each frame's alpha in the
-    previous pass's models by _reference_scales at the current targets and
-    allocate again. Stops early when the scales repeat, so a state where
-    every frame holds keeps the unscaled allocation. Costs no encodes.
+    Round 0 allocates against the models as they are. Each of up to
+    ANTICIPATION_ROUNDS more rounds scales each frame's alpha by
+    _reference_scales at the last round's targets and allocates again. It
+    stops early when the scales repeat, so a state where every frame holds
+    keeps the plain allocation. Costs no encodes.
     """
     scales = dict.fromkeys(problem.grid.coding_order, 1.0)
-    for _ in range(ANTICIPATION_ROUNDS):
-        update = _reference_scales(problem.grid, previous, allocation.rates)
-        if update == scales:
-            break
-        scales = update
+    for round_ in range(ANTICIPATION_ROUNDS + 1):
         models = {
             coord: replace(model, alpha=model.alpha * scales[coord])
             for coord, model in previous.models.items()
         }
         allocation = _allocate(replace(problem, models=models))
+        if round_ == ANTICIPATION_ROUNDS:
+            break
+        update = _reference_scales(problem.grid, previous, allocation.rates)
+        if update == scales:
+            break
+        scales = update
     return allocation
 
 
@@ -652,8 +646,9 @@ def _out_of_range(entry: IterationEntry, targets: dict[FrameCoord, float]) -> in
 
 
 def _pass_state(grid: FrameGrid, entry: IterationEntry) -> tuple:
-    """Everything of a pass that the next pass depends on, per frame."""
-    tables = (entry.qps, entry.rates, entry.qp_slopes, entry.models, entry.ref_elasticities)
+    """Everything of a pass that the next pass depends on, per frame. The
+    qps fix the rates, since encoding is deterministic."""
+    tables = (entry.qps, entry.qp_slopes, entry.models, entry.ref_elasticities)
     return tuple(zip(*(grid.align(table, "pass") for table in tables)))
 
 

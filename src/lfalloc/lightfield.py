@@ -131,13 +131,22 @@ class WeightSet:
 
 def frame_weight(weight_map) -> float:
     """Reduce a frame's per-pixel weight map, a non-empty 2-d array of
-    finite nonnegative values, to its mean."""
+    finite nonnegative values, to its mean.
+
+    A map whose sum overflows is averaged in units of its largest value,
+    so the mean of finite values is finite.
+    """
     weights = np.asarray(weight_map, dtype=float)
     if weights.ndim != 2 or weights.size == 0:
         raise ValueError("weight map must be a non-empty 2-d array")
     if not np.all(np.isfinite(weights) & (weights >= 0.0)):
         raise ValueError("weight map must be finite and nonnegative")
-    return float(np.mean(weights))
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(weights))
+    if mean == math.inf:
+        peak = float(np.max(weights))
+        mean = peak * float(np.mean(weights / peak))
+    return mean
 
 
 def unify_weights(raw: dict[FrameCoord, float]) -> WeightSet:

@@ -58,27 +58,17 @@ def _aligned(grid: FrameGrid, weights: WeightSet, distortions: DistortionSet):
     return w, np.array(grid.align(distortions.sse, "SSE"))
 
 
-def _discontinuity(grid: FrameGrid, w: np.ndarray, d: np.ndarray) -> float:
-    pairs = grid.coupled_pairs
-    gate = np.minimum(w[pairs.i], w[pairs.j])
-    gap = d[pairs.i] - d[pairs.j]
-    return float(np.sum(pairs.delta * (gate * gap) ** 2))
-
-
-def discontinuity(grid: FrameGrid, weights: WeightSet, distortions: DistortionSet) -> float:
-    """Proximity-weighted squared SSE gaps, summed over ordered frame pairs.
-
-    Each unordered pair is counted twice (once per direction); a frame is
-    never paired with itself. The smaller of the two unified weights gates
-    every pair, so a frame nobody cares about cannot create discontinuity.
-    """
-    return _discontinuity(grid, *_aligned(grid, weights, distortions))
-
-
 def cost(
     grid: FrameGrid, weights: WeightSet, distortions: DistortionSet, lam: float
 ) -> CostBreakdown:
-    """Joint cost: weighted distortion plus lam times sqrt(discontinuity)."""
+    """Joint cost: weighted distortion plus lam times sqrt(discontinuity).
+
+    The discontinuity sums proximity-weighted squared SSE gaps over ordered
+    frame pairs: each unordered pair is counted twice (once per direction)
+    and a frame is never paired with itself. The smaller of the two unified
+    weights gates every pair, so a frame nobody cares about cannot create
+    discontinuity.
+    """
     return joint_cost(grid, *_aligned(grid, weights, distortions), lam)
 
 
@@ -87,7 +77,9 @@ def joint_cost(grid: FrameGrid, w: np.ndarray, d: np.ndarray, lam: float) -> Cos
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
     wd = float(np.sum(w * w * d))
-    disc = _discontinuity(grid, w, d)
+    pairs = grid.coupled_pairs
+    gate = np.minimum(w[pairs.i], w[pairs.j])
+    disc = float(np.sum(pairs.delta * (gate * (d[pairs.i] - d[pairs.j])) ** 2))
     return CostBreakdown(
         weighted_distortion=wd,
         discontinuity=disc,

@@ -22,7 +22,6 @@ from lfalloc import (
     bd_rate,
     build_cone_penalty,
     cost,
-    discontinuity,
     fit_power_model,
     penalized_objective,
     run_to_convergence,
@@ -275,7 +274,7 @@ def test_05_discontinuity_hand_values():
         grid = spiral_order(2, 1)
         weights = unify_weights({FrameCoord(0, 0): 1.0, FrameCoord(1, 0): 1.0})
         pair = DistortionSet({FrameCoord(0, 0): 1.0, FrameCoord(1, 0): 3.0})
-        value = discontinuity(grid, weights, pair)
+        value = cost(grid, weights, pair, 0.0).discontinuity
         assert value == 16.0
         assert np.sqrt(value) == 4.0
         breakdown = cost(grid, weights, pair, lam=5.0)
@@ -283,10 +282,10 @@ def test_05_discontinuity_hand_values():
         assert breakdown.total == 24.0
 
         uniform = DistortionSet({FrameCoord(0, 0): 7.5, FrameCoord(1, 0): 7.5})
-        assert discontinuity(grid, weights, uniform) == 0.0
+        assert cost(grid, weights, uniform, 0.0).discontinuity == 0.0
 
         shifted = DistortionSet({FrameCoord(0, 0): 11.0, FrameCoord(1, 0): 13.0})
-        assert discontinuity(grid, weights, shifted) == value
+        assert cost(grid, weights, shifted, 0.0).discontinuity == value
 
 
 def test_06_wpsnr_anchor():
@@ -384,10 +383,10 @@ def test_09_end_to_end_improvement():
             lam=0.0,
             max_iters=8,
         )
-        smooth_c = discontinuity(setup.grid, setup.weights, DistortionSet(last.sses))
-        plain_c = discontinuity(
-            setup.grid, setup.weights, DistortionSet(plain.entries[-1].sses)
-        )
+        smooth_c = cost(setup.grid, setup.weights, DistortionSet(last.sses), 0.0).discontinuity
+        plain_c = cost(
+            setup.grid, setup.weights, DistortionSet(plain.entries[-1].sses), 0.0
+        ).discontinuity
         assert smooth_c <= plain_c
 
 

@@ -18,7 +18,7 @@ from lfalloc import (
     RDModelParams,
     allocate,
     build_cone_penalty,
-    discontinuity,
+    cost,
     eval_model,
     evaluate_cost,
     penalized_objective,
@@ -389,7 +389,7 @@ class TestConePenalty:
         vec = np.array([step1.rates[c] for c in problem.grid.coding_order])
         norm_sq = float(penalty.residual(vec) @ penalty.residual(vec))
         sse = {c: eval_model(problem.models[c], r) for c, r in step1.rates.items()}
-        reference = discontinuity(problem.grid, problem.weights, DistortionSet(sse))
+        reference = cost(problem.grid, problem.weights, DistortionSet(sse), 0.0).discontinuity
         assert norm_sq == pytest.approx(reference, rel=1e-10)
 
     def test_nonpositive_expansion_rate(self):

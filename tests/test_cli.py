@@ -132,6 +132,25 @@ class TestAllocateCommand:
         _, diagnostics = read_allocation_file(output)
         assert diagnostics["budget_used"] == pytest.approx(8e6, rel=1e-9)
 
+    def test_budget_override_moves_the_default_floor(self, tmp_path, capsys):
+        problem = self.problem_path(tmp_path)
+        floorless = tmp_path / "floorless.txt"
+        lines = problem.read_text().splitlines(keepends=True)
+        floorless.write_text("".join(ln for ln in lines if not ln.startswith("min_rate:")))
+        output = tmp_path / "alloc.csv"
+        argv = ["allocate", str(floorless), "--budget", "3e3", "--output", str(output)]
+        assert main(argv) == EXIT_OK
+        rates, diagnostics = read_allocation_file(output)
+        assert diagnostics["budget_used"] == pytest.approx(3e3, rel=1e-9)
+        assert min(rates.values()) >= 0.75
+        # A floor given in the file or by --min-rate still wins.
+        argv[1] = str(problem)
+        assert main(argv) == EXIT_INFEASIBLE
+        assert "rate floor 10000.0 x 4 frames exceeds budget 3000.0" in capsys.readouterr().err
+        argv[1] = str(floorless)
+        assert main(argv + ["--min-rate", "1e3"]) == EXIT_INFEASIBLE
+        capsys.readouterr()
+
     def test_infeasible_floor_exit_code(self, tmp_path, capsys):
         problem = self.problem_path(tmp_path)
         code = main(

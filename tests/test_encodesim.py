@@ -19,6 +19,7 @@ from lfalloc import (
     MockEncoder,
     MockEncoderConfig,
     MockSetup,
+    NotConverged,
     ParseError,
     RDSample,
     allocate,
@@ -677,13 +678,15 @@ class TestReferenceAnticipation:
         )
         calls = []
         monkeypatch.setattr(encodesim, "allocate", lambda p: calls.append(p) or allocate(p))
-        assert encodesim._anticipated(problem, last, plain) is plain
-        assert calls == []
+        anticipated = encodesim._anticipated(problem, last)
+        assert len(calls) == 1
+        assert calls[0].models == last.models
+        assert anticipated.rates == plain.rates
 
     def test_unsettled_state_moves_the_allocation(self, coupled_setup):
         trace = self.run(coupled_setup, 5.0, 2, 2e7)
         problem, plain = self.plain(coupled_setup, trace.entries[1], 5.0, 2e7)
-        anticipated = encodesim._anticipated(problem, trace.entries[1], plain)
+        anticipated = encodesim._anticipated(problem, trace.entries[1])
         assert anticipated.rates != plain.rates
         assert sum(anticipated.rates.values()) == pytest.approx(2e7, rel=1e-9)
 
@@ -980,6 +983,35 @@ class TestRunToConvergence:
             for e in trace.entries[:-1]
         )
         assert "cycles with period 2" in caplog.text
+
+    def test_allocator_that_stops_short_carries_its_best_iterate(
+        self, decoupled_setup, monkeypatch, caplog
+    ):
+        carried, targets = [], []
+
+        def stopping_allocate(problem):
+            carried.append(allocate(problem))
+            raise NotConverged("iteration cap", result=carried[-1])
+
+        def recording_pass(adapter, grid, weights, lam, pass_targets, previous):
+            targets.append(pass_targets)
+            return _encode_pass(adapter, grid, weights, lam, pass_targets, previous)
+
+        monkeypatch.setattr(encodesim, "allocate", stopping_allocate)
+        monkeypatch.setattr(encodesim, "_encode_pass", recording_pass)
+        with caplog.at_level(logging.WARNING, logger="lfalloc.encodesim"):
+            trace = run_to_convergence(
+                MockEncoder(decoupled_setup.config),
+                decoupled_setup.grid,
+                decoupled_setup.weights,
+                2e7,
+                0.0,
+                8,
+            )
+        assert trace.converged
+        assert len(targets) == len(trace.entries) >= 2
+        assert all(any(t is c.rates for c in carried) for t in targets[1:])
+        assert "allocator did not fully converge" in caplog.text
 
     def test_deterministic_rerun(self, coupled_setup):
         def run():

@@ -34,6 +34,17 @@ class TestFrameWeight:
     def test_row_mean(self):
         assert frame_weight(np.array([[0.2, 0.5, 0.8]])) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "weight_map, mean",
+        [
+            (np.full((2, 2), 1e308), 1e308),
+            (np.array([[1.5e308, 1.5e308, 0.0, 0.0]]), 0.75e308),
+        ],
+    )
+    def test_mean_of_an_overflowing_sum_is_finite(self, weight_map, mean):
+        # Tests run with warnings as errors, so an overflow warning fails here.
+        assert frame_weight(weight_map) == pytest.approx(mean, rel=1e-15)
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             frame_weight(-np.ones((2, 2)))

@@ -19,7 +19,6 @@ from lfalloc import (
     RDPoint,
     bd_rate,
     cost,
-    discontinuity,
     read_curve_csv,
     read_sse_csv,
     spiral_order,
@@ -72,19 +71,19 @@ class TestDiscontinuity:
         grid, weights = pair_grid()
         d = DistortionSet({FrameCoord(0, 0): 1.0, FrameCoord(1, 0): 3.0})
         # Distance 1 leaves a gate of 2 per direction; gap is 2.
-        assert discontinuity(grid, weights, d) == 16.0
+        assert cost(grid, weights, d, 0.0).discontinuity == 16.0
 
     def test_uniform_distortion_is_zero(self):
         grid = spiral_order(3, 3)
         weights = unify_weights({c: 1.0 for c in grid.coding_order})
         d = DistortionSet({c: 123.0 for c in grid.coding_order})
-        assert discontinuity(grid, weights, d) == 0.0
+        assert cost(grid, weights, d, 0.0).discontinuity == 0.0
 
     def test_lone_positive_weight_is_zero(self):
         grid, _ = pair_grid()
         weights = unify_weights({FrameCoord(0, 0): 1.0, FrameCoord(1, 0): 0.0})
         d = DistortionSet({FrameCoord(0, 0): 1.0, FrameCoord(1, 0): 9.0})
-        assert discontinuity(grid, weights, d) == 0.0
+        assert cost(grid, weights, d, 0.0).discontinuity == 0.0
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
@@ -94,7 +93,7 @@ class TestDiscontinuity:
         d = DistortionSet(
             {c: float(v) for c, v in zip(grid.coding_order, rng.uniform(0.0, 1e6, 12))}
         )
-        fast = discontinuity(grid, weights, d)
+        fast = cost(grid, weights, d, 0.0).discontinuity
         slow = loop_discontinuity(grid, weights, d)
         assert fast == pytest.approx(slow, rel=1e-12)
 
@@ -113,13 +112,14 @@ class TestDiscontinuity:
         delta = np.maximum(0.0, 3.0 - dist)
         gate = np.minimum(w[:, None], w[None, :])
         dense = float(np.sum(delta * (gate * (sse[:, None] - sse[None, :])) ** 2))
-        assert discontinuity(grid, weights, d) == pytest.approx(dense, rel=1e-12)
+        assert cost(grid, weights, d, 0.0).discontinuity == pytest.approx(dense, rel=1e-12)
 
     def test_shift_invariance_exact(self):
         grid, weights = pair_grid()
         base = DistortionSet({FrameCoord(0, 0): 1.0, FrameCoord(1, 0): 3.0})
         shifted = DistortionSet({FrameCoord(0, 0): 11.0, FrameCoord(1, 0): 13.0})
-        assert discontinuity(grid, weights, base) == discontinuity(grid, weights, shifted)
+        disc = [cost(grid, weights, d, 0.0).discontinuity for d in (base, shifted)]
+        assert disc[0] == disc[1]
 
     @settings(derandomize=True, max_examples=25)
     @given(offset=st.floats(min_value=0.0, max_value=1e4))
@@ -127,10 +127,10 @@ class TestDiscontinuity:
         grid = spiral_order(2, 2)
         weights = unify_weights({c: 1.0 for c in grid.coding_order})
         values = {c: float(10 + 7 * i) for i, c in enumerate(grid.coding_order)}
-        base = discontinuity(grid, weights, DistortionSet(values))
-        moved = discontinuity(
-            grid, weights, DistortionSet({c: v + offset for c, v in values.items()})
-        )
+        base = cost(grid, weights, DistortionSet(values), 0.0).discontinuity
+        moved = cost(
+            grid, weights, DistortionSet({c: v + offset for c, v in values.items()}), 0.0
+        ).discontinuity
         assert moved == pytest.approx(base, rel=1e-9, abs=1e-6)
 
     def test_transpose_relabeling_invariance(self):
@@ -141,14 +141,14 @@ class TestDiscontinuity:
         flipped = spiral_order(3, 2)
         raw_t = {FrameCoord(c.v, c.u): raw[c] for c in grid.coding_order}
         sse_t = {FrameCoord(c.v, c.u): sse[c] for c in grid.coding_order}
-        a = discontinuity(grid, unify_weights(raw), DistortionSet(sse))
-        b = discontinuity(flipped, unify_weights(raw_t), DistortionSet(sse_t))
+        a = cost(grid, unify_weights(raw), DistortionSet(sse), 0.0).discontinuity
+        b = cost(flipped, unify_weights(raw_t), DistortionSet(sse_t), 0.0).discontinuity
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_missing_frame(self):
         grid, weights = pair_grid()
         with pytest.raises(IncompleteInput):
-            discontinuity(grid, weights, DistortionSet({FrameCoord(0, 0): 1.0}))
+            cost(grid, weights, DistortionSet({FrameCoord(0, 0): 1.0}), 0.0).discontinuity
 
 
 class TestCost:
