@@ -3,13 +3,13 @@
 Models are only as good as the encodes they were fitted on, and encodes
 depend on the rates the models suggested. The loop alternates the two:
 encode at the current targets, refit the models, re-solve the
-allocation, and stop once no quantizer moves. A frame whose quantizer
-moves is refit from its committed encode and the neighbouring quantizer
-on the far side of its target (2 encoder calls).
-A frame whose quantizer holds is encoded once, and its model keeps its
-exponent while the scale is rescaled to that encode (1 call, or none
-when its reference frame did not change either). The "held" column
-counts those frames per pass.
+allocation, and stop once no quantizer moves. A searched frame is refit
+from its committed encode and the neighbouring quantizer on the far side
+of its target (2 encoder calls). A frame whose quantizer holds, or moves
+by at most 3 steps from a model fitted on such a pair, is encoded once,
+and its model keeps its exponent while the scale is rescaled to that
+encode (1 call, or none when it holds and its reference frame did not
+change either). The "1-call" column counts those frames per pass.
 
 Moving one frame's quantizer changes the reference of the frame after
 it. From the second pass on, each frame carries a reference elasticity,
@@ -64,14 +64,14 @@ trace = run_to_convergence(
     max_iters=8,
 )
 
-print("pass  total rate     joint cost T   wPSNR (dB)  held  elast.")
+print("pass  total rate     joint cost T   wPSNR (dB)  1-call  elast.")
 for index, entry in enumerate(trace.entries, start=1):
     total_rate = sum(entry.rates.values())
-    held = sum(model.sample_count == 1 for model in entry.models.values())
+    one_call = sum(model.sample_count == 1 for model in entry.models.values())
     elasticity = sum(entry.ref_elasticities.values()) / (len(entry.ref_elasticities) - 1)
     print(
         f"{index:4d}  {total_rate:12.0f}  {entry.cost.total:14.1f}"
-        f"  {entry.wpsnr_db:10.4f}  {held:4d}  {elasticity:6.3f}"
+        f"  {entry.wpsnr_db:10.4f}  {one_call:6d}  {elasticity:6.3f}"
     )
 state = "converged" if trace.converged else "stopped unconverged"
 print(f"\n{state} after {len(trace.entries)} passes")

@@ -24,16 +24,20 @@ One rule predicts the quantizer a frame will commit: the search's own
 nearest-rate rule, run on rates predicted from one encode (qp, rate)
 along the log-linear rate-quantizer slope of the frame's last fit
 (_predicted_commit). Each re-encoded frame starts its search from the
-prediction made from its previous pass. When that is its previous
-quantizer (a held frame), the frame is encoded once there, and if the
-same rule applied to that encode keeps the quantizer, the encode is
-committed: beta and the slope carry over from the previous fit and alpha
-is rescaled to the encode. A held frame then costs 1 encoder call, or
-none when its reference did not change either. A held frame that the
-prediction does not confirm is searched like a moved one. Beta is never
-carried across a move; on a mock whose log-log slope varies with rate
-that keeps many loops from settling. A loop whose pass repeats an
-earlier pass exactly can never settle, so it stops there unconverged.
+prediction made from its previous pass. When that lies within CARRY_SPAN
+quantizers of its previous quantizer, and the frame's previous model was
+fitted from a pair unless the quantizer holds, the frame is encoded once
+there, and if the same rule applied to that encode keeps the quantizer,
+the encode is committed: beta and the slope carry over from the previous
+fit and alpha is rescaled to the encode. Such a frame costs 1 encoder
+call, or none when it holds and its reference did not change either. A
+frame the prediction does not confirm is searched like any other. Beta
+is carried only across a short move from a fresh pair fit. On a mock
+whose log-log slope varies with rate, a beta carried across moves of any
+span from any model keeps many loops from settling, and one carried
+across long moves, even from a pair fit, costs rate at equal quality. A
+loop whose pass repeats an earlier pass exactly can never settle, so it
+stops there unconverged.
 
 Each frame's distortion depends on its reference, so moving one frame's
 quantizer moves the models of the frames after it. Every pass estimates
@@ -86,6 +90,10 @@ ANTICIPATION_ROUNDS = 4
 # A reference whose log SSE moved by no more than this between two passes
 # leaves the frame's reference elasticity as it was.
 ELASTICITY_MIN_SHIFT = 1e-3
+
+# Widest quantizer move, from a pair-fitted previous commit, that a frame
+# may make on one encode with its beta and rate-qp slope carried over.
+CARRY_SPAN = 3
 
 
 class EncoderAdapter(ABC):
@@ -189,14 +197,15 @@ class IterationEntry:
     """Everything one pass over the sequence produced.
 
     qp_slopes holds each frame's least-squares slope of log2(rate) against
-    qp over its fit samples, carried over unchanged for a held frame.
-    _predicted_commit reads it for the next pass's search seed, held-frame
-    confirmation and anticipated commit. ref_elasticities holds each frame's reference elasticity,
-    the change of its log model SSE per unit change of its reference's
-    log SSE over the last two passes, clamped to [0, 1] (0 for the first
-    frame and throughout the first pass); the next allocation uses it to
-    anticipate the reference the frame will see. Both are kept in memory
-    only and are not part of the trace file.
+    qp over its fit samples, carried over unchanged for a frame committed
+    on one encode, whose model has sample_count 1. _predicted_commit reads
+    it for the next pass's search seed, one-encode confirmation and
+    anticipated commit. ref_elasticities holds each frame's reference
+    elasticity, the change of its log model SSE per unit change of its
+    reference's log SSE over the last two passes, clamped to [0, 1] (0 for
+    the first frame and throughout the first pass); the next allocation
+    uses it to anticipate the reference the frame will see. Both are kept
+    in memory only and are not part of the trace file.
     """
 
     qps: dict[FrameCoord, int]
@@ -355,9 +364,9 @@ def _fit_samples(
     quantizer search has measured. When the neighbour's rate equals the
     commit's, the pair widens: outward on that side to the first
     quantizer whose rate differs, then on the other side. A rate that is
-    the same at every quantizer raises InsufficientSamples. A held frame
-    that _held_fit confirms needs none of these: its one encode rescales
-    the previous model's alpha.
+    the same at every quantizer raises InsufficientSamples. A frame that
+    _carried_fit confirms needs none of these: its one encode rescales the
+    previous model's alpha.
     """
     rate, sse = adapter.encode_frame(coord, qp, ref_state)
     step = 1 if rate > target_rate else -1
@@ -374,7 +383,7 @@ def _fit_samples(
     raise InsufficientSamples(f"frame ({coord.u},{coord.v}): rate {rate!r} at every quantizer")
 
 
-def _held_fit(
+def _carried_fit(
     adapter: EncoderAdapter,
     previous: IterationEntry | None,
     coord: FrameCoord,
@@ -382,20 +391,25 @@ def _held_fit(
     target_rate: float,
     ref_state: Any,
 ) -> tuple[float, float, RDModelParams, float] | None:
-    """(rate, sse, model, slope) of a held frame from one encode at qp.
+    """(rate, sse, model, slope) of a frame committed on one encode at qp.
 
-    None unless qp is the frame's previous qp, its kept rate-qp slope is
-    negative, and _predicted_commit from the encode confirms qp. The model
-    keeps the previous beta, with alpha rescaled so that it passes through
-    the encode, and the slope carries over.
+    None unless qp lies within CARRY_SPAN of the frame's previous qp, the
+    previous model was fitted from a pair when qp differs from the
+    previous qp, the kept rate-qp slope is negative, and _predicted_commit
+    from the encode confirms qp. The model keeps the previous beta, with
+    alpha rescaled so that it passes through the encode, and the slope
+    carries over.
     """
-    if previous is None or qp != previous.qps[coord]:
+    if previous is None:
+        return None
+    model = previous.models[coord]
+    shift = abs(qp - previous.qps[coord])
+    if shift > CARRY_SPAN or (shift and model.sample_count != 2):
         return None
     rate, sse = adapter.encode_frame(coord, qp, ref_state)
     slope = previous.qp_slopes[coord]
     if not (slope < 0.0 and _predicted_commit(qp, rate, slope, target_rate) == qp):
         return None
-    model = previous.models[coord]
     return rate, sse, replace(model, alpha=sse / rate ** model.beta, sample_count=1), slope
 
 
@@ -442,16 +456,17 @@ def _encode_pass(
     """One pass over the sequence in coding order toward targets, a rate
     per frame (IncompleteInput names a frame it misses).
 
-    Per frame, a held frame (one whose _predicted_commit from its
-    previous pass is that pass's qp) is encoded once at that qp, and when
-    _held_fit confirms it that encode is committed with _held_fit's model
-    and slope. Every other frame, and a held frame that _held_fit does
-    not confirm, searches the quantizer nearest the target rate
-    (_qp_for_target), starting from _predicted_commit, or in the first
-    pass (previous None) from the previous frame's answer (the middle of
-    the range for the first frame); commits it (encoding is deterministic
-    in (coord, qp, ref_state), so the search's measurement is the
-    committed encode); and refits the model and the slope from
+    Per frame, the quantizer is first predicted by _predicted_commit from
+    the previous pass. A frame that qualifies for _carried_fit (a move of
+    at most CARRY_SPAN, from a pair fit unless the qp holds) is encoded
+    once at that qp, and when _carried_fit confirms it that encode is
+    committed with _carried_fit's model and slope. Every other frame, and
+    one that _carried_fit does not confirm, searches the quantizer nearest
+    the target rate (_qp_for_target), starting from _predicted_commit, or
+    in the first pass (previous None) from the previous frame's answer
+    (the middle of the range for the first frame); commits it (encoding is
+    deterministic in (coord, qp, ref_state), so the search's measurement
+    is the committed encode); and refits the model and the slope from
     _fit_samples. Then the chain advances. After the pass, each frame's
     reference elasticity is estimated from the change since previous.
     The adapter sees every encode of the pass: a search's samples are
@@ -466,14 +481,14 @@ def _encode_pass(
                 qp = _predicted_commit(
                     previous.qps[coord], previous.rates[coord], previous.qp_slopes[coord], target
                 )
-            held = _held_fit(adapter, previous, coord, qp, target, ref)
-            if held is None:
+            carried = _carried_fit(adapter, previous, coord, qp, target, ref)
+            if carried is None:
                 qp = _qp_for_target(lambda q: adapter.encode_frame(coord, q, ref)[0], target, qp)
                 samples = _fit_samples(adapter, coord, qp, target, ref)
                 rate, sse = next((s.rate, s.sse) for s in samples if s.qp == qp)
                 model, slope = fit_power_model(samples), _log2_rate_slope(samples)
             else:
-                rate, sse, model, slope = held
+                rate, sse, model, slope = carried
         except EncodeFailed as exc:
             raise EncodeFailed(f"frame ({coord.u},{coord.v}): {exc}") from exc
         qps[coord] = qp
@@ -514,17 +529,19 @@ def run_to_convergence(
     _anticipated for the reference each frame is predicted to see; the
     first two passes are never corrected, since the first pass leaves
     every reference elasticity at 0. The per-pass INFO line counts the
-    quantizers that moved, held frames and the targets outside the
-    quantizer range (committed at QP_MAX above the target or at QP_MIN
-    below it). Settled means the pass committed the previous pass's
-    quantizer for every frame; under the adapter's determinism contract
-    it then repeats the previous pass's encodes exactly. Hitting max_iters
-    first, or a pass that repeats an earlier pass's _pass_state (the whole
-    input of the next pass, so the loop would cycle for good), leaves
-    converged False; the trace is returned either way. An allocator that
-    runs out of iterations contributes its best feasible iterate instead
-    of aborting the loop. The adapter sees each (coord, qp, ref_state) at
-    most once per call.
+    pass's new encoder calls and cache hits (the growth of the run's
+    cache) and, for a re-encode pass, the quantizers that moved, the
+    frames committed on one encode and the targets outside the quantizer
+    range (committed at QP_MAX above the target or at QP_MIN below it).
+    Settled means the pass committed the previous pass's quantizer for
+    every frame; under the adapter's determinism contract it then repeats
+    the previous pass's encodes exactly. Hitting max_iters first, or a
+    pass that repeats an earlier pass's _pass_state (the whole input of
+    the next pass, so the loop would cycle for good), leaves converged
+    False; the trace is returned either way. An allocator that runs out of
+    iterations contributes its best feasible iterate instead of aborting
+    the loop. The adapter sees each (coord, qp, ref_state) at most once
+    per call.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -535,19 +552,28 @@ def run_to_convergence(
     adapter = _EncodeCache(adapter)
     share = dict.fromkeys(grid.coding_order, budget / grid.n_frames)
     entries = [_encode_pass(adapter, grid, weights, lam, share, None)]
+    log.info(
+        "iteration 1: cost %.6g, %d encoder calls, %d cache hits",
+        entries[0].cost.total,
+        len(adapter.results),
+        adapter.hits,
+    )
     seen = {_pass_state(grid, entries[0]): 1}
     converged = False
     for _ in range(max_iters - 1):
         previous = entries[-1]
+        calls, hits = len(adapter.results), adapter.hits
         allocation = _anticipated(problem, previous)
         entry = _encode_pass(adapter, grid, weights, lam, allocation.rates, previous)
         entries.append(entry)
         moved = sum(qp != previous.qps[coord] for coord, qp in entry.qps.items())
         log.info(
-            "iteration %d: cost %.6g, %d quantizers moved, %d frames held, "
-            "%d targets outside the quantizer range",
+            "iteration %d: cost %.6g, %d encoder calls, %d cache hits, %d quantizers moved, "
+            "%d committed on one encode, %d targets outside the quantizer range",
             len(entries),
             entry.cost.total,
+            len(adapter.results) - calls,
+            adapter.hits - hits,
             moved,
             sum(model.sample_count == 1 for model in entry.models.values()),
             _out_of_range(entry, allocation.rates),

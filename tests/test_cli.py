@@ -1,7 +1,10 @@
 """Command-line workflow: subcommands, exit codes, and output formats."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -51,6 +54,8 @@ from lfalloc.encodesim import ParsedTrace, ParsedTraceIteration
 from lfalloc.lightfield import grid_to_text
 from test_allocator import coupled_square
 from test_encodesim import small_grid_setup
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 REFERENCE_PAIRS = ((4.46e7, -0.261), (1.96e8, -0.383), (6.93e7, -0.284))
 
@@ -268,6 +273,33 @@ class TestSimulateCommand:
         )
         calls, hits = (int(part.split()[-1]) for part in line.split(","))
         assert calls > 0 and hits > 0
+
+    def test_info_log_counts_each_pass(self, tmp_path, coupled_setup):
+        config = self.config_path(tmp_path, coupled_setup)
+        argv = ["simulate", str(config), "--budget", "2e7", "--lambda", "5"]
+        env = dict(os.environ, LFALLOC_LOG="INFO")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lfalloc.cli", *argv, "--output", "t.csv"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        passes = int(re.search(r"after (\d+) iterations", done.stdout).group(1))
+        calls = int(re.search(r"^encoder calls (\d+),", done.stdout, re.M).group(1))
+        first = re.findall(
+            r"iteration 1: cost \S+, (\d+) encoder calls, \d+ cache hits$", done.stderr, re.M
+        )
+        re_encodes = re.findall(
+            r"iteration (\d+): cost \S+, (\d+) encoder calls, \d+ cache hits, "
+            r"\d+ quantizers moved, \d+ committed on one encode",
+            done.stderr,
+        )
+        assert passes > 2 and len(first) == 1
+        assert [int(index) for index, _ in re_encodes] == list(range(2, passes + 1))
+        assert int(first[0]) + sum(int(count) for _, count in re_encodes) == calls
 
     @pytest.mark.parametrize(
         "option, value, name",
