@@ -240,6 +240,12 @@ def project_rates(rates: np.ndarray, budget: float, min_rate) -> np.ndarray:
     counts = np.arange(1, y.size + 1)
     thresholds = (cumulative - slack) / counts
     support = np.nonzero(u - thresholds > 0.0)[0]
+    if not support.size:
+        # The largest shifted value is always in the support, but rounding
+        # drops it when it dwarfs the slack; it alone then takes the slack.
+        top = np.zeros(y.size)
+        top[np.argmax(y)] = slack
+        return top + lower
     theta = thresholds[support[-1]]
     return np.maximum(y - theta, 0.0) + lower
 

@@ -28,6 +28,7 @@ from .errors import (
     InsufficientPoints,
     InsufficientSamples,
     LfallocError,
+    ModelOutOfRange,
     NoOverlap,
     NonDecreasingRD,
     NotConverged,
@@ -41,7 +42,7 @@ EXIT_MODEL = 3
 EXIT_INFEASIBLE = 4
 EXIT_METRIC = 5
 
-_MODEL_ERRORS = (InsufficientSamples, NonDecreasingRD)
+_MODEL_ERRORS = (InsufficientSamples, ModelOutOfRange, NonDecreasingRD)
 _METRIC_ERRORS = (DomainError, InsufficientPoints, NoOverlap)
 
 

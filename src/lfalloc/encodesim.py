@@ -39,6 +39,18 @@ across long moves, even from a pair fit, costs rate at equal quality. A
 loop whose pass repeats an earlier pass exactly can never settle, so it
 stops there unconverged.
 
+At lambda 0 the allocation is separable: a frame's target depends only
+on its own model and the one budget multiplier, as in the frame-level
+step of HM's R-lambda rate control (JCTVC-K0103). So once a frame above
+the floor is committed at its real reference, it is retargeted to the
+rate at which its measured model's marginal distortion equals the one
+the allocation planned at its target. When that moves the predicted
+quantizer, the frame is encoded once there, and searched only when the
+prediction from that encode does not confirm it. At a fixed point the
+measured model is the planned one, so the target is kept. At lambda > 0
+a frame's optimum also depends on its neighbours' models through the
+consistency term, and no frame is retargeted.
+
 Each frame's distortion depends on its reference, so moving one frame's
 quantizer moves the models of the frames after it. Every pass estimates
 per frame a reference elasticity: the change of the frame's log model
@@ -70,7 +82,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import records
 from .allocator import AllocationProblem, AllocationResult, allocate
@@ -204,8 +216,10 @@ class IterationEntry:
     elasticity, the change of its log model SSE per unit change of its
     reference's log SSE over the last two passes, clamped to [0, 1] (0 for
     the first frame and throughout the first pass); the next allocation
-    uses it to anticipate the reference the frame will see. Both are kept
-    in memory only and are not part of the trace file.
+    uses it to anticipate the reference the frame will see. retargets maps
+    each frame re-encoded toward a new target within the pass (lambda 0
+    only) to that target rate. All three are kept in memory only and are
+    not part of the trace file.
     """
 
     qps: dict[FrameCoord, int]
@@ -216,6 +230,7 @@ class IterationEntry:
     wpsnr_db: float
     qp_slopes: dict[FrameCoord, float]
     ref_elasticities: dict[FrameCoord, float]
+    retargets: dict[FrameCoord, float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,6 +398,45 @@ def _fit_samples(
     raise InsufficientSamples(f"frame ({coord.u},{coord.v}): rate {rate!r} at every quantizer")
 
 
+class _Commit(NamedTuple):
+    """A frame's committed encode, its model and its log2 rate-qp slope."""
+
+    qp: int
+    rate: float
+    sse: float
+    model: RDModelParams
+    slope: float
+
+
+def _searched(
+    adapter: EncoderAdapter, coord: FrameCoord, target_rate: float, start: int, ref_state: Any
+) -> _Commit:
+    """The quantizer nearest target_rate, searched from start, with its
+    model and slope fitted from _fit_samples."""
+    qp = _qp_for_target(lambda q: adapter.encode_frame(coord, q, ref_state)[0], target_rate, start)
+    samples = _fit_samples(adapter, coord, qp, target_rate, ref_state)
+    rate, sse = next((s.rate, s.sse) for s in samples if s.qp == qp)
+    return _Commit(qp, rate, sse, fit_power_model(samples), _log2_rate_slope(samples))
+
+
+def _one_encode(
+    adapter: EncoderAdapter,
+    coord: FrameCoord,
+    qp: int,
+    target_rate: float,
+    ref_state: Any,
+    model: RDModelParams,
+    slope: float,
+) -> _Commit | None:
+    """The encode at qp, committed with model and the slope carried over and
+    model's alpha rescaled to the encode, or None unless the slope is
+    negative and _predicted_commit from the encode confirms qp."""
+    rate, sse = adapter.encode_frame(coord, qp, ref_state)
+    if not (slope < 0.0 and _predicted_commit(qp, rate, slope, target_rate) == qp):
+        return None
+    return _Commit(qp, rate, sse, replace(model, alpha=sse / rate ** model.beta), slope)
+
+
 def _carried_fit(
     adapter: EncoderAdapter,
     previous: IterationEntry | None,
@@ -390,15 +444,13 @@ def _carried_fit(
     qp: int,
     target_rate: float,
     ref_state: Any,
-) -> tuple[float, float, RDModelParams, float] | None:
-    """(rate, sse, model, slope) of a frame committed on one encode at qp.
+) -> _Commit | None:
+    """_one_encode at qp from the frame's previous model and slope, as a
+    model of sample_count 1.
 
-    None unless qp lies within CARRY_SPAN of the frame's previous qp, the
-    previous model was fitted from a pair when qp differs from the
-    previous qp, the kept rate-qp slope is negative, and _predicted_commit
-    from the encode confirms qp. The model keeps the previous beta, with
-    alpha rescaled so that it passes through the encode, and the slope
-    carries over.
+    None unless qp lies within CARRY_SPAN of the frame's previous qp and
+    the previous model was fitted from a pair when qp differs from the
+    previous qp, or when _one_encode does not confirm qp.
     """
     if previous is None:
         return None
@@ -406,11 +458,24 @@ def _carried_fit(
     shift = abs(qp - previous.qps[coord])
     if shift > CARRY_SPAN or (shift and model.sample_count != 2):
         return None
-    rate, sse = adapter.encode_frame(coord, qp, ref_state)
-    slope = previous.qp_slopes[coord]
-    if not (slope < 0.0 and _predicted_commit(qp, rate, slope, target_rate) == qp):
-        return None
-    return rate, sse, replace(model, alpha=sse / rate ** model.beta, sample_count=1), slope
+    model, slope = replace(model, sample_count=1), previous.qp_slopes[coord]
+    return _one_encode(adapter, coord, qp, target_rate, ref_state, model, slope)
+
+
+def _retarget(planned: RDModelParams, target_rate: float, measured: RDModelParams) -> float:
+    """The rate at which measured's marginal distortion equals planned's at
+    target_rate: alpha_m |beta_m| t**(beta_m - 1) = alpha_p |beta_p| target**(beta_p - 1).
+
+    The frame's weight squared multiplies both sides and cancels. Computed
+    from ratios, so a measured model equal to the planned one returns
+    target_rate exactly; a rate outside floating-point range keeps it too.
+    """
+    exponent = 1.0 / (measured.beta - 1.0)
+    price = (planned.alpha / measured.alpha) * (planned.beta / measured.beta)
+    try:
+        return target_rate ** ((planned.beta - 1.0) * exponent) * price ** exponent
+    except ArithmeticError:
+        return target_rate
 
 
 def _reference_elasticities(
@@ -452,6 +517,7 @@ def _encode_pass(
     lam: float,
     targets: dict[FrameCoord, float],
     previous: IterationEntry | None,
+    planned: dict[FrameCoord, RDModelParams] | None = None,
 ) -> IterationEntry:
     """One pass over the sequence in coding order toward targets, a rate
     per frame (IncompleteInput names a frame it misses).
@@ -467,36 +533,48 @@ def _encode_pass(
     (the middle of the range for the first frame); commits it (encoding is
     deterministic in (coord, qp, ref_state), so the search's measurement
     is the committed encode); and refits the model and the slope from
-    _fit_samples. Then the chain advances. After the pass, each frame's
-    reference elasticity is estimated from the change since previous.
-    The adapter sees every encode of the pass: a search's samples are
-    read again by the fit, so give it a cache to encode each triple once.
+    _fit_samples. A frame that planned maps to the model its target was
+    allocated against is then retargeted (_retarget) from the model just
+    measured at its real reference; when _predicted_commit at the new
+    target moves its quantizer, the frame is encoded once there and that
+    encode is committed with the measured model and slope when
+    _predicted_commit from it confirms the move (_one_encode), else the
+    frame is searched and pair-fitted toward the new target. The reference
+    is the same, so the measured beta and slope carry exactly. Then the
+    chain advances. After the pass, each frame's reference elasticity is
+    estimated from the change since previous. The adapter sees every
+    encode of the pass: a search's samples are read again by the fit, so
+    give it a cache to encode each triple once.
     """
+    planned = planned or {}
     ref = adapter.initial_reference()
     qp = (QP_MIN + QP_MAX) // 2
-    qps, rates, sses, models, slopes = {}, {}, {}, {}, {}
+    qps, rates, sses, models, slopes, retargets = {}, {}, {}, {}, {}, {}
     for coord, target in zip(grid.coding_order, grid.align(targets, "targets")):
         try:
             if previous is not None:
                 qp = _predicted_commit(
                     previous.qps[coord], previous.rates[coord], previous.qp_slopes[coord], target
                 )
-            carried = _carried_fit(adapter, previous, coord, qp, target, ref)
-            if carried is None:
-                qp = _qp_for_target(lambda q: adapter.encode_frame(coord, q, ref)[0], target, qp)
-                samples = _fit_samples(adapter, coord, qp, target, ref)
-                rate, sse = next((s.rate, s.sse) for s in samples if s.qp == qp)
-                model, slope = fit_power_model(samples), _log2_rate_slope(samples)
-            else:
-                rate, sse, model, slope = carried
+            commit = _carried_fit(adapter, previous, coord, qp, target, ref)
+            if commit is None:
+                commit = _searched(adapter, coord, target, qp, ref)
+            if coord in planned:
+                retarget = _retarget(planned[coord], target, commit.model)
+                qp = _predicted_commit(commit.qp, commit.rate, commit.slope, retarget)
+                if qp != commit.qp:
+                    retargets[coord] = retarget
+                    commit = _one_encode(
+                        adapter, coord, qp, retarget, ref, commit.model, commit.slope
+                    ) or _searched(adapter, coord, retarget, qp, ref)
         except EncodeFailed as exc:
             raise EncodeFailed(f"frame ({coord.u},{coord.v}): {exc}") from exc
-        qps[coord] = qp
-        rates[coord] = rate
-        sses[coord] = sse
-        models[coord] = model
-        slopes[coord] = slope
-        ref = adapter.advance_reference(ref, rate, sse)
+        qp = qps[coord] = commit.qp
+        rates[coord] = commit.rate
+        sses[coord] = commit.sse
+        models[coord] = commit.model
+        slopes[coord] = commit.slope
+        ref = adapter.advance_reference(ref, commit.rate, commit.sse)
     breakdown = cost(grid, weights, DistortionSet(dict(sses)), lam)
     return IterationEntry(
         qps=qps,
@@ -507,6 +585,7 @@ def _encode_pass(
         wpsnr_db=wpsnr(breakdown.total, adapter.total_pixels),
         qp_slopes=slopes,
         ref_elasticities=_reference_elasticities(grid, previous, models, rates, sses),
+        retargets=retargets,
     )
 
 
@@ -528,11 +607,16 @@ def run_to_convergence(
     allocation against the previous pass's models, corrected by
     _anticipated for the reference each frame is predicted to see; the
     first two passes are never corrected, since the first pass leaves
-    every reference elasticity at 0. The per-pass INFO line counts the
-    pass's new encoder calls and cache hits (the growth of the run's
-    cache) and, for a re-encode pass, the quantizers that moved, the
-    frames committed on one encode and the targets outside the quantizer
-    range (committed at QP_MAX above the target or at QP_MIN below it).
+    every reference elasticity at 0. At lambda 0 the allocation is
+    separable, so each frame above the floor is retargeted within the
+    pass from the model measured at its real reference (_encode_pass);
+    floor frames, zero-weight ones among them, and every frame at lambda
+    > 0 keep their targets. The per-pass INFO line counts the pass's new
+    encoder calls and cache hits (the growth of the run's cache) and, for
+    a re-encode pass, the quantizers that moved, the frames committed on
+    one encode, the frames retargeted and the targets outside the
+    quantizer range (committed at QP_MAX above the target or at QP_MIN
+    below it).
     Settled means the pass committed the previous pass's quantizer for
     every frame; under the adapter's determinism contract it then repeats
     the previous pass's encodes exactly. Hitting max_iters first, or a
@@ -563,20 +647,28 @@ def run_to_convergence(
     for _ in range(max_iters - 1):
         previous = entries[-1]
         calls, hits = len(adapter.results), adapter.hits
-        allocation = _anticipated(problem, previous)
-        entry = _encode_pass(adapter, grid, weights, lam, allocation.rates, previous)
+        allocation, models = _anticipated(problem, previous)
+        # Only a lambda-0 allocation is separable, and a frame on the floor
+        # is not where its marginal meets the budget multiplier.
+        planned = {
+            coord: model
+            for coord, model in models.items()
+            if not lam and allocation.rates[coord] > problem.min_rate
+        }
+        entry = _encode_pass(adapter, grid, weights, lam, allocation.rates, previous, planned)
         entries.append(entry)
         moved = sum(qp != previous.qps[coord] for coord, qp in entry.qps.items())
         log.info(
             "iteration %d: cost %.6g, %d encoder calls, %d cache hits, %d quantizers moved, "
-            "%d committed on one encode, %d targets outside the quantizer range",
+            "%d committed on one encode, %d retargeted, %d targets outside the quantizer range",
             len(entries),
             entry.cost.total,
             len(adapter.results) - calls,
             adapter.hits - hits,
             moved,
             sum(model.sample_count == 1 for model in entry.models.values()),
-            _out_of_range(entry, allocation.rates),
+            len(entry.retargets),
+            _out_of_range(entry, allocation.rates | entry.retargets),
         )
         if moved == 0:
             converged = True
@@ -635,9 +727,12 @@ def _reference_scales(
     return scales
 
 
-def _anticipated(problem: AllocationProblem, previous: IterationEntry) -> AllocationResult:
+def _anticipated(
+    problem: AllocationProblem, previous: IterationEntry
+) -> tuple[AllocationResult, dict[FrameCoord, RDModelParams]]:
     """Allocation against previous's models corrected for the references of
-    the next pass.
+    the next pass, and the corrected models it was made against, which
+    _encode_pass retargets from at lambda 0.
 
     Round 0 allocates against the models as they are. Each of up to
     ANTICIPATION_ROUNDS more rounds scales each frame's alpha by
@@ -658,7 +753,7 @@ def _anticipated(problem: AllocationProblem, previous: IterationEntry) -> Alloca
         if update == scales:
             break
         scales = update
-    return allocation
+    return allocation, models
 
 
 def _out_of_range(entry: IterationEntry, targets: dict[FrameCoord, float]) -> int:

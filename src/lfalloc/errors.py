@@ -25,6 +25,10 @@ class NonDecreasingRD(LfallocError):
     """Fitted rate-distortion exponent is not negative."""
 
 
+class ModelOutOfRange(LfallocError):
+    """Fitted rate-distortion parameters lie outside floating-point range."""
+
+
 class DomainError(LfallocError):
     """Numeric argument outside the mathematical domain of an operation."""
 

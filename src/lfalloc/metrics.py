@@ -109,7 +109,8 @@ def bd_rate(anchor: list[RDPoint], test: list[RDPoint]) -> float:
 
     Classic form: fit log10(rate) as a cubic in quality for each curve,
     integrate both fits in closed form over the shared quality interval,
-    and convert the mean log-rate gap back to a percentage.
+    and convert the mean log-rate gap back to a percentage. A percentage
+    outside floating-point range raises DomainError.
     """
     curves = []
     for points in (anchor, test):
@@ -136,7 +137,13 @@ def bd_rate(anchor: list[RDPoint], test: list[RDPoint]) -> float:
         (np.polyval(int_test, hi) - np.polyval(int_test, lo))
         - (np.polyval(int_anchor, hi) - np.polyval(int_anchor, lo))
     ) / (hi - lo)
-    return float((10.0 ** avg_gap - 1.0) * 100.0)
+    try:
+        percent = (10.0 ** float(avg_gap) - 1.0) * 100.0
+    except OverflowError:
+        percent = math.inf
+    if not math.isfinite(percent):
+        raise DomainError("rate difference is outside floating-point range")
+    return percent
 
 
 def format_cost_breakdown(breakdown: CostBreakdown) -> str:

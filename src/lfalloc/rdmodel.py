@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import records
-from .errors import DomainError, InsufficientSamples, NonDecreasingRD
+from .errors import DomainError, InsufficientSamples, ModelOutOfRange, NonDecreasingRD
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,8 @@ def fit_power_model(samples: list[RDSample]) -> RDModelParams:
     """Fit alpha * rate**beta to samples by least squares on the logs.
 
     The slope of the log-log regression is beta and exp(intercept) is
-    alpha; r_squared is reported in the log domain.
+    alpha; r_squared is reported in the log domain. An alpha that over-
+    or underflows raises ModelOutOfRange.
     """
     if len({s.rate for s in samples}) < 2:
         raise InsufficientSamples(
@@ -73,8 +74,16 @@ def fit_power_model(samples: list[RDSample]) -> RDModelParams:
     intercept = float(y.mean() - slope * x.mean())
     residual = y - (intercept + slope * x)
     r_squared = 1.0 - float(residual @ residual) / ss_tot
+    try:
+        alpha = math.exp(intercept)
+    except OverflowError:
+        alpha = math.inf
+    if not 0.0 < alpha < math.inf:
+        raise ModelOutOfRange(
+            f"fitted alpha exp({intercept:.6g}) is outside floating-point range"
+        )
     return RDModelParams(
-        alpha=math.exp(intercept),
+        alpha=alpha,
         beta=slope,
         r_squared=r_squared,
         sample_count=len(samples),

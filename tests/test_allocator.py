@@ -205,6 +205,12 @@ class TestProjectRates:
             candidate = floor + rng.dirichlet(np.ones(n)) * slack * rng.uniform(0.0, 1.0)
             assert base <= float(np.linalg.norm(values - candidate)) + 1e-9
 
+    def test_value_that_dwarfs_the_slack_takes_it_all(self):
+        # Rounding leaves the sort rule no support here; the largest value
+        # is always in it.
+        out = project_rates(np.array([1e300, 1.0, 2.0]), 3e6, 1.0)
+        assert out.tolist() == [3e6 - 2.0, 1.0, 1.0]
+
     def test_idempotent(self):
         rng = np.random.default_rng(9)
         values = rng.uniform(-5.0, 25.0, 8)

@@ -53,9 +53,19 @@ from lfalloc.cli import (
 from lfalloc.encodesim import ParsedTrace, ParsedTraceIteration
 from lfalloc.lightfield import grid_to_text
 from test_allocator import coupled_square
-from test_encodesim import small_grid_setup
+from test_encodesim import seeded_mock, small_grid_setup
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(cwd, *argv, **env):
+    """`python -W error -m lfalloc.cli *argv` in cwd, with the package on the
+    path and env added to the environment."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    command = [sys.executable, "-W", "error", "-m", "lfalloc.cli", *argv]
+    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True)
+
 
 REFERENCE_PAIRS = ((4.46e7, -0.261), (1.96e8, -0.383), (6.93e7, -0.284))
 
@@ -101,6 +111,14 @@ class TestFitCommand:
         code = main(["fit", str(samples), "--output", str(tmp_path / "m.csv")])
         assert code == EXIT_MODEL
         assert "frame 0" in capsys.readouterr().err
+
+    def test_overflowing_alpha_is_model_error(self, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("frame_index,qp,rate_bits,sse\n0,30,1e300,1e-300\n0,31,2e300,1e-301\n")
+        done = run_cli(tmp_path, "fit", "samples.csv", "--output", "m.csv")
+        assert done.returncode == EXIT_MODEL
+        assert done.stderr.startswith("error: frame 0: fitted alpha exp(")
+        assert "Traceback" not in done.stderr and not (tmp_path / "m.csv").exists()
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = main(["fit", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "m.csv")])
@@ -277,16 +295,8 @@ class TestSimulateCommand:
     def test_info_log_counts_each_pass(self, tmp_path, coupled_setup):
         config = self.config_path(tmp_path, coupled_setup)
         argv = ["simulate", str(config), "--budget", "2e7", "--lambda", "5"]
-        env = dict(os.environ, LFALLOC_LOG="INFO")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "lfalloc.cli", *argv, "--output", "t.csv"],
-            cwd=tmp_path,
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
+        done = run_cli(tmp_path, *argv, "--output", "t.csv", LFALLOC_LOG="INFO")
+        assert done.returncode == EXIT_OK, done.stderr
         passes = int(re.search(r"after (\d+) iterations", done.stdout).group(1))
         calls = int(re.search(r"^encoder calls (\d+),", done.stdout, re.M).group(1))
         first = re.findall(
@@ -294,12 +304,14 @@ class TestSimulateCommand:
         )
         re_encodes = re.findall(
             r"iteration (\d+): cost \S+, (\d+) encoder calls, \d+ cache hits, "
-            r"\d+ quantizers moved, \d+ committed on one encode",
+            r"\d+ quantizers moved, \d+ committed on one encode, (\d+) retargeted",
             done.stderr,
         )
         assert passes > 2 and len(first) == 1
-        assert [int(index) for index, _ in re_encodes] == list(range(2, passes + 1))
-        assert int(first[0]) + sum(int(count) for _, count in re_encodes) == calls
+        assert [int(index) for index, _, _ in re_encodes] == list(range(2, passes + 1))
+        assert int(first[0]) + sum(int(count) for _, count, _ in re_encodes) == calls
+        # Only a lambda-0 pass retargets.
+        assert {retargeted for _, _, retargeted in re_encodes} == {"0"}
 
     @pytest.mark.parametrize(
         "option, value, name",
@@ -465,6 +477,16 @@ class TestBdrateCommand:
         write_curve_csv(anchor, a)
         assert main(["bdrate", str(a), str(a)]) == EXIT_METRIC
         capsys.readouterr()
+
+    def test_overflowing_rate_difference_is_metric_error(self, tmp_path):
+        anchor = [RDPoint(rate=float(i), quality=30.0 + i) for i in range(1, 5)]
+        test = [RDPoint(rate=1e308 * (0.5 + 0.1 * i), quality=30.0 + i) for i in range(1, 5)]
+        write_curve_csv(anchor, tmp_path / "anchor.csv")
+        write_curve_csv(test, tmp_path / "test.csv")
+        done = run_cli(tmp_path, "bdrate", "anchor.csv", "test.csv")
+        assert done.returncode == EXIT_METRIC
+        assert done.stderr == "error: rate difference is outside floating-point range\n"
+        assert done.stdout == ""
 
     def test_disjoint_curves_is_metric_error(self, tmp_path, capsys):
         a, _ = self.curves(tmp_path, 1.10)
@@ -663,6 +685,23 @@ def test_extreme_loop_budget_is_input_error(tmp_path, capsys):
     argv = ["simulate", str(config), "--budget", "1e-300", "--max-iters", "3"]
     assert main(argv + ["--output", str(tmp_path / "t.csv")]) == EXIT_INPUT
     assert "outside floating-point range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["allocate", "simulate"])
+def test_huge_lambda_exits_without_a_traceback(tmp_path, command):
+    # The step-2 projection once lost its whole support to rounding here.
+    setup = seeded_mock(5, 0)
+    if command == "allocate":
+        models = {c: RDModelParams(a, b) for c, (a, b) in setup.config.frame_params.items()}
+        problem = AllocationProblem(setup.grid, setup.weights, models, 2.5e7, 10.0)
+        write_problem_file(problem, tmp_path / "input.txt")
+        argv = ["allocate", "input.txt"]
+    else:
+        write_mock_config(setup, tmp_path / "input.txt")
+        argv = ["simulate", "input.txt", "--budget", "2.5e7"]
+    done = run_cli(tmp_path, *argv, "--lambda", "1e300", "--output", "out.csv")
+    assert done.returncode in (EXIT_OK, EXIT_INPUT), done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_library_readers_reject_defects(tmp_path):

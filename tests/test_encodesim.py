@@ -21,6 +21,7 @@ from lfalloc import (
     MockSetup,
     NotConverged,
     ParseError,
+    RDModelParams,
     RDSample,
     allocate,
     eval_model,
@@ -262,6 +263,9 @@ class TestTrialSweep:
             assert eval_model(fit, sample.rate) == pytest.approx(sample.sse, rel=1e-9)
 
 
+QPS = range(QP_MIN, QP_MAX + 1)
+
+
 def scan_qp_for_target(rates, target):
     """The full-range bisection's answer, by brute force."""
     if rates[QP_MIN] <= target:
@@ -450,11 +454,41 @@ class TestPairFit:
 
 def carried(previous, entry, coord):
     """Whether the carry rule lets coord commit entry's qp on one encode
-    after previous: a move of at most CARRY_SPAN, from a pair fit unless
-    the qp holds."""
-    shift = abs(entry.qps[coord] - previous.qps[coord])
+    after previous."""
+    return carry_allowed(previous, coord, entry.qps[coord])
+
+
+def carry_allowed(previous, coord, qp):
+    """Whether the carry rule lets coord commit qp on one encode after
+    previous: a move of at most CARRY_SPAN, from a pair fit unless the qp
+    holds."""
+    shift = abs(qp - previous.qps[coord])
     pair_fitted = previous.models[coord].sample_count == 2
     return shift <= encodesim.CARRY_SPAN and (shift == 0 or pair_fitted)
+
+
+def planned_allocation(setup, budget, previous, min_rate=None):
+    """The lambda-0 allocation run_to_convergence makes after previous, and
+    the models it was planned against."""
+    problem = AllocationProblem(
+        grid=setup.grid,
+        weights=setup.weights,
+        models=previous.models,
+        budget=budget,
+        lam=0.0,
+        min_rate=min_rate,
+    )
+    return encodesim._anticipated(problem, previous)
+
+
+def first_commits(setup, budget, previous):
+    """Per frame, the quantizer a lambda-0 pass after previous commits
+    before any retarget, on a mock whose rate depends on the qp alone."""
+    targets = planned_allocation(setup, budget, previous)[0].rates
+    return {
+        c: _predicted_commit(previous.qps[c], previous.rates[c], previous.qp_slopes[c], targets[c])
+        for c in previous.qps
+    }
 
 
 def seeded_loop_totals():
@@ -551,23 +585,34 @@ class TestHeldFrames:
         # On the exact mock a frame's rate depends on its qp alone, so the
         # rates predicted along the kept slope are the rates the search
         # measures: every prediction is confirmed, and a re-encoded frame
-        # is committed on one encode exactly when the carry rule allows it.
+        # is first committed on one encode exactly when the carry rule
+        # allows it. A retargeted frame (lambda 0 only) then moves on the
+        # retarget's one encode to the quantizer nearest its new target,
+        # keeping the sample count of its first commit.
+        retargeted = 0
         for side in (5, 7):
             for k in range(8):
                 setup = seeded_mock(side, k)
+                budget = 1e6 * setup.grid.n_frames
                 for lam in (0.0, 10.0):
                     trace = run_to_convergence(
-                        MockEncoder(setup.config),
-                        setup.grid,
-                        setup.weights,
-                        1e6 * setup.grid.n_frames,
-                        lam,
-                        24,
+                        MockEncoder(setup.config), setup.grid, setup.weights, budget, lam, 24
                     )
                     for previous, entry in zip(trace.entries, trace.entries[1:]):
-                        for coord in entry.qps:
+                        assert lam == 0.0 or not entry.retargets
+                        first = entry.qps if lam else first_commits(setup, budget, previous)
+                        for coord, qp in entry.qps.items():
                             one_encode = entry.models[coord].sample_count == 1
-                            assert one_encode == carried(previous, entry, coord), (side, k, lam)
+                            allowed = carry_allowed(previous, coord, first[coord])
+                            assert one_encode == allowed, (side, k, lam)
+                            if coord in entry.retargets:
+                                rates = (mock_encode(setup.config, coord, q, 0.0) for q in QPS)
+                                table = [rate for rate, _ in rates]
+                                assert qp == scan_qp_for_target(table, entry.retargets[coord])
+                                retargeted += 1
+                            else:
+                                assert qp == first[coord]
+        assert retargeted > 0
 
     def test_moved_on_one_encode_matches_the_pair_fit(self):
         # The exact mock's law at a fixed reference is a power law, so the
@@ -599,32 +644,35 @@ class TestHeldFrames:
     def test_a_carried_move_follows_a_pair_fit(self):
         # On a curved mock a carried beta is only locally right, so a move
         # on one encode starts from a fresh pair fit and spans at most
-        # CARRY_SPAN quantizers.
-        moved_on_one_encode = 0
+        # CARRY_SPAN quantizers. A retargeted frame (lambda 0 only) moves
+        # on from the model measured at its current reference, so a carried
+        # one keeps its carried beta and slope after the retarget.
+        moved_on_one_encode = retargeted = 0
         for side in (5, 7):
             for k in range(8):
                 setup = curved_mock(side, k)
+                budget = 1e6 * setup.grid.n_frames
                 for lam in (0.0, 10.0):
                     trace = run_to_convergence(
-                        MockEncoder(setup.config),
-                        setup.grid,
-                        setup.weights,
-                        1e6 * setup.grid.n_frames,
-                        lam,
-                        24,
+                        MockEncoder(setup.config), setup.grid, setup.weights, budget, lam, 24
                     )
                     for previous, entry in zip(trace.entries, trace.entries[1:]):
+                        first = entry.qps if lam else first_commits(setup, budget, previous)
                         for coord, model in entry.models.items():
-                            shift = abs(entry.qps[coord] - previous.qps[coord])
+                            shift = abs(first[coord] - previous.qps[coord])
                             if model.sample_count == 1 and shift:
                                 assert previous.models[coord].sample_count == 2
                                 assert shift <= encodesim.CARRY_SPAN
                                 moved_on_one_encode += 1
-        assert moved_on_one_encode > 0
+                            if model.sample_count == 1 and coord in entry.retargets:
+                                kept = (previous.models[coord].beta, previous.qp_slopes[coord])
+                                assert (model.beta, entry.qp_slopes[coord]) == kept
+                                retargeted += 1
+        assert moved_on_one_encode > 0 and retargeted > 0
 
     def test_carried_moves_save_encoder_calls(self, monkeypatch):
-        # Measured: 6,513 calls against 7,039 with CARRY_SPAN 0 (held frames
-        # only), 159 passes and 30 settled loops on both.
+        # Measured: 6,411 calls against 6,808 with CARRY_SPAN 0 (held frames
+        # only), 155 passes and 30 settled loops on both.
         calls, passes, settled = seeded_loop_totals()
         monkeypatch.setattr(encodesim, "CARRY_SPAN", 0)
         calls_held, passes_held, settled_held = seeded_loop_totals()
@@ -661,6 +709,88 @@ class TestHeldFrames:
         other = qp + 1 if table[qp] > target else qp - 1
         pair = [RDSample(q, *adapter.encode_frame(second, q, ref)) for q in sorted((qp, other))]
         assert model == fit_power_model(pair)
+
+
+class TestRetarget:
+    """At lambda 0, a frame re-measured at its real reference is retargeted
+    to the rate where its measured marginal meets the planned one."""
+
+    def test_retarget_equates_the_marginals(self):
+        def marginal(model, rate):
+            return model.alpha * -model.beta * rate ** (model.beta - 1.0)
+
+        planned = RDModelParams(alpha=3e7, beta=-0.3)
+        measured = RDModelParams(alpha=4.5e7, beta=-0.36)
+        target = encodesim._retarget(planned, 1e6, measured)
+        assert marginal(measured, target) == pytest.approx(marginal(planned, 1e6), rel=1e-12)
+        assert encodesim._retarget(planned, 1e6, planned) == 1e6
+        # A price outside floating-point range keeps the planned target.
+        tiny, huge = RDModelParams(1e-300, -0.3), RDModelParams(1e300, -0.3)
+        assert encodesim._retarget(tiny, 1e6, huge) == 1e6
+
+    def test_retarget_meets_the_planned_price_on_the_true_model(self):
+        # On the exact mock the measured model is the hidden law at the
+        # frame's real reference, so the retarget and its quantizer follow
+        # from the hidden (a, b) and the price planned by the allocation.
+        checked = 0
+        for k in range(4):
+            setup = seeded_mock(7, k)
+            config, budget = setup.config, 1e6 * setup.grid.n_frames
+            trace = run_to_convergence(
+                MockEncoder(config), setup.grid, setup.weights, budget, 0.0, 24
+            )
+            for previous, entry in zip(trace.entries, trace.entries[1:]):
+                allocation, planned = planned_allocation(setup, budget, previous)
+                ref = 0.0
+                for coord in setup.grid.coding_order:
+                    if coord in entry.retargets:
+                        a, b = config.frame_params[coord]
+                        alpha = a * (1.0 + config.dependency_gamma * ref / config.ref_norm)
+                        p = planned[coord]
+                        price = p.alpha * -p.beta * allocation.rates[coord] ** (p.beta - 1.0)
+                        target = (alpha * -b / price) ** (1.0 / (1.0 - b))
+                        assert entry.retargets[coord] == pytest.approx(target, rel=1e-9)
+                        assert entry.qps[coord] == _qp_for_target(
+                            lambda q: mock_encode(config, coord, q, ref)[0], target, QP_MIN
+                        )
+                        checked += 1
+                    ref = entry.sses[coord]
+        assert checked > 0
+
+    def test_floor_and_zero_weight_frames_are_never_retargeted(self):
+        setup = seeded_mock(7, 0)
+        zero = set(setup.grid.coding_order[3::4])
+        raw = {c: 0.0 if c in zero else w for c, w in setup.weights.raw.items()}
+        setup = replace(setup, weights=unify_weights(raw))
+        budget, floor = 1e6 * setup.grid.n_frames, 8e5
+        trace = run_to_convergence(
+            MockEncoder(setup.config), setup.grid, setup.weights, budget, 0.0, 24, min_rate=floor
+        )
+        retargeted, floored = set(), set()
+        for previous, entry in zip(trace.entries, trace.entries[1:]):
+            allocation, _ = planned_allocation(setup, budget, previous, floor)
+            on_floor = {c for c, rate in allocation.rates.items() if rate == floor}
+            assert zero <= on_floor
+            assert not on_floor & entry.retargets.keys()
+            retargeted |= entry.retargets.keys()
+            floored |= on_floor - zero
+        assert retargeted and floored
+
+    def test_retargets_save_passes_at_lambda_zero(self, monkeypatch):
+        # Measured: 155 passes against 159 with every retarget dropped, all
+        # at lambda 0, where calls are 2,828 against 2,930; the lambda-10
+        # loops are the same either way.
+        calls, passes, settled = seeded_loop_totals()
+        monkeypatch.setattr(
+            encodesim, "_encode_pass", lambda *args: _encode_pass(*args[:6])
+        )
+        calls_off, passes_off, settled_off = seeded_loop_totals()
+        assert passes < passes_off
+        assert sum(calls[key] for key in calls if key[1] == 0.0) < sum(
+            calls_off[key] for key in calls_off if key[1] == 0.0
+        )
+        assert all(calls[key] == calls_off[key] for key in calls if key[1] > 0.0)
+        assert settled >= settled_off
 
 
 def curved_mock(side, k):
@@ -703,7 +833,7 @@ class TestCurvedMockSettling:
     def test_most_loops_settle(self):
         # Measured: 32 of 32 settle; 31 when only held frames are carried
         # (CARRY_SPAN 0), 27 when every re-encoded frame is pair-fitted, and
-        # 17 when beta is carried across moves of any span from any model.
+        # 22 when beta is carried across moves of any span from any model.
         settled = 0
         for side in (5, 7):
             for k in range(8):
@@ -774,15 +904,15 @@ class TestReferenceAnticipation:
         )
         calls = []
         monkeypatch.setattr(encodesim, "allocate", lambda p: calls.append(p) or allocate(p))
-        anticipated = encodesim._anticipated(problem, last)
+        anticipated, planned = encodesim._anticipated(problem, last)
         assert len(calls) == 1
-        assert calls[0].models == last.models
+        assert calls[0].models == planned == last.models
         assert anticipated.rates == plain.rates
 
     def test_unsettled_state_moves_the_allocation(self, coupled_setup):
         trace = self.run(coupled_setup, 5.0, 2, 2e7)
         problem, plain = self.plain(coupled_setup, trace.entries[1], 5.0, 2e7)
-        anticipated = encodesim._anticipated(problem, trace.entries[1])
+        anticipated, _ = encodesim._anticipated(problem, trace.entries[1])
         assert anticipated.rates != plain.rates
         assert sum(anticipated.rates.values()) == pytest.approx(2e7, rel=1e-9)
 
@@ -799,7 +929,7 @@ class TestReferenceAnticipation:
         assert on.entries[2].qps != off.entries[2].qps
 
     def test_fewer_encoder_calls_to_convergence(self, monkeypatch):
-        # Measured: 6,513 calls and 159 passes against 8,237 and 223 without
+        # Measured: 6,411 calls and 155 passes against 8,006 and 211 without
         # anticipation, and 30 loops settle against 29.
         calls, passes, settled = seeded_loop_totals()
         monkeypatch.setattr(encodesim, "ANTICIPATION_ROUNDS", 0)
@@ -889,6 +1019,18 @@ class TestRunIteration:
         second = _encode_pass(adapter, setup.grid, setup.weights, 0.0, dict(first.rates), first)
         assert second.qps == first.qps
         assert second.rates == first.rates
+
+    def test_fixed_point_keeps_qps_when_retargeted(self):
+        # Planned against the models it measures, every frame's retarget is
+        # its own target, so no frame moves.
+        setup = small_grid_setup(gamma=0.2)
+        adapter = MockEncoder(setup.config)
+        first = first_pass(adapter, setup, 4e6)
+        targets = dict(first.rates)
+        second = _encode_pass(
+            adapter, setup.grid, setup.weights, 0.0, targets, first, first.models
+        )
+        assert (second.qps, second.rates, second.retargets) == (first.qps, first.rates, {})
 
     def test_doubled_rate_drops_qp_by_halving_span(self):
         setup = single_frame_setup()
@@ -1077,9 +1219,9 @@ class TestRunToConvergence:
             carried.append(allocate(problem))
             raise NotConverged("iteration cap", result=carried[-1])
 
-        def recording_pass(adapter, grid, weights, lam, pass_targets, previous):
+        def recording_pass(adapter, grid, weights, lam, pass_targets, previous, planned=None):
             targets.append(pass_targets)
-            return _encode_pass(adapter, grid, weights, lam, pass_targets, previous)
+            return _encode_pass(adapter, grid, weights, lam, pass_targets, previous, planned)
 
         monkeypatch.setattr(encodesim, "allocate", stopping_allocate)
         monkeypatch.setattr(encodesim, "_encode_pass", recording_pass)

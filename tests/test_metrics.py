@@ -318,6 +318,12 @@ class TestBdRate:
         with pytest.raises(NoOverlap):
             bd_rate(anchor, far)
 
+    def test_rate_difference_outside_float_range(self):
+        anchor = [RDPoint(rate=float(i), quality=30.0 + i) for i in range(1, 5)]
+        huge = [RDPoint(rate=1e308 * (0.5 + 0.1 * i), quality=30.0 + i) for i in range(1, 5)]
+        with pytest.raises(DomainError, match="outside floating-point range"):
+            bd_rate(anchor, huge)
+
     def test_nonpositive_rate(self):
         bad = self.anchor()
         bad[0] = RDPoint(rate=0.0, quality=bad[0].quality)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lfalloc import (
     DomainError,
     InsufficientSamples,
+    ModelOutOfRange,
     NonDecreasingRD,
     ParseError,
     RDModelParams,
@@ -104,6 +105,13 @@ class TestFitPowerModel:
             RDSample(qp=29, rate=2e5, sse=7e5),
         ]
         with pytest.raises(NonDecreasingRD):
+            fit_power_model(samples)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300], ids=["overflow", "underflow"])
+    def test_alpha_outside_float_range(self, scale):
+        # A steep fit through rates near 1e+-300 puts exp(intercept) out of range.
+        samples = [RDSample(30, scale, 1e-300), RDSample(31, 2.0 * scale, 1e-301)]
+        with pytest.raises(ModelOutOfRange, match="outside floating-point range"):
             fit_power_model(samples)
 
     @settings(derandomize=True, max_examples=40)
