@@ -1,7 +1,7 @@
 """Split a bit budget across frames, then trade a little of it for smoothness.
 
 Step one solves the classic water-filling problem: minimize total
-weighted distortion subject to the budget, met exactly by a bisection on
+weighted distortion subject to the budget, met exactly by Newton steps on
 the budget multiplier. Step two re-spends the same budget to also
 flatten distortion differences between nearby frames, by descending the
 cone-penalized objective from the step-one answer.

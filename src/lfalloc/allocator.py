@@ -5,12 +5,12 @@ Step one drops the consistency term and solves the separable problem
     minimize   sum_f w_f^2 * alpha_f * r_f**beta_f
     subject to sum_f r_f <= budget,  r_f >= min_rate
 
-in closed form per frame via the common multiplier, with a bisection on
-the multiplier to meet the budget (water-filling). Step two linearizes
-each frame's distortion inside the consistency term around the step-one
-rates, which turns the penalty into the Euclidean norm of an affine map
-A r + b, and minimizes the resulting convex objective over the same
-feasible set with a damped Newton method on the budget face.
+in closed form per frame via the common multiplier, with safeguarded
+Newton steps on the multiplier to meet the budget (water-filling). Step
+two linearizes each frame's distortion inside the consistency term around
+the step-one rates, which turns the penalty into the Euclidean norm of an
+affine map A r + b, and minimizes the resulting convex objective over the
+same feasible set with a damped Newton method on the budget face.
 
 Both steps report kkt_residual with one unit-free meaning: the worst
 relative mismatch between a frame's marginal (the objective's decrease
@@ -254,10 +254,11 @@ def solve_step1(problem: AllocationProblem) -> AllocationResult:
     """Water-filling solution of the weighted-distortion-only problem.
 
     Stationarity gives r_f(mu) = (w_f^2 alpha_f |beta_f| / mu)**(1/(1-beta_f))
-    per positive-weight frame; a bisection on mu > 0 matches the budget to
-    within 1e-10 relative. Zero-weight frames gain nothing from rate and
-    are pinned to the floor. kkt_residual is the marginal mismatch at mu
-    (see the module docstring).
+    per positive-weight frame; safeguarded Newton steps on mu > 0 match the
+    budget to within 1e-10 relative, from below when every beta_f is above
+    -1. Zero-weight frames gain nothing from rate and are pinned to the
+    floor. kkt_residual is the marginal mismatch at mu (see the module
+    docstring).
     """
     w, alpha, beta = problem.w, problem.alpha, problem.beta
     n = problem.grid.n_frames
@@ -276,12 +277,21 @@ def solve_step1(problem: AllocationProblem) -> AllocationResult:
     def mu_for_rate(rate: float) -> np.ndarray:
         return coeff * rate ** (b_pos - 1.0)
 
-    lo = 0.5 * float(np.min(mu_for_rate(budget_positive)))
+    def midpoint(lo: float, hi: float) -> float:
+        # Geometric, since the bracket can span many decades; lo is 0 where
+        # its bound underflows.
+        return math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
+
+    # At lo one frame alone would take the whole budget and at hi every
+    # frame sits on the floor, so the budget is met in between. The first
+    # mu, the mean marginal at the even split, lies inside and is exact
+    # when all frames share one law.
+    lo = 0.5 * float(np.max(mu_for_rate(budget_positive)))
     hi = 2.0 * float(np.max(mu_for_rate(floor)))
+    mu = float(np.mean(mu_for_rate(budget_positive / coeff.size)))
     best = None
     iterations = 0
     for iterations in range(1, 201):
-        mu = 0.5 * (lo + hi)
         r_pos = rates_at(mu)
         total = float(r_pos.sum()) + floor * n_zero
         gap = abs(total - budget) / budget
@@ -293,8 +303,23 @@ def solve_step1(problem: AllocationProblem) -> AllocationResult:
             lo = mu
         else:
             hi = mu
+        # Newton in log mu on the budget equation written as (budget - floor
+        # spend) / free spend = 1, where d(spend)/d(log mu) is -sum r_f /
+        # (1 - beta_f) over the free frames. The left side is convex and
+        # increasing in log mu while the free frames' spend-weighted mean
+        # 1 / (1 - beta_f) is at least 1/2 (every beta_f above -1), so the
+        # steps settle from below and the split does not overspend. The
+        # product form keeps mu's power-of-two scaling exact; a step that
+        # leaves the bracket gives way to its midpoint.
+        free = r_pos > floor
+        r_free = np.where(free, r_pos, 0.0)
+        spend, slope = float(r_free.sum()), float(r_free @ inv_exp)
+        room = budget - floor * (n - int(np.count_nonzero(free)))
+        log_step = (total - budget) / slope * spend / room if slope else math.inf
+        step = mu * math.exp(log_step) if log_step < math.log(hi / mu) else hi
+        mu = step if lo < step < hi else midpoint(lo, hi)
     gap, mu, r_pos = best
-    log.debug("step1: %d bisection iterations, budget gap %.3e", iterations, gap)
+    log.debug("step1: %d safeguarded Newton iterations, budget gap %.3e", iterations, gap)
     r = np.full(n, floor)
     r[positive] = r_pos
     marginal = mu_for_rate(r_pos)
@@ -701,7 +726,7 @@ def read_problem_file(path, **overrides) -> AllocationProblem:
 
 
 def _coding_order(text: str) -> tuple[FrameCoord, ...]:
-    return tuple(FrameCoord(*records.fields(pair, (int, int), "u,v")) for pair in text.split(";"))
+    return tuple(map(FrameCoord, *records.columns(text.split(";"), (int, int), "u,v")))
 
 
 _PROBLEM_FRAME = (int, int, records.nonnegative, records.finite, records.finite)

@@ -177,13 +177,22 @@ def mock_encode(
              * (1 + gamma * ref_sse / ref_norm)
 
     A positive curvature makes the log-log slope of SSE against rate vary
-    with rate; at zero the law is an exact power law.
+    with rate; at zero the law is an exact power law. A rate or SSE that
+    over- or underflows raises ValueError.
     """
     a, b = config.frame_params[coord]
-    rate = config.rate_anchor * 2.0 ** (-(qp - config.qp_anchor) / config.rate_qp_halving)
-    bend = math.exp(config.curvature * math.log(rate / config.rate_anchor) ** 2)
-    sse = a * rate ** b * bend * (1.0 + config.dependency_gamma * ref_sse / config.ref_norm)
-    return rate, sse
+    try:
+        rate = config.rate_anchor * 2.0 ** (-(qp - config.qp_anchor) / config.rate_qp_halving)
+        if 0.0 < rate < math.inf:
+            bend = math.exp(config.curvature * math.log(rate / config.rate_anchor) ** 2)
+            sse = a * rate ** b * bend * (1.0 + config.dependency_gamma * ref_sse / config.ref_norm)
+            if 0.0 < sse < math.inf:
+                return rate, sse
+    except OverflowError:
+        pass
+    raise ValueError(
+        f"mock encode of frame ({coord.u},{coord.v}) at qp {qp} is outside floating-point range"
+    )
 
 
 class MockEncoder(EncoderAdapter):

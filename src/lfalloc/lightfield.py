@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -57,10 +58,11 @@ class FrameGrid:
         order = tuple(self.coding_order)
         object.__setattr__(self, "coding_order", order)
         # The count is checked first, so a huge width or height from a
-        # file never builds a huge lattice.
-        if len(order) != self.width * self.height or set(order) != {
-            FrameCoord(u, v) for u in range(self.width) for v in range(self.height)
-        }:
+        # file never builds a huge lattice. The lattice holds plain (u, v)
+        # tuples, which a FrameCoord equals.
+        if len(order) != self.width * self.height or set(order) != set(
+            product(range(self.width), range(self.height))
+        ):
             raise ValueError("coding_order must be a permutation of the grid")
 
     @property
@@ -80,25 +82,25 @@ class FrameGrid:
     def coupled_pairs(self) -> CoupledPairs:
         """Every ordered pair of distinct frames with nonzero proximity.
 
-        Built once per grid by enumerating COUPLING_OFFSETS, so the cost is
+        Built once per grid by one gather over COUPLING_OFFSETS from an
+        index of the lattice padded by PROXIMITY_RADIUS - 1, so the cost is
         linear in the frame count. Rows are sorted by (i, j), indices in
         coding order.
         """
-        coords = self.coding_order
-        uu = np.array([c.u for c in coords])
-        vv = np.array([c.v for c in coords])
-        index = np.empty((self.width, self.height), dtype=int)
-        index[uu, vv] = np.arange(len(coords))
-        firsts, seconds, deltas = [], [], []
-        for du, dv in COUPLING_OFFSETS:
-            tu, tv = uu + du, vv + dv
-            inside = (tu >= 0) & (tu < self.width) & (tv >= 0) & (tv < self.height)
-            delta = float(PROXIMITY_RADIUS - abs(du) - abs(dv))
-            firsts.append(np.nonzero(inside)[0])
-            seconds.append(index[tu[inside], tv[inside]])
-            deltas.append(np.full(np.count_nonzero(inside), delta))
-        i, j, delta = (np.concatenate(parts) for parts in (firsts, seconds, deltas))
-        order = np.lexsort((j, i))
+        n = self.n_frames
+        pad = PROXIMITY_RADIUS - 1
+        uu, vv = np.array(list(zip(*self.coding_order)))
+        index = np.full((self.width + 2 * pad, self.height + 2 * pad), -1)
+        index[uu + pad, vv + pad] = np.arange(n)
+        du, dv = np.array(COUPLING_OFFSETS).T
+        j = index[uu + pad + du[:, None], vv + pad + dv[:, None]]
+        i = np.broadcast_to(np.arange(n), j.shape)
+        delta = np.broadcast_to(
+            (PROXIMITY_RADIUS - np.abs(du) - np.abs(dv)).astype(float)[:, None], j.shape
+        )
+        inside = j >= 0
+        i, j, delta = i[inside], j[inside], delta[inside]
+        order = np.argsort(i * n + j)
         return CoupledPairs(i=i[order], j=j[order], delta=delta[order])
 
 

@@ -73,19 +73,22 @@ def cost(
 
 
 def joint_cost(grid: FrameGrid, w: np.ndarray, d: np.ndarray, lam: float) -> CostBreakdown:
-    """cost() over coding-order vectors of unified weights w and SSE d."""
+    """cost() over coding-order vectors of unified weights w and SSE d. A
+    cost that overflows raises ValueError instead of warning."""
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
-    wd = float(np.sum(w * w * d))
     pairs = grid.coupled_pairs
     gate = np.minimum(w[pairs.i], w[pairs.j])
-    disc = float(np.sum(pairs.delta * (gate * (d[pairs.i] - d[pairs.j])) ** 2))
-    return CostBreakdown(
-        weighted_distortion=wd,
-        discontinuity=disc,
-        lam=lam,
-        total=wd + lam * math.sqrt(disc),
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            wd = float(np.sum(w * w * d))
+            disc = float(np.sum(pairs.delta * (gate * (d[pairs.i] - d[pairs.j])) ** 2))
+    except FloatingPointError as exc:
+        raise ValueError(f"problem scale is outside floating-point range ({exc})") from exc
+    total = wd + lam * math.sqrt(disc)
+    if total == math.inf:
+        raise ValueError("problem scale is outside floating-point range (joint cost overflow)")
+    return CostBreakdown(weighted_distortion=wd, discontinuity=disc, lam=lam, total=total)
 
 
 def wpsnr(total_cost: float, pixel_count: int) -> float:

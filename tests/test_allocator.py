@@ -313,6 +313,32 @@ class TestSolveStep1:
             assert result.kkt_residual < 1e-6
             assert result.budget_used == pytest.approx(problem.budget, rel=1e-9)
 
+    def test_recipe_budget_met_in_few_rate_evaluations(self):
+        """17x17 problems of the benchmark recipe: alpha 10^U(7.5, 8.5), beta
+        U(-0.45, -0.22), raw weight U(0.2, 1), 1e6 bits per frame. The
+        Newton steps meet the budget to 1e-10 within 10 evaluations of the
+        rates, and from below: no split spends more than rounding over it."""
+        rng = np.random.default_rng(17)
+        grid = spiral_order(17, 17)
+        n = grid.n_frames
+        for _ in range(12):
+            alpha = 10.0 ** rng.uniform(7.5, 8.5, n)
+            beta = rng.uniform(-0.45, -0.22, n)
+            raw = rng.uniform(0.2, 1.0, n)
+            problem = AllocationProblem(
+                grid=grid,
+                weights=unify_weights(dict(zip(grid.coding_order, raw.tolist()))),
+                models={
+                    c: RDModelParams(a, b)
+                    for c, a, b in zip(grid.coding_order, alpha.tolist(), beta.tolist())
+                },
+                budget=1e6 * n,
+            )
+            result = solve_step1(problem)
+            assert result.iterations <= 10
+            assert abs(result.budget_used - problem.budget) < 1e-10 * problem.budget
+            assert result.budget_used <= problem.budget * (1.0 + 1e-13)
+
 
 class TestConePenalty:
     """Linearized consistency system around an expansion point."""

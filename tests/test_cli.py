@@ -569,6 +569,16 @@ def replace_field(prefix, index, value):
     return edit
 
 
+def drop_last_field(prefix):
+    """Edit: the first line starting with prefix loses its last comma-separated field."""
+
+    def edit(lines):
+        k = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+        lines[k] = lines[k].rpartition(",")[0]
+
+    return edit
+
+
 def repeat_line(prefix):
     return lambda lines: lines.append(next(line for line in lines if line.startswith(prefix)))
 
@@ -607,6 +617,12 @@ RECORD_DEFECTS = {
     "weight_map_negative": ("metrics-weights", replace_field("0.25,", 0, "-1"), True),
     "problem_weight_negative": ("allocate", replace_field("frame: 1,1,", 2, "-1"), True),
     "mock_weight_negative": ("simulate", replace_field("frame: 1,1,", 4, "-1"), True),
+    "problem_u_not_integer": ("allocate", replace_field("frame: 1,1,", 0, "frame: 1.5"), True),
+    "problem_frame_missing_field": ("allocate", drop_last_field("frame: 1,1,"), True),
+    "problem_alpha_inf": ("allocate", replace_field("frame: 1,1,", 3, "inf"), True),
+    "repeated_problem_frame": ("allocate", repeat_line("frame: 1,1,"), True),
+    "order_entry_not_integer": ("allocate", set_line("order:", "order: 1,1;0,0.5;1,0;0,1"), True),
+    "mock_frame_six_fields": ("simulate", replace_field("frame: 1,1,", 4, "1.0,1"), True),
 }
 
 
@@ -685,6 +701,35 @@ def test_extreme_loop_budget_is_input_error(tmp_path, capsys):
     argv = ["simulate", str(config), "--budget", "1e-300", "--max-iters", "3"]
     assert main(argv + ["--output", str(tmp_path / "t.csv")]) == EXIT_INPUT
     assert "outside floating-point range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("rate_qp_halving", "0.001"), ("curvature", "1e308")])
+def test_mock_encode_overflow_is_input_error(tmp_path, capsys, key, value):
+    """A mock law whose rate or SSE leaves floating-point range at some
+    quantizer exits 2, not with an OverflowError traceback."""
+    config = tmp_path / "mock.txt"
+    write_mock_config(small_grid_setup(), config)
+    lines = config.read_text().splitlines()
+    set_line(f"{key}:", f"{key}: {value}")(lines)
+    config.write_text("\n".join(lines) + "\n")
+    argv = ["simulate", str(config), "--budget", "4e6", "--max-iters", "3"]
+    assert main(argv + ["--output", str(tmp_path / "t.csv")]) == EXIT_INPUT
+    assert "outside floating-point range" in capsys.readouterr().err
+
+
+def test_joint_cost_overflow_exits_without_a_warning(tmp_path):
+    """A frame law whose SSE gaps overflow when squared exits 2 with the
+    range message; no RuntimeWarning escapes."""
+    setup = small_grid_setup(gamma=0.2)
+    write_mock_config(setup, tmp_path / "mock.txt")
+    lines = (tmp_path / "mock.txt").read_text().splitlines()
+    replace_field("frame: 1,1,", 2, "1e308")(lines)
+    (tmp_path / "mock.txt").write_text("\n".join(lines) + "\n")
+    argv = ["simulate", "mock.txt", "--budget", "4e6", "--max-iters", "3", "--output", "t.csv"]
+    done = run_cli(tmp_path, *argv)
+    assert done.returncode == EXIT_INPUT, done.stderr
+    assert done.stderr.startswith("error: problem scale is outside floating-point range")
+    assert "Warning" not in done.stderr
 
 
 @pytest.mark.parametrize("command", ["allocate", "simulate"])

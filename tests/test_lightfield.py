@@ -141,9 +141,9 @@ class TestProximity:
 class TestCoupledPairs:
     """Offset enumeration of the coupled frame pairs."""
 
-    @pytest.mark.parametrize("width, height", [(1, 1), (2, 1), (1, 5), (3, 4), (6, 2), (9, 9)])
-    def test_matches_proximity_over_all_pairs(self, width, height):
-        grid = spiral_order(width, height)
+    @staticmethod
+    def assert_matches_proximity(grid):
+        """The pair arrays equal a brute-force scan of every ordered pair."""
         coords = grid.coding_order
         expected = [
             (i, j, proximity(a, b))
@@ -154,6 +154,17 @@ class TestCoupledPairs:
         pairs = grid.coupled_pairs
         got = list(zip(pairs.i.tolist(), pairs.j.tolist(), pairs.delta.tolist()))
         assert got == expected
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (2, 1), (1, 5), (3, 4), (6, 2), (9, 9)])
+    def test_matches_proximity_over_all_pairs(self, width, height):
+        self.assert_matches_proximity(spiral_order(width, height))
+
+    @pytest.mark.parametrize("order", ["raster", "reversed raster"])
+    @pytest.mark.parametrize("width, height", [(1, 7), (7, 1), (3, 4), (6, 2), (9, 9)])
+    def test_matches_proximity_in_other_coding_orders(self, width, height, order):
+        raster = [FrameCoord(u, v) for v in range(height) for u in range(width)]
+        coords = raster if order == "raster" else raster[::-1]
+        self.assert_matches_proximity(FrameGrid(width, height, coords))
 
     def test_built_once_per_grid(self):
         grid = spiral_order(4, 4)
