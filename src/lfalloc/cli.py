@@ -126,8 +126,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _load_distortions(path: str) -> metrics.DistortionSet:
-    """Accept either a per-frame SSE table or a full trace (final pass used)."""
-    first = records.read_text(path).partition("\n")[0].strip()
+    """Accept either a per-frame SSE table or a full trace (final pass used),
+    told apart by the first record line."""
+    first = records.read(path, str)[0]
     if first == encodesim.TRACE_HEADER:
         return encodesim.last_iteration_distortions(encodesim.read_trace_csv(path))
     if first == metrics.SSE_HEADER:

@@ -910,9 +910,12 @@ def read_trace_csv(path) -> ParsedTrace:
                 raise ValueError("out-of-order iteration")
             rows.append(tuple(row))
         elif line.startswith("# iteration "):
-            _, index, _, total_cost, _, wpsnr_db = records.fields(
+            _, index, cost_label, total_cost, wpsnr_label, wpsnr_db = records.fields(
                 line[1:], _SUMMARY_FIELDS, "# iteration N total_cost C wpsnr Q", sep=None
             )
+            if (cost_label, wpsnr_label) != ("total_cost", "wpsnr"):
+                labels = f"{cost_label!r} and {wpsnr_label!r}"
+                raise ValueError(f"expected labels 'total_cost' and 'wpsnr', got {labels}")
             if index != len(iterations) + 1 or len({row[:2] for row in rows}) < len(rows):
                 raise ValueError(f"iteration {index} is out of order or repeats a frame")
             iterations.append(ParsedTraceIteration(rows, total_cost, wpsnr_db))

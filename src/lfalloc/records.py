@@ -6,12 +6,16 @@ trace, whose comments carry data. A format with a header must start with
 exactly that line. A record splits into a fixed number of fields, each
 converted on its own; numbers must be finite, except the documented
 infinite diagnostics (an allocation's kkt_residual, a trace's wpsnr), and
-SSE and weights must not be negative.
-Each key or frame appears once. Key-value files hold `key: value` lines
-with known keys and one `frame: u,v,...` line per coordinate of their
-width x height grid; their frame lines are converted a column at a time
-(columns), under the same rules and with the same messages. Every error
-is a ParseError that names the source and, for a record, its line.
+SSE and weights must not be negative. Each key or frame appears once.
+read() walks the lines and phrases every defect of a record: a ParseError
+that names the source and the first bad line.
+
+Key-value files hold `key: value` lines with known keys and one
+`frame: u,v,...` line per coordinate of their width x height grid. They
+are read by a fast scan that sets the frame lines aside and converts them
+a column at a time (columns); any defect it meets, a repeated frame
+included, starts a strict re-read that converts each frame line as read()
+reaches it, so the error is the one the first bad line gives.
 Writers format every float field with number(), so a file reads back as
 the values it was written from.
 """
@@ -66,22 +70,18 @@ def fields(text: str, converters, spec: str, sep: str | None = ",", defaults=())
     return [convert(part) for convert, part in zip(converters, parts)]
 
 
-def read_text(path) -> str:
-    """The file's text; bytes that do not decode raise ParseError naming it."""
-    try:
-        return Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
 def read(source, record, header: str | None = None, *, comments: bool = False) -> list:
     """record(line) for every record line of the file source.
 
-    No record lines, a missing header, or a ValueError from record raise
-    ParseError naming the source and line.
+    Bytes that do not decode, no record lines, a missing header, or a
+    ValueError from record raise ParseError naming the source and line.
     """
+    try:
+        text = Path(source).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source}: {exc}") from exc
     results = []
-    for lineno, line in enumerate(read_text(source).splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or (line[0] == "#" and not comments):
             continue
@@ -99,14 +99,6 @@ def read(source, record, header: str | None = None, *, comments: bool = False) -
     return results
 
 
-class RecordError(ValueError):
-    """The defect of one record among many; index is that record's."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
-
-
 # The bulk form of a field converter: the type a column's texts are read
 # as, and the test all of its values must pass (None: any value).
 _BULK = {
@@ -116,49 +108,34 @@ _BULK = {
 }
 
 
-def _accepts(convert, text: str) -> bool:
-    try:
-        convert(text)
-    except ValueError:
-        return False
-    return True
+def columns(texts, converters, spec: str, defaults=()) -> list:
+    """fields() over many comma-separated records: one sequence of values
+    per converter.
 
-
-def columns(texts, converters, spec: str, defaults=()) -> list[list]:
-    """fields() over many comma-separated records at once: one list of
-    values per converter.
-
-    The records are split as one text, then each column is converted and
-    checked as a whole. A defect raises RecordError at the first bad
-    record, with the message fields() gives for it: the column that fails
-    finds that record by its own converter, and fields() phrases it.
+    The records are split as one text and each column is converted and
+    checked as a whole. On any defect the records are read again one at a
+    time by fields(), which raises the first bad record's ValueError.
     """
     n = len(converters)
     missing = [n - 1 - text.count(",") for text in texts]
-    bad = next((k for k, m in enumerate(missing) if not 0 <= m <= len(defaults)), len(texts))
-    padded = [
-        text + "," + ",".join(defaults[len(defaults) - m :]) if m else text
-        for text, m in zip(texts[:bad], missing)
-    ]
-    flat = ",".join(padded).split(",") if padded else []
-    values = []
-    for index, convert in enumerate(converters):
-        column = flat[index::n]
-        base, valid = _BULK.get(convert, (convert, None))
-        try:
-            converted = list(map(base, column))
-            sound = valid is None or bool(np.all(valid(np.array(converted))))
-        except ValueError:
-            converted, sound = [], False
-        if not sound:
-            bad = min(bad, next(k for k, text in enumerate(column) if not _accepts(convert, text)))
-        values.append(converted)
-    if bad < len(texts):
-        try:
-            fields(texts[bad], converters, spec, ",", defaults)
-        except ValueError as exc:
-            raise RecordError(str(exc), bad) from exc
-    return values
+    try:
+        if not all(0 <= m <= len(defaults) for m in missing):
+            raise ValueError(spec)
+        padded = [
+            text + "," + ",".join(defaults[len(defaults) - m :]) if m else text
+            for text, m in zip(texts, missing)
+        ]
+        flat = ",".join(padded).split(",") if padded else []
+        values = []
+        for index, convert in enumerate(converters):
+            base, valid = _BULK.get(convert, (convert, None))
+            column = list(map(base, flat[index::n]))
+            if valid is not None and not np.all(valid(np.array(column))):
+                raise ValueError(spec)
+            values.append(column)
+        return values
+    except ValueError:
+        return list(zip(*(fields(text, converters, spec, ",", defaults) for text in texts)))
 
 
 def put(mapping: dict, key, value, kind: str) -> None:
@@ -176,66 +153,49 @@ def put_known(mapping: dict, converters: dict, key: str, text: str) -> None:
     put(mapping, key, converters[key](text), "key")
 
 
-def _frame_table(source, linenos, texts, frame, spec: str, defaults) -> dict:
-    """The frames of frame-line texts: (u, v) -> the rest of the line's
-    fields, converted by columns. The first bad or repeated line raises
-    ParseError naming its line number, from linenos."""
-    error = None
-    try:
-        u, v, *rest = columns(texts, frame, spec, defaults)
-    except RecordError as exc:
-        # The lines before the bad one are sound, and a repeat among them
-        # comes first.
-        error = exc
-        u, v, *rest = columns(texts[: exc.index], frame, spec, defaults)
-    keys = list(zip(u, v))
-    table = dict(zip(keys, zip(*rest)))
-    if len(table) < len(keys):
-        table = {}
-        for index, key in enumerate(keys):
-            try:
-                put(table, key, None, "frame")
-            except ValueError as exc:
-                error = RecordError(str(exc), index)
-                break
-    if error is not None:
-        raise ParseError(f"{source}: line {linenos[error.index]}: {error}") from error
-    return table
-
-
 def key_values(path, keys: dict, required, frame, spec: str, defaults=()) -> tuple[dict, dict]:
     """The values and frames of a `key: value` file.
 
     keys maps each known key besides width and height to its converter;
     the keys in required must be given. frames maps each (u, v) to the
     rest of its `frame:` line's fields (see fields), one frame line per
-    coordinate of the width x height grid. The frame lines are converted
-    together (see columns); a key line's defect is raised after any on an
-    earlier frame line, so the first bad line of the file is the one named.
+    coordinate of the width x height grid. A first scan converts the
+    frame lines together (see columns); on any defect, a repeated frame
+    included, a second scan converts each frame line as it is read, so
+    the error names the first bad line.
     """
     keys = {"width": int, "height": int, **keys}
-    values: dict = {}
-    linenos, texts = [], []
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line or line[0] == "#":
-            continue
-        key, sep, value = line.partition(":")
-        key = key.rstrip()
-        if sep and key == "frame":
-            linenos.append(lineno)
-            texts.append(value)
-            continue
-        try:
+
+    def scan(strict: bool) -> tuple[dict, dict]:
+        values: dict = {}
+        frames: dict = {}
+        texts: list = []
+
+        def record(line: str) -> None:
+            key, sep, value = line.partition(":")
             if not sep:
                 raise ValueError("expected 'key: value'")
-            put_known(values, keys, key, value.strip())
-        except ValueError as exc:
-            _frame_table(path, linenos, texts, frame, spec, defaults)
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    if not values and not texts:
-        raise ParseError(f"{path}: no records")
-    frames = _frame_table(path, linenos, texts, frame, spec, defaults)
+            key = key.rstrip()
+            if key != "frame":
+                put_known(values, keys, key, value.strip())
+            elif strict:
+                u, v, *rest = fields(value, frame, spec, ",", defaults)
+                put(frames, (u, v), rest, "frame")
+            else:
+                texts.append(value)
+
+        read(path, record)
+        if not strict:
+            u, v, *rest = columns(texts, frame, spec, defaults)
+            frames = dict(zip(zip(u, v), zip(*rest)))
+            if len(frames) < len(texts):
+                raise ValueError("duplicate frame")
+        return values, frames
+
+    try:
+        values, frames = scan(strict=False)
+    except (ParseError, ValueError):
+        values, frames = scan(strict=True)
     missing = [key for key in ("width", "height", *required) if key not in values]
     if missing:
         raise ParseError(f"{path}: missing key {missing[0]!r}")

@@ -1,5 +1,6 @@
 """Command-line workflow: subcommands, exit codes, and output formats."""
 
+import itertools
 import math
 import os
 import re
@@ -50,7 +51,7 @@ from lfalloc.cli import (
     EXIT_OK,
     main,
 )
-from lfalloc.encodesim import ParsedTrace, ParsedTraceIteration
+from lfalloc.encodesim import TRACE_HEADER, ParsedTrace, ParsedTraceIteration
 from lfalloc.lightfield import grid_to_text
 from test_allocator import coupled_square
 from test_encodesim import seeded_mock, small_grid_setup
@@ -623,6 +624,11 @@ RECORD_DEFECTS = {
     "repeated_problem_frame": ("allocate", repeat_line("frame: 1,1,"), True),
     "order_entry_not_integer": ("allocate", set_line("order:", "order: 1,1;0,0.5;1,0;0,1"), True),
     "mock_frame_six_fields": ("simulate", replace_field("frame: 1,1,", 4, "1.0,1"), True),
+    "trace_summary_labels": (
+        "metrics-trace",
+        set_line("# iteration 1 ", "# iteration 1 budget 5.0 sse 40.0"),
+        True,
+    ),
 }
 
 
@@ -639,6 +645,78 @@ def test_record_defect_is_input_error(tmp_path, capsys, defect):
     err = capsys.readouterr().err
     prefix = f"error: {path}: line {line}: " if names_line else f"error: {path}: "
     assert err.startswith(prefix), err
+
+
+def non_finite_frame(lines, at):
+    """The file's first frame line with its third field made infinite."""
+    parts = next(line for line in lines if line.startswith("frame:")).split(",")
+    parts[2] = "inf"
+    return ",".join(parts)
+
+
+# Line defects for files with two of them: (the line inserted before line
+# `at` of a sound file, given its lines, and a part of the message it raises).
+LINE_DEFECTS = {
+    "non_finite_field": (non_finite_frame, "non-finite number 'inf'"),
+    "missing_field": (lambda lines, at: "frame: 1,1", "expected '"),
+    "unknown_key": (lambda lines, at: "bogus: 1", "unknown key 'bogus'"),
+    "repeated_line": (lambda lines, at: lines[at - 1], "duplicate "),
+    "bad_order_entry": (lambda lines, at: "order: 1,1;0", "expected 'u,v', got '0'"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, first, second",
+    [("problem", a, b) for a, b in itertools.product(LINE_DEFECTS, repeat=2)]
+    + [
+        ("mock", a, b)
+        for a, b in itertools.product(LINE_DEFECTS, repeat=2)
+        if "bad_order_entry" not in (a, b)
+    ],
+)
+def test_first_bad_line_is_named(tmp_path, kind, first, second):
+    """Of two bad lines in a key-value file, at every pair of places among
+    its keys and frames, the error names the earlier one; a repeated key
+    or frame is bad at its second occurrence."""
+    path = tmp_path / f"{kind}.txt"
+    if kind == "problem":
+        write_problem_file(coupled_square(), path)
+        read = read_problem_file
+    else:
+        write_mock_config(small_grid_setup(gamma=0.2), path)
+        read = read_mock_config
+    sound = path.read_text().splitlines()
+    (make_first, message), (make_second, _) = LINE_DEFECTS[first], LINE_DEFECTS[second]
+    places = range(1, len(sound) + 1, 2)
+    for i, j in itertools.combinations_with_replacement(places, 2):
+        lines = list(sound)
+        lines.insert(j, make_second(sound, j))
+        lines.insert(i, make_first(sound, i))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            read(path)
+        assert str(info.value).startswith(f"{path}: line {i + 1}: "), (i, j, info.value)
+        assert message in str(info.value), (i, j, info.value)
+
+
+@pytest.mark.parametrize("command", ["metrics", "metrics-trace"])
+@pytest.mark.parametrize("lead", ["\n", "# made by hand\n"])
+def test_metrics_skips_lines_before_the_header(tmp_path, capsys, command, lead):
+    """metrics tells an SSE CSV from a trace by its first line that is not
+    blank or a comment, and leaves the rest to that format's reader: a
+    trace's comments carry data, so one before its header is an error."""
+    argv, path = cli_inputs(command, tmp_path)
+    assert main(argv) == EXIT_OK
+    report = Path(argv[argv.index("--output") + 1]).read_text()
+    capsys.readouterr()
+    path.write_text(lead + path.read_text())
+    if command == "metrics-trace" and lead.startswith("#"):
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 1: expected header '{TRACE_HEADER}'\n"
+        return
+    assert main(argv) == EXIT_OK
+    assert Path(argv[argv.index("--output") + 1]).read_text() == report
 
 
 @pytest.mark.parametrize(
