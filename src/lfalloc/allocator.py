@@ -10,7 +10,10 @@ Newton steps on the multiplier to meet the budget (water-filling). Step
 two linearizes each frame's distortion inside the consistency term around
 the step-one rates, which turns the penalty into the Euclidean norm of an
 affine map A r + b, and minimizes the resulting convex objective over the
-same feasible set with a damped Newton method on the budget face.
+same feasible set with damped Newton steps on the budget face, the norm
+modelled by its quadratic majorizer. Step two converges where Newton can
+no longer improve its iterate and kkt_residual is at most KKT_TOLERANCE,
+or at a zero residual that a dual certificate proves optimal.
 
 Both steps report kkt_residual with one unit-free meaning: the worst
 relative mismatch between a frame's marginal (the objective's decrease
@@ -60,10 +63,6 @@ ACTIVE_BOUND = 1e-9
 # A step-2 Newton step keeps every frame at or above this fraction of its
 # current rate.
 MIN_RATE_RATIO = 0.25
-
-# A Newton step cut below this length is retried with the majorizer of the
-# penalty norm.
-MAJORIZER_STEP = 1e-3
 
 # Step 2 converges only where kkt_residual is at most this.
 KKT_TOLERANCE = 1e-6
@@ -422,18 +421,20 @@ def solve_step2(
     + lambda |A r + b| over the feasible set by damped Newton steps.
 
     Each iteration solves one KKT system on the budget face sum(r) = budget
-    with the dense Hessian diag(w^2 alpha beta (beta-1) r^(beta-2))
-    + (lambda / |y|) (A^T A - g g^T / |y|^2), y = A r + b, g = A^T y.
+    with the Hessian diag(w^2 alpha beta (beta-1) r^(beta-2)) + (lambda /
+    |y|) A^T A, y = A r + b, whose second term is that of the norm's
+    quadratic majorizer at y: unlike the norm's own Hessian it keeps the
+    curvature along y, so the step does not overshoot near the kink.
     Frames at min_rate stay fixed while their multiplier is nonnegative,
     and the budget is released when its multiplier would go negative;
     zero-weight frames sit at the floor. The step is projected onto the
     feasible set with no frame cut below a quarter of its rate, and
-    backtracked until the exact P falls enough (Armijo); a step cut very
-    short is retried with the norm's quadratic majorizer, which drops the
-    g g^T term. The stop is unit-free: half the squared Newton decrement,
-    the predicted excess of P over its minimum, at most STEP2_TOL * P or
-    below the rounding error of P; the step that passes the test is still
-    taken unless P visibly rises.
+    backtracked until the exact P falls enough (Armijo). The stop is
+    unit-free: half the squared decrement at most STEP2_TOL * P or below
+    the rounding error of P, with kkt_residual at most KKT_TOLERANCE at
+    the full step (at r if that step visibly raises P). The majorizer's
+    decrement understates the excess of P, so with unequal marginals the
+    line search runs from r instead.
 
     The norm has a kink where A r + b = 0. The one budget-face point with
     a zero residual is tried first and taken when it beats the warm start
@@ -443,11 +444,11 @@ def solve_step2(
 
     Every accepted step lowers P, so the result is never above the warm
     start projected onto the feasible set. kkt_residual is the marginal
-    mismatch at the result (see the module docstring), and a Newton stop
-    counts as converged only when it is at most KKT_TOLERANCE. Running
-    out of iterations (STEP2_MAX_ITERATIONS), a search that can no longer
-    lower P, or a Newton stop with unequal marginals raises NotConverged
-    carrying the last iterate.
+    mismatch at the result (see the module docstring). Off the kink the
+    result converges when kkt_residual is at most KKT_TOLERANCE and Newton
+    cannot improve it: the decrement stop, or a search that finds no
+    decrease. Anything else, the iteration cap STEP2_MAX_ITERATIONS too,
+    raises NotConverged carrying the last iterate.
     """
     w, beta = problem.w, problem.beta
     lam = problem.lam
@@ -481,9 +482,26 @@ def solve_step2(
             return None
         return found
 
+    def kkt_residual_at(vec: np.ndarray) -> float:
+        """Marginal mismatch at vec with the budget multiplier taken as the
+        mean marginal of the free frames on the face, else 0."""
+        grad_f, _ = distortion_derivatives(vec)
+        marginal = -grad_f
+        if coupled:
+            res = penalty.residual(vec)
+            norm = float(np.linalg.norm(res))
+            if norm > 0.0:
+                marginal = marginal - lam * penalty.apply_transpose(res / norm)
+        free = weighted & (vec > floor)
+        on_face = float(vec.sum()) >= budget * (1.0 - ACTIVE_BOUND)
+        mu = float(np.mean(marginal[free])) if on_face and np.any(free) else 0.0
+        return _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
+
     # The Hessian is assembled in place inside the bordered KKT matrix
-    # [[H, 1], [1^T, 0]]. Solving that system directly stays accurate when
-    # H alone is nearly singular, as the norm's Hessian is along y.
+    # [[H, 1], [1^T, 0]], which stays accurate where H alone is nearly
+    # singular: along A's null direction once lambda / |y| dwarfs the
+    # distortion curvature. That direction (1 / slope) has entries of one
+    # sign, so the budget row pins it.
     kkt = np.zeros((n + 1, n + 1))
     kkt[:n, n] = kkt[n, :n] = 1.0
     hess = kkt[:n, :n]
@@ -501,16 +519,19 @@ def solve_step2(
         return d, 0.0
 
     def active_direction(grad, free, on_face) -> np.ndarray:
-        """Newton direction with the active set settled: a floor frame is
-        released when its multiplier is negative and the step raises it;
-        the budget is released when its multiplier is negative and the
-        step then spends less."""
+        """Newton direction with the active set settled: the floor frames
+        whose multiplier is negative are released together, less those the
+        wider step lowers, until the step raises every one released; the
+        budget is released when its multiplier is negative and the step
+        then spends less."""
         d, nu = newton_direction(grad, free, on_face)
         release = weighted & ~free & (grad + nu < 0.0)
-        if np.any(release):
+        while np.any(release):
             wider, nu_wider = newton_direction(grad, free | release, on_face)
             if np.all(wider[release] > 0.0):
                 d, nu, free = wider, nu_wider, free | release
+                break
+            release &= wider > 0.0
         if on_face and nu < 0.0:
             off, _ = newton_direction(grad, free, False)
             if off.sum() < 0.0:
@@ -537,7 +558,6 @@ def solve_step2(
             t *= 0.5
         return 0.0, base, base_value
 
-    rank_one = np.empty((n, n)) if coupled else None
     r = project_rates(_as_vector(problem, warm_start), budget, floor)
     r[~weighted] = floor
     value = penalized_objective(problem, penalty, r)
@@ -548,9 +568,7 @@ def solve_step2(
             r, value = kink, kink_value
     start_value = value
 
-    converged = False
     stop = "iteration cap"
-    kkt_residual = math.inf
     iterations = 0
     for iterations in range(1, STEP2_MAX_ITERATIONS + 1):
         # A frame within rounding of the floor is on it.
@@ -570,7 +588,6 @@ def solve_step2(
                 if found is not None:
                     _, mu, marginal = found
                     kkt_residual = _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
-                    converged = kkt_residual <= STEP2_TOL
                     stop = "certified zero residual"
                     break
                 # Not provably optimal: step on the distortion term alone,
@@ -578,12 +595,9 @@ def solve_step2(
                 at_kink = True
             else:
                 norm = float(np.linalg.norm(res))
-                dual = penalty.apply_transpose(res / norm)
-                grad = grad_f + lam * dual
-                # In place: fresh n x n temporaries cost as much as the solve.
+                grad = grad_f + lam * penalty.apply_transpose(res / norm)
+                # In place: a fresh n x n temporary costs as much as the solve.
                 np.multiply(gram, lam / norm, out=hess)
-                np.multiply(dual[:, None], dual * (lam / norm), out=rank_one)
-                hess -= rank_one
         if not coupled or at_kink:
             hess.fill(0.0)
         hess[diagonal, diagonal] += curvature
@@ -595,24 +609,16 @@ def solve_step2(
             if not at_kink and -0.5 * float(grad @ d) <= STEP2_TOL * value + resolution:
                 # A converged Newton step improves P by less than rounding
                 # can show; it is kept unless P visibly rises or ends above
-                # the start.
+                # the start. The majorizer's decrement understates the excess
+                # of P, so unequal marginals send r to the line search.
                 candidate = projected(r, d)
                 value_c = penalized_objective(problem, penalty, candidate)
-                if value_c <= min(value + resolution, start_value):
-                    r, value = candidate, min(value, value_c)
-                converged = True
-                stop = "Newton decrement"
-                break
+                accepted = candidate if value_c <= min(value + resolution, start_value) else r
+                if kkt_residual_at(accepted) <= KKT_TOLERANCE:
+                    r = accepted
+                    stop = "Newton decrement"
+                    break
             t, candidate, value_c = line_search(r, value, grad, d)
-            if t < MAJORIZER_STEP and coupled and not at_kink:
-                # Near the norm's kink its Hessian is flat along y, so Newton
-                # overshoots; the quadratic majorizer of the norm, which
-                # keeps the curvature lambda / |y| A^T A along y, does not.
-                hess += rank_one
-                d = active_direction(grad, free, on_face)
-                t_mm, candidate_mm, value_mm = line_search(r, value, grad, d)
-                if value_mm < value_c:
-                    t, candidate, value_c = t_mm, candidate_mm, value_mm
         except np.linalg.LinAlgError:
             stop = "singular Newton system"
             break
@@ -621,21 +627,12 @@ def solve_step2(
             break
         r, value = candidate, value_c
 
-    if not (coupled and stop == "certified zero residual"):
-        grad_f, _ = distortion_derivatives(r)
-        marginal = -grad_f
-        if coupled:
-            res = penalty.residual(r)
-            norm = float(np.linalg.norm(res))
-            if norm > 0.0:
-                marginal = marginal - lam * penalty.apply_transpose(res / norm)
-        free = weighted & (r > floor)
-        on_face = float(r.sum()) >= budget * (1.0 - ACTIVE_BOUND)
-        mu = float(np.mean(marginal[free])) if on_face and np.any(free) else 0.0
-        kkt_residual = _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
-        # A small Newton decrement certifies nothing while the marginals
-        # still disagree.
-        converged = converged and kkt_residual <= KKT_TOLERANCE
+    if stop == "certified zero residual":
+        converged = kkt_residual <= STEP2_TOL
+    else:
+        kkt_residual = kkt_residual_at(r)
+        stalled = stop == "Newton decrement" or (stop == "line search" and not at_kink)
+        converged = stalled and kkt_residual <= KKT_TOLERANCE
     log.debug(
         "step2: %d Newton iterations, stopped by %s, kkt_residual %.3e",
         iterations,

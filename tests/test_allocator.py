@@ -565,6 +565,37 @@ class TestSolveStep2:
         oracle = min(penalized_objective(problem, penalty, r) for r in lattice)
         assert p <= oracle * (1.0 + 1e-9)
 
+    def test_floor_frames_the_wider_step_lowers_stay_down(self):
+        # At the step-1 split three weighted frames sit on the floor with
+        # negative multipliers, and the step that frees all three lowers
+        # one of them. Releasing the two it raises reaches the optimum;
+        # keeping all three on the floor ended in NotConverged after one
+        # iteration with kkt_residual 71 and P 51% above it.
+        problem = sparse_problem(3, 2, 6e6, 3650.4056912723413, 724496.6341378937, {
+            (1, 1): (0.3467081513863962, 94760579.92000306, -0.3669558295045184),
+            (0, 0): (0.9647625327354881, 175591024.47370562, -0.3752275887939407),
+            (1, 0): (0.4260580265507228, 43592358.28665212, -0.3394195507316047),
+            (2, 0): (0.5159391322785096, 34332725.817252815, -0.2597557781605802),
+        })
+        penalty = build_cone_penalty(problem, solve_step1(problem).rates)
+        result = allocate(problem)
+        assert result.kkt_residual <= 1e-9
+        p = penalized_objective(problem, penalty, result.rates)
+
+        # Every point of a 40-step lattice over the budget face of the four
+        # weighted frames, the two zero-weight frames on the floor.
+        floor, steps = problem.min_rate, 40
+        weighted = problem.w > 0.0
+        step = (problem.budget - problem.grid.n_frames * floor) / steps
+        oracle = math.inf
+        for i in range(steps + 1):
+            for j in range(steps + 1 - i):
+                for k in range(steps + 1 - i - j):
+                    r = np.full(problem.grid.n_frames, floor)
+                    r[weighted] += np.array([i, j, k, steps - i - j - k]) * step
+                    oracle = min(oracle, penalized_objective(problem, penalty, r))
+        assert p <= oracle * (1.0 + 1e-9)
+
     def test_majorizer_retry_converges(self):
         # Near the kink the Newton step is cut short. Without the majorizer
         # retry the line search stalls and step 2 ends in NotConverged after

@@ -78,11 +78,13 @@ def test_every_exported_name_is_used_outside_tests():
         (errors, "ShapeMismatch"),
         (errors, "WeightChannelAbsent"),
         (metrics, "discontinuity"),
+        (allocator, "MAJORIZER_STEP"),
     ],
 )
 def test_scalar_twins_are_gone(module, name):
-    """Deleted names stay gone: the scalar twins, the standalone passes, and
-    the readers, pixel frame, errors and metric that only tests reached."""
+    """Deleted names stay gone: the scalar twins, the standalone passes, the
+    readers, pixel frame, errors and metric that only tests reached, and
+    step 2's majorizer retry length."""
     assert name not in lfalloc.__all__
     assert not hasattr(lfalloc, name)
     assert not hasattr(module, name)
