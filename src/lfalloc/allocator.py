@@ -9,11 +9,14 @@ in closed form per frame via the common multiplier, with safeguarded
 Newton steps on the multiplier to meet the budget (water-filling). Step
 two linearizes each frame's distortion inside the consistency term around
 the step-one rates, which turns the penalty into the Euclidean norm of an
-affine map A r + b, and minimizes the resulting convex objective over the
-same feasible set with damped Newton steps on the budget face, the norm
-modelled by its quadratic majorizer. Step two converges where Newton can
-no longer improve its iterate and kkt_residual is at most KKT_TOLERANCE,
-or at a zero residual that a dual certificate proves optimal.
+affine map A r + b, and minimizes the resulting convex objective with
+damped Newton steps on the budget face sum_f r_f = budget, the norm
+modelled by its quadratic majorizer. Every optimum lies on that face:
+raising each weighted frame by t / |slope_f| (its tangent slope at the
+step-one rates) leaves A r + b unchanged and lowers the distortion. Step
+two converges where Newton can no longer improve its iterate, or at a
+zero residual that a dual certificate proves optimal, and in either case
+only with kkt_residual at most KKT_TOLERANCE.
 
 Both steps report kkt_residual with one unit-free meaning: the worst
 relative mismatch between a frame's marginal (the objective's decrease
@@ -56,8 +59,9 @@ ZERO_RESIDUAL = 1e-12
 # that cancel in it.
 ROUNDING = 1e-14
 
-# A rate within this relative distance of min_rate is on the floor, and a
-# total within it of the budget is on the budget face.
+# A rate within this relative distance of min_rate is on the floor; a
+# step-2 start that spends less than this fraction below the budget is on
+# the budget face as it is.
 ACTIVE_BOUND = 1e-9
 
 # A step-2 Newton step keeps every frame at or above this fraction of its
@@ -67,8 +71,8 @@ MIN_RATE_RATIO = 0.25
 # Step 2 converges only where kkt_residual is at most this.
 KKT_TOLERANCE = 1e-6
 
-# Step 2's unit-free stop: the predicted excess of P over its minimum at
-# most this fraction of P, or, at the kink, a marginal mismatch at most it.
+# Step 2's unit-free Newton stop: the predicted excess of P over its
+# minimum at most this fraction of P.
 STEP2_TOL = 1e-12
 
 # Newton iterations step 2 runs before it raises NotConverged.
@@ -403,7 +407,7 @@ def _kink_certificate(penalty: ConePenalty, gram, grad_f, lam: float, weighted):
 def _marginal_mismatch(marginal, grad_f, free, floored, mu: float) -> float:
     """Worst relative gap between mu and the marginals of free frames and of
     floor frames whose marginal exceeds mu (their multiplier is negative,
-    so they should rise); with mu = 0 (budget slack) relative to the
+    so they should rise); where mu is not positive, relative to the
     largest distortion marginal among them."""
     counted = free | (floored & (marginal > mu))
     if not np.any(counted):
@@ -418,37 +422,41 @@ def solve_step2(
     penalty: ConePenalty,
 ) -> AllocationResult:
     """Minimize the penalized objective P(r) = sum_f w_f^2 alpha_f r_f**beta_f
-    + lambda |A r + b| over the feasible set by damped Newton steps.
+    + lambda |A r + b| on the budget face sum(r) = budget, r >= min_rate,
+    by damped Newton steps.
 
-    Each iteration solves one KKT system on the budget face sum(r) = budget
-    with the Hessian diag(w^2 alpha beta (beta-1) r^(beta-2)) + (lambda /
-    |y|) A^T A, y = A r + b, whose second term is that of the norm's
-    quadratic majorizer at y: unlike the norm's own Hessian it keeps the
-    curvature along y, so the step does not overshoot near the kink.
-    Frames at min_rate stay fixed while their multiplier is nonnegative,
-    and the budget is released when its multiplier would go negative;
-    zero-weight frames sit at the floor. The step is projected onto the
-    feasible set with no frame cut below a quarter of its rate, and
-    backtracked until the exact P falls enough (Armijo). The stop is
-    unit-free: half the squared decrement at most STEP2_TOL * P or below
-    the rounding error of P, with kkt_residual at most KKT_TOLERANCE at
-    the full step (at r if that step visibly raises P). The majorizer's
-    decrement understates the excess of P, so with unequal marginals the
-    line search runs from r instead.
+    Every optimum spends the whole budget (see the module docstring), so
+    the warm start, projected onto the feasible set, has any slack beyond
+    ACTIVE_BOUND spread evenly over the weighted frames, and each step
+    keeps the spend. Each iteration solves one KKT system on the face with
+    the Hessian diag(w^2 alpha beta (beta-1) r^(beta-2)) + (lambda / |y|)
+    A^T A, y = A r + b, whose second term is that of the norm's quadratic
+    majorizer at y: unlike the norm's own Hessian it keeps the curvature
+    along y, so the step does not overshoot near the kink. Frames at
+    min_rate stay fixed while their multiplier is nonnegative; zero-weight
+    frames sit at the floor. The step is projected onto the feasible set
+    with no frame cut below a quarter of its rate, and backtracked until
+    the exact P falls enough (Armijo). The Newton stop is unit-free: half
+    the squared decrement at most STEP2_TOL * P or below the rounding
+    error of P, with kkt_residual at most KKT_TOLERANCE at the full step
+    (at r if that step visibly raises P). The majorizer's decrement
+    understates the excess of P, so with unequal marginals the line search
+    runs from r instead.
 
-    The norm has a kink where A r + b = 0. The one budget-face point with
-    a zero residual is tried first and taken when it beats the warm start
-    and a dual certificate proves it optimal; at a zero residual the
-    certificate replaces the Newton test, and converged means its
-    marginal mismatch is at most STEP2_TOL.
+    The norm has a kink where A r + b = 0. From every start the one
+    budget-face point with a zero residual is tried first and taken when
+    it beats the start and a dual certificate proves it optimal; at a zero
+    residual the certificate's marginal mismatch replaces the Newton test.
 
-    Every accepted step lowers P, so the result is never above the warm
-    start projected onto the feasible set. kkt_residual is the marginal
-    mismatch at the result (see the module docstring). Off the kink the
-    result converges when kkt_residual is at most KKT_TOLERANCE and Newton
-    cannot improve it: the decrement stop, or a search that finds no
-    decrease. Anything else, the iteration cap STEP2_MAX_ITERATIONS too,
-    raises NotConverged carrying the last iterate.
+    Every accepted step lowers P, so the result is never above P at that
+    start.
+    kkt_residual is the marginal mismatch at the result (see the module
+    docstring), or the certificate's at a certified zero residual. The
+    result converges when kkt_residual is at most KKT_TOLERANCE and step 2
+    stopped by the certificate, the decrement, or a search off the kink
+    that finds no decrease. The iteration cap STEP2_MAX_ITERATIONS, a
+    singular Newton system and a search that stalls at the kink raise
+    NotConverged carrying the last iterate.
     """
     w, beta = problem.w, problem.beta
     lam = problem.lam
@@ -484,7 +492,7 @@ def solve_step2(
 
     def kkt_residual_at(vec: np.ndarray) -> float:
         """Marginal mismatch at vec with the budget multiplier taken as the
-        mean marginal of the free frames on the face, else 0."""
+        mean marginal of the free frames."""
         grad_f, _ = distortion_derivatives(vec)
         marginal = -grad_f
         if coupled:
@@ -493,8 +501,7 @@ def solve_step2(
             if norm > 0.0:
                 marginal = marginal - lam * penalty.apply_transpose(res / norm)
         free = weighted & (vec > floor)
-        on_face = float(vec.sum()) >= budget * (1.0 - ACTIVE_BOUND)
-        mu = float(np.mean(marginal[free])) if on_face and np.any(free) else 0.0
+        mu = float(np.mean(marginal[free])) if np.any(free) else 0.0
         return _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
 
     # The Hessian is assembled in place inside the bordered KKT matrix
@@ -507,35 +514,25 @@ def solve_step2(
     hess = kkt[:n, :n]
     diagonal = np.arange(n)
 
-    def newton_direction(grad, free, on_face):
+    def newton_direction(grad, free):
+        rows = np.append(np.nonzero(free)[0], n)
+        system = kkt if rows.size == n + 1 else kkt[np.ix_(rows, rows)]
+        sol = np.linalg.solve(system, np.append(-grad[free], 0.0))
         d = np.zeros(n)
-        if on_face:
-            rows = np.append(np.nonzero(free)[0], n)
-            system = kkt if rows.size == n + 1 else kkt[np.ix_(rows, rows)]
-            sol = np.linalg.solve(system, np.append(-grad[free], 0.0))
-            d[free] = sol[:-1]
-            return d, float(sol[-1])
-        d[free] = np.linalg.solve(hess[np.ix_(free, free)], -grad[free])
-        return d, 0.0
+        d[free] = sol[:-1]
+        return d, float(sol[-1])
 
-    def active_direction(grad, free, on_face) -> np.ndarray:
+    def active_direction(grad, free) -> np.ndarray:
         """Newton direction with the active set settled: the floor frames
         whose multiplier is negative are released together, less those the
-        wider step lowers, until the step raises every one released; the
-        budget is released when its multiplier is negative and the step
-        then spends less."""
-        d, nu = newton_direction(grad, free, on_face)
+        wider step lowers, until the step raises every one released."""
+        d, nu = newton_direction(grad, free)
         release = weighted & ~free & (grad + nu < 0.0)
         while np.any(release):
-            wider, nu_wider = newton_direction(grad, free | release, on_face)
+            wider, _ = newton_direction(grad, free | release)
             if np.all(wider[release] > 0.0):
-                d, nu, free = wider, nu_wider, free | release
-                break
+                return wider
             release &= wider > 0.0
-        if on_face and nu < 0.0:
-            off, _ = newton_direction(grad, free, False)
-            if off.sum() < 0.0:
-                d = off
         return d
 
     def projected(base: np.ndarray, move: np.ndarray) -> np.ndarray:
@@ -560,8 +557,11 @@ def solve_step2(
 
     r = project_rates(_as_vector(problem, warm_start), budget, floor)
     r[~weighted] = floor
+    slack = budget - float(r.sum())
+    if slack > budget * ACTIVE_BOUND:
+        r[weighted] += slack / np.count_nonzero(weighted)
     value = penalized_objective(problem, penalty, r)
-    if coupled and not is_zero(r, penalty.residual(r)):
+    if coupled:
         kink = _zero_residual_point(penalty, weighted, budget, floor)
         kink_value = math.inf if kink is None else penalized_objective(problem, penalty, kink)
         if kink_value < value and certified(kink) is not None:
@@ -577,7 +577,6 @@ def solve_step2(
             r[snap] = floor
             value = penalized_objective(problem, penalty, r)
         free = weighted & (r > floor)
-        on_face = float(r.sum()) >= budget * (1.0 - ACTIVE_BOUND)
         grad_f, curvature = distortion_derivatives(r)
         grad = grad_f
         at_kink = False
@@ -602,7 +601,7 @@ def solve_step2(
             hess.fill(0.0)
         hess[diagonal, diagonal] += curvature
         try:
-            d = active_direction(grad, free, on_face)
+            d = active_direction(grad, free)
             # P cannot resolve changes below its rounding error, so neither
             # can the stop or the step that passes it.
             resolution = ROUNDING * (value + (lam * residual_scale(r) if coupled else 0.0))
@@ -623,16 +622,14 @@ def solve_step2(
             stop = "singular Newton system"
             break
         if t == 0.0:
-            stop = "line search"
+            stop = "line search at the kink" if at_kink else "line search"
             break
         r, value = candidate, value_c
 
-    if stop == "certified zero residual":
-        converged = kkt_residual <= STEP2_TOL
-    else:
+    if stop != "certified zero residual":
         kkt_residual = kkt_residual_at(r)
-        stalled = stop == "Newton decrement" or (stop == "line search" and not at_kink)
-        converged = stalled and kkt_residual <= KKT_TOLERANCE
+    settled = stop in ("certified zero residual", "Newton decrement", "line search")
+    converged = settled and kkt_residual <= KKT_TOLERANCE
     log.debug(
         "step2: %d Newton iterations, stopped by %s, kkt_residual %.3e",
         iterations,
@@ -723,10 +720,10 @@ def read_problem_file(path, **overrides) -> AllocationProblem:
 
 
 def _coding_order(text: str) -> tuple[FrameCoord, ...]:
-    return tuple(map(FrameCoord, *records.columns(text.split(";"), (int, int), "u,v")))
+    return tuple(map(FrameCoord, *records.columns(text.split(";"), (records.integer,) * 2, "u,v")))
 
 
-_PROBLEM_FRAME = (int, int, records.nonnegative, records.finite, records.finite)
+_PROBLEM_FRAME = (records.integer,) * 2 + (records.nonnegative, records.finite, records.finite)
 _PROBLEM_KEYS = dict.fromkeys(("budget", "lambda", "min_rate"), records.finite)
 _PROBLEM_KEYS["order"] = _coding_order
 
@@ -769,7 +766,7 @@ def read_allocation_file(path) -> tuple[dict[FrameCoord, float], dict[str, float
     return rates, diagnostics
 
 
-_RATE_FIELDS = (int, int, records.finite)
+_RATE_FIELDS = (records.integer,) * 2 + (records.finite,)
 # allocate writes a finite kkt_residual on every exit; the reader still
 # accepts inf.
 _DIAGNOSTICS = dict.fromkeys(

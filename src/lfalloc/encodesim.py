@@ -837,9 +837,9 @@ def read_mock_config(path) -> MockSetup:
     return MockSetup(config=config, grid=spiral_order(width, height), weights=weights)
 
 
-_MOCK_FRAME = (int, int, records.finite, records.finite, records.nonnegative)
+_MOCK_FRAME = (records.integer,) * 2 + (records.finite, records.finite, records.nonnegative)
 _MOCK_KEYS = dict.fromkeys(("rate0", "gamma", "ref_norm", "rate_qp_halving"), records.finite)
-_MOCK_KEYS.update(qp0=int, frame_pixels=int, curvature=records.nonnegative)
+_MOCK_KEYS.update(qp0=records.integer, frame_pixels=records.integer, curvature=records.nonnegative)
 # Keys whose MockEncoderConfig field has another name; the rest share it.
 _MOCK_FIELDS = {"qp0": "qp_anchor", "rate0": "rate_anchor", "gamma": "dependency_gamma"}
 
@@ -931,8 +931,10 @@ def read_trace_csv(path) -> ParsedTrace:
     return ParsedTrace(iterations=iterations, converged=converged)
 
 
-_TRACE_FIELDS = (int,) * 4 + (records.finite, records.nonnegative, records.finite, records.finite)
-_SUMMARY_FIELDS = (str, int, str, records.finite, str, records.finite_or_inf)
+_TRACE_FIELDS = (records.integer,) * 4 + (
+    records.finite, records.nonnegative, records.finite, records.finite
+)
+_SUMMARY_FIELDS = (str, records.integer, str, records.finite, str, records.finite_or_inf)
 
 
 def last_iteration_distortions(parsed: ParsedTrace) -> DistortionSet:

@@ -177,6 +177,7 @@ def read_curve_csv(path) -> list[RDPoint]:
 
 
 SSE_HEADER = "u,v,sse"
+_SSE_FIELDS = (records.integer,) * 2 + (records.nonnegative,)
 
 
 def write_sse_csv(distortions: DistortionSet, path) -> None:
@@ -189,7 +190,7 @@ def read_sse_csv(path) -> DistortionSet:
     sse: dict[FrameCoord, float] = {}
 
     def record(line: str) -> None:
-        u, v, value = records.fields(line, (int, int, records.nonnegative), SSE_HEADER)
+        u, v, value = records.fields(line, _SSE_FIELDS, SSE_HEADER)
         records.put(sse, FrameCoord(u, v), value, "frame")
 
     records.read(path, record, SSE_HEADER)

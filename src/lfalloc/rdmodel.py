@@ -116,7 +116,7 @@ def tangent_lines(alpha, beta, expansion_point):
 
 SAMPLES_HEADER = "frame_index,qp,rate_bits,sse"
 MODELS_HEADER = "frame_index,alpha,beta,r_squared"
-_SAMPLE_FIELDS = (str, int, records.finite, records.finite)
+_SAMPLE_FIELDS = (str, records.integer, records.finite, records.finite)
 
 
 def write_samples_csv(samples: dict[str, list[RDSample]], path) -> None:

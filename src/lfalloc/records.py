@@ -36,9 +36,20 @@ def number(value) -> str:
     return repr(float(value))
 
 
+def integer(text: str) -> int:
+    """An integer field."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer {text.strip()!r}") from None
+
+
 def finite(text: str) -> float:
     """A number field that must be finite."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"not a number {text.strip()!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text.strip()!r}")
     return value
@@ -102,7 +113,7 @@ def read(source, record, header: str | None = None, *, comments: bool = False) -
 # The bulk form of a field converter: the type a column's texts are read
 # as, and the test all of its values must pass (None: any value).
 _BULK = {
-    int: (int, None),
+    integer: (int, None),
     finite: (float, np.isfinite),
     nonnegative: (float, lambda values: np.isfinite(values) & (values >= 0.0)),
 }
@@ -164,7 +175,7 @@ def key_values(path, keys: dict, required, frame, spec: str, defaults=()) -> tup
     included, a second scan converts each frame line as it is read, so
     the error names the first bad line.
     """
-    keys = {"width": int, "height": int, **keys}
+    keys = {"width": integer, "height": integer, **keys}
 
     def scan(strict: bool) -> tuple[dict, dict]:
         values: dict = {}

@@ -506,12 +506,13 @@ class TestSolveStep2:
         )
 
     def test_iteration_cap_raises_with_best_iterate(self, monkeypatch):
-        problem = coupled_square()
+        # With a small lambda the optimum is off the kink, so two Newton
+        # iterations do not reach it.
+        problem = replace(coupled_square(), lam=0.01)
         step1 = solve_step1(problem)
         penalty = build_cone_penalty(problem, step1.rates)
-        monkeypatch.setattr(allocator, "STEP2_MAX_ITERATIONS", 5)
-        monkeypatch.setattr(allocator, "STEP2_TOL", 0.0)
-        with pytest.raises(NotConverged) as err:
+        monkeypatch.setattr(allocator, "STEP2_MAX_ITERATIONS", 2)
+        with pytest.raises(NotConverged, match="iteration cap") as err:
             solve_step2(problem, step1.rates, penalty)
         carried = err.value.result
         assert carried is not None
@@ -545,9 +546,10 @@ class TestSolveStep2:
         assert err.value.result.rates == step1.rates
         assert err.value.result.kkt_residual > 1.0
 
-    def test_budget_release_reaches_the_face_optimum(self):
-        # Without the budget release step 2 stops at the step-1 split, with
-        # P 9.8% above the optimum.
+    def test_floor_release_reaches_the_face_optimum(self):
+        # At the step-1 split frames (2,0) and (0,0) sit on the floor with
+        # negative multipliers. The step that frees both lowers (0,0), so
+        # only (2,0) is released, and it takes all the slack.
         problem = self.floor_split_problem()
         step1 = solve_step1(problem)
         penalty = build_cone_penalty(problem, step1.rates)
@@ -606,6 +608,53 @@ class TestSolveStep2:
             (0, 0): (0.29614801694906895, 6206724.511488373, -0.16711322211126095),
         })
         assert allocate(problem).kkt_residual <= 1e-9
+
+    def test_under_budget_start_reaches_the_split_optimum(self):
+        # A start that spends half the budget has its slack spread over the
+        # weighted frames before the first Newton step.
+        problem = replace(coupled_square(), lam=0.01)
+        step1 = solve_step1(problem)
+        penalty = build_cone_penalty(problem, step1.rates)
+        half = {c: 0.5 * r for c, r in step1.rates.items()}
+        from_half = solve_step2(problem, half, penalty)
+        from_split = solve_step2(problem, step1.rates, penalty)
+        assert penalized_objective(problem, penalty, from_half.rates) == pytest.approx(
+            penalized_objective(problem, penalty, from_split.rates), rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            pytest.param(
+                sparse_problem(1, 6, 6e6, 77.73353770658693, 459784.57194551517, {
+                    (0, 2): (0.7779100301965141, 57990825.773164645, -0.4365892239536335),
+                    (0, 5): (0.40506488507941585, 195475257.55220756, -0.31044671908474974),
+                    (0, 0): (0.39353496168786456, 58113024.91724182, -0.4052887774185132),
+                }),
+                id="1x6",
+            ),
+            pytest.param(
+                sparse_problem(6, 1, 6e6, 532.3903248286007, 27710.877957215864, {
+                    (4, 0): (0.7772899433551292, 110850301.19326107, -0.3850019167679068),
+                    (5, 0): (0.551972235647393, 43713517.06535419, -0.31442721641185556),
+                    (1, 0): (0.685813251579918, 232052341.56657013, -0.43895184268883736),
+                    (0, 0): (0.5205058964309114, 113388679.7122705, -0.439796531985802),
+                }),
+                id="6x1",
+            ),
+        ],
+    )
+    def test_certified_zero_residual_converges_by_kkt_tolerance(self, problem):
+        # Zero weights split the coupled frames into groups. Step 2 stops at
+        # a zero residual whose dual certificate leaves a marginal mismatch
+        # of 3.4e-12 (1x6) and 1.9e-9 (6x1): far below KKT_TOLERANCE, so
+        # the point is proved optimal and converges.
+        result = allocate(problem)
+        assert result.kkt_residual <= 1e-8
+        penalty = build_cone_penalty(problem, result.step1_rates)
+        p = penalized_objective(problem, penalty, result.rates)
+        assert p <= penalized_objective(problem, penalty, result.step1_rates)
+        assert result.budget_used == pytest.approx(problem.budget, rel=1e-12)
 
     def test_newton_stop_with_unequal_marginals_is_not_converged(self):
         # The Newton decrement falls below its tolerance with 0.58% of the
@@ -713,6 +762,19 @@ class TestAllocate:
         rates = list(result.rates.values())
         assert rates[0] == rates[1] == rates[2]
         assert result.budget_used == pytest.approx(3e6, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", np.linspace(-1e-10, 1e-10, 41).tolist(), ids="{:+.1e}".format)
+    def test_identical_frames_converge_from_every_warm_start_bit(self, scale):
+        # Every warm start within step 1's budget tolerance of the split
+        # reaches the same kink; the last bits of the start decide nothing.
+        problem = line_problem((REFERENCE_PAIRS[0],) * 3, budget=3e6, lam=5.0)
+        step1 = solve_step1(problem)
+        penalty = build_cone_penalty(problem, step1.rates)
+        start = {c: (1.0 + scale) * r for c, r in step1.rates.items()}
+        result = solve_step2(problem, start, penalty)
+        rates = list(result.rates.values())
+        assert rates[0] == rates[1] == rates[2]
+        assert result.budget_used == pytest.approx(problem.budget, rel=1e-12)
 
     def test_polish_does_not_worsen_linearized_objective(self):
         problem = coupled_square()

@@ -645,6 +645,8 @@ def test_record_defect_is_input_error(tmp_path, capsys, defect):
     err = capsys.readouterr().err
     prefix = f"error: {path}: line {line}: " if names_line else f"error: {path}: "
     assert err.startswith(prefix), err
+    # Every defect is phrased by the record reader, never in Python's words.
+    assert "invalid literal" not in err and "could not convert" not in err, err
 
 
 def non_finite_frame(lines, at):

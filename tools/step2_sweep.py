@@ -1,8 +1,9 @@
-"""Step-2 sweep: how a source tree's allocate ends on 4,000 random small problems.
+"""Step-2 sweep: how a source tree's allocate ends on 4,000 random small problems
+and on the benchmark's 320 cone problems.
 
-The problems cover what the benchmark recipe never reaches: zero weights,
-high rate floors and the kink of the penalty norm. They are drawn from
-numpy.random.default_rng(1), in this order per problem:
+The "sweep" set covers what the benchmark recipe never reaches: zero
+weights, high rate floors and the kink of the penalty norm. Its problems
+are drawn from numpy.random.default_rng(1), in this order per problem:
 
 - width, height = rng.integers(1, 7, 2), so grid sides 1-6;
 - per frame in coding order, alpha = 10^U(7.5, 8.5), then beta =
@@ -12,25 +13,36 @@ numpy.random.default_rng(1), in this order per problem:
 - budget 1e6 bits per frame and floor U(1e-3, 0.9) x budget / n;
 - lambda = 10^U(-1, 6).
 
+The "cone" set is the benchmark's own recipe: the problems of
+perfbench/workloads.make_problem for each class of the cone workload,
+seeds 0-9 in the order perfbench/run.py draws them.
+
     python tools/step2_sweep.py run PARENT_TREE --output parent.json
     python tools/step2_sweep.py run CHANGED_TREE --output change.json
     python tools/step2_sweep.py compare parent.json change.json
 
 `run` imports lfalloc from TREE/src and turns every warning into an
-error, so a numpy warning ends the run in a traceback. One record per
-problem holds its outcome (converged, NotConverged or DegenerateWeights),
-P at the result (None for DegenerateWeights), linearized at the step-1
-split as the benchmark's p_ratio is, and the result's kkt_residual.
+error, so a numpy warning ends the run in a traceback; the cone problems
+come from this checkout's perfbench. One record per problem holds its set,
+its outcome (converged, NotConverged or DegenerateWeights), P at the
+result, linearized at the step-1 split as the benchmark's p_ratio is, the
+result's kkt_residual and step-2 iterations, and a digest of its rates;
+all but the set and outcome are None for DegenerateWeights. `compare`
+reports each set on its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import statistics
 import sys
 import warnings
 from collections import Counter
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PROBLEMS = 4000
 SEED = 1
@@ -40,6 +52,7 @@ OUTCOMES = ("converged", "NotConverged", "DegenerateWeights")
 # P rises smaller than this, relative, count as rounding.
 P_RISE = 1e-9
 SHOWN_RISES = 10
+CONE_SEEDS = range(10)
 
 
 def draw_problem(lfalloc, rng):
@@ -68,12 +81,32 @@ def draw_problem(lfalloc, rng):
     )
 
 
+def solve(lfalloc, problem, name: str) -> dict:
+    """The record of one problem of set name."""
+    try:
+        result, outcome = lfalloc.allocate(problem), "converged"
+    except lfalloc.NotConverged as exc:
+        result, outcome = exc.result, "NotConverged"
+    split = lfalloc.solve_step1(problem).rates
+    penalty = lfalloc.build_cone_penalty(problem, split)
+    rates = json.dumps(list(result.rates.values())).encode()
+    return dict(
+        set=name,
+        outcome=outcome,
+        p=lfalloc.penalized_objective(problem, penalty, result.rates),
+        kkt_residual=result.kkt_residual,
+        iterations=result.iterations,
+        rates=hashlib.sha256(rates).hexdigest()[:16],
+    )
+
+
 def run_tree(tree: Path) -> list[dict]:
-    """One record per sweep problem, solved with the lfalloc of tree."""
-    sys.path.insert(0, str(tree / "src"))
+    """One record per problem of both sets, solved with the lfalloc of tree."""
+    sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench")]
     import numpy as np
 
     import lfalloc
+    from workloads import WORKLOADS, make_problem, stream
 
     rng = np.random.default_rng(SEED)
     records = []
@@ -83,29 +116,44 @@ def run_tree(tree: Path) -> list[dict]:
             try:
                 problem = draw_problem(lfalloc, rng)
             except lfalloc.DegenerateWeights:
-                records.append(dict(outcome="DegenerateWeights", p=None, kkt_residual=None))
+                record = dict(set="sweep", outcome="DegenerateWeights")
+                records.append(record | dict.fromkeys(("p", "kkt_residual", "iterations", "rates")))
                 continue
-            try:
-                result, outcome = lfalloc.allocate(problem), "converged"
-            except lfalloc.NotConverged as exc:
-                result, outcome = exc.result, "NotConverged"
-            split = lfalloc.solve_step1(problem).rates
-            penalty = lfalloc.build_cone_penalty(problem, split)
-            p = lfalloc.penalized_objective(problem, penalty, result.rates)
-            records.append(dict(outcome=outcome, p=p, kkt_residual=result.kkt_residual))
+            records.append(solve(lfalloc, problem, "sweep"))
+        cone = WORKLOADS["cone"]
+        for seed in CONE_SEEDS:
+            for cls, (side, lam) in enumerate(cone.classes):
+                for k in range(cone.problems_per_class):
+                    problem = make_problem(stream(seed, 1, cls, k), side, lam)
+                    records.append(solve(lfalloc, problem, "cone"))
     return records
 
 
 def summarize(parent: list[dict], change: list[dict]) -> dict:
-    """Outcome counts of both runs, the outcome transitions, and the rises
-    in P of change over parent above P_RISE, largest first."""
-    if len(parent) != len(change):
+    """Per set, in the order the records give them: the summary of
+    summarize_set."""
+    if [r["set"] for r in parent] != [r["set"] for r in change]:
         raise ValueError("the two runs cover different problems")
+    names = list(dict.fromkeys(r["set"] for r in parent))
+    return {
+        name: summarize_set(
+            [r for r in parent if r["set"] == name], [r for r in change if r["set"] == name]
+        )
+        for name in names
+    }
+
+
+def summarize_set(parent: list[dict], change: list[dict]) -> dict:
+    """Outcome counts of both runs, the outcome transitions, the rises in
+    P of change over parent above P_RISE, largest first, the mean step-2
+    iterations of each over the problems both converge on, and how many
+    problems end at identical rates."""
+    pairs = list(zip(parent, change))
     transitions = Counter(
-        (a["outcome"], b["outcome"]) for a, b in zip(parent, change) if a["outcome"] != b["outcome"]
+        (a["outcome"], b["outcome"]) for a, b in pairs if a["outcome"] != b["outcome"]
     )
     rises = []
-    for index, (a, b) in enumerate(zip(parent, change)):
+    for index, (a, b) in enumerate(pairs):
         if a["p"] is not None and b["p"] is not None:
             rise = (b["p"] - a["p"]) / abs(a["p"])
             if rise > P_RISE:
@@ -116,16 +164,35 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
         tally = Counter(r["outcome"] for r in records)
         return {outcome: tally[outcome] for outcome in OUTCOMES}
 
+    both = [(a, b) for a, b in pairs if a["outcome"] == b["outcome"] == "converged"]
     return dict(
+        problems=len(pairs),
         parent=counts(parent),
         change=counts(change),
         transitions=[dict(parent=a, change=b, count=c) for (a, b), c in sorted(transitions.items())],
         rises=rises,
+        converged_both=len(both),
+        mean_iterations=[
+            statistics.fmean(a["iterations"] for a, _ in both),
+            statistics.fmean(b["iterations"] for _, b in both),
+        ]
+        if both
+        else None,
+        identical_rates=sum(a["rates"] == b["rates"] for a, b in pairs if a["rates"] is not None),
     )
 
 
 def format_summary(summary: dict) -> str:
-    """The summary as text, one figure a line."""
+    """The summary as text: a heading per set, then one figure a line."""
+    lines = []
+    for name, figures in summary.items():
+        lines.append(f"{name} ({figures['problems']:,} problems)")
+        lines += ["  " + line for line in format_set(figures)]
+    return "\n".join(lines)
+
+
+def format_set(summary: dict) -> list[str]:
+    """One set's summary as lines."""
     lines = [
         f"{outcome}: {summary['parent'][outcome]:,} -> {summary['change'][outcome]:,}"
         for outcome in OUTCOMES
@@ -137,7 +204,14 @@ def format_summary(summary: dict) -> str:
         f"problem {r['problem']}: P {r['rise']:+.3e} relative ({r['parent']} -> {r['change']})"
         for r in rises[:SHOWN_RISES]
     ]
-    return "\n".join(lines)
+    if summary["converged_both"]:
+        before, after = summary["mean_iterations"]
+        lines.append(
+            f"mean step-2 iterations {before:.3f} -> {after:.3f}"
+            f" over the {summary['converged_both']:,} problems both converge on"
+        )
+    lines.append(f"identical rates on {summary['identical_rates']:,} problems")
+    return lines
 
 
 def main(argv=None) -> int:
