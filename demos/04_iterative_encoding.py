@@ -3,13 +3,16 @@
 Models are only as good as the encodes they were fitted on, and encodes
 depend on the rates the models suggested. The loop alternates the two:
 encode at the current targets, refit the models, re-solve the
-allocation, and stop once no quantizer moves. A searched frame is refit
-from its committed encode and the neighbouring quantizer on the far side
-of its target (2 encoder calls). A frame whose quantizer holds, or moves
-by at most 3 steps from a model fitted on such a pair, is encoded once,
-and its model keeps its exponent while the scale is rescaled to that
-encode (1 call, or none when it holds and its reference frame did not
-change either). The "1-call" column counts those frames per pass.
+allocation, and stop once no quantizer moves. One rule commits every
+frame. A frame whose quantizer holds, or moves by at most 3 steps from a
+model fitted on a pair of encodes, is offered that model: it is encoded
+once at its predicted quantizer, and when that encode confirms the
+prediction its model keeps its exponent while the scale is rescaled to
+that encode (1 call, or none when it holds and its reference frame did
+not change either). The "1-call" column counts those frames per pass.
+Any other frame is searched, and refit from its committed encode and the
+neighbouring quantizer on the far side of its target (2 encoder calls
+when the search starts next to the answer).
 
 Moving one frame's quantizer changes the reference of the frame after
 it. From the second pass on, each frame carries a reference elasticity,

@@ -700,13 +700,17 @@ def read_problem_file(path, **overrides) -> AllocationProblem:
     effect.
     """
     values, frames = records.key_values(
-        path, _PROBLEM_KEYS, ("budget", "lambda"), _PROBLEM_FRAME, PROBLEM_FRAME_FIELDS
+        path,
+        _PROBLEM_KEYS,
+        ("budget", "lambda"),
+        _PROBLEM_FRAME,
+        PROBLEM_FRAME_FIELDS,
+        grid_keys={"order": FrameGrid},
     )
-    width, height, order = values["width"], values["height"], values.get("order")
+    grid = values.get("order") or spiral_order(values["width"], values["height"])
     scalars = dict(budget=values["budget"], lam=values["lambda"], min_rate=values.get("min_rate"))
     scalars.update((key, value) for key, value in overrides.items() if value is not None)
     try:
-        grid = spiral_order(width, height) if order is None else FrameGrid(width, height, order)
         coords = grid.coding_order
         weight, alpha, beta = zip(*grid.align(frames, "frame lines"))
         return AllocationProblem(
@@ -723,9 +727,13 @@ def _coding_order(text: str) -> tuple[FrameCoord, ...]:
     return tuple(map(FrameCoord, *records.columns(text.split(";"), (records.integer,) * 2, "u,v")))
 
 
-_PROBLEM_FRAME = (records.integer,) * 2 + (records.nonnegative, records.finite, records.finite)
-_PROBLEM_KEYS = dict.fromkeys(("budget", "lambda", "min_rate"), records.finite)
-_PROBLEM_KEYS["order"] = _coding_order
+_PROBLEM_FRAME = (records.integer,) * 2 + (records.nonnegative, records.positive, records.negative)
+_PROBLEM_KEYS = {
+    "budget": records.positive,
+    "lambda": records.nonnegative,
+    "min_rate": records.positive,
+    "order": _coding_order,
+}
 
 
 ALLOCATION_HEADER = "u,v,rate_bits"

@@ -23,16 +23,20 @@ alternate the allocator with a re-encode until no quantizer moves.
 One rule predicts the quantizer a frame will commit: the search's own
 nearest-rate rule, run on rates predicted from one encode (qp, rate)
 along the log-linear rate-quantizer slope of the frame's last fit
-(_predicted_commit). Each re-encoded frame starts its search from the
-prediction made from its previous pass. When that lies within CARRY_SPAN
-quantizers of its previous quantizer, and the frame's previous model was
-fitted from a pair unless the quantizer holds, the frame is encoded once
-there, and if the same rule applied to that encode keeps the quantizer,
-the encode is committed: beta and the slope carry over from the previous
-fit and alpha is rescaled to the encode. Such a frame costs 1 encoder
-call, or none when it holds and its reference did not change either. A
-frame the prediction does not confirm is searched like any other. Beta
-is carried only across a short move from a fresh pair fit. On a mock
+(_predicted_commit). One rule commits every frame (_commit): a frame
+starts at a quantizer and may be offered a model with its rate-qp slope.
+An offered frame is encoded once at its start, and when the prediction
+from that encode keeps the quantizer, the encode is committed: the
+offered beta and slope carry over and alpha is rescaled to the encode.
+Such a frame costs 1 encoder call, or none when it holds and its
+reference did not change either. A frame with no offer, or one the
+prediction does not confirm, is searched from its start and pair-fitted;
+the one encode is the search's first probe, so a rejected offer costs
+no extra call. Each re-encoded frame starts at the prediction made from
+its previous pass, and is offered its previous model when that start
+lies within CARRY_SPAN quantizers of its previous quantizer and the
+model was fitted from a pair unless the quantizer holds. Beta is
+carried only across a short move from a fresh pair fit. On a mock
 whose log-log slope varies with rate, a beta carried across moves of any
 span from any model keeps many loops from settling, and one carried
 across long moves, even from a pair fit, costs rate at equal quality. A
@@ -45,11 +49,11 @@ step of HM's R-lambda rate control (JCTVC-K0103). So once a frame above
 the floor is committed at its real reference, it is retargeted to the
 rate at which its measured model's marginal distortion equals the one
 the allocation planned at its target. When that moves the predicted
-quantizer, the frame is encoded once there, and searched only when the
-prediction from that encode does not confirm it. At a fixed point the
-measured model is the planned one, so the target is kept. At lambda > 0
-a frame's optimum also depends on its neighbours' models through the
-consistency term, and no frame is retargeted.
+quantizer, the frame is committed again by the same rule, starting at
+the new prediction and offered the model just measured. At a fixed
+point the measured model is the planned one, so the target is kept.
+At lambda > 0 a frame's optimum also depends on its neighbours' models
+through the consistency term, and no frame is retargeted.
 
 Each frame's distortion depends on its reference, so moving one frame's
 quantizer moves the models of the frames after it. Every pass estimates
@@ -388,9 +392,9 @@ def _fit_samples(
     quantizer search has measured. When the neighbour's rate equals the
     commit's, the pair widens: outward on that side to the first
     quantizer whose rate differs, then on the other side. A rate that is
-    the same at every quantizer raises InsufficientSamples. A frame that
-    _carried_fit confirms needs none of these: its one encode rescales the
-    previous model's alpha.
+    the same at every quantizer raises InsufficientSamples. A frame whose
+    offer _commit confirms needs none of these: its one encode rescales
+    the offered model's alpha.
     """
     rate, sse = adapter.encode_frame(coord, qp, ref_state)
     step = 1 if rate > target_rate else -1
@@ -417,58 +421,33 @@ class _Commit(NamedTuple):
     slope: float
 
 
-def _searched(
-    adapter: EncoderAdapter, coord: FrameCoord, target_rate: float, start: int, ref_state: Any
+def _commit(
+    adapter: EncoderAdapter,
+    coord: FrameCoord,
+    target_rate: float,
+    start: int,
+    ref_state: Any,
+    offer: tuple[RDModelParams, float] | None,
 ) -> _Commit:
-    """The quantizer nearest target_rate, searched from start, with its
-    model and slope fitted from _fit_samples."""
+    """The frame's committed encode toward target_rate, from quantizer start.
+
+    An offer is a model and its log2 rate-qp slope. With one, the frame is
+    encoded once at start, and that encode is committed when the slope is
+    negative and _predicted_commit from it keeps start: the offered beta
+    and slope carry over and alpha is rescaled to the encode. Otherwise,
+    or with no offer, the quantizer nearest target_rate is searched from
+    start (_qp_for_target), whose first probe is that one encode, and the
+    model and slope are fitted from _fit_samples.
+    """
+    if offer is not None:
+        model, slope = offer
+        rate, sse = adapter.encode_frame(coord, start, ref_state)
+        if slope < 0.0 and _predicted_commit(start, rate, slope, target_rate) == start:
+            return _Commit(start, rate, sse, replace(model, alpha=sse / rate ** model.beta), slope)
     qp = _qp_for_target(lambda q: adapter.encode_frame(coord, q, ref_state)[0], target_rate, start)
     samples = _fit_samples(adapter, coord, qp, target_rate, ref_state)
     rate, sse = next((s.rate, s.sse) for s in samples if s.qp == qp)
     return _Commit(qp, rate, sse, fit_power_model(samples), _log2_rate_slope(samples))
-
-
-def _one_encode(
-    adapter: EncoderAdapter,
-    coord: FrameCoord,
-    qp: int,
-    target_rate: float,
-    ref_state: Any,
-    model: RDModelParams,
-    slope: float,
-) -> _Commit | None:
-    """The encode at qp, committed with model and the slope carried over and
-    model's alpha rescaled to the encode, or None unless the slope is
-    negative and _predicted_commit from the encode confirms qp."""
-    rate, sse = adapter.encode_frame(coord, qp, ref_state)
-    if not (slope < 0.0 and _predicted_commit(qp, rate, slope, target_rate) == qp):
-        return None
-    return _Commit(qp, rate, sse, replace(model, alpha=sse / rate ** model.beta), slope)
-
-
-def _carried_fit(
-    adapter: EncoderAdapter,
-    previous: IterationEntry | None,
-    coord: FrameCoord,
-    qp: int,
-    target_rate: float,
-    ref_state: Any,
-) -> _Commit | None:
-    """_one_encode at qp from the frame's previous model and slope, as a
-    model of sample_count 1.
-
-    None unless qp lies within CARRY_SPAN of the frame's previous qp and
-    the previous model was fitted from a pair when qp differs from the
-    previous qp, or when _one_encode does not confirm qp.
-    """
-    if previous is None:
-        return None
-    model = previous.models[coord]
-    shift = abs(qp - previous.qps[coord])
-    if shift > CARRY_SPAN or (shift and model.sample_count != 2):
-        return None
-    model, slope = replace(model, sample_count=1), previous.qp_slopes[coord]
-    return _one_encode(adapter, coord, qp, target_rate, ref_state, model, slope)
 
 
 def _retarget(planned: RDModelParams, target_rate: float, measured: RDModelParams) -> float:
@@ -531,29 +510,26 @@ def _encode_pass(
     """One pass over the sequence in coding order toward targets, a rate
     per frame (IncompleteInput names a frame it misses).
 
-    Per frame, the quantizer is first predicted by _predicted_commit from
-    the previous pass. A frame that qualifies for _carried_fit (a move of
-    at most CARRY_SPAN, from a pair fit unless the qp holds) is encoded
-    once at that qp, and when _carried_fit confirms it that encode is
-    committed with _carried_fit's model and slope. Every other frame, and
-    one that _carried_fit does not confirm, searches the quantizer nearest
-    the target rate (_qp_for_target), starting from _predicted_commit, or
-    in the first pass (previous None) from the previous frame's answer
-    (the middle of the range for the first frame); commits it (encoding is
+    Every frame is committed by _commit, from a start quantizer and an
+    optional offer of a model and its slope. The start is predicted by
+    _predicted_commit from the previous pass, or in the first pass
+    (previous None) it is the previous frame's answer (the middle of the
+    range for the first frame). The previous pass offers its model, as
+    one of sample_count 1, and slope when the start moves at most
+    CARRY_SPAN from its qp, from a pair fit unless the qp holds; the
+    first pass offers nothing, so every frame is searched. Encoding is
     deterministic in (coord, qp, ref_state), so the search's measurement
-    is the committed encode); and refits the model and the slope from
-    _fit_samples. A frame that planned maps to the model its target was
-    allocated against is then retargeted (_retarget) from the model just
-    measured at its real reference; when _predicted_commit at the new
-    target moves its quantizer, the frame is encoded once there and that
-    encode is committed with the measured model and slope when
-    _predicted_commit from it confirms the move (_one_encode), else the
-    frame is searched and pair-fitted toward the new target. The reference
-    is the same, so the measured beta and slope carry exactly. Then the
-    chain advances. After the pass, each frame's reference elasticity is
-    estimated from the change since previous. The adapter sees every
-    encode of the pass: a search's samples are read again by the fit, so
-    give it a cache to encode each triple once.
+    is the committed encode. A frame that planned maps to the model its
+    target was allocated against is then retargeted (_retarget) from the
+    model just measured at its real reference; when _predicted_commit at
+    the new target moves its quantizer, _commit runs again toward the new
+    target from there, offered the measured model and slope. The
+    reference is the same, so the measured beta and slope carry exactly.
+    Then the chain advances. After the pass, each frame's reference
+    elasticity is estimated from the change since previous. The adapter
+    sees every encode of the pass: a search's samples are read again by
+    the fit, and a rejected offer's encode again by the search, so give
+    it a cache to encode each triple once.
     """
     planned = planned or {}
     ref = adapter.initial_reference()
@@ -561,21 +537,21 @@ def _encode_pass(
     qps, rates, sses, models, slopes, retargets = {}, {}, {}, {}, {}, {}
     for coord, target in zip(grid.coding_order, grid.align(targets, "targets")):
         try:
+            offer = None
             if previous is not None:
-                qp = _predicted_commit(
-                    previous.qps[coord], previous.rates[coord], previous.qp_slopes[coord], target
-                )
-            commit = _carried_fit(adapter, previous, coord, qp, target, ref)
-            if commit is None:
-                commit = _searched(adapter, coord, target, qp, ref)
+                model, slope = previous.models[coord], previous.qp_slopes[coord]
+                qp = _predicted_commit(previous.qps[coord], previous.rates[coord], slope, target)
+                shift = abs(qp - previous.qps[coord])
+                if shift <= CARRY_SPAN and (not shift or model.sample_count == 2):
+                    offer = replace(model, sample_count=1), slope
+            commit = _commit(adapter, coord, target, qp, ref, offer)
             if coord in planned:
                 retarget = _retarget(planned[coord], target, commit.model)
                 qp = _predicted_commit(commit.qp, commit.rate, commit.slope, retarget)
                 if qp != commit.qp:
                     retargets[coord] = retarget
-                    commit = _one_encode(
-                        adapter, coord, qp, retarget, ref, commit.model, commit.slope
-                    ) or _searched(adapter, coord, retarget, qp, ref)
+                    offer = commit.model, commit.slope
+                    commit = _commit(adapter, coord, retarget, qp, ref, offer)
         except EncodeFailed as exc:
             raise EncodeFailed(f"frame ({coord.u},{coord.v}): {exc}") from exc
         qp = qps[coord] = commit.qp
@@ -837,9 +813,10 @@ def read_mock_config(path) -> MockSetup:
     return MockSetup(config=config, grid=spiral_order(width, height), weights=weights)
 
 
-_MOCK_FRAME = (records.integer,) * 2 + (records.finite, records.finite, records.nonnegative)
-_MOCK_KEYS = dict.fromkeys(("rate0", "gamma", "ref_norm", "rate_qp_halving"), records.finite)
-_MOCK_KEYS.update(qp0=records.integer, frame_pixels=records.integer, curvature=records.nonnegative)
+_MOCK_FRAME = (records.integer,) * 2 + (records.positive, records.negative, records.nonnegative)
+_MOCK_KEYS = dict.fromkeys(("rate0", "ref_norm", "rate_qp_halving"), records.positive)
+_MOCK_KEYS.update(gamma=records.nonnegative, curvature=records.nonnegative)
+_MOCK_KEYS.update(qp0=records.integer, frame_pixels=records.positive_integer)
 # Keys whose MockEncoderConfig field has another name; the rest share it.
 _MOCK_FIELDS = {"qp0": "qp_anchor", "rate0": "rate_anchor", "gamma": "dependency_gamma"}
 

@@ -6,16 +6,21 @@ trace, whose comments carry data. A format with a header must start with
 exactly that line. A record splits into a fixed number of fields, each
 converted on its own; numbers must be finite, except the documented
 infinite diagnostics (an allocation's kkt_residual, a trace's wpsnr), and
-SSE and weights must not be negative. Each key or frame appears once.
-read() walks the lines and phrases every defect of a record: a ParseError
-that names the source and the first bad line.
+each field's converter holds it to its documented domain (SSE and weights
+not negative, budgets and model scales positive, exponents negative).
+Each key or frame appears once. read() walks the lines and phrases every
+defect of a record, bytes that are not UTF-8 included: a ParseError that
+names the source and the first bad line.
 
 Key-value files hold `key: value` lines with known keys and one
 `frame: u,v,...` line per coordinate of their width x height grid. They
 are read by a fast scan that sets the frame lines aside and converts them
 a column at a time (columns); any defect it meets, a repeated frame
 included, starts a strict re-read that converts each frame line as read()
-reaches it, so the error is the one the first bad line gives.
+reaches it, so the error is the one the first bad line gives. A frame
+off the grid, or a key whose value must fit the grid, is judged once
+every record reads, by one more strict re-read that knows the grid and
+so names the first line off it.
 Writers format every float field with number(), so a file reads back as
 the values it was written from.
 """
@@ -63,6 +68,30 @@ def nonnegative(text: str) -> float:
     return value
 
 
+def positive(text: str) -> float:
+    """A number field that must be finite and above zero."""
+    value = finite(text)
+    if not value > 0.0:
+        raise ValueError(f"not a positive number {text.strip()!r}")
+    return value
+
+
+def negative(text: str) -> float:
+    """A number field that must be finite and below zero."""
+    value = finite(text)
+    if not value < 0.0:
+        raise ValueError(f"not a negative number {text.strip()!r}")
+    return value
+
+
+def positive_integer(text: str) -> int:
+    """An integer field that must be at least 1."""
+    value = integer(text)
+    if value < 1:
+        raise ValueError(f"not a positive integer {text.strip()!r}")
+    return value
+
+
 def finite_or_inf(text: str) -> float:
     """A number field that may also be the infinite diagnostic 'inf'."""
     return math.inf if text.strip() == "inf" else finite(text)
@@ -84,13 +113,16 @@ def fields(text: str, converters, spec: str, sep: str | None = ",", defaults=())
 def read(source, record, header: str | None = None, *, comments: bool = False) -> list:
     """record(line) for every record line of the file source.
 
-    Bytes that do not decode, no record lines, a missing header, or a
+    Bytes that are not UTF-8, no record lines, a missing header, or a
     ValueError from record raise ParseError naming the source and line.
     """
+    data = Path(source).read_bytes()
     try:
-        text = Path(source).read_text()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
+        # The text before the bad byte decodes; the byte lies on its last line.
+        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(f"{source}: line {lineno}: bytes that are not UTF-8") from None
     results = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -116,6 +148,8 @@ _BULK = {
     integer: (int, None),
     finite: (float, np.isfinite),
     nonnegative: (float, lambda values: np.isfinite(values) & (values >= 0.0)),
+    positive: (float, lambda values: np.isfinite(values) & (values > 0.0)),
+    negative: (float, lambda values: np.isfinite(values) & (values < 0.0)),
 }
 
 
@@ -164,20 +198,28 @@ def put_known(mapping: dict, converters: dict, key: str, text: str) -> None:
     put(mapping, key, converters[key](text), "key")
 
 
-def key_values(path, keys: dict, required, frame, spec: str, defaults=()) -> tuple[dict, dict]:
+def key_values(
+    path, keys: dict, required, frame, spec: str, defaults=(), grid_keys=None
+) -> tuple[dict, dict]:
     """The values and frames of a `key: value` file.
 
     keys maps each known key besides width and height to its converter;
     the keys in required must be given. frames maps each (u, v) to the
     rest of its `frame:` line's fields (see fields), one frame line per
-    coordinate of the width x height grid. A first scan converts the
-    frame lines together (see columns); on any defect, a repeated frame
-    included, a second scan converts each frame line as it is read, so
-    the error names the first bad line.
+    coordinate of the width x height grid. grid_keys maps a key to a
+    function of (width, height, value) that returns the value to keep and
+    raises ValueError when the value does not fit the grid. A first scan
+    converts the frame lines together (see columns); on any defect, a
+    repeated frame included, a second scan converts each frame line as it
+    is read, so the error names the first bad line. Once every record
+    reads, a frame off the grid or a value that does not fit it starts a
+    third scan that also checks each record against the grid, so the
+    error names that line.
     """
-    keys = {"width": integer, "height": integer, **keys}
+    keys = {"width": positive_integer, "height": positive_integer, **keys}
+    grid_keys = grid_keys or {}
 
-    def scan(strict: bool) -> tuple[dict, dict]:
+    def scan(strict: bool, grid: tuple[int, int] | None = None) -> tuple[dict, dict]:
         values: dict = {}
         frames: dict = {}
         texts: list = []
@@ -189,8 +231,12 @@ def key_values(path, keys: dict, required, frame, spec: str, defaults=()) -> tup
             key = key.rstrip()
             if key != "frame":
                 put_known(values, keys, key, value.strip())
+                if grid and key in grid_keys:
+                    grid_keys[key](*grid, values[key])
             elif strict:
                 u, v, *rest = fields(value, frame, spec, ",", defaults)
+                if grid and not (0 <= u < grid[0] and 0 <= v < grid[1]):
+                    raise ValueError(f"frame ({u},{v}) outside the {grid[0]}x{grid[1]} grid")
                 put(frames, (u, v), rest, "frame")
             else:
                 texts.append(value)
@@ -210,12 +256,16 @@ def key_values(path, keys: dict, required, frame, spec: str, defaults=()) -> tup
     missing = [key for key in ("width", "height", *required) if key not in values]
     if missing:
         raise ParseError(f"{path}: missing key {missing[0]!r}")
-    width, height = values["width"], values["height"]
-    if width < 1 or height < 1:
-        raise ParseError(f"{path}: grid dimensions must be positive")
-    for u, v in frames:
-        if not (0 <= u < width and 0 <= v < height):
-            raise ParseError(f"{path}: frame ({u},{v}) outside the {width}x{height} grid")
+    grid = width, height = values["width"], values["height"]
+    try:
+        if not all(0 <= u < width and 0 <= v < height for u, v in frames):
+            raise ValueError("a frame off the grid")
+        for key, fit in grid_keys.items():
+            if key in values:
+                values[key] = fit(width, height, values[key])
+    except ValueError:
+        scan(strict=True, grid=grid)  # raises at the first line that does not fit the grid
+        raise
     if len(frames) < width * height:
         u, v = next((u, v) for v in range(height) for u in range(width) if (u, v) not in frames)
         raise ParseError(f"{path}: no frame line for ({u},{v})")

@@ -629,6 +629,14 @@ RECORD_DEFECTS = {
         set_line("# iteration 1 ", "# iteration 1 budget 5.0 sse 40.0"),
         True,
     ),
+    # A defect inside one record of a problem or mock file names its line:
+    # a value out of its field's domain, a frame off the grid, an order
+    # that is not a permutation of the grid, and a byte that is not UTF-8
+    # (written as the surrogate that stands for it).
+    "problem_beta_positive": ("allocate", replace_field("frame: 1,1,", 4, "0.3"), True),
+    "problem_frame_off_grid": ("allocate", replace_field("frame: 1,1,", 0, "frame: 2"), True),
+    "order_not_a_permutation": ("allocate", set_line("order:", "order: 1,1;0,0;1,0;1,0"), True),
+    "mock_byte_not_utf8": ("simulate", replace_field("frame: 1,1,", 2, "3e7\udcff"), True),
 }
 
 
@@ -639,7 +647,7 @@ def test_record_defect_is_input_error(tmp_path, capsys, defect):
     lines = path.read_text().splitlines()
     valid = list(lines)
     edit(lines)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     line = next(k for k, (a, b) in enumerate(zip(valid + [None], lines), 1) if a != b)
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
@@ -656,6 +664,14 @@ def non_finite_frame(lines, at):
     return ",".join(parts)
 
 
+def zero_fourth_field(lines, at):
+    """The file's first frame line with its fourth field zero: a problem's
+    alpha, which must be positive, or a mock's b, which must be negative."""
+    parts = next(line for line in lines if line.startswith("frame:")).split(",")
+    parts[3] = "0"
+    return ",".join(parts)
+
+
 # Line defects for files with two of them: (the line inserted before line
 # `at` of a sound file, given its lines, and a part of the message it raises).
 LINE_DEFECTS = {
@@ -664,6 +680,7 @@ LINE_DEFECTS = {
     "unknown_key": (lambda lines, at: "bogus: 1", "unknown key 'bogus'"),
     "repeated_line": (lambda lines, at: lines[at - 1], "duplicate "),
     "bad_order_entry": (lambda lines, at: "order: 1,1;0", "expected 'u,v', got '0'"),
+    "out_of_domain": (zero_fourth_field, "number '0'"),
 }
 
 

@@ -40,7 +40,7 @@ from lfalloc import encodesim
 from lfalloc.encodesim import (
     QP_MAX,
     QP_MIN,
-    _carried_fit,
+    _commit,
     _encode_pass,
     _predicted_commit,
     _qp_for_target,
@@ -540,14 +540,18 @@ class TestHeldFrames:
         assert _predicted_commit(qp, rate, slope, target) == scan_qp_for_target(rates, target)
 
     def test_no_slope_never_holds(self, coupled_setup):
+        # An offer is committed on one encode only with a negative slope;
+        # with slope 0 the frame is searched and pair-fitted instead.
         adapter = MockEncoder(coupled_setup.config)
         entry = first_pass(adapter, coupled_setup, 2e7)
-        flat = replace(entry, qp_slopes=dict.fromkeys(entry.qps, 0.0))
         coord = coupled_setup.grid.coding_order[0]
         qp, rate = entry.qps[coord], entry.rates[coord]
+        model = replace(entry.models[coord], sample_count=1)
         assert _predicted_commit(qp, rate, 0.0, 2.0 * rate) == qp
-        assert _carried_fit(adapter, entry, coord, qp, rate, 0.0) is not None
-        assert _carried_fit(adapter, flat, coord, qp, rate, 0.0) is None
+        held = _commit(adapter, coord, rate, qp, 0.0, (model, entry.qp_slopes[coord]))
+        assert (held.qp, held.model.sample_count) == (qp, 1)
+        searched = _commit(adapter, coord, rate, qp, 0.0, (model, 0.0))
+        assert (searched.qp, searched.model) == (qp, entry.models[coord])
 
     def test_held_frame_costs_at_most_one_call(self, coupled_setup):
         passes = []
@@ -775,6 +779,50 @@ class TestRetarget:
             retargeted |= entry.retargets.keys()
             floored |= on_floor - zero
         assert retargeted and floored
+
+    def test_rejected_retarget_offer_falls_back_to_the_search(self):
+        # The rate halves every 6 quantizers up to the bend and every 2
+        # above it. The frame holds qp 26 on one encode, then is retargeted
+        # to the rate of qp 36. Along the slope fitted below the bend that
+        # rate lies at qp 48, and the prediction from the encode there
+        # points back near qp 12, so the offer is not confirmed.
+        bend, held, landing = 30, 26, 36
+        grid = spiral_order(1, 1)
+        (coord,) = grid.coding_order
+        config = MockEncoderConfig(frame_params={coord: (3e7, -0.3)})
+        weights = unify_weights({coord: 1.0})
+
+        class BentRateEncoder(MockEncoder):
+            def encode_frame(self, coord, qp, ref_state):
+                return mock_encode(self.config, coord, qp + 2 * max(0, qp - bend), ref_state)
+
+        table = [BentRateEncoder(config).encode_frame(coord, qp, 0.0)[0] for qp in QPS]
+        first = _encode_pass(
+            BentRateEncoder(config), grid, weights, 0.0, {coord: table[held]}, None
+        )
+        measured = first.models[coord]
+        retarget = table[landing]
+        price = (retarget / table[held]) ** (measured.beta - 1.0)
+        planned = replace(measured, alpha=measured.alpha * price)
+        slope = first.qp_slopes[coord]
+        start = _predicted_commit(held, table[held], slope, retarget)
+        assert (first.qps[coord], start) == (held, 48)
+        assert _predicted_commit(start, table[start], slope, retarget) < held
+
+        cache = encodesim._EncodeCache(BentRateEncoder(config))
+        entry = _encode_pass(
+            cache, grid, weights, 0.0, {coord: table[held]}, first, {coord: planned}
+        )
+        assert entry.retargets[coord] == pytest.approx(retarget, rel=1e-9)
+        qp = entry.qps[coord]
+        assert qp == scan_qp_for_target(table, entry.retargets[coord]) == landing
+        assert entry.models[coord].sample_count == 2
+        # The offer's one encode is the search's first probe, so the pass
+        # encodes the held qp and what the search alone encodes, no more.
+        search = encodesim._EncodeCache(BentRateEncoder(config))
+        _commit(search, coord, entry.retargets[coord], start, 0.0, None)
+        assert (coord, start, 0.0) in search.results
+        assert cache.results.keys() == search.results.keys() | {(coord, held, 0.0)}
 
     def test_retargets_save_passes_at_lambda_zero(self, monkeypatch):
         # Measured: 155 passes against 159 with every retarget dropped, all

@@ -79,12 +79,16 @@ def test_every_exported_name_is_used_outside_tests():
         (errors, "WeightChannelAbsent"),
         (metrics, "discontinuity"),
         (allocator, "MAJORIZER_STEP"),
+        (encodesim, "_one_encode"),
+        (encodesim, "_carried_fit"),
+        (encodesim, "_searched"),
     ],
 )
 def test_scalar_twins_are_gone(module, name):
     """Deleted names stay gone: the scalar twins, the standalone passes, the
-    readers, pixel frame, errors and metric that only tests reached, and
-    step 2's majorizer retry length."""
+    readers, pixel frame, errors and metric that only tests reached,
+    step 2's majorizer retry length, and the loop's three commit helpers
+    that one commit rule replaced."""
     assert name not in lfalloc.__all__
     assert not hasattr(lfalloc, name)
     assert not hasattr(module, name)

@@ -1,6 +1,9 @@
-"""The parse differential's comparison of two runs, on hand-made outcome records."""
+"""The parse differential: its comparison of two runs, on hand-made outcome
+records, and the gate of its run on a few mutants."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +63,25 @@ def test_examples_are_capped():
 def test_runs_over_different_mutants_are_refused():
     with pytest.raises(ValueError, match="different mutants"):
         differential.compare(records(*OUTCOMES), records(*OUTCOMES)[:-1])
+
+
+def test_run_fails_when_a_mutant_ends_outside_the_package_errors(
+    tmp_path, monkeypatch, capsys
+):
+    import lfalloc
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(differential, "COUNT", 8)
+    output = tmp_path / "records.json"
+    argv = ["run", str(PATH.parent.parent), "--output", str(output)]
+    assert differential.main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+    def broken_reader(path):
+        raise KeyError("width")
+
+    monkeypatch.setattr(lfalloc, "read_mock_config", broken_reader)
+    assert differential.main(argv) == 1
+    assert "4 of 8 mutants fail" in capsys.readouterr().err
+    outcomes = [record["outcome"] for record in json.loads(output.read_text())]
+    assert outcomes[1::2] == ["KeyError"] * 4

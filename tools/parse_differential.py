@@ -5,9 +5,12 @@ configs, the two kinds alternating, and reads each with read_problem_file
 or read_mock_config of TREE/src. It records the exception type and
 message, with the file's path shown as FILE, or, for a file that reads,
 "ok" and a digest of the file that TREE's writer writes back from it.
-`compare` prints how many records differ between two runs, with examples.
+`run` exits 1 when any mutant ends in anything else than "ok" or one of
+the package's own errors (LfallocError): a traceback, or a warning when
+Python runs with `-W error`, as CI does. `compare` prints how many
+records differ between two runs, with examples.
 
-    python tools/parse_differential.py run PARENT_TREE --output parent.json
+    python -W error tools/parse_differential.py run PARENT_TREE --output parent.json
     python tools/parse_differential.py run CHANGED_TREE --output change.json
     python tools/parse_differential.py compare parent.json change.json
 
@@ -29,7 +32,6 @@ import json
 import random
 import sys
 import tempfile
-import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -151,18 +153,24 @@ def mutant(seed: int) -> tuple[str, bytes]:
     return kind, data
 
 
-def run_tree(tree: Path) -> list[dict]:
-    """One record per mutant, read with the lfalloc of tree."""
+def run_tree(tree: Path) -> tuple[list[dict], list[int]]:
+    """One record per mutant, read with the lfalloc of tree, and the seeds
+    whose outcome is neither "ok" nor an LfallocError."""
     sys.path.insert(0, str(tree / "src"))
-    from lfalloc import read_mock_config, read_problem_file, write_mock_config, write_problem_file
+    from lfalloc import (
+        LfallocError,
+        read_mock_config,
+        read_problem_file,
+        write_mock_config,
+        write_problem_file,
+    )
 
     readers = {
         "problem": (read_problem_file, write_problem_file),
         "mock": (read_mock_config, write_mock_config),
     }
-    records = []
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    records, failures = [], []
+    with tempfile.TemporaryDirectory() as tmp:
         path, back = Path(tmp) / "input.txt", Path(tmp) / "back.txt"
         for seed in range(COUNT):
             kind, data = mutant(seed)
@@ -172,10 +180,12 @@ def run_tree(tree: Path) -> list[dict]:
                 write(read(path), back)
             except Exception as exc:  # every outcome is recorded, not raised
                 outcome, message = type(exc).__name__, str(exc).replace(str(path), "FILE")
+                if not isinstance(exc, LfallocError):
+                    failures.append(seed)
             else:
                 outcome, message = "ok", hashlib.sha256(back.read_bytes()).hexdigest()[:16]
             records.append(dict(seed=seed, kind=kind, outcome=outcome, message=message))
-    return records
+    return records, failures
 
 
 def compare(parent: list[dict], change: list[dict]) -> dict:
@@ -213,8 +223,14 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path, help="records of the changed tree")
     args = parser.parse_args(argv)
     if args.command == "run":
-        args.output.write_text(json.dumps(run_tree(args.tree.resolve()), indent=1) + "\n")
-        return 0
+        records, failures = run_tree(args.tree.resolve())
+        args.output.write_text(json.dumps(records, indent=1) + "\n")
+        for seed in failures[:EXAMPLES]:
+            record = records[seed]
+            print(f"seed {seed}: {record['outcome']}: {record['message']}", file=sys.stderr)
+        if failures:
+            print(f"{len(failures)} of {len(records)} mutants fail", file=sys.stderr)
+        return 1 if failures else 0
     parent, change = (json.loads(path.read_text()) for path in (args.parent, args.change))
     result = compare(parent, change)
     print(format_comparison(result))
