@@ -40,8 +40,8 @@ carried only across a short move from a fresh pair fit. On a mock
 whose log-log slope varies with rate, a beta carried across moves of any
 span from any model keeps many loops from settling, and one carried
 across long moves, even from a pair fit, costs rate at equal quality. A
-loop whose pass repeats an earlier pass exactly can never settle, so it
-stops there unconverged.
+loop whose pass repeats an earlier pass's quantizers, slopes and models
+is cycling, so it stops there unconverged.
 
 At lambda 0 the allocation is separable: a frame's target depends only
 on its own model and the one budget multiplier, as in the frame-level
@@ -605,9 +605,9 @@ def run_to_convergence(
     Settled means the pass committed the previous pass's quantizer for
     every frame; under the adapter's determinism contract it then repeats
     the previous pass's encodes exactly. Hitting max_iters first, or a
-    pass that repeats an earlier pass's _pass_state (the whole input of
-    the next pass, so the loop would cycle for good), leaves converged
-    False; the trace is returned either way. An allocator that runs out of
+    pass that repeats an earlier pass's _pass_state (its quantizers,
+    slopes and models, so the loop cycles), leaves converged False; the
+    trace is returned either way. An allocator that runs out of
     iterations contributes its best feasible iterate instead of aborting
     the loop. The adapter sees each (coord, qp, ref_state) at most once
     per call.
@@ -752,9 +752,12 @@ def _out_of_range(entry: IterationEntry, targets: dict[FrameCoord, float]) -> in
 
 
 def _pass_state(grid: FrameGrid, entry: IterationEntry) -> tuple:
-    """Everything of a pass that the next pass depends on, per frame. The
-    qps fix the rates, since encoding is deterministic."""
-    tables = (entry.qps, entry.qp_slopes, entry.models, entry.ref_elasticities)
+    """Per frame, what the next pass reads of a pass apart from the
+    reference elasticities: the qps, which fix the rates since encoding is
+    deterministic, the slopes and the models. The elasticities are fitted
+    over the last two passes, so in a cycle they repeat a pass after the
+    rest; holding them here would run a cycling loop on for that pass."""
+    tables = (entry.qps, entry.qp_slopes, entry.models)
     return tuple(zip(*(grid.align(table, "pass") for table in tables)))
 
 

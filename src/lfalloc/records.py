@@ -14,13 +14,14 @@ names the source and the first bad line.
 
 Key-value files hold `key: value` lines with known keys and one
 `frame: u,v,...` line per coordinate of their width x height grid. They
-are read by a fast scan that sets the frame lines aside and converts them
-a column at a time (columns); any defect it meets, a repeated frame
-included, starts a strict re-read that converts each frame line as read()
-reaches it, so the error is the one the first bad line gives. A frame
-off the grid, or a key whose value must fit the grid, is judged once
-every record reads, by one more strict re-read that knows the grid and
-so names the first line off it.
+are read in at most two scans. The first sets the frame lines aside,
+converts them a column at a time (columns) and then checks the whole
+file. Any defect it meets or finds starts a strict re-read that judges
+each record as read() reaches it: its fields, a repeat, and, with the
+width and height the first scan read, a frame off the grid or a key
+whose value must fit the grid. So the error is the one the first bad
+line gives, and a missing key or frame is raised only when no line is
+bad.
 Writers format every float field with number(), so a file reads back as
 the values it was written from.
 """
@@ -209,20 +210,22 @@ def key_values(
     coordinate of the width x height grid. grid_keys maps a key to a
     function of (width, height, value) that returns the value to keep and
     raises ValueError when the value does not fit the grid. A first scan
-    converts the frame lines together (see columns); on any defect, a
-    repeated frame included, a second scan converts each frame line as it
-    is read, so the error names the first bad line. Once every record
-    reads, a frame off the grid or a value that does not fit it starts a
-    third scan that also checks each record against the grid, so the
-    error names that line.
+    converts the frame lines together (see columns) and then checks the
+    whole file. Any defect it meets or finds starts a strict re-read that
+    judges each record as it reaches it, against the grid of the width and
+    height the first scan read, so the error names the first bad line; a
+    missing key or frame, which has no line, is raised only when no line
+    is bad.
     """
     keys = {"width": positive_integer, "height": positive_integer, **keys}
     grid_keys = grid_keys or {}
+    first: dict = {}
 
-    def scan(strict: bool, grid: tuple[int, int] | None = None) -> tuple[dict, dict]:
-        values: dict = {}
+    def scan(values: dict, strict: bool) -> tuple[dict, dict]:
         frames: dict = {}
         texts: list = []
+        # The re-read judges each record against the grid the first scan read.
+        grid_known = strict and "width" in first and "height" in first
 
         def record(line: str) -> None:
             key, sep, value = line.partition(":")
@@ -231,12 +234,13 @@ def key_values(
             key = key.rstrip()
             if key != "frame":
                 put_known(values, keys, key, value.strip())
-                if grid and key in grid_keys:
-                    grid_keys[key](*grid, values[key])
+                if grid_known and key in grid_keys:
+                    grid_keys[key](first["width"], first["height"], values[key])
             elif strict:
                 u, v, *rest = fields(value, frame, spec, ",", defaults)
-                if grid and not (0 <= u < grid[0] and 0 <= v < grid[1]):
-                    raise ValueError(f"frame ({u},{v}) outside the {grid[0]}x{grid[1]} grid")
+                if grid_known and not (0 <= u < first["width"] and 0 <= v < first["height"]):
+                    size = f"{first['width']}x{first['height']}"
+                    raise ValueError(f"frame ({u},{v}) outside the {size} grid")
                 put(frames, (u, v), rest, "frame")
             else:
                 texts.append(value)
@@ -247,26 +251,21 @@ def key_values(
             frames = dict(zip(zip(u, v), zip(*rest)))
             if len(frames) < len(texts):
                 raise ValueError("duplicate frame")
-        return values, frames
-
-    try:
-        values, frames = scan(strict=False)
-    except (ParseError, ValueError):
-        values, frames = scan(strict=True)
-    missing = [key for key in ("width", "height", *required) if key not in values]
-    if missing:
-        raise ParseError(f"{path}: missing key {missing[0]!r}")
-    grid = width, height = values["width"], values["height"]
-    try:
+        missing = [key for key in ("width", "height", *required) if key not in values]
+        if missing:
+            raise ParseError(f"{path}: missing key {missing[0]!r}")
+        width, height = values["width"], values["height"]
         if not all(0 <= u < width and 0 <= v < height for u, v in frames):
             raise ValueError("a frame off the grid")
         for key, fit in grid_keys.items():
             if key in values:
                 values[key] = fit(width, height, values[key])
-    except ValueError:
-        scan(strict=True, grid=grid)  # raises at the first line that does not fit the grid
-        raise
-    if len(frames) < width * height:
-        u, v = next((u, v) for v in range(height) for u in range(width) if (u, v) not in frames)
-        raise ParseError(f"{path}: no frame line for ({u},{v})")
-    return values, frames
+        if len(frames) < width * height:
+            u, v = next((u, v) for v in range(height) for u in range(width) if (u, v) not in frames)
+            raise ParseError(f"{path}: no frame line for ({u},{v})")
+        return values, frames
+
+    try:
+        return scan(first, strict=False)
+    except (ParseError, ValueError):
+        return scan({}, strict=True)

@@ -580,6 +580,16 @@ def drop_last_field(prefix):
     return edit
 
 
+def both(*edits):
+    """Edit: each of edits in turn."""
+
+    def edit(lines):
+        for each in edits:
+            each(lines)
+
+    return edit
+
+
 def repeat_line(prefix):
     return lambda lines: lines.append(next(line for line in lines if line.startswith(prefix)))
 
@@ -637,6 +647,23 @@ RECORD_DEFECTS = {
     "problem_frame_off_grid": ("allocate", replace_field("frame: 1,1,", 0, "frame: 2"), True),
     "order_not_a_permutation": ("allocate", set_line("order:", "order: 1,1;0,0;1,0;1,0"), True),
     "mock_byte_not_utf8": ("simulate", replace_field("frame: 1,1,", 2, "3e7\udcff"), True),
+    # A defect against the grid is named like any other first bad line,
+    # before a later line's defect.
+    "problem_off_grid_before_alpha_nan": (
+        "allocate",
+        both(replace_field("frame: 1,1,", 0, "frame: 5"), replace_field("frame: 0,1,", 3, "nan")),
+        True,
+    ),
+    "mock_off_grid_before_a_nan": (
+        "simulate",
+        both(replace_field("frame: 1,1,", 0, "frame: 5"), replace_field("frame: 0,1,", 2, "nan")),
+        True,
+    ),
+    "order_not_a_permutation_before_repeated_key": (
+        "allocate",
+        both(set_line("order:", "order: 1,1;0,0;1,0;1,0"), repeat_line("budget:")),
+        True,
+    ),
 }
 
 
@@ -716,6 +743,22 @@ def test_first_bad_line_is_named(tmp_path, kind, first, second):
             read(path)
         assert str(info.value).startswith(f"{path}: line {i + 1}: "), (i, j, info.value)
         assert message in str(info.value), (i, j, info.value)
+
+
+@pytest.mark.parametrize("later", ["alpha_nan", "lambda_missing"])
+def test_frame_off_the_grid_is_named_before_a_later_defect(tmp_path, later):
+    """A 2x1 problem file with a frame off the grid, then a non-finite
+    alpha on the next line or a missing key, which has no line: the error
+    names the frame's line."""
+    keys = ["width: 2", "height: 1", "budget: 2e6"]
+    if later == "alpha_nan":
+        keys.append("lambda: 5")
+    alpha = "nan" if later == "alpha_nan" else "1e8"
+    path = tmp_path / "problem.txt"
+    path.write_text("\n".join(keys + ["frame: 5,0,1,1e8,-0.3", f"frame: 1,0,1,{alpha},-0.3"]))
+    with pytest.raises(ParseError) as info:
+        read_problem_file(path)
+    assert str(info.value) == f"{path}: line {len(keys) + 1}: frame (5,0) outside the 2x1 grid"
 
 
 @pytest.mark.parametrize("command", ["metrics", "metrics-trace"])

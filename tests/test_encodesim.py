@@ -1258,6 +1258,32 @@ class TestRunToConvergence:
         )
         assert "cycles with period 2" in caplog.text
 
+    def test_cycle_stops_at_its_first_repeated_pass(self, monkeypatch):
+        # A 2x2 mock on the benchmark recipe that cycles at lambda 100: pass
+        # 11 repeats pass 5's quantizers, slopes and models, and no earlier
+        # pass repeats any. The reference elasticities repeat a pass later,
+        # so holding them in the state runs one more pass that encodes
+        # nothing new.
+        setup = recipe_mock(np.random.default_rng([10, 2, 10]), 2)
+
+        def run():
+            adapter = MockEncoder(setup.config)
+            return run_to_convergence(adapter, setup.grid, setup.weights, 4e6, 100.0, 40)
+
+        trace = run()
+        states = [(e.qps, e.qp_slopes, e.models) for e in trace.entries]
+        assert not trace.converged
+        assert len(states) == 11 and states[-1] == states[4]
+        assert all(state not in states[:k] for k, state in enumerate(states[:-1]))
+        pass_state = encodesim._pass_state
+
+        def with_elasticities(grid, entry):
+            return pass_state(grid, entry), tuple(grid.align(entry.ref_elasticities, "pass"))
+
+        monkeypatch.setattr(encodesim, "_pass_state", with_elasticities)
+        longer = run()
+        assert len(longer.entries) == 12 and longer.encodes == trace.encodes
+
     def test_allocator_that_stops_short_carries_its_best_iterate(
         self, decoupled_setup, monkeypatch, caplog
     ):

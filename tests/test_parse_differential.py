@@ -60,6 +60,32 @@ def test_examples_are_capped():
     assert text.count("  parent ") == differential.EXAMPLES
 
 
+@pytest.mark.parametrize(
+    "before, after, name",
+    [
+        ("FILE: line 7: duplicate key 'order'", "FILE: line 4: x", "an earlier line"),
+        ("FILE: line 4: x", "FILE: line 7: duplicate key 'order'", "a later line"),
+        ("FILE: missing key 'budget'", "FILE: line 9: x", "a line where the parent named none"),
+        ("FILE: line 9: x", "FILE: no frame line for (0,1)", "no line where the parent named one"),
+        ("FILE: line 3: x", "FILE: line 3: y", "the same line with another message"),
+        ("FILE: missing key 'a'", "FILE: missing key 'b'", "the same line with another message"),
+    ],
+)
+def test_each_differing_record_is_counted_by_how_its_line_moved(before, after, name):
+    parent = records(("ParseError", before), *OUTCOMES)
+    result = differential.compare(parent, records(("ParseError", after), *OUTCOMES))
+    assert result["moves"] == {move: int(move == name) for move in differential.MOVES}
+    assert f"  1 name {name}\n" in differential.format_comparison(result)
+
+
+def test_a_file_that_reads_names_no_line():
+    parent = records(("ok", "0123"), ("ok", "4567"))
+    change = records(("ParseError", "FILE: line 2: x"), ("ok", "89ab"))
+    result = differential.compare(parent, change)
+    assert result["moves"]["a line where the parent named none"] == 1
+    assert result["moves"]["the same line with another message"] == 1
+
+
 def test_runs_over_different_mutants_are_refused():
     with pytest.raises(ValueError, match="different mutants"):
         differential.compare(records(*OUTCOMES), records(*OUTCOMES)[:-1])

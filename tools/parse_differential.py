@@ -8,7 +8,8 @@ message, with the file's path shown as FILE, or, for a file that reads,
 `run` exits 1 when any mutant ends in anything else than "ok" or one of
 the package's own errors (LfallocError): a traceback, or a warning when
 Python runs with `-W error`, as CI does. `compare` prints how many
-records differ between two runs, with examples.
+records differ between two runs, how the line each error names moved
+(MOVES), and examples; it exits 1 when any record differs.
 
     python -W error tools/parse_differential.py run PARENT_TREE --output parent.json
     python tools/parse_differential.py run CHANGED_TREE --output change.json
@@ -30,6 +31,7 @@ import argparse
 import hashlib
 import json
 import random
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -37,6 +39,15 @@ from pathlib import Path
 
 COUNT = 6000
 EXAMPLES = 5
+# How the line an error names moved from the parent's record to the
+# change's; "the same line" includes no line on either side.
+MOVES = (
+    "an earlier line",
+    "a later line",
+    "a line where the parent named none",
+    "no line where the parent named one",
+    "the same line with another message",
+)
 TOKENS = ("nan", "inf", "-inf", "-1", "-0.0", "1.5", "x", "", "1e400", "0", "7")
 
 
@@ -188,8 +199,28 @@ def run_tree(tree: Path) -> tuple[list[dict], list[int]]:
     return records, failures
 
 
+def named_line(record: dict) -> int | None:
+    """The line number a record's error names, or None."""
+    match = record["outcome"] != "ok" and re.match(r"FILE: line (\d+): ", record["message"])
+    return int(match[1]) if match else None
+
+
+def move(parent: dict, change: dict) -> str:
+    """The MOVES entry for a parent record and the change's differing record."""
+    earlier, later, gained, lost, same = MOVES
+    before, after = named_line(parent), named_line(change)
+    if before == after:
+        return same
+    if before is None:
+        return gained
+    if after is None:
+        return lost
+    return earlier if after < before else later
+
+
 def compare(parent: list[dict], change: list[dict]) -> dict:
-    """Outcome counts of each run and the pairs of records that differ."""
+    """Outcome counts of each run, the pairs of records that differ, and
+    how many of those pairs moved their named line in each way of MOVES."""
     if [(r["seed"], r["kind"]) for r in parent] != [(r["seed"], r["kind"]) for r in change]:
         raise ValueError("the two runs cover different mutants")
 
@@ -197,14 +228,22 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
         return dict(sorted(Counter(r["outcome"] for r in records).items()))
 
     differ = [(a, b) for a, b in zip(parent, change) if a != b]
-    return dict(mutants=len(parent), parent=counts(parent), change=counts(change), differ=differ)
+    moved = Counter(move(a, b) for a, b in differ)
+    return dict(
+        mutants=len(parent),
+        parent=counts(parent),
+        change=counts(change),
+        differ=differ,
+        moves={name: moved[name] for name in MOVES},
+    )
 
 
 def format_comparison(result: dict) -> str:
-    """The comparison as text: the outcome counts, the number that differ
-    and up to EXAMPLES of them."""
+    """The comparison as text: the outcome counts, the number that differ,
+    how many name each kind of line, and up to EXAMPLES of them."""
     lines = [f"parent: {result['parent']}", f"change: {result['change']}"]
     lines.append(f"{len(result['differ'])} of {result['mutants']} mutants differ")
+    lines += [f"  {count} name {name}" for name, count in result["moves"].items()]
     for a, b in result["differ"][:EXAMPLES]:
         lines.append(f"seed {a['seed']} ({a['kind']}):")
         lines.append(f"  parent {a['outcome']}: {a['message']}")
