@@ -11,11 +11,16 @@ budget, 5 metric domain error. Output files use shortest round-trip
 float formatting, so identical inputs produce identical bytes; stdout
 summaries round to 4 significant digits. Set LFALLOC_LOG (DEBUG, INFO,
 WARNING, ...) to log solver progress to stderr.
+
+main(argv) may be called many times in one process. The parser is built
+once, on the first call, and each call runs the cmd_* function this
+module holds under the subcommand's name at that time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -179,6 +184,7 @@ def cmd_spiral(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lfalloc",
@@ -189,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit per-frame power-law models from rate samples")
     p.add_argument("samples", help="sample CSV (frame_index,qp,rate_bits,sse)")
     p.add_argument("--output", required=True, help="model CSV to write")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("allocate", help="solve a bit allocation from a problem file")
     p.add_argument("problem", help="problem file (grid, weights, models, budget)")
@@ -197,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, help="override the file's lambda")
     p.add_argument("--min-rate", type=float, help="override the per-frame rate floor")
     p.add_argument("--output", required=True, help="allocation CSV to write")
-    p.set_defaults(func=cmd_allocate)
 
     p = sub.add_parser("simulate", help="run the iterative encode loop on a mock encoder")
     p.add_argument("config", help="mock encoder configuration file")
@@ -206,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=24)
     p.add_argument("--min-rate", type=float, help="per-frame rate floor")
     p.add_argument("--output", required=True, help="iteration trace CSV to write")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("metrics", help="score per-frame distortions against weights")
     p.add_argument("input", help="per-frame SSE CSV, or a trace CSV (final pass used)")
@@ -216,19 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--pixels", type=int, required=True, help="total pixel count across frames"
     )
     p.add_argument("--output", help="report file to write")
-    p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("bdrate", help="average rate difference between two curves")
     p.add_argument("anchor", help="anchor curve CSV (rate_bits,quality_db)")
     p.add_argument("test", help="test curve CSV")
     p.add_argument("--output", help="file to write the percent line to")
-    p.set_defaults(func=cmd_bdrate)
 
     p = sub.add_parser("spiral", help="print the center-out scan order for a grid")
     p.add_argument("width", type=int)
     p.add_argument("height", type=int)
     p.add_argument("--output", help="grid file to write")
-    p.set_defaults(func=cmd_spiral)
 
     return parser
 
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except _MODEL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL

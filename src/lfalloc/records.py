@@ -15,13 +15,13 @@ names the source and the first bad line.
 Key-value files hold `key: value` lines with known keys and one
 `frame: u,v,...` line per coordinate of their width x height grid. They
 are read in at most two scans. The first sets the frame lines aside,
-converts them a column at a time (columns) and then checks the whole
-file. Any defect it meets or finds starts a strict re-read that judges
-each record as read() reaches it: its fields, a repeat, and, with the
-width and height the first scan read, a frame off the grid or a key
-whose value must fit the grid. So the error is the one the first bad
-line gives, and a missing key or frame is raised only when no line is
-bad.
+reads on past a key line that does not convert, converts the frame
+lines a column at a time (columns) and then checks the whole file. Any
+defect it meets or finds starts a strict re-read that judges each
+record as read() reaches it: its fields, a repeat, and, with the width
+and height the first scan read, a frame off the grid or a key whose
+value must fit the grid. So the error is the one the first bad line
+gives, and a missing key or frame is raised only when no line is bad.
 Writers format every float field with number(), so a file reads back as
 the values it was written from.
 """
@@ -210,12 +210,13 @@ def key_values(
     coordinate of the width x height grid. grid_keys maps a key to a
     function of (width, height, value) that returns the value to keep and
     raises ValueError when the value does not fit the grid. A first scan
-    converts the frame lines together (see columns) and then checks the
-    whole file. Any defect it meets or finds starts a strict re-read that
-    judges each record as it reaches it, against the grid of the width and
-    height the first scan read, so the error names the first bad line; a
-    missing key or frame, which has no line, is raised only when no line
-    is bad.
+    reads on past a key line that does not convert, so it reads width and
+    height wherever they stand, converts the frame lines together (see
+    columns) and then checks the whole file. Any defect it meets or finds
+    starts a strict re-read that judges each record as it reaches it,
+    against the grid of the width and height the first scan read, so the
+    error names the first bad line; a missing key or frame, which has no
+    line, is raised only when no line is bad.
     """
     keys = {"width": positive_integer, "height": positive_integer, **keys}
     grid_keys = grid_keys or {}
@@ -224,16 +225,23 @@ def key_values(
     def scan(values: dict, strict: bool) -> tuple[dict, dict]:
         frames: dict = {}
         texts: list = []
+        bad_lines: list = []
         # The re-read judges each record against the grid the first scan read.
         grid_known = strict and "width" in first and "height" in first
 
         def record(line: str) -> None:
             key, sep, value = line.partition(":")
-            if not sep:
-                raise ValueError("expected 'key: value'")
             key = key.rstrip()
-            if key != "frame":
-                put_known(values, keys, key, value.strip())
+            if key != "frame" or not sep:
+                try:
+                    if not sep:
+                        raise ValueError("expected 'key: value'")
+                    put_known(values, keys, key, value.strip())
+                except ValueError:
+                    if strict:
+                        raise
+                    # The first scan reads on, so the re-read knows the grid.
+                    bad_lines.append(line)
                 if grid_known and key in grid_keys:
                     grid_keys[key](first["width"], first["height"], values[key])
             elif strict:
@@ -246,6 +254,8 @@ def key_values(
                 texts.append(value)
 
         read(path, record)
+        if bad_lines:
+            raise ValueError("a bad line")
         if not strict:
             u, v, *rest = columns(texts, frame, spec, defaults)
             frames = dict(zip(zip(u, v), zip(*rest)))

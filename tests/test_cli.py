@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfalloc import cli
 from lfalloc import (
     AllocationProblem,
     AllocationResult,
@@ -49,6 +50,7 @@ from lfalloc.cli import (
     EXIT_METRIC,
     EXIT_MODEL,
     EXIT_OK,
+    build_parser,
     main,
 )
 from lfalloc.encodesim import TRACE_HEADER, ParsedTrace, ParsedTraceIteration
@@ -518,6 +520,53 @@ class TestSpiralCommand:
         capsys.readouterr()
 
 
+class TestMainInOneProcess:
+    """main(argv) called many times in one process: one parser, and no
+    value of one call carried into the next."""
+
+    def test_calls_match_separate_processes(self, tmp_path, monkeypatch, capsys):
+        write_problem_file(coupled_square(), tmp_path / "problem.txt")
+        write_mock_config(small_grid_setup(gamma=0.2), tmp_path / "mock.txt")
+        allocate = ["allocate", "problem.txt", "--output"]
+        simulate = ["simulate", "mock.txt", "--budget", "4e6", "--max-iters", "3", "--output"]
+        calls = [
+            ["allocate", "problem.txt", "--budget", "8e6", "--output", "budget.csv"],
+            allocate + ["plain.csv"],
+            simulate + ["trace.csv"],
+            None,  # an argv that argparse rejects
+            allocate + ["again.csv"],
+        ]
+        expected = {}
+        for argv in filter(None, calls):
+            done = run_cli(tmp_path, *argv)
+            assert done.returncode == EXIT_OK, done.stderr
+            expected[argv[-1]] = done.stdout, (tmp_path / argv[-1]).read_bytes()
+            (tmp_path / argv[-1]).unlink()
+        monkeypatch.chdir(tmp_path)
+        for argv in calls:
+            if argv is None:
+                with pytest.raises(SystemExit) as info:
+                    main(["allocate", "problem.txt", "--budget", "8e6"])
+                assert info.value.code == 2
+                capsys.readouterr()
+                continue
+            assert main(argv) == EXIT_OK
+            out, data = expected[argv[-1]]
+            assert capsys.readouterr().out == out
+            assert (tmp_path / argv[-1]).read_bytes() == data, argv
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_a_patched_command_runs(self, monkeypatch, capsys):
+        assert main(["spiral", "1", "1"]) == EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli, "cmd_spiral", lambda args: seen.append(args.width) or 7)
+        assert main(["spiral", "3", "1"]) == 7
+        assert seen == [3]
+        capsys.readouterr()
+
+
 def cli_inputs(command, tmp):
     """argv for one subcommand, with inputs written by the library's writers,
     and the path of the input file that the record tests rewrite."""
@@ -586,6 +635,15 @@ def both(*edits):
     def edit(lines):
         for each in edits:
             each(lines)
+
+    return edit
+
+
+def insert_lines(at, *records):
+    """Edit: records inserted before line `at` (0 for the first)."""
+
+    def edit(lines):
+        lines[at:at] = records
 
     return edit
 
@@ -664,6 +722,33 @@ RECORD_DEFECTS = {
         both(set_line("order:", "order: 1,1;0,0;1,0;1,0"), repeat_line("budget:")),
         True,
     ),
+    # ... also when a bad key line, or one with no ':', follows it before the
+    # width or height line.
+    "problem_off_grid_before_bad_key_before_width": (
+        "allocate",
+        insert_lines(0, "frame: 9,0,1.0,1e8,-0.3", "bogus: 1"),
+        True,
+    ),
+    "problem_off_grid_before_bad_key_before_height": (
+        "allocate",
+        insert_lines(1, "frame: 9,0,1.0,1e8,-0.3", "bogus: 1"),
+        True,
+    ),
+    "problem_off_grid_before_line_without_colon": (
+        "allocate",
+        insert_lines(0, "frame: 9,0,1.0,1e8,-0.3", "bogus"),
+        True,
+    ),
+    "mock_off_grid_before_bad_key_before_width": (
+        "simulate",
+        insert_lines(0, "frame: 9,0,3e7,-0.28,1.0", "bogus: 1"),
+        True,
+    ),
+    "mock_off_grid_before_bad_key_before_height": (
+        "simulate",
+        insert_lines(1, "frame: 9,0,3e7,-0.28,1.0", "gamma: nan"),
+        True,
+    ),
 }
 
 
@@ -699,6 +784,11 @@ def zero_fourth_field(lines, at):
     return ",".join(parts)
 
 
+def off_grid_frame(lines, at):
+    """The file's first frame line moved off the grid."""
+    return "frame: 9," + next(line for line in lines if line.startswith("frame:")).split(",", 1)[1]
+
+
 # Line defects for files with two of them: (the line inserted before line
 # `at` of a sound file, given its lines, and a part of the message it raises).
 LINE_DEFECTS = {
@@ -708,6 +798,7 @@ LINE_DEFECTS = {
     "repeated_line": (lambda lines, at: lines[at - 1], "duplicate "),
     "bad_order_entry": (lambda lines, at: "order: 1,1;0", "expected 'u,v', got '0'"),
     "out_of_domain": (zero_fourth_field, "number '0'"),
+    "off_grid_frame": (off_grid_frame, "frame (9,1) outside the 2x2 grid"),
 }
 
 
