@@ -27,6 +27,7 @@ multiplier. It is zero at an exact optimum.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -705,7 +706,7 @@ def read_problem_file(path, **overrides) -> AllocationProblem:
         ("budget", "lambda"),
         _PROBLEM_FRAME,
         PROBLEM_FRAME_FIELDS,
-        grid_keys={"order": FrameGrid},
+        grid_keys={"order": _order_grid},
     )
     grid = values.get("order") or spiral_order(values["width"], values["height"])
     scalars = dict(budget=values["budget"], lam=values["lambda"], min_rate=values.get("min_rate"))
@@ -723,8 +724,19 @@ def read_problem_file(path, **overrides) -> AllocationProblem:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+# The problem reader keeps the coding order of each `order:` text, and
+# the grid of each (width, height, order) with its coupled pairs, for the
+# last ORDER_MEMO used: the problems of one run share a few grids. A bad
+# text or grid is not kept, so it raises on every read.
+ORDER_MEMO = 16
+
+
+@functools.lru_cache(maxsize=ORDER_MEMO)
 def _coding_order(text: str) -> tuple[FrameCoord, ...]:
     return tuple(map(FrameCoord, *records.columns(text.split(";"), (records.integer,) * 2, "u,v")))
+
+
+_order_grid = functools.lru_cache(maxsize=ORDER_MEMO)(FrameGrid)
 
 
 _PROBLEM_FRAME = (records.integer,) * 2 + (records.nonnegative, records.positive, records.negative)

@@ -85,7 +85,8 @@ class FrameGrid:
         Built once per grid by one gather over COUPLING_OFFSETS from an
         index of the lattice padded by PROXIMITY_RADIUS - 1, so the cost is
         linear in the frame count. Rows are sorted by (i, j), indices in
-        coding order.
+        coding order. The arrays are read-only, since every holder of the
+        grid shares them.
         """
         n = self.n_frames
         pad = PROXIMITY_RADIUS - 1
@@ -101,7 +102,10 @@ class FrameGrid:
         inside = j >= 0
         i, j, delta = i[inside], j[inside], delta[inside]
         order = np.argsort(i * n + j)
-        return CoupledPairs(i=i[order], j=j[order], delta=delta[order])
+        i, j, delta = i[order], j[order], delta[order]
+        for array in (i, j, delta):
+            array.setflags(write=False)
+        return CoupledPairs(i=i, j=j, delta=delta)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,14 @@ record as read() reaches it: its fields, a repeat, and, with the width
 and height the first scan read, a frame off the grid or a key whose
 value must fit the grid. So the error is the one the first bad line
 gives, and a missing key or frame is raised only when no line is bad.
+
+columns() splits its records once, joined with a marker field between
+records; where the markers fall shows that every record has its number
+of fields, with no look at any one record. Records that leave out
+defaulted fields are padded first. A record with another number of
+fields, or a value that fails its column's test, sends the records to
+fields() one at a time, which names the first bad one.
+
 Writers format every float field with number(), so a file reads back as
 the values it was written from.
 """
@@ -154,28 +162,57 @@ _BULK = {
 }
 
 
+# The field _split() puts between two records; no line of a file holds one.
+_MARK = "\n"
+
+
+def _split(texts, n: int) -> list | None:
+    """The fields of comma-separated records, each record's n fields
+    followed by a _MARK field, or None unless every record has n fields.
+
+    One split of the records joined by _MARK fields: every record has n
+    fields exactly when no record holds a _MARK and the fields number
+    n + 1 per record with a _MARK after every n. A total count of fields
+    is not enough: a short record and a long one cancel out in it."""
+    if not texts:
+        return []
+    joined = f",{_MARK},".join(texts)
+    flat = (joined + "," + _MARK).split(",")
+    if (
+        len(flat) != len(texts) * (n + 1)
+        or joined.count(_MARK) != len(texts) - 1
+        or flat[n :: n + 1].count(_MARK) != len(texts)
+    ):
+        return None
+    return flat
+
+
 def columns(texts, converters, spec: str, defaults=()) -> list:
     """fields() over many comma-separated records: one sequence of values
     per converter.
 
-    The records are split as one text and each column is converted and
-    checked as a whole. On any defect the records are read again one at a
-    time by fields(), which raises the first bad record's ValueError.
+    The records are split as one text (see _split) and each column is
+    converted and checked as a whole; records that leave out trailing
+    fields are first padded with their defaults. On any defect the
+    records are read again one at a time by fields(), which raises the
+    first bad record's ValueError.
     """
     n = len(converters)
-    missing = [n - 1 - text.count(",") for text in texts]
     try:
-        if not all(0 <= m <= len(defaults) for m in missing):
+        flat = _split(texts, n)
+        if flat is None and defaults:
+            missing = [n - 1 - text.count(",") for text in texts]
+            padded = [
+                text + "," + ",".join(defaults[len(defaults) - m :]) if m > 0 else text
+                for text, m in zip(texts, missing)
+            ]
+            flat = _split(padded, n)
+        if flat is None:
             raise ValueError(spec)
-        padded = [
-            text + "," + ",".join(defaults[len(defaults) - m :]) if m else text
-            for text, m in zip(texts, missing)
-        ]
-        flat = ",".join(padded).split(",") if padded else []
         values = []
         for index, convert in enumerate(converters):
             base, valid = _BULK.get(convert, (convert, None))
-            column = list(map(base, flat[index::n]))
+            column = list(map(base, flat[index :: n + 1]))
             if valid is not None and not np.all(valid(np.array(column))):
                 raise ValueError(spec)
             values.append(column)

@@ -870,6 +870,43 @@ class TestProblemIO:
         with pytest.raises(InfeasibleBudget):
             read_problem_file(path)
 
+    def test_files_with_one_order_share_one_grid(self, tmp_path):
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_problem_file(coupled_square(), first)
+        problem = square_problem(REFERENCE_PAIRS[::-1] + ((1.0e8, -0.33),), 8e6, lam=50.0)
+        write_problem_file(problem, second)
+        a, b = read_problem_file(first), read_problem_file(second)
+        assert a.grid is b.grid
+        assert (a.lam, b.lam) == (5.0, 50.0)
+        # The cone penalty's columns are the shared grid's read-only arrays.
+        penalty = build_cone_penalty(b, allocate(b).step1_rates)
+        assert penalty.col_i is a.grid.coupled_pairs.i
+        with pytest.raises(ValueError, match="read-only"):
+            penalty.col_j[0] = 0
+
+    def test_order_memo_keeps_its_bound(self, tmp_path):
+        """More distinct orders than the memo holds: it stays at its bound,
+        and an evicted grid read again allocates to the same bytes."""
+        paths = []
+        for n in range(1, allocator.ORDER_MEMO + 5):
+            pairs = [REFERENCE_PAIRS[u % 3] for u in range(n)]
+            paths.append(tmp_path / f"line{n}.txt")
+            write_problem_file(line_problem(pairs, 1e6 * n, lam=5.0), paths[-1])
+
+        def allocation(path):
+            out = tmp_path / "out.csv"
+            write_allocation_file(allocate(read_problem_file(path)), out)
+            return out.read_bytes()
+
+        first = allocation(paths[0])
+        grid = read_problem_file(paths[0]).grid
+        for path in paths[1:]:
+            read_problem_file(path)
+        for memo in (allocator._coding_order, allocator._order_grid):
+            assert memo.cache_info().currsize == allocator.ORDER_MEMO
+        assert read_problem_file(paths[0]).grid is not grid
+        assert allocation(paths[0]) == first
+
     def test_allocation_round_trip(self, tmp_path):
         result = allocate(coupled_square())
         path = tmp_path / "alloc.csv"

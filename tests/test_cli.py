@@ -55,7 +55,7 @@ from lfalloc.cli import (
 )
 from lfalloc.encodesim import TRACE_HEADER, ParsedTrace, ParsedTraceIteration
 from lfalloc.lightfield import grid_to_text
-from test_allocator import coupled_square
+from test_allocator import coupled_square, line_problem, sparse_problem
 from test_encodesim import seeded_mock, small_grid_setup
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -526,14 +526,22 @@ class TestMainInOneProcess:
 
     def test_calls_match_separate_processes(self, tmp_path, monkeypatch, capsys):
         write_problem_file(coupled_square(), tmp_path / "problem.txt")
+        # Another problem on the same 2x2 grid, with other weights and
+        # lambda, and one on a 3x1 grid.
+        frames = {(0, 0): (1.0, 1e8, -0.3), (1, 1): (0.4, 5e7, -0.35), (0, 1): (0.7, 2e8, -0.4)}
+        write_problem_file(sparse_problem(2, 2, 4e6, 50.0, 1e4, frames), tmp_path / "other.txt")
+        write_problem_file(line_problem(REFERENCE_PAIRS, 3e6, lam=10.0), tmp_path / "line.txt")
         write_mock_config(small_grid_setup(gamma=0.2), tmp_path / "mock.txt")
         allocate = ["allocate", "problem.txt", "--output"]
         simulate = ["simulate", "mock.txt", "--budget", "4e6", "--max-iters", "3", "--output"]
         calls = [
             ["allocate", "problem.txt", "--budget", "8e6", "--output", "budget.csv"],
+            ["allocate", "other.txt", "--output", "other.csv"],
             allocate + ["plain.csv"],
+            ["allocate", "line.txt", "--output", "line.csv"],
             simulate + ["trace.csv"],
             None,  # an argv that argparse rejects
+            ["allocate", "other.txt", "--output", "other_again.csv"],
             allocate + ["again.csv"],
         ]
         expected = {}
@@ -554,6 +562,21 @@ class TestMainInOneProcess:
             out, data = expected[argv[-1]]
             assert capsys.readouterr().out == out
             assert (tmp_path / argv[-1]).read_bytes() == data, argv
+
+    def test_a_bad_order_entry_fails_alike_on_every_read(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "problem.txt"
+        write_problem_file(coupled_square(), path)
+        lines = path.read_text().splitlines()
+        line = next(k for k, text in enumerate(lines, 1) if text.startswith("order:"))
+        lines[line - 1] = "order: 1,1;0,x;0,0;1,0"
+        path.write_text("\n".join(lines) + "\n")
+        expected = run_cli(tmp_path, "allocate", "problem.txt", "--output", "out.csv")
+        assert expected.returncode == EXIT_INPUT
+        assert expected.stderr.startswith(f"error: problem.txt: line {line}: ")
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            assert main(["allocate", "problem.txt", "--output", "out.csv"]) == EXIT_INPUT
+            assert capsys.readouterr().err == expected.stderr
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
@@ -705,6 +728,25 @@ RECORD_DEFECTS = {
     "problem_frame_off_grid": ("allocate", replace_field("frame: 1,1,", 0, "frame: 2"), True),
     "order_not_a_permutation": ("allocate", set_line("order:", "order: 1,1;0,0;1,0;1,0"), True),
     "mock_byte_not_utf8": ("simulate", replace_field("frame: 1,1,", 2, "3e7\udcff"), True),
+    # A frame line one field short and a later one one field long: their
+    # field counts cancel in the file's total, and the first is named. Read
+    # as one run of fields cut every five, the two lines would give sound
+    # frames (1,1) and (0,1), with the long line's -1 as the beta of (1,1).
+    # A mock frame line must be two fields short, as its last has a default.
+    "problem_short_frame_before_long_frame": (
+        "allocate",
+        both(drop_last_field("frame: 1,1,"), set_line("frame: 0,1,", "frame: -1,0,1,1,5,-0.3")),
+        True,
+    ),
+    "mock_frame_two_short_before_one_long": (
+        "simulate",
+        both(
+            drop_last_field("frame: 1,1,"),
+            drop_last_field("frame: 1,1,"),
+            replace_field("frame: 0,1,", 4, "1.0,1.0"),
+        ),
+        True,
+    ),
     # A defect against the grid is named like any other first bad line,
     # before a later line's defect.
     "problem_off_grid_before_alpha_nan": (

@@ -170,6 +170,12 @@ class TestCoupledPairs:
         grid = spiral_order(4, 4)
         assert grid.coupled_pairs is grid.coupled_pairs
 
+    @pytest.mark.parametrize("name", ["i", "j", "delta"])
+    def test_arrays_are_read_only(self, name):
+        array = getattr(spiral_order(3, 3).coupled_pairs, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
 
 class TestFrameCoord:
     """A frame key is a (u, v) tuple with named fields."""

@@ -2,6 +2,7 @@
 records, and the gate of its run on a few mutants."""
 
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -111,3 +112,28 @@ def test_run_fails_when_a_mutant_ends_outside_the_package_errors(
     assert "4 of 8 mutants fail" in capsys.readouterr().err
     outcomes = [record["outcome"] for record in json.loads(output.read_text())]
     assert outcomes[1::2] == ["KeyError"] * 4
+
+
+def test_run_fails_when_a_second_read_ends_otherwise(tmp_path, monkeypatch, capsys):
+    """A reader that carries state from one read into the next: each mock
+    config reads on its first read and fails on its second."""
+    import lfalloc
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(differential, "COUNT", 8)
+    reads = itertools.count()
+    read_mock_config = lfalloc.read_mock_config
+
+    def stateful_reader(path):
+        if next(reads) % 2:
+            raise lfalloc.ParseError("read before")
+        return read_mock_config(path)
+
+    monkeypatch.setattr(lfalloc, "read_mock_config", stateful_reader)
+    output = tmp_path / "records.json"
+    assert differential.main(["run", str(PATH.parent.parent), "--output", str(output)]) == 1
+    err = capsys.readouterr().err
+    assert "seed 1: " in err and ", read again: ParseError: read before" in err
+    assert err.endswith("4 of 8 mutants fail\n")
+    # The records hold each mutant's first read.
+    assert "read before" not in output.read_text()

@@ -5,11 +5,14 @@ configs, the two kinds alternating, and reads each with read_problem_file
 or read_mock_config of TREE/src. It records the exception type and
 message, with the file's path shown as FILE, or, for a file that reads,
 "ok" and a digest of the file that TREE's writer writes back from it.
-`run` exits 1 when any mutant ends in anything else than "ok" or one of
-the package's own errors (LfallocError): a traceback, or a warning when
-Python runs with `-W error`, as CI does. `compare` prints how many
-records differ between two runs, how the line each error names moved
-(MOVES), and examples; it exits 1 when any record differs.
+`run` reads every mutant twice in one process and exits 1 when any
+mutant ends in anything else than "ok" or one of the package's own
+errors (LfallocError): a traceback, or a warning when Python runs with
+`-W error`, as CI does. It also exits 1 when the second read ends
+otherwise than the first, as it would if a reader carried state from
+one read into the next. `compare` prints how many records differ
+between two runs, how the line each error names moved (MOVES), and
+examples; it exits 1 when any record differs.
 
     python -W error tools/parse_differential.py run PARENT_TREE --output parent.json
     python tools/parse_differential.py run CHANGED_TREE --output change.json
@@ -164,9 +167,10 @@ def mutant(seed: int) -> tuple[str, bytes]:
     return kind, data
 
 
-def run_tree(tree: Path) -> tuple[list[dict], list[int]]:
-    """One record per mutant, read with the lfalloc of tree, and the seeds
-    whose outcome is neither "ok" nor an LfallocError."""
+def run_tree(tree: Path) -> tuple[list[dict], list[str]]:
+    """One record per mutant, read with the lfalloc of tree, and a line for
+    each mutant whose outcome is neither "ok" nor an LfallocError, or
+    whose second read ends otherwise than its first."""
     sys.path.insert(0, str(tree / "src"))
     from lfalloc import (
         LfallocError,
@@ -180,22 +184,28 @@ def run_tree(tree: Path) -> tuple[list[dict], list[int]]:
         "problem": (read_problem_file, write_problem_file),
         "mock": (read_mock_config, write_mock_config),
     }
+
+    def outcome(read, write, path: Path, back: Path) -> tuple[str, str, bool]:
+        """(outcome, message, whether it is "ok" or an LfallocError)."""
+        try:
+            write(read(path), back)
+        except Exception as exc:  # every outcome is recorded, not raised
+            message = str(exc).replace(str(path), "FILE")
+            return type(exc).__name__, message, isinstance(exc, LfallocError)
+        return "ok", hashlib.sha256(back.read_bytes()).hexdigest()[:16], True
+
     records, failures = [], []
     with tempfile.TemporaryDirectory() as tmp:
         path, back = Path(tmp) / "input.txt", Path(tmp) / "back.txt"
         for seed in range(COUNT):
             kind, data = mutant(seed)
             path.write_bytes(data)
-            read, write = readers[kind]
-            try:
-                write(read(path), back)
-            except Exception as exc:  # every outcome is recorded, not raised
-                outcome, message = type(exc).__name__, str(exc).replace(str(path), "FILE")
-                if not isinstance(exc, LfallocError):
-                    failures.append(seed)
-            else:
-                outcome, message = "ok", hashlib.sha256(back.read_bytes()).hexdigest()[:16]
-            records.append(dict(seed=seed, kind=kind, outcome=outcome, message=message))
+            first, again = (outcome(*readers[kind], path, back) for _ in range(2))
+            records.append(dict(seed=seed, kind=kind, outcome=first[0], message=first[1]))
+            if not first[2]:
+                failures.append(f"seed {seed}: {first[0]}: {first[1]}")
+            elif again != first:
+                failures.append(f"seed {seed}: {first[0]}, read again: {again[0]}: {again[1]}")
     return records, failures
 
 
@@ -264,9 +274,8 @@ def main(argv=None) -> int:
     if args.command == "run":
         records, failures = run_tree(args.tree.resolve())
         args.output.write_text(json.dumps(records, indent=1) + "\n")
-        for seed in failures[:EXAMPLES]:
-            record = records[seed]
-            print(f"seed {seed}: {record['outcome']}: {record['message']}", file=sys.stderr)
+        for failure in failures[:EXAMPLES]:
+            print(failure, file=sys.stderr)
         if failures:
             print(f"{len(failures)} of {len(records)} mutants fail", file=sys.stderr)
         return 1 if failures else 0
