@@ -30,6 +30,8 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -37,12 +39,13 @@ import numpy as np
 
 from . import records
 from .errors import (
+    DegenerateWeights,
     DomainError,
     InfeasibleBudget,
     NotConverged,
     ParseError,
 )
-from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order, unify_weights
+from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order
 from .metrics import CostBreakdown, joint_cost
 from .rdmodel import RDModelParams, tangent_lines
 
@@ -87,12 +90,15 @@ class AllocationProblem:
     The weights and models are read once, at construction, into the
     coding-order vectors w (unified weights), alpha and beta that every
     solver step uses; changing the tables afterwards does not change the
-    rates.
+    rates. models is a mapping from each frame to its RDModelParams: a
+    dict, or, for a problem that read_problem_file read, a read-only
+    table over the file's alpha and beta vectors, whose vectors are
+    taken whole.
     """
 
     grid: FrameGrid
     weights: WeightSet
-    models: dict[FrameCoord, RDModelParams]
+    models: Mapping[FrameCoord, RDModelParams]
     budget: float
     lam: float = 0.0
     min_rate: float | None = None
@@ -105,10 +111,14 @@ class AllocationProblem:
             raise ValueError("budget must be positive and finite")
         if not math.isfinite(self.lam) or self.lam < 0.0:
             raise ValueError("lambda must be nonnegative and finite")
-        models = self.grid.align(self.models, "models")
+        if isinstance(self.models, _ModelTable) and self.models.grid is self.grid:
+            alpha, beta = self.models.alpha, self.models.beta
+        else:
+            models = self.grid.align(self.models, "models")
+            alpha, beta = np.array([m.alpha for m in models]), np.array([m.beta for m in models])
         object.__setattr__(self, "w", np.array(self.grid.align(self.weights.unified, "weights")))
-        object.__setattr__(self, "alpha", np.array([m.alpha for m in models]))
-        object.__setattr__(self, "beta", np.array([m.beta for m in models]))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
         n = self.grid.n_frames
         if self.min_rate is None:
             object.__setattr__(
@@ -120,6 +130,34 @@ class AllocationProblem:
             raise InfeasibleBudget(
                 f"rate floor {self.min_rate!r} x {n} frames exceeds budget {self.budget!r}"
             )
+
+
+class _ModelTable(Mapping):
+    """The models of a read problem: a read-only mapping over read-only
+    alpha and beta vectors in the coding order of grid. It iterates in
+    coding order, and its item for a frame on the grid is that frame's
+    RDModelParams, built on look-up."""
+
+    __slots__ = ("grid", "alpha", "beta")
+
+    def __init__(self, grid: FrameGrid, alpha: np.ndarray, beta: np.ndarray):
+        self.grid, self.alpha, self.beta = grid, alpha, beta
+
+    def __getitem__(self, coord) -> RDModelParams:
+        try:
+            u, v = map(operator.index, coord)
+        except (TypeError, ValueError):
+            raise KeyError(coord) from None
+        if not (0 <= u < self.grid.width and 0 <= v < self.grid.height):
+            raise KeyError(coord)
+        i = self.grid.lattice_index[u, v]
+        return RDModelParams(float(self.alpha[i]), float(self.beta[i]))
+
+    def __iter__(self):
+        return iter(self.grid.coding_order)
+
+    def __len__(self) -> int:
+        return self.grid.n_frames
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,9 +518,6 @@ def solve_step2(
         terms = abs_i * vec[penalty.col_i] + abs_j * vec[penalty.col_j] + abs_rhs
         return float(np.linalg.norm(terms))
 
-    def is_zero(vec: np.ndarray, res: np.ndarray) -> bool:
-        return float(np.linalg.norm(res)) <= ZERO_RESIDUAL * residual_scale(vec)
-
     def certified(vec: np.ndarray):
         if not np.all(vec[weighted] > floor):
             return None
@@ -581,9 +616,12 @@ def solve_step2(
         grad_f, curvature = distortion_derivatives(r)
         grad = grad_f
         at_kink = False
+        scale = 0.0
         if coupled:
             res = penalty.residual(r)
-            if is_zero(r, res):
+            norm = float(np.linalg.norm(res))
+            scale = residual_scale(r)
+            if norm <= ZERO_RESIDUAL * scale:
                 found = certified(r)
                 if found is not None:
                     _, mu, marginal = found
@@ -594,7 +632,6 @@ def solve_step2(
                 # which cannot certify convergence.
                 at_kink = True
             else:
-                norm = float(np.linalg.norm(res))
                 grad = grad_f + lam * penalty.apply_transpose(res / norm)
                 # In place: a fresh n x n temporary costs as much as the solve.
                 np.multiply(gram, lam / norm, out=hess)
@@ -605,7 +642,7 @@ def solve_step2(
             d = active_direction(grad, free)
             # P cannot resolve changes below its rounding error, so neither
             # can the stop or the step that passes it.
-            resolution = ROUNDING * (value + (lam * residual_scale(r) if coupled else 0.0))
+            resolution = ROUNDING * (value + lam * scale)
             if not at_kink and -0.5 * float(grad @ d) <= STEP2_TOL * value + resolution:
                 # A converged Newton step improves P by less than rounding
                 # can show; it is kept unless P visibly rises or ends above
@@ -699,8 +736,13 @@ def read_problem_file(path, **overrides) -> AllocationProblem:
     value that replaces the file's; None keeps the file's. The problem is
     built once, so a floor that neither gives follows the budget in
     effect.
+
+    The frame columns go into coding order whole, through the grid's
+    lattice_index. The problem's models are a read-only table over its
+    alpha and beta vectors: it iterates in coding order and builds a
+    frame's RDModelParams when the frame is looked up.
     """
-    values, frames = records.key_values(
+    values, (u, v, *frame) = records.key_values(
         path,
         _PROBLEM_KEYS,
         ("budget", "lambda"),
@@ -711,14 +753,21 @@ def read_problem_file(path, **overrides) -> AllocationProblem:
     grid = values.get("order") or spiral_order(values["width"], values["height"])
     scalars = dict(budget=values["budget"], lam=values["lambda"], min_rate=values.get("min_rate"))
     scalars.update((key, value) for key, value in overrides.items() if value is not None)
+    vectors = np.empty((len(frame), grid.n_frames))
+    vectors[:, grid.lattice_index[u, v]] = frame
+    vectors.setflags(write=False)
+    raw, alpha, beta = vectors
+    # unify_weights over the vector: the largest weight becomes exactly one.
+    peak = float(raw.max())
+    if peak == 0.0:
+        raise DegenerateWeights("all frame weights are zero")
+    coords = grid.coding_order
+    weights = WeightSet(
+        raw=dict(zip(coords, raw.tolist())), unified=dict(zip(coords, (raw / peak).tolist()))
+    )
     try:
-        coords = grid.coding_order
-        weight, alpha, beta = zip(*grid.align(frames, "frame lines"))
         return AllocationProblem(
-            grid=grid,
-            weights=unify_weights(dict(zip(coords, weight))),
-            models={c: RDModelParams(a, b) for c, a, b in zip(coords, alpha, beta)},
-            **scalars,
+            grid=grid, weights=weights, models=_ModelTable(grid, alpha, beta), **scalars
         )
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
@@ -733,7 +782,8 @@ ORDER_MEMO = 16
 
 @functools.lru_cache(maxsize=ORDER_MEMO)
 def _coding_order(text: str) -> tuple[FrameCoord, ...]:
-    return tuple(map(FrameCoord, *records.columns(text.split(";"), (records.integer,) * 2, "u,v")))
+    u, v = records.columns(text.split(";"), (records.integer,) * 2, "u,v")
+    return tuple(map(FrameCoord, u.tolist(), v.tolist()))
 
 
 _order_grid = functools.lru_cache(maxsize=ORDER_MEMO)(FrameGrid)

@@ -800,17 +800,18 @@ def read_mock_config(path) -> MockSetup:
     one file fully describes a simulation's encoder, grid, and weights.
     An optional key left out keeps MockEncoderConfig's default.
     """
-    values, frames = records.key_values(
+    values, (u, v, a, b, weight) = records.key_values(
         path, _MOCK_KEYS, (), _MOCK_FRAME, MOCK_FRAME_FIELDS, defaults=("1",)
     )
     width, height = values.pop("width"), values.pop("height")
-    rows = [(FrameCoord(u, v), row) for (u, v), row in frames.items()]
+    # Both tables keep the order of the frame lines.
+    coords = list(map(FrameCoord, u.tolist(), v.tolist()))
     try:
         config = MockEncoderConfig(
-            frame_params={c: (a, b) for c, (a, b, _) in rows},
+            frame_params=dict(zip(coords, zip(a.tolist(), b.tolist()))),
             **{_MOCK_FIELDS.get(key, key): value for key, value in values.items()},
         )
-        weights = unify_weights({c: w for c, (_, _, w) in rows})
+        weights = unify_weights(dict(zip(coords, weight.tolist())))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return MockSetup(config=config, grid=spiral_order(width, height), weights=weights)

@@ -79,20 +79,30 @@ class FrameGrid:
             raise IncompleteInput(f"{what} missing for frame ({u},{v})") from None
 
     @cached_property
+    def lattice_index(self) -> np.ndarray:
+        """The coding-order index of every frame, at [u, v]: where a
+        frame's value sits in each per-frame vector. Built once per grid
+        and read-only, since every holder of the grid shares it."""
+        uu, vv = np.array(self.coding_order).T
+        index = np.empty((self.width, self.height), dtype=np.intp)
+        index[uu, vv] = np.arange(self.n_frames)
+        index.setflags(write=False)
+        return index
+
+    @cached_property
     def coupled_pairs(self) -> CoupledPairs:
         """Every ordered pair of distinct frames with nonzero proximity.
 
-        Built once per grid by one gather over COUPLING_OFFSETS from an
-        index of the lattice padded by PROXIMITY_RADIUS - 1, so the cost is
+        Built once per grid by one gather over COUPLING_OFFSETS from the
+        lattice_index padded by PROXIMITY_RADIUS - 1, so the cost is
         linear in the frame count. Rows are sorted by (i, j), indices in
         coding order. The arrays are read-only, since every holder of the
         grid shares them.
         """
         n = self.n_frames
         pad = PROXIMITY_RADIUS - 1
-        uu, vv = np.array(list(zip(*self.coding_order)))
-        index = np.full((self.width + 2 * pad, self.height + 2 * pad), -1)
-        index[uu + pad, vv + pad] = np.arange(n)
+        uu, vv = np.array(self.coding_order).T
+        index = np.pad(self.lattice_index, pad, constant_values=-1)
         du, dv = np.array(COUPLING_OFFSETS).T
         j = index[uu + pad + du[:, None], vv + pad + dv[:, None]]
         i = np.broadcast_to(np.arange(n), j.shape)

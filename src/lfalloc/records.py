@@ -16,12 +16,14 @@ Key-value files hold `key: value` lines with known keys and one
 `frame: u,v,...` line per coordinate of their width x height grid. They
 are read in at most two scans. The first sets the frame lines aside,
 reads on past a key line that does not convert, converts the frame
-lines a column at a time (columns) and then checks the whole file. Any
-defect it meets or finds starts a strict re-read that judges each
-record as read() reaches it: its fields, a repeat, and, with the width
-and height the first scan read, a frame off the grid or a key whose
-value must fit the grid. So the error is the one the first bad line
-gives, and a missing key or frame is raised only when no line is bad.
+lines a column at a time (columns) and then checks the whole file, the
+frames with array operations on their grid positions; it returns the
+key values and the frame columns. Any defect it meets or finds starts a
+strict re-read that judges each record as read() reaches it: its
+fields, a repeat, and, with the width and height the first scan read, a
+frame off the grid or a key whose value must fit the grid. So the error
+is the one the first bad line gives, and a missing key or frame is
+raised only when no line is bad.
 
 columns() splits its records once, joined with a marker field between
 records; where the markers fall shows that every record has its number
@@ -188,7 +190,7 @@ def _split(texts, n: int) -> list | None:
 
 
 def columns(texts, converters, spec: str, defaults=()) -> list:
-    """fields() over many comma-separated records: one sequence of values
+    """fields() over many comma-separated records: one array of values
     per converter.
 
     The records are split as one text (see _split) and each column is
@@ -212,13 +214,14 @@ def columns(texts, converters, spec: str, defaults=()) -> list:
         values = []
         for index, convert in enumerate(converters):
             base, valid = _BULK.get(convert, (convert, None))
-            column = list(map(base, flat[index :: n + 1]))
-            if valid is not None and not np.all(valid(np.array(column))):
+            column = np.array(list(map(base, flat[index :: n + 1])))
+            if valid is not None and not valid(column).all():
                 raise ValueError(spec)
             values.append(column)
         return values
     except ValueError:
-        return list(zip(*(fields(text, converters, spec, ",", defaults) for text in texts)))
+        rows = [fields(text, converters, spec, ",", defaults) for text in texts]
+        return [np.array(column) for column in zip(*rows)]
 
 
 def put(mapping: dict, key, value, kind: str) -> None:
@@ -238,28 +241,31 @@ def put_known(mapping: dict, converters: dict, key: str, text: str) -> None:
 
 def key_values(
     path, keys: dict, required, frame, spec: str, defaults=(), grid_keys=None
-) -> tuple[dict, dict]:
-    """The values and frames of a `key: value` file.
+) -> tuple[dict, list]:
+    """The values and frame columns of a `key: value` file.
 
     keys maps each known key besides width and height to its converter;
-    the keys in required must be given. frames maps each (u, v) to the
-    rest of its `frame:` line's fields (see fields), one frame line per
-    coordinate of the width x height grid. grid_keys maps a key to a
-    function of (width, height, value) that returns the value to keep and
-    raises ValueError when the value does not fit the grid. A first scan
-    reads on past a key line that does not convert, so it reads width and
-    height wherever they stand, converts the frame lines together (see
-    columns) and then checks the whole file. Any defect it meets or finds
-    starts a strict re-read that judges each record as it reaches it,
-    against the grid of the width and height the first scan read, so the
-    error names the first bad line; a missing key or frame, which has no
-    line, is raised only when no line is bad.
+    the keys in required must be given. The file holds one `frame:` line
+    per coordinate of the width x height grid, whose fields the
+    converters in frame read (see fields). The frame columns hold those
+    fields one array per converter, in the order of the lines (see
+    columns). grid_keys maps a key to a function of (width, height,
+    value) that returns the value to keep and raises ValueError when the
+    value does not fit the grid. A first scan reads on past a key line
+    that does not convert, so it reads width and height wherever they
+    stand, converts the frame lines together (see columns) and then
+    checks the whole file, the frames with array operations on their
+    grid positions. Any defect it meets or finds starts a strict re-read
+    that judges each record as it reaches it, against the grid of the
+    width and height the first scan read, so the error names the first
+    bad line; a missing key or frame, which has no line, is raised only
+    when no line is bad.
     """
     keys = {"width": positive_integer, "height": positive_integer, **keys}
     grid_keys = grid_keys or {}
     first: dict = {}
 
-    def scan(values: dict, strict: bool) -> tuple[dict, dict]:
+    def scan(values: dict, strict: bool) -> tuple[dict, list]:
         frames: dict = {}
         texts: list = []
         bad_lines: list = []
@@ -282,37 +288,49 @@ def key_values(
                 if grid_known and key in grid_keys:
                     grid_keys[key](first["width"], first["height"], values[key])
             elif strict:
-                u, v, *rest = fields(value, frame, spec, ",", defaults)
+                row = fields(value, frame, spec, ",", defaults)
+                u, v = row[:2]
                 if grid_known and not (0 <= u < first["width"] and 0 <= v < first["height"]):
                     size = f"{first['width']}x{first['height']}"
                     raise ValueError(f"frame ({u},{v}) outside the {size} grid")
-                put(frames, (u, v), rest, "frame")
+                put(frames, (u, v), row, "frame")
             else:
                 texts.append(value)
 
         read(path, record)
         if bad_lines:
             raise ValueError("a bad line")
-        if not strict:
-            u, v, *rest = columns(texts, frame, spec, defaults)
-            frames = dict(zip(zip(u, v), zip(*rest)))
-            if len(frames) < len(texts):
-                raise ValueError("duplicate frame")
         missing = [key for key in ("width", "height", *required) if key not in values]
         if missing:
             raise ParseError(f"{path}: missing key {missing[0]!r}")
         width, height = values["width"], values["height"]
-        if not all(0 <= u < width and 0 <= v < height for u, v in frames):
-            raise ValueError("a frame off the grid")
         for key, fit in grid_keys.items():
             if key in values:
                 values[key] = fit(width, height, values[key])
+        if not strict:
+            table = columns(texts, frame, spec, defaults)
+            if not _fills_grid(*table[:2], width, height):
+                raise ValueError("frames that do not fill the grid")
+            return values, table
+        # The re-read keeps only frames on the grid, each once.
         if len(frames) < width * height:
             u, v = next((u, v) for v in range(height) for u in range(width) if (u, v) not in frames)
             raise ParseError(f"{path}: no frame line for ({u},{v})")
-        return values, frames
+        return values, [np.array(column) for column in zip(*frames.values())]
 
     try:
         return scan(first, strict=False)
     except (ParseError, ValueError):
         return scan({}, strict=True)
+
+
+def _fills_grid(u: np.ndarray, v: np.ndarray, width: int, height: int) -> bool:
+    """Whether the frame positions (u, v) hold every coordinate of the
+    width x height grid once. The count is checked first, so a huge width
+    or height never builds a huge grid."""
+    n = width * height
+    if len(u) != n or not ((u >= 0) & (u < width) & (v >= 0) & (v < height)).all():
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[u * height + v] = True
+    return bool(seen.all())

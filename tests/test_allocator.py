@@ -8,6 +8,7 @@ import pytest
 
 from lfalloc import (
     AllocationProblem,
+    DegenerateWeights,
     DistortionSet,
     DomainError,
     FrameCoord,
@@ -870,6 +871,15 @@ class TestProblemIO:
         with pytest.raises(InfeasibleBudget):
             read_problem_file(path)
 
+    def test_problem_with_every_weight_zero(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text(
+            "width: 2\nheight: 1\nbudget: 2e6\nlambda: 0.0\n"
+            "frame: 0,0,0.0,1e7,-0.3\nframe: 1,0,0,1e7,-0.3\n"
+        )
+        with pytest.raises(DegenerateWeights, match="^all frame weights are zero$"):
+            read_problem_file(path)
+
     def test_files_with_one_order_share_one_grid(self, tmp_path):
         first, second = tmp_path / "a.txt", tmp_path / "b.txt"
         write_problem_file(coupled_square(), first)
@@ -929,3 +939,67 @@ class TestProblemIO:
         path.write_text("u,v,rate_bits\n")
         with pytest.raises(ParseError):
             read_allocation_file(path)
+
+
+class TestReadModelTable:
+    """The models of a read problem: a read-only table over its vectors."""
+
+    FRAMES = {
+        (0, 0): (1.0, 4.46e7, -0.261),
+        (1, 0): (0.5, 1.96e8, -0.383),
+        (2, 0): (0.25, 6.93e7, -0.284),
+        (0, 1): (1.0, 1.0e8, -0.33),
+        (1, 1): (0.75, 5e7, -0.3),
+        (2, 1): (0.4, 8e7, -0.41),
+    }
+    ORDER = ((2, 1), (0, 0), (1, 1), (2, 0), (0, 1), (1, 0))
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        lines = ["width: 3", "height: 2", "budget: 6e6", "lambda: 5.0"]
+        lines.append("order: " + ";".join(f"{u},{v}" for u, v in self.ORDER))
+        lines += [f"frame: {u},{v},{w!r},{a!r},{b!r}" for (u, v), (w, a, b) in self.FRAMES.items()]
+        path = tmp_path / "p.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_iterates_in_coding_order(self, path):
+        models = read_problem_file(path).models
+        assert list(models) == [FrameCoord(u, v) for u, v in self.ORDER]
+        assert len(models) == len(self.ORDER)
+
+    def test_items_are_the_file_models(self, path):
+        models = read_problem_file(path).models
+        expected = {FrameCoord(*c): RDModelParams(a, b) for c, (_, a, b) in self.FRAMES.items()}
+        for coord, model in expected.items():
+            assert models[coord] == models[tuple(coord)] == model
+        assert models == expected
+
+    @pytest.mark.parametrize("coord", [(3, 0), (0, 2), (-1, 0), (0, -1), (0, 0, 0), "uv", 7, (0.5, 0)])
+    def test_off_grid_coordinate_raises_key_error(self, path, coord):
+        models = read_problem_file(path).models
+        with pytest.raises(KeyError):
+            models[coord]
+        assert coord not in models
+
+    def test_item_assignment_raises(self, path):
+        problem = read_problem_file(path)
+        with pytest.raises(TypeError):
+            problem.models[FrameCoord(0, 0)] = RDModelParams(1.0, -0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            problem.alpha[0] = 1.0
+        assert problem.models[FrameCoord(0, 0)] == RDModelParams(4.46e7, -0.261)
+
+    def test_replaced_lambda_allocates_as_a_reread(self, path, tmp_path):
+        replaced = replace(read_problem_file(path), lam=50.0)
+        outputs = (tmp_path / "replaced.csv", tmp_path / "reread.csv")
+        for problem, output in zip((replaced, read_problem_file(path, lam=50.0)), outputs):
+            write_allocation_file(allocate(problem), output)
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    def test_another_grid_looks_each_frame_up(self, path):
+        problem = read_problem_file(path)
+        moved = replace(problem, grid=spiral_order(3, 2))
+        coords = moved.grid.coding_order
+        assert moved.alpha.tolist() == [self.FRAMES[c][1] for c in coords]
+        assert moved.beta.tolist() == [self.FRAMES[c][2] for c in coords]

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from lfalloc import (
     AllocationResult,
     DistortionSet,
     FrameCoord,
+    FrameGrid,
     ParseError,
     RDModelParams,
     RDPoint,
@@ -1093,6 +1095,50 @@ def test_writers_round_trip(tmp_path):
     distortions = {FrameCoord(0, 0): 1.25, FrameCoord(1, 0): 3.5e6}
     write_sse_csv(DistortionSet(distortions), tmp_path / "sse.csv")
     assert read_sse_csv(tmp_path / "sse.csv").sse == distortions
+
+
+def shuffle_lines(source: Path, target: Path, seed: int) -> None:
+    """Write source's lines, key and frame lines alike, to target in a
+    seeded random order."""
+    lines = source.read_text().splitlines()
+    random.Random(seed).shuffle(lines)
+    target.write_text("\n".join(lines) + "\n")
+
+
+def test_shuffled_problem_reads_as_written(tmp_path):
+    """A 17x17 problem on a shuffled coding order reads the same from its
+    lines in any order, and allocates to the same bytes."""
+    setup = seeded_mock(17, 0)
+    coords = list(setup.grid.coding_order)
+    random.Random(1).shuffle(coords)
+    grid = FrameGrid(17, 17, coords)
+    models = {c: RDModelParams(a, b) for c, (a, b) in setup.config.frame_params.items()}
+    problem = AllocationProblem(grid, setup.weights, models, 2.89e8, 10.0)
+    written, shuffled = tmp_path / "written.txt", tmp_path / "shuffled.txt"
+    write_problem_file(problem, written)
+    shuffle_lines(written, shuffled, 2)
+    assert shuffled.read_text() != written.read_text()
+    expected, got = read_problem_file(written), read_problem_file(shuffled)
+    for name in ("w", "alpha", "beta"):
+        assert getattr(got, name).tolist() == getattr(expected, name).tolist()
+    assert got.weights.raw == expected.weights.raw == setup.weights.raw
+    assert list(got.models.items()) == list(expected.models.items())
+    assert dict(got.models.items()) == models
+    for read, name in ((expected, "expected.csv"), (got, "got.csv")):
+        write_allocation_file(allocate(read), tmp_path / name)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_shuffled_mock_config_reads_as_written(tmp_path):
+    setup = seeded_mock(13, 0)
+    written, shuffled = tmp_path / "written.txt", tmp_path / "shuffled.txt"
+    write_mock_config(setup, written)
+    shuffle_lines(written, shuffled, 3)
+    assert shuffled.read_text() != written.read_text()
+    mock = read_mock_config(shuffled)
+    assert mock.grid == setup.grid
+    assert (mock.weights.raw, mock.weights.unified) == (setup.weights.raw, setup.weights.unified)
+    assert vars(mock.config) == vars(setup.config)
 
 
 FUZZ_COMMANDS = ("fit", "allocate", "simulate", "metrics", "bdrate")

@@ -177,6 +177,22 @@ class TestCoupledPairs:
             array[0] = 1
 
 
+class TestLatticeIndex:
+    """The coding-order index of every grid position."""
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (3, 4), (6, 2)])
+    def test_holds_each_frames_coding_index(self, width, height):
+        grid = spiral_order(width, height)
+        assert grid.lattice_index.shape == (width, height)
+        assert [grid.lattice_index[c] for c in grid.coding_order] == list(range(grid.n_frames))
+
+    def test_built_once_and_read_only(self):
+        grid = spiral_order(3, 3)
+        assert grid.lattice_index is grid.lattice_index
+        with pytest.raises(ValueError, match="read-only"):
+            grid.lattice_index[0, 0] = 1
+
+
 class TestFrameCoord:
     """A frame key is a (u, v) tuple with named fields."""
 

@@ -137,3 +137,30 @@ def test_run_fails_when_a_second_read_ends_otherwise(tmp_path, monkeypatch, caps
     assert err.endswith("4 of 8 mutants fail\n")
     # The records hold each mutant's first read.
     assert "read before" not in output.read_text()
+
+
+def test_ok_digest_of_a_problem_covers_its_models(tmp_path, monkeypatch):
+    """A reader whose models are not the file's, though the problem writes
+    back the same file, changes the "ok" record of every problem that
+    reads and of no mock config."""
+    import lfalloc
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(differential, "COUNT", 30)
+    output = tmp_path / "records.json"
+    argv = ["run", str(PATH.parent.parent), "--output", str(output)]
+    assert differential.main(argv) == 0
+    before = json.loads(output.read_text())
+    read_problem_file = lfalloc.read_problem_file
+
+    def other_models(path):
+        problem = read_problem_file(path)
+        models = {c: lfalloc.RDModelParams(m.alpha, m.beta, 0.5) for c, m in problem.models.items()}
+        object.__setattr__(problem, "models", models)
+        return problem
+
+    monkeypatch.setattr(lfalloc, "read_problem_file", other_models)
+    assert differential.main(argv) == 0
+    after = json.loads(output.read_text())
+    read = [r["seed"] for r in before if r["kind"] == "problem" and r["outcome"] == "ok"]
+    assert read and [a["seed"] for a, b in zip(before, after) if a != b] == read

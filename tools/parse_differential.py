@@ -4,7 +4,9 @@
 configs, the two kinds alternating, and reads each with read_problem_file
 or read_mock_config of TREE/src. It records the exception type and
 message, with the file's path shown as FILE, or, for a file that reads,
-"ok" and a digest of the file that TREE's writer writes back from it.
+"ok" and a digest of the file that TREE's writer writes back from it
+and, for a problem, of the read problem's models items, which the
+writer does not read.
 `run` reads every mutant twice in one process and exits 1 when any
 mutant ends in anything else than "ok" or one of the package's own
 errors (LfallocError): a traceback, or a warning when Python runs with
@@ -180,19 +182,24 @@ def run_tree(tree: Path) -> tuple[list[dict], list[str]]:
         write_problem_file,
     )
 
+    def models(problem) -> bytes:
+        return repr(list(problem.models.items())).encode()
+
     readers = {
-        "problem": (read_problem_file, write_problem_file),
-        "mock": (read_mock_config, write_mock_config),
+        "problem": (read_problem_file, write_problem_file, models),
+        "mock": (read_mock_config, write_mock_config, lambda setup: b""),
     }
 
-    def outcome(read, write, path: Path, back: Path) -> tuple[str, str, bool]:
+    def outcome(read, write, unwritten, path: Path, back: Path) -> tuple[str, str, bool]:
         """(outcome, message, whether it is "ok" or an LfallocError)."""
         try:
-            write(read(path), back)
+            value = read(path)
+            write(value, back)
+            data = back.read_bytes() + unwritten(value)
         except Exception as exc:  # every outcome is recorded, not raised
             message = str(exc).replace(str(path), "FILE")
             return type(exc).__name__, message, isinstance(exc, LfallocError)
-        return "ok", hashlib.sha256(back.read_bytes()).hexdigest()[:16], True
+        return "ok", hashlib.sha256(data).hexdigest()[:16], True
 
     records, failures = [], []
     with tempfile.TemporaryDirectory() as tmp:
