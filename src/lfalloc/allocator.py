@@ -38,13 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import records
-from .errors import (
-    DegenerateWeights,
-    DomainError,
-    InfeasibleBudget,
-    NotConverged,
-    ParseError,
-)
+from .errors import DomainError, InfeasibleBudget, NotConverged, ParseError
 from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order
 from .metrics import CostBreakdown, joint_cost
 from .rdmodel import RDModelParams, tangent_lines
@@ -757,14 +751,7 @@ def read_problem_file(path, **overrides) -> AllocationProblem:
     vectors[:, grid.lattice_index[u, v]] = frame
     vectors.setflags(write=False)
     raw, alpha, beta = vectors
-    # unify_weights over the vector: the largest weight becomes exactly one.
-    peak = float(raw.max())
-    if peak == 0.0:
-        raise DegenerateWeights("all frame weights are zero")
-    coords = grid.coding_order
-    weights = WeightSet(
-        raw=dict(zip(coords, raw.tolist())), unified=dict(zip(coords, (raw / peak).tolist()))
-    )
+    weights = WeightSet(raw=dict(zip(grid.coding_order, raw.tolist())))
     try:
         return AllocationProblem(
             grid=grid, weights=weights, models=_ModelTable(grid, alpha, beta), **scalars
@@ -782,8 +769,10 @@ ORDER_MEMO = 16
 
 @functools.lru_cache(maxsize=ORDER_MEMO)
 def _coding_order(text: str) -> tuple[FrameCoord, ...]:
-    u, v = records.columns(text.split(";"), (records.integer,) * 2, "u,v")
-    return tuple(map(FrameCoord, u.tolist(), v.tolist()))
+    return tuple(
+        FrameCoord(*records.fields(entry, (records.integer,) * 2, "u,v"))
+        for entry in text.split(";")
+    )
 
 
 _order_grid = functools.lru_cache(maxsize=ORDER_MEMO)(FrameGrid)

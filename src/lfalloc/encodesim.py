@@ -91,7 +91,7 @@ from typing import Any, Callable, NamedTuple
 from . import records
 from .allocator import AllocationProblem, AllocationResult, allocate
 from .errors import EncodeFailed, InsufficientSamples, NotConverged, ParseError
-from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order, unify_weights
+from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order
 from .metrics import CostBreakdown, DistortionSet, cost, wpsnr
 from .rdmodel import RDModelParams, RDSample, fit_power_model
 
@@ -811,9 +811,9 @@ def read_mock_config(path) -> MockSetup:
             frame_params=dict(zip(coords, zip(a.tolist(), b.tolist()))),
             **{_MOCK_FIELDS.get(key, key): value for key, value in values.items()},
         )
-        weights = unify_weights(dict(zip(coords, weight.tolist())))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    weights = WeightSet(raw=dict(zip(coords, weight.tolist())))
     return MockSetup(config=config, grid=spiral_order(width, height), weights=weights)
 
 

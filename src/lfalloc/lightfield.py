@@ -131,18 +131,26 @@ class CoupledPairs:
 
 @dataclass(frozen=True, eq=False)
 class WeightSet:
-    """Raw per-frame weights plus their rescaling to a unit maximum."""
+    """Raw per-frame weights; unified is their rescaling to a unit maximum.
+
+    raw holds each frame's weight, finite and not negative; unified is
+    derived from it on first use, each weight divided by the largest, so
+    it covers the same frames and its largest value is exactly one. An
+    empty or all-zero raw raises DegenerateWeights.
+    """
 
     raw: dict[FrameCoord, float]
-    unified: dict[FrameCoord, float]
 
     def __post_init__(self):
-        if not self.unified:
-            raise ValueError("weight set must not be empty")
-        if self.raw.keys() != self.unified.keys():
-            raise ValueError("raw and unified weights must cover the same frames")
-        if max(self.unified.values()) != 1.0:
-            raise ValueError("unified weights must have maximum exactly 1")
+        if not self.raw:
+            raise DegenerateWeights("no frame weights given")
+        if max(self.raw.values()) <= 0.0:
+            raise DegenerateWeights("all frame weights are zero")
+
+    @cached_property
+    def unified(self) -> dict[FrameCoord, float]:
+        peak = max(self.raw.values())
+        return {coord: w / peak for coord, w in self.raw.items()}
 
 
 def frame_weight(weight_map) -> float:
@@ -166,16 +174,11 @@ def frame_weight(weight_map) -> float:
 
 
 def unify_weights(raw: dict[FrameCoord, float]) -> WeightSet:
-    """Rescale raw frame weights so the largest becomes exactly one."""
-    if not raw:
-        raise DegenerateWeights("no frame weights given")
+    """The WeightSet of a copy of raw, whose weights must be finite and
+    not negative."""
     if not all(math.isfinite(w) and w >= 0.0 for w in raw.values()):
         raise ValueError("raw weights must be nonnegative and finite")
-    peak = max(raw.values())
-    if peak <= 0.0:
-        raise DegenerateWeights("all frame weights are zero")
-    unified = {coord: w / peak for coord, w in raw.items()}
-    return WeightSet(raw=dict(raw), unified=unified)
+    return WeightSet(raw=dict(raw))
 
 
 def l1_distance(a: FrameCoord, b: FrameCoord) -> int:

@@ -74,9 +74,10 @@ def cost(
 
 def joint_cost(grid: FrameGrid, w: np.ndarray, d: np.ndarray, lam: float) -> CostBreakdown:
     """cost() over coding-order vectors of unified weights w and SSE d. A
-    cost that overflows raises ValueError instead of warning."""
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
+    lam that is negative or not finite, or a cost that overflows, raises
+    ValueError instead of giving a cost that is not a number."""
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError("lambda must be nonnegative and finite")
     pairs = grid.coupled_pairs
     gate = np.minimum(w[pairs.i], w[pairs.j])
     try:

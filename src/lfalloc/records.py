@@ -18,19 +18,17 @@ are read in at most two scans. The first sets the frame lines aside,
 reads on past a key line that does not convert, converts the frame
 lines a column at a time (columns) and then checks the whole file, the
 frames with array operations on their grid positions; it returns the
-key values and the frame columns. Any defect it meets or finds starts a
-strict re-read that judges each record as read() reaches it: its
-fields, a repeat, and, with the width and height the first scan read, a
-frame off the grid or a key whose value must fit the grid. So the error
-is the one the first bad line gives, and a missing key or frame is
-raised only when no line is bad.
+key values and the frame columns. Any defect, and any frame line that
+leaves out defaulted fields, starts a strict re-read that judges each
+record as read() reaches it: its fields, a repeat, and, with the width
+and height the first scan read, a frame off the grid or a key whose
+value must fit the grid. So the error is the one the first bad line
+gives, and a missing key or frame is raised only when no line is bad.
 
 columns() splits its records once, joined with a marker field between
 records; where the markers fall shows that every record has its number
-of fields, with no look at any one record. Records that leave out
-defaulted fields are padded first. A record with another number of
-fields, or a value that fails its column's test, sends the records to
-fields() one at a time, which names the first bad one.
+of fields, with no look at any one record. It converts and tests whole
+columns and gives None on any defect, which it does not phrase.
 
 Writers format every float field with number(), so a file reads back as
 the values it was written from.
@@ -189,39 +187,29 @@ def _split(texts, n: int) -> list | None:
     return flat
 
 
-def columns(texts, converters, spec: str, defaults=()) -> list:
+def columns(texts, converters) -> list | None:
     """fields() over many comma-separated records: one array of values
-    per converter.
+    per converter, or None when a record has another number of fields or
+    a value fails its converter.
 
     The records are split as one text (see _split) and each column is
-    converted and checked as a whole; records that leave out trailing
-    fields are first padded with their defaults. On any defect the
-    records are read again one at a time by fields(), which raises the
-    first bad record's ValueError.
+    converted and tested as a whole (see _BULK).
     """
     n = len(converters)
-    try:
-        flat = _split(texts, n)
-        if flat is None and defaults:
-            missing = [n - 1 - text.count(",") for text in texts]
-            padded = [
-                text + "," + ",".join(defaults[len(defaults) - m :]) if m > 0 else text
-                for text, m in zip(texts, missing)
-            ]
-            flat = _split(padded, n)
-        if flat is None:
-            raise ValueError(spec)
-        values = []
-        for index, convert in enumerate(converters):
-            base, valid = _BULK.get(convert, (convert, None))
+    flat = _split(texts, n)
+    if flat is None:
+        return None
+    values = []
+    for index, convert in enumerate(converters):
+        base, valid = _BULK[convert]
+        try:
             column = np.array(list(map(base, flat[index :: n + 1])))
-            if valid is not None and not valid(column).all():
-                raise ValueError(spec)
-            values.append(column)
-        return values
-    except ValueError:
-        rows = [fields(text, converters, spec, ",", defaults) for text in texts]
-        return [np.array(column) for column in zip(*rows)]
+        except ValueError:
+            return None
+        if valid is not None and not valid(column).all():
+            return None
+        values.append(column)
+    return values
 
 
 def put(mapping: dict, key, value, kind: str) -> None:
@@ -248,18 +236,18 @@ def key_values(
     the keys in required must be given. The file holds one `frame:` line
     per coordinate of the width x height grid, whose fields the
     converters in frame read (see fields). The frame columns hold those
-    fields one array per converter, in the order of the lines (see
-    columns). grid_keys maps a key to a function of (width, height,
-    value) that returns the value to keep and raises ValueError when the
-    value does not fit the grid. A first scan reads on past a key line
-    that does not convert, so it reads width and height wherever they
-    stand, converts the frame lines together (see columns) and then
-    checks the whole file, the frames with array operations on their
-    grid positions. Any defect it meets or finds starts a strict re-read
-    that judges each record as it reaches it, against the grid of the
-    width and height the first scan read, so the error names the first
-    bad line; a missing key or frame, which has no line, is raised only
-    when no line is bad.
+    fields one array per converter, in the order of the lines. grid_keys
+    maps a key to a function of (width, height, value) that returns the
+    value to keep and raises ValueError when the value does not fit the
+    grid. A first scan reads on past a key line that does not convert,
+    so it reads width and height wherever they stand, converts the frame
+    lines together (see columns) and then checks the whole file, the
+    frames with array operations on their grid positions. Any defect,
+    and any frame line that leaves out defaulted fields, starts a strict
+    re-read that judges each record as it reaches it, against the grid
+    of the width and height the first scan read, so the error names the
+    first bad line; a missing key or frame, which has no line, is raised
+    only when no line is bad.
     """
     keys = {"width": positive_integer, "height": positive_integer, **keys}
     grid_keys = grid_keys or {}
@@ -308,9 +296,9 @@ def key_values(
             if key in values:
                 values[key] = fit(width, height, values[key])
         if not strict:
-            table = columns(texts, frame, spec, defaults)
-            if not _fills_grid(*table[:2], width, height):
-                raise ValueError("frames that do not fill the grid")
+            table = columns(texts, frame)
+            if table is None or not _fills_grid(*table[:2], width, height):
+                raise ValueError("frames that are bad or do not fill the grid")
             return values, table
         # The re-read keeps only frames on the grid, each once.
         if len(frames) < width * height:

@@ -1,5 +1,6 @@
 """Command-line workflow: subcommands, exit codes, and output formats."""
 
+import importlib.util
 import itertools
 import math
 import os
@@ -10,10 +11,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lfalloc
 from lfalloc import cli
 from lfalloc import (
     AllocationProblem,
@@ -61,6 +64,10 @@ from test_allocator import coupled_square, line_problem, sparse_problem
 from test_encodesim import seeded_mock, small_grid_setup
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SWEEP = Path(__file__).resolve().parent.parent / "tools" / "step2_sweep.py"
+SPEC = importlib.util.spec_from_file_location("step2_sweep", SWEEP)
+sweep = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(sweep)
 
 
 def run_cli(cwd, *argv, **env):
@@ -226,6 +233,28 @@ class TestAllocateCommand:
         assert ("duplicate frame (1,1)" if extra == "repeat" else "outside") in (
             capsys.readouterr().err
         )
+
+    def test_not_converged_writes_the_best_iterate(self, tmp_path, capsys):
+        """Step-2 sweep problem 1323, a 1x6 line with zero weights at lambda
+        about 6.8e3, stops at the kink: allocate warns, writes the best
+        iterate and exits 0."""
+        rng = np.random.default_rng(sweep.SEED)
+        for _ in range(1324):
+            try:
+                problem = sweep.draw_problem(lfalloc, rng)
+            except lfalloc.DegenerateWeights:
+                problem = None
+        assert (problem.grid.width, problem.grid.height) == (1, 6)
+        assert min(problem.weights.raw.values()) == 0.0
+        assert problem.lam == pytest.approx(6.8e3, rel=0.01)
+        path, output = tmp_path / "problem.txt", tmp_path / "alloc.csv"
+        write_problem_file(problem, path)
+        assert main(["allocate", str(path), "--output", str(output)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.startswith("warning: ") and "line search at the kink" in err, err
+        assert err.endswith("; writing best iterate\n"), err
+        rates, _ = read_allocation_file(output)
+        assert len(rates) == 6 and sum(rates.values()) <= problem.budget
 
     def test_bad_problem_file(self, tmp_path, capsys):
         bad = tmp_path / "problem.txt"
@@ -421,6 +450,21 @@ class TestMetricsCommand:
         )
         assert code == EXIT_OK
         assert "wpsnr" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("lam, sse", [("nan", (1.0, 3.0)), ("inf", (2.0, 2.0))])
+    def test_lambda_not_finite_is_input_error(self, tmp_path, capsys, lam, sse):
+        """A lambda of nan, or of inf where every SSE gap is zero (inf x 0),
+        exits 2 and writes no report rather than a cost that is not a number."""
+        sse_path = tmp_path / "sse.csv"
+        write_sse_csv(DistortionSet(dict(zip((FrameCoord(0, 0), FrameCoord(1, 0)), sse))), sse_path)
+        weights = tmp_path / "weights.csv"
+        weights.write_text("1,1\n")
+        report = tmp_path / "report.txt"
+        argv = ["metrics", str(sse_path), "--weights", str(weights), "--lambda", lam]
+        assert main(argv + ["--pixels", "24", "--output", str(report)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "error: lambda must be nonnegative and finite\n"
+        assert captured.out == "" and not report.exists()
 
     def test_unrecognized_header(self, tmp_path, capsys):
         bad = tmp_path / "input.csv"
@@ -687,8 +731,8 @@ def set_line(prefix, text):
 
 
 # Non-finite, negative and contradictory inputs: (command, edit of the input's lines,
-# whether the error names the edited line). Each must exit 2 with the file
-# named in the message.
+# whether the error names the edited line, or the start of the line it names
+# instead). Each must exit 2 with the file named in the message.
 RECORD_DEFECTS = {
     "sse_nan": ("metrics", replace_field("0,0,", 2, "nan"), True),
     "sse_inf": ("metrics", replace_field("0,0,", 2, "inf"), True),
@@ -721,6 +765,13 @@ RECORD_DEFECTS = {
         "metrics-trace",
         set_line("# iteration 1 ", "# iteration 1 budget 5.0 sse 40.0"),
         True,
+    ),
+    "trace_row_after_converged": ("metrics-trace", repeat_line("1,0,0,"), True),
+    # A frame repeated within a pass is found at the summary that closes it.
+    "trace_frame_repeated_in_pass": (
+        "metrics-trace",
+        replace_field("1,1,1,", 2, "0"),
+        "# iteration 1 ",
     ),
     # A defect inside one record of a problem or mock file names its line:
     # a value out of its field's domain, a frame off the grid, an order
@@ -805,6 +856,8 @@ def test_record_defect_is_input_error(tmp_path, capsys, defect):
     edit(lines)
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     line = next(k for k, (a, b) in enumerate(zip(valid + [None], lines), 1) if a != b)
+    if isinstance(names_line, str):
+        line = next(k for k, text in enumerate(lines, 1) if text.startswith(names_line))
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     prefix = f"error: {path}: line {line}: " if names_line else f"error: {path}: "
@@ -1031,6 +1084,10 @@ def test_library_readers_reject_defects(tmp_path):
     text = allocation.read_text()
     allocation.write_text(text.replace("\n# diagnostics", "\n0,0,1.0\n# diagnostics"))
     with pytest.raises(ParseError, match=r"line 6: duplicate frame \(0,0\)"):
+        read_allocation_file(allocation)
+    # The header and the diagnostics block, with no rate row.
+    allocation.write_text("".join(ln for ln in text.splitlines(True) if not ln[0].isdigit()))
+    with pytest.raises(ParseError, match=r": no rate rows$"):
         read_allocation_file(allocation)
     weights = tmp_path / "weights.csv"
     weights.write_text("1,0.5\n0.25,nan\n")

@@ -96,9 +96,17 @@ class TestUnifyWeights:
         ws = unify_weights({FrameCoord(0, 0): 3.0, FrameCoord(1, 0): 6.0})
         assert ws.raw[FrameCoord(0, 0)] == 3.0
 
-    def test_weight_set_requires_unit_peak(self):
-        with pytest.raises(ValueError):
-            WeightSet(raw={FrameCoord(0, 0): 2.0}, unified={FrameCoord(0, 0): 0.5})
+    def test_weight_set_derives_unified_from_raw(self):
+        raw = {FrameCoord(0, 0): 0.3, FrameCoord(1, 0): 0.0, FrameCoord(2, 0): 0.7}
+        ws = WeightSet(raw=raw)
+        assert ws.unified.keys() == raw.keys()
+        assert all(ws.unified[c] == w / 0.7 for c, w in raw.items())
+        assert max(ws.unified.values()) == 1.0
+
+    @pytest.mark.parametrize("raw", [{}, {FrameCoord(0, 0): 0.0, FrameCoord(1, 0): 0.0}])
+    def test_weight_set_of_no_or_zero_weights_raises(self, raw):
+        with pytest.raises(DegenerateWeights):
+            WeightSet(raw=raw)
 
     @settings(derandomize=True, max_examples=25)
     @given(scale=st.floats(min_value=1e-6, max_value=1e6))

@@ -164,3 +164,25 @@ def test_ok_digest_of_a_problem_covers_its_models(tmp_path, monkeypatch):
     after = json.loads(output.read_text())
     read = [r["seed"] for r in before if r["kind"] == "problem" and r["outcome"] == "ok"]
     assert read and [a["seed"] for a, b in zip(before, after) if a != b] == read
+
+
+def test_ok_digest_covers_the_unified_weights(tmp_path, monkeypatch):
+    """A WeightSet whose unified weights are not raw / peak, though every
+    file writes back the same, changes the "ok" record of every problem
+    and mock config that reads."""
+    import lfalloc
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(differential, "COUNT", 50)
+    output = tmp_path / "records.json"
+    argv = ["run", str(PATH.parent.parent), "--output", str(output)]
+    assert differential.main(argv) == 0
+    before = json.loads(output.read_text())
+    halved = property(lambda weights: dict.fromkeys(weights.raw, 0.5))
+    monkeypatch.setattr(lfalloc.WeightSet, "unified", halved)
+    assert differential.main(argv) == 0
+    after = json.loads(output.read_text())
+    read = [r["seed"] for r in before if r["outcome"] == "ok"]
+    kinds = {r["kind"] for r in before if r["outcome"] == "ok"}
+    assert kinds == {"problem", "mock"}
+    assert [a["seed"] for a, b in zip(before, after) if a != b] == read

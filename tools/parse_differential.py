@@ -5,8 +5,9 @@ configs, the two kinds alternating, and reads each with read_problem_file
 or read_mock_config of TREE/src. It records the exception type and
 message, with the file's path shown as FILE, or, for a file that reads,
 "ok" and a digest of the file that TREE's writer writes back from it
-and, for a problem, of the read problem's models items, which the
-writer does not read.
+and of what the writer does not read: a problem's models items and
+unified weights (problem.w), and a mock's unified weights, since the
+written file carries raw weights only.
 `run` reads every mutant twice in one process and exits 1 when any
 mutant ends in anything else than "ok" or one of the package's own
 errors (LfallocError): a traceback, or a warning when Python runs with
@@ -182,12 +183,15 @@ def run_tree(tree: Path) -> tuple[list[dict], list[str]]:
         write_problem_file,
     )
 
-    def models(problem) -> bytes:
-        return repr(list(problem.models.items())).encode()
+    def unwritten_problem(problem) -> bytes:
+        return repr((list(problem.models.items()), problem.w.tolist())).encode()
+
+    def unwritten_mock(setup) -> bytes:
+        return repr(list(setup.weights.unified.items())).encode()
 
     readers = {
-        "problem": (read_problem_file, write_problem_file, models),
-        "mock": (read_mock_config, write_mock_config, lambda setup: b""),
+        "problem": (read_problem_file, write_problem_file, unwritten_problem),
+        "mock": (read_mock_config, write_mock_config, unwritten_mock),
     }
 
     def outcome(read, write, unwritten, path: Path, back: Path) -> tuple[str, str, bool]:
