@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import records
-from .errors import DomainError, InfeasibleBudget, NotConverged, ParseError
+from .errors import DegenerateWeights, DomainError, InfeasibleBudget, NotConverged, ParseError
 from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order
 from .metrics import CostBreakdown, joint_cost
 from .rdmodel import RDModelParams, tangent_lines
@@ -85,9 +85,10 @@ class AllocationProblem:
     coding-order vectors w (unified weights), alpha and beta that every
     solver step uses; changing the tables afterwards does not change the
     rates. models is a mapping from each frame to its RDModelParams: a
-    dict, or, for a problem that read_problem_file read, a read-only
-    table over the file's alpha and beta vectors, whose vectors are
-    taken whole.
+    dict, or a read-only table over coding-order alpha and beta vectors,
+    whose vectors are taken whole. read_problem_file passes a table over
+    the file's vectors, and the encode loop one over each pass's alpha,
+    scaled for the references it anticipates, and beta.
     """
 
     grid: FrameGrid
@@ -751,13 +752,15 @@ def read_problem_file(path, **overrides) -> AllocationProblem:
     vectors[:, grid.lattice_index[u, v]] = frame
     vectors.setflags(write=False)
     raw, alpha, beta = vectors
-    weights = WeightSet(raw=dict(zip(grid.coding_order, raw.tolist())))
     try:
+        weights = WeightSet(raw=dict(zip(grid.coding_order, raw.tolist())))
         return AllocationProblem(
             grid=grid, weights=weights, models=_ModelTable(grid, alpha, beta), **scalars
         )
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except DegenerateWeights as exc:
+        raise DegenerateWeights(f"{path}: {exc}") from exc
 
 
 # The problem reader keeps the coding order of each `order:` text, and

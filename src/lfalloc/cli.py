@@ -28,6 +28,7 @@ from pathlib import Path
 
 from . import allocator, encodesim, metrics, rdmodel, records
 from .errors import (
+    DegenerateWeights,
     DomainError,
     InfeasibleBudget,
     InsufficientPoints,
@@ -153,7 +154,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             f"{width}x{height} grid of {args.weights}"
         )
     grid = spiral_order(width, height)
-    weights = unify_weights(raw)
+    try:
+        weights = unify_weights(raw)
+    except DegenerateWeights as exc:
+        raise DegenerateWeights(f"{args.weights}: {exc}") from exc
     breakdown = metrics.cost(grid, weights, distortions, args.lam)
     quality = metrics.wpsnr(breakdown.total, args.pixels)
     report = metrics.format_cost_breakdown(breakdown) + f"wpsnr_db {records.number(quality)}\n"

@@ -68,10 +68,12 @@ encodes. Where every frame holds its quantizer every scale is 1, so the
 loop keeps its fixed points; it usually reaches one in fewer passes.
 
 Encoding is deterministic in (coord, qp, ref_state), so
-run_to_convergence encodes each such triple at most once per run: a
-cache private to the run answers every repeat, whether it comes from a
-fit reading the search's samples again or from a later pass that returns
-to the same quantizers and references.
+run_to_convergence encodes each such triple at most once per run: it
+memoizes the adapter's encode_frame with functools.cache, and that memo,
+private to the run, answers every repeat, whether it comes from a fit
+reading the search's samples again or from a later pass that returns to
+the same quantizers and references. The memo's cache_info() counts the
+encodes (misses) and cache hits that the trace and the INFO log report.
 
 mock_encode supplies a deterministic closed-form encoder for the whole
 loop: rate halves every rate_qp_halving quantizer steps, and SSE follows
@@ -81,6 +83,7 @@ positive.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from abc import ABC, abstractmethod
@@ -88,9 +91,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
+import numpy as np
+
 from . import records
-from .allocator import AllocationProblem, AllocationResult, allocate
-from .errors import EncodeFailed, InsufficientSamples, NotConverged, ParseError
+from .allocator import AllocationProblem, AllocationResult, _ModelTable, allocate
+from .errors import DegenerateWeights, EncodeFailed, InsufficientSamples, NotConverged, ParseError
 from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order
 from .metrics import CostBreakdown, DistortionSet, cost, wpsnr
 from .rdmodel import RDModelParams, RDSample, fit_power_model
@@ -251,8 +256,9 @@ class IterationTrace:
     """Ordered record of every pass plus the convergence flag.
 
     encodes counts the calls that reached the adapter's encode_frame and
-    cache_hits the encodes answered from the run's cache; both are kept
-    in memory only and are not part of the trace file.
+    cache_hits the encodes answered from the run's memo (its cache_info()
+    misses and hits); both are kept in memory only and are not part of
+    the trace file.
     """
 
     grid: FrameGrid
@@ -262,36 +268,8 @@ class IterationTrace:
     cache_hits: int = 0
 
 
-class _EncodeCache(EncoderAdapter):
-    """encode_frame memoized on (coord, qp, ref_state) for one run.
-
-    The reference hooks and total_pixels pass straight through on every
-    call; only encodes are cached.
-    """
-
-    def __init__(self, adapter: EncoderAdapter):
-        self.adapter = adapter
-        self.results: dict[tuple[FrameCoord, int, Any], tuple[float, float]] = {}
-        self.hits = 0
-
-    def initial_reference(self) -> Any:
-        return self.adapter.initial_reference()
-
-    def advance_reference(self, ref_state: Any, rate: float, sse: float) -> Any:
-        return self.adapter.advance_reference(ref_state, rate, sse)
-
-    def encode_frame(self, coord: FrameCoord, qp: int, ref_state: Any) -> tuple[float, float]:
-        key = (coord, qp, ref_state)
-        result = self.results.get(key)
-        if result is None:
-            result = self.results[key] = self.adapter.encode_frame(coord, qp, ref_state)
-        else:
-            self.hits += 1
-        return result
-
-    @property
-    def total_pixels(self) -> int:
-        return self.adapter.total_pixels
+# An adapter's encode_frame, or the run's memo of it.
+_Encode = Callable[[FrameCoord, int, Any], tuple[float, float]]
 
 
 def trial_sweep(
@@ -383,7 +361,7 @@ def _predicted_commit(qp: int, rate: float, slope: float, target_rate: float) ->
 
 
 def _fit_samples(
-    adapter: EncoderAdapter, coord: FrameCoord, qp: int, target_rate: float, ref_state: Any
+    encode: _Encode, coord: FrameCoord, qp: int, target_rate: float, ref_state: Any
 ) -> list[RDSample]:
     """Samples a searched frame's model is fitted from, all at its current reference.
 
@@ -396,14 +374,14 @@ def _fit_samples(
     offer _commit confirms needs none of these: its one encode rescales
     the offered model's alpha.
     """
-    rate, sse = adapter.encode_frame(coord, qp, ref_state)
+    rate, sse = encode(coord, qp, ref_state)
     step = 1 if rate > target_rate else -1
     if not QP_MIN <= qp + step <= QP_MAX:
         step = -step
     for side in (step, -step):
         other = qp + side
         while QP_MIN <= other <= QP_MAX:
-            other_rate, other_sse = adapter.encode_frame(coord, other, ref_state)
+            other_rate, other_sse = encode(coord, other, ref_state)
             if other_rate != rate:
                 pair = [RDSample(qp, rate, sse), RDSample(other, other_rate, other_sse)]
                 return sorted(pair, key=lambda s: s.qp)
@@ -422,7 +400,7 @@ class _Commit(NamedTuple):
 
 
 def _commit(
-    adapter: EncoderAdapter,
+    encode: _Encode,
     coord: FrameCoord,
     target_rate: float,
     start: int,
@@ -441,11 +419,11 @@ def _commit(
     """
     if offer is not None:
         model, slope = offer
-        rate, sse = adapter.encode_frame(coord, start, ref_state)
+        rate, sse = encode(coord, start, ref_state)
         if slope < 0.0 and _predicted_commit(start, rate, slope, target_rate) == start:
             return _Commit(start, rate, sse, replace(model, alpha=sse / rate ** model.beta), slope)
-    qp = _qp_for_target(lambda q: adapter.encode_frame(coord, q, ref_state)[0], target_rate, start)
-    samples = _fit_samples(adapter, coord, qp, target_rate, ref_state)
+    qp = _qp_for_target(lambda q: encode(coord, q, ref_state)[0], target_rate, start)
+    samples = _fit_samples(encode, coord, qp, target_rate, ref_state)
     rate, sse = next((s.rate, s.sse) for s in samples if s.qp == qp)
     return _Commit(qp, rate, sse, fit_power_model(samples), _log2_rate_slope(samples))
 
@@ -500,6 +478,7 @@ def _reference_elasticities(
 
 def _encode_pass(
     adapter: EncoderAdapter,
+    encode: _Encode,
     grid: FrameGrid,
     weights: WeightSet,
     lam: float,
@@ -526,10 +505,11 @@ def _encode_pass(
     target from there, offered the measured model and slope. The
     reference is the same, so the measured beta and slope carry exactly.
     Then the chain advances. After the pass, each frame's reference
-    elasticity is estimated from the change since previous. The adapter
-    sees every encode of the pass: a search's samples are read again by
-    the fit, and a rejected offer's encode again by the search, so give
-    it a cache to encode each triple once.
+    elasticity is estimated from the change since previous. Every encode
+    goes through encode, and the adapter gives only the reference chain
+    and total_pixels. A search's samples are read again by the fit, and a
+    rejected offer's encode again by the search, so pass a memo of the
+    adapter's encode_frame to encode each triple once.
     """
     planned = planned or {}
     ref = adapter.initial_reference()
@@ -544,14 +524,14 @@ def _encode_pass(
                 shift = abs(qp - previous.qps[coord])
                 if shift <= CARRY_SPAN and (not shift or model.sample_count == 2):
                     offer = replace(model, sample_count=1), slope
-            commit = _commit(adapter, coord, target, qp, ref, offer)
+            commit = _commit(encode, coord, target, qp, ref, offer)
             if coord in planned:
                 retarget = _retarget(planned[coord], target, commit.model)
                 qp = _predicted_commit(commit.qp, commit.rate, commit.slope, retarget)
                 if qp != commit.qp:
                     retargets[coord] = retarget
                     offer = commit.model, commit.slope
-                    commit = _commit(adapter, coord, retarget, qp, ref, offer)
+                    commit = _commit(encode, coord, retarget, qp, ref, offer)
         except EncodeFailed as exc:
             raise EncodeFailed(f"frame ({coord.u},{coord.v}): {exc}") from exc
         qp = qps[coord] = commit.qp
@@ -597,7 +577,8 @@ def run_to_convergence(
     pass from the model measured at its real reference (_encode_pass);
     floor frames, zero-weight ones among them, and every frame at lambda
     > 0 keep their targets. The per-pass INFO line counts the pass's new
-    encoder calls and cache hits (the growth of the run's cache) and, for
+    encoder calls and cache hits (the growth of the memo's cache_info()
+    misses and hits; see below) and, for
     a re-encode pass, the quantizers that moved, the frames committed on
     one encode, the frames retargeted and the targets outside the
     quantizer range (committed at QP_MAX above the target or at QP_MIN
@@ -609,47 +590,49 @@ def run_to_convergence(
     slopes and models, so the loop cycles), leaves converged False; the
     trace is returned either way. An allocator that runs out of
     iterations contributes its best feasible iterate instead of aborting
-    the loop. The adapter sees each (coord, qp, ref_state) at most once
-    per call.
+    the loop. The adapter's encode_frame is memoized with functools.cache
+    for the call, so it sees each (coord, qp, ref_state) at most once.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     # _anticipated swaps each pass's models into this problem; the
     # placeholder models only let it check the scalars up front.
-    placeholder = dict.fromkeys(grid.coding_order, RDModelParams(alpha=1.0, beta=-1.0))
+    ones = np.ones(grid.n_frames)
+    placeholder = _ModelTable(grid, ones, -ones)
     problem = AllocationProblem(grid, weights, placeholder, budget, lam, min_rate)
-    adapter = _EncodeCache(adapter)
+    encode = functools.cache(adapter.encode_frame)
     share = dict.fromkeys(grid.coding_order, budget / grid.n_frames)
-    entries = [_encode_pass(adapter, grid, weights, lam, share, None)]
+    entries = [_encode_pass(adapter, encode, grid, weights, lam, share, None)]
+    info = encode.cache_info()
     log.info(
         "iteration 1: cost %.6g, %d encoder calls, %d cache hits",
         entries[0].cost.total,
-        len(adapter.results),
-        adapter.hits,
+        info.misses,
+        info.hits,
     )
     seen = {_pass_state(grid, entries[0]): 1}
     converged = False
     for _ in range(max_iters - 1):
         previous = entries[-1]
-        calls, hits = len(adapter.results), adapter.hits
         allocation, models = _anticipated(problem, previous)
-        # Only a lambda-0 allocation is separable, and a frame on the floor
-        # is not where its marginal meets the budget multiplier.
-        planned = {
-            coord: model
-            for coord, model in models.items()
-            if not lam and allocation.rates[coord] > problem.min_rate
-        }
-        entry = _encode_pass(adapter, grid, weights, lam, allocation.rates, previous, planned)
+        planned = None
+        if not lam:
+            # Only a lambda-0 allocation is separable, and a frame on the
+            # floor is not where its marginal meets the budget multiplier.
+            planned = {c: m for c, m in models.items() if allocation.rates[c] > problem.min_rate}
+        entry = _encode_pass(
+            adapter, encode, grid, weights, lam, allocation.rates, previous, planned
+        )
         entries.append(entry)
         moved = sum(qp != previous.qps[coord] for coord, qp in entry.qps.items())
+        before, info = info, encode.cache_info()
         log.info(
             "iteration %d: cost %.6g, %d encoder calls, %d cache hits, %d quantizers moved, "
             "%d committed on one encode, %d retargeted, %d targets outside the quantizer range",
             len(entries),
             entry.cost.total,
-            len(adapter.results) - calls,
-            adapter.hits - hits,
+            info.misses - before.misses,
+            info.hits - before.hits,
             moved,
             sum(model.sample_count == 1 for model in entry.models.values()),
             len(entry.retargets),
@@ -668,30 +651,21 @@ def run_to_convergence(
             )
             break
         seen[state] = len(entries)
-    encodes = len(adapter.results)
-    log.info("encoder calls %d, cache hits %d", encodes, adapter.hits)
+    log.info("encoder calls %d, cache hits %d", info.misses, info.hits)
     return IterationTrace(
         grid=grid,
         entries=entries,
         converged=converged,
-        encodes=encodes,
-        cache_hits=adapter.hits,
+        encodes=info.misses,
+        cache_hits=info.hits,
     )
-
-
-def _allocate(problem: AllocationProblem) -> AllocationResult:
-    """allocate, or its best feasible iterate when it runs out of iterations."""
-    try:
-        return allocate(problem)
-    except NotConverged as exc:
-        log.warning("allocator did not fully converge; using best iterate")
-        return exc.result
 
 
 def _reference_scales(
     grid: FrameGrid, previous: IterationEntry, targets: dict[FrameCoord, float]
-) -> dict[FrameCoord, float]:
-    """Per frame, the factor on alpha for the reference it is predicted to see.
+) -> np.ndarray:
+    """Per frame in coding order, the factor on alpha for the reference it
+    is predicted to see.
 
     Walks the coding order. A frame's factor is its reference's predicted
     SSE ratio raised to the frame's reference elasticity. The frame is
@@ -700,45 +674,50 @@ def _reference_scales(
     times (rate ratio)**beta. A frame that holds its qp passes its factor
     on unchanged, so when every frame holds every factor is 1.
     """
-    scales = {}
+    scales = np.empty(grid.n_frames)
     ref_ratio = 1.0
-    for coord in grid.coding_order:
-        scale = ref_ratio ** previous.ref_elasticities[coord]
+    for i, coord in enumerate(grid.coding_order):
+        scale = scales[i] = ref_ratio ** previous.ref_elasticities[coord]
         qp, slope = previous.qps[coord], previous.qp_slopes[coord]
         shift = _predicted_commit(qp, previous.rates[coord], slope, targets[coord]) - qp
         rate_ratio = 2.0 ** (slope * shift)
         ref_ratio = scale * rate_ratio ** previous.models[coord].beta
-        scales[coord] = scale
     return scales
 
 
 def _anticipated(
     problem: AllocationProblem, previous: IterationEntry
-) -> tuple[AllocationResult, dict[FrameCoord, RDModelParams]]:
+) -> tuple[AllocationResult, _ModelTable]:
     """Allocation against previous's models corrected for the references of
     the next pass, and the corrected models it was made against, which
     _encode_pass retargets from at lambda 0.
 
     Round 0 allocates against the models as they are. Each of up to
     ANTICIPATION_ROUNDS more rounds scales each frame's alpha by
-    _reference_scales at the last round's targets and allocates again. It
+    _reference_scales at the last round's targets and allocates again,
+    against a table over the scaled alpha vector and previous's beta. It
     stops early when the scales repeat, so a state where every frame holds
-    keeps the plain allocation. Costs no encodes.
+    keeps the plain allocation. An allocator that runs out of iterations
+    gives its best feasible iterate. Costs no encodes.
     """
-    scales = dict.fromkeys(problem.grid.coding_order, 1.0)
+    grid = problem.grid
+    models = grid.align(previous.models, "models")
+    alpha, beta = np.array([m.alpha for m in models]), np.array([m.beta for m in models])
+    scales = np.ones(grid.n_frames)
     for round_ in range(ANTICIPATION_ROUNDS + 1):
-        models = {
-            coord: replace(model, alpha=model.alpha * scales[coord])
-            for coord, model in previous.models.items()
-        }
-        allocation = _allocate(replace(problem, models=models))
+        table = _ModelTable(grid, alpha * scales, beta)
+        try:
+            allocation = allocate(replace(problem, models=table))
+        except NotConverged as exc:
+            log.warning("allocator did not fully converge; using best iterate")
+            allocation = exc.result
         if round_ == ANTICIPATION_ROUNDS:
             break
-        update = _reference_scales(problem.grid, previous, allocation.rates)
-        if update == scales:
+        update = _reference_scales(grid, previous, allocation.rates)
+        if np.array_equal(update, scales):
             break
         scales = update
-    return allocation, models
+    return allocation, table
 
 
 def _out_of_range(entry: IterationEntry, targets: dict[FrameCoord, float]) -> int:
@@ -811,9 +790,11 @@ def read_mock_config(path) -> MockSetup:
             frame_params=dict(zip(coords, zip(a.tolist(), b.tolist()))),
             **{_MOCK_FIELDS.get(key, key): value for key, value in values.items()},
         )
+        weights = WeightSet(raw=dict(zip(coords, weight.tolist())))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    weights = WeightSet(raw=dict(zip(coords, weight.tolist())))
+    except DegenerateWeights as exc:
+        raise DegenerateWeights(f"{path}: {exc}") from exc
     return MockSetup(config=config, grid=spiral_order(width, height), weights=weights)
 
 
@@ -877,8 +858,9 @@ def write_trace_csv(trace: IterationTrace | ParsedTrace, path) -> None:
 
 
 def read_trace_csv(path) -> ParsedTrace:
+    """Parse a trace; a frame repeated within a pass is named at its second row."""
     iterations: list[ParsedTraceIteration] = []
-    rows: list[tuple[int, int, int, float, float, float, float]] = []
+    rows: dict[tuple[int, int], tuple[int, int, int, float, float, float, float]] = {}
     converged: bool | None = None
 
     def record(line: str) -> None:
@@ -889,7 +871,7 @@ def read_trace_csv(path) -> ParsedTrace:
             index, *row = records.fields(line, _TRACE_FIELDS, TRACE_HEADER)
             if index != len(iterations) + 1:
                 raise ValueError("out-of-order iteration")
-            rows.append(tuple(row))
+            records.put(rows, tuple(row[:2]), tuple(row), "frame")
         elif line.startswith("# iteration "):
             _, index, cost_label, total_cost, wpsnr_label, wpsnr_db = records.fields(
                 line[1:], _SUMMARY_FIELDS, "# iteration N total_cost C wpsnr Q", sep=None
@@ -897,10 +879,10 @@ def read_trace_csv(path) -> ParsedTrace:
             if (cost_label, wpsnr_label) != ("total_cost", "wpsnr"):
                 labels = f"{cost_label!r} and {wpsnr_label!r}"
                 raise ValueError(f"expected labels 'total_cost' and 'wpsnr', got {labels}")
-            if index != len(iterations) + 1 or len({row[:2] for row in rows}) < len(rows):
-                raise ValueError(f"iteration {index} is out of order or repeats a frame")
-            iterations.append(ParsedTraceIteration(rows, total_cost, wpsnr_db))
-            rows = []
+            if index != len(iterations) + 1:
+                raise ValueError(f"iteration {index} is out of order")
+            iterations.append(ParsedTraceIteration(list(rows.values()), total_cost, wpsnr_db))
+            rows = {}
         elif line in ("# converged true", "# converged false"):
             converged = line == "# converged true"
         else:

@@ -1,6 +1,7 @@
 """Projection, water-filling, cone penalty, and the two-step allocator."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -877,7 +878,9 @@ class TestProblemIO:
             "width: 2\nheight: 1\nbudget: 2e6\nlambda: 0.0\n"
             "frame: 0,0,0.0,1e7,-0.3\nframe: 1,0,0,1e7,-0.3\n"
         )
-        with pytest.raises(DegenerateWeights, match="^all frame weights are zero$"):
+        # Named like every other input error: the file, then the defect.
+        message = f"^{re.escape(str(path))}: all frame weights are zero$"
+        with pytest.raises(DegenerateWeights, match=message):
             read_problem_file(path)
 
     def test_files_with_one_order_share_one_grid(self, tmp_path):

@@ -332,20 +332,23 @@ class TestSimulateCommand:
         done = run_cli(tmp_path, *argv, "--output", "t.csv", LFALLOC_LOG="INFO")
         assert done.returncode == EXIT_OK, done.stderr
         passes = int(re.search(r"after (\d+) iterations", done.stdout).group(1))
-        calls = int(re.search(r"^encoder calls (\d+),", done.stdout, re.M).group(1))
+        totals = re.search(r"^encoder calls (\d+), cache hits (\d+)$", done.stdout, re.M)
+        calls, hits = map(int, totals.groups())
         first = re.findall(
-            r"iteration 1: cost \S+, (\d+) encoder calls, \d+ cache hits$", done.stderr, re.M
+            r"iteration 1: cost \S+, (\d+) encoder calls, (\d+) cache hits$", done.stderr, re.M
         )
         re_encodes = re.findall(
-            r"iteration (\d+): cost \S+, (\d+) encoder calls, \d+ cache hits, "
+            r"iteration (\d+): cost \S+, (\d+) encoder calls, (\d+) cache hits, "
             r"\d+ quantizers moved, \d+ committed on one encode, (\d+) retargeted",
             done.stderr,
         )
         assert passes > 2 and len(first) == 1
-        assert [int(index) for index, _, _ in re_encodes] == list(range(2, passes + 1))
-        assert int(first[0]) + sum(int(count) for _, count, _ in re_encodes) == calls
+        assert [int(index) for index, _, _, _ in re_encodes] == list(range(2, passes + 1))
+        assert int(first[0][0]) + sum(int(count) for _, count, _, _ in re_encodes) == calls
+        assert int(first[0][1]) + sum(int(count) for _, _, count, _ in re_encodes) == hits
+        assert hits > 0
         # Only a lambda-0 pass retargets.
-        assert {retargeted for _, _, retargeted in re_encodes} == {"0"}
+        assert {retargeted for _, _, _, retargeted in re_encodes} == {"0"}
 
     @pytest.mark.parametrize(
         "option, value, name",
@@ -688,6 +691,19 @@ def replace_field(prefix, index, value):
     return edit
 
 
+def replace_every_field(prefix, index, value):
+    """Edit: field `index` (comma-separated) of every line starting with prefix."""
+
+    def edit(lines):
+        for k, line in enumerate(lines):
+            if line.startswith(prefix):
+                parts = line.split(",")
+                parts[index] = value
+                lines[k] = ",".join(parts)
+
+    return edit
+
+
 def drop_last_field(prefix):
     """Edit: the first line starting with prefix loses its last comma-separated field."""
 
@@ -767,11 +783,16 @@ RECORD_DEFECTS = {
         True,
     ),
     "trace_row_after_converged": ("metrics-trace", repeat_line("1,0,0,"), True),
-    # A frame repeated within a pass is found at the summary that closes it.
-    "trace_frame_repeated_in_pass": (
-        "metrics-trace",
-        replace_field("1,1,1,", 2, "0"),
-        "# iteration 1 ",
+    # A frame repeated within a pass is named at its second row: the pass's
+    # last row, edited to repeat its first.
+    "trace_frame_repeated_in_pass": ("metrics-trace", replace_field("1,1,0,", 2, "1"), True),
+    # Weights that are all zero cannot be unified; the error names the file.
+    "problem_weights_all_zero": ("allocate", replace_every_field("frame: ", 2, "0"), False),
+    "mock_weights_all_zero": ("simulate", replace_every_field("frame: ", 4, "0"), False),
+    "weight_map_all_zero": (
+        "metrics-weights",
+        both(replace_every_field("", 0, "0"), replace_every_field("", 1, "0")),
+        False,
     ),
     # A defect inside one record of a problem or mock file names its line:
     # a value out of its field's domain, a frame off the grid, an order

@@ -75,7 +75,10 @@ def uniform(grid, budget):
 
 def first_pass(adapter, setup, budget):
     """The loop's first pass on setup at lambda 0, toward the uniform share."""
-    return _encode_pass(adapter, setup.grid, setup.weights, 0.0, uniform(setup.grid, budget), None)
+    grid, weights = setup.grid, setup.weights
+    return _encode_pass(
+        adapter, adapter.encode_frame, grid, weights, 0.0, uniform(grid, budget), None
+    )
 
 
 def small_grid_setup(gamma=0.0):
@@ -548,9 +551,9 @@ class TestHeldFrames:
         qp, rate = entry.qps[coord], entry.rates[coord]
         model = replace(entry.models[coord], sample_count=1)
         assert _predicted_commit(qp, rate, 0.0, 2.0 * rate) == qp
-        held = _commit(adapter, coord, rate, qp, 0.0, (model, entry.qp_slopes[coord]))
+        held = _commit(adapter.encode_frame, coord, rate, qp, 0.0, (model, entry.qp_slopes[coord]))
         assert (held.qp, held.model.sample_count) == (qp, 1)
-        searched = _commit(adapter, coord, rate, qp, 0.0, (model, 0.0))
+        searched = _commit(adapter.encode_frame, coord, rate, qp, 0.0, (model, 0.0))
         assert (searched.qp, searched.model) == (qp, entry.models[coord])
 
     def test_held_frame_costs_at_most_one_call(self, coupled_setup):
@@ -698,12 +701,13 @@ class TestHeldFrames:
                 return rate * 2.0 ** (ref_state / 5e5), sse
 
         adapter = ReferenceRateEncoder(config)
-        entry = _encode_pass(adapter, grid, weights, 0.0, uniform(grid, 2e6), None)
+        encode = adapter.encode_frame
+        entry = _encode_pass(adapter, encode, grid, weights, 0.0, uniform(grid, 2e6), None)
         target = entry.rates[second]
         targets = {first: mock_encode(config, first, 42, 0.0)[0], second: target}
         held = entry.qps[second]
         assert _predicted_commit(held, entry.rates[second], entry.qp_slopes[second], target) == held
-        moved = _encode_pass(adapter, grid, weights, 0.0, targets, entry)
+        moved = _encode_pass(adapter, encode, grid, weights, 0.0, targets, entry)
         ref = moved.sses[first]
         table = [adapter.encode_frame(second, qp, ref)[0] for qp in range(QP_MAX + 1)]
         qp = moved.qps[second]
@@ -793,12 +797,18 @@ class TestRetarget:
         weights = unify_weights({coord: 1.0})
 
         class BentRateEncoder(MockEncoder):
+            def __init__(self, config):
+                super().__init__(config)
+                self.calls = set()
+
             def encode_frame(self, coord, qp, ref_state):
+                self.calls.add((coord, qp, ref_state))
                 return mock_encode(self.config, coord, qp + 2 * max(0, qp - bend), ref_state)
 
         table = [BentRateEncoder(config).encode_frame(coord, qp, 0.0)[0] for qp in QPS]
+        adapter = BentRateEncoder(config)
         first = _encode_pass(
-            BentRateEncoder(config), grid, weights, 0.0, {coord: table[held]}, None
+            adapter, adapter.encode_frame, grid, weights, 0.0, {coord: table[held]}, None
         )
         measured = first.models[coord]
         retarget = table[landing]
@@ -809,9 +819,10 @@ class TestRetarget:
         assert (first.qps[coord], start) == (held, 48)
         assert _predicted_commit(start, table[start], slope, retarget) < held
 
-        cache = encodesim._EncodeCache(BentRateEncoder(config))
+        adapter = BentRateEncoder(config)
         entry = _encode_pass(
-            cache, grid, weights, 0.0, {coord: table[held]}, first, {coord: planned}
+            adapter, adapter.encode_frame, grid, weights, 0.0, {coord: table[held]}, first,
+            {coord: planned},
         )
         assert entry.retargets[coord] == pytest.approx(retarget, rel=1e-9)
         qp = entry.qps[coord]
@@ -819,10 +830,10 @@ class TestRetarget:
         assert entry.models[coord].sample_count == 2
         # The offer's one encode is the search's first probe, so the pass
         # encodes the held qp and what the search alone encodes, no more.
-        search = encodesim._EncodeCache(BentRateEncoder(config))
-        _commit(search, coord, entry.retargets[coord], start, 0.0, None)
-        assert (coord, start, 0.0) in search.results
-        assert cache.results.keys() == search.results.keys() | {(coord, held, 0.0)}
+        search = BentRateEncoder(config)
+        _commit(search.encode_frame, coord, entry.retargets[coord], start, 0.0, None)
+        assert (coord, start, 0.0) in search.calls
+        assert adapter.calls == search.calls | {(coord, held, 0.0)}
 
     def test_retargets_save_passes_at_lambda_zero(self, monkeypatch):
         # Measured: 155 passes against 159 with every retarget dropped, all
@@ -830,7 +841,7 @@ class TestRetarget:
         # loops are the same either way.
         calls, passes, settled = seeded_loop_totals()
         monkeypatch.setattr(
-            encodesim, "_encode_pass", lambda *args: _encode_pass(*args[:6])
+            encodesim, "_encode_pass", lambda *args: _encode_pass(*args[:7])
         )
         calls_off, passes_off, settled_off = seeded_loop_totals()
         assert passes < passes_off
@@ -954,7 +965,11 @@ class TestReferenceAnticipation:
         monkeypatch.setattr(encodesim, "allocate", lambda p: calls.append(p) or allocate(p))
         anticipated, planned = encodesim._anticipated(problem, last)
         assert len(calls) == 1
-        assert calls[0].models == planned == last.models
+        # Planned against the unscaled models: the same alpha and beta.
+        assert calls[0].models is planned
+        assert {c: (m.alpha, m.beta) for c, m in planned.items()} == {
+            c: (m.alpha, m.beta) for c, m in last.models.items()
+        }
         assert anticipated.rates == plain.rates
 
     def test_unsettled_state_moves_the_allocation(self, coupled_setup):
@@ -1064,7 +1079,8 @@ class TestRunIteration:
         setup = small_grid_setup(gamma=0.2)
         adapter = MockEncoder(setup.config)
         first = first_pass(adapter, setup, 4e6)
-        second = _encode_pass(adapter, setup.grid, setup.weights, 0.0, dict(first.rates), first)
+        encode, grid, weights = adapter.encode_frame, setup.grid, setup.weights
+        second = _encode_pass(adapter, encode, grid, weights, 0.0, dict(first.rates), first)
         assert second.qps == first.qps
         assert second.rates == first.rates
 
@@ -1076,7 +1092,8 @@ class TestRunIteration:
         first = first_pass(adapter, setup, 4e6)
         targets = dict(first.rates)
         second = _encode_pass(
-            adapter, setup.grid, setup.weights, 0.0, targets, first, first.models
+            adapter, adapter.encode_frame, setup.grid, setup.weights, 0.0, targets, first,
+            first.models,
         )
         assert (second.qps, second.rates, second.retargets) == (first.qps, first.rates, {})
 
@@ -1086,7 +1103,8 @@ class TestRunIteration:
         first = first_pass(adapter, setup, 1e6)
         assert first.qps[FrameCoord(0, 0)] == 30
         targets = {FrameCoord(0, 0): 2e6}
-        second = _encode_pass(adapter, setup.grid, setup.weights, 0.0, targets, first)
+        encode, grid, weights = adapter.encode_frame, setup.grid, setup.weights
+        second = _encode_pass(adapter, encode, grid, weights, 0.0, targets, first)
         assert abs(second.qps[FrameCoord(0, 0)] - 24) <= 1
         assert second.rates[FrameCoord(0, 0)] == 2e6
 
@@ -1099,7 +1117,9 @@ class TestRunIteration:
         targets = {coord: mock_encode(setup.config, coord, 40, 0.0)[0]}
         for _ in range(3):
             previous = entry
-            entry = _encode_pass(adapter, setup.grid, setup.weights, 0.0, targets, entry)
+            entry = _encode_pass(
+                adapter, adapter.encode_frame, setup.grid, setup.weights, 0.0, targets, entry
+            )
             if entry.qps == previous.qps:
                 break
         assert entry.qps == previous.qps == {coord: 40}
@@ -1112,7 +1132,9 @@ class TestRunIteration:
         partial.pop(setup.grid.coding_order[-1])
         u, v = setup.grid.coding_order[-1]
         with pytest.raises(IncompleteInput, match=rf"targets missing for frame \({u},{v}\)"):
-            _encode_pass(adapter, setup.grid, setup.weights, 0.0, partial, first)
+            _encode_pass(
+                adapter, adapter.encode_frame, setup.grid, setup.weights, 0.0, partial, first
+            )
 
 
 class TestRunToConvergence:
@@ -1293,9 +1315,13 @@ class TestRunToConvergence:
             carried.append(allocate(problem))
             raise NotConverged("iteration cap", result=carried[-1])
 
-        def recording_pass(adapter, grid, weights, lam, pass_targets, previous, planned=None):
+        def recording_pass(
+            adapter, encode, grid, weights, lam, pass_targets, previous, planned=None
+        ):
             targets.append(pass_targets)
-            return _encode_pass(adapter, grid, weights, lam, pass_targets, previous, planned)
+            return _encode_pass(
+                adapter, encode, grid, weights, lam, pass_targets, previous, planned
+            )
 
         monkeypatch.setattr(encodesim, "allocate", stopping_allocate)
         monkeypatch.setattr(encodesim, "_encode_pass", recording_pass)
@@ -1344,7 +1370,8 @@ class TestRunToConvergence:
         )
         targets = allocate(problem).rates
         extra = _encode_pass(
-            adapter, decoupled_setup.grid, decoupled_setup.weights, 0.0, targets, last
+            adapter, adapter.encode_frame, decoupled_setup.grid, decoupled_setup.weights, 0.0,
+            targets, last,
         )
         for c in decoupled_setup.grid.coding_order:
             assert abs(extra.rates[c] - last.rates[c]) / last.rates[c] < 0.01

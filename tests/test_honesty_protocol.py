@@ -1,9 +1,14 @@
-"""The honesty protocol's summary of two runs, on hand-made loop records."""
+"""The honesty protocol's summary of two runs, on hand-made loop records,
+and its trace digest."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from lfalloc import write_trace_csv
+from lfalloc.encodesim import ParsedTrace, ParsedTraceIteration
 
 PATH = Path(__file__).resolve().parent.parent / "tools" / "honesty_protocol.py"
 SPEC = importlib.util.spec_from_file_location("honesty_protocol", PATH)
@@ -11,9 +16,10 @@ protocol = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(protocol)
 
 
-def records(rate_factor=1.0, settled=True, calls=100, passes=4):
+def records(rate_factor=1.0, settled=True, calls=100, passes=4, trace="t"):
     """Two seeds, two mocks, both sets at lambda 0; four budgets per curve,
-    with wPSNR rising 3 dB per doubling of the rate."""
+    with wPSNR rising 3 dB per doubling of the rate; each loop's trace
+    digest is trace followed by its index."""
     out = []
     for seed in (77, 78):
         for k in (0, 1):
@@ -32,6 +38,7 @@ def records(rate_factor=1.0, settled=True, calls=100, passes=4):
                             calls=calls,
                             rate=rate * rate_factor,
                             wpsnr_db=30.0 + 3.0 * i + 0.1 * seed,
+                            trace=f"{trace}{len(out)}",
                         )
                     )
     return out
@@ -47,6 +54,8 @@ def test_equal_runs_read_zero():
     assert summary["parent"] == summary["change"] == dict(
         loops=32, settled=32, calls=3200, passes=128
     )
+    assert summary["traces_differing"] == 0
+    assert "traces differing 0 of 32" in protocol.format_summary(summary)
 
 
 def test_means_per_seed_and_set_and_loop_totals():
@@ -68,3 +77,32 @@ def test_means_per_seed_and_set_and_loop_totals():
 def test_runs_over_different_curves_are_refused():
     with pytest.raises(ValueError, match="different curves"):
         protocol.summarize(records(), records()[:-4])
+
+
+def test_traces_are_matched_by_loop():
+    # Loops are matched by seed, k, lambda, curvature and budget, not by
+    # their place in the file.
+    parent, change = records(), records()[::-1]
+    change[0]["trace"] = change[5]["trace"] = "other"
+    summary = protocol.summarize(parent, change)
+    assert summary["traces_differing"] == 2
+    assert "traces differing 2 of 32" in protocol.format_summary(summary)
+    change[0]["bits_per_frame"] *= 2
+    with pytest.raises(ValueError, match="different curves"):
+        protocol.summarize(parent, change)
+
+
+def two_frame_trace(sse):
+    rows = [(0, 0, 30, 1e6, 2e5, 3e7, -0.3), (1, 0, 31, 9e5, sse, 3e7, -0.3)]
+    return ParsedTrace([ParsedTraceIteration(rows, 4.2e5, 40.0)], True)
+
+
+def test_trace_digest_is_the_written_file(tmp_path):
+    written = tmp_path / "written.csv"
+    write_trace_csv(two_frame_trace(2.2e5), written)
+    path = tmp_path / "trace.csv"
+    digest = protocol.trace_digest(write_trace_csv, two_frame_trace(2.2e5), path)
+    assert digest == hashlib.sha256(written.read_bytes()).hexdigest()
+    # One SSE a unit in the last place away is another trace.
+    other = protocol.trace_digest(write_trace_csv, two_frame_trace(2.2e5 * (1 + 2**-52)), path)
+    assert other != digest

@@ -82,13 +82,16 @@ def test_every_exported_name_is_used_outside_tests():
         (encodesim, "_one_encode"),
         (encodesim, "_carried_fit"),
         (encodesim, "_searched"),
+        (encodesim, "_EncodeCache"),
+        (encodesim, "_allocate"),
     ],
 )
 def test_scalar_twins_are_gone(module, name):
     """Deleted names stay gone: the scalar twins, the standalone passes, the
     readers, pixel frame, errors and metric that only tests reached,
-    step 2's majorizer retry length, and the loop's three commit helpers
-    that one commit rule replaced."""
+    step 2's majorizer retry length, the loop's three commit helpers that
+    one commit rule replaced, and the loop's encode cache and allocate
+    wrapper, replaced by a functools.cache memo and by anticipation."""
     assert name not in lfalloc.__all__
     assert not hasattr(lfalloc, name)
     assert not hasattr(module, name)

@@ -6,7 +6,10 @@ k 0-5, at lambda 0 and 10, curvature 0 and 0.02, and 0.5, 0.8, 1.1 and
 1.4 Mbit per frame, each run by run_to_convergence for at most 40 passes.
 The four budgets of one (seed, k, lambda, curvature) form a rate-quality
 curve from the final passes' total rate and wPSNR, and two trees are
-compared curve by curve with metrics.bd_rate.
+compared curve by curve with metrics.bd_rate. Each loop's record also
+holds the sha256 of its trace as write_trace_csv writes it, and `compare`
+counts the loops, matched by seed, k, lambda, curvature and budget, whose
+traces differ.
 
     python tools/honesty_protocol.py run PARENT_TREE --output parent.json
     python tools/honesty_protocol.py run CHANGED_TREE --output change.json
@@ -21,9 +24,11 @@ lands on, so judge by the means, never by one curve.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import sys
+import tempfile
 from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
@@ -39,10 +44,17 @@ SIDE = 13
 MAX_PASSES = 40
 
 
-def run_tree(tree: Path) -> list[dict]:
-    """One record per protocol loop, run with the lfalloc of tree."""
+def trace_digest(write_trace_csv, trace, path: Path) -> str:
+    """sha256 of the file write_trace_csv writes for trace at path."""
+    write_trace_csv(trace, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_tree(tree: Path, trace_path: Path) -> list[dict]:
+    """One record per protocol loop, run with the lfalloc of tree; each
+    loop's trace is written to trace_path to be digested."""
     sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench")]
-    from lfalloc import MockEncoder, run_to_convergence
+    from lfalloc import MockEncoder, run_to_convergence, write_trace_csv
     from workloads import make_mock, stream
 
     records = []
@@ -74,6 +86,7 @@ def run_tree(tree: Path) -> list[dict]:
                                 calls=trace.encodes,
                                 rate=sum(last.rates.values()),
                                 wpsnr_db=last.wpsnr_db,
+                                trace=trace_digest(write_trace_csv, trace, trace_path),
                             )
                         )
     return records
@@ -91,13 +104,23 @@ def _curves(records: list[dict]) -> dict[tuple, list]:
     return curves
 
 
+def _traces(records: list[dict]) -> dict[tuple, str]:
+    """Trace digest per (seed, k, lambda, curvature, budget)."""
+    return {
+        (r["seed"], r["k"], r["lam"], r["curvature"], r["bits_per_frame"]): r["trace"]
+        for r in records
+    }
+
+
 def summarize(parent: list[dict], change: list[dict]) -> dict:
     """Mean BD-rate of change over parent per seed and per (lambda,
-    curvature) set, and settled loops, encoder calls and passes of each."""
+    curvature) set, settled loops, encoder calls and passes of each, and
+    the loops whose traces differ."""
     from lfalloc import bd_rate
 
     anchors, tests = _curves(parent), _curves(change)
-    if anchors.keys() != tests.keys():
+    parent_traces, change_traces = _traces(parent), _traces(change)
+    if anchors.keys() != tests.keys() or parent_traces.keys() != change_traces.keys():
         raise ValueError("the two runs cover different curves")
     by_seed, by_set = defaultdict(list), defaultdict(list)
     for key in sorted(anchors):
@@ -119,6 +142,7 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
         bd_rate_by_set={name: statistics.fmean(v) for name, v in by_set.items()},
         parent=totals(parent),
         change=totals(change),
+        traces_differing=sum(parent_traces[key] != change_traces[key] for key in parent_traces),
     )
 
 
@@ -131,6 +155,7 @@ def format_summary(summary: dict) -> str:
     lines.append(f"settled {parent['settled']} -> {change['settled']} of {change['loops']} loops")
     lines.append(f"encoder calls {parent['calls']:,} -> {change['calls']:,}")
     lines.append(f"passes {parent['passes']:,} -> {change['passes']:,}")
+    lines.append(f"traces differing {summary['traces_differing']} of {change['loops']}")
     return "\n".join(lines)
 
 
@@ -145,7 +170,9 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path, help="records of the changed tree")
     args = parser.parse_args(argv)
     if args.command == "run":
-        args.output.write_text(json.dumps(run_tree(args.tree.resolve()), indent=1) + "\n")
+        with tempfile.TemporaryDirectory() as scratch:
+            records = run_tree(args.tree.resolve(), Path(scratch) / "trace.csv")
+        args.output.write_text(json.dumps(records, indent=1) + "\n")
         return 0
     sys.path.insert(0, str(ROOT / "src"))
     parent, change = (json.loads(path.read_text()) for path in (args.parent, args.change))
