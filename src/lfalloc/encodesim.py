@@ -89,7 +89,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -97,7 +97,7 @@ from . import records
 from .allocator import AllocationProblem, AllocationResult, _ModelTable, allocate
 from .errors import DegenerateWeights, EncodeFailed, InsufficientSamples, NotConverged, ParseError
 from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order
-from .metrics import CostBreakdown, DistortionSet, cost, wpsnr
+from .metrics import CostBreakdown, DistortionSet, joint_cost, wpsnr
 from .rdmodel import RDModelParams, RDSample, fit_power_model
 
 log = logging.getLogger("lfalloc.encodesim")
@@ -226,8 +226,8 @@ class MockEncoder(EncoderAdapter):
 class IterationEntry:
     """Everything one pass over the sequence produced.
 
-    qp_slopes holds each frame's least-squares slope of log2(rate) against
-    qp over its fit samples, carried over unchanged for a frame committed
+    qp_slopes holds each frame's slope of log2(rate) against qp through
+    its two fit samples, carried over unchanged for a frame committed
     on one encode, whose model has sample_count 1. _predicted_commit reads
     it for the next pass's search seed, one-encode confirmation and
     anticipated commit. ref_elasticities holds each frame's reference
@@ -339,13 +339,9 @@ def _qp_for_target(rate_at: Callable[[int], float], target_rate: float, start: i
 
 
 def _log2_rate_slope(samples: list[RDSample]) -> float:
-    """Least-squares slope of log2(rate) against qp over fit samples."""
-    qp = [s.qp for s in samples]
-    log_rate = [math.log2(s.rate) for s in samples]
-    qp_mean = sum(qp) / len(qp)
-    rate_mean = sum(log_rate) / len(log_rate)
-    spread = sum((q - qp_mean) ** 2 for q in qp)
-    return sum((q - qp_mean) * (y - rate_mean) for q, y in zip(qp, log_rate)) / spread
+    """Slope of log2(rate) against qp through the two fit samples."""
+    low, high = samples
+    return (math.log2(high.rate) - math.log2(low.rate)) / (high.qp - low.qp)
 
 
 def _predicted_commit(qp: int, rate: float, slope: float, target_rate: float) -> int:
@@ -479,15 +475,13 @@ def _reference_elasticities(
 def _encode_pass(
     adapter: EncoderAdapter,
     encode: _Encode,
-    grid: FrameGrid,
-    weights: WeightSet,
-    lam: float,
+    problem: AllocationProblem,
     targets: dict[FrameCoord, float],
     previous: IterationEntry | None,
-    planned: dict[FrameCoord, RDModelParams] | None = None,
+    planned: Mapping[FrameCoord, RDModelParams] | None = None,
 ) -> IterationEntry:
-    """One pass over the sequence in coding order toward targets, a rate
-    per frame (IncompleteInput names a frame it misses).
+    """One pass over problem's grid in coding order toward targets, a rate
+    per frame (IncompleteInput names a frame it misses), scored at its w and lam.
 
     Every frame is committed by _commit, from a start quantizer and an
     optional offer of a model and its slope. The start is predicted by
@@ -498,20 +492,21 @@ def _encode_pass(
     CARRY_SPAN from its qp, from a pair fit unless the qp holds; the
     first pass offers nothing, so every frame is searched. Encoding is
     deterministic in (coord, qp, ref_state), so the search's measurement
-    is the committed encode. A frame that planned maps to the model its
-    target was allocated against is then retargeted (_retarget) from the
-    model just measured at its real reference; when _predicted_commit at
-    the new target moves its quantizer, _commit runs again toward the new
-    target from there, offered the measured model and slope. The
-    reference is the same, so the measured beta and slope carry exactly.
-    Then the chain advances. After the pass, each frame's reference
-    elasticity is estimated from the change since previous. Every encode
-    goes through encode, and the adapter gives only the reference chain
-    and total_pixels. A search's samples are read again by the fit, and a
-    rejected offer's encode again by the search, so pass a memo of the
-    adapter's encode_frame to encode each triple once.
+    is the committed encode. With planned, the models the targets were
+    allocated against, a frame whose target lies above problem.min_rate
+    is then retargeted (_retarget) from the model just measured at its
+    real reference; when _predicted_commit at the new target moves its
+    quantizer, _commit runs again toward the new target from there,
+    offered the measured model and slope. The reference is the same, so
+    the measured beta and slope carry exactly. Then the chain advances.
+    After the pass, each frame's reference elasticity is estimated from
+    the change since previous. Every encode goes through encode, and the
+    adapter gives only the reference chain and total_pixels. A search's
+    samples are read again by the fit, and a rejected offer's encode
+    again by the search, so pass a memo of the adapter's encode_frame to
+    encode each triple once. RDSample or RDModelParams checks every SSE.
     """
-    planned = planned or {}
+    grid = problem.grid
     ref = adapter.initial_reference()
     qp = (QP_MIN + QP_MAX) // 2
     qps, rates, sses, models, slopes, retargets = {}, {}, {}, {}, {}, {}
@@ -525,7 +520,8 @@ def _encode_pass(
                 if shift <= CARRY_SPAN and (not shift or model.sample_count == 2):
                     offer = replace(model, sample_count=1), slope
             commit = _commit(encode, coord, target, qp, ref, offer)
-            if coord in planned:
+            # A floor frame is not where its marginal meets the budget multiplier.
+            if planned is not None and target > problem.min_rate:
                 retarget = _retarget(planned[coord], target, commit.model)
                 qp = _predicted_commit(commit.qp, commit.rate, commit.slope, retarget)
                 if qp != commit.qp:
@@ -540,7 +536,7 @@ def _encode_pass(
         models[coord] = commit.model
         slopes[coord] = commit.slope
         ref = adapter.advance_reference(ref, commit.rate, commit.sse)
-    breakdown = cost(grid, weights, DistortionSet(dict(sses)), lam)
+    breakdown = joint_cost(grid, problem.w, np.array(list(sses.values())), problem.lam)
     return IterationEntry(
         qps=qps,
         rates=rates,
@@ -595,14 +591,15 @@ def run_to_convergence(
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    # _anticipated swaps each pass's models into this problem; the
+    # This problem scores each pass and holds the floor no frame under it is
+    # retargeted from; _anticipated swaps each pass's models into it, so the
     # placeholder models only let it check the scalars up front.
     ones = np.ones(grid.n_frames)
     placeholder = _ModelTable(grid, ones, -ones)
     problem = AllocationProblem(grid, weights, placeholder, budget, lam, min_rate)
     encode = functools.cache(adapter.encode_frame)
     share = dict.fromkeys(grid.coding_order, budget / grid.n_frames)
-    entries = [_encode_pass(adapter, encode, grid, weights, lam, share, None)]
+    entries = [_encode_pass(adapter, encode, problem, share, None)]
     info = encode.cache_info()
     log.info(
         "iteration 1: cost %.6g, %d encoder calls, %d cache hits",
@@ -615,14 +612,10 @@ def run_to_convergence(
     for _ in range(max_iters - 1):
         previous = entries[-1]
         allocation, models = _anticipated(problem, previous)
-        planned = None
-        if not lam:
-            # Only a lambda-0 allocation is separable, and a frame on the
-            # floor is not where its marginal meets the budget multiplier.
-            planned = {c: m for c, m in models.items() if allocation.rates[c] > problem.min_rate}
-        entry = _encode_pass(
-            adapter, encode, grid, weights, lam, allocation.rates, previous, planned
-        )
+        # Only a lambda-0 allocation is separable, so only its frames are
+        # retargeted from the models they were allocated against.
+        planned = None if lam else models
+        entry = _encode_pass(adapter, encode, problem, allocation.rates, previous, planned)
         entries.append(entry)
         moved = sum(qp != previous.qps[coord] for coord, qp in entry.qps.items())
         before, info = info, encode.cache_info()

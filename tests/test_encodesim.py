@@ -1,5 +1,6 @@
 """Mock encoder, trial sweeps, quantizer search, and the encode loop."""
 
+import inspect
 import logging
 import math
 from collections import Counter
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from lfalloc import (
     AllocationProblem,
+    DistortionSet,
     EncodeFailed,
     FrameCoord,
     IncompleteInput,
@@ -24,6 +26,7 @@ from lfalloc import (
     RDModelParams,
     RDSample,
     allocate,
+    cost,
     eval_model,
     fit_power_model,
     mock_encode,
@@ -36,7 +39,7 @@ from lfalloc import (
     write_mock_config,
     write_trace_csv,
 )
-from lfalloc import encodesim
+from lfalloc import encodesim, metrics
 from lfalloc.encodesim import (
     QP_MAX,
     QP_MIN,
@@ -73,12 +76,34 @@ def uniform(grid, budget):
     return dict.fromkeys(grid.coding_order, budget / grid.n_frames)
 
 
+def encode_pass(adapter, setup, targets, previous=None, planned=None):
+    """One pass of the loop on setup at lambda 0 toward targets, each encode
+    sent straight to adapter, against a problem whose budget is the sum of
+    targets. Every test call of _encode_pass goes through here, or through
+    patch_pass for a pass run_to_convergence makes."""
+    models = dict.fromkeys(setup.grid.coding_order, RDModelParams(1.0, -1.0))
+    problem = AllocationProblem(setup.grid, setup.weights, models, sum(targets.values()))
+    return _encode_pass(adapter, adapter.encode_frame, problem, targets, previous, planned)
+
+
+def patch_pass(monkeypatch, spy=None, **overrides):
+    """Make run_to_convergence's passes show spy their arguments by name,
+    then run _encode_pass with the arguments named in overrides replaced."""
+    signature = inspect.signature(_encode_pass)
+
+    def patched(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.arguments.update(overrides)
+        if spy is not None:
+            spy(bound.arguments)
+        return _encode_pass(*bound.args, **bound.kwargs)
+
+    monkeypatch.setattr(encodesim, "_encode_pass", patched)
+
+
 def first_pass(adapter, setup, budget):
     """The loop's first pass on setup at lambda 0, toward the uniform share."""
-    grid, weights = setup.grid, setup.weights
-    return _encode_pass(
-        adapter, adapter.encode_frame, grid, weights, 0.0, uniform(grid, budget), None
-    )
+    return encode_pass(adapter, setup, uniform(setup.grid, budget))
 
 
 def small_grid_setup(gamma=0.0):
@@ -701,13 +726,13 @@ class TestHeldFrames:
                 return rate * 2.0 ** (ref_state / 5e5), sse
 
         adapter = ReferenceRateEncoder(config)
-        encode = adapter.encode_frame
-        entry = _encode_pass(adapter, encode, grid, weights, 0.0, uniform(grid, 2e6), None)
+        setup = MockSetup(config, grid, weights)
+        entry = first_pass(adapter, setup, 2e6)
         target = entry.rates[second]
         targets = {first: mock_encode(config, first, 42, 0.0)[0], second: target}
         held = entry.qps[second]
         assert _predicted_commit(held, entry.rates[second], entry.qp_slopes[second], target) == held
-        moved = _encode_pass(adapter, encode, grid, weights, 0.0, targets, entry)
+        moved = encode_pass(adapter, setup, targets, entry)
         ref = moved.sses[first]
         table = [adapter.encode_frame(second, qp, ref)[0] for qp in range(QP_MAX + 1)]
         qp = moved.qps[second]
@@ -806,10 +831,9 @@ class TestRetarget:
                 return mock_encode(self.config, coord, qp + 2 * max(0, qp - bend), ref_state)
 
         table = [BentRateEncoder(config).encode_frame(coord, qp, 0.0)[0] for qp in QPS]
+        setup = MockSetup(config, grid, weights)
         adapter = BentRateEncoder(config)
-        first = _encode_pass(
-            adapter, adapter.encode_frame, grid, weights, 0.0, {coord: table[held]}, None
-        )
+        first = encode_pass(adapter, setup, {coord: table[held]})
         measured = first.models[coord]
         retarget = table[landing]
         price = (retarget / table[held]) ** (measured.beta - 1.0)
@@ -820,10 +844,7 @@ class TestRetarget:
         assert _predicted_commit(start, table[start], slope, retarget) < held
 
         adapter = BentRateEncoder(config)
-        entry = _encode_pass(
-            adapter, adapter.encode_frame, grid, weights, 0.0, {coord: table[held]}, first,
-            {coord: planned},
-        )
+        entry = encode_pass(adapter, setup, {coord: table[held]}, first, {coord: planned})
         assert entry.retargets[coord] == pytest.approx(retarget, rel=1e-9)
         qp = entry.qps[coord]
         assert qp == scan_qp_for_target(table, entry.retargets[coord]) == landing
@@ -840,9 +861,7 @@ class TestRetarget:
         # at lambda 0, where calls are 2,828 against 2,930; the lambda-10
         # loops are the same either way.
         calls, passes, settled = seeded_loop_totals()
-        monkeypatch.setattr(
-            encodesim, "_encode_pass", lambda *args: _encode_pass(*args[:7])
-        )
+        patch_pass(monkeypatch, planned=None)
         calls_off, passes_off, settled_off = seeded_loop_totals()
         assert passes < passes_off
         assert sum(calls[key] for key in calls if key[1] == 0.0) < sum(
@@ -1079,8 +1098,7 @@ class TestRunIteration:
         setup = small_grid_setup(gamma=0.2)
         adapter = MockEncoder(setup.config)
         first = first_pass(adapter, setup, 4e6)
-        encode, grid, weights = adapter.encode_frame, setup.grid, setup.weights
-        second = _encode_pass(adapter, encode, grid, weights, 0.0, dict(first.rates), first)
+        second = encode_pass(adapter, setup, dict(first.rates), first)
         assert second.qps == first.qps
         assert second.rates == first.rates
 
@@ -1091,10 +1109,7 @@ class TestRunIteration:
         adapter = MockEncoder(setup.config)
         first = first_pass(adapter, setup, 4e6)
         targets = dict(first.rates)
-        second = _encode_pass(
-            adapter, adapter.encode_frame, setup.grid, setup.weights, 0.0, targets, first,
-            first.models,
-        )
+        second = encode_pass(adapter, setup, targets, first, first.models)
         assert (second.qps, second.rates, second.retargets) == (first.qps, first.rates, {})
 
     def test_doubled_rate_drops_qp_by_halving_span(self):
@@ -1103,8 +1118,7 @@ class TestRunIteration:
         first = first_pass(adapter, setup, 1e6)
         assert first.qps[FrameCoord(0, 0)] == 30
         targets = {FrameCoord(0, 0): 2e6}
-        encode, grid, weights = adapter.encode_frame, setup.grid, setup.weights
-        second = _encode_pass(adapter, encode, grid, weights, 0.0, targets, first)
+        second = encode_pass(adapter, setup, targets, first)
         assert abs(second.qps[FrameCoord(0, 0)] - 24) <= 1
         assert second.rates[FrameCoord(0, 0)] == 2e6
 
@@ -1117,9 +1131,7 @@ class TestRunIteration:
         targets = {coord: mock_encode(setup.config, coord, 40, 0.0)[0]}
         for _ in range(3):
             previous = entry
-            entry = _encode_pass(
-                adapter, adapter.encode_frame, setup.grid, setup.weights, 0.0, targets, entry
-            )
+            entry = encode_pass(adapter, setup, targets, entry)
             if entry.qps == previous.qps:
                 break
         assert entry.qps == previous.qps == {coord: 40}
@@ -1132,9 +1144,7 @@ class TestRunIteration:
         partial.pop(setup.grid.coding_order[-1])
         u, v = setup.grid.coding_order[-1]
         with pytest.raises(IncompleteInput, match=rf"targets missing for frame \({u},{v}\)"):
-            _encode_pass(
-                adapter, adapter.encode_frame, setup.grid, setup.weights, 0.0, partial, first
-            )
+            encode_pass(adapter, setup, partial, first)
 
 
 class TestRunToConvergence:
@@ -1315,16 +1325,8 @@ class TestRunToConvergence:
             carried.append(allocate(problem))
             raise NotConverged("iteration cap", result=carried[-1])
 
-        def recording_pass(
-            adapter, encode, grid, weights, lam, pass_targets, previous, planned=None
-        ):
-            targets.append(pass_targets)
-            return _encode_pass(
-                adapter, encode, grid, weights, lam, pass_targets, previous, planned
-            )
-
         monkeypatch.setattr(encodesim, "allocate", stopping_allocate)
-        monkeypatch.setattr(encodesim, "_encode_pass", recording_pass)
+        patch_pass(monkeypatch, spy=lambda arguments: targets.append(arguments["targets"]))
         with caplog.at_level(logging.WARNING, logger="lfalloc.encodesim"):
             trace = run_to_convergence(
                 MockEncoder(decoupled_setup.config),
@@ -1369,13 +1371,85 @@ class TestRunToConvergence:
             lam=0.0,
         )
         targets = allocate(problem).rates
-        extra = _encode_pass(
-            adapter, adapter.encode_frame, decoupled_setup.grid, decoupled_setup.weights, 0.0,
-            targets, last,
-        )
+        extra = encode_pass(adapter, decoupled_setup, targets, last)
         for c in decoupled_setup.grid.coding_order:
             assert abs(extra.rates[c] - last.rates[c]) / last.rates[c] < 0.01
 
+
+    @pytest.mark.parametrize("lam", [0.0, 10.0])
+    def test_each_pass_costs_what_the_public_cost_gives(self, coupled_setup, lam):
+        # A pass is scored from its SSE in coding order at the problem's
+        # unified weight vector, which metrics.cost aligns from the table.
+        for setup, budget in ((coupled_setup, 2e7), (seeded_mock(5, 3), 2.5e7)):
+            adapter = MockEncoder(setup.config)
+            trace = run_to_convergence(adapter, setup.grid, setup.weights, budget, lam, 12)
+            assert len(trace.entries) >= 3
+            for entry in trace.entries:
+                expected = cost(setup.grid, setup.weights, DistortionSet(entry.sses), lam)
+                assert entry.cost == expected
+
+
+class BadSSEEncoder(MockEncoder):
+    """MockEncoder whose SSE is bad for one frame at one quantizer."""
+
+    def __init__(self, config, coord, qp, sse):
+        super().__init__(config)
+        self.at, self.sse = (coord, qp), sse
+
+    def encode_frame(self, coord, qp, ref_state):
+        rate, sse = super().encode_frame(coord, qp, ref_state)
+        return rate, self.sse if (coord, qp) == self.at else sse
+
+
+class TestBadAdapterSSE:
+    """An SSE that is zero, negative or not a number stops the loop before
+    the pass it lands in is scored."""
+
+    def setup_two_frames(self):
+        # The second frame's weight is 0.64, so the first pass's shares of
+        # 1 Mbit move by about 2.5 quantizers in the second pass.
+        grid = spiral_order(2, 1)
+        config = MockEncoderConfig(frame_params={c: (3e7, -0.3) for c in grid.coding_order})
+        first, second = grid.coding_order
+        return MockSetup(config, grid, unify_weights({first: 1.0, second: 0.64}))
+
+    def run(self, adapter, setup):
+        return run_to_convergence(adapter, setup.grid, setup.weights, 2e6, 0.0, 8)
+
+    def scored(self, monkeypatch):
+        """The list of the passes run_to_convergence scores from now on."""
+        scored = []
+
+        def joint_cost(*args):
+            scored.append(args)
+            return metrics.joint_cost(*args)
+
+        monkeypatch.setattr(encodesim, "joint_cost", joint_cost)
+        return scored
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_bad_sse_of_a_searched_frame(self, monkeypatch, bad):
+        setup = self.setup_two_frames()
+        coord = setup.grid.coding_order[0]
+        qp = self.run(MockEncoder(setup.config), setup).entries[0].qps[coord]
+        scored = self.scored(monkeypatch)
+        with pytest.raises(ValueError, match="sse must be positive and finite"):
+            self.run(BadSSEEncoder(setup.config, coord, qp, bad), setup)
+        assert scored == []
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_bad_sse_of_a_one_encode_commit(self, monkeypatch, bad):
+        setup = self.setup_two_frames()
+        first, second = self.run(MockEncoder(setup.config), setup).entries[:2]
+        coord = setup.grid.coding_order[0]
+        # The frame moves two or more quantizers on one encode, so its new
+        # quantizer is none of the first pass's fit samples.
+        assert second.models[coord].sample_count == 1
+        assert abs(second.qps[coord] - first.qps[coord]) >= 2
+        scored = self.scored(monkeypatch)
+        with pytest.raises(ValueError, match="alpha"):
+            self.run(BadSSEEncoder(setup.config, coord, second.qps[coord], bad), setup)
+        assert len(scored) == 1
 
 class TestMockConfigIO:
     """Mock configuration files."""

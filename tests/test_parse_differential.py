@@ -186,3 +186,69 @@ def test_ok_digest_covers_the_unified_weights(tmp_path, monkeypatch):
     kinds = {r["kind"] for r in before if r["outcome"] == "ok"}
     assert kinds == {"problem", "mock"}
     assert [a["seed"] for a, b in zip(before, after) if a != b] == read
+
+
+def test_all_zero_weight_mutants_read_as_degenerate_weights_naming_the_file(
+    tmp_path, monkeypatch
+):
+    """The mutants from ZERO_WEIGHTS_FROM on are sound files whose every
+    weight is 0 or -0.0; the ones before them do not depend on where they
+    start."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = [differential.mutant(seed) for seed in range(6)]
+    monkeypatch.setattr(differential, "ZERO_WEIGHTS_FROM", 6)
+    monkeypatch.setattr(differential, "COUNT", 18)
+    assert [differential.mutant(seed) for seed in range(6)] == before
+    weights = set()
+    for seed in range(6, 18):
+        kind, data = differential.mutant(seed)
+        for line in data.decode().splitlines():
+            if line.startswith("frame:"):
+                fields = line.partition(":")[2].split(",")
+                weights.add(fields[2] if kind == "problem" else fields[4])
+    assert weights == {"0", "-0.0"}
+    output = tmp_path / "records.json"
+    assert differential.main(["run", str(PATH.parent.parent), "--output", str(output)]) == 0
+    zero = json.loads(output.read_text())[6:]
+    assert {r["kind"] for r in zero} == {"problem", "mock"}
+    assert {r["outcome"] for r in zero} == {"DegenerateWeights"}
+    assert all(r["message"].startswith("FILE: ") for r in zero)
+
+
+@pytest.mark.parametrize("error", ["ParseError", "DegenerateWeights"])
+def test_run_fails_when_an_input_error_names_no_file(error, tmp_path, monkeypatch, capsys):
+    import lfalloc
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(differential, "COUNT", 8)
+
+    def unnamed(path):
+        raise getattr(lfalloc, error)("all frame weights are zero")
+
+    monkeypatch.setattr(lfalloc, "read_mock_config", unnamed)
+    output = tmp_path / "records.json"
+    assert differential.main(["run", str(PATH.parent.parent), "--output", str(output)]) == 1
+    err = capsys.readouterr().err
+    assert f"seed 1: {error} names no file: all frame weights are zero" in err
+    assert err.endswith("4 of 8 mutants fail\n")
+
+
+def test_run_fails_when_an_all_zero_weights_mutant_ends_otherwise(
+    tmp_path, monkeypatch, capsys
+):
+    import lfalloc
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(differential, "ZERO_WEIGHTS_FROM", 2)
+    monkeypatch.setattr(differential, "COUNT", 6)
+
+    def infeasible(path):
+        raise lfalloc.InfeasibleBudget("rate floor exceeds budget")
+
+    monkeypatch.setattr(lfalloc, "read_problem_file", infeasible)
+    monkeypatch.setattr(lfalloc, "read_mock_config", infeasible)
+    output = tmp_path / "records.json"
+    assert differential.main(["run", str(PATH.parent.parent), "--output", str(output)]) == 1
+    err = capsys.readouterr().err
+    assert "seed 2: all weights zero, but InfeasibleBudget: rate floor exceeds budget" in err
+    assert err.endswith("4 of 6 mutants fail\n")

@@ -13,9 +13,10 @@ mutant ends in anything else than "ok" or one of the package's own
 errors (LfallocError): a traceback, or a warning when Python runs with
 `-W error`, as CI does. It also exits 1 when the second read ends
 otherwise than the first, as it would if a reader carried state from
-one read into the next. `compare` prints how many records differ
-between two runs, how the line each error names moved (MOVES), and
-examples; it exits 1 when any record differs.
+one read into the next, and when a ParseError or DegenerateWeights
+message does not begin with FILE. `compare` prints how many records
+differ between two runs, how the line each error names moved (MOVES),
+and examples; it exits 1 when any record differs.
 
     python -W error tools/parse_differential.py run PARENT_TREE --output parent.json
     python tools/parse_differential.py run CHANGED_TREE --output change.json
@@ -28,7 +29,10 @@ non-finite, negative or not a number, a field dropped or added, a line
 repeated, moved or deleted, an unknown key, a line without its colon, an
 `order:` line that may hold a bad entry, a frame moved off the grid or
 onto another frame, or a byte that is not UTF-8. Files with two or three
-edits test that the first bad line is the one named.
+edits test that the first bad line is the one named. The mutants from
+seed ZERO_WEIGHTS_FROM on take no edit: they are sound files whose every
+weight is 0 or -0.0, and `run` exits 1 when one does not end in
+DegenerateWeights.
 """
 
 from __future__ import annotations
@@ -43,7 +47,10 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-COUNT = 6000
+COUNT = 6040
+ZERO_WEIGHTS_FROM = 6000
+# The errors whose message must begin with the path of the file at fault.
+NAMED = ("ParseError", "DegenerateWeights")
 EXAMPLES = 5
 # How the line an error names moved from the parent's record to the
 # change's; "the same line" includes no line on either side.
@@ -62,8 +69,13 @@ def _grid(rng: random.Random) -> tuple[int, int, list[tuple[int, int]]]:
     return width, height, [(u, v) for v in range(height) for u in range(width)]
 
 
-def problem_lines(rng: random.Random) -> list[str]:
-    """A sound problem file, as lines."""
+def _weight(rng: random.Random, zero: bool) -> str:
+    """A frame weight: uniform in [0, 1), or, when zero, 0 or -0.0."""
+    return rng.choice(("0", "-0.0")) if zero else repr(rng.random())
+
+
+def problem_lines(rng: random.Random, zero: bool = False) -> list[str]:
+    """A sound problem file, as lines; with zero, every weight is zero."""
     width, height, coords = _grid(rng)
     keys = [f"width: {width}", f"height: {height}"]
     keys.append(f"budget: {len(coords) * 1e6 * rng.uniform(0.5, 1.5)!r}")
@@ -74,15 +86,16 @@ def problem_lines(rng: random.Random) -> list[str]:
         order = rng.sample(coords, len(coords))
         keys.append("order: " + ";".join(f"{u},{v}" for u, v in order))
     frames = [
-        f"frame: {u},{v},{rng.random()!r},{10 ** rng.uniform(7.5, 8.5)!r},"
+        f"frame: {u},{v},{_weight(rng, zero)},{10 ** rng.uniform(7.5, 8.5)!r},"
         f"{rng.uniform(-0.45, -0.22)!r}"
         for u, v in rng.sample(coords, len(coords))
     ]
     return _shuffled(rng, keys, frames)
 
 
-def mock_lines(rng: random.Random) -> list[str]:
-    """A sound mock config, as lines; each optional key is present or not."""
+def mock_lines(rng: random.Random, zero: bool = False) -> list[str]:
+    """A sound mock config, as lines; each optional key is present or not.
+    With zero, every frame line carries a weight, and every weight is zero."""
     width, height, coords = _grid(rng)
     keys = [f"width: {width}", f"height: {height}"]
     optional = {
@@ -97,7 +110,7 @@ def mock_lines(rng: random.Random) -> list[str]:
     keys += [f"{key}: {value!r}" for key, value in optional.items() if rng.random() < 0.7]
     frames = []
     for u, v in rng.sample(coords, len(coords)):
-        weight = f",{rng.random()!r}" if rng.random() < 0.7 else ""
+        weight = f",{_weight(rng, zero)}" if zero or rng.random() < 0.7 else ""
         law = f"{3e7 * rng.uniform(0.5, 2)!r},{-rng.uniform(0.2, 0.4)!r}"
         frames.append(f"frame: {u},{v},{law}{weight}")
     return _shuffled(rng, keys, frames)
@@ -157,10 +170,14 @@ def mutate(rng: random.Random, lines: list[str]) -> None:
 
 
 def mutant(seed: int) -> tuple[str, bytes]:
-    """The kind ("problem" or "mock") and bytes of mutant seed."""
+    """The kind ("problem" or "mock") and bytes of mutant seed: from seed
+    ZERO_WEIGHTS_FROM on, a sound file with every weight zero."""
     rng = random.Random(seed)
     kind = ("problem", "mock")[seed % 2]
-    lines = problem_lines(rng) if kind == "problem" else mock_lines(rng)
+    zero = seed >= ZERO_WEIGHTS_FROM
+    lines = problem_lines(rng, zero) if kind == "problem" else mock_lines(rng, zero)
+    if zero:
+        return kind, ("\n".join(lines) + "\n").encode()
     for _ in range(rng.choice((1, 1, 2, 3))):
         mutate(rng, lines)
     data = ("\n".join(lines) + "\n").encode()
@@ -172,8 +189,10 @@ def mutant(seed: int) -> tuple[str, bytes]:
 
 def run_tree(tree: Path) -> tuple[list[dict], list[str]]:
     """One record per mutant, read with the lfalloc of tree, and a line for
-    each mutant whose outcome is neither "ok" nor an LfallocError, or
-    whose second read ends otherwise than its first."""
+    each mutant whose outcome is neither "ok" nor an LfallocError, is a
+    NAMED error whose message does not begin with FILE, is not
+    DegenerateWeights for an all-zero-weights mutant, or whose second
+    read ends otherwise than its first."""
     sys.path.insert(0, str(tree / "src"))
     from lfalloc import (
         LfallocError,
@@ -215,6 +234,10 @@ def run_tree(tree: Path) -> tuple[list[dict], list[str]]:
             records.append(dict(seed=seed, kind=kind, outcome=first[0], message=first[1]))
             if not first[2]:
                 failures.append(f"seed {seed}: {first[0]}: {first[1]}")
+            elif first[0] in NAMED and not first[1].startswith("FILE: "):
+                failures.append(f"seed {seed}: {first[0]} names no file: {first[1]}")
+            elif seed >= ZERO_WEIGHTS_FROM and first[0] != "DegenerateWeights":
+                failures.append(f"seed {seed}: all weights zero, but {first[0]}: {first[1]}")
             elif again != first:
                 failures.append(f"seed {seed}: {first[0]}, read again: {again[0]}: {again[1]}")
     return records, failures
