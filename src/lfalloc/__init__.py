@@ -10,156 +10,62 @@ budget face refines it against the consistency cone penalty, and an
 iterative loop alternates allocation with re-encoding until no
 quantizer moves. Metrics (weighted PSNR, discontinuity, average rate difference
 between curves) and a CLI round out the pipeline.
+
+`import lfalloc` loads no submodule: each public name is imported from
+its defining module the first time it is read, so a program that uses
+only the allocator never loads the encode loop.
 """
 
-from .allocator import (
-    AllocationProblem,
-    AllocationResult,
-    ConePenalty,
-    allocate,
-    build_cone_penalty,
-    evaluate_cost,
-    penalized_objective,
-    project_rates,
-    read_allocation_file,
-    read_problem_file,
-    solve_step1,
-    solve_step2,
-    write_allocation_file,
-    write_problem_file,
-)
-from .encodesim import (
-    EncoderAdapter,
-    IterationEntry,
-    IterationTrace,
-    MockEncoder,
-    MockEncoderConfig,
-    MockSetup,
-    mock_encode,
-    read_mock_config,
-    read_trace_csv,
-    run_to_convergence,
-    trial_sweep,
-    write_mock_config,
-    write_trace_csv,
-)
-from .errors import (
-    DegenerateWeights,
-    DomainError,
-    EncodeFailed,
-    IncompleteInput,
-    InfeasibleBudget,
-    InsufficientPoints,
-    InsufficientSamples,
-    LfallocError,
-    ModelOutOfRange,
-    NoOverlap,
-    NonDecreasingRD,
-    NotConverged,
-    ParseError,
-)
-from .lightfield import (
-    FrameCoord,
-    FrameGrid,
-    WeightSet,
-    frame_weight,
-    l1_distance,
-    proximity,
-    read_weight_map_csv,
-    spiral_order,
-    unify_weights,
-)
-from .metrics import (
-    CostBreakdown,
-    DistortionSet,
-    RDPoint,
-    bd_rate,
-    cost,
-    read_curve_csv,
-    read_sse_csv,
-    wpsnr,
-    write_curve_csv,
-    write_sse_csv,
-)
-from .rdmodel import (
-    RDModelParams,
-    RDSample,
-    eval_model,
-    fit_power_model,
-    read_samples_csv,
-    tangent_lines,
-    write_models_csv,
-    write_samples_csv,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllocationProblem",
-    "AllocationResult",
-    "ConePenalty",
-    "CostBreakdown",
-    "DegenerateWeights",
-    "DistortionSet",
-    "DomainError",
-    "EncodeFailed",
-    "EncoderAdapter",
-    "FrameCoord",
-    "FrameGrid",
-    "IncompleteInput",
-    "InfeasibleBudget",
-    "InsufficientPoints",
-    "InsufficientSamples",
-    "IterationEntry",
-    "IterationTrace",
-    "LfallocError",
-    "MockEncoder",
-    "MockEncoderConfig",
-    "MockSetup",
-    "ModelOutOfRange",
-    "NoOverlap",
-    "NonDecreasingRD",
-    "NotConverged",
-    "ParseError",
-    "RDModelParams",
-    "RDPoint",
-    "RDSample",
-    "WeightSet",
-    "allocate",
-    "bd_rate",
-    "build_cone_penalty",
-    "cost",
-    "eval_model",
-    "evaluate_cost",
-    "fit_power_model",
-    "frame_weight",
-    "l1_distance",
-    "mock_encode",
-    "penalized_objective",
-    "project_rates",
-    "proximity",
-    "read_allocation_file",
-    "read_curve_csv",
-    "read_mock_config",
-    "read_problem_file",
-    "read_samples_csv",
-    "read_sse_csv",
-    "read_trace_csv",
-    "read_weight_map_csv",
-    "run_to_convergence",
-    "solve_step1",
-    "solve_step2",
-    "spiral_order",
-    "tangent_lines",
-    "trial_sweep",
-    "unify_weights",
-    "wpsnr",
-    "write_allocation_file",
-    "write_curve_csv",
-    "write_mock_config",
-    "write_models_csv",
-    "write_problem_file",
-    "write_samples_csv",
-    "write_sse_csv",
-    "write_trace_csv",
-]
+# Each defining module and the public names it exports.
+_EXPORTS = {
+    "allocator": (
+        "AllocationProblem", "AllocationResult", "ConePenalty", "allocate",
+        "build_cone_penalty", "evaluate_cost", "penalized_objective", "project_rates",
+        "read_allocation_file", "read_problem_file", "solve_step1", "solve_step2",
+        "write_allocation_file", "write_problem_file",
+    ),
+    "encodesim": (
+        "EncoderAdapter", "IterationEntry", "IterationTrace", "MockEncoder",
+        "MockEncoderConfig", "MockSetup", "mock_encode", "read_mock_config",
+        "read_trace_csv", "run_to_convergence", "trial_sweep", "write_mock_config",
+        "write_trace_csv",
+    ),
+    "errors": (
+        "DegenerateWeights", "DomainError", "EncodeFailed", "IncompleteInput",
+        "InfeasibleBudget", "InsufficientPoints", "InsufficientSamples", "LfallocError",
+        "ModelOutOfRange", "NoOverlap", "NonDecreasingRD", "NotConverged", "ParseError",
+    ),
+    "lightfield": (
+        "FrameCoord", "FrameGrid", "WeightSet", "frame_weight", "l1_distance", "proximity",
+        "read_weight_map_csv", "spiral_order", "unify_weights",
+    ),
+    "metrics": (
+        "CostBreakdown", "DistortionSet", "RDPoint", "bd_rate", "cost", "read_curve_csv",
+        "read_sse_csv", "wpsnr", "write_curve_csv", "write_sse_csv",
+    ),
+    "rdmodel": (
+        "RDModelParams", "RDSample", "eval_model", "fit_power_model", "read_samples_csv",
+        "tangent_lines", "write_models_csv", "write_samples_csv",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import the module that defines a public name on its first read (PEP 562)."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    """Every public name, read or not, so that dir() and help() list them."""
+    return sorted({*globals(), *__all__})

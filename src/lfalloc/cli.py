@@ -15,6 +15,11 @@ WARNING, ...) to log solver progress to stderr.
 main(argv) may be called many times in one process. The parser is built
 once, on the first call, and each call runs the cmd_* function this
 module holds under the subcommand's name at that time.
+
+Importing this module imports everything `allocate` runs, numpy included,
+so a process pays that cost at start-up. Only `simulate`, and `metrics`
+on a trace, import the encode loop (encodesim); the other commands never
+load it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import allocator, encodesim, metrics, rdmodel, records
+from . import allocator, metrics, rdmodel, records
 from .errors import (
     DegenerateWeights,
     DomainError,
@@ -108,6 +113,8 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import encodesim
+
     setup = encodesim.read_mock_config(args.config)
     adapter = encodesim.MockEncoder(setup.config)
     trace = encodesim.run_to_convergence(
@@ -135,10 +142,12 @@ def _load_distortions(path: str) -> metrics.DistortionSet:
     """Accept either a per-frame SSE table or a full trace (final pass used),
     told apart by the first record line."""
     first = records.read(path, str)[0]
-    if first == encodesim.TRACE_HEADER:
-        return encodesim.last_iteration_distortions(encodesim.read_trace_csv(path))
     if first == metrics.SSE_HEADER:
         return metrics.read_sse_csv(path)
+    from . import encodesim
+
+    if first == encodesim.TRACE_HEADER:
+        return encodesim.last_iteration_distortions(encodesim.read_trace_csv(path))
     raise ParseError(
         f"{path}: expected header '{metrics.SSE_HEADER}' or '{encodesim.TRACE_HEADER}'"
     )

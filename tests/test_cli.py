@@ -70,13 +70,18 @@ sweep = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(sweep)
 
 
-def run_cli(cwd, *argv, **env):
-    """`python -W error -m lfalloc.cli *argv` in cwd, with the package on the
-    path and env added to the environment."""
+def run_python(cwd, *args, **env):
+    """`python -W error *args` in cwd, with the package on the path and env
+    added to the environment."""
     env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    command = [sys.executable, "-W", "error", "-m", "lfalloc.cli", *argv]
+    command = [sys.executable, "-W", "error", *args]
     return subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def run_cli(cwd, *argv, **env):
+    """`python -W error -m lfalloc.cli *argv` in cwd, as run_python."""
+    return run_python(cwd, "-m", "lfalloc.cli", *argv, **env)
 
 
 REFERENCE_PAIRS = ((4.46e7, -0.261), (1.96e8, -0.383), (6.93e7, -0.284))
@@ -637,6 +642,44 @@ class TestMainInOneProcess:
         assert main(["spiral", "3", "1"]) == 7
         assert seen == [3]
         capsys.readouterr()
+
+
+# Imports lfalloc.cli, runs main on the argv given, if any, and prints its
+# exit code and whether the encode loop was imported.
+LOADS_LOOP = """\
+import sys
+import lfalloc.cli
+assert {"numpy", "lfalloc.allocator"} <= sys.modules.keys()
+code = lfalloc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, "lfalloc.encodesim" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, loads_loop",
+    [
+        (None, False),
+        ("fit", False),
+        ("allocate", False),
+        ("spiral", False),
+        ("metrics", False),
+        ("bdrate", False),
+        ("metrics-trace", True),
+        ("simulate", True),
+    ],
+)
+def test_only_simulate_and_a_trace_import_the_encode_loop(tmp_path, command, loads_loop):
+    """A fresh `import lfalloc.cli` loads the allocator and numpy but not
+    encodesim, which only `simulate` and `metrics` on a trace import."""
+    if command is None:
+        argv = []
+    elif command == "spiral":
+        argv = ["spiral", "3", "3"]
+    else:
+        argv = cli_inputs(command, tmp_path)[0]
+    done = run_python(tmp_path, "-c", LOADS_LOOP, *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} {loads_loop}"
 
 
 def cli_inputs(command, tmp):

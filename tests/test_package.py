@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import ast
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 import lfalloc
 from lfalloc import allocator, encodesim, errors, lightfield, metrics, rdmodel
+from test_cli import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,6 +33,45 @@ def test_every_exported_name_resolves():
     assert len(set(lfalloc.__all__)) == len(lfalloc.__all__)
     for name in lfalloc.__all__:
         assert hasattr(lfalloc, name), name
+
+
+def run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter under `-W error`, with the package on
+    the path; it fails by raising."""
+    done = run_python(ROOT, "-c", textwrap.dedent(code))
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_no_submodule_and_each_name_is_its_modules_own():
+    run_fresh(
+        """
+        import sys
+        import lfalloc
+        assert not [m for m in sys.modules if m.startswith("lfalloc.")]
+        for name in lfalloc.__all__:
+            value = getattr(lfalloc, name)
+            assert value.__module__.startswith("lfalloc."), name
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        """
+    )
+
+
+def test_star_import_binds_every_exported_name():
+    run_fresh(
+        """
+        import lfalloc
+        names = {}
+        exec("from lfalloc import *", names)
+        del names["__builtins__"]
+        assert sorted(names) == lfalloc.__all__, sorted(names)
+        assert all(value is getattr(lfalloc, name) for name, value in names.items())
+        """
+    )
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lfalloc.no_such_name
 
 
 def code_references(path: Path) -> set[str]:

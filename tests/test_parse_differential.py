@@ -92,6 +92,23 @@ def test_runs_over_different_mutants_are_refused():
         differential.compare(records(*OUTCOMES), records(*OUTCOMES)[:-1])
 
 
+def test_mutants_the_change_appends_are_counted_apart():
+    appended = [("DegenerateWeights", "FILE: all frame weights are zero")] * 2
+    changed = list(OUTCOMES)
+    changed[1] = ("ok", "fedcba9876543210")
+    result = differential.compare(records(*OUTCOMES), records(*changed, *appended, ("ok", "0")))
+    assert result["mutants"] == 4
+    assert [a["seed"] for a, _ in result["differ"]] == [1]
+    assert result["change"] == result["parent"]
+    assert result["appended"] == {"DegenerateWeights": 2, "ok": 1}
+    text = differential.format_comparison(result)
+    assert "1 of 4 mutants differ\n" in text
+    assert "3 mutants appended by the change: {'DegenerateWeights': 2, 'ok': 1}\n" in text
+    assert "appended" not in differential.format_comparison(
+        differential.compare(records(*OUTCOMES), records(*OUTCOMES))
+    )
+
+
 def test_run_fails_when_a_mutant_ends_outside_the_package_errors(
     tmp_path, monkeypatch, capsys
 ):

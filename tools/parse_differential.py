@@ -16,7 +16,9 @@ otherwise than the first, as it would if a reader carried state from
 one read into the next, and when a ParseError or DegenerateWeights
 message does not begin with FILE. `compare` prints how many records
 differ between two runs, how the line each error names moved (MOVES),
-and examples; it exits 1 when any record differs.
+and examples; it exits 1 when any record differs. A change run may append
+mutants after the parent's: those are compared with nothing, and counted
+apart by outcome.
 
     python -W error tools/parse_differential.py run PARENT_TREE --output parent.json
     python tools/parse_differential.py run CHANGED_TREE --output change.json
@@ -263,31 +265,39 @@ def move(parent: dict, change: dict) -> str:
 
 
 def compare(parent: list[dict], change: list[dict]) -> dict:
-    """Outcome counts of each run, the pairs of records that differ, and
-    how many of those pairs moved their named line in each way of MOVES."""
-    if [(r["seed"], r["kind"]) for r in parent] != [(r["seed"], r["kind"]) for r in change]:
+    """Outcome counts of each run over the parent's mutants, the pairs of
+    records that differ, how many of those pairs moved their named line in
+    each way of MOVES, and the outcome counts of the mutants the change
+    appends after the parent's. Runs over any other mutants are refused."""
+    shared = change[: len(parent)]
+    if [(r["seed"], r["kind"]) for r in parent] != [(r["seed"], r["kind"]) for r in shared]:
         raise ValueError("the two runs cover different mutants")
 
     def counts(records):
         return dict(sorted(Counter(r["outcome"] for r in records).items()))
 
-    differ = [(a, b) for a, b in zip(parent, change) if a != b]
+    differ = [(a, b) for a, b in zip(parent, shared) if a != b]
     moved = Counter(move(a, b) for a, b in differ)
     return dict(
         mutants=len(parent),
         parent=counts(parent),
-        change=counts(change),
+        change=counts(shared),
         differ=differ,
         moves={name: moved[name] for name in MOVES},
+        appended=counts(change[len(parent) :]),
     )
 
 
 def format_comparison(result: dict) -> str:
     """The comparison as text: the outcome counts, the number that differ,
-    how many name each kind of line, and up to EXAMPLES of them."""
+    how many name each kind of line, the mutants the change appends, if
+    any, and up to EXAMPLES of those that differ."""
     lines = [f"parent: {result['parent']}", f"change: {result['change']}"]
     lines.append(f"{len(result['differ'])} of {result['mutants']} mutants differ")
     lines += [f"  {count} name {name}" for name, count in result["moves"].items()]
+    if result["appended"]:
+        total = sum(result["appended"].values())
+        lines.append(f"{total} mutants appended by the change: {result['appended']}")
     for a, b in result["differ"][:EXAMPLES]:
         lines.append(f"seed {a['seed']} ({a['kind']}):")
         lines.append(f"  parent {a['outcome']}: {a['message']}")
