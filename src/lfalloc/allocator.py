@@ -203,15 +203,6 @@ class ConePenalty:
             self.col_j, self.coef_j * values, n
         )
 
-    def gram(self) -> np.ndarray:
-        """Dense A^T A."""
-        n = self.n_frames
-        i, j = self.col_i, self.col_j
-        cross = self.coef_i * self.coef_j
-        flat = np.concatenate((i * (n + 1), j * (n + 1), i * n + j, j * n + i))
-        values = np.concatenate((self.coef_i ** 2, self.coef_j ** 2, cross, cross))
-        return np.bincount(flat, values, n * n).reshape(n, n)
-
 
 def _as_vector(problem: AllocationProblem, rates) -> np.ndarray:
     if isinstance(rates, dict):
@@ -408,6 +399,20 @@ def _zero_residual_point(penalty: ConePenalty, weighted, budget: float, floor: f
     return r if np.all(r[weighted] > floor) else None
 
 
+def _bordered_gram(penalty: ConePenalty) -> np.ndarray:
+    """The (n+1) x (n+1) matrix [[A^T A, 1], [1^T, 0]], A^T A accumulated
+    from the pair arrays."""
+    n = penalty.n_frames
+    size = n + 1
+    i, j = penalty.col_i, penalty.col_j
+    cross = penalty.coef_i * penalty.coef_j
+    flat = np.concatenate((i * (size + 1), j * (size + 1), i * size + j, j * size + i))
+    values = np.concatenate((penalty.coef_i ** 2, penalty.coef_j ** 2, cross, cross))
+    matrix = np.bincount(flat, values, size * size).reshape(size, size)
+    matrix[:n, n] = matrix[n, :n] = 1.0
+    return matrix
+
+
 def _kink_certificate(penalty: ConePenalty, gram, grad_f, lam: float, weighted):
     """Optimality test at a point where A r + b = 0 and every weighted frame
     is above the floor.
@@ -454,6 +459,7 @@ def solve_step2(
     problem: AllocationProblem,
     warm_start,
     penalty: ConePenalty,
+    start=None,
 ) -> AllocationResult:
     """Minimize the penalized objective P(r) = sum_f w_f^2 alpha_f r_f**beta_f
     + lambda |A r + b| on the budget face sum(r) = budget, r >= min_rate,
@@ -462,35 +468,48 @@ def solve_step2(
     Every optimum spends the whole budget (see the module docstring), so
     the warm start, projected onto the feasible set, has any slack beyond
     ACTIVE_BOUND spread evenly over the weighted frames, and each step
-    keeps the spend. Each iteration solves one KKT system on the face with
-    the Hessian diag(w^2 alpha beta (beta-1) r^(beta-2)) + (lambda / |y|)
-    A^T A, y = A r + b, whose second term is that of the norm's quadratic
-    majorizer at y: unlike the norm's own Hessian it keeps the curvature
-    along y, so the step does not overshoot near the kink. Frames at
-    min_rate stay fixed while their multiplier is nonnegative; zero-weight
-    frames sit at the floor. The step is projected onto the feasible set
-    with no frame cut below a quarter of its rate, and backtracked until
-    the exact P falls enough (Armijo). The Newton stop is unit-free: half
-    the squared decrement at most STEP2_TOL * P or below the rounding
-    error of P, with kkt_residual at most KKT_TOLERANCE at the full step
-    (at r if that step visibly raises P). The majorizer's decrement
-    understates the excess of P, so with unequal marginals the line search
-    runs from r instead.
+    keeps the spend. With start, another rate vector brought onto the face
+    the same way, step 2 begins from whichever of the two has the lower P.
+    Each iteration solves one KKT system on the face with the Hessian
+    diag(curvature) + (lambda / |y|) A^T A, curvature = w^2 alpha beta
+    (beta-1) r^(beta-2) and y = A r + b, whose second term is that of the
+    norm's quadratic majorizer at y: unlike the norm's own Hessian it keeps
+    the curvature along y, so the step does not overshoot near the kink.
+    The system is solved scaled by |y| / lambda,
+
+        [[A^T A + (|y| / lambda) diag(curvature), 1], [1^T, 0]] [d; (|y| / lambda) nu]
+            = [-(|y| / lambda) g; 0],
+
+    in one bordered matrix built per call from the pair arrays, of which
+    each iteration rewrites only the diagonal. Where the Hessian is
+    diagonal (every pair row gated off by a zero weight, or the
+    distortion-only step at the kink) the step is closed form: d = -(g +
+    nu) / curvature with nu = -sum(g / curvature) / sum(1 / curvature) over
+    the free frames. Frames at min_rate stay fixed while their multiplier
+    is nonnegative; zero-weight frames sit at the floor. The step is
+    projected onto the feasible set with no frame cut below a quarter of
+    its rate, and backtracked until the exact P falls enough (Armijo). The
+    Newton stop is unit-free: half the squared decrement at most STEP2_TOL
+    * P or below the rounding error of P, with kkt_residual at most
+    KKT_TOLERANCE at the full step (at r if that step visibly raises P).
+    The majorizer's decrement understates the excess of P, so with unequal
+    marginals the line search runs from r instead.
 
     The norm has a kink where A r + b = 0. From every start the one
     budget-face point with a zero residual is tried first and taken when
     it beats the start and a dual certificate proves it optimal; at a zero
     residual the certificate's marginal mismatch replaces the Newton test.
 
-    Every accepted step lowers P, so the result is never above P at that
-    start.
-    kkt_residual is the marginal mismatch at the result (see the module
-    docstring), or the certificate's at a certified zero residual. The
-    result converges when kkt_residual is at most KKT_TOLERANCE and step 2
-    stopped by the certificate, the decrement, or a search off the kink
-    that finds no decrease. The iteration cap STEP2_MAX_ITERATIONS, a
-    singular Newton system and a search that stalls at the kink raise
-    NotConverged carrying the last iterate.
+    Every accepted step lowers P, so the result is never above P at either
+    start. kkt_residual is the marginal mismatch at the result (see the
+    module docstring), or the certificate's at a certified zero residual,
+    or 0 where the floor spend is the budget and every frame sits on the
+    floor, the one feasible point. The result converges when kkt_residual
+    is at most KKT_TOLERANCE and step 2 stopped there, by the certificate,
+    the decrement, or a search off the kink that finds no decrease. The
+    iteration cap STEP2_MAX_ITERATIONS, a singular Newton system and a
+    search that stalls at the kink raise NotConverged carrying the last
+    iterate.
     """
     w, beta = problem.w, problem.beta
     lam = problem.lam
@@ -501,8 +520,15 @@ def solve_step2(
     weighted = w2a > 0.0
     # Rows gated by a zero weight vanish; with no other row the norm is 0.
     coupled = lam > 0.0 and bool(np.any(penalty.coef_i))
-    gram = penalty.gram() if coupled else None
     abs_i, abs_j, abs_rhs = np.abs(penalty.coef_i), np.abs(penalty.coef_j), np.abs(penalty.rhs)
+    if coupled:
+        # The bordered matrix stays accurate where the Hessian alone is
+        # nearly singular: along A's null direction once lambda / |y| dwarfs
+        # the distortion curvature. That direction (1 / slope) has entries
+        # of one sign, so the budget row pins it.
+        kkt = _bordered_gram(penalty)
+        diagonal = np.arange(n)
+        gram_diagonal = kkt[diagonal, diagonal]
 
     def distortion_derivatives(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grad = w2a * beta * vec ** (beta - 1.0)
@@ -516,7 +542,10 @@ def solve_step2(
     def certified(vec: np.ndarray):
         if not np.all(vec[weighted] > floor):
             return None
-        found = _kink_certificate(penalty, gram, distortion_derivatives(vec)[0], lam, weighted)
+        kkt[diagonal, diagonal] = gram_diagonal
+        found = _kink_certificate(
+            penalty, kkt[:n, :n], distortion_derivatives(vec)[0], lam, weighted
+        )
         if found is None or found[0] > 1.0 or found[1] <= 0.0:
             return None
         return found
@@ -535,32 +564,30 @@ def solve_step2(
         mu = float(np.mean(marginal[free])) if np.any(free) else 0.0
         return _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
 
-    # The Hessian is assembled in place inside the bordered KKT matrix
-    # [[H, 1], [1^T, 0]], which stays accurate where H alone is nearly
-    # singular: along A's null direction once lambda / |y| dwarfs the
-    # distortion curvature. That direction (1 / slope) has entries of one
-    # sign, so the budget row pins it.
-    kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, n] = kkt[n, :n] = 1.0
-    hess = kkt[:n, :n]
-    diagonal = np.arange(n)
-
-    def newton_direction(grad, free):
+    def newton_direction(grad, curvature, weight, free):
+        """The Newton step on the face over the free frames, and its budget
+        multiplier: closed form where weight is None, else the scaled
+        system with weight = |y| / lambda, whose diagonal the caller set."""
+        d = np.zeros(n)
+        if weight is None:
+            inverse = 1.0 / curvature[free]
+            nu = -float(grad[free] @ inverse) / float(inverse.sum())
+            d[free] = -(grad[free] + nu) * inverse
+            return d, nu
         rows = np.append(np.nonzero(free)[0], n)
         system = kkt if rows.size == n + 1 else kkt[np.ix_(rows, rows)]
-        sol = np.linalg.solve(system, np.append(-grad[free], 0.0))
-        d = np.zeros(n)
+        sol = np.linalg.solve(system, np.append(-weight * grad[free], 0.0))
         d[free] = sol[:-1]
-        return d, float(sol[-1])
+        return d, float(sol[-1]) / weight
 
-    def active_direction(grad, free) -> np.ndarray:
+    def active_direction(grad, curvature, weight, free) -> np.ndarray:
         """Newton direction with the active set settled: the floor frames
         whose multiplier is negative are released together, less those the
         wider step lowers, until the step raises every one released."""
-        d, nu = newton_direction(grad, free)
+        d, nu = newton_direction(grad, curvature, weight, free)
         release = weighted & ~free & (grad + nu < 0.0)
         while np.any(release):
-            wider, _ = newton_direction(grad, free | release)
+            wider, _ = newton_direction(grad, curvature, weight, free | release)
             if np.all(wider[release] > 0.0):
                 return wider
             release &= wider > 0.0
@@ -586,12 +613,20 @@ def solve_step2(
             t *= 0.5
         return 0.0, base, base_value
 
-    r = project_rates(_as_vector(problem, warm_start), budget, floor)
-    r[~weighted] = floor
-    slack = budget - float(r.sum())
-    if slack > budget * ACTIVE_BOUND:
-        r[weighted] += slack / np.count_nonzero(weighted)
-    value = penalized_objective(problem, penalty, r)
+    def on_face(rates) -> tuple[np.ndarray, float]:
+        """rates brought onto the budget face, and P there."""
+        vec = project_rates(_as_vector(problem, rates), budget, floor)
+        vec[~weighted] = floor
+        slack = budget - float(vec.sum())
+        if slack > budget * ACTIVE_BOUND:
+            vec[weighted] += slack / np.count_nonzero(weighted)
+        return vec, penalized_objective(problem, penalty, vec)
+
+    r, value = on_face(warm_start)
+    if start is not None:
+        other, other_value = on_face(start)
+        if other_value < value:
+            r, value = other, other_value
     if coupled:
         kink = _zero_residual_point(penalty, weighted, budget, floor)
         kink_value = math.inf if kink is None else penalized_objective(problem, penalty, kink)
@@ -608,8 +643,17 @@ def solve_step2(
             r[snap] = floor
             value = penalized_objective(problem, penalty, r)
         free = weighted & (r > floor)
+        if not np.any(free):
+            # Every step keeps the spend, so the floor spend is the budget
+            # to within ACTIVE_BOUND and r is the one feasible point: any
+            # multiplier at or above the largest floor marginal holds every
+            # frame there.
+            kkt_residual = 0.0
+            stop = "floor spend"
+            break
         grad_f, curvature = distortion_derivatives(r)
         grad = grad_f
+        weight = None
         at_kink = False
         scale = 0.0
         if coupled:
@@ -628,13 +672,10 @@ def solve_step2(
                 at_kink = True
             else:
                 grad = grad_f + lam * penalty.apply_transpose(res / norm)
-                # In place: a fresh n x n temporary costs as much as the solve.
-                np.multiply(gram, lam / norm, out=hess)
-        if not coupled or at_kink:
-            hess.fill(0.0)
-        hess[diagonal, diagonal] += curvature
+                weight = norm / lam
+                kkt[diagonal, diagonal] = gram_diagonal + weight * curvature
         try:
-            d = active_direction(grad, free)
+            d = active_direction(grad, curvature, weight, free)
             # P cannot resolve changes below its rounding error, so neither
             # can the stop or the step that passes it.
             resolution = ROUNDING * (value + lam * scale)
@@ -659,9 +700,9 @@ def solve_step2(
             break
         r, value = candidate, value_c
 
-    if stop != "certified zero residual":
+    if stop not in ("certified zero residual", "floor spend"):
         kkt_residual = kkt_residual_at(r)
-    settled = stop in ("certified zero residual", "Newton decrement", "line search")
+    settled = stop in ("certified zero residual", "floor spend", "Newton decrement", "line search")
     converged = settled and kkt_residual <= KKT_TOLERANCE
     log.debug(
         "step2: %d Newton iterations, stopped by %s, kkt_residual %.3e",
@@ -679,15 +720,19 @@ def solve_step2(
     return result
 
 
-def allocate(problem: AllocationProblem) -> AllocationResult:
+def allocate(problem: AllocationProblem, start=None) -> AllocationResult:
     """Full two-step allocation.
 
     With lambda zero the step-one answer is already optimal and is
-    returned as is; otherwise step two refines it against the linearized
-    consistency penalty. The result carries the step-one rates for
-    diagnostics either way. A problem whose scale overflows, divides by
-    zero or makes an invalid value anywhere in the solve raises
-    ValueError instead of warning and going on.
+    returned as is; otherwise step two refines it against the consistency
+    penalty linearized at the step-one rates. start, a rate per frame
+    (a dict, or a vector in coding order) such as an earlier answer to a
+    nearby problem, lets step two begin there instead of at the step-one
+    split when that has the lower P, so the result is never above P at the
+    split; it changes nothing at lambda zero. The result carries the
+    step-one rates for diagnostics either way. A problem whose scale
+    overflows, divides by zero or makes an invalid value anywhere in the
+    solve raises ValueError instead of warning and going on.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -695,7 +740,7 @@ def allocate(problem: AllocationProblem) -> AllocationResult:
             result = step1
             if problem.lam > 0.0:
                 penalty = build_cone_penalty(problem, step1.rates)
-                result = solve_step2(problem, step1.rates, penalty)
+                result = solve_step2(problem, step1.rates, penalty, start)
     except FloatingPointError as exc:
         raise ValueError(f"problem scale is outside floating-point range ({exc})") from exc
     return replace(result, step1_rates=dict(step1.rates))
@@ -730,7 +775,10 @@ def read_problem_file(path, **overrides) -> AllocationProblem:
     (spiral by default). overrides maps budget, lam or min_rate to a
     value that replaces the file's; None keeps the file's. The problem is
     built once, so a floor that neither gives follows the budget in
-    effect.
+    effect. The file's own values are checked as they are read, so an
+    override the problem rejects raises its ValueError, which names the
+    quantity and not the file; a problem rejected with no override names
+    the file.
 
     The frame columns go into coding order whole, through the grid's
     lattice_index. The problem's models are a read-only table over its
@@ -758,6 +806,10 @@ def read_problem_file(path, **overrides) -> AllocationProblem:
             grid=grid, weights=weights, models=_ModelTable(grid, alpha, beta), **scalars
         )
     except ValueError as exc:
+        # The file's own values passed their converters; without an
+        # override only the floor derived from its budget can fail here.
+        if any(value is not None for value in overrides.values()):
+            raise
         raise ParseError(f"{path}: {exc}") from exc
     except DegenerateWeights as exc:
         raise DegenerateWeights(f"{path}: {exc}") from exc

@@ -568,7 +568,9 @@ def run_to_convergence(
     allocation against the previous pass's models, corrected by
     _anticipated for the reference each frame is predicted to see; the
     first two passes are never corrected, since the first pass leaves
-    every reference elasticity at 0. At lambda 0 the allocation is
+    every reference elasticity at 0. Each allocation is offered the one
+    before it as allocate's start (the first, the uniform share), which
+    moves its P only within step 2's tolerance. At lambda 0 the allocation is
     separable, so each frame above the floor is retargeted within the
     pass from the model measured at its real reference (_encode_pass);
     floor frames, zero-weight ones among them, and every frame at lambda
@@ -609,9 +611,11 @@ def run_to_convergence(
     )
     seen = {_pass_state(grid, entries[0]): 1}
     converged = False
+    targets = share
     for _ in range(max_iters - 1):
         previous = entries[-1]
-        allocation, models = _anticipated(problem, previous)
+        allocation, models = _anticipated(problem, previous, targets)
+        targets = allocation.rates
         # Only a lambda-0 allocation is separable, so only its frames are
         # retargeted from the models they were allocated against.
         planned = None if lam else models
@@ -679,19 +683,21 @@ def _reference_scales(
 
 
 def _anticipated(
-    problem: AllocationProblem, previous: IterationEntry
+    problem: AllocationProblem, previous: IterationEntry, start=None
 ) -> tuple[AllocationResult, _ModelTable]:
     """Allocation against previous's models corrected for the references of
     the next pass, and the corrected models it was made against, which
     _encode_pass retargets from at lambda 0.
 
-    Round 0 allocates against the models as they are. Each of up to
-    ANTICIPATION_ROUNDS more rounds scales each frame's alpha by
+    Round 0 allocates against the models as they are, offered start (the
+    targets of the pass that made previous) as allocate's start. Each of
+    up to ANTICIPATION_ROUNDS more rounds scales each frame's alpha by
     _reference_scales at the last round's targets and allocates again,
-    against a table over the scaled alpha vector and previous's beta. It
-    stops early when the scales repeat, so a state where every frame holds
-    keeps the plain allocation. An allocator that runs out of iterations
-    gives its best feasible iterate. Costs no encodes.
+    against a table over the scaled alpha vector and previous's beta,
+    offered the last round's rates. It stops early when the scales repeat,
+    so a state where every frame holds keeps the plain allocation. An
+    allocator that runs out of iterations gives its best feasible iterate.
+    Costs no encodes.
     """
     grid = problem.grid
     models = grid.align(previous.models, "models")
@@ -700,10 +706,11 @@ def _anticipated(
     for round_ in range(ANTICIPATION_ROUNDS + 1):
         table = _ModelTable(grid, alpha * scales, beta)
         try:
-            allocation = allocate(replace(problem, models=table))
+            allocation = allocate(replace(problem, models=table), start)
         except NotConverged as exc:
             log.warning("allocator did not fully converge; using best iterate")
             allocation = exc.result
+        start = allocation.rates
         if round_ == ANTICIPATION_ROUNDS:
             break
         update = _reference_scales(grid, previous, allocation.rates)

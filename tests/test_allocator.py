@@ -1,12 +1,17 @@
 """Projection, water-filling, cone penalty, and the two-step allocator."""
 
+import importlib.util
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lfalloc
 from lfalloc import (
     AllocationProblem,
     DegenerateWeights,
@@ -37,6 +42,11 @@ from lfalloc import (
 )
 from lfalloc import allocator
 from lfalloc.allocator import _predicted_sse
+
+SWEEP = Path(__file__).resolve().parent.parent / "tools" / "step2_sweep.py"
+SPEC = importlib.util.spec_from_file_location("step2_sweep", SWEEP)
+sweep = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(sweep)
 
 REFERENCE_PAIRS = ((4.46e7, -0.261), (1.96e8, -0.383), (6.93e7, -0.284))
 
@@ -94,6 +104,39 @@ def sparse_problem(width, height, budget, lam, min_rate, frames):
         lam=lam,
         min_rate=min_rate,
     )
+
+
+def recipe_problem(rng, width, height, lam, min_rate=None):
+    """Problem drawn from rng on the benchmark recipe: per frame alpha
+    10^U(7.5, 8.5), beta U(-0.45, -0.22), raw weight U(0.2, 1), and 1e6
+    bits of budget per frame."""
+    grid = spiral_order(width, height)
+    n = grid.n_frames
+    alpha = 10.0 ** rng.uniform(7.5, 8.5, n)
+    beta = rng.uniform(-0.45, -0.22, n)
+    raw = rng.uniform(0.2, 1.0, n)
+    return AllocationProblem(
+        grid=grid,
+        weights=unify_weights(dict(zip(grid.coding_order, raw.tolist()))),
+        models={
+            c: RDModelParams(alpha=a, beta=b)
+            for c, a, b in zip(grid.coding_order, alpha.tolist(), beta.tolist())
+        },
+        budget=1e6 * n,
+        lam=lam,
+        min_rate=min_rate,
+    )
+
+
+def sweep_problem(index):
+    """Problem index of the step-2 sweep (tools/step2_sweep.py)."""
+    rng = np.random.default_rng(sweep.SEED)
+    for _ in range(index):
+        try:
+            sweep.draw_problem(lfalloc, rng)
+        except DegenerateWeights:
+            pass
+    return sweep.draw_problem(lfalloc, rng)
 
 
 def bisect_projection(values, budget, floor):
@@ -624,6 +667,18 @@ class TestSolveStep2:
             penalized_objective(problem, penalty, from_split.rates), rel=1e-12
         )
 
+    @pytest.mark.parametrize("index, on_floor", [(1087, 12), (3384, 6)])
+    def test_frames_within_rounding_of_the_floor_snap_onto_it(self, index, on_floor):
+        # Step-2 sweep problems 1087 (4x6, lambda about 317) and 3384 (5x5,
+        # lambda about 1.8): a step leaves weighted frames within
+        # ACTIVE_BOUND above the floor. Snapped onto it they converge; left
+        # there, step 2 ends in NotConverged with kkt_residual 17 and 1.9.
+        problem = sweep_problem(index)
+        result = allocate(problem)
+        assert result.kkt_residual <= 1e-7
+        rates = np.array(list(result.rates.values()))
+        assert np.count_nonzero(rates[problem.w > 0.0] == problem.min_rate) == on_floor
+
     @pytest.mark.parametrize(
         "problem",
         [
@@ -777,6 +832,49 @@ class TestAllocate:
         rates = list(result.rates.values())
         assert rates[0] == rates[1] == rates[2]
         assert result.budget_used == pytest.approx(problem.budget, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "lam, floor_share", [(0.0, 1.0), (10.0, 1.0), (10.0, 1.0 - 1e-10)], ids=str
+    )
+    def test_floor_spend_allocates_the_one_feasible_point(self, lam, floor_share):
+        # A floor at the even share of a 3x3 grid, or within ACTIVE_BOUND
+        # below it, leaves no frame room to rise. At lambda > 0 step 2 used
+        # to solve the 1x1 system [[0]] there and raise NotConverged
+        # (singular Newton system, kkt_residual 37.9).
+        rng = np.random.default_rng([0, 1, 0, 0])
+        problem = recipe_problem(rng, 3, 3, lam, 1e6 * floor_share)
+        result = allocate(problem)
+        assert set(result.rates.values()) == {problem.min_rate}
+        assert result.kkt_residual == 0.0
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_feasible_start_reaches_the_cold_optimum(self, data):
+        # Small grids on the benchmark recipe with a floor up to 0.9 of the
+        # even share; the start spends any fraction of the budget above the
+        # floor, shared out in any proportions.
+        width, height = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        n = width * height
+        problem = recipe_problem(
+            np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+            width,
+            height,
+            10.0 ** data.draw(st.floats(-1.0, 5.0)),
+            1e6 * data.draw(st.floats(1e-3, 0.9)),
+        )
+        shares = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        spend = data.draw(st.floats(0.0, 1.0)) * (problem.budget - n * problem.min_rate)
+        total = shares.sum()
+        start = problem.min_rate + spend * (shares / total if total > 0.0 else shares)
+
+        cold = allocate(problem)
+        warm = allocate(problem, start)
+        penalty = build_cone_penalty(problem, cold.step1_rates)
+        p_warm = penalized_objective(problem, penalty, warm.rates)
+        p_cold = penalized_objective(problem, penalty, cold.rates)
+        assert p_warm == pytest.approx(p_cold, rel=1e-10)
+        assert p_warm <= penalized_objective(problem, penalty, cold.step1_rates) * (1.0 + 1e-12)
+        assert warm.step1_rates == cold.step1_rates
 
     def test_polish_does_not_worsen_linearized_objective(self):
         problem = coupled_square()

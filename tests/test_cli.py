@@ -1,6 +1,5 @@
 """Command-line workflow: subcommands, exit codes, and output formats."""
 
-import importlib.util
 import itertools
 import math
 import os
@@ -16,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lfalloc
 from lfalloc import cli
 from lfalloc import (
     AllocationProblem,
@@ -60,14 +58,10 @@ from lfalloc.cli import (
 )
 from lfalloc.encodesim import TRACE_HEADER, ParsedTrace, ParsedTraceIteration
 from lfalloc.lightfield import grid_to_text
-from test_allocator import coupled_square, line_problem, sparse_problem
+from test_allocator import coupled_square, line_problem, sparse_problem, sweep_problem
 from test_encodesim import seeded_mock, small_grid_setup
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SWEEP = Path(__file__).resolve().parent.parent / "tools" / "step2_sweep.py"
-SPEC = importlib.util.spec_from_file_location("step2_sweep", SWEEP)
-sweep = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(sweep)
 
 
 def run_python(cwd, *args, **env):
@@ -225,6 +219,35 @@ class TestAllocateCommand:
         assert code == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, value, name",
+        [
+            ("--budget", "-1", "budget"),
+            ("--budget", "nan", "budget"),
+            ("--lambda", "-1", "lambda"),
+            ("--min-rate", "0", "min_rate"),
+        ],
+    )
+    def test_bad_override_is_input_error(self, tmp_path, capsys, option, value, name):
+        # The file is sound, so the error names the quantity, not the file.
+        problem = self.problem_path(tmp_path)
+        output = tmp_path / "a.csv"
+        argv = ["allocate", str(problem), option, value, "--output", str(output)]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be ") and str(problem) not in err
+        assert not output.exists()
+
+    def test_floor_derived_from_the_file_names_the_file(self, tmp_path, capsys):
+        # The default floor of a subnormal budget underflows to 0.
+        problem = tmp_path / "problem.txt"
+        problem.write_text(
+            "width: 1\nheight: 1\nbudget: 5e-324\nlambda: 0\nframe: 0,0,1,1e8,-0.3\n"
+        )
+        assert main(["allocate", str(problem), "--output", str(tmp_path / "a.csv")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"error: {problem}: min_rate must be positive and finite\n"
+
     @pytest.mark.parametrize("extra", ["repeat", "off_grid"])
     def test_extra_frame_line_is_input_error(self, tmp_path, capsys, extra):
         problem = self.problem_path(tmp_path)
@@ -243,12 +266,7 @@ class TestAllocateCommand:
         """Step-2 sweep problem 1323, a 1x6 line with zero weights at lambda
         about 6.8e3, stops at the kink: allocate warns, writes the best
         iterate and exits 0."""
-        rng = np.random.default_rng(sweep.SEED)
-        for _ in range(1324):
-            try:
-                problem = sweep.draw_problem(lfalloc, rng)
-            except lfalloc.DegenerateWeights:
-                problem = None
+        problem = sweep_problem(1323)
         assert (problem.grid.width, problem.grid.height) == (1, 6)
         assert min(problem.weights.raw.values()) == 0.0
         assert problem.lam == pytest.approx(6.8e3, rel=0.01)

@@ -981,7 +981,9 @@ class TestReferenceAnticipation:
             for c in coupled_setup.grid.coding_order
         )
         calls = []
-        monkeypatch.setattr(encodesim, "allocate", lambda p: calls.append(p) or allocate(p))
+        monkeypatch.setattr(
+            encodesim, "allocate", lambda p, start=None: calls.append(p) or allocate(p, start)
+        )
         anticipated, planned = encodesim._anticipated(problem, last)
         assert len(calls) == 1
         # Planned against the unscaled models: the same alpha and beta.
@@ -1273,10 +1275,10 @@ class TestRunToConvergence:
         sse_mid = mock_encode(config, first, 30, 0.0)[1] * 1.25 ** 0.3
         threshold = 3e7 * (1.0 + 0.5 * sse_mid / 2e6)
 
-        def swinging_allocate(problem):
+        def swinging_allocate(problem, start=None):
             a = problem.models[second].alpha
             rates = {first: low, second: high} if a < threshold else {first: high, second: low}
-            return replace(allocate(problem), rates=rates)
+            return replace(allocate(problem, start), rates=rates)
 
         monkeypatch.setattr(encodesim, "allocate", swinging_allocate)
         with caplog.at_level(logging.WARNING, logger="lfalloc.encodesim"):
@@ -1316,13 +1318,32 @@ class TestRunToConvergence:
         longer = run()
         assert len(longer.entries) == 12 and longer.encodes == trace.encodes
 
+    def test_each_allocation_starts_from_the_last(self, coupled_setup, monkeypatch):
+        # Step 2 starts from the first pass's even share, then from the
+        # rates the allocation before returned: the previous anticipation
+        # round's, or the previous pass's allocation.
+        starts, results = [], []
+
+        def spying_allocate(problem, start=None):
+            starts.append(start)
+            results.append(allocate(problem, start))
+            return results[-1]
+
+        monkeypatch.setattr(encodesim, "allocate", spying_allocate)
+        grid = coupled_setup.grid
+        adapter = MockEncoder(coupled_setup.config)
+        trace = run_to_convergence(adapter, grid, coupled_setup.weights, 2e7, 5.0, 6)
+        assert len(results) > len(trace.entries) - 1
+        assert starts[0] == dict.fromkeys(grid.coding_order, 2e7 / grid.n_frames)
+        assert all(start is result.rates for start, result in zip(starts[1:], results))
+
     def test_allocator_that_stops_short_carries_its_best_iterate(
         self, decoupled_setup, monkeypatch, caplog
     ):
         carried, targets = [], []
 
-        def stopping_allocate(problem):
-            carried.append(allocate(problem))
+        def stopping_allocate(problem, start=None):
+            carried.append(allocate(problem, start))
             raise NotConverged("iteration cap", result=carried[-1])
 
         monkeypatch.setattr(encodesim, "allocate", stopping_allocate)

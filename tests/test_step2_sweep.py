@@ -30,6 +30,7 @@ def test_equal_runs_show_no_transition_or_rise():
     text = sweep.format_summary(sweep.summarize(runs, runs))
     assert "sweep (3 problems)" in text
     assert "P rises by more than 1e-09 relative on 0 problems" in text
+    assert "P moves from +0.0e+00 to +0.0e+00 relative" in text
     assert "mean step-2 iterations 4.000 -> 4.000 over the 1 problems both converge on" in text
     assert "identical rates on 2 problems" in text
 
@@ -75,6 +76,25 @@ def test_transitions_and_rises_largest_first():
     assert "P rises by more than 1e-09 relative on 2 problems" in text
     assert "problem 3: P +2.000e-01 relative (NotConverged -> NotConverged)" in text
     assert "mean step-2 iterations 4.000 -> 5.500 over the 2 problems both converge on" in text
+
+
+def test_largest_relative_fall_and_rise_of_p():
+    # Rounding-level moves show their size though none counts as a rise.
+    parent = [record(p=100.0), record(p=100.0), record(p=100.0), record("DegenerateWeights")]
+    change = [
+        record(p=100.0 * (1.0 - 4e-13)),
+        record(p=100.0 * (1.0 + 3e-11)),
+        record(p=100.0 * (1.0 - 1e-13)),
+        record("DegenerateWeights"),
+    ]
+    summary = sweep.summarize(parent, change)["sweep"]
+    assert summary["rises"] == []
+    assert summary["p_moves"] == pytest.approx([-4e-13, 3e-11], rel=1e-3)
+    assert "P moves from -4.0e-13 to +3.0e-11 relative" in sweep.format_summary({"sweep": summary})
+    # A set whose P only falls has no rise.
+    falls = sweep.summarize(parent[:1], change[:1])["sweep"]
+    assert falls["p_moves"][1] == 0.0
+    assert "to +0.0e+00 relative" in sweep.format_summary({"sweep": falls})
 
 
 def test_each_set_is_summarized_on_its_own():

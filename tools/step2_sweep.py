@@ -28,7 +28,9 @@ its outcome (converged, NotConverged or DegenerateWeights), P at the
 result, linearized at the step-1 split as the benchmark's p_ratio is, the
 result's kkt_residual and step-2 iterations, and a digest of its rates;
 all but the set and outcome are None for DegenerateWeights. `compare`
-reports each set on its own.
+reports each set on its own: outcomes, rises of P above P_RISE, the
+largest relative fall and rise of P (so a rounding-level change shows its
+size), mean step-2 iterations and identical rates.
 """
 
 from __future__ import annotations
@@ -145,17 +147,20 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
 
 def summarize_set(parent: list[dict], change: list[dict]) -> dict:
     """Outcome counts of both runs, the outcome transitions, the rises in
-    P of change over parent above P_RISE, largest first, the mean step-2
-    iterations of each over the problems both converge on, and how many
-    problems end at identical rates."""
+    P of change over parent above P_RISE, largest first, the largest
+    relative fall and rise of P (each 0 where P never moves that way), the
+    mean step-2 iterations of each over the problems both converge on, and
+    how many problems end at identical rates."""
     pairs = list(zip(parent, change))
     transitions = Counter(
         (a["outcome"], b["outcome"]) for a, b in pairs if a["outcome"] != b["outcome"]
     )
     rises = []
+    fall = largest_rise = 0.0
     for index, (a, b) in enumerate(pairs):
         if a["p"] is not None and b["p"] is not None:
             rise = (b["p"] - a["p"]) / abs(a["p"])
+            fall, largest_rise = min(fall, rise), max(largest_rise, rise)
             if rise > P_RISE:
                 rises.append(dict(problem=index, rise=rise, parent=a["outcome"], change=b["outcome"]))
     rises.sort(key=lambda r: (-r["rise"], r["problem"]))
@@ -171,6 +176,7 @@ def summarize_set(parent: list[dict], change: list[dict]) -> dict:
         change=counts(change),
         transitions=[dict(parent=a, change=b, count=c) for (a, b), c in sorted(transitions.items())],
         rises=rises,
+        p_moves=[fall, largest_rise],
         converged_both=len(both),
         mean_iterations=[
             statistics.fmean(a["iterations"] for a, _ in both),
@@ -204,6 +210,8 @@ def format_set(summary: dict) -> list[str]:
         f"problem {r['problem']}: P {r['rise']:+.3e} relative ({r['parent']} -> {r['change']})"
         for r in rises[:SHOWN_RISES]
     ]
+    fall, rise = summary["p_moves"]
+    lines.append(f"P moves from {fall:+.1e} to {rise:+.1e} relative")
     if summary["converged_both"]:
         before, after = summary["mean_iterations"]
         lines.append(
