@@ -40,7 +40,7 @@ _EXPORTS = {
         "ModelOutOfRange", "NoOverlap", "NonDecreasingRD", "NotConverged", "ParseError",
     ),
     "lightfield": (
-        "FrameCoord", "FrameGrid", "WeightSet", "frame_weight", "l1_distance", "proximity",
+        "FrameCoord", "FrameGrid", "WeightSet", "frame_weight", "proximity",
         "read_weight_map_csv", "spiral_order", "unify_weights",
     ),
     "metrics": (

@@ -48,13 +48,10 @@ log = logging.getLogger("lfalloc.allocator")
 # Default rate floor as a fraction of budget per frame.
 MIN_RATE_BUDGET_FRACTION = 1e-3
 
-# A consistency residual whose norm is below this fraction of the norm of
-# the terms that cancel in it counts as exactly zero, where the penalty
-# norm has its kink.
-ZERO_RESIDUAL = 1e-12
-
-# Relative rounding error of the objective, taken over the magnitudes
-# that cancel in it.
+# Relative rounding error of a sum, taken over the magnitudes that cancel
+# in it: of the objective, and of the consistency residual, whose norm
+# below this fraction of the norm of its terms counts as exactly zero,
+# where the penalty norm has its kink.
 ROUNDING = 1e-14
 
 # A rate within this relative distance of min_rate is on the floor; a
@@ -210,17 +207,14 @@ def _as_vector(problem: AllocationProblem, rates) -> np.ndarray:
     return np.asarray(rates, dtype=float)
 
 
-def _predicted_sse(problem: AllocationProblem, rates) -> np.ndarray:
+def evaluate_cost(problem: AllocationProblem, rates) -> CostBreakdown:
+    """Joint cost of an allocation under the problem's models, weights
+    (its w, read at construction) and lambda; a rate that is not positive
+    raises DomainError."""
     vec = _as_vector(problem, rates)
     if np.any(vec <= 0.0):
         raise DomainError("rate must be positive")
-    return problem.alpha * vec ** problem.beta
-
-
-def evaluate_cost(problem: AllocationProblem, rates) -> CostBreakdown:
-    """Joint cost of an allocation under the problem's models, weights
-    (its w, read at construction) and lambda."""
-    return joint_cost(problem.grid, problem.w, _predicted_sse(problem, rates), problem.lam)
+    return joint_cost(problem.grid, problem.w, problem.alpha * vec ** problem.beta, problem.lam)
 
 
 def _result(
@@ -660,7 +654,7 @@ def solve_step2(
             res = penalty.residual(r)
             norm = float(np.linalg.norm(res))
             scale = residual_scale(r)
-            if norm <= ZERO_RESIDUAL * scale:
+            if norm <= ROUNDING * scale:
                 found = certified(r)
                 if found is not None:
                     _, mu, marginal = found
@@ -687,7 +681,8 @@ def solve_step2(
                 candidate = projected(r, d)
                 value_c = penalized_objective(problem, penalty, candidate)
                 accepted = candidate if value_c <= min(value + resolution, start_value) else r
-                if kkt_residual_at(accepted) <= KKT_TOLERANCE:
+                kkt_residual = kkt_residual_at(accepted)
+                if kkt_residual <= KKT_TOLERANCE:
                     r = accepted
                     stop = "Newton decrement"
                     break
@@ -700,7 +695,7 @@ def solve_step2(
             break
         r, value = candidate, value_c
 
-    if stop not in ("certified zero residual", "floor spend"):
+    if stop not in ("certified zero residual", "floor spend", "Newton decrement"):
         kkt_residual = kkt_residual_at(r)
     settled = stop in ("certified zero residual", "floor spend", "Newton decrement", "line search")
     converged = settled and kkt_residual <= KKT_TOLERANCE

@@ -8,9 +8,11 @@ distortions, compare rate-quality curves, and print scan orders.
 Exit codes are fixed so harnesses can assert failures precisely:
 0 success, 2 parse or input error, 3 model fit error, 4 infeasible
 budget, 5 metric domain error. Output files use shortest round-trip
-float formatting, so identical inputs produce identical bytes; stdout
-summaries round to 4 significant digits. Set LFALLOC_LOG (DEBUG, INFO,
-WARNING, ...) to log solver progress to stderr.
+float formatting, so identical inputs produce identical bytes on one
+numpy and BLAS build at one BLAS thread count (step 2's dense solve
+rounds differently per thread count); stdout summaries round to 4
+significant digits. Set LFALLOC_LOG (DEBUG, INFO, WARNING, ...) to log
+solver progress to stderr.
 
 main(argv) may be called many times in one process. The parser is built
 once, on the first call, and each call runs the cmd_* function this

@@ -14,7 +14,7 @@ class DegenerateWeights(LfallocError):
 
 
 class IncompleteInput(LfallocError):
-    """A per-frame map does not cover every coordinate of the grid."""
+    """A per-frame map misses a coordinate of the grid or names one off it."""
 
 
 class InsufficientSamples(LfallocError):

@@ -71,12 +71,18 @@ class FrameGrid:
 
     def align(self, table: Mapping[FrameCoord, object], what: str) -> list:
         """table's values in coding order, the layout of every per-frame
-        vector; a frame the table lacks raises IncompleteInput naming it."""
+        vector. A frame of the grid that the table lacks, or a frame off
+        the grid that it names, raises IncompleteInput naming that frame."""
         try:
-            return [table[c] for c in self.coding_order]
+            values = [table[c] for c in self.coding_order]
         except KeyError as exc:
             u, v = exc.args[0]
             raise IncompleteInput(f"{what} missing for frame ({u},{v})") from None
+        if len(table) != len(values):
+            on_grid = set(self.coding_order)
+            u, v = next(c for c in table if c not in on_grid)
+            raise IncompleteInput(f"{what} given for frame ({u},{v}) off the grid")
+        return values
 
     @cached_property
     def lattice_index(self) -> np.ndarray:
@@ -133,10 +139,11 @@ class CoupledPairs:
 class WeightSet:
     """Raw per-frame weights; unified is their rescaling to a unit maximum.
 
-    raw holds each frame's weight, finite and not negative; unified is
-    derived from it on first use, each weight divided by the largest, so
-    it covers the same frames and its largest value is exactly one. An
-    empty or all-zero raw raises DegenerateWeights.
+    raw holds each frame's weight; unified is derived from it on first
+    use, each weight divided by the largest, so it covers the same frames
+    and its largest value is exactly one. An empty raw raises
+    DegenerateWeights, a weight that is negative or not finite ValueError,
+    and an all-zero raw DegenerateWeights.
     """
 
     raw: dict[FrameCoord, float]
@@ -144,6 +151,8 @@ class WeightSet:
     def __post_init__(self):
         if not self.raw:
             raise DegenerateWeights("no frame weights given")
+        if not all(0.0 <= w < math.inf for w in self.raw.values()):
+            raise ValueError("raw weights must be nonnegative and finite")
         if max(self.raw.values()) <= 0.0:
             raise DegenerateWeights("all frame weights are zero")
 
@@ -174,20 +183,14 @@ def frame_weight(weight_map) -> float:
 
 
 def unify_weights(raw: dict[FrameCoord, float]) -> WeightSet:
-    """The WeightSet of a copy of raw, whose weights must be finite and
-    not negative."""
-    if not all(math.isfinite(w) and w >= 0.0 for w in raw.values()):
-        raise ValueError("raw weights must be nonnegative and finite")
+    """The WeightSet of a copy of raw."""
     return WeightSet(raw=dict(raw))
 
 
-def l1_distance(a: FrameCoord, b: FrameCoord) -> int:
-    return abs(a.u - b.u) + abs(a.v - b.v)
-
-
 def proximity(a: FrameCoord, b: FrameCoord) -> float:
-    """Coupling strength between two frames; zero at distance 3 or more."""
-    return float(max(0, PROXIMITY_RADIUS - l1_distance(a, b)))
+    """Coupling strength between two frames; zero at L1 grid distance 3
+    or more."""
+    return float(max(0, PROXIMITY_RADIUS - abs(a.u - b.u) - abs(a.v - b.v)))
 
 
 def spiral_order(width: int, height: int) -> FrameGrid:

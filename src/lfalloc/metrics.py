@@ -52,12 +52,6 @@ class RDPoint:
     quality: float
 
 
-def _aligned(grid: FrameGrid, weights: WeightSet, distortions: DistortionSet):
-    """Unified weights and SSE as coding-order vectors."""
-    w = np.array(grid.align(weights.unified, "weights"))
-    return w, np.array(grid.align(distortions.sse, "SSE"))
-
-
 def cost(
     grid: FrameGrid, weights: WeightSet, distortions: DistortionSet, lam: float
 ) -> CostBreakdown:
@@ -69,7 +63,8 @@ def cost(
     weights gates every pair, so a frame nobody cares about cannot create
     discontinuity.
     """
-    return joint_cost(grid, *_aligned(grid, weights, distortions), lam)
+    w = np.array(grid.align(weights.unified, "weights"))
+    return joint_cost(grid, w, np.array(grid.align(distortions.sse, "SSE")), lam)
 
 
 def joint_cost(grid: FrameGrid, w: np.ndarray, d: np.ndarray, lam: float) -> CostBreakdown:

@@ -41,7 +41,6 @@ from lfalloc import (
     write_problem_file,
 )
 from lfalloc import allocator
-from lfalloc.allocator import _predicted_sse
 
 SWEEP = Path(__file__).resolve().parent.parent / "tools" / "step2_sweep.py"
 SPEC = importlib.util.spec_from_file_location("step2_sweep", SWEEP)
@@ -181,6 +180,15 @@ class TestAllocationProblem:
         models = {c: RDModelParams(alpha=1e7, beta=-0.3) for c in grid.coding_order}
         with pytest.raises(IncompleteInput, match=r"weights missing for frame \(0,0\)"):
             AllocationProblem(grid=grid, weights=weights, models=models, budget=1e6)
+
+    def test_weight_off_the_grid(self):
+        # Unified over every raw weight, the extra frame's weight would
+        # rescale all four weights on the grid.
+        grid = spiral_order(2, 2)
+        raw = {c: 1.0 for c in grid.coding_order} | {FrameCoord(9, 9): 4.0}
+        models = {c: RDModelParams(alpha=1e8, beta=-0.3) for c in grid.coding_order}
+        with pytest.raises(IncompleteInput, match=r"^weights given for frame \(9,9\) off the grid$"):
+            AllocationProblem(grid, unify_weights(raw), models, budget=4e6, lam=50.0)
 
     def test_tables_read_once(self):
         problem = line_problem(REFERENCE_PAIRS, budget=3e6)
@@ -794,8 +802,9 @@ class TestPredictedDistortions:
             lam=0.0,
         )
         rates = rng.uniform(1e3, 5e6, len(coords))
-        predicted = _predicted_sse(problem, rates).tolist()
-        assert predicted == [eval_model(models[c], float(r)) for c, r in zip(coords, rates)]
+        per_frame = {c: eval_model(models[c], float(r)) for c, r in zip(coords, rates)}
+        expected = cost(grid, problem.weights, DistortionSet(per_frame), 0.0)
+        assert evaluate_cost(problem, rates) == expected
 
     def test_non_positive_rate_is_domain_error(self):
         problem = coupled_square()

@@ -241,6 +241,20 @@ class TestMockEncoderAdapter:
         setup = small_grid_setup()
         assert MockEncoder(setup.config).total_pixels == 4 * 100_000
 
+    def test_refused_encode_names_its_frame(self):
+        class Refusing(MockEncoder):
+            def encode_frame(self, coord, qp, ref_state):
+                if coord == (0, 2) and qp < 20:
+                    raise EncodeFailed(f"qp {qp} refused")
+                return super().encode_frame(coord, qp, ref_state)
+
+        grid = spiral_order(3, 3)
+        config = MockEncoderConfig(frame_params={c: (3e7, -0.3) for c in grid.coding_order})
+        setup = MockSetup(config, grid, unify_weights(dict.fromkeys(grid.coding_order, 1.0)))
+        with pytest.raises(EncodeFailed, match=r"^frame \(0,2\): qp 10 refused$") as info:
+            encode_pass(Refusing(config), setup, uniform(grid, 9e7))
+        assert str(info.value.__cause__) == "qp 10 refused"
+
 
 class TestTrialSweep:
     """Quantizer sweeps around a working point."""
@@ -1600,4 +1614,15 @@ class TestTraceIO:
             "# converged true\n"
         )
         with pytest.raises(ParseError):
+            read_trace_csv(path)
+
+    def test_out_of_order_summary(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "iteration,u,v,qp,rate_bits,sse,alpha,beta\n"
+            "1,0,0,30,1e6,1e5,3e7,-0.3\n"
+            "# iteration 2 total_cost 1.0 wpsnr 40.0\n"
+            "# converged true\n"
+        )
+        with pytest.raises(ParseError, match=r"line 3: iteration 2 is out of order$"):
             read_trace_csv(path)

@@ -13,7 +13,6 @@ from lfalloc import (
     ParseError,
     WeightSet,
     frame_weight,
-    l1_distance,
     proximity,
     read_weight_map_csv,
     spiral_order,
@@ -108,6 +107,34 @@ class TestUnifyWeights:
         with pytest.raises(DegenerateWeights):
             WeightSet(raw=raw)
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_weight_set_rejects_a_negative_or_non_finite_weight(self, bad):
+        raw = {FrameCoord(0, 0): 1.0, FrameCoord(1, 0): bad}
+        with pytest.raises(ValueError, match=r"^raw weights must be nonnegative and finite$"):
+            WeightSet(raw=raw)
+
+    @pytest.mark.parametrize(
+        "raw, error, message",
+        [
+            ({}, DegenerateWeights, "no frame weights given"),
+            ({(0, 0): 0.0, (1, 0): 0.0}, DegenerateWeights, "all frame weights are zero"),
+            # The weight check comes before the all-zero test.
+            ({(0, 0): -1.0, (1, 0): 0.0}, ValueError, "raw weights must be nonnegative and finite"),
+            ({(0, 0): float("nan")}, ValueError, "raw weights must be nonnegative and finite"),
+            ({(0, 0): float("inf")}, ValueError, "raw weights must be nonnegative and finite"),
+        ],
+    )
+    def test_outcome_of_each_kind_of_table(self, raw, error, message):
+        with pytest.raises(error, match=rf"^{message}$"):
+            unify_weights(raw)
+
+    def test_valid_table_is_copied(self):
+        raw = {FrameCoord(0, 0): 0.5, FrameCoord(1, 0): 2.0}
+        ws = unify_weights(raw)
+        raw[FrameCoord(0, 0)] = 8.0
+        assert ws.raw == {FrameCoord(0, 0): 0.5, FrameCoord(1, 0): 2.0}
+        assert ws.unified == {FrameCoord(0, 0): 0.25, FrameCoord(1, 0): 1.0}
+
     @settings(derandomize=True, max_examples=25)
     @given(scale=st.floats(min_value=1e-6, max_value=1e6))
     def test_scale_invariance(self, scale):
@@ -122,8 +149,10 @@ class TestProximity:
     """L1 distance and the distance-gated coupling strength."""
 
     def test_l1_examples(self):
-        assert l1_distance(FrameCoord(1, 2), FrameCoord(3, 1)) == 3
-        assert l1_distance(FrameCoord(0, 0), FrameCoord(0, 0)) == 0
+        assert proximity(FrameCoord(1, 2), FrameCoord(3, 1)) == 0.0
+        assert proximity(FrameCoord(1, 2), FrameCoord(2, 1)) == 1.0
+        assert proximity(FrameCoord(0, 0), FrameCoord(0, 1)) == 2.0
+        assert proximity(FrameCoord(0, 0), FrameCoord(0, 0)) == 3.0
 
     def test_gate_values(self):
         a = FrameCoord(2, 2)
@@ -143,7 +172,7 @@ class TestProximity:
     def test_symmetric_and_gated(self, au, av, bu, bv):
         a, b = FrameCoord(au, av), FrameCoord(bu, bv)
         assert proximity(a, b) == proximity(b, a)
-        assert (proximity(a, b) == 0.0) == (l1_distance(a, b) >= 3)
+        assert (proximity(a, b) == 0.0) == (abs(au - bu) + abs(av - bv) >= 3)
 
 
 class TestCoupledPairs:
@@ -241,6 +270,12 @@ class TestAlign:
         grid = spiral_order(2, 2)
         table = {c: 1.0 for c in grid.coding_order if c != (0, 1)}
         with pytest.raises(IncompleteInput, match=r"^widths missing for frame \(0,1\)$"):
+            grid.align(table, "widths")
+
+    def test_frame_off_the_grid_is_named(self):
+        grid = spiral_order(2, 2)
+        table = {c: 1.0 for c in grid.coding_order} | {FrameCoord(9, 9): 4.0}
+        with pytest.raises(IncompleteInput, match=r"^widths given for frame \(9,9\) off the grid$"):
             grid.align(table, "widths")
 
 

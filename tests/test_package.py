@@ -125,14 +125,20 @@ def test_every_exported_name_is_used_outside_tests():
         (encodesim, "_searched"),
         (encodesim, "_EncodeCache"),
         (encodesim, "_allocate"),
+        (allocator, "ZERO_RESIDUAL"),
+        (lightfield, "l1_distance"),
+        (metrics, "_aligned"),
+        (allocator, "_predicted_sse"),
     ],
 )
 def test_scalar_twins_are_gone(module, name):
     """Deleted names stay gone: the scalar twins, the standalone passes, the
     readers, pixel frame, errors and metric that only tests reached,
     step 2's majorizer retry length, the loop's three commit helpers that
-    one commit rule replaced, and the loop's encode cache and allocate
-    wrapper, replaced by a functools.cache memo and by anticipation."""
+    one commit rule replaced, the loop's encode cache and allocate
+    wrapper, replaced by a functools.cache memo and by anticipation, step
+    2's second rounding tolerance, which ROUNDING replaced, and the
+    helpers with one caller that were folded into it."""
     assert name not in lfalloc.__all__
     assert not hasattr(lfalloc, name)
     assert not hasattr(module, name)
