@@ -37,6 +37,7 @@ from . import allocator, metrics, rdmodel, records
 from .errors import (
     DegenerateWeights,
     DomainError,
+    IncompleteInput,
     InfeasibleBudget,
     InsufficientPoints,
     InsufficientSamples,
@@ -47,7 +48,7 @@ from .errors import (
     NotConverged,
     ParseError,
 )
-from .lightfield import grid_to_text, read_weight_map_csv, spiral_order, unify_weights
+from .lightfield import FrameCoord, grid_to_text, read_weight_map_csv, spiral_order, unify_weights
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -149,7 +150,8 @@ def _load_distortions(path: str) -> metrics.DistortionSet:
     from . import encodesim
 
     if first == encodesim.TRACE_HEADER:
-        return encodesim.last_iteration_distortions(encodesim.read_trace_csv(path))
+        rows = encodesim.read_trace_csv(path).iterations[-1].rows
+        return metrics.DistortionSet({FrameCoord(u, v): sse for u, v, _, _, sse, _, _ in rows})
     raise ParseError(
         f"{path}: expected header '{metrics.SSE_HEADER}' or '{encodesim.TRACE_HEADER}'"
     )
@@ -158,18 +160,17 @@ def _load_distortions(path: str) -> metrics.DistortionSet:
 def cmd_metrics(args: argparse.Namespace) -> int:
     distortions = _load_distortions(args.input)
     width, height, raw = read_weight_map_csv(args.weights)
-    outside = sorted(distortions.sse.keys() - raw.keys())
-    if outside:
-        raise ParseError(
-            f"{args.input}: frame ({outside[0].u},{outside[0].v}) outside the "
-            f"{width}x{height} grid of {args.weights}"
-        )
     grid = spiral_order(width, height)
     try:
         weights = unify_weights(raw)
     except DegenerateWeights as exc:
         raise DegenerateWeights(f"{args.weights}: {exc}") from exc
-    breakdown = metrics.cost(grid, weights, distortions, args.lam)
+    try:
+        breakdown = metrics.cost(grid, weights, distortions, args.lam)
+    except IncompleteInput as exc:
+        raise IncompleteInput(
+            f"{args.input}: {exc} of the {width}x{height} weight map {args.weights}"
+        ) from exc
     quality = metrics.wpsnr(breakdown.total, args.pixels)
     report = metrics.format_cost_breakdown(breakdown) + f"wpsnr_db {records.number(quality)}\n"
     if args.output is not None:

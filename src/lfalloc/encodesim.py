@@ -14,11 +14,12 @@ equal, the pair reaches out to the first quantizer whose rate differs. A
 searched frame costs 2 encoder calls when its seed quantizer is the
 answer or next to it.
 
-run_to_convergence is the loop's one entry point. Its first pass has no
-models yet, so it drives each frame toward the uniform budget share,
-which stands in for an encoder's default rate control; it searches every
-frame, starting from the previous frame's quantizer. Later passes
-alternate the allocator with a re-encode until no quantizer moves.
+run_to_convergence is the loop's one entry point. One loop runs every
+pass: allocate, encode, then test for a settled pass and for a cycle,
+until no quantizer moves. The first pass, with no previous pass and so
+no models, is not allocated: it drives each frame toward the uniform
+budget share, which stands in for an encoder's default rate control, and
+searches every frame, starting from the previous frame's quantizer.
 
 One rule predicts the quantizer a frame will commit: the search's own
 nearest-rate rule, run on rates predicted from one encode (qp, rate)
@@ -80,6 +81,9 @@ loop: rate halves every rate_qp_halving quantizer steps, and SSE follows
 a hidden per-frame power law in rate, optionally curved in log-log
 space, inflated by the reference frame's SSE when the dependency gain is
 positive.
+
+write_trace_csv writes the loop's IterationTrace; read_trace_csv reads
+the file back as a ParsedTrace.
 """
 from __future__ import annotations
 
@@ -97,7 +101,7 @@ from . import records
 from .allocator import AllocationProblem, AllocationResult, _ModelTable, allocate
 from .errors import DegenerateWeights, EncodeFailed, InsufficientSamples, NotConverged, ParseError
 from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order
-from .metrics import CostBreakdown, DistortionSet, joint_cost, wpsnr
+from .metrics import CostBreakdown, joint_cost, wpsnr
 from .rdmodel import RDModelParams, RDSample, fit_power_model
 
 log = logging.getLogger("lfalloc.encodesim")
@@ -563,8 +567,11 @@ def run_to_convergence(
     """Alternate allocation and re-encoding until no quantizer moves.
 
     Budget, lambda and min_rate are checked by AllocationProblem's rules
-    before the first encode. The first pass drives every frame toward the
-    uniform share budget / n_frames. Each re-encode pass targets the
+    before the first encode. One loop runs every pass: the allocation,
+    _encode_pass, the INFO line, the settle test and the _pass_state
+    cycle record. The first pass, the one with no previous pass, is not
+    allocated: it drives every frame toward the uniform share budget /
+    n_frames and cannot settle. Each re-encode pass targets the
     allocation against the previous pass's models, corrected by
     _anticipated for the reference each frame is predicted to see; the
     first two passes are never corrected, since the first pass leaves
@@ -600,62 +607,46 @@ def run_to_convergence(
     placeholder = _ModelTable(grid, ones, -ones)
     problem = AllocationProblem(grid, weights, placeholder, budget, lam, min_rate)
     encode = functools.cache(adapter.encode_frame)
-    share = dict.fromkeys(grid.coding_order, budget / grid.n_frames)
-    entries = [_encode_pass(adapter, encode, problem, share, None)]
+    targets = dict.fromkeys(grid.coding_order, budget / grid.n_frames)
+    entries, seen, converged = [], {}, False
+    previous = planned = None
     info = encode.cache_info()
-    log.info(
-        "iteration 1: cost %.6g, %d encoder calls, %d cache hits",
-        entries[0].cost.total,
-        info.misses,
-        info.hits,
-    )
-    seen = {_pass_state(grid, entries[0]): 1}
-    converged = False
-    targets = share
-    for _ in range(max_iters - 1):
-        previous = entries[-1]
-        allocation, models = _anticipated(problem, previous, targets)
-        targets = allocation.rates
-        # Only a lambda-0 allocation is separable, so only its frames are
-        # retargeted from the models they were allocated against.
-        planned = None if lam else models
-        entry = _encode_pass(adapter, encode, problem, allocation.rates, previous, planned)
+    for index in range(1, max_iters + 1):
+        if previous is not None:
+            allocation, models = _anticipated(problem, previous, targets)
+            targets = allocation.rates
+            # Only a lambda-0 allocation is separable, so only its frames are
+            # retargeted from the models they were allocated against.
+            planned = None if lam else models
+        entry = _encode_pass(adapter, encode, problem, targets, previous, planned)
         entries.append(entry)
-        moved = sum(qp != previous.qps[coord] for coord, qp in entry.qps.items())
         before, info = info, encode.cache_info()
-        log.info(
-            "iteration %d: cost %.6g, %d encoder calls, %d cache hits, %d quantizers moved, "
-            "%d committed on one encode, %d retargeted, %d targets outside the quantizer range",
-            len(entries),
-            entry.cost.total,
-            info.misses - before.misses,
-            info.hits - before.hits,
-            moved,
-            sum(model.sample_count == 1 for model in entry.models.values()),
-            len(entry.retargets),
-            _out_of_range(entry, allocation.rates | entry.retargets),
-        )
-        if moved == 0:
+        text = "iteration %d: cost %.6g, %d encoder calls, %d cache hits"
+        counts = [index, entry.cost.total, info.misses - before.misses, info.hits - before.hits]
+        if previous is not None:
+            text += (
+                ", %d quantizers moved, %d committed on one encode, %d retargeted, "
+                "%d targets outside the quantizer range"
+            )
+            counts += [
+                sum(qp != previous.qps[coord] for coord, qp in entry.qps.items()),
+                sum(model.sample_count == 1 for model in entry.models.values()),
+                len(entry.retargets),
+                _out_of_range(entry, targets | entry.retargets),
+            ]
+        log.info(text, *counts)
+        if previous is not None and entry.qps == previous.qps:
             converged = True
             break
         state = _pass_state(grid, entry)
         if state in seen:
-            log.warning(
-                "iteration %d repeats iteration %d: the loop cycles with period %d",
-                len(entries),
-                seen[state],
-                len(entries) - seen[state],
-            )
+            message = "iteration %d repeats iteration %d: the loop cycles with period %d"
+            log.warning(message, index, seen[state], index - seen[state])
             break
-        seen[state] = len(entries)
+        seen[state] = index
+        previous = entry
     log.info("encoder calls %d, cache hits %d", info.misses, info.hits)
-    return IterationTrace(
-        grid=grid,
-        entries=entries,
-        converged=converged,
-        encodes=info.misses,
-        cache_hits=info.hits,
-    )
+    return IterationTrace(grid, entries, converged, encodes=info.misses, cache_hits=info.hits)
 
 
 def _reference_scales(
@@ -820,40 +811,27 @@ class ParsedTraceIteration:
 
 @dataclass(frozen=True, eq=False)
 class ParsedTrace:
+    """A trace file as read_trace_csv reads it."""
+
     iterations: list[ParsedTraceIteration]
     converged: bool
 
 
-def trace_to_parsed(trace: IterationTrace) -> ParsedTrace:
+def write_trace_csv(trace: IterationTrace, path) -> None:
+    """The loop's trace as text: each pass's rows, one per frame in coding
+    order, closed by a commented summary row, then the convergence flag."""
     grid = trace.grid
-    iterations = []
-    for entry in trace.entries:
-        tables = (entry.qps, entry.rates, entry.sses, entry.models)
-        columns = (grid.align(table, "pass") for table in tables)
-        rows = [
-            (c.u, c.v, qp, rate, sse, m.alpha, m.beta)
-            for c, qp, rate, sse, m in zip(grid.coding_order, *columns)
-        ]
-        iterations.append(
-            ParsedTraceIteration(
-                rows=rows, total_cost=entry.cost.total, wpsnr_db=entry.wpsnr_db
-            )
-        )
-    return ParsedTrace(iterations=iterations, converged=trace.converged)
-
-
-def write_trace_csv(trace: IterationTrace | ParsedTrace, path) -> None:
-    """Per-frame rows per pass, each pass closed by a commented summary row."""
-    parsed = trace_to_parsed(trace) if isinstance(trace, IterationTrace) else trace
     lines = [TRACE_HEADER]
-    for index, iteration in enumerate(parsed.iterations, 1):
-        for u, v, qp, *values in iteration.rows:
-            lines.append(f"{index},{u},{v},{qp}," + ",".join(map(records.number, values)))
+    for index, entry in enumerate(trace.entries, 1):
+        tables = (entry.qps, entry.rates, entry.sses, entry.models)
+        for c, qp, rate, sse, m in zip(grid.coding_order, *(grid.align(t, "pass") for t in tables)):
+            values = rate, sse, m.alpha, m.beta
+            lines.append(f"{index},{c.u},{c.v},{qp}," + ",".join(map(records.number, values)))
         lines.append(
-            f"# iteration {index} total_cost {records.number(iteration.total_cost)} "
-            f"wpsnr {records.number(iteration.wpsnr_db)}"
+            f"# iteration {index} total_cost {records.number(entry.cost.total)} "
+            f"wpsnr {records.number(entry.wpsnr_db)}"
         )
-    lines.append(f"# converged {str(parsed.converged).lower()}")
+    lines.append(f"# converged {str(trace.converged).lower()}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -899,8 +877,3 @@ _TRACE_FIELDS = (records.integer,) * 4 + (
 )
 _SUMMARY_FIELDS = (str, records.integer, str, records.finite, str, records.finite_or_inf)
 
-
-def last_iteration_distortions(parsed: ParsedTrace) -> DistortionSet:
-    """SSE per frame from the final pass of a parsed trace."""
-    rows = parsed.iterations[-1].rows
-    return DistortionSet({FrameCoord(u, v): sse for u, v, _, _, sse, _, _ in rows})

@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import records
-from .errors import DegenerateWeights, IncompleteInput, ParseError
+from .errors import DegenerateWeights, IncompleteInput
 
 # Frames at L1 grid distance >= PROXIMITY_RADIUS do not interact.
 PROXIMITY_RADIUS = 3
@@ -233,9 +233,16 @@ def read_weight_map_csv(path) -> tuple[int, int, dict[FrameCoord, float]]:
     """Read raw frame weights: one CSV row per v, one value per u.
 
     Returns (width, height, weights); weights are raw, not yet unified.
+    A row whose length differs from the first row's is named by its line.
     """
-    rows = records.read(path, lambda line: [records.nonnegative(w) for w in line.split(",")])
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ParseError(f"{path}: ragged weight rows")
+    rows: list[list[float]] = []
+
+    def record(line: str) -> None:
+        weights = [records.nonnegative(w) for w in line.split(",")]
+        if rows and len(weights) != len(rows[0]):
+            raise ValueError(f"expected {len(rows[0])} weights, got {len(weights)}")
+        rows.append(weights)
+
+    records.read(path, record)
     weights = {FrameCoord(u, v): w for v, row in enumerate(rows) for u, w in enumerate(row)}
     return len(rows[0]), len(rows), weights

@@ -783,8 +783,8 @@ class TestSolveStep2RealisticScale:
         assert float(grad.sum()) <= 1e-6 * float(np.abs(grad).sum())
 
 
-class TestPredictedDistortions:
-    """Model SSE per frame, evaluated over the whole grid at once."""
+class TestEvaluateCost:
+    """Joint cost of the model SSE at given rates, evaluated over the whole grid at once."""
 
     def test_equals_per_frame_eval_model_exactly(self):
         rng = np.random.default_rng(17)

@@ -22,6 +22,7 @@ from lfalloc import (
     DistortionSet,
     FrameCoord,
     FrameGrid,
+    MockEncoder,
     ParseError,
     RDModelParams,
     RDPoint,
@@ -36,6 +37,7 @@ from lfalloc import (
     read_sse_csv,
     read_trace_csv,
     read_weight_map_csv,
+    run_to_convergence,
     spiral_order,
     unify_weights,
     write_allocation_file,
@@ -56,7 +58,7 @@ from lfalloc.cli import (
     build_parser,
     main,
 )
-from lfalloc.encodesim import TRACE_HEADER, ParsedTrace, ParsedTraceIteration
+from lfalloc.encodesim import TRACE_HEADER
 from lfalloc.lightfield import grid_to_text
 from test_allocator import coupled_square, line_problem, sparse_problem, sweep_problem
 from test_encodesim import seeded_mock, small_grid_setup
@@ -455,27 +457,21 @@ class TestMetricsCommand:
         assert "wpsnr_db" in text
 
     def test_trace_input_uses_final_pass(self, tmp_path, capsys, decoupled_setup):
-        config = tmp_path / "mock.txt"
-        write_mock_config(decoupled_setup, config)
-        trace_path = tmp_path / "trace.csv"
-        assert (
-            main(["simulate", str(config), "--budget", "2e7", "--output", str(trace_path)])
-            == EXIT_OK
-        )
+        """A trace scores as the SSE table of its final pass."""
+        setup = decoupled_setup
+        trace = run_to_convergence(MockEncoder(setup.config), setup.grid, setup.weights, 2e7, 0, 8)
+        assert trace.entries[0].sses != trace.entries[-1].sses
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        write_sse_csv(DistortionSet(trace.entries[-1].sses), tmp_path / "sse.csv")
         weights = tmp_path / "weights.csv"
         weights.write_text("\n".join(",".join(["1"] * 5) for _ in range(5)) + "\n")
-        code = main(
-            [
-                "metrics",
-                str(trace_path),
-                "--weights",
-                str(weights),
-                "--pixels",
-                str(25 * 100_000),
-            ]
-        )
-        assert code == EXIT_OK
-        assert "wpsnr" in capsys.readouterr().out
+        reports = []
+        for name in ("trace.csv", "sse.csv"):
+            argv = ["metrics", str(tmp_path / name), "--weights", str(weights)]
+            argv += ["--lambda", "5", "--pixels", str(25 * 100_000)]
+            assert main(argv + ["--output", str(tmp_path / "report.txt")]) == EXIT_OK
+            reports.append((capsys.readouterr().out, (tmp_path / "report.txt").read_text()))
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("lam, sse", [("nan", (1.0, 3.0)), ("inf", (2.0, 2.0))])
     def test_lambda_not_finite_is_input_error(self, tmp_path, capsys, lam, sse):
@@ -512,7 +508,9 @@ class TestMetricsCommand:
             ["metrics", str(sse_path), "--weights", str(weights), "--pixels", "100"]
         )
         assert code == EXIT_INPUT
-        capsys.readouterr()
+        assert capsys.readouterr().err == (
+            f"error: {sse_path}: SSE missing for frame (1,0) of the 2x1 weight map {weights}\n"
+        )
 
 
 class TestBdrateCommand:
@@ -718,14 +716,13 @@ def cli_inputs(command, tmp):
         argv = ["simulate", str(path), "--budget", "4e6", "--max-iters", "3"]
         return argv + ["--output", out], path
     if command in ("metrics", "metrics-trace", "metrics-weights"):
-        sse = {c: 1e5 * (k + 1) for k, c in enumerate(spiral_order(2, 2).coding_order)}
         if command == "metrics":
             path = tmp / "sse.csv"
+            sse = {c: 1e5 * (k + 1) for k, c in enumerate(spiral_order(2, 2).coding_order)}
             write_sse_csv(DistortionSet(sse), path)
         else:
             path = tmp / "trace.csv"
-            rows = [(c.u, c.v, 30, 1e6, value, 3e7, -0.3) for c, value in sse.items()]
-            write_trace_csv(ParsedTrace([ParsedTraceIteration(rows, 1e6, 40.0)], True), path)
+            write_trace_csv(one_pass_trace(), path)
         weights = tmp / "weights.csv"
         weights.write_text("1,0.5\n0.25,1\n")
         argv = ["metrics", str(path), "--weights", str(weights), "--lambda", "5"]
@@ -738,6 +735,13 @@ def cli_inputs(command, tmp):
     write_curve_csv(anchor, path)
     write_curve_csv([RDPoint(p.rate * 1.1, p.quality) for p in anchor], other)
     return ["bdrate", str(path), str(other), "--output", out], path
+
+
+def one_pass_trace():
+    """The trace of a one-pass loop on a 2x2 mock: its rows are iteration 1
+    of frames (1,1), (0,1), (0,0) and (1,0), in that order."""
+    setup = small_grid_setup()
+    return run_to_convergence(MockEncoder(setup.config), setup.grid, setup.weights, 4e6, 0.0, 1)
 
 
 def replace_field(prefix, index, value):
@@ -773,6 +777,11 @@ def drop_last_field(prefix):
         lines[k] = lines[k].rpartition(",")[0]
 
     return edit
+
+
+def drop_line(prefix):
+    """Edit: the first line starting with prefix is deleted."""
+    return lambda lines: lines.remove(next(line for line in lines if line.startswith(prefix)))
 
 
 def both(*edits):
@@ -827,6 +836,10 @@ RECORD_DEFECTS = {
     "three_field_order_pair": ("allocate", set_line("order:", "order: 1,1;0,0,7;1,0;0,1"), True),
     "repeated_sse_row": ("metrics", repeat_line("1,1,"), True),
     "sse_row_off_grid": ("metrics", lambda lines: lines.append("5,5,1.0"), False),
+    # A frame of the weight map's grid that the SSE table or trace lacks.
+    "sse_row_missing": ("metrics", drop_line("0,0,"), False),
+    "trace_row_missing": ("metrics-trace", drop_line("1,0,0,"), False),
+    "weight_map_ragged_row": ("metrics-weights", drop_last_field("0.25,"), True),
     "sse_negative": ("metrics", replace_field("0,0,", 2, "-5"), True),
     "trace_sse_negative": ("metrics-trace", replace_field("1,0,0,", 5, "-5"), True),
     "weight_map_negative": ("metrics-weights", replace_field("0.25,", 0, "-1"), True),
@@ -1219,13 +1232,23 @@ def test_writers_round_trip(tmp_path):
     assert mock.grid == setup.grid and mock.weights.raw == setup.weights.raw
     assert vars(mock.config) == vars(setup.config)
 
-    rows = [(0, 0, 30, 1e6, 0.0, 3e7, -0.3), (1, 0, 31, 9e5, 2.5, 3e7, -0.31)]
-    trace = ParsedTrace([ParsedTraceIteration(rows, 0.0, math.inf)], False)
+    trace = one_pass_trace()
+    [entry] = trace.entries
+    rows = [
+        (c.u, c.v, entry.qps[c], entry.rates[c], entry.sses[c], m.alpha, m.beta)
+        for c, m in entry.models.items()
+    ]
     write_trace_csv(trace, tmp_path / "trace.csv")
     parsed = read_trace_csv(tmp_path / "trace.csv")
     assert parsed.converged is False
     [iteration] = parsed.iterations
-    assert (iteration.rows, iteration.total_cost, iteration.wpsnr_db) == (rows, 0.0, math.inf)
+    assert (iteration.rows, iteration.total_cost, iteration.wpsnr_db) == (
+        rows, entry.cost.total, entry.wpsnr_db
+    )
+    # wpsnr may be the lossless sentinel inf.
+    text = (tmp_path / "trace.csv").read_text()
+    (tmp_path / "trace.csv").write_text(re.sub(r"wpsnr \S+", "wpsnr inf", text))
+    assert read_trace_csv(tmp_path / "trace.csv").iterations[0].wpsnr_db == math.inf
 
     points = [RDPoint(1e5 * 1.7 ** i, 30.0 + 3.1 * i) for i in range(5)]
     write_curve_csv(points, tmp_path / "curve.csv")

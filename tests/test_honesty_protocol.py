@@ -3,12 +3,13 @@ and its trace digest."""
 
 import hashlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from lfalloc import write_trace_csv
-from lfalloc.encodesim import ParsedTrace, ParsedTraceIteration
+from lfalloc import MockEncoder, run_to_convergence, write_trace_csv
+from test_encodesim import small_grid_setup
 
 PATH = Path(__file__).resolve().parent.parent / "tools" / "honesty_protocol.py"
 SPEC = importlib.util.spec_from_file_location("honesty_protocol", PATH)
@@ -92,17 +93,17 @@ def test_traces_are_matched_by_loop():
         protocol.summarize(parent, change)
 
 
-def two_frame_trace(sse):
-    rows = [(0, 0, 30, 1e6, 2e5, 3e7, -0.3), (1, 0, 31, 9e5, sse, 3e7, -0.3)]
-    return ParsedTrace([ParsedTraceIteration(rows, 4.2e5, 40.0)], True)
-
-
 def test_trace_digest_is_the_written_file(tmp_path):
+    setup = small_grid_setup()
+    trace = run_to_convergence(MockEncoder(setup.config), setup.grid, setup.weights, 4e6, 0.0, 1)
     written = tmp_path / "written.csv"
-    write_trace_csv(two_frame_trace(2.2e5), written)
+    write_trace_csv(trace, written)
     path = tmp_path / "trace.csv"
-    digest = protocol.trace_digest(write_trace_csv, two_frame_trace(2.2e5), path)
+    digest = protocol.trace_digest(write_trace_csv, trace, path)
     assert digest == hashlib.sha256(written.read_bytes()).hexdigest()
     # One SSE a unit in the last place away is another trace.
-    other = protocol.trace_digest(write_trace_csv, two_frame_trace(2.2e5 * (1 + 2**-52)), path)
-    assert other != digest
+    [entry] = trace.entries
+    coord = setup.grid.coding_order[1]
+    sses = entry.sses | {coord: entry.sses[coord] * (1 + 2**-52)}
+    other = replace(trace, entries=[replace(entry, sses=sses)])
+    assert protocol.trace_digest(write_trace_csv, other, path) != digest

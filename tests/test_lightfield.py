@@ -350,7 +350,7 @@ class TestWeightMapCsv:
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "weights.csv"
         path.write_text("1,0.5\n0.25\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"line 2: expected 2 weights, got 1$"):
             read_weight_map_csv(path)
 
     def test_empty(self, tmp_path):

@@ -129,6 +129,8 @@ def test_every_exported_name_is_used_outside_tests():
         (lightfield, "l1_distance"),
         (metrics, "_aligned"),
         (allocator, "_predicted_sse"),
+        (encodesim, "trace_to_parsed"),
+        (encodesim, "last_iteration_distortions"),
     ],
 )
 def test_scalar_twins_are_gone(module, name):
@@ -137,8 +139,9 @@ def test_scalar_twins_are_gone(module, name):
     step 2's majorizer retry length, the loop's three commit helpers that
     one commit rule replaced, the loop's encode cache and allocate
     wrapper, replaced by a functools.cache memo and by anticipation, step
-    2's second rounding tolerance, which ROUNDING replaced, and the
-    helpers with one caller that were folded into it."""
+    2's second rounding tolerance, which ROUNDING replaced, the trace
+    writer's conversion to the parsed form, which only tests passed it, and
+    the helpers with one caller that were folded into it."""
     assert name not in lfalloc.__all__
     assert not hasattr(lfalloc, name)
     assert not hasattr(module, name)

@@ -1,6 +1,7 @@
-"""The step-2 sweep's comparison of two runs, on hand-made problem records."""
+"""The step-2 sweep's comparison of two runs and its gate, on hand-made problem records."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -122,3 +123,26 @@ def test_runs_over_different_problems_are_refused():
         sweep.summarize([record()], [record(), record()])
     with pytest.raises(ValueError, match="different problems"):
         sweep.summarize([record()], [record(set="cone")])
+
+
+@pytest.mark.parametrize(
+    "sweep_failures, cone_failures, fails",
+    [(0, 0, False), (8, 0, False), (9, 0, True), (0, 1, True), (8, 1, True)],
+)
+def test_run_fails_on_too_many_not_converged(
+    tmp_path, monkeypatch, capsys, sweep_failures, cone_failures, fails
+):
+    """`run` writes its records, then exits 1 and prints the count of each
+    set when more than 8 sweep problems, or any cone problem, end in
+    NotConverged."""
+    records = [record("NotConverged", 5.0, 3.0)] * sweep_failures + [record()] * 3
+    records += [record("NotConverged", 5.0, 3.0, set="cone")] * cone_failures
+    records += [record(set="cone")] * 2
+    monkeypatch.setattr(sweep, "run_tree", lambda tree: records)
+    output = tmp_path / "records.json"
+    code = sweep.main(["run", str(tmp_path), "--output", str(output)])
+    assert json.loads(output.read_text()) == records
+    err = capsys.readouterr().err
+    assert code == int(fails)
+    counts = f"sweep {sweep_failures} (at most 8), cone {cone_failures} (at most 0)"
+    assert err == (f"NotConverged per set: {counts}\n" if fails else "")

@@ -23,7 +23,10 @@ seeds 0-9 in the order perfbench/run.py draws them.
 
 `run` imports lfalloc from TREE/src and turns every warning into an
 error, so a numpy warning ends the run in a traceback; the cone problems
-come from this checkout's perfbench. One record per problem holds its set,
+come from this checkout's perfbench. It writes the records, then exits 1,
+printing the NotConverged count of each set, when more problems of a set
+end in NotConverged than NOT_CONVERGED_LIMITS allows it: 8 of the sweep,
+none of the cone set. One record per problem holds its set,
 its outcome (converged, NotConverged or DegenerateWeights), P at the
 result, linearized at the step-1 split as the benchmark's p_ratio is, the
 result's kkt_residual and step-2 iterations, and a digest of its rates;
@@ -55,6 +58,8 @@ OUTCOMES = ("converged", "NotConverged", "DegenerateWeights")
 P_RISE = 1e-9
 SHOWN_RISES = 10
 CONE_SEEDS = range(10)
+# The most problems of each set that may end in NotConverged.
+NOT_CONVERGED_LIMITS = {"sweep": 8, "cone": 0}
 
 
 def draw_problem(lfalloc, rng):
@@ -129,6 +134,17 @@ def run_tree(tree: Path) -> list[dict]:
                     problem = make_problem(stream(seed, 1, cls, k), side, lam)
                     records.append(solve(lfalloc, problem, "cone"))
     return records
+
+
+def gate(records: list[dict]) -> str | None:
+    """The NotConverged count of each set, as text, when a set has more
+    than NOT_CONVERGED_LIMITS allows it; None when none has."""
+    counts = Counter(r["set"] for r in records if r["outcome"] == "NotConverged")
+    if all(counts[name] <= limit for name, limit in NOT_CONVERGED_LIMITS.items()):
+        return None
+    return "NotConverged per set: " + ", ".join(
+        f"{name} {counts[name]} (at most {limit})" for name, limit in NOT_CONVERGED_LIMITS.items()
+    )
 
 
 def summarize(parent: list[dict], change: list[dict]) -> dict:
@@ -233,8 +249,12 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path, help="records of the changed tree")
     args = parser.parse_args(argv)
     if args.command == "run":
-        args.output.write_text(json.dumps(run_tree(args.tree.resolve()), indent=1) + "\n")
-        return 0
+        records = run_tree(args.tree.resolve())
+        args.output.write_text(json.dumps(records, indent=1) + "\n")
+        failure = gate(records)
+        if failure:
+            print(failure, file=sys.stderr)
+        return 1 if failure else 0
     parent, change = (json.loads(path.read_text()) for path in (args.parent, args.change))
     print(format_summary(summarize(parent, change)))
     return 0
