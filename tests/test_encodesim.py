@@ -1579,6 +1579,15 @@ class TestTraceIO:
             assert iteration.total_cost == entry.cost.total
             assert iteration.wpsnr_db == entry.wpsnr_db
 
+    def test_last_iteration_distortions(self, tmp_path, decoupled_setup):
+        from lfalloc.cli import _load_distortions
+
+        trace = self.make_trace(decoupled_setup)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        distortions = _load_distortions(str(path))
+        assert distortions.sse == trace.entries[-1].sses
+
     def test_truncated_trace(self, tmp_path, decoupled_setup):
         trace = self.make_trace(decoupled_setup)
         path = tmp_path / "trace.csv"
