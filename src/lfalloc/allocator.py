@@ -459,70 +459,70 @@ def solve_step2(
     + lambda |A r + b| on the budget face sum(r) = budget, r >= min_rate,
     by damped Newton steps.
 
-    Every optimum spends the whole budget (see the module docstring), so
-    the warm start, projected onto the feasible set, has any slack beyond
-    ACTIVE_BOUND spread evenly over the weighted frames, and each step
-    keeps the spend. With start, another rate vector brought onto the face
-    the same way, step 2 begins from whichever of the two has the lower P.
-    Each iteration solves one KKT system on the face with the Hessian
-    diag(curvature) + (lambda / |y|) A^T A, curvature = w^2 alpha beta
-    (beta-1) r^(beta-2) and y = A r + b, whose second term is that of the
-    norm's quadratic majorizer at y: unlike the norm's own Hessian it keeps
-    the curvature along y, so the step does not overshoot near the kink.
-    The system is solved scaled by |y| / lambda,
+    Where lambda is zero or zero weights gate off every pair row, P is the
+    weighted distortion, and the result is solve_step1(problem), which
+    minimizes it. Otherwise every optimum spends the whole budget (see the
+    module docstring), so the warm start, projected onto the feasible set,
+    has any slack beyond ACTIVE_BOUND spread evenly over the weighted
+    frames, and each step keeps the spend. With start, another rate vector
+    brought onto the face the same way, step 2 begins from whichever of
+    the two has the lower P. Each iteration solves one KKT system on the
+    face with the Hessian diag(curvature) + (lambda / |y|) A^T A,
+    curvature = w^2 alpha beta (beta-1) r^(beta-2) and y = A r + b, whose
+    second term is that of the norm's quadratic majorizer at y: unlike the
+    norm's own Hessian it keeps the curvature along y, so the step does
+    not overshoot near the kink. The system is solved scaled by |y| / lambda,
 
         [[A^T A + (|y| / lambda) diag(curvature), 1], [1^T, 0]] [d; (|y| / lambda) nu]
             = [-(|y| / lambda) g; 0],
 
     in one bordered matrix built per call from the pair arrays, of which
-    each iteration rewrites only the diagonal. Where the Hessian is
-    diagonal (every pair row gated off by a zero weight, or the
-    distortion-only step at the kink) the step is closed form: d = -(g +
-    nu) / curvature with nu = -sum(g / curvature) / sum(1 / curvature) over
-    the free frames. Frames at min_rate stay fixed while their multiplier
-    is nonnegative; zero-weight frames sit at the floor. The step is
-    projected onto the feasible set with no frame cut below a quarter of
-    its rate, and backtracked until the exact P falls enough (Armijo). The
-    Newton stop is unit-free: half the squared decrement at most STEP2_TOL
-    * P or below the rounding error of P, with kkt_residual at most
-    KKT_TOLERANCE at the full step (at r if that step visibly raises P).
-    The majorizer's decrement understates the excess of P, so with unequal
-    marginals the line search runs from r instead.
+    each iteration rewrites only the diagonal. Frames at min_rate stay
+    fixed while their multiplier is nonnegative; zero-weight frames sit at
+    the floor. The step is projected onto the feasible set with no frame
+    cut below a quarter of its rate, and backtracked until the exact P
+    falls enough (Armijo). The Newton stop is unit-free: half the squared
+    decrement at most STEP2_TOL * P or below the rounding error of P, with
+    kkt_residual at most KKT_TOLERANCE at the full step (at r if that step
+    visibly raises P). The majorizer's decrement understates the excess of
+    P, so with unequal marginals the line search runs from r instead.
 
-    The norm has a kink where A r + b = 0. From every start the one
-    budget-face point with a zero residual is tried first and taken when
-    it beats the start and a dual certificate proves it optimal; at a zero
-    residual the certificate's marginal mismatch replaces the Newton test.
+    The norm has a kink where A r + b = 0, where Newton has no system.
+    From every start the one budget-face point with a zero residual is
+    tried first and taken when it beats the start and a dual certificate
+    proves it optimal; there the certificate's marginal mismatch replaces
+    the Newton test. A start at a zero residual that the certificate does
+    not prove optimal gives way to the step-1 split brought onto the face,
+    and an iterate that reaches one stops.
 
-    Every accepted step lowers P, so the result is never above P at either
-    start. kkt_residual is the marginal mismatch at the result (see the
-    module docstring), or the certificate's at a certified zero residual,
-    or 0 where the floor spend is the budget and every frame sits on the
-    floor, the one feasible point. The result converges when kkt_residual
-    is at most KKT_TOLERANCE and step 2 stopped there, by the certificate,
-    the decrement, or a search off the kink that finds no decrease. The
-    iteration cap STEP2_MAX_ITERATIONS, a singular Newton system and a
-    search that stalls at the kink raise NotConverged carrying the last
-    iterate.
+    Every accepted step lowers P, so the result is never above P where
+    step 2 starts: the lower start, or the split it gave way to.
+    kkt_residual is the marginal mismatch at the result (see the module
+    docstring), or the certificate's at a certified zero residual, or 0
+    where the floor spend is the budget and every frame sits on the floor,
+    the one feasible point. The result converges when kkt_residual is at
+    most KKT_TOLERANCE and step 2 stopped there, by the certificate, the
+    decrement, or a line search that finds no decrease. The iteration cap
+    STEP2_MAX_ITERATIONS, a singular Newton system and an uncertified zero
+    residual raise NotConverged carrying the last iterate.
     """
-    w, beta = problem.w, problem.beta
     lam = problem.lam
+    if lam == 0.0 or not np.any(penalty.coef_i):
+        return solve_step1(problem)
+    w, beta = problem.w, problem.beta
     budget = problem.budget
     floor = problem.min_rate
     n = problem.grid.n_frames
     w2a = w * w * problem.alpha
     weighted = w2a > 0.0
-    # Rows gated by a zero weight vanish; with no other row the norm is 0.
-    coupled = lam > 0.0 and bool(np.any(penalty.coef_i))
     abs_i, abs_j, abs_rhs = np.abs(penalty.coef_i), np.abs(penalty.coef_j), np.abs(penalty.rhs)
-    if coupled:
-        # The bordered matrix stays accurate where the Hessian alone is
-        # nearly singular: along A's null direction once lambda / |y| dwarfs
-        # the distortion curvature. That direction (1 / slope) has entries
-        # of one sign, so the budget row pins it.
-        kkt = _bordered_gram(penalty)
-        diagonal = np.arange(n)
-        gram_diagonal = kkt[diagonal, diagonal]
+    # The bordered matrix stays accurate where the Hessian alone is nearly
+    # singular: along A's null direction once lambda / |y| dwarfs the
+    # distortion curvature. That direction (1 / slope) has entries of one
+    # sign, so the budget row pins it.
+    kkt = _bordered_gram(penalty)
+    diagonal = np.arange(n)
+    gram_diagonal = kkt[diagonal, diagonal]
 
     def distortion_derivatives(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grad = w2a * beta * vec ** (beta - 1.0)
@@ -549,39 +549,34 @@ def solve_step2(
         mean marginal of the free frames."""
         grad_f, _ = distortion_derivatives(vec)
         marginal = -grad_f
-        if coupled:
-            res = penalty.residual(vec)
-            norm = float(np.linalg.norm(res))
-            if norm > 0.0:
-                marginal = marginal - lam * penalty.apply_transpose(res / norm)
+        res = penalty.residual(vec)
+        norm = float(np.linalg.norm(res))
+        if norm > 0.0:
+            marginal = marginal - lam * penalty.apply_transpose(res / norm)
         free = weighted & (vec > floor)
         mu = float(np.mean(marginal[free])) if np.any(free) else 0.0
         return _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
 
-    def newton_direction(grad, curvature, weight, free):
+    def newton_direction(grad, weight, free):
         """The Newton step on the face over the free frames, and its budget
-        multiplier: closed form where weight is None, else the scaled
-        system with weight = |y| / lambda, whose diagonal the caller set."""
+        multiplier, from step 2's one system: the bordered matrix, its
+        diagonal set by the caller for weight = |y| / lambda, which a zero
+        residual or a problem with no pair row never reaches."""
         d = np.zeros(n)
-        if weight is None:
-            inverse = 1.0 / curvature[free]
-            nu = -float(grad[free] @ inverse) / float(inverse.sum())
-            d[free] = -(grad[free] + nu) * inverse
-            return d, nu
         rows = np.append(np.nonzero(free)[0], n)
         system = kkt if rows.size == n + 1 else kkt[np.ix_(rows, rows)]
         sol = np.linalg.solve(system, np.append(-weight * grad[free], 0.0))
         d[free] = sol[:-1]
         return d, float(sol[-1]) / weight
 
-    def active_direction(grad, curvature, weight, free) -> np.ndarray:
+    def active_direction(grad, weight, free) -> np.ndarray:
         """Newton direction with the active set settled: the floor frames
         whose multiplier is negative are released together, less those the
         wider step lowers, until the step raises every one released."""
-        d, nu = newton_direction(grad, curvature, weight, free)
+        d, nu = newton_direction(grad, weight, free)
         release = weighted & ~free & (grad + nu < 0.0)
         while np.any(release):
-            wider, _ = newton_direction(grad, curvature, weight, free | release)
+            wider, _ = newton_direction(grad, weight, free | release)
             if np.all(wider[release] > 0.0):
                 return wider
             release &= wider > 0.0
@@ -621,11 +616,15 @@ def solve_step2(
         other, other_value = on_face(start)
         if other_value < value:
             r, value = other, other_value
-    if coupled:
-        kink = _zero_residual_point(penalty, weighted, budget, floor)
-        kink_value = math.inf if kink is None else penalized_objective(problem, penalty, kink)
-        if kink_value < value and certified(kink) is not None:
-            r, value = kink, kink_value
+    # Newton has no step at the kink, so a start there that the certificate
+    # does not prove optimal gives way to the step-1 split.
+    norm = float(np.linalg.norm(penalty.residual(r)))
+    if norm <= ROUNDING * residual_scale(r) and certified(r) is None:
+        r, value = on_face(solve_step1(problem).rates)
+    kink = _zero_residual_point(penalty, weighted, budget, floor)
+    kink_value = math.inf if kink is None else penalized_objective(problem, penalty, kink)
+    if kink_value < value and certified(kink) is not None:
+        r, value = kink, kink_value
     start_value = value
 
     stop = "iteration cap"
@@ -646,34 +645,27 @@ def solve_step2(
             stop = "floor spend"
             break
         grad_f, curvature = distortion_derivatives(r)
-        grad = grad_f
-        weight = None
-        at_kink = False
-        scale = 0.0
-        if coupled:
-            res = penalty.residual(r)
-            norm = float(np.linalg.norm(res))
-            scale = residual_scale(r)
-            if norm <= ROUNDING * scale:
-                found = certified(r)
-                if found is not None:
-                    _, mu, marginal = found
-                    kkt_residual = _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
-                    stop = "certified zero residual"
-                    break
-                # Not provably optimal: step on the distortion term alone,
-                # which cannot certify convergence.
-                at_kink = True
-            else:
-                grad = grad_f + lam * penalty.apply_transpose(res / norm)
-                weight = norm / lam
-                kkt[diagonal, diagonal] = gram_diagonal + weight * curvature
+        res = penalty.residual(r)
+        norm = float(np.linalg.norm(res))
+        scale = residual_scale(r)
+        if norm <= ROUNDING * scale:
+            found = certified(r)
+            if found is None:
+                stop = "uncertified zero residual"
+                break
+            _, mu, marginal = found
+            kkt_residual = _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
+            stop = "certified zero residual"
+            break
+        grad = grad_f + lam * penalty.apply_transpose(res / norm)
+        weight = norm / lam
+        kkt[diagonal, diagonal] = gram_diagonal + weight * curvature
         try:
-            d = active_direction(grad, curvature, weight, free)
+            d = active_direction(grad, weight, free)
             # P cannot resolve changes below its rounding error, so neither
             # can the stop or the step that passes it.
             resolution = ROUNDING * (value + lam * scale)
-            if not at_kink and -0.5 * float(grad @ d) <= STEP2_TOL * value + resolution:
+            if -0.5 * float(grad @ d) <= STEP2_TOL * value + resolution:
                 # A converged Newton step improves P by less than rounding
                 # can show; it is kept unless P visibly rises or ends above
                 # the start. The majorizer's decrement understates the excess
@@ -691,7 +683,7 @@ def solve_step2(
             stop = "singular Newton system"
             break
         if t == 0.0:
-            stop = "line search at the kink" if at_kink else "line search"
+            stop = "line search"
             break
         r, value = candidate, value_c
 

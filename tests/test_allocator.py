@@ -538,10 +538,24 @@ class TestSolveStep2:
         assert result.kkt_residual >= 0.0
         assert result.iterations >= 1
 
+    @pytest.mark.parametrize("index, shape", [(26, (1, 2)), (120, (1, 1))])
+    def test_no_surviving_pair_row_returns_the_split(self, index, shape):
+        # Step-2 sweep problems 26 (one zero weight, lambda about 3.4e3)
+        # and 120 (one frame, lambda about 394) have no pair row past the
+        # weight gate, so P is the weighted distortion and the step-1 split
+        # is its minimum, returned as it is.
+        problem = sweep_problem(index)
+        assert (problem.grid.width, problem.grid.height) == shape
+        split = solve_step1(problem)
+        penalty = build_cone_penalty(problem, split.rates)
+        assert not np.any(penalty.coef_i)
+        assert solve_step2(problem, split.rates, penalty).rates == split.rates
+        assert allocate(problem).rates == split.rates
+
     def test_leaves_a_zero_residual_start_that_is_not_optimal(self):
         # With a small lambda the optimum has a nonzero residual, so a start
-        # on the norm's kink, where every tangent takes one value, must be
-        # left through the distortion term.
+        # on the norm's kink, where every tangent takes one value, gives way
+        # to the step-1 split and ends where the split start does.
         problem = replace(coupled_square(), lam=0.01)
         step1 = solve_step1(problem)
         penalty = build_cone_penalty(problem, step1.rates)
@@ -557,6 +571,8 @@ class TestSolveStep2:
         assert penalized_objective(problem, penalty, from_kink.rates) < penalized_objective(
             problem, penalty, kink
         )
+        assert from_kink.rates == from_step1.rates
+        assert from_kink.iterations == from_step1.iterations
 
     def test_iteration_cap_raises_with_best_iterate(self, monkeypatch):
         # With a small lambda the optimum is off the kink, so two Newton

@@ -276,7 +276,7 @@ class TestAllocateCommand:
         write_problem_file(problem, path)
         assert main(["allocate", str(path), "--output", str(output)]) == EXIT_OK
         err = capsys.readouterr().err
-        assert err.startswith("warning: ") and "line search at the kink" in err, err
+        assert err.startswith("warning: ") and "uncertified zero residual" in err, err
         assert err.endswith("; writing best iterate\n"), err
         rates, _ = read_allocation_file(output)
         assert len(rates) == 6 and sum(rates.values()) <= problem.budget

@@ -1050,7 +1050,7 @@ class TestReferenceAnticipation:
         assert "25 targets outside the quantizer range" in caplog.text
 
 
-class TestRunFirstIteration:
+class TestFirstPass:
     """The first pass, toward the uniform budget share."""
 
     def test_single_frame_targets_whole_budget(self):
@@ -1105,7 +1105,7 @@ class TestRunFirstIteration:
             ref = sse
 
 
-class TestRunIteration:
+class TestReencodePass:
     """Re-encode passes toward per-frame target rates."""
 
     def test_fixed_point_keeps_qps(self):

@@ -175,7 +175,7 @@ class TestEvalModel:
             eval_model(params, np.array([1.0, -2.0]))
 
 
-class TestLinearize:
+class TestTangentLines:
     """Tangent expansion of the model around a rate."""
 
     def test_inverse_law_tangent(self):

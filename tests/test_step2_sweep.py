@@ -57,8 +57,8 @@ def test_transitions_and_rises_largest_first():
     assert summary["parent"] == dict(converged=3, NotConverged=2, DegenerateWeights=1)
     assert summary["change"] == dict(converged=3, NotConverged=2, DegenerateWeights=1)
     assert summary["transitions"] == [
-        dict(parent="NotConverged", change="converged", count=1),
-        dict(parent="converged", change="NotConverged", count=1),
+        dict(parent="NotConverged", change="converged", problems=[0]),
+        dict(parent="converged", change="NotConverged", problems=[2]),
     ]
     # A rise below 1e-9 relative is rounding; a fall is no rise.
     assert [(r["problem"], r["parent"], r["change"]) for r in summary["rises"]] == [
@@ -72,11 +72,26 @@ def test_transitions_and_rises_largest_first():
     assert summary["identical_rates"] == 3
     text = sweep.format_summary(sweep.summarize(parent, change))
     assert "converged: 3 -> 3" in text
-    assert "NotConverged -> converged: 1" in text
-    assert "converged -> NotConverged: 1" in text
+    assert "NotConverged -> converged: 1 (problem 0)" in text
+    assert "converged -> NotConverged: 1 (problem 2)" in text
     assert "P rises by more than 1e-09 relative on 2 problems" in text
     assert "problem 3: P +2.000e-01 relative (NotConverged -> NotConverged)" in text
     assert "mean step-2 iterations 4.000 -> 5.500 over the 2 problems both converge on" in text
+
+
+def test_transitions_name_their_first_problems():
+    # Each transition names its problems in order, the first SHOWN_RISES
+    # of them.
+    parent = [record()] * 12 + [record("NotConverged", 5.0, 3.0)] * 2
+    change = [record("NotConverged", 5.0, 3.0)] * 12 + [record()] * 2
+    summary = sweep.summarize(parent, change)["sweep"]
+    assert summary["transitions"] == [
+        dict(parent="NotConverged", change="converged", problems=[12, 13]),
+        dict(parent="converged", change="NotConverged", problems=list(range(12))),
+    ]
+    text = sweep.format_summary({"sweep": summary})
+    assert "NotConverged -> converged: 2 (problems 12, 13)\n" in text
+    assert "converged -> NotConverged: 12 (problems 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...)\n" in text
 
 
 def test_largest_relative_fall_and_rise_of_p():
@@ -132,9 +147,9 @@ def test_runs_over_different_problems_are_refused():
 def test_run_fails_on_too_many_not_converged(
     tmp_path, monkeypatch, capsys, sweep_failures, cone_failures, fails
 ):
-    """`run` writes its records, then exits 1 and prints the count of each
-    set when more than 8 sweep problems, or any cone problem, end in
-    NotConverged."""
+    """`run` writes its records and prints each set's outcome counts, then
+    exits 1 and prints the NotConverged count of each set when more than 8
+    sweep problems, or any cone problem, end in NotConverged."""
     records = [record("NotConverged", 5.0, 3.0)] * sweep_failures + [record()] * 3
     records += [record("NotConverged", 5.0, 3.0, set="cone")] * cone_failures
     records += [record(set="cone")] * 2
@@ -142,7 +157,11 @@ def test_run_fails_on_too_many_not_converged(
     output = tmp_path / "records.json"
     code = sweep.main(["run", str(tmp_path), "--output", str(output)])
     assert json.loads(output.read_text()) == records
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == int(fails)
+    assert out == (
+        f"sweep: 3 converged / {sweep_failures} NotConverged / 0 DegenerateWeights\n"
+        f"cone: 2 converged / {cone_failures} NotConverged / 0 DegenerateWeights\n"
+    )
     counts = f"sweep {sweep_failures} (at most 8), cone {cone_failures} (at most 0)"
     assert err == (f"NotConverged per set: {counts}\n" if fails else "")

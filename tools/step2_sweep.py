@@ -23,17 +23,20 @@ seeds 0-9 in the order perfbench/run.py draws them.
 
 `run` imports lfalloc from TREE/src and turns every warning into an
 error, so a numpy warning ends the run in a traceback; the cone problems
-come from this checkout's perfbench. It writes the records, then exits 1,
-printing the NotConverged count of each set, when more problems of a set
-end in NotConverged than NOT_CONVERGED_LIMITS allows it: 8 of the sweep,
-none of the cone set. One record per problem holds its set,
+come from this checkout's perfbench. It writes the records and prints
+each set's outcome counts, then exits 1, printing the NotConverged count
+of each set, when more problems of a set end in NotConverged than
+NOT_CONVERGED_LIMITS allows it: 8 of the sweep, none of the cone set.
+One record per problem holds its set,
 its outcome (converged, NotConverged or DegenerateWeights), P at the
 result, linearized at the step-1 split as the benchmark's p_ratio is, the
 result's kkt_residual and step-2 iterations, and a digest of its rates;
 all but the set and outcome are None for DegenerateWeights. `compare`
-reports each set on its own: outcomes, rises of P above P_RISE, the
-largest relative fall and rise of P (so a rounding-level change shows its
-size), mean step-2 iterations and identical rates.
+reports each set on its own: outcomes and the transitions between them,
+rises of P above P_RISE, the largest relative fall and rise of P (so a
+rounding-level change shows its size), mean step-2 iterations and
+identical rates. It names the first SHOWN_RISES problems of each
+transition and of the rises.
 """
 
 from __future__ import annotations
@@ -136,6 +139,12 @@ def run_tree(tree: Path) -> list[dict]:
     return records
 
 
+def tally(records: list[dict]) -> dict:
+    """The count of each outcome among records, in the order of OUTCOMES."""
+    counts = Counter(r["outcome"] for r in records)
+    return {outcome: counts[outcome] for outcome in OUTCOMES}
+
+
 def gate(records: list[dict]) -> str | None:
     """The NotConverged count of each set, as text, when a set has more
     than NOT_CONVERGED_LIMITS allows it; None when none has."""
@@ -162,35 +171,34 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
 
 
 def summarize_set(parent: list[dict], change: list[dict]) -> dict:
-    """Outcome counts of both runs, the outcome transitions, the rises in
-    P of change over parent above P_RISE, largest first, the largest
-    relative fall and rise of P (each 0 where P never moves that way), the
-    mean step-2 iterations of each over the problems both converge on, and
-    how many problems end at identical rates."""
+    """Outcome counts of both runs, the outcome transitions with their
+    problems in order, the rises in P of change over parent above P_RISE,
+    largest first, the largest relative fall and rise of P (each 0 where P
+    never moves that way), the mean step-2 iterations of each over the
+    problems both converge on, and how many problems end at identical
+    rates."""
     pairs = list(zip(parent, change))
-    transitions = Counter(
-        (a["outcome"], b["outcome"]) for a, b in pairs if a["outcome"] != b["outcome"]
-    )
+    transitions: dict[tuple[str, str], list[int]] = {}
     rises = []
     fall = largest_rise = 0.0
     for index, (a, b) in enumerate(pairs):
+        if a["outcome"] != b["outcome"]:
+            transitions.setdefault((a["outcome"], b["outcome"]), []).append(index)
         if a["p"] is not None and b["p"] is not None:
             rise = (b["p"] - a["p"]) / abs(a["p"])
             fall, largest_rise = min(fall, rise), max(largest_rise, rise)
             if rise > P_RISE:
                 rises.append(dict(problem=index, rise=rise, parent=a["outcome"], change=b["outcome"]))
     rises.sort(key=lambda r: (-r["rise"], r["problem"]))
-
-    def counts(records):
-        tally = Counter(r["outcome"] for r in records)
-        return {outcome: tally[outcome] for outcome in OUTCOMES}
-
     both = [(a, b) for a, b in pairs if a["outcome"] == b["outcome"] == "converged"]
     return dict(
         problems=len(pairs),
-        parent=counts(parent),
-        change=counts(change),
-        transitions=[dict(parent=a, change=b, count=c) for (a, b), c in sorted(transitions.items())],
+        parent=tally(parent),
+        change=tally(change),
+        transitions=[
+            dict(parent=a, change=b, problems=problems)
+            for (a, b), problems in sorted(transitions.items())
+        ],
         rises=rises,
         p_moves=[fall, largest_rise],
         converged_both=len(both),
@@ -219,7 +227,14 @@ def format_set(summary: dict) -> list[str]:
         f"{outcome}: {summary['parent'][outcome]:,} -> {summary['change'][outcome]:,}"
         for outcome in OUTCOMES
     ]
-    lines += [f"{t['parent']} -> {t['change']}: {t['count']:,}" for t in summary["transitions"]]
+    for t in summary["transitions"]:
+        problems = t["problems"]
+        shown = ", ".join(map(str, problems[:SHOWN_RISES]))
+        more = ", ..." if len(problems) > SHOWN_RISES else ""
+        plural = "s" if len(problems) > 1 else ""
+        lines.append(
+            f"{t['parent']} -> {t['change']}: {len(problems):,} (problem{plural} {shown}{more})"
+        )
     rises = summary["rises"]
     lines.append(f"P rises by more than {P_RISE:g} relative on {len(rises):,} problems")
     lines += [
@@ -251,6 +266,9 @@ def main(argv=None) -> int:
     if args.command == "run":
         records = run_tree(args.tree.resolve())
         args.output.write_text(json.dumps(records, indent=1) + "\n")
+        for name in dict.fromkeys(r["set"] for r in records):
+            counts = tally([r for r in records if r["set"] == name])
+            print(f"{name}: " + " / ".join(f"{c:,} {o}" for o, c in counts.items()))
         failure = gate(records)
         if failure:
             print(failure, file=sys.stderr)
