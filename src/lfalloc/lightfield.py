@@ -200,6 +200,8 @@ def spiral_order(width: int, height: int) -> FrameGrid:
     growing arm lengths; positions that fall outside the lattice are
     skipped, so non-square grids still get a full permutation.
     """
+    # Not FrameGrid's check twice: two negative sides have a positive
+    # product, which the walk below would never fill.
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
     u, v = width // 2, height // 2

@@ -8,6 +8,8 @@ converted on its own; numbers must be finite, except the documented
 infinite diagnostics (an allocation's kkt_residual, a trace's wpsnr), and
 each field's converter holds it to its documented domain (SSE and weights
 not negative, budgets and model scales positive, exponents negative).
+field() makes each converter from a base type and ordered checks, so each
+domain is written once and serves the strict read and columns() alike.
 Each key or frame appears once. read() walks the lines and phrases every
 defect of a record, bytes that are not UTF-8 included: a ParseError that
 names the source and the first bad line.
@@ -27,8 +29,9 @@ gives, and a missing key or frame is raised only when no line is bad.
 
 columns() splits its records once, joined with a marker field between
 records; where the markers fall shows that every record has its number
-of fields, with no look at any one record. It converts and tests whole
-columns and gives None on any defect, which it does not phrase.
+of fields, with no look at any one record. It reads each column by its
+converter's own base and tests it, as a whole, by that converter's own
+checks; it gives None on any defect, which it does not phrase.
 
 Writers format every float field with number(), so a file reads back as
 the values it was written from.
@@ -50,55 +53,35 @@ def number(value) -> str:
     return repr(float(value))
 
 
-def integer(text: str) -> int:
-    """An integer field."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"not an integer {text.strip()!r}") from None
+def field(base, what: str, *checks):
+    """A field converter: the text read as base, else "not {what}", then
+    held to each (test, fault) check in order, else "{fault}". A test takes
+    one value or a whole numpy column alike, so columns() reads a column
+    by the converter's own base and checks."""
+
+    def convert(text: str):
+        try:
+            value = base(text)
+        except ValueError:
+            raise ValueError(f"not {what} {text.strip()!r}") from None
+        for test, fault in checks:
+            if not test(value):
+                raise ValueError(f"{fault} {text.strip()!r}")
+        return value
+
+    convert.base, convert.checks = base, checks
+    return convert
 
 
-def finite(text: str) -> float:
-    """A number field that must be finite."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"not a number {text.strip()!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text.strip()!r}")
-    return value
+# abs(v) < inf, not np.isfinite, which is slow on a single float.
+_FINITE = (lambda v: abs(v) < math.inf, "non-finite number")
 
-
-def nonnegative(text: str) -> float:
-    """A number field that must be finite and not negative."""
-    value = finite(text)
-    if value < 0.0:
-        raise ValueError(f"negative number {text.strip()!r}")
-    return value
-
-
-def positive(text: str) -> float:
-    """A number field that must be finite and above zero."""
-    value = finite(text)
-    if not value > 0.0:
-        raise ValueError(f"not a positive number {text.strip()!r}")
-    return value
-
-
-def negative(text: str) -> float:
-    """A number field that must be finite and below zero."""
-    value = finite(text)
-    if not value < 0.0:
-        raise ValueError(f"not a negative number {text.strip()!r}")
-    return value
-
-
-def positive_integer(text: str) -> int:
-    """An integer field that must be at least 1."""
-    value = integer(text)
-    if value < 1:
-        raise ValueError(f"not a positive integer {text.strip()!r}")
-    return value
+integer = field(int, "an integer")
+positive_integer = field(int, "an integer", (lambda v: v >= 1, "not a positive integer"))
+finite = field(float, "a number", _FINITE)
+nonnegative = field(float, "a number", _FINITE, (lambda v: v >= 0.0, "negative number"))
+positive = field(float, "a number", _FINITE, (lambda v: v > 0.0, "not a positive number"))
+negative = field(float, "a number", _FINITE, (lambda v: v < 0.0, "not a negative number"))
 
 
 def finite_or_inf(text: str) -> float:
@@ -151,17 +134,6 @@ def read(source, record, header: str | None = None, *, comments: bool = False) -
     return results
 
 
-# The bulk form of a field converter: the type a column's texts are read
-# as, and the test all of its values must pass (None: any value).
-_BULK = {
-    integer: (int, None),
-    finite: (float, np.isfinite),
-    nonnegative: (float, lambda values: np.isfinite(values) & (values >= 0.0)),
-    positive: (float, lambda values: np.isfinite(values) & (values > 0.0)),
-    negative: (float, lambda values: np.isfinite(values) & (values < 0.0)),
-}
-
-
 # The field _split() puts between two records; no line of a file holds one.
 _MARK = "\n"
 
@@ -192,8 +164,9 @@ def columns(texts, converters) -> list | None:
     per converter, or None when a record has another number of fields or
     a value fails its converter.
 
-    The records are split as one text (see _split) and each column is
-    converted and tested as a whole (see _BULK).
+    The records are split as one text (see _split); each column is read
+    by its converter's own base and tested, as a whole, by its own checks
+    (see field).
     """
     n = len(converters)
     flat = _split(texts, n)
@@ -201,12 +174,11 @@ def columns(texts, converters) -> list | None:
         return None
     values = []
     for index, convert in enumerate(converters):
-        base, valid = _BULK[convert]
         try:
-            column = np.array(list(map(base, flat[index :: n + 1])))
+            column = np.array(list(map(convert.base, flat[index :: n + 1])))
         except ValueError:
             return None
-        if valid is not None and not valid(column).all():
+        if not all(test(column).all() for test, _ in convert.checks):
             return None
         values.append(column)
     return values

@@ -3,6 +3,7 @@ and its trace digest."""
 
 import hashlib
 import importlib.util
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -91,6 +92,19 @@ def test_traces_are_matched_by_loop():
     change[0]["bits_per_frame"] *= 2
     with pytest.raises(ValueError, match="different curves"):
         protocol.summarize(parent, change)
+
+
+def test_run_prints_its_loop_totals(tmp_path, monkeypatch, capsys):
+    """`run` writes its records and logs the loops settled, encoder calls
+    and passes."""
+    loops = records(calls=1000, passes=4)
+    loops[3]["settled"] = False
+    monkeypatch.setattr(protocol, "run_tree", lambda tree, trace_path: loops)
+    output = tmp_path / "records.json"
+    assert protocol.main(["run", str(tmp_path), "--output", str(output)]) == 0
+    assert json.loads(output.read_text()) == loops
+    out = capsys.readouterr().out
+    assert out == "31 of 32 loops settled, 32,000 encoder calls, 128 passes\n"
 
 
 def test_trace_digest_is_the_written_file(tmp_path):

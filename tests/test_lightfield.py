@@ -315,6 +315,11 @@ class TestSpiralOrder:
         with pytest.raises(ValueError):
             spiral_order(0, 3)
 
+    def test_two_negative_sides_are_refused_before_the_walk(self):
+        # Their product is positive, so the walk would never fill its quota.
+        with pytest.raises(ValueError, match="grid dimensions must be positive"):
+            spiral_order(-1, -3)
+
     def test_grid_rejects_duplicates(self):
         order = (FrameCoord(0, 0), FrameCoord(0, 0))
         with pytest.raises(ValueError):

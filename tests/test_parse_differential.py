@@ -4,10 +4,36 @@ records, and the gate of its run on a few mutants."""
 import importlib.util
 import itertools
 import json
+import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from lfalloc import (
+    DistortionSet,
+    FrameCoord,
+    LfallocError,
+    MockEncoder,
+    RDPoint,
+    RDSample,
+    allocate,
+    read_allocation_file,
+    read_curve_csv,
+    read_samples_csv,
+    read_sse_csv,
+    read_trace_csv,
+    read_weight_map_csv,
+    run_to_convergence,
+    write_allocation_file,
+    write_curve_csv,
+    write_samples_csv,
+    write_sse_csv,
+    write_trace_csv,
+)
+from test_allocator import coupled_square
+from test_encodesim import small_grid_setup
 
 PATH = Path(__file__).resolve().parent.parent / "tools" / "parse_differential.py"
 SPEC = importlib.util.spec_from_file_location("parse_differential", PATH)
@@ -129,6 +155,26 @@ def test_run_fails_when_a_mutant_ends_outside_the_package_errors(
     assert "4 of 8 mutants fail" in capsys.readouterr().err
     outcomes = [record["outcome"] for record in json.loads(output.read_text())]
     assert outcomes[1::2] == ["KeyError"] * 4
+
+
+def test_run_prints_its_outcome_counts_most_first(tmp_path, monkeypatch, capsys):
+    """The log of a run holds how many mutants end in each outcome, a
+    failing run's included."""
+    import lfalloc
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(differential, "ZERO_WEIGHTS_FROM", 6)
+    monkeypatch.setattr(differential, "COUNT", 10)
+    argv = ["run", str(PATH.parent.parent), "--output", str(tmp_path / "records.json")]
+    assert differential.main(argv) == 0
+    assert capsys.readouterr().out == "6 ParseError, 4 DegenerateWeights\n"
+
+    def broken_reader(path):
+        raise KeyError("width")
+
+    monkeypatch.setattr(lfalloc, "read_mock_config", broken_reader)
+    assert differential.main(argv) == 1
+    assert capsys.readouterr().out == "5 KeyError, 3 ParseError, 2 DegenerateWeights\n"
 
 
 def test_run_fails_when_a_second_read_ends_otherwise(tmp_path, monkeypatch, capsys):
@@ -269,3 +315,74 @@ def test_run_fails_when_an_all_zero_weights_mutant_ends_otherwise(
     err = capsys.readouterr().err
     assert "seed 2: all weights zero, but InfeasibleBudget: rate floor exceeds budget" in err
     assert err.endswith("4 of 6 mutants fail\n")
+
+
+def sound_files(directory: Path) -> list[tuple]:
+    """(reader, lines of a sound file for it) for each of the six readers
+    the differential skips: each file from its writer, the weight map by
+    hand."""
+    setup = small_grid_setup(gamma=0.2)
+    trace = run_to_convergence(MockEncoder(setup.config), setup.grid, setup.weights, 4e6, 10.0, 2)
+    written = (
+        (read_sse_csv, write_sse_csv, DistortionSet({FrameCoord(u, 0): 1e4 * u for u in range(3)})),
+        (read_curve_csv, write_curve_csv, [RDPoint(1e5 * 2**i, 30.0 + 3.0 * i) for i in range(4)]),
+        (
+            read_samples_csv,
+            write_samples_csv,
+            {f: [RDSample(30 + k, 1e5 * 2**k, 1e4 / 2**k) for k in range(3)] for f in "ab"},
+        ),
+        (read_allocation_file, write_allocation_file, allocate(coupled_square())),
+        (read_trace_csv, write_trace_csv, trace),
+    )
+    path = directory / "sound.txt"
+    files = [(read_weight_map_csv, ["# weights", "1,0.5,0.25", "0.75,1,0", "-0.0,0.5,1"])]
+    for read, write, value in written:
+        write(value, path)
+        files.append((read, path.read_text().splitlines()))
+    return files
+
+
+def reader_mutants(directory: Path, count: int):
+    """count seeded (reader, bytes) mutants of sound_files, the readers
+    taking turns: one to three edits of mutate each and, in one in a
+    hundred, a byte that is not UTF-8."""
+    files = sound_files(directory)
+    for seed in range(count):
+        read, lines = files[seed % len(files)]
+        rng = random.Random(seed)
+        # As ': line', a line's comma-separated fields are mutate's fields.
+        lines = [": " + line for line in lines]
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            differential.mutate(rng, lines)
+        text = "\n".join(line[2:] if line.startswith(": ") else line for line in lines)
+        data = (text + "\n").encode()
+        if rng.random() < 0.01:
+            at = rng.randint(0, len(data))
+            data = data[:at] + b"\xff" + data[at:]
+        yield read, data
+
+
+def test_other_readers_end_ok_or_in_a_package_error_naming_the_file(tmp_path):
+    """The SSE, curve, samples, weight-map, allocation and trace readers on
+    600 mutants: each ends in a value or in an LfallocError whose message
+    begins with the file's path, and each reader meets both."""
+    path = tmp_path / "input.txt"
+    outcomes, failures = Counter(), []
+    for seed, (read, data) in enumerate(reader_mutants(tmp_path, 600)):
+        path.write_bytes(data)
+        try:
+            read(path)
+            outcome = "ok"
+        except LfallocError as exc:
+            outcome = type(exc).__name__
+            if not str(exc).startswith(f"{path}: "):
+                failures.append(f"seed {seed}: {read.__name__}: names no file: {exc}")
+        except Exception as exc:  # every other outcome is a failure
+            outcome = type(exc).__name__
+            failures.append(f"seed {seed}: {read.__name__}: {outcome}: {exc}")
+        outcomes[read.__name__, outcome] += 1
+    assert failures == []
+    names = {name for name, _ in outcomes}
+    assert len(names) == 6
+    assert {name for name, outcome in outcomes if outcome == "ok"} == names
+    assert {name for name, outcome in outcomes if outcome == "ParseError"} == names

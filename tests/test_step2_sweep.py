@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,8 @@ def test_equal_runs_show_no_transition_or_rise():
     assert "sweep (3 problems)" in text
     assert "P rises by more than 1e-09 relative on 0 problems" in text
     assert "P moves from +0.0e+00 to +0.0e+00 relative" in text
-    assert "mean step-2 iterations 4.000 -> 4.000 over the 1 problems both converge on" in text
+    mean = "mean step-2 iterations 4.000 -> 4.000 over the 1 problems both converge on with step 2"
+    assert mean in text
     assert "identical rates on 2 problems" in text
 
 
@@ -67,7 +69,7 @@ def test_transitions_and_rises_largest_first():
     ]
     assert [r["rise"] for r in summary["rises"]] == pytest.approx([0.2, 0.01])
     # Problems 1 and 4 converge on both sides; only 0, 2 and 3 keep their rates.
-    assert summary["converged_both"] == 2
+    assert summary["stepped_both"] == 2
     assert summary["mean_iterations"] == [4.0, 5.5]
     assert summary["identical_rates"] == 3
     text = sweep.format_summary(sweep.summarize(parent, change))
@@ -76,7 +78,8 @@ def test_transitions_and_rises_largest_first():
     assert "converged -> NotConverged: 1 (problem 2)" in text
     assert "P rises by more than 1e-09 relative on 2 problems" in text
     assert "problem 3: P +2.000e-01 relative (NotConverged -> NotConverged)" in text
-    assert "mean step-2 iterations 4.000 -> 5.500 over the 2 problems both converge on" in text
+    mean = "mean step-2 iterations 4.000 -> 5.500 over the 2 problems both converge on with step 2"
+    assert mean in text
 
 
 def test_transitions_name_their_first_problems():
@@ -124,6 +127,38 @@ def test_each_set_is_summarized_on_its_own():
     assert [(r["problem"], r["rise"]) for r in summary["cone"]["rises"]] == [(1, 1.0)]
     text = sweep.format_summary(summary)
     assert text.index("sweep (2 problems)") < text.index("cone (2 problems)")
+
+
+def test_mean_iterations_skip_problems_step_2_never_ran_on():
+    """A problem handed to step 1 records no step-2 iterations; the mean
+    is over the problems both converge on and both ran step 2 for."""
+    parent = [record(iterations=2), record(iterations=None), record(iterations=6)]
+    change = [record(iterations=4), record(iterations=9), record(iterations=None)]
+    summary = sweep.summarize(parent, change)["sweep"]
+    assert summary["stepped_both"] == 1
+    assert summary["mean_iterations"] == [2.0, 4.0]
+    text = sweep.format_summary({"sweep": summary})
+    mean = "mean step-2 iterations 2.000 -> 4.000 over the 1 problems both converge on with step 2"
+    assert mean in text
+    none = sweep.summarize(parent[1:2], parent[1:2])["sweep"]
+    assert none["stepped_both"] == 0 and none["mean_iterations"] is None
+    assert "mean step-2 iterations" not in sweep.format_summary({"sweep": none})
+
+
+def test_a_problem_step_2_never_ran_on_records_no_iterations():
+    """At lambda 0, or where zero weights gate off every pair row,
+    solve_step2 hands the problem to solve_step1: no step-2 iterations."""
+    import lfalloc
+    from test_allocator import coupled_square
+
+    coupled = coupled_square()
+    assert sweep.solve(lfalloc, coupled, "sweep")["iterations"] >= 1
+    assert sweep.solve(lfalloc, replace(coupled, lam=0.0), "sweep")["iterations"] is None
+    raw = dict.fromkeys(coupled.grid.coding_order, 0.0)
+    raw[coupled.grid.coding_order[0]] = 1.0
+    lone = replace(coupled, weights=lfalloc.unify_weights(raw))
+    result = sweep.solve(lfalloc, lone, "sweep")
+    assert (result["outcome"], result["iterations"]) == ("converged", None)
 
 
 def test_no_problem_converging_on_both_sides_prints_no_mean():

@@ -16,9 +16,11 @@ traces differ.
     python tools/honesty_protocol.py compare parent.json change.json
 
 `run` imports lfalloc from TREE/src, so each tree's loop is measured with
-its own code; the mocks come from this checkout's perfbench. A single
-curve moves by a few tenths of a percent from which fixed point a loop
-lands on, so judge by the means, never by one curve.
+its own code; the mocks come from this checkout's perfbench. It writes
+the records and prints how many loops settled and the encoder calls and
+passes they took. A single curve moves by a few tenths of a percent
+from which fixed point a loop lands on, so judge by the means, never by
+one curve.
 """
 
 from __future__ import annotations
@@ -173,6 +175,11 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as scratch:
             records = run_tree(args.tree.resolve(), Path(scratch) / "trace.csv")
         args.output.write_text(json.dumps(records, indent=1) + "\n")
+        settled = sum(r["settled"] for r in records)
+        calls, passes = (sum(r[key] for r in records) for key in ("calls", "passes"))
+        print(
+            f"{settled} of {len(records)} loops settled, {calls:,} encoder calls, {passes:,} passes"
+        )
         return 0
     sys.path.insert(0, str(ROOT / "src"))
     parent, change = (json.loads(path.read_text()) for path in (args.parent, args.change))

@@ -8,17 +8,17 @@ message, with the file's path shown as FILE, or, for a file that reads,
 and of what the writer does not read: a problem's models items and
 unified weights (problem.w), and a mock's unified weights, since the
 written file carries raw weights only.
-`run` reads every mutant twice in one process and exits 1 when any
-mutant ends in anything else than "ok" or one of the package's own
-errors (LfallocError): a traceback, or a warning when Python runs with
-`-W error`, as CI does. It also exits 1 when the second read ends
-otherwise than the first, as it would if a reader carried state from
-one read into the next, and when a ParseError or DegenerateWeights
-message does not begin with FILE. `compare` prints how many records
-differ between two runs, how the line each error names moved (MOVES),
-and examples; it exits 1 when any record differs. A change run may append
-mutants after the parent's: those are compared with nothing, and counted
-apart by outcome.
+`run` reads every mutant twice in one process, prints how many end in
+each outcome, most first, and exits 1 when any mutant ends in anything
+else than "ok" or one of the package's own errors (LfallocError): a
+traceback, or a warning when Python runs with `-W error`, as CI does. It
+also exits 1 when the second read ends otherwise than the first, as it
+would if a reader carried state from one read into the next, and when a
+ParseError or DegenerateWeights message does not begin with FILE.
+`compare` prints how many records differ between two runs, how the line
+each error names moved (MOVES), and examples; it exits 1 when any record
+differs. A change run may append mutants after the parent's: those are
+compared with nothing, and counted apart by outcome.
 
     python -W error tools/parse_differential.py run PARENT_TREE --output parent.json
     python tools/parse_differential.py run CHANGED_TREE --output change.json
@@ -318,6 +318,8 @@ def main(argv=None) -> int:
     if args.command == "run":
         records, failures = run_tree(args.tree.resolve())
         args.output.write_text(json.dumps(records, indent=1) + "\n")
+        counts = Counter(r["outcome"] for r in records).most_common()
+        print(", ".join(f"{count:,} {outcome}" for outcome, count in counts))
         for failure in failures[:EXAMPLES]:
             print(failure, file=sys.stderr)
         if failures:

@@ -31,12 +31,14 @@ One record per problem holds its set,
 its outcome (converged, NotConverged or DegenerateWeights), P at the
 result, linearized at the step-1 split as the benchmark's p_ratio is, the
 result's kkt_residual and step-2 iterations, and a digest of its rates;
-all but the set and outcome are None for DegenerateWeights. `compare`
-reports each set on its own: outcomes and the transitions between them,
-rises of P above P_RISE, the largest relative fall and rise of P (so a
-rounding-level change shows its size), mean step-2 iterations and
-identical rates. It names the first SHOWN_RISES problems of each
-transition and of the rises.
+all but the set and outcome are None for DegenerateWeights, and the
+iterations are None where step 2 never ran: at lambda 0, or where the
+penalty at the split has no pair row, so solve_step2 hands the problem
+to solve_step1. `compare` reports each set on its own: outcomes and the
+transitions between them, rises of P above P_RISE, the largest relative
+fall and rise of P (so a rounding-level change shows its size), mean
+step-2 iterations and identical rates. It names the first SHOWN_RISES
+problems of each transition and of the rises.
 """
 
 from __future__ import annotations
@@ -99,13 +101,15 @@ def solve(lfalloc, problem, name: str) -> dict:
         result, outcome = exc.result, "NotConverged"
     split = lfalloc.solve_step1(problem).rates
     penalty = lfalloc.build_cone_penalty(problem, split)
+    # solve_step2's own test for handing the problem to solve_step1.
+    stepped = problem.lam > 0.0 and penalty.coef_i.any()
     rates = json.dumps(list(result.rates.values())).encode()
     return dict(
         set=name,
         outcome=outcome,
         p=lfalloc.penalized_objective(problem, penalty, result.rates),
         kkt_residual=result.kkt_residual,
-        iterations=result.iterations,
+        iterations=result.iterations if stepped else None,
         rates=hashlib.sha256(rates).hexdigest()[:16],
     )
 
@@ -175,8 +179,8 @@ def summarize_set(parent: list[dict], change: list[dict]) -> dict:
     problems in order, the rises in P of change over parent above P_RISE,
     largest first, the largest relative fall and rise of P (each 0 where P
     never moves that way), the mean step-2 iterations of each over the
-    problems both converge on, and how many problems end at identical
-    rates."""
+    problems both converge on and both ran step 2 for, and how many
+    problems end at identical rates."""
     pairs = list(zip(parent, change))
     transitions: dict[tuple[str, str], list[int]] = {}
     rises = []
@@ -190,7 +194,13 @@ def summarize_set(parent: list[dict], change: list[dict]) -> dict:
             if rise > P_RISE:
                 rises.append(dict(problem=index, rise=rise, parent=a["outcome"], change=b["outcome"]))
     rises.sort(key=lambda r: (-r["rise"], r["problem"]))
-    both = [(a, b) for a, b in pairs if a["outcome"] == b["outcome"] == "converged"]
+    both = [
+        (a, b)
+        for a, b in pairs
+        if a["outcome"] == b["outcome"] == "converged"
+        and a["iterations"] is not None
+        and b["iterations"] is not None
+    ]
     return dict(
         problems=len(pairs),
         parent=tally(parent),
@@ -201,7 +211,7 @@ def summarize_set(parent: list[dict], change: list[dict]) -> dict:
         ],
         rises=rises,
         p_moves=[fall, largest_rise],
-        converged_both=len(both),
+        stepped_both=len(both),
         mean_iterations=[
             statistics.fmean(a["iterations"] for a, _ in both),
             statistics.fmean(b["iterations"] for _, b in both),
@@ -243,11 +253,11 @@ def format_set(summary: dict) -> list[str]:
     ]
     fall, rise = summary["p_moves"]
     lines.append(f"P moves from {fall:+.1e} to {rise:+.1e} relative")
-    if summary["converged_both"]:
+    if summary["stepped_both"]:
         before, after = summary["mean_iterations"]
         lines.append(
-            f"mean step-2 iterations {before:.3f} -> {after:.3f}"
-            f" over the {summary['converged_both']:,} problems both converge on"
+            f"mean step-2 iterations {before:.3f} -> {after:.3f} over the"
+            f" {summary['stepped_both']:,} problems both converge on with step 2"
         )
     lines.append(f"identical rates on {summary['identical_rates']:,} problems")
     return lines
