@@ -24,8 +24,20 @@ searches every frame, starting from the previous frame's quantizer.
 One rule predicts the quantizer a frame will commit: the search's own
 nearest-rate rule, run on rates predicted from one encode (qp, rate)
 along the log-linear rate-quantizer slope of the frame's last fit
-(_predicted_commit). One rule commits every frame (_commit): a frame
-starts at a quantizer and may be offered a model with its rate-qp slope.
+(_predicted_commit). Every decision on whether a frame keeps its
+quantizer passes the rule a hold: the previous pass's quantizer for a
+re-encoded frame's start, for the lambda-0 retarget test and for the
+anticipated commit, and the start for the one-encode confirmation. A
+prediction one step from the hold gives way to it when the target's
+log2 rate lies within HOLD_BAND quantizer steps of the midpoint between
+the two quantizers' predicted log2 rates. Without the band a target
+that drifts a hair across that midpoint moves the frame one step, which
+forces a re-encode of every later frame in coding order and can keep a
+loop cycling. A pass still settles only when every frame commits its
+previous quantizer, each by a real encode.
+
+One rule commits every frame (_commit): a frame starts at a quantizer
+and may be offered a model with its rate-qp slope.
 An offered frame is encoded once at its start, and when the prediction
 from that encode keeps the quantizer, the encode is committed: the
 offered beta and slope carry over and alpha is rescaled to the encode.
@@ -37,12 +49,11 @@ no extra call. Each re-encoded frame starts at the prediction made from
 its previous pass, and is offered its previous model when that start
 lies within CARRY_SPAN quantizers of its previous quantizer and the
 model was fitted from a pair unless the quantizer holds. Beta is
-carried only across a short move from a fresh pair fit. On a mock
-whose log-log slope varies with rate, a beta carried across moves of any
-span from any model keeps many loops from settling, and one carried
-across long moves, even from a pair fit, costs rate at equal quality. A
-loop whose pass repeats an earlier pass's quantizers, slopes and models
-is cycling, so it stops there unconverged.
+carried only across a short move from a fresh pair fit: on a mock whose
+log-log slope varies with rate, one carried across long moves, even
+from a pair fit, costs rate at equal quality. A loop whose pass repeats
+an earlier pass's quantizers, slopes and models is cycling, so it stops
+there unconverged.
 
 At lambda 0 the allocation is separable: a frame's target depends only
 on its own model and the one budget multiplier, as in the frame-level
@@ -119,6 +130,11 @@ ELASTICITY_MIN_SHIFT = 1e-3
 # Widest quantizer move, from a pair-fitted previous commit, that a frame
 # may make on one encode with its beta and rate-qp slope carried over.
 CARRY_SPAN = 3
+
+# Half-width, in quantizer steps of log2 rate, of the band around the
+# midpoint between a frame's held quantizer and a neighbour inside which
+# the frame keeps the held one (_predicted_commit).
+HOLD_BAND = 0.15
 
 
 class EncoderAdapter(ABC):
@@ -348,16 +364,27 @@ def _log2_rate_slope(samples: list[RDSample]) -> float:
     return (math.log2(high.rate) - math.log2(low.rate)) / (high.qp - low.qp)
 
 
-def _predicted_commit(qp: int, rate: float, slope: float, target_rate: float) -> int:
+def _predicted_commit(
+    qp: int, rate: float, slope: float, target_rate: float, hold: int | None = None
+) -> int:
     """The quantizer _qp_for_target would commit at target_rate, predicted
-    from one encode.
+    from one encode, held at hold through a near tie.
 
     The search runs on rates predicted from (qp, rate) along the log2
     rate-qp slope, starting at qp. Without a negative slope qp is kept.
+    An answer one quantizer from hold gives way to hold when the target's
+    log2 rate lies within HOLD_BAND quantizer steps (|slope| each) of the
+    midpoint between the two quantizers' predicted log2 rates, so a target
+    that drifts a hair across that midpoint does not move the frame.
     """
     if not slope < 0.0:
         return qp
-    return _qp_for_target(lambda q: rate * 2.0 ** (slope * (q - qp)), target_rate, qp)
+    answer = _qp_for_target(lambda q: rate * 2.0 ** (slope * (q - qp)), target_rate, qp)
+    if hold is not None and abs(answer - hold) == 1:
+        midpoint = math.log2(rate) + slope * ((answer + hold) / 2 - qp)
+        if abs(math.log2(target_rate) - midpoint) <= -slope * HOLD_BAND:
+            return hold
+    return answer
 
 
 def _fit_samples(
@@ -411,16 +438,17 @@ def _commit(
 
     An offer is a model and its log2 rate-qp slope. With one, the frame is
     encoded once at start, and that encode is committed when the slope is
-    negative and _predicted_commit from it keeps start: the offered beta
-    and slope carry over and alpha is rescaled to the encode. Otherwise,
-    or with no offer, the quantizer nearest target_rate is searched from
-    start (_qp_for_target), whose first probe is that one encode, and the
-    model and slope are fitted from _fit_samples.
+    negative and _predicted_commit from it, holding start through a near
+    tie (HOLD_BAND), keeps start: the offered beta and slope carry over
+    and alpha is rescaled to the encode. Otherwise, or with no offer, the
+    quantizer nearest target_rate is searched from start (_qp_for_target),
+    whose first probe is that one encode, and the model and slope are
+    fitted from _fit_samples.
     """
     if offer is not None:
         model, slope = offer
         rate, sse = encode(coord, start, ref_state)
-        if slope < 0.0 and _predicted_commit(start, rate, slope, target_rate) == start:
+        if slope < 0.0 and _predicted_commit(start, rate, slope, target_rate, start) == start:
             return _Commit(start, rate, sse, replace(model, alpha=sse / rate ** model.beta), slope)
     qp = _qp_for_target(lambda q: encode(coord, q, ref_state)[0], target_rate, start)
     samples = _fit_samples(encode, coord, qp, target_rate, ref_state)
@@ -489,7 +517,8 @@ def _encode_pass(
 
     Every frame is committed by _commit, from a start quantizer and an
     optional offer of a model and its slope. The start is predicted by
-    _predicted_commit from the previous pass, or in the first pass
+    _predicted_commit from the previous pass, holding the previous pass's
+    qp through a near tie (HOLD_BAND), or in the first pass
     (previous None) it is the previous frame's answer (the middle of the
     range for the first frame). The previous pass offers its model, as
     one of sample_count 1, and slope when the start moves at most
@@ -501,8 +530,11 @@ def _encode_pass(
     is then retargeted (_retarget) from the model just measured at its
     real reference; when _predicted_commit at the new target moves its
     quantizer, _commit runs again toward the new target from there,
-    offered the measured model and slope. The reference is the same, so
-    the measured beta and slope carry exactly. Then the chain advances.
+    offered the measured model and slope. That prediction holds the
+    previous pass's qp, not the commit's, so a frame whose first commit
+    moved one step returns when its retarget lies within the band of
+    that qp. The reference is the same, so the measured beta and slope
+    carry exactly. Then the chain advances.
     After the pass, each frame's reference elasticity is estimated from
     the change since previous. Every encode goes through encode, and the
     adapter gives only the reference chain and total_pixels. A search's
@@ -516,18 +548,19 @@ def _encode_pass(
     qps, rates, sses, models, slopes, retargets = {}, {}, {}, {}, {}, {}
     for coord, target in zip(grid.coding_order, grid.align(targets, "targets")):
         try:
-            offer = None
+            offer = held = None
             if previous is not None:
+                held = previous.qps[coord]
                 model, slope = previous.models[coord], previous.qp_slopes[coord]
-                qp = _predicted_commit(previous.qps[coord], previous.rates[coord], slope, target)
-                shift = abs(qp - previous.qps[coord])
+                qp = _predicted_commit(held, previous.rates[coord], slope, target, held)
+                shift = abs(qp - held)
                 if shift <= CARRY_SPAN and (not shift or model.sample_count == 2):
                     offer = replace(model, sample_count=1), slope
             commit = _commit(encode, coord, target, qp, ref, offer)
             # A floor frame is not where its marginal meets the budget multiplier.
             if planned is not None and target > problem.min_rate:
                 retarget = _retarget(planned[coord], target, commit.model)
-                qp = _predicted_commit(commit.qp, commit.rate, commit.slope, retarget)
+                qp = _predicted_commit(commit.qp, commit.rate, commit.slope, retarget, held)
                 if qp != commit.qp:
                     retargets[coord] = retarget
                     offer = commit.model, commit.slope
@@ -658,16 +691,17 @@ def _reference_scales(
     Walks the coding order. A frame's factor is its reference's predicted
     SSE ratio raised to the frame's reference elasticity. The frame is
     predicted to commit _predicted_commit at its target, at its previous
-    rate moved along its rate-qp slope, so its own SSE ratio is its factor
-    times (rate ratio)**beta. A frame that holds its qp passes its factor
-    on unchanged, so when every frame holds every factor is 1.
+    rate moved along its rate-qp slope, holding its previous qp through a
+    near tie (HOLD_BAND) as the pass will, so its own SSE ratio is its
+    factor times (rate ratio)**beta. A frame that holds its qp passes its
+    factor on unchanged, so when every frame holds every factor is 1.
     """
     scales = np.empty(grid.n_frames)
     ref_ratio = 1.0
     for i, coord in enumerate(grid.coding_order):
         scale = scales[i] = ref_ratio ** previous.ref_elasticities[coord]
         qp, slope = previous.qps[coord], previous.qp_slopes[coord]
-        shift = _predicted_commit(qp, previous.rates[coord], slope, targets[coord]) - qp
+        shift = _predicted_commit(qp, previous.rates[coord], slope, targets[coord], qp) - qp
         rate_ratio = 2.0 ** (slope * shift)
         ref_ratio = scale * rate_ratio ** previous.models[coord].beta
     return scales

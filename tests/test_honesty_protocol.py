@@ -53,6 +53,7 @@ def test_equal_runs_read_zero():
         "lambda 0, curvature 0": 0.0,
         "lambda 0, curvature 0.02": 0.0,
     }
+    assert summary["bd_rate_over_sets"] == 0.0
     assert summary["parent"] == summary["change"] == dict(
         loops=32, settled=32, calls=3200, passes=128
     )
@@ -76,6 +77,18 @@ def test_means_per_seed_and_set_and_loop_totals():
     assert "passes 128 -> 96" in text
 
 
+def test_mean_over_the_sets_is_the_mean_of_the_set_means():
+    # The change spends 2% less on the curvature-0 curves and 1% more on
+    # the curved ones, so the sets read -2% and +1% and their mean -0.5%.
+    parent, change = records(), records()
+    for r in change:
+        r["rate"] *= 0.98 if r["curvature"] == 0.0 else 1.01
+    summary = protocol.summarize(parent, change)
+    assert list(summary["bd_rate_by_set"].values()) == pytest.approx([-2.0, 1.0], rel=1e-9)
+    assert summary["bd_rate_over_sets"] == pytest.approx(-0.5, rel=1e-9)
+    assert "mean BD-rate over the sets -0.500%" in protocol.format_summary(summary)
+
+
 def test_runs_over_different_curves_are_refused():
     with pytest.raises(ValueError, match="different curves"):
         protocol.summarize(records(), records()[:-4])
@@ -96,15 +109,31 @@ def test_traces_are_matched_by_loop():
 
 def test_run_prints_its_loop_totals(tmp_path, monkeypatch, capsys):
     """`run` writes its records and logs the loops settled, encoder calls
-    and passes."""
+    and passes; a loop that ends unsettled, one above UNSETTLED_LIMIT,
+    fails the run and is counted on stderr."""
     loops = records(calls=1000, passes=4)
     loops[3]["settled"] = False
     monkeypatch.setattr(protocol, "run_tree", lambda tree, trace_path: loops)
     output = tmp_path / "records.json"
-    assert protocol.main(["run", str(tmp_path), "--output", str(output)]) == 0
+    assert protocol.UNSETTLED_LIMIT == 0
+    assert protocol.main(["run", str(tmp_path), "--output", str(output)]) == 1
     assert json.loads(output.read_text()) == loops
-    out = capsys.readouterr().out
-    assert out == "31 of 32 loops settled, 32,000 encoder calls, 128 passes\n"
+    captured = capsys.readouterr()
+    assert captured.out == "31 of 32 loops settled, 32,000 encoder calls, 128 passes\n"
+    assert captured.err == "loops ended unsettled: 1 (at most 0)\n"
+
+
+@pytest.mark.parametrize("unsettled, code", [(0, 0), (2, 0), (3, 1)])
+def test_run_fails_above_the_unsettled_limit(tmp_path, monkeypatch, capsys, unsettled, code):
+    loops = records()
+    for r in loops[:unsettled]:
+        r["settled"] = False
+    monkeypatch.setattr(protocol, "run_tree", lambda tree, trace_path: loops)
+    monkeypatch.setattr(protocol, "UNSETTLED_LIMIT", 2)
+    output = tmp_path / "records.json"
+    assert protocol.main(["run", str(tmp_path), "--output", str(output)]) == code
+    assert output.exists()
+    assert capsys.readouterr().err == ("loops ended unsettled: 3 (at most 2)\n" if code else "")
 
 
 def test_trace_digest_is_the_written_file(tmp_path):

@@ -18,9 +18,11 @@ traces differ.
 `run` imports lfalloc from TREE/src, so each tree's loop is measured with
 its own code; the mocks come from this checkout's perfbench. It writes
 the records and prints how many loops settled and the encoder calls and
-passes they took. A single curve moves by a few tenths of a percent
-from which fixed point a loop lands on, so judge by the means, never by
-one curve.
+passes they took, and exits 1 when more than UNSETTLED_LIMIT loops end
+unsettled. A single curve moves by a few tenths of a percent from which
+fixed point a loop lands on, so judge by the means, never by one curve:
+`compare` prints the mean per seed and per set, and the mean BD-rate over
+the sets, the mean of the four set means.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ CURVATURES = (0.0, 0.02)
 BITS_PER_FRAME = (0.5e6, 0.8e6, 1.1e6, 1.4e6)
 SIDE = 13
 MAX_PASSES = 40
+# Loops of one run allowed to end unsettled (cycling or at MAX_PASSES).
+UNSETTLED_LIMIT = 0
 
 
 def trace_digest(write_trace_csv, trace, path: Path) -> str:
@@ -115,9 +119,9 @@ def _traces(records: list[dict]) -> dict[tuple, str]:
 
 
 def summarize(parent: list[dict], change: list[dict]) -> dict:
-    """Mean BD-rate of change over parent per seed and per (lambda,
-    curvature) set, settled loops, encoder calls and passes of each, and
-    the loops whose traces differ."""
+    """Mean BD-rate of change over parent per seed, per (lambda, curvature)
+    set and over the sets (the mean of the set means), settled loops,
+    encoder calls and passes of each, and the loops whose traces differ."""
     from lfalloc import bd_rate
 
     anchors, tests = _curves(parent), _curves(change)
@@ -139,9 +143,11 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
             passes=sum(r["passes"] for r in records),
         )
 
+    set_means = {name: statistics.fmean(v) for name, v in by_set.items()}
     return dict(
         bd_rate_by_seed={seed: statistics.fmean(v) for seed, v in by_seed.items()},
-        bd_rate_by_set={name: statistics.fmean(v) for name, v in by_set.items()},
+        bd_rate_by_set=set_means,
+        bd_rate_over_sets=statistics.fmean(set_means.values()),
         parent=totals(parent),
         change=totals(change),
         traces_differing=sum(parent_traces[key] != change_traces[key] for key in parent_traces),
@@ -153,6 +159,7 @@ def format_summary(summary: dict) -> str:
     by_seed, by_set = summary["bd_rate_by_seed"], summary["bd_rate_by_set"]
     lines = [f"seed {seed}: mean BD-rate {v:+.3f}%" for seed, v in by_seed.items()]
     lines += [f"{name}: mean BD-rate {v:+.3f}%" for name, v in by_set.items()]
+    lines.append(f"mean BD-rate over the sets {summary['bd_rate_over_sets']:+.3f}%")
     parent, change = summary["parent"], summary["change"]
     lines.append(f"settled {parent['settled']} -> {change['settled']} of {change['loops']} loops")
     lines.append(f"encoder calls {parent['calls']:,} -> {change['calls']:,}")
@@ -180,6 +187,11 @@ def main(argv=None) -> int:
         print(
             f"{settled} of {len(records)} loops settled, {calls:,} encoder calls, {passes:,} passes"
         )
+        unsettled = len(records) - settled
+        if unsettled > UNSETTLED_LIMIT:
+            message = f"loops ended unsettled: {unsettled} (at most {UNSETTLED_LIMIT})"
+            print(message, file=sys.stderr)
+            return 1
         return 0
     sys.path.insert(0, str(ROOT / "src"))
     parent, change = (json.loads(path.read_text()) for path in (args.parent, args.change))
