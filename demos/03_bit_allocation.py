@@ -67,7 +67,7 @@ print(f"  weighted distortion: {cost2.weighted_distortion:.1f}")
 print(f"  discontinuity:       {cost2.discontinuity:.4g}")
 print(f"  joint cost T:        {cost2.total:.1f}")
 
-penalty = build_cone_penalty(problem, result.step1_rates)
+penalty = build_cone_penalty(problem, step1.rates)
 print("\nlinearized objective (what step 2 actually descends):")
 print(f"  at the step-1 rates: {penalized_objective(problem, penalty, step1.rates):.1f}")
 print(f"  at the final rates:  {penalized_objective(problem, penalty, result.rates):.1f}")

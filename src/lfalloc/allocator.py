@@ -8,12 +8,13 @@ Step one drops the consistency term and solves the separable problem
 in closed form per frame via the common multiplier, with safeguarded
 Newton steps on the multiplier to meet the budget (water-filling). Step
 two linearizes each frame's distortion inside the consistency term around
-the step-one rates, which turns the penalty into the Euclidean norm of an
-affine map A r + b, and minimizes the resulting convex objective with
-damped Newton steps on the budget face sum_f r_f = budget, the norm
-modelled by its quadratic majorizer. Every optimum lies on that face:
-raising each weighted frame by t / |slope_f| (its tangent slope at the
-step-one rates) leaves A r + b unchanged and lowers the distortion. Step
+an expansion point, the step-one rates in allocate, which turns the
+penalty into the Euclidean norm of an affine map A r + b that keeps that
+point, and minimizes the resulting convex objective with damped Newton
+steps on the budget face sum_f r_f = budget, the norm modelled by its
+quadratic majorizer. Every optimum lies on that face: raising each
+weighted frame by t / |slope_f| (its tangent slope at the expansion
+point) leaves A r + b unchanged and lowers the distortion. Step
 two converges where Newton can no longer improve its iterate, or at a
 zero residual that a dual certificate proves optimal, and in either case
 only with kkt_residual at most KKT_TOLERANCE.
@@ -32,7 +33,7 @@ import logging
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +162,6 @@ class AllocationResult:
     kkt_residual: float
     iterations: int
     budget_used: float
-    step1_rates: dict[FrameCoord, float] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,11 +172,12 @@ class ConePenalty:
     sorted by (i, j)); every row touches exactly the two columns of its
     pair. The arrays are aligned: row t of the system is
     coef_i[t] * r[col_i[t]] + coef_j[t] * r[col_j[t]] + rhs[t].
-    slopes and intercepts hold each frame's tangent line at the
-    expansion point, in coding order.
+    expansion holds a read-only copy of the rates the system was
+    linearized at, and slopes and intercepts each frame's tangent line
+    there, all in coding order.
     """
 
-    n_frames: int
+    expansion: np.ndarray
     col_i: np.ndarray
     col_j: np.ndarray
     coef_i: np.ndarray
@@ -184,6 +185,10 @@ class ConePenalty:
     rhs: np.ndarray
     slopes: np.ndarray
     intercepts: np.ndarray
+
+    @property
+    def n_frames(self) -> int:
+        return self.expansion.size
 
     def residual(self, rates: np.ndarray) -> np.ndarray:
         """A r + b for a rate vector in coding order."""
@@ -362,13 +367,14 @@ def build_cone_penalty(problem: AllocationProblem, expansion_rates) -> ConePenal
     the two rate coefficients and a constant.
     """
     w = problem.w
-    vec = _as_vector(problem, expansion_rates)
+    vec = np.array(_as_vector(problem, expansion_rates))
+    vec.setflags(write=False)
     intercepts, slopes = tangent_lines(problem.alpha, problem.beta, vec)
     pairs = problem.grid.coupled_pairs
     i, j = pairs.i, pairs.j
     scale = np.sqrt(pairs.delta) * np.minimum(w[i], w[j])
     return ConePenalty(
-        n_frames=len(vec),
+        expansion=vec,
         col_i=i,
         col_j=j,
         coef_i=scale * slopes[i],
@@ -449,12 +455,7 @@ def _marginal_mismatch(marginal, grad_f, free, floored, mu: float) -> float:
     return float(np.max(np.abs(marginal[counted] - mu))) / scale
 
 
-def solve_step2(
-    problem: AllocationProblem,
-    warm_start,
-    penalty: ConePenalty,
-    start=None,
-) -> AllocationResult:
+def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) -> AllocationResult:
     """Minimize the penalized objective P(r) = sum_f w_f^2 alpha_f r_f**beta_f
     + lambda |A r + b| on the budget face sum(r) = budget, r >= min_rate,
     by damped Newton steps.
@@ -462,12 +463,12 @@ def solve_step2(
     Where lambda is zero or zero weights gate off every pair row, P is the
     weighted distortion, and the result is solve_step1(problem), which
     minimizes it. Otherwise every optimum spends the whole budget (see the
-    module docstring), so the warm start, projected onto the feasible set,
-    has any slack beyond ACTIVE_BOUND spread evenly over the weighted
-    frames, and each step keeps the spend. With start, another rate vector
-    brought onto the face the same way, step 2 begins from whichever of
-    the two has the lower P. Each iteration solves one KKT system on the
-    face with the Hessian diag(curvature) + (lambda / |y|) A^T A,
+    module docstring), so the warm start and the penalty's expansion point,
+    each projected onto the feasible set, have any slack beyond
+    ACTIVE_BOUND spread evenly over the weighted frames; step 2 begins at
+    the one with the lower P (the expansion point on a tie), and each step
+    keeps the spend. Each iteration solves one KKT system on the face with
+    the Hessian diag(curvature) + (lambda / |y|) A^T A,
     curvature = w^2 alpha beta (beta-1) r^(beta-2) and y = A r + b, whose
     second term is that of the norm's quadratic majorizer at y: unlike the
     norm's own Hessian it keeps the curvature along y, so the step does
@@ -492,11 +493,11 @@ def solve_step2(
     tried first and taken when it beats the start and a dual certificate
     proves it optimal; there the certificate's marginal mismatch replaces
     the Newton test. A start at a zero residual that the certificate does
-    not prove optimal gives way to the step-1 split brought onto the face,
-    and an iterate that reaches one stops.
+    not prove optimal gives way to the expansion point brought onto the
+    face, and an iterate that reaches one stops.
 
     Every accepted step lowers P, so the result is never above P where
-    step 2 starts: the lower start, or the split it gave way to.
+    step 2 starts: the lower start, or the expansion point it gave way to.
     kkt_residual is the marginal mismatch at the result (see the module
     docstring), or the certificate's at a certified zero residual, or 0
     where the floor spend is the budget and every frame sits on the floor,
@@ -611,16 +612,15 @@ def solve_step2(
             vec[weighted] += slack / np.count_nonzero(weighted)
         return vec, penalized_objective(problem, penalty, vec)
 
-    r, value = on_face(warm_start)
-    if start is not None:
-        other, other_value = on_face(start)
-        if other_value < value:
-            r, value = other, other_value
+    r, value = expansion = on_face(penalty.expansion)
+    other, other_value = on_face(warm_start)
+    if other_value < value:
+        r, value = other, other_value
     # Newton has no step at the kink, so a start there that the certificate
-    # does not prove optimal gives way to the step-1 split.
+    # does not prove optimal gives way to the expansion point.
     norm = float(np.linalg.norm(penalty.residual(r)))
     if norm <= ROUNDING * residual_scale(r) and certified(r) is None:
-        r, value = on_face(solve_step1(problem).rates)
+        r, value = expansion
     kink = _zero_residual_point(penalty, weighted, budget, floor)
     kink_value = math.inf if kink is None else penalized_objective(problem, penalty, kink)
     if kink_value < value and certified(kink) is not None:
@@ -712,25 +712,23 @@ def allocate(problem: AllocationProblem, start=None) -> AllocationResult:
 
     With lambda zero the step-one answer is already optimal and is
     returned as is; otherwise step two refines it against the consistency
-    penalty linearized at the step-one rates. start, a rate per frame
+    penalty linearized at the step-one split, from start, a rate per frame
     (a dict, or a vector in coding order) such as an earlier answer to a
-    nearby problem, lets step two begin there instead of at the step-one
-    split when that has the lower P, so the result is never above P at the
-    split; it changes nothing at lambda zero. The result carries the
-    step-one rates for diagnostics either way. A problem whose scale
-    overflows, divides by zero or makes an invalid value anywhere in the
-    solve raises ValueError instead of warning and going on.
+    nearby problem, or from the split when start is None or has the
+    higher P, so the result is never above P at the split; start changes
+    nothing at lambda zero. A problem whose scale overflows, divides by
+    zero or makes an invalid value anywhere in the solve raises
+    ValueError instead of warning and going on.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            step1 = solve_step1(problem)
-            result = step1
+            result = solve_step1(problem)
             if problem.lam > 0.0:
-                penalty = build_cone_penalty(problem, step1.rates)
-                result = solve_step2(problem, step1.rates, penalty, start)
+                penalty = build_cone_penalty(problem, result.rates)
+                result = solve_step2(problem, result.rates if start is None else start, penalty)
     except FloatingPointError as exc:
         raise ValueError(f"problem scale is outside floating-point range ({exc})") from exc
-    return replace(result, step1_rates=dict(step1.rates))
+    return result
 
 
 PROBLEM_FRAME_FIELDS = "u,v,weight,alpha,beta"

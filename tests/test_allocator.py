@@ -477,6 +477,16 @@ class TestConePenalty:
         reference = cost(problem.grid, problem.weights, DistortionSet(sse), 0.0).discontinuity
         assert norm_sq == pytest.approx(reference, rel=1e-10)
 
+    def test_keeps_a_read_only_copy_of_the_expansion_point(self):
+        problem = coupled_square()
+        rates = np.full(4, 1e6)
+        penalty = build_cone_penalty(problem, rates)
+        rates[0] = 2e6
+        assert penalty.expansion.tolist() == [1e6] * 4
+        assert penalty.n_frames == 4
+        with pytest.raises(ValueError, match="read-only"):
+            penalty.expansion[0] = 0.0
+
     def test_nonpositive_expansion_rate(self):
         problem = line_problem(REFERENCE_PAIRS[:2], budget=2e6)
         with pytest.raises(DomainError):
@@ -552,25 +562,30 @@ class TestSolveStep2:
         assert solve_step2(problem, split.rates, penalty).rates == split.rates
         assert allocate(problem).rates == split.rates
 
-    def test_leaves_a_zero_residual_start_that_is_not_optimal(self):
-        # With a small lambda the optimum has a nonzero residual, so a start
-        # on the norm's kink, where every tangent takes one value, gives way
-        # to the step-1 split and ends where the split start does.
-        problem = replace(coupled_square(), lam=0.01)
+    def test_leaves_a_zero_residual_start_that_is_not_optimal(self, monkeypatch):
+        # The norm's kink, where every tangent takes one value, has a lower
+        # P than the step-1 split from lambda 0.158 on, and the certificate
+        # proves it optimal from lambda 0.399 on. In between, a start there
+        # is the lower start but not optimal, so it gives way to the
+        # penalty's expansion point, the split, with no step-1 solve, and
+        # ends where the split start does.
+        problem = replace(coupled_square(), lam=0.2)
         step1 = solve_step1(problem)
         penalty = build_cone_penalty(problem, step1.rates)
         slopes, intercepts = penalty.slopes, penalty.intercepts
         level = (problem.budget + np.sum(intercepts / slopes)) / np.sum(1.0 / slopes)
         kink = (level - intercepts) / slopes
         assert float(np.linalg.norm(penalty.residual(kink))) <= 1e-9 * np.abs(penalty.rhs).max()
-        from_kink = solve_step2(problem, kink, penalty)
+        p_kink = penalized_objective(problem, penalty, kink)
+        assert p_kink < penalized_objective(problem, penalty, step1.rates)
         from_step1 = solve_step2(problem, step1.rates, penalty)
-        assert penalized_objective(problem, penalty, from_kink.rates) == pytest.approx(
-            penalized_objective(problem, penalty, from_step1.rates), rel=1e-12
-        )
-        assert penalized_objective(problem, penalty, from_kink.rates) < penalized_objective(
-            problem, penalty, kink
-        )
+
+        def no_step1(problem):
+            raise AssertionError("step 2 solved step 1 again")
+
+        monkeypatch.setattr(allocator, "solve_step1", no_step1)
+        from_kink = solve_step2(problem, kink, penalty)
+        assert penalized_objective(problem, penalty, from_kink.rates) < p_kink
         assert from_kink.rates == from_step1.rates
         assert from_kink.iterations == from_step1.iterations
 
@@ -591,6 +606,56 @@ class TestSolveStep2:
         rates = np.array(list(carried.rates.values()))
         assert float(rates.min()) >= problem.min_rate
         assert float(rates.sum()) <= problem.budget * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize(
+        "setting, value, converged",
+        [("STEP2_TOL", -1.0, True), ("MIN_RATE_RATIO", 1.0, False)],
+        ids=["no decrement stop", "no frame may fall"],
+    )
+    def test_line_search_stop_converges_by_kkt_tolerance(
+        self, monkeypatch, caplog, setting, value, converged
+    ):
+        # A negative STEP2_TOL sends every step to the line search, which
+        # runs until it finds no decrease, at the optimum. With
+        # MIN_RATE_RATIO 1 no frame may fall, so no step on the face moves
+        # and the line search finds no decrease at the split.
+        problem = replace(coupled_square(), lam=0.01)
+        step1 = solve_step1(problem)
+        penalty = build_cone_penalty(problem, step1.rates)
+        monkeypatch.setattr(allocator, setting, value)
+        with caplog.at_level("DEBUG", logger="lfalloc.allocator"):
+            try:
+                result = solve_step2(problem, step1.rates, penalty)
+            except NotConverged as exc:
+                assert not converged
+                result = exc.result
+        assert "stopped by line search" in caplog.text
+        assert (result.kkt_residual <= allocator.KKT_TOLERANCE) == converged
+        assert result.budget_used == pytest.approx(problem.budget, rel=1e-12)
+
+    def test_singular_newton_system_raises_with_last_iterate(self, monkeypatch):
+        # The third Newton system fails to solve: step 2 stops there and
+        # carries the iterate two steps reach, as the iteration cap does.
+        problem = replace(coupled_square(), lam=0.01)
+        step1 = solve_step1(problem)
+        penalty = build_cone_penalty(problem, step1.rates)
+        monkeypatch.setattr(allocator, "STEP2_MAX_ITERATIONS", 2)
+        with pytest.raises(NotConverged, match="iteration cap") as capped:
+            solve_step2(problem, step1.rates, penalty)
+        monkeypatch.undo()
+        solve, solves = np.linalg.solve, []
+
+        def fails_third(a, b):
+            solves.append(b)
+            if len(solves) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", fails_third)
+        with pytest.raises(NotConverged, match="singular Newton system after 3 ") as singular:
+            solve_step2(problem, step1.rates, penalty)
+        assert singular.value.result.rates == capped.value.result.rates
+        assert singular.value.result.rates != step1.rates
 
 
     @staticmethod
@@ -680,12 +745,14 @@ class TestSolveStep2:
 
     def test_under_budget_start_reaches_the_split_optimum(self):
         # A start that spends half the budget has its slack spread over the
-        # weighted frames before the first Newton step.
+        # weighted frames before the first Newton step. Spread, it has a
+        # higher P than the split, so the penalty, still linearized at the
+        # split, takes it as its expansion point for step 2 to begin there.
         problem = replace(coupled_square(), lam=0.01)
         step1 = solve_step1(problem)
         penalty = build_cone_penalty(problem, step1.rates)
-        half = {c: 0.5 * r for c, r in step1.rates.items()}
-        from_half = solve_step2(problem, half, penalty)
+        half = 0.5 * penalty.expansion
+        from_half = solve_step2(problem, half, replace(penalty, expansion=half))
         from_split = solve_step2(problem, step1.rates, penalty)
         assert penalized_objective(problem, penalty, from_half.rates) == pytest.approx(
             penalized_objective(problem, penalty, from_split.rates), rel=1e-12
@@ -732,15 +799,20 @@ class TestSolveStep2:
         # the point is proved optimal and converges.
         result = allocate(problem)
         assert result.kkt_residual <= 1e-8
-        penalty = build_cone_penalty(problem, result.step1_rates)
+        split = solve_step1(problem).rates
+        penalty = build_cone_penalty(problem, split)
         p = penalized_objective(problem, penalty, result.rates)
-        assert p <= penalized_objective(problem, penalty, result.step1_rates)
+        assert p <= penalized_objective(problem, penalty, split)
         assert result.budget_used == pytest.approx(problem.budget, rel=1e-12)
 
     def test_newton_stop_with_unequal_marginals_is_not_converged(self):
-        # The Newton decrement falls below its tolerance with 0.58% of the
-        # budget unspent and kkt_residual near 9e6; a lattice plus
-        # Nelder-Mead search puts the optimum at P = 1,127,168.87.
+        # Zero weights split the weighted frames into two coupled groups,
+        # {0} and {3, 4} by u, so A has one null direction per group and the
+        # certificate, which assumes one, cannot prove the kink optimal:
+        # allocate raises NotConverged by an uncertified zero residual after
+        # 4 iterations (kkt_residual 0.94). Its last iterate spends the
+        # budget at the optimum that a lattice plus Nelder-Mead search puts
+        # at P = 1,127,168.87; a converged result must be there too.
         problem = sparse_problem(5, 1, 5e6, 701176.6042372836, 1000.0, {
             (3, 0): (0.9053794285336533, 19420444.4894804, -0.19956024645893455),
             (4, 0): (0.05676246705702981, 136341342.08788058, -0.1348650911994494),
@@ -749,10 +821,11 @@ class TestSolveStep2:
         penalty = build_cone_penalty(problem, solve_step1(problem).rates)
         try:
             result = allocate(problem)
-        except NotConverged:
-            return
+        except NotConverged as exc:
+            result = exc.result
         p = penalized_objective(problem, penalty, result.rates)
         assert p == pytest.approx(1127168.87, rel=1e-6)
+        assert result.budget_used == pytest.approx(problem.budget, rel=1e-12)
 
 
 class TestSolveStep2RealisticScale:
@@ -836,7 +909,6 @@ class TestAllocate:
         combined = allocate(problem)
         direct = solve_step1(problem)
         assert combined.rates == direct.rates
-        assert combined.step1_rates == direct.rates
 
     def test_identical_frames_stay_uniform_under_coupling(self):
         problem = line_problem((REFERENCE_PAIRS[0],) * 3, budget=3e6, lam=5.0)
@@ -849,11 +921,14 @@ class TestAllocate:
     def test_identical_frames_converge_from_every_warm_start_bit(self, scale):
         # Every warm start within step 1's budget tolerance of the split
         # reaches the same kink; the last bits of the start decide nothing.
+        # The split is that kink, so no start has a lower P: the penalty,
+        # still linearized at the split, takes the start as its expansion
+        # point for step 2 to begin there.
         problem = line_problem((REFERENCE_PAIRS[0],) * 3, budget=3e6, lam=5.0)
         step1 = solve_step1(problem)
         penalty = build_cone_penalty(problem, step1.rates)
-        start = {c: (1.0 + scale) * r for c, r in step1.rates.items()}
-        result = solve_step2(problem, start, penalty)
+        start = (1.0 + scale) * penalty.expansion
+        result = solve_step2(problem, start, replace(penalty, expansion=start))
         rates = list(result.rates.values())
         assert rates[0] == rates[1] == rates[2]
         assert result.budget_used == pytest.approx(problem.budget, rel=1e-12)
@@ -894,25 +969,21 @@ class TestAllocate:
 
         cold = allocate(problem)
         warm = allocate(problem, start)
-        penalty = build_cone_penalty(problem, cold.step1_rates)
+        split = solve_step1(problem).rates
+        penalty = build_cone_penalty(problem, split)
         p_warm = penalized_objective(problem, penalty, warm.rates)
         p_cold = penalized_objective(problem, penalty, cold.rates)
         assert p_warm == pytest.approx(p_cold, rel=1e-10)
-        assert p_warm <= penalized_objective(problem, penalty, cold.step1_rates) * (1.0 + 1e-12)
-        assert warm.step1_rates == cold.step1_rates
+        assert p_warm <= penalized_objective(problem, penalty, split) * (1.0 + 1e-12)
 
     def test_polish_does_not_worsen_linearized_objective(self):
         problem = coupled_square()
         result = allocate(problem)
-        penalty = build_cone_penalty(problem, result.step1_rates)
-        before = penalized_objective(problem, penalty, result.step1_rates)
+        split = solve_step1(problem).rates
+        penalty = build_cone_penalty(problem, split)
+        before = penalized_objective(problem, penalty, split)
         after = penalized_objective(problem, penalty, result.rates)
         assert after <= before * (1.0 + 1e-12)
-
-    def test_step1_rates_reported(self):
-        problem = coupled_square()
-        result = allocate(problem)
-        assert result.step1_rates == solve_step1(problem).rates
 
     def test_objective_is_model_cost(self):
         problem = coupled_square()
@@ -1015,7 +1086,7 @@ class TestProblemIO:
         assert a.grid is b.grid
         assert (a.lam, b.lam) == (5.0, 50.0)
         # The cone penalty's columns are the shared grid's read-only arrays.
-        penalty = build_cone_penalty(b, allocate(b).step1_rates)
+        penalty = build_cone_penalty(b, solve_step1(b).rates)
         assert penalty.col_i is a.grid.coupled_pairs.i
         with pytest.raises(ValueError, match="read-only"):
             penalty.col_j[0] = 0
