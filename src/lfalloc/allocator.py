@@ -17,7 +17,10 @@ weighted frame by t / |slope_f| (its tangent slope at the expansion
 point) leaves A r + b unchanged and lowers the distortion. Step
 two converges where Newton can no longer improve its iterate, or at a
 zero residual that a dual certificate proves optimal, and in either case
-only with kkt_residual at most KKT_TOLERANCE.
+only with kkt_residual at most KKT_TOLERANCE. The certificate is one
+least-squares solve over the free frames, which covers every coupled
+group and the sign of the floor frames' multipliers, and it is judged by
+kkt_residual like every other stop.
 
 Both steps report kkt_residual with one unit-free meaning: the worst
 relative mismatch between a frame's marginal (the objective's decrease
@@ -413,36 +416,6 @@ def _bordered_gram(penalty: ConePenalty) -> np.ndarray:
     return matrix
 
 
-def _kink_certificate(penalty: ConePenalty, gram, grad_f, lam: float, weighted):
-    """Optimality test at a point where A r + b = 0 and every weighted frame
-    is above the floor.
-
-    There the norm's subdifferential is {A^T u : |u| <= 1}, so the point
-    is optimal when some u in the unit ball and multiplier mu >= 0 give
-    grad_f + lam A^T u + mu = 0 on the weighted frames. mu is fixed by
-    orthogonality to the null direction of A (1 / slope per frame) and u
-    is the least-norm solution. Returns (|u|, mu, marginals) with the
-    marginals -(grad_f + lam A^T u), or None when A has a larger null
-    space and the least-norm solve does not apply.
-    """
-    null = 1.0 / penalty.slopes[weighted]
-    mu = -float(null @ grad_f[weighted]) / float(null.sum())
-    target = -(grad_f[weighted] + mu) / lam
-    g = gram[np.ix_(weighted, weighted)]
-    unit = null / np.linalg.norm(null)
-    try:
-        z_w = np.linalg.solve(g + (np.trace(g) / unit.size) * np.outer(unit, unit), target)
-    except np.linalg.LinAlgError:
-        return None
-    if np.linalg.norm(g @ z_w - target) > 1e-8 * np.linalg.norm(target):
-        return None
-    z = np.zeros(penalty.n_frames)
-    z[weighted] = z_w
-    u = penalty.coef_i * z[penalty.col_i] + penalty.coef_j * z[penalty.col_j]
-    marginal = -(grad_f + lam * penalty.apply_transpose(u))
-    return float(np.linalg.norm(u)), mu, marginal
-
-
 def _marginal_mismatch(marginal, grad_f, free, floored, mu: float) -> float:
     """Worst relative gap between mu and the marginals of free frames and of
     floor frames whose marginal exceeds mu (their multiplier is negative,
@@ -489,12 +462,21 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     P, so with unequal marginals the line search runs from r instead.
 
     The norm has a kink where A r + b = 0, where Newton has no system.
-    From every start the one budget-face point with a zero residual is
-    tried first and taken when it beats the start and a dual certificate
-    proves it optimal; there the certificate's marginal mismatch replaces
-    the Newton test. A start at a zero residual that the certificate does
-    not prove optimal gives way to the expansion point brought onto the
-    face, and an iterate that reaches one stops.
+    There its subdifferential is {A^T u : |u| <= 1}, so a point is optimal
+    when some u in the unit ball and multiplier mu > 0 give every free
+    frame the marginal -(grad_f + lambda A^T u) = mu. The dual certificate
+    finds them by one least-squares solve of the bordered matrix with the
+    Gram diagonal, over the free frames and the border, with the right
+    side [-grad_f / lambda, 0]: its solution [z; mu / lambda] gives
+    u = A z and covers the null direction of every coupled group at once.
+    The certificate proves the point optimal when |u| <= 1, mu > 0 and
+    the marginal mismatch under u and mu, which judges the floor frames as
+    kkt_residual does, is at most KKT_TOLERANCE. From every start the one
+    budget-face point with a zero residual is tried first and taken when
+    it beats the start and the certificate proves it optimal. A start at a
+    zero residual that the certificate does not prove optimal gives way to
+    the expansion point brought onto the face, and an iterate that reaches
+    one stops.
 
     Every accepted step lowers P, so the result is never above P where
     step 2 starts: the lower start, or the expansion point it gave way to.
@@ -535,15 +517,23 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         return float(np.linalg.norm(terms))
 
     def certified(vec: np.ndarray):
-        if not np.all(vec[weighted] > floor):
-            return None
+        """The marginal mismatch under the dual certificate at a zero
+        residual vec, or None unless the certificate proves vec optimal."""
+        grad_f = distortion_derivatives(vec)[0]
+        free = weighted & (vec > floor)
+        rows = np.append(np.nonzero(free)[0], n)
         kkt[diagonal, diagonal] = gram_diagonal
-        found = _kink_certificate(
-            penalty, kkt[:n, :n], distortion_derivatives(vec)[0], lam, weighted
-        )
-        if found is None or found[0] > 1.0 or found[1] <= 0.0:
+        target = np.append(-grad_f[free] / lam, 0.0)
+        sol = np.linalg.lstsq(kkt[np.ix_(rows, rows)], target, rcond=None)[0]
+        z = np.zeros(n)
+        z[free] = sol[:-1]
+        u = penalty.coef_i * z[penalty.col_i] + penalty.coef_j * z[penalty.col_j]
+        mu = lam * float(sol[-1])
+        marginal = -(grad_f + lam * penalty.apply_transpose(u))
+        mismatch = _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
+        if np.linalg.norm(u) > 1.0 or mu <= 0.0 or mismatch > KKT_TOLERANCE:
             return None
-        return found
+        return mismatch
 
     def kkt_residual_at(vec: np.ndarray) -> float:
         """Marginal mismatch at vec with the budget multiplier taken as the
@@ -649,12 +639,10 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         norm = float(np.linalg.norm(res))
         scale = residual_scale(r)
         if norm <= ROUNDING * scale:
-            found = certified(r)
-            if found is None:
+            kkt_residual = certified(r)
+            if kkt_residual is None:
                 stop = "uncertified zero residual"
                 break
-            _, mu, marginal = found
-            kkt_residual = _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
             stop = "certified zero residual"
             break
         grad = grad_f + lam * penalty.apply_transpose(res / norm)
@@ -716,12 +704,12 @@ def allocate(problem: AllocationProblem, start=None) -> AllocationResult:
     (a dict, or a vector in coding order) such as an earlier answer to a
     nearby problem, or from the split when start is None or has the
     higher P, so the result is never above P at the split; start changes
-    nothing at lambda zero. A problem whose scale overflows, divides by
-    zero or makes an invalid value anywhere in the solve raises
-    ValueError instead of warning and going on.
+    nothing at lambda zero. A problem whose scale overflows, underflows,
+    divides by zero or makes an invalid value anywhere in the solve
+    raises ValueError instead of warning and going on.
     """
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with np.errstate(over="raise", under="raise", invalid="raise", divide="raise"):
             result = solve_step1(problem)
             if problem.lam > 0.0:
                 penalty = build_cone_penalty(problem, result.rates)

@@ -1,8 +1,13 @@
-"""Shared builders for the mock-encoder scenarios used across test files."""
+"""Shared model pairs and builders for the mock-encoder scenarios used
+across test files."""
 
 import pytest
 
 from lfalloc import FrameCoord, MockEncoderConfig, MockSetup, spiral_order, unify_weights
+
+# Representative fitted (alpha, beta) pairs spanning the spread seen on real
+# sequences.
+REFERENCE_PAIRS = ((4.46e7, -0.261), (1.96e8, -0.383), (6.93e7, -0.284))
 
 
 def _grid_params(alpha_spread: float, beta_spread: float):

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import make_coupled_setup, make_decoupled_setup
+from conftest import REFERENCE_PAIRS, make_coupled_setup, make_decoupled_setup
 from lfalloc import (
     DistortionSet,
     FrameCoord,
@@ -38,8 +38,6 @@ from lfalloc import (
 )
 from lfalloc.cli import main as cli_main
 from test_allocator import coupled_square, line_problem
-
-REFERENCE_PAIRS = ((4.46e7, -0.261), (1.96e8, -0.383), (6.93e7, -0.284))
 
 
 @contextmanager

@@ -1,5 +1,6 @@
 """Projection, water-filling, cone penalty, and the two-step allocator."""
 
+import functools
 import importlib.util
 import math
 import re
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lfalloc
+from conftest import REFERENCE_PAIRS
 from lfalloc import (
     AllocationProblem,
     DegenerateWeights,
@@ -46,8 +48,6 @@ SWEEP = Path(__file__).resolve().parent.parent / "tools" / "step2_sweep.py"
 SPEC = importlib.util.spec_from_file_location("step2_sweep", SWEEP)
 sweep = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(sweep)
-
-REFERENCE_PAIRS = ((4.46e7, -0.261), (1.96e8, -0.383), (6.93e7, -0.284))
 
 
 def line_problem(pairs, budget, lam=0.0, weights=None, min_rate=None):
@@ -771,10 +771,10 @@ class TestSolveStep2:
         assert np.count_nonzero(rates[problem.w > 0.0] == problem.min_rate) == on_floor
 
     @pytest.mark.parametrize(
-        "problem",
+        "build",
         [
             pytest.param(
-                sparse_problem(1, 6, 6e6, 77.73353770658693, 459784.57194551517, {
+                lambda: sparse_problem(1, 6, 6e6, 77.73353770658693, 459784.57194551517, {
                     (0, 2): (0.7779100301965141, 57990825.773164645, -0.4365892239536335),
                     (0, 5): (0.40506488507941585, 195475257.55220756, -0.31044671908474974),
                     (0, 0): (0.39353496168786456, 58113024.91724182, -0.4052887774185132),
@@ -782,7 +782,7 @@ class TestSolveStep2:
                 id="1x6",
             ),
             pytest.param(
-                sparse_problem(6, 1, 6e6, 532.3903248286007, 27710.877957215864, {
+                lambda: sparse_problem(6, 1, 6e6, 532.3903248286007, 27710.877957215864, {
                     (4, 0): (0.7772899433551292, 110850301.19326107, -0.3850019167679068),
                     (5, 0): (0.551972235647393, 43713517.06535419, -0.31442721641185556),
                     (1, 0): (0.685813251579918, 232052341.56657013, -0.43895184268883736),
@@ -790,29 +790,37 @@ class TestSolveStep2:
                 }),
                 id="6x1",
             ),
+            *(
+                pytest.param(functools.partial(sweep_problem, index), id=f"sweep-{index}")
+                for index in (1696, 1971, 2150, 2727, 3474, 3661)
+            ),
         ],
     )
-    def test_certified_zero_residual_converges_by_kkt_tolerance(self, problem):
-        # Zero weights split the coupled frames into groups. Step 2 stops at
-        # a zero residual whose dual certificate leaves a marginal mismatch
-        # of 3.4e-12 (1x6) and 1.9e-9 (6x1): far below KKT_TOLERANCE, so
-        # the point is proved optimal and converges.
+    def test_certified_zero_residual_converges_by_kkt_tolerance(self, build):
+        # Zero weights split the coupled frames of these 6-frame lines into
+        # groups, each with its own null direction of A. Step 2 stops at a
+        # zero residual whose least-squares dual certificate covers every
+        # group and leaves a marginal mismatch of at most 9.9e-9 (sweep
+        # problem 3474): below KKT_TOLERANCE, so the point is proved optimal
+        # and converges. Step 2 keeps the spend of its start, which step 1
+        # meets to within 1e-10 (2.5e-12 short on sweep problem 2727).
+        problem = build()
         result = allocate(problem)
         assert result.kkt_residual <= 1e-8
         split = solve_step1(problem).rates
         penalty = build_cone_penalty(problem, split)
         p = penalized_objective(problem, penalty, result.rates)
         assert p <= penalized_objective(problem, penalty, split)
-        assert result.budget_used == pytest.approx(problem.budget, rel=1e-12)
+        assert result.budget_used == pytest.approx(problem.budget, rel=1e-10)
 
     def test_newton_stop_with_unequal_marginals_is_not_converged(self):
         # Zero weights split the weighted frames into two coupled groups,
-        # {0} and {3, 4} by u, so A has one null direction per group and the
-        # certificate, which assumes one, cannot prove the kink optimal:
-        # allocate raises NotConverged by an uncertified zero residual after
-        # 4 iterations (kkt_residual 0.94). Its last iterate spends the
-        # budget at the optimum that a lattice plus Nelder-Mead search puts
-        # at P = 1,127,168.87; a converged result must be there too.
+        # {0} and {3, 4} by u. allocate raises NotConverged by an uncertified
+        # zero residual after 4 iterations: the last iterate's group
+        # marginals still differ from the certificate's multiplier by 6.2e-6
+        # relative, above KKT_TOLERANCE. That iterate spends the budget at
+        # the optimum that a lattice plus Nelder-Mead search puts at
+        # P = 1,127,168.87; a converged result must be there too.
         problem = sparse_problem(5, 1, 5e6, 701176.6042372836, 1000.0, {
             (3, 0): (0.9053794285336533, 19420444.4894804, -0.19956024645893455),
             (4, 0): (0.05676246705702981, 136341342.08788058, -0.1348650911994494),
@@ -932,6 +940,18 @@ class TestAllocate:
         rates = list(result.rates.values())
         assert rates[0] == rates[1] == rates[2]
         assert result.budget_used == pytest.approx(problem.budget, rel=1e-12)
+
+    def test_identical_frames_kink_is_certified_where_linearized(self):
+        # The penalty linearized at the start itself puts the start at the
+        # kink, where the certificate's right side is nothing but rounding;
+        # every start within step 1's budget tolerance of the split must
+        # still be proved optimal.
+        problem = line_problem((REFERENCE_PAIRS[0],) * 3, budget=3e6, lam=5.0)
+        split = np.array(list(solve_step1(problem).rates.values()))
+        for scale in np.linspace(-1e-10, 1e-10, 41):
+            start = (1.0 + scale) * split
+            result = solve_step2(problem, start, build_cone_penalty(problem, start))
+            assert result.kkt_residual <= allocator.KKT_TOLERANCE
 
     @pytest.mark.parametrize(
         "lam, floor_share", [(0.0, 1.0), (10.0, 1.0), (10.0, 1.0 - 1e-10)], ids=str

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REFERENCE_PAIRS
 from lfalloc import cli
 from lfalloc import (
     AllocationProblem,
@@ -78,9 +79,6 @@ def run_python(cwd, *args, **env):
 def run_cli(cwd, *argv, **env):
     """`python -W error -m lfalloc.cli *argv` in cwd, as run_python."""
     return run_python(cwd, "-m", "lfalloc.cli", *argv, **env)
-
-
-REFERENCE_PAIRS = ((4.46e7, -0.261), (1.96e8, -0.383), (6.93e7, -0.284))
 
 
 def write_reference_samples(path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REFERENCE_PAIRS
 from lfalloc import (
     DomainError,
     InsufficientSamples,
@@ -22,9 +23,6 @@ from lfalloc import (
     tangent_lines,
     write_samples_csv,
 )
-
-# Representative fitted pairs spanning the spread seen on real sequences.
-REFERENCE_PAIRS = ((4.46e7, -0.261), (1.96e8, -0.383), (6.93e7, -0.284))
 
 FIT_RATES = (1e5, 2e5, 4e5, 8e5, 1.6e6)
 

@@ -177,13 +177,13 @@ def test_runs_over_different_problems_are_refused():
 
 @pytest.mark.parametrize(
     "sweep_failures, cone_failures, fails",
-    [(0, 0, False), (8, 0, False), (9, 0, True), (0, 1, True), (8, 1, True)],
+    [(0, 0, False), (2, 0, False), (3, 0, True), (0, 1, True), (2, 1, True)],
 )
 def test_run_fails_on_too_many_not_converged(
     tmp_path, monkeypatch, capsys, sweep_failures, cone_failures, fails
 ):
     """`run` writes its records and prints each set's outcome counts, then
-    exits 1 and prints the NotConverged count of each set when more than 8
+    exits 1 and prints the NotConverged count of each set when more than 2
     sweep problems, or any cone problem, end in NotConverged."""
     records = [record("NotConverged", 5.0, 3.0)] * sweep_failures + [record()] * 3
     records += [record("NotConverged", 5.0, 3.0, set="cone")] * cone_failures
@@ -198,5 +198,5 @@ def test_run_fails_on_too_many_not_converged(
         f"sweep: 3 converged / {sweep_failures} NotConverged / 0 DegenerateWeights\n"
         f"cone: 2 converged / {cone_failures} NotConverged / 0 DegenerateWeights\n"
     )
-    counts = f"sweep {sweep_failures} (at most 8), cone {cone_failures} (at most 0)"
+    counts = f"sweep {sweep_failures} (at most 2), cone {cone_failures} (at most 0)"
     assert err == (f"NotConverged per set: {counts}\n" if fails else "")
