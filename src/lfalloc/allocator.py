@@ -18,9 +18,9 @@ point) leaves A r + b unchanged and lowers the distortion. Step
 two converges where Newton can no longer improve its iterate, or at a
 zero residual that a dual certificate proves optimal, and in either case
 only with kkt_residual at most KKT_TOLERANCE. The certificate is one
-least-squares solve over the free frames, which covers every coupled
-group and the sign of the floor frames' multipliers, and it is judged by
-kkt_residual like every other stop.
+least-squares solve over the free weighted frames, which covers every
+coupled group at once; the floor frames' sign is then judged by
+kkt_residual's rule, as at every other stop.
 
 Both steps report kkt_residual with one unit-free meaning: the worst
 relative mismatch between a frame's marginal (the objective's decrease
@@ -487,7 +487,9 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     most KKT_TOLERANCE and step 2 stopped there, by the certificate, the
     decrement, or a line search that finds no decrease. The iteration cap
     STEP2_MAX_ITERATIONS, a singular Newton system and an uncertified zero
-    residual raise NotConverged carrying the last iterate.
+    residual raise NotConverged carrying the last iterate. Consistency
+    terms whose squares underflow, where every point would read as the
+    kink, raise FloatingPointError.
     """
     lam = problem.lam
     if lam == 0.0 or not np.any(penalty.coef_i):
@@ -512,9 +514,14 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         return grad, grad * (beta - 1.0) / vec
 
     def residual_scale(vec: np.ndarray) -> float:
-        """Norm of the terms that cancel in A r + b."""
+        """Norm of the terms that cancel in A r + b. Where their squares
+        underflow, every point would read as the kink, so that raises
+        FloatingPointError."""
         terms = abs_i * vec[penalty.col_i] + abs_j * vec[penalty.col_j] + abs_rhs
-        return float(np.linalg.norm(terms))
+        scale = float(np.linalg.norm(terms))
+        if scale * scale < np.finfo(float).tiny:
+            raise FloatingPointError("underflow encountered in the consistency residual")
+        return scale
 
     def certified(vec: np.ndarray):
         """The marginal mismatch under the dual certificate at a zero
@@ -704,12 +711,13 @@ def allocate(problem: AllocationProblem, start=None) -> AllocationResult:
     (a dict, or a vector in coding order) such as an earlier answer to a
     nearby problem, or from the split when start is None or has the
     higher P, so the result is never above P at the split; start changes
-    nothing at lambda zero. A problem whose scale overflows, underflows,
-    divides by zero or makes an invalid value anywhere in the solve
-    raises ValueError instead of warning and going on.
+    nothing at lambda zero. A problem whose scale overflows, divides by
+    zero or makes an invalid value anywhere in the solve, or underflows
+    the consistency residual's terms, raises ValueError instead of
+    warning and going on.
     """
     try:
-        with np.errstate(over="raise", under="raise", invalid="raise", divide="raise"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             result = solve_step1(problem)
             if problem.lam > 0.0:
                 penalty = build_cone_penalty(problem, result.rates)

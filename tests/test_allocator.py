@@ -802,8 +802,7 @@ class TestSolveStep2:
         # zero residual whose least-squares dual certificate covers every
         # group and leaves a marginal mismatch of at most 9.9e-9 (sweep
         # problem 3474): below KKT_TOLERANCE, so the point is proved optimal
-        # and converges. Step 2 keeps the spend of its start, which step 1
-        # meets to within 1e-10 (2.5e-12 short on sweep problem 2727).
+        # and converges. Step 2 keeps the spend of its start, the split.
         problem = build()
         result = allocate(problem)
         assert result.kkt_residual <= 1e-8
@@ -811,7 +810,7 @@ class TestSolveStep2:
         penalty = build_cone_penalty(problem, split)
         p = penalized_objective(problem, penalty, result.rates)
         assert p <= penalized_objective(problem, penalty, split)
-        assert result.budget_used == pytest.approx(problem.budget, rel=1e-10)
+        assert result.budget_used == pytest.approx(sum(split.values()), rel=1e-12)
 
     def test_newton_stop_with_unequal_marginals_is_not_converged(self):
         # Zero weights split the weighted frames into two coupled groups,

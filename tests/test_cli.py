@@ -1073,17 +1073,19 @@ def test_non_utf8_input_is_named(tmp_path, capsys, command):
     assert err.startswith(f"error: {path}: "), err
 
 
-def scaled_problem(rate_scale=1.0, sse_scale=1.0, min_rate=None, first_alpha=None):
+def scaled_problem(
+    rate_scale=1.0, sse_scale=1.0, min_rate=None, first_alpha=None, first_weight=None
+):
     """A 3x3 problem at lambda 10 with 1e6 bits per frame, in rate units
     scaled by rate_scale and SSE units scaled by sse_scale; first_alpha
-    replaces the first frame's alpha."""
+    and first_weight replace the first frame's alpha and weight."""
     grid = spiral_order(3, 3)
     models, weights = {}, {}
     for k, c in enumerate(grid.coding_order):
         beta = -(0.22 + 0.025 * k)
         alpha = 10 ** (7.5 + 0.1 * k) * sse_scale * rate_scale ** -beta
         models[c] = RDModelParams(first_alpha if k == 0 and first_alpha else alpha, beta)
-        weights[c] = 0.2 + 0.1 * k
+        weights[c] = first_weight if k == 0 and first_weight else 0.2 + 0.1 * k
     return AllocationProblem(
         grid=grid,
         weights=unify_weights(weights),
@@ -1114,6 +1116,21 @@ def test_extreme_scale_is_input_error(tmp_path, capsys, scale):
     write_problem_file(scaled_problem(**scale), problem)
     assert main(["allocate", str(problem), "--output", str(tmp_path / "a.csv")]) == EXIT_INPUT
     assert "outside floating-point range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [{"sse_scale": 10 ** -152.5}, {"first_weight": 1e-160}],
+    ids=lambda scale: ",".join(f"{key}={value:g}" for key, value in scale.items()),
+)
+def test_harmless_underflow_allocates(tmp_path, capsys, scale):
+    """An underflow that leaves the consistency residual's terms in range,
+    in step 2's Gram matrix or in a tiny weight's square, is no input
+    error: the problem allocates, without a warning."""
+    problem = tmp_path / "problem.txt"
+    write_problem_file(scaled_problem(**scale), problem)
+    assert main(["allocate", str(problem), "--output", str(tmp_path / "a.csv")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_extreme_loop_budget_is_input_error(tmp_path, capsys):
