@@ -44,7 +44,7 @@ import numpy as np
 from . import records
 from .errors import DegenerateWeights, DomainError, InfeasibleBudget, NotConverged, ParseError
 from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order
-from .metrics import CostBreakdown, joint_cost
+from .metrics import CostBreakdown, format_cost_breakdown, joint_cost
 from .rdmodel import RDModelParams, tangent_lines
 
 log = logging.getLogger("lfalloc.allocator")
@@ -402,15 +402,16 @@ def _zero_residual_point(penalty: ConePenalty, weighted, budget: float, floor: f
     return r if np.all(r[weighted] > floor) else None
 
 
-def _bordered_gram(penalty: ConePenalty) -> np.ndarray:
-    """The (n+1) x (n+1) matrix [[A^T A, 1], [1^T, 0]], A^T A accumulated
-    from the pair arrays."""
+def _bordered_gram(penalty: ConePenalty, unit: float) -> np.ndarray:
+    """The (n+1) x (n+1) matrix [[A^T A, 1], [1^T, 0]] with A's coefficients
+    in units of unit, A^T A accumulated from the pair arrays."""
     n = penalty.n_frames
     size = n + 1
     i, j = penalty.col_i, penalty.col_j
-    cross = penalty.coef_i * penalty.coef_j
+    coef_i, coef_j = penalty.coef_i / unit, penalty.coef_j / unit
+    cross = coef_i * coef_j
     flat = np.concatenate((i * (size + 1), j * (size + 1), i * size + j, j * size + i))
-    values = np.concatenate((penalty.coef_i ** 2, penalty.coef_j ** 2, cross, cross))
+    values = np.concatenate((coef_i ** 2, coef_j ** 2, cross, cross))
     matrix = np.bincount(flat, values, size * size).reshape(size, size)
     matrix[:n, n] = matrix[n, :n] = 1.0
     return matrix
@@ -451,9 +452,12 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
             = [-(|y| / lambda) g; 0],
 
     in one bordered matrix built per call from the pair arrays, of which
-    each iteration rewrites only the diagonal. Frames at min_rate stay
-    fixed while their multiplier is nonnegative; zero-weight frames sit at
-    the floor. The step is projected onto the feasible set with no frame
+    each iteration rewrites only the diagonal. Where the squares of A's
+    coefficients fall near the subnormal range, that matrix holds A in
+    units of the power of two nearest its largest coefficient, and the
+    weight |y| / lambda is divided by that unit squared. Frames at
+    min_rate stay fixed while their multiplier is nonnegative;
+    zero-weight frames sit at the floor. The step is projected onto the feasible set with no frame
     cut below a quarter of its rate, and backtracked until the exact P
     falls enough (Armijo). The Newton stop is unit-free: half the squared
     decrement at most STEP2_TOL * P or below the rounding error of P, with
@@ -481,15 +485,24 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     Every accepted step lowers P, so the result is never above P where
     step 2 starts: the lower start, or the expansion point it gave way to.
     kkt_residual is the marginal mismatch at the result (see the module
-    docstring), or the certificate's at a certified zero residual, or 0
-    where the floor spend is the budget and every frame sits on the floor,
-    the one feasible point. The result converges when kkt_residual is at
-    most KKT_TOLERANCE and step 2 stopped there, by the certificate, the
-    decrement, or a line search that finds no decrease. The iteration cap
-    STEP2_MAX_ITERATIONS, a singular Newton system and an uncertified zero
-    residual raise NotConverged carrying the last iterate. Consistency
-    terms whose squares underflow, where every point would read as the
-    kink, raise FloatingPointError.
+    docstring) unless its stop says otherwise. Step 2 stops in one of
+    seven ways, and logs which at DEBUG:
+
+        floor spend                converges: the floor spend is the
+                                   budget, so every frame on the floor is
+                                   the one feasible point; kkt_residual 0
+        certified zero residual    converges; kkt_residual the
+                                   certificate's mismatch
+        Newton decrement           converges
+        line search                converges: no decrease found
+        iteration cap              raises, after STEP2_MAX_ITERATIONS
+        singular Newton system     raises
+        uncertified zero residual  raises
+
+    A stop that converges does so only with kkt_residual at most
+    KKT_TOLERANCE; every other result raises NotConverged carrying it.
+    Consistency terms whose squares underflow, where every point would
+    read as the kink, raise FloatingPointError.
     """
     lam = problem.lam
     if lam == 0.0 or not np.any(penalty.coef_i):
@@ -501,11 +514,16 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     w2a = w * w * problem.alpha
     weighted = w2a > 0.0
     abs_i, abs_j, abs_rhs = np.abs(penalty.coef_i), np.abs(penalty.coef_j), np.abs(penalty.rhs)
+    # Near underflow the Gram takes A in units of a power of two, which
+    # divides exactly, so that its squares stay normal.
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    largest = float(max(abs_i.max(), abs_j.max()))
+    unit = 2.0 ** round(math.log2(largest)) if largest * largest < tiny / eps else 1.0
     # The bordered matrix stays accurate where the Hessian alone is nearly
     # singular: along A's null direction once lambda / |y| dwarfs the
     # distortion curvature. That direction (1 / slope) has entries of one
     # sign, so the budget row pins it.
-    kkt = _bordered_gram(penalty)
+    kkt = _bordered_gram(penalty, unit)
     diagonal = np.arange(n)
     gram_diagonal = kkt[diagonal, diagonal]
 
@@ -513,57 +531,63 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         grad = w2a * beta * vec ** (beta - 1.0)
         return grad, grad * (beta - 1.0) / vec
 
-    def residual_scale(vec: np.ndarray) -> float:
-        """Norm of the terms that cancel in A r + b. Where their squares
-        underflow, every point would read as the kink, so that raises
-        FloatingPointError."""
+    def residual_at(vec: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """y = A r + b at vec, |y| and the norm of the terms that cancel in
+        y. Where their squares underflow, every point would read as the
+        kink, so that raises FloatingPointError."""
+        res = penalty.residual(vec)
         terms = abs_i * vec[penalty.col_i] + abs_j * vec[penalty.col_j] + abs_rhs
         scale = float(np.linalg.norm(terms))
-        if scale * scale < np.finfo(float).tiny:
+        if scale * scale < tiny:
             raise FloatingPointError("underflow encountered in the consistency residual")
-        return scale
+        return res, float(np.linalg.norm(res)), scale
+
+    def bordered(free) -> np.ndarray:
+        """The bordered matrix over the free frames and the border."""
+        rows = np.append(np.nonzero(free)[0], n)
+        return kkt if rows.size == n + 1 else kkt[np.ix_(rows, rows)]
+
+    def mismatch(vec: np.ndarray, grad_f, u, mu=None) -> float:
+        """The marginal mismatch at vec with the norm's subgradient A^T u
+        and the budget multiplier mu, by default the mean marginal of the
+        free frames."""
+        marginal = -(grad_f + lam * penalty.apply_transpose(u))
+        free = weighted & (vec > floor)
+        if mu is None:
+            mu = float(np.mean(marginal[free])) if np.any(free) else 0.0
+        return _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
+
+    def kkt_residual_at(vec: np.ndarray) -> float:
+        """The marginal mismatch at vec under u = y / |y|."""
+        res, norm, _ = residual_at(vec)
+        u = res / norm if norm > 0.0 else np.zeros(res.size)
+        return mismatch(vec, distortion_derivatives(vec)[0], u)
 
     def certified(vec: np.ndarray):
         """The marginal mismatch under the dual certificate at a zero
         residual vec, or None unless the certificate proves vec optimal."""
         grad_f = distortion_derivatives(vec)[0]
         free = weighted & (vec > floor)
-        rows = np.append(np.nonzero(free)[0], n)
         kkt[diagonal, diagonal] = gram_diagonal
         target = np.append(-grad_f[free] / lam, 0.0)
-        sol = np.linalg.lstsq(kkt[np.ix_(rows, rows)], target, rcond=None)[0]
+        sol = np.linalg.lstsq(bordered(free), target, rcond=None)[0]
         z = np.zeros(n)
-        z[free] = sol[:-1]
+        z[free] = sol[:-1] / unit / unit
         u = penalty.coef_i * z[penalty.col_i] + penalty.coef_j * z[penalty.col_j]
         mu = lam * float(sol[-1])
-        marginal = -(grad_f + lam * penalty.apply_transpose(u))
-        mismatch = _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
-        if np.linalg.norm(u) > 1.0 or mu <= 0.0 or mismatch > KKT_TOLERANCE:
+        kkt_residual = mismatch(vec, grad_f, u, mu)
+        if np.linalg.norm(u) > 1.0 or mu <= 0.0 or kkt_residual > KKT_TOLERANCE:
             return None
-        return mismatch
-
-    def kkt_residual_at(vec: np.ndarray) -> float:
-        """Marginal mismatch at vec with the budget multiplier taken as the
-        mean marginal of the free frames."""
-        grad_f, _ = distortion_derivatives(vec)
-        marginal = -grad_f
-        res = penalty.residual(vec)
-        norm = float(np.linalg.norm(res))
-        if norm > 0.0:
-            marginal = marginal - lam * penalty.apply_transpose(res / norm)
-        free = weighted & (vec > floor)
-        mu = float(np.mean(marginal[free])) if np.any(free) else 0.0
-        return _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
+        return kkt_residual
 
     def newton_direction(grad, weight, free):
         """The Newton step on the face over the free frames, and its budget
         multiplier, from step 2's one system: the bordered matrix, its
-        diagonal set by the caller for weight = |y| / lambda, which a zero
-        residual or a problem with no pair row never reaches."""
+        diagonal set by the caller for weight = |y| / lambda / unit^2,
+        which a zero residual or a problem with no pair row never
+        reaches."""
         d = np.zeros(n)
-        rows = np.append(np.nonzero(free)[0], n)
-        system = kkt if rows.size == n + 1 else kkt[np.ix_(rows, rows)]
-        sol = np.linalg.solve(system, np.append(-weight * grad[free], 0.0))
+        sol = np.linalg.solve(bordered(free), np.append(-weight * grad[free], 0.0))
         d[free] = sol[:-1]
         return d, float(sol[-1]) / weight
 
@@ -609,14 +633,34 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
             vec[weighted] += slack / np.count_nonzero(weighted)
         return vec, penalized_objective(problem, penalty, vec)
 
-    r, value = expansion = on_face(penalty.expansion)
-    other, other_value = on_face(warm_start)
-    if other_value < value:
-        r, value = other, other_value
+    def finish(r, iterations: int, stop: str, kkt_residual=None, settled=True):
+        """The result at r, where step 2 stopped by stop; kkt_residual is
+        the marginal mismatch at r unless given. It raises NotConverged,
+        carrying the result, unless the stop settled with kkt_residual at
+        most KKT_TOLERANCE."""
+        if kkt_residual is None:
+            kkt_residual = kkt_residual_at(r)
+        log.debug(
+            "step2: %d Newton iterations, stopped by %s, kkt_residual %.3e",
+            iterations,
+            stop,
+            kkt_residual,
+        )
+        result = _result(problem, r, kkt_residual, iterations)
+        if settled and kkt_residual <= KKT_TOLERANCE:
+            return result
+        raise NotConverged(
+            f"Newton method stopped by {stop} after {iterations} iterations "
+            f"(kkt_residual {kkt_residual:.3e})",
+            result=result,
+        )
+
+    expansion = on_face(penalty.expansion)
+    r, value = min(expansion, on_face(warm_start), key=operator.itemgetter(1))
     # Newton has no step at the kink, so a start there that the certificate
     # does not prove optimal gives way to the expansion point.
-    norm = float(np.linalg.norm(penalty.residual(r)))
-    if norm <= ROUNDING * residual_scale(r) and certified(r) is None:
+    _, norm, scale = residual_at(r)
+    if norm <= ROUNDING * scale and certified(r) is None:
         r, value = expansion
     kink = _zero_residual_point(penalty, weighted, budget, floor)
     kink_value = math.inf if kink is None else penalized_objective(problem, penalty, kink)
@@ -624,7 +668,6 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         r, value = kink, kink_value
     start_value = value
 
-    stop = "iteration cap"
     iterations = 0
     for iterations in range(1, STEP2_MAX_ITERATIONS + 1):
         # A frame within rounding of the floor is on it.
@@ -638,22 +681,16 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
             # to within ACTIVE_BOUND and r is the one feasible point: any
             # multiplier at or above the largest floor marginal holds every
             # frame there.
-            kkt_residual = 0.0
-            stop = "floor spend"
-            break
+            return finish(r, iterations, "floor spend", 0.0)
         grad_f, curvature = distortion_derivatives(r)
-        res = penalty.residual(r)
-        norm = float(np.linalg.norm(res))
-        scale = residual_scale(r)
+        res, norm, scale = residual_at(r)
         if norm <= ROUNDING * scale:
             kkt_residual = certified(r)
             if kkt_residual is None:
-                stop = "uncertified zero residual"
-                break
-            stop = "certified zero residual"
-            break
+                return finish(r, iterations, "uncertified zero residual", settled=False)
+            return finish(r, iterations, "certified zero residual", kkt_residual)
         grad = grad_f + lam * penalty.apply_transpose(res / norm)
-        weight = norm / lam
+        weight = norm / lam / unit / unit
         kkt[diagonal, diagonal] = gram_diagonal + weight * curvature
         try:
             d = active_direction(grad, weight, free)
@@ -670,36 +707,14 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
                 accepted = candidate if value_c <= min(value + resolution, start_value) else r
                 kkt_residual = kkt_residual_at(accepted)
                 if kkt_residual <= KKT_TOLERANCE:
-                    r = accepted
-                    stop = "Newton decrement"
-                    break
+                    return finish(accepted, iterations, "Newton decrement", kkt_residual)
             t, candidate, value_c = line_search(r, value, grad, d)
         except np.linalg.LinAlgError:
-            stop = "singular Newton system"
-            break
+            return finish(r, iterations, "singular Newton system", settled=False)
         if t == 0.0:
-            stop = "line search"
-            break
+            return finish(r, iterations, "line search")
         r, value = candidate, value_c
-
-    if stop not in ("certified zero residual", "floor spend", "Newton decrement"):
-        kkt_residual = kkt_residual_at(r)
-    settled = stop in ("certified zero residual", "floor spend", "Newton decrement", "line search")
-    converged = settled and kkt_residual <= KKT_TOLERANCE
-    log.debug(
-        "step2: %d Newton iterations, stopped by %s, kkt_residual %.3e",
-        iterations,
-        stop,
-        kkt_residual,
-    )
-    result = _result(problem, r, kkt_residual, iterations)
-    if not converged:
-        raise NotConverged(
-            f"Newton method stopped by {stop} after {iterations} iterations "
-            f"(kkt_residual {kkt_residual:.3e})",
-            result=result,
-        )
-    return result
+    return finish(r, iterations, "iteration cap", settled=False)
 
 
 def allocate(problem: AllocationProblem, start=None) -> AllocationResult:
@@ -831,11 +846,7 @@ def write_allocation_file(result: AllocationResult, path) -> None:
     lines = [ALLOCATION_HEADER]
     lines.extend(f"{c.u},{c.v},{records.number(r)}" for c, r in result.rates.items())
     lines.append("# diagnostics")
-    objective = result.objective
-    lines.append(f"# weighted_distortion {records.number(objective.weighted_distortion)}")
-    lines.append(f"# discontinuity {records.number(objective.discontinuity)}")
-    lines.append(f"# lambda {records.number(objective.lam)}")
-    lines.append(f"# total {records.number(objective.total)}")
+    lines.extend(f"# {line}" for line in format_cost_breakdown(result.objective).splitlines())
     lines.append(f"# kkt_residual {records.number(result.kkt_residual)}")
     lines.append(f"# iterations {result.iterations}")
     lines.append(f"# budget_used {records.number(result.budget_used)}")

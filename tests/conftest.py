@@ -1,5 +1,9 @@
-"""Shared model pairs and builders for the mock-encoder scenarios used
-across test files."""
+"""Shared model pairs, builders for the mock-encoder scenarios and a
+loader for the scripts under tools/, used across test files."""
+
+import functools
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,17 @@ from lfalloc import FrameCoord, MockEncoderConfig, MockSetup, spiral_order, unif
 # Representative fitted (alpha, beta) pairs spanning the spread seen on real
 # sequences.
 REFERENCE_PAIRS = ((4.46e7, -0.261), (1.96e8, -0.383), (6.93e7, -0.284))
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+@functools.cache
+def load_tool(name: str):
+    """The script tools/<name>.py as a module, loaded once per test run."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _grid_params(alpha_spread: float, beta_spread: float):

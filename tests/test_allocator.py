@@ -1,11 +1,9 @@
 """Projection, water-filling, cone penalty, and the two-step allocator."""
 
 import functools
-import importlib.util
 import math
 import re
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lfalloc
-from conftest import REFERENCE_PAIRS
+from conftest import REFERENCE_PAIRS, load_tool
 from lfalloc import (
     AllocationProblem,
     DegenerateWeights,
@@ -44,10 +42,7 @@ from lfalloc import (
 )
 from lfalloc import allocator
 
-SWEEP = Path(__file__).resolve().parent.parent / "tools" / "step2_sweep.py"
-SPEC = importlib.util.spec_from_file_location("step2_sweep", SWEEP)
-sweep = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(sweep)
+sweep = load_tool("step2_sweep")
 
 
 def line_problem(pairs, budget, lam=0.0, weights=None, min_rate=None):
@@ -833,6 +828,33 @@ class TestSolveStep2:
         p = penalized_objective(problem, penalty, result.rates)
         assert p == pytest.approx(1127168.87, rel=1e-6)
         assert result.budget_used == pytest.approx(problem.budget, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "build, stop, converged",
+        [
+            (lambda: replace(coupled_square(), lam=0.01), "Newton decrement", True),
+            (coupled_square, "certified zero residual", True),
+            (functools.partial(sweep_problem, 1323), "uncertified zero residual", False),
+            (
+                lambda: recipe_problem(np.random.default_rng([0, 1, 0, 0]), 3, 3, 10.0, 1e6),
+                "floor spend",
+                True,
+            ),
+        ],
+        ids=["Newton decrement", "certified", "uncertified", "floor spend"],
+    )
+    def test_stop_is_logged_with_its_outcome(self, caplog, build, stop, converged):
+        # Each stop that no monkeypatch forces, on a problem that reaches
+        # it: step 2 logs why it stopped, and the stop converges or raises
+        # NotConverged with the same name.
+        problem = build()
+        with caplog.at_level("DEBUG", logger="lfalloc.allocator"):
+            if converged:
+                assert allocate(problem).kkt_residual <= allocator.KKT_TOLERANCE
+            else:
+                with pytest.raises(NotConverged, match=f"stopped by {stop} after"):
+                    allocate(problem)
+        assert f"stopped by {stop}, kkt_residual" in caplog.text
 
 
 class TestSolveStep2RealisticScale:

@@ -1120,17 +1120,28 @@ def test_extreme_scale_is_input_error(tmp_path, capsys, scale):
 
 @pytest.mark.parametrize(
     "scale",
-    [{"sse_scale": 10 ** -152.5}, {"first_weight": 1e-160}],
+    [
+        {"sse_scale": 10 ** -152.5},
+        {"sse_scale": 10 ** -153.75},
+        {"sse_scale": 10 ** -157},
+        {"first_weight": 1e-160},
+    ],
     ids=lambda scale: ",".join(f"{key}={value:g}" for key, value in scale.items()),
 )
 def test_harmless_underflow_allocates(tmp_path, capsys, scale):
-    """An underflow that leaves the consistency residual's terms in range,
-    in step 2's Gram matrix or in a tiny weight's square, is no input
-    error: the problem allocates, without a warning."""
+    """A scale that leaves the consistency residual's terms in range is no
+    input error, though the squares of step 2's pair coefficients or of a
+    tiny weight underflow: step 2 builds its Gram matrix in units of the
+    largest coefficient there. The problem allocates without a warning,
+    at the rates it has in SSE units of 1."""
     problem = tmp_path / "problem.txt"
     write_problem_file(scaled_problem(**scale), problem)
     assert main(["allocate", str(problem), "--output", str(tmp_path / "a.csv")]) == EXIT_OK
     assert capsys.readouterr().err == ""
+    unit_sse = {key: value for key, value in scale.items() if key != "sse_scale"}
+    expected = allocate(scaled_problem(**unit_sse)).rates
+    rates, _ = read_allocation_file(tmp_path / "a.csv")
+    assert rates == pytest.approx(expected, rel=1e-12)
 
 
 def test_extreme_loop_budget_is_input_error(tmp_path, capsys):

@@ -2,20 +2,16 @@
 and its trace digest."""
 
 import hashlib
-import importlib.util
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
+from conftest import load_tool
 from lfalloc import MockEncoder, run_to_convergence, write_trace_csv
 from test_encodesim import small_grid_setup
 
-PATH = Path(__file__).resolve().parent.parent / "tools" / "honesty_protocol.py"
-SPEC = importlib.util.spec_from_file_location("honesty_protocol", PATH)
-protocol = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(protocol)
+protocol = load_tool("honesty_protocol")
 
 
 def records(rate_factor=1.0, settled=True, calls=100, passes=4, trace="t"):

@@ -1,7 +1,6 @@
 """The parse differential: its comparison of two runs, on hand-made outcome
 records, and the gate of its run on a few mutants."""
 
-import importlib.util
 import itertools
 import json
 import random
@@ -11,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import TOOLS, load_tool
 from lfalloc import (
     DistortionSet,
     FrameCoord,
@@ -35,10 +35,7 @@ from lfalloc import (
 from test_allocator import coupled_square
 from test_encodesim import small_grid_setup
 
-PATH = Path(__file__).resolve().parent.parent / "tools" / "parse_differential.py"
-SPEC = importlib.util.spec_from_file_location("parse_differential", PATH)
-differential = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(differential)
+differential = load_tool("parse_differential")
 
 
 def records(*outcomes):
@@ -143,7 +140,7 @@ def test_run_fails_when_a_mutant_ends_outside_the_package_errors(
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(differential, "COUNT", 8)
     output = tmp_path / "records.json"
-    argv = ["run", str(PATH.parent.parent), "--output", str(output)]
+    argv = ["run", str(TOOLS.parent), "--output", str(output)]
     assert differential.main(argv) == 0
     assert capsys.readouterr().err == ""
 
@@ -165,7 +162,7 @@ def test_run_prints_its_outcome_counts_most_first(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(differential, "ZERO_WEIGHTS_FROM", 6)
     monkeypatch.setattr(differential, "COUNT", 10)
-    argv = ["run", str(PATH.parent.parent), "--output", str(tmp_path / "records.json")]
+    argv = ["run", str(TOOLS.parent), "--output", str(tmp_path / "records.json")]
     assert differential.main(argv) == 0
     assert capsys.readouterr().out == "6 ParseError, 4 DegenerateWeights\n"
 
@@ -194,7 +191,7 @@ def test_run_fails_when_a_second_read_ends_otherwise(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(lfalloc, "read_mock_config", stateful_reader)
     output = tmp_path / "records.json"
-    assert differential.main(["run", str(PATH.parent.parent), "--output", str(output)]) == 1
+    assert differential.main(["run", str(TOOLS.parent), "--output", str(output)]) == 1
     err = capsys.readouterr().err
     assert "seed 1: " in err and ", read again: ParseError: read before" in err
     assert err.endswith("4 of 8 mutants fail\n")
@@ -211,7 +208,7 @@ def test_ok_digest_of_a_problem_covers_its_models(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(differential, "COUNT", 30)
     output = tmp_path / "records.json"
-    argv = ["run", str(PATH.parent.parent), "--output", str(output)]
+    argv = ["run", str(TOOLS.parent), "--output", str(output)]
     assert differential.main(argv) == 0
     before = json.loads(output.read_text())
     read_problem_file = lfalloc.read_problem_file
@@ -238,7 +235,7 @@ def test_ok_digest_covers_the_unified_weights(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(differential, "COUNT", 50)
     output = tmp_path / "records.json"
-    argv = ["run", str(PATH.parent.parent), "--output", str(output)]
+    argv = ["run", str(TOOLS.parent), "--output", str(output)]
     assert differential.main(argv) == 0
     before = json.loads(output.read_text())
     halved = property(lambda weights: dict.fromkeys(weights.raw, 0.5))
@@ -271,7 +268,7 @@ def test_all_zero_weight_mutants_read_as_degenerate_weights_naming_the_file(
                 weights.add(fields[2] if kind == "problem" else fields[4])
     assert weights == {"0", "-0.0"}
     output = tmp_path / "records.json"
-    assert differential.main(["run", str(PATH.parent.parent), "--output", str(output)]) == 0
+    assert differential.main(["run", str(TOOLS.parent), "--output", str(output)]) == 0
     zero = json.loads(output.read_text())[6:]
     assert {r["kind"] for r in zero} == {"problem", "mock"}
     assert {r["outcome"] for r in zero} == {"DegenerateWeights"}
@@ -290,7 +287,7 @@ def test_run_fails_when_an_input_error_names_no_file(error, tmp_path, monkeypatc
 
     monkeypatch.setattr(lfalloc, "read_mock_config", unnamed)
     output = tmp_path / "records.json"
-    assert differential.main(["run", str(PATH.parent.parent), "--output", str(output)]) == 1
+    assert differential.main(["run", str(TOOLS.parent), "--output", str(output)]) == 1
     err = capsys.readouterr().err
     assert f"seed 1: {error} names no file: all frame weights are zero" in err
     assert err.endswith("4 of 8 mutants fail\n")
@@ -311,7 +308,7 @@ def test_run_fails_when_an_all_zero_weights_mutant_ends_otherwise(
     monkeypatch.setattr(lfalloc, "read_problem_file", infeasible)
     monkeypatch.setattr(lfalloc, "read_mock_config", infeasible)
     output = tmp_path / "records.json"
-    assert differential.main(["run", str(PATH.parent.parent), "--output", str(output)]) == 1
+    assert differential.main(["run", str(TOOLS.parent), "--output", str(output)]) == 1
     err = capsys.readouterr().err
     assert "seed 2: all weights zero, but InfeasibleBudget: rate floor exceeds budget" in err
     assert err.endswith("4 of 6 mutants fail\n")

@@ -1,16 +1,13 @@
 """The step-2 sweep's comparison of two runs and its gate, on hand-made problem records."""
 
-import importlib.util
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-PATH = Path(__file__).resolve().parent.parent / "tools" / "step2_sweep.py"
-SPEC = importlib.util.spec_from_file_location("step2_sweep", PATH)
-sweep = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(sweep)
+from conftest import load_tool
+
+sweep = load_tool("step2_sweep")
 
 
 def record(outcome="converged", p=100.0, kkt_residual=1e-12, iterations=4, rates="a", set="sweep"):
