@@ -35,6 +35,7 @@ import functools
 import logging
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -239,14 +240,29 @@ def _result(
     )
 
 
+# A coding-order rate vector with the penalized objective P there, the
+# residual y = A r + b, its norm and the norm of the terms that cancel in it.
+_Point = namedtuple("_Point", "rates value residual norm scale")
+
+
+def _evaluate(problem: AllocationProblem, penalty: ConePenalty, vec: np.ndarray) -> _Point:
+    """The _Point of vec, each pair term coef * r formed once: y from
+    their sum, the cancelling terms' norm from their magnitudes."""
+    left = penalty.coef_i * vec[penalty.col_i]
+    right = penalty.coef_j * vec[penalty.col_j]
+    res = left + right + penalty.rhs
+    norm = float(np.linalg.norm(res))
+    scale = float(np.linalg.norm(np.abs(left) + np.abs(right) + np.abs(penalty.rhs)))
+    distortion = float(np.sum(problem.w * problem.w * problem.alpha * vec ** problem.beta))
+    return _Point(vec, distortion + problem.lam * norm, res, norm, scale)
+
+
 def penalized_objective(problem: AllocationProblem, penalty: ConePenalty, rates) -> float:
     """Post-linearization objective: weighted model distortion plus
-    lambda times the norm of the affine consistency residual."""
-    w = problem.w
-    vec = _as_vector(problem, rates)
-    t_prime = float(np.sum(w * w * problem.alpha * vec ** problem.beta))
-    res = penalty.residual(vec)
-    return t_prime + problem.lam * float(np.linalg.norm(res))
+    lambda times the norm of the affine consistency residual. It is
+    step 2's own evaluation of a point, and does not raise where the
+    residual's terms underflow; solve_step2 does."""
+    return _evaluate(problem, penalty, _as_vector(problem, rates)).value
 
 
 def project_rates(rates: np.ndarray, budget: float, min_rate) -> np.ndarray:
@@ -441,8 +457,9 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     each projected onto the feasible set, have any slack beyond
     ACTIVE_BOUND spread evenly over the weighted frames; step 2 begins at
     the one with the lower P (the expansion point on a tie), and each step
-    keeps the spend. Each iteration solves one KKT system on the face with
-    the Hessian diag(curvature) + (lambda / |y|) A^T A,
+    keeps the spend. Each iteration solves a KKT system on the face, and
+    solves it again for each round of floor frames it releases, with the
+    Hessian diag(curvature) + (lambda / |y|) A^T A,
     curvature = w^2 alpha beta (beta-1) r^(beta-2) and y = A r + b, whose
     second term is that of the norm's quadratic majorizer at y: unlike the
     norm's own Hessian it keeps the curvature along y, so the step does
@@ -457,8 +474,9 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     units of the power of two nearest its largest coefficient, and the
     weight |y| / lambda is divided by that unit squared. Frames at
     min_rate stay fixed while their multiplier is nonnegative;
-    zero-weight frames sit at the floor. The step is projected onto the feasible set with no frame
-    cut below a quarter of its rate, and backtracked until the exact P
+    zero-weight frames sit at the floor. The step is projected onto the
+    feasible set with no frame cut below a quarter of its rate, and
+    backtracked until the exact P
     falls enough (Armijo). The Newton stop is unit-free: half the squared
     decrement at most STEP2_TOL * P or below the rounding error of P, with
     kkt_residual at most KKT_TOLERANCE at the full step (at r if that step
@@ -501,8 +519,12 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
 
     A stop that converges does so only with kkt_residual at most
     KKT_TOLERANCE; every other result raises NotConverged carrying it.
-    Consistency terms whose squares underflow, where every point would
-    read as the kink, raise FloatingPointError.
+    Each point step 2 visits is evaluated once: P, y, |y| and the norm of
+    the terms that cancel in y come from one pass over the pair terms,
+    the evaluation penalized_objective reads P from. Consistency terms
+    whose squares underflow, where every point would read as the kink,
+    raise FloatingPointError where step 2 tests its start or an iterate
+    for the kink.
     """
     lam = problem.lam
     if lam == 0.0 or not np.any(penalty.coef_i):
@@ -513,11 +535,10 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     n = problem.grid.n_frames
     w2a = w * w * problem.alpha
     weighted = w2a > 0.0
-    abs_i, abs_j, abs_rhs = np.abs(penalty.coef_i), np.abs(penalty.coef_j), np.abs(penalty.rhs)
     # Near underflow the Gram takes A in units of a power of two, which
     # divides exactly, so that its squares stay normal.
     tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
-    largest = float(max(abs_i.max(), abs_j.max()))
+    largest = float(max(np.abs(penalty.coef_i).max(), np.abs(penalty.coef_j).max()))
     unit = 2.0 ** round(math.log2(largest)) if largest * largest < tiny / eps else 1.0
     # The bordered matrix stays accurate where the Hessian alone is nearly
     # singular: along A's null direction once lambda / |y| dwarfs the
@@ -527,20 +548,19 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     diagonal = np.arange(n)
     gram_diagonal = kkt[diagonal, diagonal]
 
+    evaluate = functools.partial(_evaluate, problem, penalty)
+
     def distortion_derivatives(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grad = w2a * beta * vec ** (beta - 1.0)
         return grad, grad * (beta - 1.0) / vec
 
-    def residual_at(vec: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """y = A r + b at vec, |y| and the norm of the terms that cancel in
-        y. Where their squares underflow, every point would read as the
+    def at_kink(point: _Point) -> bool:
+        """Whether y is zero to within rounding of the terms that cancel in
+        it. Where their squares underflow, every point would read as the
         kink, so that raises FloatingPointError."""
-        res = penalty.residual(vec)
-        terms = abs_i * vec[penalty.col_i] + abs_j * vec[penalty.col_j] + abs_rhs
-        scale = float(np.linalg.norm(terms))
-        if scale * scale < tiny:
+        if point.scale * point.scale < tiny:
             raise FloatingPointError("underflow encountered in the consistency residual")
-        return res, float(np.linalg.norm(res)), scale
+        return point.norm <= ROUNDING * point.scale
 
     def bordered(free) -> np.ndarray:
         """The bordered matrix over the free frames and the border."""
@@ -557,11 +577,10 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
             mu = float(np.mean(marginal[free])) if np.any(free) else 0.0
         return _marginal_mismatch(marginal, grad_f, free, weighted & ~free, mu)
 
-    def kkt_residual_at(vec: np.ndarray) -> float:
-        """The marginal mismatch at vec under u = y / |y|."""
-        res, norm, _ = residual_at(vec)
-        u = res / norm if norm > 0.0 else np.zeros(res.size)
-        return mismatch(vec, distortion_derivatives(vec)[0], u)
+    def kkt_residual_at(point: _Point) -> float:
+        """The marginal mismatch at point under u = y / |y|."""
+        u = point.residual / point.norm if point.norm > 0.0 else np.zeros(point.residual.size)
+        return mismatch(point.rates, distortion_derivatives(point.rates)[0], u)
 
     def certified(vec: np.ndarray):
         """The marginal mismatch under the dual certificate at a zero
@@ -611,42 +630,39 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         that far, and a frame pushed below the floor lands on it."""
         return project_rates(base + move, budget, np.maximum(floor, MIN_RATE_RATIO * base))
 
-    def line_search(base: np.ndarray, base_value: float, grad, d):
-        """Backtracking (Armijo) along the projected step; t = 0 when P
-        cannot fall."""
-        t = 1.0
-        for _ in range(60):
-            candidate = projected(base, t * d)
-            value_c = penalized_objective(problem, penalty, candidate)
-            decrease = base_value - value_c
-            if decrease > 0.0 and decrease >= -1e-4 * float(grad @ (candidate - base)):
-                return t, candidate, value_c
-            t *= 0.5
-        return 0.0, base, base_value
+    def line_search(base: _Point, grad, d):
+        """Backtracking (Armijo) along the projected step, at t = 1, 1/2,
+        ..., 2^-59; None when P cannot fall there."""
+        for t in (0.5 ** k for k in range(60)):
+            candidate = evaluate(projected(base.rates, t * d))
+            decrease = base.value - candidate.value
+            if decrease > 0.0 and decrease >= -1e-4 * float(grad @ (candidate.rates - base.rates)):
+                return candidate
+        return None
 
-    def on_face(rates) -> tuple[np.ndarray, float]:
-        """rates brought onto the budget face, and P there."""
+    def on_face(rates) -> _Point:
+        """rates brought onto the budget face, evaluated."""
         vec = project_rates(_as_vector(problem, rates), budget, floor)
         vec[~weighted] = floor
         slack = budget - float(vec.sum())
         if slack > budget * ACTIVE_BOUND:
             vec[weighted] += slack / np.count_nonzero(weighted)
-        return vec, penalized_objective(problem, penalty, vec)
+        return evaluate(vec)
 
-    def finish(r, iterations: int, stop: str, kkt_residual=None, settled=True):
-        """The result at r, where step 2 stopped by stop; kkt_residual is
-        the marginal mismatch at r unless given. It raises NotConverged,
-        carrying the result, unless the stop settled with kkt_residual at
-        most KKT_TOLERANCE."""
+    def finish(point: _Point, iterations: int, stop: str, kkt_residual=None, settled=True):
+        """The result at point, where step 2 stopped by stop; kkt_residual
+        is the marginal mismatch there unless given. It raises
+        NotConverged, carrying the result, unless the stop settled with
+        kkt_residual at most KKT_TOLERANCE."""
         if kkt_residual is None:
-            kkt_residual = kkt_residual_at(r)
+            kkt_residual = kkt_residual_at(point)
         log.debug(
             "step2: %d Newton iterations, stopped by %s, kkt_residual %.3e",
             iterations,
             stop,
             kkt_residual,
         )
-        result = _result(problem, r, kkt_residual, iterations)
+        result = _result(problem, point.rates, kkt_residual, iterations)
         if settled and kkt_residual <= KKT_TOLERANCE:
             return result
         raise NotConverged(
@@ -656,65 +672,65 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         )
 
     expansion = on_face(penalty.expansion)
-    r, value = min(expansion, on_face(warm_start), key=operator.itemgetter(1))
+    point = min(expansion, on_face(warm_start), key=operator.attrgetter("value"))
     # Newton has no step at the kink, so a start there that the certificate
     # does not prove optimal gives way to the expansion point.
-    _, norm, scale = residual_at(r)
-    if norm <= ROUNDING * scale and certified(r) is None:
-        r, value = expansion
+    if at_kink(point) and certified(point.rates) is None:
+        point = expansion
     kink = _zero_residual_point(penalty, weighted, budget, floor)
-    kink_value = math.inf if kink is None else penalized_objective(problem, penalty, kink)
-    if kink_value < value and certified(kink) is not None:
-        r, value = kink, kink_value
-    start_value = value
+    if kink is not None:
+        kink = evaluate(kink)
+        if kink.value < point.value and certified(kink.rates) is not None:
+            point = kink
+    start_value = point.value
 
     iterations = 0
     for iterations in range(1, STEP2_MAX_ITERATIONS + 1):
+        r = point.rates
         # A frame within rounding of the floor is on it.
         snap = (r > floor) & (r <= floor * (1.0 + ACTIVE_BOUND))
         if np.any(snap):
             r[snap] = floor
-            value = penalized_objective(problem, penalty, r)
+            point = evaluate(r)
         free = weighted & (r > floor)
         if not np.any(free):
             # Every step keeps the spend, so the floor spend is the budget
             # to within ACTIVE_BOUND and r is the one feasible point: any
             # multiplier at or above the largest floor marginal holds every
             # frame there.
-            return finish(r, iterations, "floor spend", 0.0)
+            return finish(point, iterations, "floor spend", 0.0)
         grad_f, curvature = distortion_derivatives(r)
-        res, norm, scale = residual_at(r)
-        if norm <= ROUNDING * scale:
+        if at_kink(point):
             kkt_residual = certified(r)
             if kkt_residual is None:
-                return finish(r, iterations, "uncertified zero residual", settled=False)
-            return finish(r, iterations, "certified zero residual", kkt_residual)
-        grad = grad_f + lam * penalty.apply_transpose(res / norm)
-        weight = norm / lam / unit / unit
+                return finish(point, iterations, "uncertified zero residual", settled=False)
+            return finish(point, iterations, "certified zero residual", kkt_residual)
+        grad = grad_f + lam * penalty.apply_transpose(point.residual / point.norm)
+        weight = point.norm / lam / unit / unit
         kkt[diagonal, diagonal] = gram_diagonal + weight * curvature
         try:
             d = active_direction(grad, weight, free)
             # P cannot resolve changes below its rounding error, so neither
             # can the stop or the step that passes it.
-            resolution = ROUNDING * (value + lam * scale)
-            if -0.5 * float(grad @ d) <= STEP2_TOL * value + resolution:
+            resolution = ROUNDING * (point.value + lam * point.scale)
+            if -0.5 * float(grad @ d) <= STEP2_TOL * point.value + resolution:
                 # A converged Newton step improves P by less than rounding
                 # can show; it is kept unless P visibly rises or ends above
                 # the start. The majorizer's decrement understates the excess
                 # of P, so unequal marginals send r to the line search.
-                candidate = projected(r, d)
-                value_c = penalized_objective(problem, penalty, candidate)
-                accepted = candidate if value_c <= min(value + resolution, start_value) else r
+                candidate = evaluate(projected(r, d))
+                bound = min(point.value + resolution, start_value)
+                accepted = candidate if candidate.value <= bound else point
                 kkt_residual = kkt_residual_at(accepted)
                 if kkt_residual <= KKT_TOLERANCE:
                     return finish(accepted, iterations, "Newton decrement", kkt_residual)
-            t, candidate, value_c = line_search(r, value, grad, d)
+            candidate = line_search(point, grad, d)
         except np.linalg.LinAlgError:
-            return finish(r, iterations, "singular Newton system", settled=False)
-        if t == 0.0:
-            return finish(r, iterations, "line search")
-        r, value = candidate, value_c
-    return finish(r, iterations, "iteration cap", settled=False)
+            return finish(point, iterations, "singular Newton system", settled=False)
+        if candidate is None:
+            return finish(point, iterations, "line search")
+        point = candidate
+    return finish(point, iterations, "iteration cap", settled=False)
 
 
 def allocate(problem: AllocationProblem, start=None) -> AllocationResult:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,9 @@ from lfalloc import (
     RDPoint,
     RDSample,
     allocate,
+    build_cone_penalty,
     fit_power_model,
+    penalized_objective,
     read_allocation_file,
     read_curve_csv,
     read_mock_config,
@@ -39,6 +42,7 @@ from lfalloc import (
     read_trace_csv,
     read_weight_map_csv,
     run_to_convergence,
+    solve_step1,
     spiral_order,
     unify_weights,
     write_allocation_file,
@@ -1116,6 +1120,20 @@ def test_extreme_scale_is_input_error(tmp_path, capsys, scale):
     write_problem_file(scaled_problem(**scale), problem)
     assert main(["allocate", str(problem), "--output", str(tmp_path / "a.csv")]) == EXIT_INPUT
     assert "outside floating-point range" in capsys.readouterr().err
+
+
+def test_underflowing_consistency_terms_raise_in_step_2_only():
+    """penalized_objective and step 2 share one evaluation of a point, but
+    only step 2 raises where the consistency residual's terms underflow:
+    P itself stays a finite number there."""
+    problem = scaled_problem(sse_scale=1e-200)
+    split = solve_step1(problem).rates
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = penalized_objective(problem, build_cone_penalty(problem, split), split)
+    assert math.isfinite(p) and p > 0.0
+    with pytest.raises(ValueError, match="underflow encountered in the consistency residual"):
+        allocate(problem)
 
 
 @pytest.mark.parametrize(

@@ -165,6 +165,59 @@ def test_no_problem_converging_on_both_sides_prints_no_mean():
     assert "mean step-2 iterations" not in sweep.format_summary(summary)
 
 
+def test_problems_differing_in_iterations_or_kkt_residual_are_counted():
+    """Each set counts the problems whose step-2 iterations differ and
+    those whose kkt_residual differs, whatever their outcome; a problem
+    with neither on both sides differs in neither."""
+    parent = [
+        record(),
+        record(iterations=5),
+        record(kkt_residual=2e-12),
+        record(iterations=6, kkt_residual=3e-12),
+        record(iterations=None),
+        record("DegenerateWeights"),
+        record("NotConverged", 5.0, 3.0, iterations=100),
+    ]
+    change = [
+        record(),
+        record(iterations=4),
+        record(kkt_residual=1e-12),
+        record(iterations=7, kkt_residual=4e-12),
+        record(iterations=None),
+        record("DegenerateWeights"),
+        record(iterations=9),
+    ]
+    summary = sweep.summarize(parent, change)["sweep"]
+    assert summary["iterations_differ"] == 3
+    assert summary["kkt_residual_differs"] == 3
+    text = sweep.format_summary({"sweep": summary})
+    assert "step-2 iterations differ on 3 problems, kkt_residual on 3\n" in text
+    same = sweep.format_summary(sweep.summarize(parent, parent))
+    assert "step-2 iterations differ on 0 problems, kkt_residual on 0\n" in same
+
+
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize("transition", [False, True])
+def test_compare_fails_on_a_transition_only_when_asked(tmp_path, capsys, flag, transition):
+    """`compare` exits 0 whatever moved, unless --fail-on-transition is
+    given and some problem's outcome differs between the runs; rates and
+    kkt_residual may still differ."""
+    parent = [record(), record(set="cone")]
+    change = [record(rates="b", kkt_residual=2e-12), record(set="cone")]
+    if transition:
+        change[1] = record("NotConverged", 5.0, 3.0, set="cone")
+    paths = []
+    for name, records in (("parent", parent), ("change", change)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(records))
+    argv = ["compare", *map(str, paths)] + (["--fail-on-transition"] if flag else [])
+    fails = flag and transition
+    assert sweep.main(argv) == int(fails)
+    out, err = capsys.readouterr()
+    assert "cone (1 problems)" in out
+    assert err == ("outcomes differ between the two runs\n" if fails else "")
+
+
 def test_runs_over_different_problems_are_refused():
     with pytest.raises(ValueError, match="different problems"):
         sweep.summarize([record()], [record(), record()])

@@ -20,6 +20,7 @@ seeds 0-9 in the order perfbench/run.py draws them.
     python tools/step2_sweep.py run PARENT_TREE --output parent.json
     python tools/step2_sweep.py run CHANGED_TREE --output change.json
     python tools/step2_sweep.py compare parent.json change.json
+    python tools/step2_sweep.py compare one.json two.json --fail-on-transition
 
 `run` imports lfalloc from TREE/src and turns every warning into an
 error, so a numpy warning ends the run in a traceback; the cone problems
@@ -37,8 +38,13 @@ penalty at the split has no pair row, so solve_step2 hands the problem
 to solve_step1. `compare` reports each set on its own: outcomes and the
 transitions between them, rises of P above P_RISE, the largest relative
 fall and rise of P (so a rounding-level change shows its size), mean
-step-2 iterations and identical rates. It names the first SHOWN_RISES
-problems of each transition and of the rises.
+step-2 iterations, how many problems differ in step-2 iterations and how
+many in kkt_residual, and identical rates. It names the first
+SHOWN_RISES problems of each transition and of the rises. With
+--fail-on-transition it exits 1 when any problem's outcome differs
+between the runs, as between two runs of one tree under different BLAS
+thread counts; a parent and a change may move problems between
+outcomes, so their comparison leaves it off.
 """
 
 from __future__ import annotations
@@ -179,8 +185,9 @@ def summarize_set(parent: list[dict], change: list[dict]) -> dict:
     problems in order, the rises in P of change over parent above P_RISE,
     largest first, the largest relative fall and rise of P (each 0 where P
     never moves that way), the mean step-2 iterations of each over the
-    problems both converge on and both ran step 2 for, and how many
-    problems end at identical rates."""
+    problems both converge on and both ran step 2 for, how many problems
+    differ in step-2 iterations and how many in kkt_residual, and how many
+    end at identical rates."""
     pairs = list(zip(parent, change))
     transitions: dict[tuple[str, str], list[int]] = {}
     rises = []
@@ -218,6 +225,8 @@ def summarize_set(parent: list[dict], change: list[dict]) -> dict:
         ]
         if both
         else None,
+        iterations_differ=sum(a["iterations"] != b["iterations"] for a, b in pairs),
+        kkt_residual_differs=sum(a["kkt_residual"] != b["kkt_residual"] for a, b in pairs),
         identical_rates=sum(a["rates"] == b["rates"] for a, b in pairs if a["rates"] is not None),
     )
 
@@ -259,6 +268,10 @@ def format_set(summary: dict) -> list[str]:
             f"mean step-2 iterations {before:.3f} -> {after:.3f} over the"
             f" {summary['stepped_both']:,} problems both converge on with step 2"
         )
+    lines.append(
+        f"step-2 iterations differ on {summary['iterations_differ']:,} problems,"
+        f" kkt_residual on {summary['kkt_residual_differs']:,}"
+    )
     lines.append(f"identical rates on {summary['identical_rates']:,} problems")
     return lines
 
@@ -272,6 +285,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("compare", help="compare the records of two trees")
     p.add_argument("parent", type=Path, help="records of the parent tree")
     p.add_argument("change", type=Path, help="records of the changed tree")
+    p.add_argument(
+        "--fail-on-transition",
+        action="store_true",
+        help="exit 1 when any problem's outcome differs between the two runs",
+    )
     args = parser.parse_args(argv)
     if args.command == "run":
         records = run_tree(args.tree.resolve())
@@ -284,7 +302,11 @@ def main(argv=None) -> int:
             print(failure, file=sys.stderr)
         return 1 if failure else 0
     parent, change = (json.loads(path.read_text()) for path in (args.parent, args.change))
-    print(format_summary(summarize(parent, change)))
+    summary = summarize(parent, change)
+    print(format_summary(summary))
+    if args.fail_on_transition and any(figures["transitions"] for figures in summary.values()):
+        print("outcomes differ between the two runs", file=sys.stderr)
+        return 1
     return 0
 
 
