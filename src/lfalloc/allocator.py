@@ -196,11 +196,14 @@ class ConePenalty:
 
     def residual(self, rates: np.ndarray) -> np.ndarray:
         """A r + b for a rate vector in coding order."""
-        return (
-            self.coef_i * rates[self.col_i]
-            + self.coef_j * rates[self.col_j]
-            + self.rhs
-        )
+        return self._residual_and_magnitudes(rates)[0]
+
+    def _residual_and_magnitudes(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A r + b and, row by row, |coef_i r_i| + |coef_j r_j| + |rhs|, the
+        magnitudes of the terms that cancel in it, each term formed once."""
+        left = self.coef_i * rates[self.col_i]
+        right = self.coef_j * rates[self.col_j]
+        return left + right + self.rhs, np.abs(left) + np.abs(right) + np.abs(self.rhs)
 
     def apply_transpose(self, values: np.ndarray) -> np.ndarray:
         """A^T y accumulated deterministically in row order."""
@@ -246,13 +249,11 @@ _Point = namedtuple("_Point", "rates value residual norm scale")
 
 
 def _evaluate(problem: AllocationProblem, penalty: ConePenalty, vec: np.ndarray) -> _Point:
-    """The _Point of vec, each pair term coef * r formed once: y from
-    their sum, the cancelling terms' norm from their magnitudes."""
-    left = penalty.coef_i * vec[penalty.col_i]
-    right = penalty.coef_j * vec[penalty.col_j]
-    res = left + right + penalty.rhs
+    """The _Point of vec, with y and its terms' magnitudes from one pass
+    over the pairs."""
+    res, magnitudes = penalty._residual_and_magnitudes(vec)
     norm = float(np.linalg.norm(res))
-    scale = float(np.linalg.norm(np.abs(left) + np.abs(right) + np.abs(penalty.rhs)))
+    scale = float(np.linalg.norm(magnitudes))
     distortion = float(np.sum(problem.w * problem.w * problem.alpha * vec ** problem.beta))
     return _Point(vec, distortion + problem.lam * norm, res, norm, scale)
 

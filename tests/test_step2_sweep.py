@@ -196,12 +196,10 @@ def test_problems_differing_in_iterations_or_kkt_residual_are_counted():
     assert "step-2 iterations differ on 0 problems, kkt_residual on 0\n" in same
 
 
-@pytest.mark.parametrize("flag", [False, True])
 @pytest.mark.parametrize("transition", [False, True])
-def test_compare_fails_on_a_transition_only_when_asked(tmp_path, capsys, flag, transition):
-    """`compare` exits 0 whatever moved, unless --fail-on-transition is
-    given and some problem's outcome differs between the runs; rates and
-    kkt_residual may still differ."""
+def test_compare_fails_on_a_transition(tmp_path, capsys, transition):
+    """`compare` exits 1 when some problem's outcome differs between the
+    runs, and 0 when only rates and kkt_residual differ."""
     parent = [record(), record(set="cone")]
     change = [record(rates="b", kkt_residual=2e-12), record(set="cone")]
     if transition:
@@ -210,12 +208,10 @@ def test_compare_fails_on_a_transition_only_when_asked(tmp_path, capsys, flag, t
     for name, records in (("parent", parent), ("change", change)):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(records))
-    argv = ["compare", *map(str, paths)] + (["--fail-on-transition"] if flag else [])
-    fails = flag and transition
-    assert sweep.main(argv) == int(fails)
+    assert sweep.main(["compare", *map(str, paths)]) == int(transition)
     out, err = capsys.readouterr()
     assert "cone (1 problems)" in out
-    assert err == ("outcomes differ between the two runs\n" if fails else "")
+    assert err == ("outcomes differ between the two runs\n" if transition else "")
 
 
 def test_runs_over_different_problems_are_refused():

@@ -20,7 +20,6 @@ seeds 0-9 in the order perfbench/run.py draws them.
     python tools/step2_sweep.py run PARENT_TREE --output parent.json
     python tools/step2_sweep.py run CHANGED_TREE --output change.json
     python tools/step2_sweep.py compare parent.json change.json
-    python tools/step2_sweep.py compare one.json two.json --fail-on-transition
 
 `run` imports lfalloc from TREE/src and turns every warning into an
 error, so a numpy warning ends the run in a traceback; the cone problems
@@ -40,11 +39,8 @@ transitions between them, rises of P above P_RISE, the largest relative
 fall and rise of P (so a rounding-level change shows its size), mean
 step-2 iterations, how many problems differ in step-2 iterations and how
 many in kkt_residual, and identical rates. It names the first
-SHOWN_RISES problems of each transition and of the rises. With
---fail-on-transition it exits 1 when any problem's outcome differs
-between the runs, as between two runs of one tree under different BLAS
-thread counts; a parent and a change may move problems between
-outcomes, so their comparison leaves it off.
+SHOWN_RISES problems of each transition and of the rises, and exits 1
+when any problem's outcome differs between the two runs.
 """
 
 from __future__ import annotations
@@ -285,11 +281,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("compare", help="compare the records of two trees")
     p.add_argument("parent", type=Path, help="records of the parent tree")
     p.add_argument("change", type=Path, help="records of the changed tree")
-    p.add_argument(
-        "--fail-on-transition",
-        action="store_true",
-        help="exit 1 when any problem's outcome differs between the two runs",
-    )
     args = parser.parse_args(argv)
     if args.command == "run":
         records = run_tree(args.tree.resolve())
@@ -304,7 +295,7 @@ def main(argv=None) -> int:
     parent, change = (json.loads(path.read_text()) for path in (args.parent, args.change))
     summary = summarize(parent, change)
     print(format_summary(summary))
-    if args.fail_on_transition and any(figures["transitions"] for figures in summary.values()):
+    if any(figures["transitions"] for figures in summary.values()):
         print("outcomes differ between the two runs", file=sys.stderr)
         return 1
     return 0
