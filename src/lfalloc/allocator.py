@@ -44,7 +44,7 @@ import numpy as np
 
 from . import records
 from .errors import DegenerateWeights, DomainError, InfeasibleBudget, NotConverged, ParseError
-from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order
+from .lightfield import PROXIMITY_RADIUS, FrameCoord, FrameGrid, WeightSet, spiral_order
 from .metrics import CostBreakdown, format_cost_breakdown, joint_cost
 from .rdmodel import RDModelParams, tangent_lines
 
@@ -419,12 +419,30 @@ def _zero_residual_point(penalty: ConePenalty, weighted, budget: float, floor: f
     return r if np.all(r[weighted] > floor) else None
 
 
-def _bordered_gram(penalty: ConePenalty, unit: float) -> np.ndarray:
+def _dissection_order(grid: FrameGrid) -> tuple[np.ndarray, int, int]:
+    """The coding-order frames in one-level nested dissection order, with
+    the sizes of its two sides: the frames on one side of the grid's
+    middle PROXIMITY_RADIUS - 1 columns (rows, when the grid is taller
+    than wide), then those on the other side, then that separator. No
+    coupled pair spans more columns than the separator has, so no pair
+    joins the two sides. A grid too narrow to split has an empty side."""
+    index = grid.lattice_index
+    if grid.height > grid.width:
+        index = index.T
+    band = PROXIMITY_RADIUS - 1
+    middle = max(index.shape[0] - band, 0) // 2
+    first, second = index[:middle].ravel(), index[middle + band :].ravel()
+    order = np.concatenate((first, second, index[middle : middle + band].ravel()))
+    return order, first.size, second.size
+
+
+def _bordered_gram(penalty: ConePenalty, unit: float, row: np.ndarray) -> np.ndarray:
     """The (n+1) x (n+1) matrix [[A^T A, 1], [1^T, 0]] with A's coefficients
-    in units of unit, A^T A accumulated from the pair arrays."""
+    in units of unit, A^T A accumulated from the pair arrays, and frame f
+    in row and column row[f]."""
     n = penalty.n_frames
     size = n + 1
-    i, j = penalty.col_i, penalty.col_j
+    i, j = row[penalty.col_i], row[penalty.col_j]
     coef_i, coef_j = penalty.coef_i / unit, penalty.coef_j / unit
     cross = coef_i * coef_j
     flat = np.concatenate((i * (size + 1), j * (size + 1), i * size + j, j * size + i))
@@ -432,6 +450,35 @@ def _bordered_gram(penalty: ConePenalty, unit: float) -> np.ndarray:
     matrix = np.bincount(flat, values, size * size).reshape(size, size)
     matrix[:n, n] = matrix[n, :n] = 1.0
     return matrix
+
+
+def _dissected_solver(kkt: np.ndarray, n_first: int, n_second: int):
+    """The solver of the whole bordered system kkt, held in dissection
+    order with sides of n_first and n_second frames, at kkt's diagonal of
+    the moment: it solves each side block once, with the columns that
+    couple the side to the separator and the border (copied here, once)
+    and the side's part of the right side as extra right sides, then the
+    Schur complement of the separator and the border, and then
+    back-substitutes into the sides. Its argument and result are in
+    dissection order."""
+    sides = (slice(0, n_first), slice(n_first, n_first + n_second))
+    separator = slice(n_first + n_second, kkt.shape[0])
+    side_columns = [
+        np.column_stack((kkt[side, separator], np.empty(side.stop - side.start))) for side in sides
+    ]
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        solved = []
+        for side, columns in zip(sides, side_columns):
+            columns[:, -1] = rhs[side]
+            solved.append(np.linalg.solve(kkt[side, side], columns))
+        reduced = np.column_stack((kkt[separator, separator], rhs[separator]))
+        for columns, x in zip(side_columns, solved):
+            reduced -= columns[:, :-1].T @ x
+        tail = np.linalg.solve(reduced[:, :-1], reduced[:, -1])
+        return np.concatenate([x[:, -1] - x[:, :-1] @ tail for x in solved] + [tail])
+
+    return solve
 
 
 def _marginal_mismatch(marginal, grad_f, free, floored, mu: float) -> float:
@@ -470,10 +517,24 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
             = [-(|y| / lambda) g; 0],
 
     in one bordered matrix built per call from the pair arrays, of which
-    each iteration rewrites only the diagonal. Where the squares of A's
-    coefficients fall near the subnormal range, that matrix holds A in
-    units of the power of two nearest its largest coefficient, and the
-    weight |y| / lambda is divided by that unit squared. Frames at
+    each iteration rewrites only the diagonal. The matrix is built in
+    one-level nested dissection order: the frames on one side of the
+    grid's middle two columns (rows, when the grid is taller than wide),
+    those on the other side, then the two middle columns and the border.
+    No pair joins the two sides, so while every frame is free each side
+    block is solved once, with the columns that couple it to the
+    separator and the border as extra right sides, then the small Schur
+    complement of the separator and the border, and the sides are
+    back-substituted. A system with a frame on the floor or of zero
+    weight and a grid too narrow to split take one dense solve over the
+    free frames instead, as the dual certificate below takes one dense
+    least-squares solve. Where the squares
+    of A's coefficients fall near the subnormal range, that matrix holds A
+    in units of the power of two nearest its largest coefficient, and the
+    weight |y| / lambda is divided by that unit squared: once itself and
+    once through the curvature and gradient it scales, so that it
+    overflows only where the system itself would, which allocate reports
+    as a problem scale outside floating-point range. Frames at
     min_rate stay fixed while their multiplier is nonnegative;
     zero-weight frames sit at the floor. The step is projected onto the
     feasible set with no frame cut below a quarter of its rate, and
@@ -544,10 +605,16 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     # The bordered matrix stays accurate where the Hessian alone is nearly
     # singular: along A's null direction once lambda / |y| dwarfs the
     # distortion curvature. That direction (1 / slope) has entries of one
-    # sign, so the budget row pins it.
-    kkt = _bordered_gram(penalty, unit)
-    diagonal = np.arange(n)
-    gram_diagonal = kkt[diagonal, diagonal]
+    # sign, so the budget row pins it. The matrix is held in dissection
+    # order. With every frame free, every frame is weighted and the grid is
+    # one coupled group, so each side block, which meets the separator, is
+    # nonsingular, and that direction lives in the Schur block alone.
+    order, n_first, n_second = _dissection_order(problem.grid)
+    # Each frame's row and column in the bordered matrix.
+    row = np.argsort(order)
+    kkt = _bordered_gram(penalty, unit, row)
+    gram_diagonal = kkt[row, row]
+    dissected = _dissected_solver(kkt, n_first, n_second) if n_first and n_second else None
 
     evaluate = functools.partial(_evaluate, problem, penalty)
 
@@ -564,9 +631,10 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         return point.norm <= ROUNDING * point.scale
 
     def bordered(free) -> np.ndarray:
-        """The bordered matrix over the free frames and the border."""
-        rows = np.append(np.nonzero(free)[0], n)
-        return kkt if rows.size == n + 1 else kkt[np.ix_(rows, rows)]
+        """The bordered matrix over the free frames, in coding order, and
+        the border."""
+        rows = np.append(row[free], n)
+        return kkt[np.ix_(rows, rows)]
 
     def mismatch(vec: np.ndarray, grad_f, u, mu=None) -> float:
         """The marginal mismatch at vec with the norm's subgradient A^T u
@@ -588,7 +656,7 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         residual vec, or None unless the certificate proves vec optimal."""
         grad_f = distortion_derivatives(vec)[0]
         free = weighted & (vec > floor)
-        kkt[diagonal, diagonal] = gram_diagonal
+        kkt[row, row] = gram_diagonal
         target = np.append(-grad_f[free] / lam, 0.0)
         sol = np.linalg.lstsq(bordered(free), target, rcond=None)[0]
         z = np.zeros(n)
@@ -603,12 +671,19 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     def newton_direction(grad, weight, free):
         """The Newton step on the face over the free frames, and its budget
         multiplier, from step 2's one system: the bordered matrix, its
-        diagonal set by the caller for weight = |y| / lambda / unit^2,
-        which a zero residual or a problem with no pair row never
-        reaches."""
+        diagonal set by the caller for the scale weight / unit, weight =
+        |y| / lambda / unit, which a zero residual or a problem with no
+        pair row never reaches; grad and the multiplier are in units of
+        unit. With every frame free on a grid that splits, the system is
+        solved by dissection, and otherwise by one dense solve over the
+        free frames in coding order."""
         d = np.zeros(n)
-        sol = np.linalg.solve(bordered(free), np.append(-weight * grad[free], 0.0))
-        d[free] = sol[:-1]
+        if dissected is not None and free.all():
+            sol = dissected(np.append(-weight * grad[order], 0.0))
+            d[order] = sol[:-1]
+        else:
+            sol = np.linalg.solve(bordered(free), np.append(-weight * grad[free], 0.0))
+            d[free] = sol[:-1]
         return d, float(sol[-1]) / weight
 
     def active_direction(grad, weight, free) -> np.ndarray:
@@ -707,10 +782,14 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
                 return finish(point, iterations, "uncertified zero residual", settled=False)
             return finish(point, iterations, "certified zero residual", kkt_residual)
         grad = grad_f + lam * penalty.apply_transpose(point.residual / point.norm)
-        weight = point.norm / lam / unit / unit
-        kkt[diagonal, diagonal] = gram_diagonal + weight * curvature
+        # |y| / lambda / unit^2 is weight times a 1 / unit taken into the
+        # curvature and grad it scales, so that weight stays finite wherever
+        # their products do; as a numpy scalar it raises on overflow under
+        # allocate's errstate.
+        weight = np.float64(point.norm) / lam / unit
+        kkt[row, row] = gram_diagonal + weight * (curvature / unit)
         try:
-            d = active_direction(grad, weight, free)
+            d = active_direction(grad / unit, weight, free)
             # P cannot resolve changes below its rounding error, so neither
             # can the stop or the step that passes it.
             resolution = ROUNDING * (point.value + lam * point.scale)

@@ -857,6 +857,71 @@ class TestSolveStep2:
         assert f"stopped by {stop}, kkt_residual" in caplog.text
 
 
+class TestDissectedNewtonSystem:
+    """Step 2's Newton system solved by one-level nested dissection, against
+    one dense solve of the whole bordered matrix."""
+
+    @pytest.mark.parametrize("width, height", [(9, 9), (12, 5), (5, 12)])
+    def test_matches_the_dense_solve_at_the_split(self, width, height):
+        # At the split, step 2's first iterate in allocate, every frame is
+        # free. The reference holds the frames in coding order and takes
+        # A^T A from a dense A.
+        problem = recipe_problem(np.random.default_rng([width, height]), width, height, 10.0)
+        n = problem.grid.n_frames
+        r = np.array(list(solve_step1(problem).rates.values()))
+        assert np.all(r > problem.min_rate)
+        penalty = build_cone_penalty(problem, r)
+        grad = problem.w**2 * problem.alpha * problem.beta * r ** (problem.beta - 1.0)
+        curvature = grad * (problem.beta - 1.0) / r
+        residual = penalty.residual(r)
+        norm = float(np.linalg.norm(residual))
+        grad += problem.lam * penalty.apply_transpose(residual / norm)
+        weight = norm / problem.lam
+        a = np.zeros((penalty.col_i.size, n))
+        pairs = np.arange(penalty.col_i.size)
+        a[pairs, penalty.col_i] = penalty.coef_i
+        a[pairs, penalty.col_j] = penalty.coef_j
+        whole = np.ones((n + 1, n + 1))
+        whole[:n, :n] = a.T @ a + np.diag(weight * curvature)
+        whole[n, n] = 0.0
+        expected = np.linalg.solve(whole, np.append(-weight * grad, 0.0))
+
+        order, n_first, n_second = allocator._dissection_order(problem.grid)
+        assert sorted(order) == list(range(n)) and n_first and n_second
+        side = np.zeros(n, dtype=int)
+        side[order[:n_first]], side[order[n_first : n_first + n_second]] = 1, 2
+        assert not np.any(side[penalty.col_i] * side[penalty.col_j] == 2)
+        row = np.argsort(order)
+        kkt = allocator._bordered_gram(penalty, 1.0, row)
+        kkt[row, row] += weight * curvature
+        solve = allocator._dissected_solver(kkt, n_first, n_second)
+        solution = solve(np.append(-weight * grad[order], 0.0))
+        d = np.empty(n)
+        d[order] = solution[:-1]
+        assert np.max(np.abs(d - expected[:-1])) <= 1e-10 * np.max(np.abs(expected[:-1]))
+        assert solution[-1] == pytest.approx(expected[-1], rel=1e-10)
+
+    def test_a_floor_frame_takes_the_dense_solve_and_converges(self, monkeypatch):
+        # A tiny alpha keeps the first frame of this 9x9 problem on the floor
+        # at every iterate, so each Newton system is one dense solve over the
+        # 80 free frames and the border.
+        problem = recipe_problem(np.random.default_rng([9, 9, 0]), 9, 9, 10.0)
+        first = problem.grid.coding_order[0]
+        models = {**problem.models, first: RDModelParams(1e3, problem.models[first].beta)}
+        problem = replace(problem, models=models)
+        solve, sizes = np.linalg.solve, []
+
+        def recorded(a, b):
+            sizes.append(a.shape[0])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        result = allocate(problem)
+        assert result.kkt_residual <= allocator.KKT_TOLERANCE
+        assert result.rates[first] == problem.min_rate
+        assert sizes and set(sizes) == {81}
+
+
 class TestSolveStep2RealisticScale:
     """Step 2 at the scale of real light fields: about 1e6 bits and 1e8 SSE
     per frame, on grids up to 17x17."""

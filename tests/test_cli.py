@@ -1078,24 +1078,31 @@ def test_non_utf8_input_is_named(tmp_path, capsys, command):
 
 
 def scaled_problem(
-    rate_scale=1.0, sse_scale=1.0, min_rate=None, first_alpha=None, first_weight=None
+    rate_scale=1.0,
+    sse_scale=1.0,
+    min_rate=None,
+    first_alpha=None,
+    first_weight=None,
+    lam=10.0,
+    side=3,
 ):
-    """A 3x3 problem at lambda 10 with 1e6 bits per frame, in rate units
-    scaled by rate_scale and SSE units scaled by sse_scale; first_alpha
-    and first_weight replace the first frame's alpha and weight."""
-    grid = spiral_order(3, 3)
+    """A side x side problem at lambda lam with 1e6 bits per frame, in rate
+    units scaled by rate_scale and SSE units scaled by sse_scale; first_alpha
+    and first_weight replace the first frame's alpha and weight. The frame
+    laws repeat every 9 frames of the coding order."""
+    grid = spiral_order(side, side)
     models, weights = {}, {}
     for k, c in enumerate(grid.coding_order):
-        beta = -(0.22 + 0.025 * k)
-        alpha = 10 ** (7.5 + 0.1 * k) * sse_scale * rate_scale ** -beta
+        beta = -(0.22 + 0.025 * (k % 9))
+        alpha = 10 ** (7.5 + 0.1 * (k % 9)) * sse_scale * rate_scale ** -beta
         models[c] = RDModelParams(first_alpha if k == 0 and first_alpha else alpha, beta)
-        weights[c] = first_weight if k == 0 and first_weight else 0.2 + 0.1 * k
+        weights[c] = first_weight if k == 0 and first_weight else 0.2 + 0.1 * (k % 9)
     return AllocationProblem(
         grid=grid,
         weights=unify_weights(weights),
         models=models,
-        budget=9e6 * rate_scale,
-        lam=10.0,
+        budget=1e6 * grid.n_frames * rate_scale,
+        lam=lam,
         min_rate=min_rate,
     )
 
@@ -1110,6 +1117,7 @@ def scaled_problem(
         {"min_rate": 1e-308},
         {"first_alpha": 1e308},
         {"first_alpha": 1e-308},
+        {"lam": 1e-305},
     ],
     ids=lambda scale: ",".join(f"{key}={value:g}" for key, value in scale.items()),
 )
@@ -1143,6 +1151,10 @@ def test_underflowing_consistency_terms_raise_in_step_2_only():
         {"sse_scale": 10 ** -153.75},
         {"sse_scale": 10 ** -157},
         {"first_weight": 1e-160},
+        {"sse_scale": 10 ** -152.5, "lam": 10 ** -151.5},
+        {"sse_scale": 10 ** -152.5, "lam": 1e-150},
+        {"sse_scale": 10 ** -152.5, "side": 9},
+        {"sse_scale": 10 ** -157, "side": 9},
     ],
     ids=lambda scale: ",".join(f"{key}={value:g}" for key, value in scale.items()),
 )
@@ -1150,8 +1162,10 @@ def test_harmless_underflow_allocates(tmp_path, capsys, scale):
     """A scale that leaves the consistency residual's terms in range is no
     input error, though the squares of step 2's pair coefficients or of a
     tiny weight underflow: step 2 builds its Gram matrix in units of the
-    largest coefficient there. The problem allocates without a warning,
-    at the rates it has in SSE units of 1."""
+    largest coefficient there, and scales its Newton system by |y| / lambda
+    in those units without overflow at a tiny lambda. The problem, on a
+    grid that step 2 solves whole (3x3) or in two halves (9x9), allocates
+    without a warning, at the rates it has in SSE units of 1."""
     problem = tmp_path / "problem.txt"
     write_problem_file(scaled_problem(**scale), problem)
     assert main(["allocate", str(problem), "--output", str(tmp_path / "a.csv")]) == EXIT_OK

@@ -10,11 +10,18 @@ from conftest import load_tool
 sweep = load_tool("step2_sweep")
 
 
-def record(outcome="converged", p=100.0, kkt_residual=1e-12, iterations=4, rates="a", set="sweep"):
+def record(
+    outcome="converged", p=100.0, kkt_residual=1e-12, iterations=4, rates=(1.0, 2.0), set="sweep"
+):
     if outcome == "DegenerateWeights":
         return dict(set=set, outcome=outcome, p=None, kkt_residual=None, iterations=None, rates=None)
     return dict(
-        set=set, outcome=outcome, p=p, kkt_residual=kkt_residual, iterations=iterations, rates=rates
+        set=set,
+        outcome=outcome,
+        p=p,
+        kkt_residual=kkt_residual,
+        iterations=iterations,
+        rates=list(rates),
     )
 
 
@@ -46,10 +53,10 @@ def test_transitions_and_rises_largest_first():
     ]
     change = [
         record(p=150.0),
-        record(p=100.0 * (1.0 + 1e-10), rates="b"),
+        record(p=100.0 * (1.0 + 1e-10), rates=(1.0, 3.0)),
         record("NotConverged", 101.0, 1e-3),
         record("NotConverged", 60.0, 2.0),
-        record(p=99.0, iterations=7, rates="c"),
+        record(p=99.0, iterations=7, rates=(4.0, 2.0)),
         record("DegenerateWeights"),
     ]
     summary = sweep.summarize(parent, change)["sweep"]
@@ -196,12 +203,38 @@ def test_problems_differing_in_iterations_or_kkt_residual_are_counted():
     assert "step-2 iterations differ on 0 problems, kkt_residual on 0\n" in same
 
 
+def test_largest_relative_rate_difference_is_printed_per_set():
+    """Each set prints the largest relative difference of any frame's rate
+    between the two runs, over the problems with rates in both; 0 where
+    every rate is equal or no problem has rates."""
+    parent = [
+        record(rates=(100.0, 200.0)),
+        record("NotConverged", 5.0, 3.0, rates=(50.0, 10.0)),
+        record(rates=(7.0,), set="cone"),
+        record("DegenerateWeights", set="cone"),
+    ]
+    change = [
+        record(rates=(100.0 * (1.0 + 2e-13), 200.0 * (1.0 - 3e-12))),
+        record(rates=(50.0, 10.0 * (1.0 + 5e-9))),
+        record(rates=(7.0,), set="cone"),
+        record("DegenerateWeights", set="cone"),
+    ]
+    summary = sweep.summarize(parent, change)
+    assert summary["sweep"]["rate_difference"] == pytest.approx(5e-9, rel=1e-6)
+    assert summary["cone"]["rate_difference"] == 0.0
+    text = sweep.format_summary(summary)
+    assert "  largest relative rate difference 5.0e-09\ncone" in text
+    assert text.endswith("  largest relative rate difference 0.0e+00")
+    nothing = sweep.summarize(parent[3:], parent[3:])["cone"]
+    assert nothing["rate_difference"] == 0.0
+
+
 @pytest.mark.parametrize("transition", [False, True])
 def test_compare_fails_on_a_transition(tmp_path, capsys, transition):
     """`compare` exits 1 when some problem's outcome differs between the
     runs, and 0 when only rates and kkt_residual differ."""
     parent = [record(), record(set="cone")]
-    change = [record(rates="b", kkt_residual=2e-12), record(set="cone")]
+    change = [record(rates=(1.0, 3.0), kkt_residual=2e-12), record(set="cone")]
     if transition:
         change[1] = record("NotConverged", 5.0, 3.0, set="cone")
     paths = []

@@ -30,7 +30,7 @@ NOT_CONVERGED_LIMITS allows it: 2 of the sweep, none of the cone set.
 One record per problem holds its set,
 its outcome (converged, NotConverged or DegenerateWeights), P at the
 result, linearized at the step-1 split as the benchmark's p_ratio is, the
-result's kkt_residual and step-2 iterations, and a digest of its rates;
+result's kkt_residual and step-2 iterations, and its rates;
 all but the set and outcome are None for DegenerateWeights, and the
 iterations are None where step 2 never ran: at lambda 0, or where the
 penalty at the split has no pair row, so solve_step2 hands the problem
@@ -38,7 +38,8 @@ to solve_step1. `compare` reports each set on its own: outcomes and the
 transitions between them, rises of P above P_RISE, the largest relative
 fall and rise of P (so a rounding-level change shows its size), mean
 step-2 iterations, how many problems differ in step-2 iterations and how
-many in kkt_residual, and identical rates. It names the first
+many in kkt_residual, identical rates, and the largest relative
+difference of any frame's rate between the two runs. It names the first
 SHOWN_RISES problems of each transition and of the rises, and exits 1
 when any problem's outcome differs between the two runs.
 """
@@ -46,7 +47,6 @@ when any problem's outcome differs between the two runs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import statistics
 import sys
@@ -105,14 +105,13 @@ def solve(lfalloc, problem, name: str) -> dict:
     penalty = lfalloc.build_cone_penalty(problem, split)
     # solve_step2's own test for handing the problem to solve_step1.
     stepped = problem.lam > 0.0 and penalty.coef_i.any()
-    rates = json.dumps(list(result.rates.values())).encode()
     return dict(
         set=name,
         outcome=outcome,
         p=lfalloc.penalized_objective(problem, penalty, result.rates),
         kkt_residual=result.kkt_residual,
         iterations=result.iterations if stepped else None,
-        rates=hashlib.sha256(rates).hexdigest()[:16],
+        rates=list(result.rates.values()),
     )
 
 
@@ -182,8 +181,9 @@ def summarize_set(parent: list[dict], change: list[dict]) -> dict:
     largest first, the largest relative fall and rise of P (each 0 where P
     never moves that way), the mean step-2 iterations of each over the
     problems both converge on and both ran step 2 for, how many problems
-    differ in step-2 iterations and how many in kkt_residual, and how many
-    end at identical rates."""
+    differ in step-2 iterations and how many in kkt_residual, how many
+    end at identical rates, and the largest relative difference of any
+    frame's rate (0 where no problem has rates in both runs)."""
     pairs = list(zip(parent, change))
     transitions: dict[tuple[str, str], list[int]] = {}
     rises = []
@@ -224,6 +224,15 @@ def summarize_set(parent: list[dict], change: list[dict]) -> dict:
         iterations_differ=sum(a["iterations"] != b["iterations"] for a, b in pairs),
         kkt_residual_differs=sum(a["kkt_residual"] != b["kkt_residual"] for a, b in pairs),
         identical_rates=sum(a["rates"] == b["rates"] for a, b in pairs if a["rates"] is not None),
+        rate_difference=max(
+            (
+                abs(y - x) / abs(x)
+                for a, b in pairs
+                if a["rates"] is not None and b["rates"] is not None
+                for x, y in zip(a["rates"], b["rates"])
+            ),
+            default=0.0,
+        ),
     )
 
 
@@ -269,6 +278,7 @@ def format_set(summary: dict) -> list[str]:
         f" kkt_residual on {summary['kkt_residual_differs']:,}"
     )
     lines.append(f"identical rates on {summary['identical_rates']:,} problems")
+    lines.append(f"largest relative rate difference {summary['rate_difference']:.1e}")
     return lines
 
 
