@@ -194,10 +194,6 @@ class ConePenalty:
     def n_frames(self) -> int:
         return self.expansion.size
 
-    def residual(self, rates: np.ndarray) -> np.ndarray:
-        """A r + b for a rate vector in coding order."""
-        return self._residual_and_magnitudes(rates)[0]
-
     def _residual_and_magnitudes(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A r + b and, row by row, |coef_i r_i| + |coef_j r_j| + |rhs|, the
         magnitudes of the terms that cancel in it, each term formed once."""
@@ -455,13 +451,14 @@ def _bordered_gram(penalty: ConePenalty, unit: float, row: np.ndarray) -> np.nda
 def _dissected_solver(kkt: np.ndarray, n_first: int, n_second: int):
     """The solver of the whole bordered system kkt, held in dissection
     order with sides of n_first and n_second frames, at kkt's diagonal of
-    the moment: it solves each side block once, with the columns that
-    couple the side to the separator and the border (copied here, once)
-    and the side's part of the right side as extra right sides, then the
-    Schur complement of the separator and the border, and then
-    back-substitutes into the sides. Its argument and result are in
-    dissection order."""
-    sides = (slice(0, n_first), slice(n_first, n_first + n_second))
+    the moment: it solves each non-empty side block once, with the
+    columns that couple the side to the separator and the border (copied
+    here, once) and the side's part of the right side as extra right
+    sides, then the Schur complement of the separator and the border, and
+    then back-substitutes into the sides. A grid too narrow to split has
+    an empty side, which is skipped; with both empty, the separator is
+    the whole matrix. Its argument and result are in dissection order."""
+    sides = [s for s in (slice(0, n_first), slice(n_first, n_first + n_second)) if s.start < s.stop]
     separator = slice(n_first + n_second, kkt.shape[0])
     side_columns = [
         np.column_stack((kkt[side, separator], np.empty(side.stop - side.start))) for side in sides
@@ -503,9 +500,13 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     minimizes it. Otherwise every optimum spends the whole budget (see the
     module docstring), so the warm start and the penalty's expansion point,
     each projected onto the feasible set, have any slack beyond
-    ACTIVE_BOUND spread evenly over the weighted frames; step 2 begins at
-    the one with the lower P (the expansion point on a tie), and each step
-    keeps the spend. Each iteration solves a KKT system on the face, and
+    ACTIVE_BOUND spread evenly over the weighted frames, and each step
+    keeps the spend. Step 2 starts at the lowest P of three points on the
+    face: the expansion point, the warm start and the zero-residual point
+    (see the kink below). A later candidate replaces an earlier one only
+    where its P is strictly lower, so a tie keeps the expansion point,
+    and one at the kink only where the dual certificate proves it
+    optimal. Each iteration solves a KKT system on the face, and
     solves it again for each round of floor frames it releases, with the
     Hessian diag(curvature) + (lambda / |y|) A^T A,
     curvature = w^2 alpha beta (beta-1) r^(beta-2) and y = A r + b, whose
@@ -516,25 +517,27 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         [[A^T A + (|y| / lambda) diag(curvature), 1], [1^T, 0]] [d; (|y| / lambda) nu]
             = [-(|y| / lambda) g; 0],
 
-    in one bordered matrix built per call from the pair arrays, of which
-    each iteration rewrites only the diagonal. The matrix is built in
-    one-level nested dissection order: the frames on one side of the
-    grid's middle two columns (rows, when the grid is taller than wide),
-    those on the other side, then the two middle columns and the border.
-    No pair joins the two sides, so while every frame is free each side
-    block is solved once, with the columns that couple it to the
-    separator and the border as extra right sides, then the small Schur
-    complement of the separator and the border, and the sides are
-    back-substituted. A system with a frame on the floor or of zero
-    weight and a grid too narrow to split take one dense solve over the
-    free frames instead, as the dual certificate below takes one dense
-    least-squares solve. Where the squares
-    of A's coefficients fall near the subnormal range, that matrix holds A
-    in units of the power of two nearest its largest coefficient, and the
-    weight |y| / lambda is divided by that unit squared: once itself and
-    once through the curvature and gradient it scales, so that it
-    overflows only where the system itself would, which allocate reports
-    as a problem scale outside floating-point range. Frames at
+    in one bordered matrix built per call from the pair arrays; after
+    that only each iteration's diagonal update writes it. The matrix is
+    built in one-level nested dissection order: the frames on one side of
+    the grid's middle two columns (rows, when the grid is taller than
+    wide), those on the other side, then the two middle columns and the
+    border. No pair joins the two sides, so while every frame is free
+    each non-empty side block is solved once, with the columns that
+    couple it to the separator and the border as extra right sides, then
+    the small Schur complement of the separator and the border, and the
+    sides are back-substituted; on a grid too narrow to split a side is
+    empty, and with both empty the separator is the whole matrix. A
+    system with some frame fixed, on the floor or of zero weight, takes
+    one dense solve over the free frames in coding order instead. Where
+    the squares of A's coefficients fall near the subnormal range, or
+    where |y| / lambda overflows at the expansion point, that matrix
+    holds A in units of the power of two nearest its largest coefficient,
+    and the weight |y| / lambda is divided by that unit squared: |y| once
+    by it before lambda divides it, and once through the curvature and
+    gradient it scales, so that it overflows only where the system itself
+    would, which allocate reports as a problem scale outside
+    floating-point range. Frames at
     min_rate stay fixed while their multiplier is nonnegative;
     zero-weight frames sit at the floor. The step is projected onto the
     feasible set with no frame cut below a quarter of its rate, and
@@ -549,23 +552,22 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     There its subdifferential is {A^T u : |u| <= 1}, so a point is optimal
     when some u in the unit ball and multiplier mu > 0 give every free
     frame the marginal -(grad_f + lambda A^T u) = mu. The dual certificate
-    finds them by one least-squares solve of the bordered matrix with the
-    Gram diagonal, over the free frames and the border, with the right
-    side [-grad_f / lambda, 0]: its solution [z; mu / lambda] gives
-    u = A z and covers the null direction of every coupled group at once.
-    The certificate proves the point optimal when |u| <= 1, mu > 0 and
-    the marginal mismatch under u and mu, which judges the floor frames as
-    kkt_residual does, is at most KKT_TOLERANCE. From every start the one
-    budget-face point with a zero residual is tried first and taken when
-    it beats the start and the certificate proves it optimal. A start at a
-    zero residual that the certificate does not prove optimal gives way to
-    the expansion point brought onto the face, and an iterate that reaches
-    one stops.
+    finds them by one dense least-squares solve over the free frames and
+    the border, of its own copy of the bordered matrix with the Gram
+    diagonal, with the right side [-grad_f / lambda, 0]: its solution
+    [z; mu / lambda] gives u = A z and covers the null direction of every
+    coupled group at once. The certificate proves the point optimal when
+    |u| <= 1, mu > 0 and the marginal mismatch under u and mu, which
+    judges the floor frames as kkt_residual does, is at most
+    KKT_TOLERANCE. The zero-residual point is the one budget-face point
+    where every weighted frame's tangent takes one value. A start or an
+    iterate at the kink stops there, converged only where the certificate
+    proves it optimal.
 
-    Every accepted step lowers P, so the result is never above P where
-    step 2 starts: the lower start, or the expansion point it gave way to.
-    kkt_residual is the marginal mismatch at the result (see the module
-    docstring) unless its stop says otherwise. Step 2 stops in one of
+    Every accepted step lowers P, so the result is never above P at the
+    start, which is at most P at the expansion point. kkt_residual is the
+    marginal mismatch at the result (see the module docstring) unless its
+    stop says otherwise. Step 2 stops in one of
     seven ways, and logs which at DEBUG:
 
         floor spend                converges: the floor spend is the
@@ -585,8 +587,8 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     the terms that cancel in y come from one pass over the pair terms,
     the evaluation penalized_objective reads P from. Consistency terms
     whose squares underflow, where every point would read as the kink,
-    raise FloatingPointError where step 2 tests its start or an iterate
-    for the kink.
+    raise FloatingPointError where step 2 tests a start candidate or an
+    iterate for the kink.
     """
     lam = problem.lam
     if lam == 0.0 or not np.any(penalty.coef_i):
@@ -597,11 +599,26 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     n = problem.grid.n_frames
     w2a = w * w * problem.alpha
     weighted = w2a > 0.0
-    # Near underflow the Gram takes A in units of a power of two, which
-    # divides exactly, so that its squares stay normal.
+    evaluate = functools.partial(_evaluate, problem, penalty)
+
+    def on_face(rates) -> _Point:
+        """rates brought onto the budget face, evaluated."""
+        vec = project_rates(_as_vector(problem, rates), budget, floor)
+        vec[~weighted] = floor
+        slack = budget - float(vec.sum())
+        if slack > budget * ACTIVE_BOUND:
+            vec[weighted] += slack / np.count_nonzero(weighted)
+        return evaluate(vec)
+
+    expansion = on_face(penalty.expansion)
+    # Near underflow, and where |y| / lambda overflows at the expansion
+    # point, the Gram takes A in units of a power of two, which divides
+    # exactly, so that its squares stay normal and |y| / lambda / unit^2
+    # in range.
     tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
     largest = float(max(np.abs(penalty.coef_i).max(), np.abs(penalty.coef_j).max()))
-    unit = 2.0 ** round(math.log2(largest)) if largest * largest < tiny / eps else 1.0
+    rescale = largest * largest < tiny / eps or math.isinf(expansion.norm / lam)
+    unit = 2.0 ** round(math.log2(largest)) if rescale else 1.0
     # The bordered matrix stays accurate where the Hessian alone is nearly
     # singular: along A's null direction once lambda / |y| dwarfs the
     # distortion curvature. That direction (1 / slope) has entries of one
@@ -614,9 +631,7 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     row = np.argsort(order)
     kkt = _bordered_gram(penalty, unit, row)
     gram_diagonal = kkt[row, row]
-    dissected = _dissected_solver(kkt, n_first, n_second) if n_first and n_second else None
-
-    evaluate = functools.partial(_evaluate, problem, penalty)
+    dissected = _dissected_solver(kkt, n_first, n_second)
 
     def distortion_derivatives(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grad = w2a * beta * vec ** (beta - 1.0)
@@ -656,9 +671,10 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         residual vec, or None unless the certificate proves vec optimal."""
         grad_f = distortion_derivatives(vec)[0]
         free = weighted & (vec > floor)
-        kkt[row, row] = gram_diagonal
+        gram = bordered(free)
+        np.fill_diagonal(gram, np.append(gram_diagonal[free], 0.0))
         target = np.append(-grad_f[free] / lam, 0.0)
-        sol = np.linalg.lstsq(bordered(free), target, rcond=None)[0]
+        sol = np.linalg.lstsq(gram, target, rcond=None)[0]
         z = np.zeros(n)
         z[free] = sol[:-1] / unit / unit
         u = penalty.coef_i * z[penalty.col_i] + penalty.coef_j * z[penalty.col_j]
@@ -674,11 +690,11 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         diagonal set by the caller for the scale weight / unit, weight =
         |y| / lambda / unit, which a zero residual or a problem with no
         pair row never reaches; grad and the multiplier are in units of
-        unit. With every frame free on a grid that splits, the system is
-        solved by dissection, and otherwise by one dense solve over the
-        free frames in coding order."""
+        unit. With every frame free, the system is solved by dissection;
+        with some frame fixed, by one dense solve over the free frames in
+        coding order."""
         d = np.zeros(n)
-        if dissected is not None and free.all():
+        if free.all():
             sol = dissected(np.append(-weight * grad[order], 0.0))
             d[order] = sol[:-1]
         else:
@@ -716,15 +732,6 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
                 return candidate
         return None
 
-    def on_face(rates) -> _Point:
-        """rates brought onto the budget face, evaluated."""
-        vec = project_rates(_as_vector(problem, rates), budget, floor)
-        vec[~weighted] = floor
-        slack = budget - float(vec.sum())
-        if slack > budget * ACTIVE_BOUND:
-            vec[weighted] += slack / np.count_nonzero(weighted)
-        return evaluate(vec)
-
     def finish(point: _Point, iterations: int, stop: str, kkt_residual=None, settled=True):
         """The result at point, where step 2 stopped by stop; kkt_residual
         is the marginal mismatch there unless given. It raises
@@ -747,17 +754,16 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
             result=result,
         )
 
-    expansion = on_face(penalty.expansion)
-    point = min(expansion, on_face(warm_start), key=operator.attrgetter("value"))
-    # Newton has no step at the kink, so a start there that the certificate
-    # does not prove optimal gives way to the expansion point.
-    if at_kink(point) and certified(point.rates) is None:
-        point = expansion
+    # The start is the lowest P of the expansion point, the warm start and
+    # the zero-residual point, the expansion point on a tie. Newton has no
+    # step at the kink, so a candidate there counts only where the
+    # certificate proves it optimal.
+    point = expansion
     kink = _zero_residual_point(penalty, weighted, budget, floor)
-    if kink is not None:
-        kink = evaluate(kink)
-        if kink.value < point.value and certified(kink.rates) is not None:
-            point = kink
+    for candidate in [on_face(warm_start)] + ([] if kink is None else [evaluate(kink)]):
+        if candidate.value < point.value:
+            if not at_kink(candidate) or certified(candidate.rates) is not None:
+                point = candidate
     start_value = point.value
 
     iterations = 0
@@ -786,7 +792,7 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         # curvature and grad it scales, so that weight stays finite wherever
         # their products do; as a numpy scalar it raises on overflow under
         # allocate's errstate.
-        weight = np.float64(point.norm) / lam / unit
+        weight = np.float64(point.norm) / unit / lam
         kkt[row, row] = gram_diagonal + weight * (curvature / unit)
         try:
             d = active_direction(grad / unit, weight, free)

@@ -133,6 +133,12 @@ def sweep_problem(index):
     return sweep.draw_problem(lfalloc, rng)
 
 
+def pair_residual(penalty, rates):
+    """A r + b, row by row from the penalty's pair arrays."""
+    left = penalty.coef_i * rates[penalty.col_i]
+    return left + penalty.coef_j * rates[penalty.col_j] + penalty.rhs
+
+
 def bisect_projection(values, budget, floor):
     """Reference projection via bisection on the common shift."""
     shifted = values - floor
@@ -453,7 +459,7 @@ class TestConePenalty:
         )
         rates = {c: float(r) for c, r in zip(coords, rng.uniform(5e5, 1.5e6, 6))}
         penalty = build_cone_penalty(problem, rates)
-        residual = penalty.residual(np.array([rates[c] for c in coords]))
+        residual = pair_residual(penalty, np.array([rates[c] for c in coords]))
         for value, i, j in zip(residual, penalty.col_i, penalty.col_j):
             ci, cj = coords[i], coords[j]
             scale = math.sqrt(proximity(ci, cj)) * min(
@@ -467,7 +473,7 @@ class TestConePenalty:
         step1 = solve_step1(problem)
         penalty = build_cone_penalty(problem, step1.rates)
         vec = np.array([step1.rates[c] for c in problem.grid.coding_order])
-        norm_sq = float(penalty.residual(vec) @ penalty.residual(vec))
+        norm_sq = float(pair_residual(penalty, vec) @ pair_residual(penalty, vec))
         sse = {c: eval_model(problem.models[c], r) for c, r in step1.rates.items()}
         reference = cost(problem.grid, problem.weights, DistortionSet(sse), 0.0).discontinuity
         assert norm_sq == pytest.approx(reference, rel=1e-10)
@@ -509,8 +515,8 @@ class TestSolveStep2:
         result = solve_step2(problem, step1.rates, penalty)
         c0, c1 = problem.grid.coding_order
         assert result.rates[c0] == result.rates[c1]
-        residual = penalty.residual(
-            np.array([result.rates[c] for c in problem.grid.coding_order])
+        residual = pair_residual(
+            penalty, np.array([result.rates[c] for c in problem.grid.coding_order])
         )
         assert float(np.linalg.norm(residual)) == 0.0
 
@@ -570,7 +576,8 @@ class TestSolveStep2:
         slopes, intercepts = penalty.slopes, penalty.intercepts
         level = (problem.budget + np.sum(intercepts / slopes)) / np.sum(1.0 / slopes)
         kink = (level - intercepts) / slopes
-        assert float(np.linalg.norm(penalty.residual(kink))) <= 1e-9 * np.abs(penalty.rhs).max()
+        residual = pair_residual(penalty, kink)
+        assert float(np.linalg.norm(residual)) <= 1e-9 * np.abs(penalty.rhs).max()
         p_kink = penalized_objective(problem, penalty, kink)
         assert p_kink < penalized_objective(problem, penalty, step1.rates)
         from_step1 = solve_step2(problem, step1.rates, penalty)
@@ -583,6 +590,64 @@ class TestSolveStep2:
         assert penalized_objective(problem, penalty, from_kink.rates) < p_kink
         assert from_kink.rates == from_step1.rates
         assert from_kink.iterations == from_step1.iterations
+
+    def test_start_is_the_lowest_certified_candidate(self, monkeypatch):
+        # Zero weights split this mirror-symmetric 6x1 line into the coupled
+        # groups {0, 1} and {4, 5} by u. The warm start is a zero residual
+        # with the left group's tangent level 5% above the level both
+        # groups share at the zero-residual point: its P is below the
+        # split's, but the certificate does not prove it optimal. The zero-residual point, with one level for both groups,
+        # is lower still and proved optimal, so step 2 starts there; with
+        # every P tied it keeps the expansion point, the split.
+        a, b = (0.8, 6e7, -0.3), (0.5, 1.5e8, -0.4)
+        frames = {(0, 0): a, (1, 0): b, (4, 0): b, (5, 0): a}
+        problem = sparse_problem(6, 1, 6e6, 100.0, 1e4, frames)
+        split = np.array(list(solve_step1(problem).rates.values()))
+        penalty = build_cone_penalty(problem, split)
+        slopes, intercepts = penalty.slopes, penalty.intercepts
+        u = np.array([c.u for c in problem.grid.coding_order])
+        weighted = problem.w > 0.0
+        left, right = weighted & (u < 3), weighted & (u > 3)
+
+        def level(frames, spend):
+            """The tangent level at which frames spend spend."""
+            shares = np.sum(1.0 / slopes[frames])
+            return (spend + np.sum(intercepts[frames] / slopes[frames])) / shares
+
+        spend = problem.budget - problem.min_rate * np.count_nonzero(~weighted)
+        kink = np.full(6, problem.min_rate)
+        kink[weighted] = (level(weighted, spend) - intercepts[weighted]) / slopes[weighted]
+        warm = np.full(6, problem.min_rate)
+        warm[left] = (1.05 * level(weighted, spend) - intercepts[left]) / slopes[left]
+        right_level = level(right, spend - warm[left].sum())
+        warm[right] = (right_level - intercepts[right]) / slopes[right]
+        assert np.linalg.norm(pair_residual(penalty, warm)) <= 1e-9 * np.abs(penalty.rhs).max()
+        p_split, p_warm, p_kink = (
+            penalized_objective(problem, penalty, r) for r in (split, warm, kink)
+        )
+        assert p_kink < p_warm < p_split
+
+        # Started at the warm start alone, step 2 finds it uncertified.
+        with monkeypatch.context() as alone:
+            alone.setattr(allocator, "_zero_residual_point", lambda *args: None)
+            with pytest.raises(NotConverged, match="uncertified zero residual after 1 "):
+                solve_step2(problem, warm, replace(penalty, expansion=warm))
+        result = solve_step2(problem, warm, penalty)
+        assert result.iterations == 1
+        assert list(result.rates.values()) == pytest.approx(kink, rel=1e-12)
+
+        # With no iteration, the result is the start.
+        monkeypatch.setattr(allocator, "STEP2_MAX_ITERATIONS", 0)
+        with pytest.raises(NotConverged) as started:
+            solve_step2(problem, warm, penalty)
+        assert list(started.value.result.rates.values()) == pytest.approx(kink, rel=1e-12)
+        evaluate = allocator._evaluate
+        monkeypatch.setattr(
+            allocator, "_evaluate", lambda *args: evaluate(*args)._replace(value=1.0)
+        )
+        with pytest.raises(NotConverged) as tied:
+            solve_step2(problem, warm, penalty)
+        assert list(tied.value.result.rates.values()) == pytest.approx(split, rel=1e-12)
 
     def test_iteration_cap_raises_with_best_iterate(self, monkeypatch):
         # With a small lambda the optimum is off the kink, so two Newton
@@ -873,7 +938,7 @@ class TestDissectedNewtonSystem:
         penalty = build_cone_penalty(problem, r)
         grad = problem.w**2 * problem.alpha * problem.beta * r ** (problem.beta - 1.0)
         curvature = grad * (problem.beta - 1.0) / r
-        residual = penalty.residual(r)
+        residual = pair_residual(penalty, r)
         norm = float(np.linalg.norm(residual))
         grad += problem.lam * penalty.apply_transpose(residual / norm)
         weight = norm / problem.lam
@@ -898,6 +963,37 @@ class TestDissectedNewtonSystem:
         solution = solve(np.append(-weight * grad[order], 0.0))
         d = np.empty(n)
         d[order] = solution[:-1]
+        assert np.max(np.abs(d - expected[:-1])) <= 1e-10 * np.max(np.abs(expected[:-1]))
+        assert solution[-1] == pytest.approx(expected[-1], rel=1e-10)
+
+    @pytest.mark.parametrize("width, height", [(2, 2), (3, 3), (6, 1), (3, 5)])
+    def test_all_free_systems_take_the_block_solve(self, monkeypatch, width, height):
+        # With every frame free, the Newton system goes through the block
+        # solve, also where a side is empty: one on 3x3 and both on 2x2,
+        # whose separator is the whole matrix. The first system, at the
+        # split, matches one dense solve of the same bordered matrix in
+        # coding order.
+        problem = recipe_problem(np.random.default_rng([width, height]), width, height, 10.0)
+        n = problem.grid.n_frames
+        assert np.all(np.array(list(solve_step1(problem).rates.values())) > problem.min_rate)
+        dissected, systems = allocator._dissected_solver, []
+
+        def recorded(kkt, n_first, n_second):
+            solve = dissected(kkt, n_first, n_second)
+
+            def recorded_solve(rhs):
+                systems.append((kkt.copy(), rhs, solve(rhs)))
+                return systems[-1][-1]
+
+            return recorded_solve
+
+        monkeypatch.setattr(allocator, "_dissected_solver", recorded)
+        assert allocate(problem).kkt_residual <= allocator.KKT_TOLERANCE
+        assert systems
+        kkt, rhs, solution = systems[0]
+        rows = np.append(np.argsort(allocator._dissection_order(problem.grid)[0]), n)
+        expected = np.linalg.solve(kkt[np.ix_(rows, rows)], rhs[rows])
+        d = solution[rows[:-1]]
         assert np.max(np.abs(d - expected[:-1])) <= 1e-10 * np.max(np.abs(expected[:-1]))
         assert solution[-1] == pytest.approx(expected[-1], rel=1e-10)
 
@@ -961,7 +1057,7 @@ class TestSolveStep2RealisticScale:
         # implied budget multiplier is nonnegative.
         w = np.array([problem.weights.unified[c] for c in coords])
         grad = w * w * alpha * beta * rates ** (beta - 1.0)
-        residual = penalty.residual(rates)
+        residual = pair_residual(penalty, rates)
         grad += lam * penalty.apply_transpose(residual) / np.linalg.norm(residual)
         assert float(grad.sum()) <= 1e-6 * float(np.abs(grad).sum())
 

@@ -1155,17 +1155,19 @@ def test_underflowing_consistency_terms_raise_in_step_2_only():
         {"sse_scale": 10 ** -152.5, "lam": 1e-150},
         {"sse_scale": 10 ** -152.5, "side": 9},
         {"sse_scale": 10 ** -157, "side": 9},
+        {"sse_scale": 1e100, "lam": 1e-290},
     ],
     ids=lambda scale: ",".join(f"{key}={value:g}" for key, value in scale.items()),
 )
 def test_harmless_underflow_allocates(tmp_path, capsys, scale):
     """A scale that leaves the consistency residual's terms in range is no
     input error, though the squares of step 2's pair coefficients or of a
-    tiny weight underflow: step 2 builds its Gram matrix in units of the
-    largest coefficient there, and scales its Newton system by |y| / lambda
-    in those units without overflow at a tiny lambda. The problem, on a
-    grid that step 2 solves whole (3x3) or in two halves (9x9), allocates
-    without a warning, at the rates it has in SSE units of 1."""
+    tiny weight underflow, or |y| / lambda overflows at a tiny lambda:
+    step 2 builds its Gram matrix in units of the largest coefficient
+    there, and scales its Newton system by |y| / lambda in those units,
+    dividing |y| by the unit first. The problem, on a grid that step 2
+    solves whole (3x3) or in two halves (9x9), allocates without a
+    warning, at the rates it has in SSE units of 1."""
     problem = tmp_path / "problem.txt"
     write_problem_file(scaled_problem(**scale), problem)
     assert main(["allocate", str(problem), "--output", str(tmp_path / "a.csv")]) == EXIT_OK

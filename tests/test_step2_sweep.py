@@ -229,6 +229,64 @@ def test_largest_relative_rate_difference_is_printed_per_set():
     assert nothing["rate_difference"] == 0.0
 
 
+def test_problems_whose_rates_differ_are_named_largest_first():
+    """Each set names the first SHOWN_RISES problems whose rates differ,
+    by the largest relative difference of any frame's rate, largest first
+    and in problem order on a tie; problems with equal rates or no rates
+    are not named."""
+    differences = [3e-13, 0.0, 5e-9, 1e-12, 2e-13, 4e-12, 1e-12, 6e-11, 7e-10, 8e-13, 9e-10, 2e-11]
+    parent = [record(rates=(100.0, 200.0)) for _ in differences] + [record("DegenerateWeights")]
+    change = [record(rates=(100.0, 200.0 * (1.0 + d))) for d in differences]
+    change.append(record("DegenerateWeights"))
+    summary = sweep.summarize(parent, change)["sweep"]
+    named = [d["problem"] for d in summary["rate_differences"]]
+    assert named == [2, 10, 8, 7, 11, 5, 3, 6, 9, 0, 4]
+    assert [d["difference"] for d in summary["rate_differences"]] == pytest.approx(
+        sorted((d for d in differences if d), reverse=True), rel=1e-3
+    )
+    text = sweep.format_summary({"sweep": summary})
+    shown = [line for line in text.splitlines() if "rates differ by" in line]
+    assert len(shown) == sweep.SHOWN_RISES
+    assert shown[0] == "  problem 2: rates differ by 5.0e-09 relative"
+    assert shown[-1] == "  problem 0: rates differ by 3.0e-13 relative"
+    assert "problem 4:" not in text
+    assert text.index("identical rates on 1 problems") < text.index(shown[0])
+    assert text.endswith("  largest relative rate difference 5.0e-09")
+    same = sweep.format_summary(sweep.summarize(parent, parent))
+    assert "rates differ by" not in same
+
+
+def test_largest_converged_kkt_residual_is_printed_per_set(tmp_path, monkeypatch, capsys):
+    """`run` prints each set's largest kkt_residual among its converged
+    problems, with the first problem that has it, numbered within the
+    set; `compare` prints that figure for both runs, and "none" for a run
+    with no converged problem in the set."""
+    records = [
+        record(kkt_residual=3e-9),
+        record("NotConverged", 5.0, 3.0),
+        record(kkt_residual=9.88e-9),
+        record(kkt_residual=9.88e-9),
+        record("DegenerateWeights"),
+        record(kkt_residual=2e-12, set="cone"),
+        record("NotConverged", 5.0, 3.0, set="cone"),
+        record(kkt_residual=7e-7, set="cone"),
+    ]
+    assert sweep.kkt_residual_peak(records[:5]) == (9.88e-9, 2)
+    assert sweep.kkt_residual_peak(records[1:2]) is None
+    monkeypatch.setattr(sweep, "run_tree", lambda tree: records)
+    output = tmp_path / "records.json"
+    assert sweep.main(["run", str(tmp_path), "--output", str(output)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "sweep: largest converged kkt_residual 9.88e-09 (problem 2)"
+    assert out[3] == "cone: largest converged kkt_residual 7.00e-07 (problem 2)"
+
+    change = [*records[:2], record(kkt_residual=2.18e-8), *records[3:]]
+    change[5:] = [record("NotConverged", 5.0, 3.0, set="cone")] * 3
+    text = sweep.format_summary(sweep.summarize(records, change))
+    assert "  largest converged kkt_residual 9.88e-09 (problem 2) -> 2.18e-08 (problem 2)\n" in text
+    assert "  largest converged kkt_residual 7.00e-07 (problem 2) -> none\n" in text
+
+
 @pytest.mark.parametrize("transition", [False, True])
 def test_compare_fails_on_a_transition(tmp_path, capsys, transition):
     """`compare` exits 1 when some problem's outcome differs between the
@@ -275,7 +333,9 @@ def test_run_fails_on_too_many_not_converged(
     assert code == int(fails)
     assert out == (
         f"sweep: 3 converged / {sweep_failures} NotConverged / 0 DegenerateWeights\n"
+        f"sweep: largest converged kkt_residual 1.00e-12 (problem {sweep_failures})\n"
         f"cone: 2 converged / {cone_failures} NotConverged / 0 DegenerateWeights\n"
+        f"cone: largest converged kkt_residual 1.00e-12 (problem {cone_failures})\n"
     )
     counts = f"sweep {sweep_failures} (at most 2), cone {cone_failures} (at most 0)"
     assert err == (f"NotConverged per set: {counts}\n" if fails else "")

@@ -24,10 +24,11 @@ seeds 0-9 in the order perfbench/run.py draws them.
 `run` imports lfalloc from TREE/src and turns every warning into an
 error, so a numpy warning ends the run in a traceback; the cone problems
 come from this checkout's perfbench. It writes the records and prints
-each set's outcome counts, then exits 1, printing the NotConverged count
-of each set, when more problems of a set end in NotConverged than
-NOT_CONVERGED_LIMITS allows it: 2 of the sweep, none of the cone set.
-One record per problem holds its set,
+each set's outcome counts and the largest kkt_residual among its
+converged problems, with that problem's number, then exits 1, printing
+the NotConverged count of each set, when more problems of a set end in
+NotConverged than NOT_CONVERGED_LIMITS allows it: 2 of the sweep, none
+of the cone set. One record per problem holds its set,
 its outcome (converged, NotConverged or DegenerateWeights), P at the
 result, linearized at the step-1 split as the benchmark's p_ratio is, the
 result's kkt_residual and step-2 iterations, and its rates;
@@ -38,10 +39,13 @@ to solve_step1. `compare` reports each set on its own: outcomes and the
 transitions between them, rises of P above P_RISE, the largest relative
 fall and rise of P (so a rounding-level change shows its size), mean
 step-2 iterations, how many problems differ in step-2 iterations and how
-many in kkt_residual, identical rates, and the largest relative
+many in kkt_residual, the largest kkt_residual among the converged
+problems of each run, identical rates, and the largest relative
 difference of any frame's rate between the two runs. It names the first
-SHOWN_RISES problems of each transition and of the rises, and exits 1
-when any problem's outcome differs between the two runs.
+SHOWN_RISES problems of each transition, of the rises and of the
+problems whose rates differ, largest difference first, and exits 1 when
+any problem's outcome differs between the two runs. Problems are
+numbered within their set.
 """
 
 from __future__ import annotations
@@ -150,6 +154,20 @@ def tally(records: list[dict]) -> dict:
     return {outcome: counts[outcome] for outcome in OUTCOMES}
 
 
+def kkt_residual_peak(records: list[dict]) -> tuple[float, int] | None:
+    """The largest kkt_residual among the converged records, with the
+    number of the first record that has it; None when none converged."""
+    converged = (
+        (r["kkt_residual"], index) for index, r in enumerate(records) if r["outcome"] == "converged"
+    )
+    return max(converged, key=lambda peak: peak[0], default=None)
+
+
+def format_peak(peak: tuple[float, int] | None) -> str:
+    """A kkt_residual_peak as text."""
+    return "none" if peak is None else f"{peak[0]:.2e} (problem {peak[1]})"
+
+
 def gate(records: list[dict]) -> str | None:
     """The NotConverged count of each set, as text, when a set has more
     than NOT_CONVERGED_LIMITS allows it; None when none has."""
@@ -181,9 +199,11 @@ def summarize_set(parent: list[dict], change: list[dict]) -> dict:
     largest first, the largest relative fall and rise of P (each 0 where P
     never moves that way), the mean step-2 iterations of each over the
     problems both converge on and both ran step 2 for, how many problems
-    differ in step-2 iterations and how many in kkt_residual, how many
-    end at identical rates, and the largest relative difference of any
-    frame's rate (0 where no problem has rates in both runs)."""
+    differ in step-2 iterations and how many in kkt_residual, the
+    kkt_residual_peak of each, how many end at identical rates, the
+    problems whose rates differ with the largest relative difference of
+    any of their frames' rates, largest first, and the largest of those
+    differences (0 where no rate differs)."""
     pairs = list(zip(parent, change))
     transitions: dict[tuple[str, str], list[int]] = {}
     rises = []
@@ -197,6 +217,17 @@ def summarize_set(parent: list[dict], change: list[dict]) -> dict:
             if rise > P_RISE:
                 rises.append(dict(problem=index, rise=rise, parent=a["outcome"], change=b["outcome"]))
     rises.sort(key=lambda r: (-r["rise"], r["problem"]))
+    rate_differences = sorted(
+        (
+            dict(
+                problem=index,
+                difference=max(abs(y - x) / abs(x) for x, y in zip(a["rates"], b["rates"])),
+            )
+            for index, (a, b) in enumerate(pairs)
+            if a["rates"] is not None and b["rates"] is not None and a["rates"] != b["rates"]
+        ),
+        key=lambda d: (-d["difference"], d["problem"]),
+    )
     both = [
         (a, b)
         for a, b in pairs
@@ -223,16 +254,10 @@ def summarize_set(parent: list[dict], change: list[dict]) -> dict:
         else None,
         iterations_differ=sum(a["iterations"] != b["iterations"] for a, b in pairs),
         kkt_residual_differs=sum(a["kkt_residual"] != b["kkt_residual"] for a, b in pairs),
+        kkt_residual_peaks=[kkt_residual_peak(parent), kkt_residual_peak(change)],
         identical_rates=sum(a["rates"] == b["rates"] for a, b in pairs if a["rates"] is not None),
-        rate_difference=max(
-            (
-                abs(y - x) / abs(x)
-                for a, b in pairs
-                if a["rates"] is not None and b["rates"] is not None
-                for x, y in zip(a["rates"], b["rates"])
-            ),
-            default=0.0,
-        ),
+        rate_differences=rate_differences,
+        rate_difference=rate_differences[0]["difference"] if rate_differences else 0.0,
     )
 
 
@@ -277,7 +302,13 @@ def format_set(summary: dict) -> list[str]:
         f"step-2 iterations differ on {summary['iterations_differ']:,} problems,"
         f" kkt_residual on {summary['kkt_residual_differs']:,}"
     )
+    before, after = map(format_peak, summary["kkt_residual_peaks"])
+    lines.append(f"largest converged kkt_residual {before} -> {after}")
     lines.append(f"identical rates on {summary['identical_rates']:,} problems")
+    lines += [
+        f"problem {d['problem']}: rates differ by {d['difference']:.1e} relative"
+        for d in summary["rate_differences"][:SHOWN_RISES]
+    ]
     lines.append(f"largest relative rate difference {summary['rate_difference']:.1e}")
     return lines
 
@@ -296,8 +327,10 @@ def main(argv=None) -> int:
         records = run_tree(args.tree.resolve())
         args.output.write_text(json.dumps(records, indent=1) + "\n")
         for name in dict.fromkeys(r["set"] for r in records):
-            counts = tally([r for r in records if r["set"] == name])
-            print(f"{name}: " + " / ".join(f"{c:,} {o}" for o, c in counts.items()))
+            members = [r for r in records if r["set"] == name]
+            print(f"{name}: " + " / ".join(f"{c:,} {o}" for o, c in tally(members).items()))
+            peak = format_peak(kkt_residual_peak(members))
+            print(f"{name}: largest converged kkt_residual {peak}")
         failure = gate(records)
         if failure:
             print(failure, file=sys.stderr)
