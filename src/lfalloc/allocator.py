@@ -434,8 +434,10 @@ def _dissection_order(grid: FrameGrid) -> tuple[np.ndarray, int, int]:
 
 def _bordered_gram(penalty: ConePenalty, unit: float, row: np.ndarray) -> np.ndarray:
     """The (n+1) x (n+1) matrix [[A^T A, 1], [1^T, 0]] with A's coefficients
-    in units of unit, A^T A accumulated from the pair arrays, and frame f
-    in row and column row[f]."""
+    in units of unit, step 2's power of two nearest the largest of them,
+    so that the Gram block does not depend on the SSE unit; A^T A
+    accumulated from the pair arrays, and frame f in row and column
+    row[f]."""
     n = penalty.n_frames
     size = n + 1
     i, j = row[penalty.col_i], row[penalty.col_j]
@@ -529,24 +531,29 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
     sides are back-substituted; on a grid too narrow to split a side is
     empty, and with both empty the separator is the whole matrix. A
     system with some frame fixed, on the floor or of zero weight, takes
-    one dense solve over the free frames in coding order instead. Where
-    the squares of A's coefficients fall near the subnormal range, or
-    where |y| / lambda overflows at the expansion point, that matrix
-    holds A in units of the power of two nearest its largest coefficient,
-    and the weight |y| / lambda is divided by that unit squared: |y| once
-    by it before lambda divides it, and once through the curvature and
-    gradient it scales, so that it overflows only where the system itself
-    would, which allocate reports as a problem scale outside
-    floating-point range. Frames at
-    min_rate stay fixed while their multiplier is nonnegative;
+    one dense solve over the free frames in coding order instead.
+
+    That matrix always holds A in units of the power of two nearest its
+    largest coefficient, and the weight |y| / lambda is divided by that
+    unit squared: |y| once by it before lambda divides it, and once
+    through the curvature and gradient it scales. A power of two divides
+    exactly, so every alpha times a power of two leaves each Newton
+    system bit for bit as it was, and scales the right side of the
+    certificate's least-squares system and its solution by that power
+    exactly: the rates, iterations and outcome do not depend on the SSE
+    unit. The squares of A's coefficients stay normal, and the weight
+    overflows only where the system itself would, which allocate reports
+    as a problem scale outside floating-point range.
+
+    Frames at min_rate stay fixed while their multiplier is nonnegative;
     zero-weight frames sit at the floor. The step is projected onto the
     feasible set with no frame cut below a quarter of its rate, and
-    backtracked until the exact P
-    falls enough (Armijo). The Newton stop is unit-free: half the squared
-    decrement at most STEP2_TOL * P or below the rounding error of P, with
-    kkt_residual at most KKT_TOLERANCE at the full step (at r if that step
-    visibly raises P). The majorizer's decrement understates the excess of
-    P, so with unequal marginals the line search runs from r instead.
+    backtracked until the exact P falls enough (Armijo). The Newton stop
+    is unit-free: half the squared decrement at most STEP2_TOL * P or
+    below the rounding error of P, with kkt_residual at most
+    KKT_TOLERANCE at the full step (at r if that step ends above P at the
+    start). The majorizer's decrement understates the excess of P, so
+    with unequal marginals the line search runs from r instead.
 
     The norm has a kink where A r + b = 0, where Newton has no system.
     There its subdifferential is {A^T u : |u| <= 1}, so a point is optimal
@@ -611,14 +618,14 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         return evaluate(vec)
 
     expansion = on_face(penalty.expansion)
-    # Near underflow, and where |y| / lambda overflows at the expansion
-    # point, the Gram takes A in units of a power of two, which divides
-    # exactly, so that its squares stay normal and |y| / lambda / unit^2
-    # in range.
-    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    # A is held in units of the power of two nearest its largest
+    # coefficient, which divides exactly: the Newton systems stay bit for
+    # bit the same when the SSE unit changes by a power of two, and A's
+    # squares and |y| / lambda / unit^2 stay in range wherever the system
+    # itself is.
+    tiny = np.finfo(float).tiny
     largest = float(max(np.abs(penalty.coef_i).max(), np.abs(penalty.coef_j).max()))
-    rescale = largest * largest < tiny / eps or math.isinf(expansion.norm / lam)
-    unit = 2.0 ** round(math.log2(largest)) if rescale else 1.0
+    unit = 2.0 ** round(math.log2(largest))
     # The bordered matrix stays accurate where the Hessian alone is nearly
     # singular: along A's null direction once lambda / |y| dwarfs the
     # distortion curvature. That direction (1 / slope) has entries of one
@@ -797,16 +804,15 @@ def solve_step2(problem: AllocationProblem, warm_start, penalty: ConePenalty) ->
         try:
             d = active_direction(grad / unit, weight, free)
             # P cannot resolve changes below its rounding error, so neither
-            # can the stop or the step that passes it.
+            # can the stop.
             resolution = ROUNDING * (point.value + lam * point.scale)
             if -0.5 * float(grad @ d) <= STEP2_TOL * point.value + resolution:
                 # A converged Newton step improves P by less than rounding
-                # can show; it is kept unless P visibly rises or ends above
-                # the start. The majorizer's decrement understates the excess
-                # of P, so unequal marginals send r to the line search.
+                # can show; it is kept unless it ends above P at the start.
+                # The majorizer's decrement understates the excess of P, so
+                # unequal marginals send r to the line search.
                 candidate = evaluate(projected(r, d))
-                bound = min(point.value + resolution, start_value)
-                accepted = candidate if candidate.value <= bound else point
+                accepted = candidate if candidate.value <= start_value else point
                 kkt_residual = kkt_residual_at(accepted)
                 if kkt_residual <= KKT_TOLERANCE:
                     return finish(accepted, iterations, "Newton decrement", kkt_residual)
@@ -828,10 +834,10 @@ def allocate(problem: AllocationProblem, start=None) -> AllocationResult:
     (a dict, or a vector in coding order) such as an earlier answer to a
     nearby problem, or from the split when start is None or has the
     higher P, so the result is never above P at the split; start changes
-    nothing at lambda zero. A problem whose scale overflows, divides by
-    zero or makes an invalid value anywhere in the solve, or underflows
-    the consistency residual's terms, raises ValueError instead of
-    warning and going on.
+    nothing at lambda zero. A problem whose scale overflows, in numpy or
+    in a Python float, divides by zero or makes an invalid value anywhere
+    in the solve, or underflows the consistency residual's terms, raises
+    ValueError instead of warning and going on.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -839,7 +845,7 @@ def allocate(problem: AllocationProblem, start=None) -> AllocationResult:
             if problem.lam > 0.0:
                 penalty = build_cone_penalty(problem, result.rates)
                 result = solve_step2(problem, result.rates if start is None else start, penalty)
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         raise ValueError(f"problem scale is outside floating-point range ({exc})") from exc
     return result
 

@@ -403,8 +403,6 @@ def _fit_samples(
     """
     rate, sse = encode(coord, qp, ref_state)
     step = 1 if rate > target_rate else -1
-    if not QP_MIN <= qp + step <= QP_MAX:
-        step = -step
     for side in (step, -step):
         other = qp + side
         while QP_MIN <= other <= QP_MAX:

@@ -133,6 +133,50 @@ def sweep_problem(index):
     return sweep.draw_problem(lfalloc, rng)
 
 
+# The sweep problems whose step 2 stops at a zero residual that the dual
+# certificate proves optimal, over coupled groups that zero weights split.
+CERTIFIED_KINKS = (1696, 1971, 2150, 2727, 3474, 3661)
+
+
+def unit_scaled(problem, sse=1.0, rate=1.0):
+    """problem with SSE counted in units sse times smaller and rates in
+    units rate times smaller: every alpha times sse * rate^-beta, and the
+    budget and floor times rate."""
+    coords, alpha, beta = problem.grid.coding_order, problem.alpha.tolist(), problem.beta.tolist()
+    return replace(
+        problem,
+        models={c: RDModelParams(sse * a * rate**-b, b) for c, a, b in zip(coords, alpha, beta)},
+        budget=problem.budget * rate,
+        min_rate=problem.min_rate * rate,
+    )
+
+
+def wide_step1_problem(index):
+    """Problem index of a lambda-0 recipe far wider than the benchmark's,
+    drawn from default_rng(5) in this order: width and height from 1 to
+    6; beta U(lo, -0.05) per frame, with lo one of -0.45, -1.5, -4 and
+    -20; alpha 10^U(-2, 12); raw weight U(0, 1), zero with probability
+    0.2; budget 1e6 n 10^U(-3, 3); floor U(1e-4, 0.9) x budget / n."""
+    rng = np.random.default_rng(5)
+    for _ in range(index + 1):
+        width, height = (int(x) for x in rng.integers(1, 7, 2))
+        n = width * height
+        beta = rng.uniform(float(rng.choice([-0.45, -1.5, -4.0, -20.0])), -0.05, n)
+        alpha = 10.0 ** rng.uniform(-2.0, 12.0, n)
+        raw = rng.uniform(0.0, 1.0, n) * (rng.uniform(0.0, 1.0, n) >= 0.2)
+        budget = 1e6 * n * 10.0 ** rng.uniform(-3.0, 3.0)
+        floor = rng.uniform(1e-4, 0.9) * budget / n
+    grid = spiral_order(width, height)
+    coords = grid.coding_order
+    return AllocationProblem(
+        grid=grid,
+        weights=unify_weights(dict(zip(coords, raw.tolist()))),
+        models={c: RDModelParams(a, b) for c, a, b in zip(coords, alpha.tolist(), beta.tolist())},
+        budget=budget,
+        min_rate=floor,
+    )
+
+
 def pair_residual(penalty, rates):
     """A r + b, row by row from the penalty's pair arrays."""
     left = penalty.coef_i * rates[penalty.col_i]
@@ -392,6 +436,18 @@ class TestSolveStep1:
             assert result.iterations <= 10
             assert abs(result.budget_used - problem.budget) < 1e-10 * problem.budget
             assert result.budget_used <= problem.budget * (1.0 + 1e-13)
+
+    def test_a_newton_step_outside_the_bracket_gives_way_to_its_midpoint(self):
+        """Draw 1847 of wide_step1_problem, a 3x3 grid whose floor holds
+        0.875 of the even share. Its Newton steps on mu leave the bracket;
+        taken as they are, step 1 stops at its 200-iteration cap 12% off
+        the budget, with kkt_residual 0. The bracket's midpoint meets the
+        budget in 6 iterations."""
+        problem = wide_step1_problem(1847)
+        assert problem.grid.n_frames == 9
+        result = solve_step1(problem)
+        assert abs(result.budget_used - problem.budget) < 1e-10 * problem.budget
+        assert result.iterations <= 10
 
 
 class TestConePenalty:
@@ -852,7 +908,7 @@ class TestSolveStep2:
             ),
             *(
                 pytest.param(functools.partial(sweep_problem, index), id=f"sweep-{index}")
-                for index in (1696, 1971, 2150, 2727, 3474, 3661)
+                for index in CERTIFIED_KINKS
             ),
         ],
     )
@@ -1060,6 +1116,59 @@ class TestSolveStep2RealisticScale:
         residual = pair_residual(penalty, rates)
         grad += lam * penalty.apply_transpose(residual) / np.linalg.norm(residual)
         assert float(grad.sum()) <= 1e-6 * float(np.abs(grad).sum())
+
+
+class TestUnits:
+    """Step 2's answer does not depend on the units of SSE and rates: it
+    holds A in units of a power of two, which divides exactly."""
+
+    @pytest.mark.parametrize("k", [-40, -20, 20, 40])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(
+                pytest.param(functools.partial(sweep_problem, index), id=f"sweep-{index}")
+                for index in CERTIFIED_KINKS
+            ),
+            pytest.param(
+                lambda: recipe_problem(np.random.default_rng([9, 9]), 9, 9, 10.0), id="9x9"
+            ),
+            pytest.param(functools.partial(sweep_problem, 1087), id="floor-frames"),
+            pytest.param(
+                lambda: recipe_problem(np.random.default_rng([13, 100]), 13, 13, 100.0),
+                id="cone-13x13",
+            ),
+        ],
+    )
+    def test_sse_in_power_of_two_units_changes_no_bit(self, build, k):
+        # Every alpha times 2^k scales each frame's SSE, the penalty and
+        # the certificate's right side by 2^k exactly, and the Newton
+        # systems not at all: the same outcome after the same step-2
+        # iterations, at the same rates. The 9x9 problem keeps every frame
+        # free, so its systems are solved by dissection; sweep problem 1087
+        # ends with 12 weighted frames on the floor.
+        problem = build()
+        outcome, result = sweep.allocate(lfalloc, problem)
+        twin_outcome, twin = sweep.allocate(lfalloc, unit_scaled(problem, sse=2.0**k))
+        assert twin_outcome == outcome
+        assert twin.iterations == result.iterations
+        assert twin.rates == result.rates
+
+    @pytest.mark.parametrize(
+        "sse, rate",
+        [(1e6, 1.0), (1e-6, 1.0), (1e12, 1.0), (1e-12, 1.0), (1.0, 1e6), (1.0, 1e-6)],
+        ids=["sse-1e6", "sse-1e-6", "sse-1e12", "sse-1e-12", "rate-1e6", "rate-1e-6"],
+    )
+    @pytest.mark.parametrize("index", CERTIFIED_KINKS)
+    def test_decimal_units_keep_the_outcome(self, index, sse, rate):
+        # A decimal unit rounds every alpha, so the rates agree only to
+        # rounding; the certified kink stays certified.
+        problem = sweep_problem(index)
+        outcome, result = sweep.allocate(lfalloc, problem)
+        scaled_outcome, scaled = sweep.allocate(lfalloc, unit_scaled(problem, sse, rate))
+        assert (scaled_outcome, outcome) == ("converged", "converged")
+        expected = np.array(list(result.rates.values()))
+        assert np.array(list(scaled.rates.values())) / rate == pytest.approx(expected, rel=1e-6)
 
 
 class TestEvaluateCost:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_PAIRS
-from lfalloc import cli
+from lfalloc import allocator, cli
 from lfalloc import (
     AllocationProblem,
     AllocationResult,
@@ -1130,6 +1131,28 @@ def test_extreme_scale_is_input_error(tmp_path, capsys, scale):
     assert "outside floating-point range" in capsys.readouterr().err
 
 
+def test_a_penalty_unit_past_the_float_range_is_input_error(tmp_path, capsys, monkeypatch):
+    """Step 2 holds A in units of the power of two nearest its largest
+    coefficient; a coefficient above 2^1023.5 rounds that unit to 2^1024,
+    past the largest float. With the penalty scaled there, on rates small
+    enough that the squares of its terms stay finite, allocate exits 2,
+    without a traceback."""
+    build = allocator.build_cone_penalty
+
+    def scaled_penalty(problem, rates):
+        penalty = build(problem, rates)
+        s = 1.5e308 / float(max(np.abs(penalty.coef_i).max(), np.abs(penalty.coef_j).max()))
+        return replace(
+            penalty, coef_i=s * penalty.coef_i, coef_j=s * penalty.coef_j, rhs=s * penalty.rhs
+        )
+
+    monkeypatch.setattr(allocator, "build_cone_penalty", scaled_penalty)
+    problem = tmp_path / "problem.txt"
+    write_problem_file(line_problem(REFERENCE_PAIRS, budget=3e-200, lam=1.0), problem)
+    assert main(["allocate", str(problem), "--output", str(tmp_path / "a.csv")]) == EXIT_INPUT
+    assert "outside floating-point range" in capsys.readouterr().err
+
+
 def test_underflowing_consistency_terms_raise_in_step_2_only():
     """penalized_objective and step 2 share one evaluation of a point, but
     only step 2 raises where the consistency residual's terms underflow:
@@ -1162,12 +1185,13 @@ def test_underflowing_consistency_terms_raise_in_step_2_only():
 def test_harmless_underflow_allocates(tmp_path, capsys, scale):
     """A scale that leaves the consistency residual's terms in range is no
     input error, though the squares of step 2's pair coefficients or of a
-    tiny weight underflow, or |y| / lambda overflows at a tiny lambda:
-    step 2 builds its Gram matrix in units of the largest coefficient
-    there, and scales its Newton system by |y| / lambda in those units,
-    dividing |y| by the unit first. The problem, on a grid that step 2
-    solves whole (3x3) or in two halves (9x9), allocates without a
-    warning, at the rates it has in SSE units of 1."""
+    tiny weight would underflow, or |y| / lambda overflow at a tiny
+    lambda: step 2 always builds its Gram matrix in units of the power of
+    two nearest its largest coefficient, and scales its Newton system by
+    |y| / lambda in those units, dividing |y| by the unit first. The
+    problem, on a grid that step 2 solves whole (3x3) or in two halves
+    (9x9), allocates without a warning, at the rates it has in SSE units
+    of 1."""
     problem = tmp_path / "problem.txt"
     write_problem_file(scaled_problem(**scale), problem)
     assert main(["allocate", str(problem), "--output", str(tmp_path / "a.csv")]) == EXIT_OK

@@ -1,4 +1,5 @@
-"""The step-2 sweep's comparison of two runs and its gate, on hand-made problem records."""
+"""The step-2 sweep's comparison of two runs and its gate, on hand-made problem records,
+and its records of real problems."""
 
 import json
 from dataclasses import replace
@@ -11,10 +12,17 @@ sweep = load_tool("step2_sweep")
 
 
 def record(
-    outcome="converged", p=100.0, kkt_residual=1e-12, iterations=4, rates=(1.0, 2.0), set="sweep"
+    outcome="converged",
+    p=100.0,
+    kkt_residual=1e-12,
+    iterations=4,
+    rates=(1.0, 2.0),
+    set="sweep",
+    at_zero_residual=False,
+    twins=(None, None),
 ):
     if outcome == "DegenerateWeights":
-        return dict(set=set, outcome=outcome, p=None, kkt_residual=None, iterations=None, rates=None)
+        return dict(set=set, outcome=outcome) | dict.fromkeys(sweep.RESULT_FIELDS)
     return dict(
         set=set,
         outcome=outcome,
@@ -22,6 +30,8 @@ def record(
         kkt_residual=kkt_residual,
         iterations=iterations,
         rates=list(rates),
+        at_zero_residual=at_zero_residual,
+        twins=list(twins),
     )
 
 
@@ -278,7 +288,7 @@ def test_largest_converged_kkt_residual_is_printed_per_set(tmp_path, monkeypatch
     assert sweep.main(["run", str(tmp_path), "--output", str(output)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "sweep: largest converged kkt_residual 9.88e-09 (problem 2)"
-    assert out[3] == "cone: largest converged kkt_residual 7.00e-07 (problem 2)"
+    assert out[5] == "cone: largest converged kkt_residual 7.00e-07 (problem 2)"
 
     change = [*records[:2], record(kkt_residual=2.18e-8), *records[3:]]
     change[5:] = [record("NotConverged", 5.0, 3.0, set="cone")] * 3
@@ -334,8 +344,92 @@ def test_run_fails_on_too_many_not_converged(
     assert out == (
         f"sweep: 3 converged / {sweep_failures} NotConverged / 0 DegenerateWeights\n"
         f"sweep: largest converged kkt_residual 1.00e-12 (problem {sweep_failures})\n"
+        "sweep: largest converged kkt_residual at a zero residual none over 0 problems\n"
+        f"sweep: twins that differ 0 of {2 * (sweep_failures + 3)} (0 in outcome)\n"
         f"cone: 2 converged / {cone_failures} NotConverged / 0 DegenerateWeights\n"
         f"cone: largest converged kkt_residual 1.00e-12 (problem {cone_failures})\n"
+        "cone: largest converged kkt_residual at a zero residual none over 0 problems\n"
+        f"cone: twins that differ 0 of {2 * (cone_failures + 2)} (0 in outcome)\n"
     )
     counts = f"sweep {sweep_failures} (at most 2), cone {cone_failures} (at most 0)"
     assert err == (f"NotConverged per set: {counts}\n" if fails else "")
+
+
+def test_twins_that_differ_are_counted_and_fail_the_run(tmp_path, monkeypatch, capsys):
+    """`run` prints, per set, how many twins differ from their problem in
+    outcome, step-2 iterations or rates, and how many of those in outcome,
+    over the twins of the problems that have weights, and exits 1 when any
+    twin differs; `compare` prints those counts for both runs."""
+    records = [
+        record(twins=(None, "outcome")),
+        record("NotConverged", 5.0, 3.0, twins=("iterations or rates", None)),
+        record("DegenerateWeights"),
+        record(),
+        record(set="cone"),
+    ]
+    assert sweep.twin_counts(records[:4]) == (6, 2, 1)
+    monkeypatch.setattr(sweep, "run_tree", lambda tree: records)
+    output = tmp_path / "records.json"
+    assert sweep.main(["run", str(tmp_path), "--output", str(output)]) == 1
+    out, err = capsys.readouterr()
+    assert "sweep: twins that differ 2 of 6 (1 in outcome)\n" in out
+    assert "cone: twins that differ 0 of 2 (0 in outcome)\n" in out
+    assert err == "twins that differ per set: sweep 2 of 6 (1 in outcome), cone 0 of 2 (0 in outcome)\n"
+
+    same = [record(), record("NotConverged", 5.0, 3.0), record("DegenerateWeights"), record()]
+    same.append(record(set="cone"))
+    monkeypatch.setattr(sweep, "run_tree", lambda tree: same)
+    assert sweep.main(["run", str(tmp_path), "--output", str(output)]) == 0
+    assert capsys.readouterr().err == ""
+    text = sweep.format_summary(sweep.summarize(records, same))
+    assert "  twins that differ 2 of 6 (1 in outcome) -> 0 of 6 (0 in outcome)\n" in text
+    assert "  twins that differ 0 of 2 (0 in outcome) -> 0 of 2 (0 in outcome)\n" in text
+
+
+def test_largest_kkt_residual_at_a_zero_residual_is_printed_per_set(tmp_path, monkeypatch, capsys):
+    """`run` prints each set's largest kkt_residual among its converged
+    problems at a zero residual of the split's penalty, with the first
+    problem that has it and how many converged there; `compare` prints
+    that figure for both runs."""
+    records = [
+        record(kkt_residual=9e-7),
+        record(kkt_residual=3e-9, at_zero_residual=True),
+        record("NotConverged", 5.0, 3.0, at_zero_residual=True),
+        record("DegenerateWeights"),
+        record(kkt_residual=9.88e-9, at_zero_residual=True),
+        record(set="cone"),
+    ]
+    assert sweep.kkt_residual_peak(records, zero_residual=True) == (9.88e-9, 4)
+    monkeypatch.setattr(sweep, "run_tree", lambda tree: records)
+    output = tmp_path / "records.json"
+    assert sweep.main(["run", str(tmp_path), "--output", str(output)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "sweep: largest converged kkt_residual 9.00e-07 (problem 0)"
+    line = "sweep: largest converged kkt_residual at a zero residual 9.88e-09 (problem 4) over 2 problems"
+    assert out[2] == line
+    assert out[6] == "cone: largest converged kkt_residual at a zero residual none over 0 problems"
+
+    change = [*records[:4], record(kkt_residual=2.18e-8, at_zero_residual=True), records[5]]
+    text = sweep.format_summary(sweep.summarize(records, change))
+    peaks = "9.88e-09 (problem 4) over 2 problems -> 2.18e-08 (problem 4) over 2 problems"
+    assert f"  largest converged kkt_residual at a zero residual {peaks}\n" in text
+
+
+def test_records_of_real_problems_hold_their_zero_residual_and_twins():
+    """The coupled square stops at a certified zero residual and, at a
+    smaller lambda, by the Newton decrement, away from it. Each ends bit
+    for bit as its twins, the same problem with every alpha times 2^20 and
+    times 2^-20."""
+    import lfalloc
+    from test_allocator import coupled_square
+
+    problem = coupled_square()
+    scaled = sweep.twin(lfalloc, problem, 2.0**-20)
+    assert scaled.alpha.tolist() == (problem.alpha * 2.0**-20).tolist()
+    assert (scaled.budget, scaled.min_rate, scaled.lam) == (problem.budget, 1e4, problem.lam)
+    kink = sweep.solve(lfalloc, problem, "sweep")
+    smooth = sweep.solve(lfalloc, replace(problem, lam=0.01), "sweep")
+    assert (kink["at_zero_residual"], smooth["at_zero_residual"]) == (True, False)
+    assert kink["twins"] == smooth["twins"] == [None, None]
+    # Step 2 never ran: no zero residual of a penalty it never used.
+    assert sweep.solve(lfalloc, replace(problem, lam=0.0), "sweep")["at_zero_residual"] is False

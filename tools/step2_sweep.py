@@ -21,31 +21,41 @@ seeds 0-9 in the order perfbench/run.py draws them.
     python tools/step2_sweep.py run CHANGED_TREE --output change.json
     python tools/step2_sweep.py compare parent.json change.json
 
+Each problem is also allocated as two twins, with every alpha times
+2^20 and times 2^-20: the same problem with SSE counted in other units,
+which must end bit for bit as the problem does.
+
 `run` imports lfalloc from TREE/src and turns every warning into an
 error, so a numpy warning ends the run in a traceback; the cone problems
-come from this checkout's perfbench. It writes the records and prints
-each set's outcome counts and the largest kkt_residual among its
-converged problems, with that problem's number, then exits 1, printing
-the NotConverged count of each set, when more problems of a set end in
-NotConverged than NOT_CONVERGED_LIMITS allows it: 2 of the sweep, none
-of the cone set. One record per problem holds its set,
-its outcome (converged, NotConverged or DegenerateWeights), P at the
-result, linearized at the step-1 split as the benchmark's p_ratio is, the
-result's kkt_residual and step-2 iterations, and its rates;
-all but the set and outcome are None for DegenerateWeights, and the
-iterations are None where step 2 never ran: at lambda 0, or where the
-penalty at the split has no pair row, so solve_step2 hands the problem
-to solve_step1. `compare` reports each set on its own: outcomes and the
-transitions between them, rises of P above P_RISE, the largest relative
-fall and rise of P (so a rounding-level change shows its size), mean
-step-2 iterations, how many problems differ in step-2 iterations and how
-many in kkt_residual, the largest kkt_residual among the converged
-problems of each run, identical rates, and the largest relative
-difference of any frame's rate between the two runs. It names the first
-SHOWN_RISES problems of each transition, of the rises and of the
-problems whose rates differ, largest difference first, and exits 1 when
-any problem's outcome differs between the two runs. Problems are
-numbered within their set.
+come from this checkout's perfbench. It writes the records and prints,
+per set, the outcome counts, the largest kkt_residual among its
+converged problems, with that problem's number, the same among the
+converged problems whose rates sit at a zero residual of the split's
+penalty, with how many do, and how many twins differ from their problem
+in outcome, step-2 iterations or rates, and how many of those in
+outcome. It exits 1 when more problems of a set end in NotConverged than
+NOT_CONVERGED_LIMITS allows it (2 of the sweep, none of the cone set),
+printing the NotConverged count of each set, or when any twin differs,
+printing the twin counts of each set. One record per problem holds its
+set, its outcome (converged, NotConverged or DegenerateWeights), P at
+the result, linearized at the step-1 split as the benchmark's p_ratio
+is, the result's kkt_residual and step-2 iterations, its rates, whether
+they sit at a zero residual, and per twin what differs ("outcome",
+"iterations or rates", or None); all but the set and outcome are None
+for DegenerateWeights, and the iterations are None where step 2 never
+ran: at lambda 0, or where the penalty at the split has no pair row, so
+solve_step2 hands the problem to solve_step1. `compare` reports each set
+on its own: outcomes and the transitions between them, rises of P above
+P_RISE, the largest relative fall and rise of P (so a rounding-level
+change shows its size), mean step-2 iterations, how many problems differ
+in step-2 iterations and how many in kkt_residual, the largest
+kkt_residual among the converged problems of each run, overall and at a
+zero residual, the twin counts of each run, identical rates, and the
+largest relative difference of any frame's rate between the two runs.
+It names the first SHOWN_RISES problems of each transition, of the rises
+and of the problems whose rates differ, largest difference first, and
+exits 1 when any problem's outcome differs between the two runs.
+Problems are numbered within their set.
 """
 
 from __future__ import annotations
@@ -56,7 +66,10 @@ import statistics
 import sys
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,6 +84,9 @@ SHOWN_RISES = 10
 CONE_SEEDS = range(10)
 # The most problems of each set that may end in NotConverged.
 NOT_CONVERGED_LIMITS = {"sweep": 2, "cone": 0}
+# Each problem is also allocated with every alpha times these powers of
+# two: SSE in other units, which must change nothing.
+TWIN_SCALES = (2.0**20, 2.0**-20)
 
 
 def draw_problem(lfalloc, rng):
@@ -99,31 +115,69 @@ def draw_problem(lfalloc, rng):
     )
 
 
+def allocate(lfalloc, problem):
+    """The outcome of allocate on problem, with its result."""
+    try:
+        return "converged", lfalloc.allocate(problem)
+    except lfalloc.NotConverged as exc:
+        return "NotConverged", exc.result
+
+
+def twin(lfalloc, problem, scale: float):
+    """problem with every alpha times scale."""
+    coords, alpha, beta = problem.grid.coding_order, problem.alpha.tolist(), problem.beta.tolist()
+    models = {c: lfalloc.RDModelParams(scale * a, b) for c, a, b in zip(coords, alpha, beta)}
+    return replace(problem, models=models)
+
+
+def at_zero_residual(penalty, rates: np.ndarray) -> bool:
+    """Whether coding-order rates sit at a zero residual of penalty: |A r +
+    b| at most the allocator's ROUNDING times the norm of the terms that
+    cancel in it, row by row |coef_i r_i| + |coef_j r_j| + |rhs|."""
+    from lfalloc.allocator import ROUNDING
+
+    left = penalty.coef_i * rates[penalty.col_i]
+    right = penalty.coef_j * rates[penalty.col_j]
+    terms = np.abs(left) + np.abs(right) + np.abs(penalty.rhs)
+    return bool(np.linalg.norm(left + right + penalty.rhs) <= ROUNDING * np.linalg.norm(terms))
+
+
+# The fields of a record that hold what allocate returned.
+RESULT_FIELDS = ("p", "kkt_residual", "iterations", "rates", "at_zero_residual", "twins")
+
+
 def solve(lfalloc, problem, name: str) -> dict:
     """The record of one problem of set name."""
-    try:
-        result, outcome = lfalloc.allocate(problem), "converged"
-    except lfalloc.NotConverged as exc:
-        result, outcome = exc.result, "NotConverged"
+    outcome, result = allocate(lfalloc, problem)
     split = lfalloc.solve_step1(problem).rates
     penalty = lfalloc.build_cone_penalty(problem, split)
     # solve_step2's own test for handing the problem to solve_step1.
     stepped = problem.lam > 0.0 and penalty.coef_i.any()
+    rates = list(result.rates.values())
+    twins = []
+    for scale in TWIN_SCALES:
+        twin_outcome, twin_result = allocate(lfalloc, twin(lfalloc, problem, scale))
+        if twin_outcome != outcome:
+            twins.append("outcome")
+        elif twin_result.iterations != result.iterations or list(twin_result.rates.values()) != rates:
+            twins.append("iterations or rates")
+        else:
+            twins.append(None)
     return dict(
         set=name,
         outcome=outcome,
         p=lfalloc.penalized_objective(problem, penalty, result.rates),
         kkt_residual=result.kkt_residual,
         iterations=result.iterations if stepped else None,
-        rates=list(result.rates.values()),
+        rates=rates,
+        at_zero_residual=bool(stepped and at_zero_residual(penalty, np.array(rates))),
+        twins=twins,
     )
 
 
 def run_tree(tree: Path) -> list[dict]:
     """One record per problem of both sets, solved with the lfalloc of tree."""
     sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench")]
-    import numpy as np
-
     import lfalloc
     from workloads import WORKLOADS, make_problem, stream
 
@@ -136,7 +190,7 @@ def run_tree(tree: Path) -> list[dict]:
                 problem = draw_problem(lfalloc, rng)
             except lfalloc.DegenerateWeights:
                 record = dict(set="sweep", outcome="DegenerateWeights")
-                records.append(record | dict.fromkeys(("p", "kkt_residual", "iterations", "rates")))
+                records.append(record | dict.fromkeys(RESULT_FIELDS))
                 continue
             records.append(solve(lfalloc, problem, "sweep"))
         cone = WORKLOADS["cone"]
@@ -148,19 +202,48 @@ def run_tree(tree: Path) -> list[dict]:
     return records
 
 
+def sets(records: list[dict]) -> list[str]:
+    """The names of the sets of records, in the order the records give them."""
+    return list(dict.fromkeys(r["set"] for r in records))
+
+
 def tally(records: list[dict]) -> dict:
     """The count of each outcome among records, in the order of OUTCOMES."""
     counts = Counter(r["outcome"] for r in records)
     return {outcome: counts[outcome] for outcome in OUTCOMES}
 
 
-def kkt_residual_peak(records: list[dict]) -> tuple[float, int] | None:
-    """The largest kkt_residual among the converged records, with the
-    number of the first record that has it; None when none converged."""
+def kkt_residual_peak(records: list[dict], zero_residual=False) -> tuple[float, int] | None:
+    """The largest kkt_residual among the converged records, or among
+    those at a zero residual when zero_residual, with the number of the
+    first record that has it; None when there is none."""
     converged = (
-        (r["kkt_residual"], index) for index, r in enumerate(records) if r["outcome"] == "converged"
+        (r["kkt_residual"], index)
+        for index, r in enumerate(records)
+        if r["outcome"] == "converged" and (r["at_zero_residual"] or not zero_residual)
     )
     return max(converged, key=lambda peak: peak[0], default=None)
+
+
+def zero_residual_peak(records: list[dict]) -> str:
+    """As text, the kkt_residual_peak of the converged records at a zero
+    residual, and how many there are."""
+    count = sum(r["outcome"] == "converged" and r["at_zero_residual"] for r in records)
+    return f"{format_peak(kkt_residual_peak(records, zero_residual=True))} over {count:,} problems"
+
+
+def twin_counts(records: list[dict]) -> tuple[int, int, int]:
+    """How many twins the records have, how many of them differ from their
+    problem in outcome, step-2 iterations or rates, and how many in
+    outcome."""
+    twins = [t for r in records if r["twins"] is not None for t in r["twins"]]
+    return len(twins), sum(t is not None for t in twins), twins.count("outcome")
+
+
+def format_twins(counts: tuple[int, int, int]) -> str:
+    """twin_counts as text."""
+    total, differ, outcome = counts
+    return f"{differ:,} of {total:,} ({outcome:,} in outcome)"
 
 
 def format_peak(peak: tuple[float, int] | None) -> str:
@@ -168,15 +251,27 @@ def format_peak(peak: tuple[float, int] | None) -> str:
     return "none" if peak is None else f"{peak[0]:.2e} (problem {peak[1]})"
 
 
-def gate(records: list[dict]) -> str | None:
-    """The NotConverged count of each set, as text, when a set has more
-    than NOT_CONVERGED_LIMITS allows it; None when none has."""
+def gate(records: list[dict]) -> list[str]:
+    """The failures of a run, as lines: the NotConverged count of each set
+    when a set has more than NOT_CONVERGED_LIMITS allows it, and the
+    twin_counts of each set when some twin differs from its problem."""
+    failures = []
     counts = Counter(r["set"] for r in records if r["outcome"] == "NotConverged")
-    if all(counts[name] <= limit for name, limit in NOT_CONVERGED_LIMITS.items()):
-        return None
-    return "NotConverged per set: " + ", ".join(
-        f"{name} {counts[name]} (at most {limit})" for name, limit in NOT_CONVERGED_LIMITS.items()
-    )
+    if any(counts[name] > limit for name, limit in NOT_CONVERGED_LIMITS.items()):
+        failures.append(
+            "NotConverged per set: "
+            + ", ".join(
+                f"{name} {counts[name]} (at most {limit})"
+                for name, limit in NOT_CONVERGED_LIMITS.items()
+            )
+        )
+    twins = {name: twin_counts([r for r in records if r["set"] == name]) for name in sets(records)}
+    if any(differ for _, differ, _ in twins.values()):
+        failures.append(
+            "twins that differ per set: "
+            + ", ".join(f"{name} {format_twins(counts)}" for name, counts in twins.items())
+        )
+    return failures
 
 
 def summarize(parent: list[dict], change: list[dict]) -> dict:
@@ -184,12 +279,11 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
     summarize_set."""
     if [r["set"] for r in parent] != [r["set"] for r in change]:
         raise ValueError("the two runs cover different problems")
-    names = list(dict.fromkeys(r["set"] for r in parent))
     return {
         name: summarize_set(
             [r for r in parent if r["set"] == name], [r for r in change if r["set"] == name]
         )
-        for name in names
+        for name in sets(parent)
     }
 
 
@@ -200,10 +294,11 @@ def summarize_set(parent: list[dict], change: list[dict]) -> dict:
     never moves that way), the mean step-2 iterations of each over the
     problems both converge on and both ran step 2 for, how many problems
     differ in step-2 iterations and how many in kkt_residual, the
-    kkt_residual_peak of each, how many end at identical rates, the
-    problems whose rates differ with the largest relative difference of
-    any of their frames' rates, largest first, and the largest of those
-    differences (0 where no rate differs)."""
+    kkt_residual_peak of each, overall and at a zero residual (with how
+    many converged there), the twin_counts of each, how many end at
+    identical rates, the problems whose rates differ with the largest
+    relative difference of any of their frames' rates, largest first, and
+    the largest of those differences (0 where no rate differs)."""
     pairs = list(zip(parent, change))
     transitions: dict[tuple[str, str], list[int]] = {}
     rises = []
@@ -255,6 +350,8 @@ def summarize_set(parent: list[dict], change: list[dict]) -> dict:
         iterations_differ=sum(a["iterations"] != b["iterations"] for a, b in pairs),
         kkt_residual_differs=sum(a["kkt_residual"] != b["kkt_residual"] for a, b in pairs),
         kkt_residual_peaks=[kkt_residual_peak(parent), kkt_residual_peak(change)],
+        zero_residual_peaks=[zero_residual_peak(parent), zero_residual_peak(change)],
+        twins=[twin_counts(parent), twin_counts(change)],
         identical_rates=sum(a["rates"] == b["rates"] for a, b in pairs if a["rates"] is not None),
         rate_differences=rate_differences,
         rate_difference=rate_differences[0]["difference"] if rate_differences else 0.0,
@@ -304,6 +401,10 @@ def format_set(summary: dict) -> list[str]:
     )
     before, after = map(format_peak, summary["kkt_residual_peaks"])
     lines.append(f"largest converged kkt_residual {before} -> {after}")
+    before, after = summary["zero_residual_peaks"]
+    lines.append(f"largest converged kkt_residual at a zero residual {before} -> {after}")
+    before, after = map(format_twins, summary["twins"])
+    lines.append(f"twins that differ {before} -> {after}")
     lines.append(f"identical rates on {summary['identical_rates']:,} problems")
     lines += [
         f"problem {d['problem']}: rates differ by {d['difference']:.1e} relative"
@@ -326,15 +427,18 @@ def main(argv=None) -> int:
     if args.command == "run":
         records = run_tree(args.tree.resolve())
         args.output.write_text(json.dumps(records, indent=1) + "\n")
-        for name in dict.fromkeys(r["set"] for r in records):
+        for name in sets(records):
             members = [r for r in records if r["set"] == name]
             print(f"{name}: " + " / ".join(f"{c:,} {o}" for o, c in tally(members).items()))
             peak = format_peak(kkt_residual_peak(members))
             print(f"{name}: largest converged kkt_residual {peak}")
-        failure = gate(records)
-        if failure:
+            peak = zero_residual_peak(members)
+            print(f"{name}: largest converged kkt_residual at a zero residual {peak}")
+            print(f"{name}: twins that differ {format_twins(twin_counts(members))}")
+        failures = gate(records)
+        for failure in failures:
             print(failure, file=sys.stderr)
-        return 1 if failure else 0
+        return 1 if failures else 0
     parent, change = (json.loads(path.read_text()) for path in (args.parent, args.change))
     summary = summarize(parent, change)
     print(format_summary(summary))
