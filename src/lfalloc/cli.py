@@ -59,6 +59,13 @@ EXIT_METRIC = 5
 
 _MODEL_ERRORS = (InsufficientSamples, ModelOutOfRange, NonDecreasingRD)
 _METRIC_ERRORS = (DomainError, InsufficientPoints, NoOverlap)
+# The exit code of an error, by the first entry it is an instance of;
+# any other error exits EXIT_INPUT.
+_EXIT_CODES = (
+    (_MODEL_ERRORS, EXIT_MODEL),
+    (InfeasibleBudget, EXIT_INFEASIBLE),
+    (_METRIC_ERRORS, EXIT_METRIC),
+)
 
 
 def _configure_logging() -> None:
@@ -188,10 +195,8 @@ def cmd_bdrate(args: argparse.Namespace) -> int:
     anchor = metrics.read_curve_csv(args.anchor)
     test = metrics.read_curve_csv(args.test)
     value = metrics.bd_rate(anchor, test)
-    text = f"{value:.2f}"
-    if text == "-0.00":
-        text = "0.00"
-    _emit(text + "%", args.output)
+    # Adding 0.0 turns a negative zero after rounding into zero.
+    _emit(f"{round(value, 2) + 0.0:.2f}%", args.output)
     return EXIT_OK
 
 
@@ -255,18 +260,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()["cmd_" + args.command](args)
-    except _MODEL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except InfeasibleBudget as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except _METRIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_METRIC
     except (LfallocError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), EXIT_INPUT)
 
 
 if __name__ == "__main__":

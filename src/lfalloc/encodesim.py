@@ -358,12 +358,6 @@ def _qp_for_target(rate_at: Callable[[int], float], target_rate: float, start: i
     return hi
 
 
-def _log2_rate_slope(samples: list[RDSample]) -> float:
-    """Slope of log2(rate) against qp through the two fit samples."""
-    low, high = samples
-    return (math.log2(high.rate) - math.log2(low.rate)) / (high.qp - low.qp)
-
-
 def _predicted_commit(
     qp: int, rate: float, slope: float, target_rate: float, hold: int | None = None
 ) -> int:
@@ -450,8 +444,10 @@ def _commit(
             return _Commit(start, rate, sse, replace(model, alpha=sse / rate ** model.beta), slope)
     qp = _qp_for_target(lambda q: encode(coord, q, ref_state)[0], target_rate, start)
     samples = _fit_samples(encode, coord, qp, target_rate, ref_state)
-    rate, sse = next((s.rate, s.sse) for s in samples if s.qp == qp)
-    return _Commit(qp, rate, sse, fit_power_model(samples), _log2_rate_slope(samples))
+    low, high = samples
+    slope = (math.log2(high.rate) - math.log2(low.rate)) / (high.qp - low.qp)
+    committed = low if low.qp == qp else high
+    return _Commit(qp, committed.rate, committed.sse, fit_power_model(samples), slope)
 
 
 def _retarget(planned: RDModelParams, target_rate: float, measured: RDModelParams) -> float:

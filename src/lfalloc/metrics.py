@@ -108,8 +108,11 @@ def bd_rate(anchor: list[RDPoint], test: list[RDPoint]) -> float:
 
     Classic form: fit log10(rate) as a cubic in quality for each curve,
     integrate both fits in closed form over the shared quality interval,
-    and convert the mean log-rate gap back to a percentage. A percentage
-    outside floating-point range raises DomainError.
+    and convert the mean log-rate gap back to a percentage. Each cubic is
+    fitted in the curve's own scaled quality domain, its quality range
+    mapped to [-1, 1], so curves whose qualities lie close together stay
+    well conditioned. A percentage outside floating-point range raises
+    DomainError.
     """
     curves = []
     for points in (anchor, test):
@@ -123,18 +126,16 @@ def bd_rate(anchor: list[RDPoint], test: list[RDPoint]) -> float:
             raise InsufficientPoints("need at least 4 distinct quality values")
         log_rate = np.log10([p.rate for p in ordered])
         curves.append((quality, log_rate))
-    (qa, ya), (qt, yt) = curves
-    lo = max(qa.min(), qt.min())
-    hi = min(qa.max(), qt.max())
+    lo = max(quality[0] for quality, _ in curves)
+    hi = min(quality[-1] for quality, _ in curves)
     if not hi > lo:
         raise NoOverlap("curves share no quality interval")
-    poly_anchor = np.polyfit(qa, ya, 3)
-    poly_test = np.polyfit(qt, yt, 3)
-    int_anchor = np.polyint(poly_anchor)
-    int_test = np.polyint(poly_test)
+    # Imported here, so that `import lfalloc.cli` does not load it.
+    from numpy.polynomial import Polynomial
+
+    area_anchor, area_test = (Polynomial.fit(q, y, 3).integ() for q, y in curves)
     avg_gap = (
-        (np.polyval(int_test, hi) - np.polyval(int_test, lo))
-        - (np.polyval(int_anchor, hi) - np.polyval(int_anchor, lo))
+        (area_test(hi) - area_test(lo)) - (area_anchor(hi) - area_anchor(lo))
     ) / (hi - lo)
     try:
         percent = (10.0 ** float(avg_gap) - 1.0) * 100.0

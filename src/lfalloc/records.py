@@ -140,14 +140,13 @@ _MARK = "\n"
 
 def _split(texts, n: int) -> list | None:
     """The fields of comma-separated records, each record's n fields
-    followed by a _MARK field, or None unless every record has n fields.
+    followed by a _MARK field, or None unless there are records and every
+    record has n fields.
 
     One split of the records joined by _MARK fields: every record has n
     fields exactly when no record holds a _MARK and the fields number
     n + 1 per record with a _MARK after every n. A total count of fields
     is not enough: a short record and a long one cancel out in it."""
-    if not texts:
-        return []
     joined = f",{_MARK},".join(texts)
     flat = (joined + "," + _MARK).split(",")
     if (
@@ -161,8 +160,8 @@ def _split(texts, n: int) -> list | None:
 
 def columns(texts, converters) -> list | None:
     """fields() over many comma-separated records: one array of values
-    per converter, or None when a record has another number of fields or
-    a value fails its converter.
+    per converter, or None when there is no record, a record has another
+    number of fields or a value fails its converter.
 
     The records are split as one text (see _split); each column is read
     by its converter's own base and tested, as a whole, by its own checks

@@ -1199,6 +1199,17 @@ class TestEvaluateCost:
         with pytest.raises(DomainError):
             evaluate_cost(problem, np.array([1e6, 1e6, 0.0, 1e6]))
 
+    def test_model_sse_that_overflows_is_a_range_error(self):
+        """1e8 * (1e-110) ** -3 is past the float range: the SSE is
+        already inf before the joint cost sums it, which raises no
+        floating-point error there, and the cost still refuses it."""
+        problem = line_problem([(1e8, -3.0)], budget=1.0)
+        with (
+            pytest.warns(RuntimeWarning, match="overflow"),
+            pytest.raises(ValueError, match="problem scale is outside floating-point range"),
+        ):
+            evaluate_cost(problem, np.array([1e-110]))
+
 
 class TestAllocate:
     """The combined two-step entry point."""

@@ -68,6 +68,7 @@ from lfalloc.encodesim import TRACE_HEADER
 from lfalloc.lightfield import grid_to_text
 from test_allocator import coupled_square, line_problem, sparse_problem, sweep_problem
 from test_encodesim import seeded_mock, small_grid_setup
+from test_metrics import close_quality_curve
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -547,6 +548,16 @@ class TestBdrateCommand:
         assert main(["bdrate", str(a), str(t)]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "0.00%"
 
+    @pytest.mark.parametrize("spacing", [1e-3, 1e-6])
+    def test_close_qualities(self, tmp_path, capsys, spacing):
+        anchor = close_quality_curve(spacing)
+        a = tmp_path / "anchor.csv"
+        t = tmp_path / "test.csv"
+        write_curve_csv(anchor, a)
+        write_curve_csv([RDPoint(rate=p.rate * 1.10, quality=p.quality) for p in anchor], t)
+        assert main(["bdrate", str(a), str(t)]) == EXIT_OK
+        assert capsys.readouterr().out == "10.00%\n"
+
     def test_three_points_is_metric_error(self, tmp_path, capsys):
         anchor = [RDPoint(rate=1e5 * 2 ** i, quality=30.0 + 4 * i) for i in range(3)]
         a = tmp_path / "anchor.csv"
@@ -571,6 +582,25 @@ class TestBdrateCommand:
         write_curve_csv(far, f)
         assert main(["bdrate", str(a), str(f)]) == EXIT_METRIC
         capsys.readouterr()
+
+
+class TestLogging:
+    """LFALLOC_LOG, which logging.basicConfig reads once per process, so
+    each case runs in its own."""
+
+    def test_debug_logs_the_step2_stop(self, tmp_path):
+        argv, _ = cli_inputs("allocate", tmp_path)
+        done = run_cli(tmp_path, *argv, LFALLOC_LOG="DEBUG")
+        assert done.returncode == EXIT_OK, done.stderr
+        stop = r"^DEBUG lfalloc\.allocator: step2: \d+ Newton iterations, stopped by \w"
+        assert re.search(stop, done.stderr, re.M)
+
+    def test_an_unknown_level_name_logs_at_info(self, tmp_path):
+        argv, _ = cli_inputs("simulate", tmp_path)
+        done = run_cli(tmp_path, *argv, LFALLOC_LOG="chatty")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert re.search(r"^INFO lfalloc\.encodesim: iteration 1: cost ", done.stderr, re.M)
+        assert "DEBUG" not in done.stderr
 
 
 class TestSpiralCommand:
@@ -699,6 +729,14 @@ def test_only_simulate_and_a_trace_import_the_encode_loop(tmp_path, command, loa
     done = run_python(tmp_path, "-c", LOADS_LOOP, *argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == f"{EXIT_OK} {loads_loop}"
+
+
+def test_import_leaves_numpy_polynomial_unloaded(tmp_path):
+    """bd_rate imports numpy.polynomial on its first call, so a process
+    that never compares curves does not pay for it at start-up."""
+    check = "import sys, lfalloc.cli; assert 'numpy.polynomial' not in sys.modules"
+    done = run_python(tmp_path, "-c", check)
+    assert done.returncode == 0, done.stderr
 
 
 def cli_inputs(command, tmp):
@@ -1165,6 +1203,19 @@ def test_underflowing_consistency_terms_raise_in_step_2_only():
     assert math.isfinite(p) and p > 0.0
     with pytest.raises(ValueError, match="underflow encountered in the consistency residual"):
         allocate(problem)
+
+
+def test_joint_cost_sum_overflow_is_input_error(tmp_path, capsys):
+    """Weighted distortion and lambda * sqrt(discontinuity) each finite,
+    their sum not (see test_metrics)."""
+    sse = DistortionSet({FrameCoord(0, 0): 1e308, FrameCoord(1, 0): 0.0})
+    write_sse_csv(sse, tmp_path / "sse.csv")
+    (tmp_path / "weights.csv").write_text("1,1e-160\n")
+    argv = ["metrics", str(tmp_path / "sse.csv"), "--weights", str(tmp_path / "weights.csv")]
+    assert main(argv + ["--lambda", "5e159", "--pixels", "4"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        "error: problem scale is outside floating-point range"
+    )
 
 
 @pytest.mark.parametrize(

@@ -320,6 +320,10 @@ class TestSpiralOrder:
         with pytest.raises(ValueError, match="grid dimensions must be positive"):
             spiral_order(-1, -3)
 
+    def test_grid_rejects_an_empty_side(self):
+        with pytest.raises(ValueError, match="grid dimensions must be positive"):
+            FrameGrid(0, 1, ())
+
     def test_grid_rejects_duplicates(self):
         order = (FrameCoord(0, 0), FrameCoord(0, 0))
         with pytest.raises(ValueError):

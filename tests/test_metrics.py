@@ -51,6 +51,13 @@ def pair_grid():
     return grid, weights
 
 
+def close_quality_curve(spacing):
+    """Four points at 35 dB and every spacing above it, rates not
+    geometric, so the fitted cubic is not a line."""
+    rates = (2e5, 3e5, 5e5, 9e5)
+    return [RDPoint(rate=r, quality=35.0 + k * spacing) for k, r in enumerate(rates)]
+
+
 class TestWeightedDistortion:
     """Per-frame SSE that the weighted distortion is built from."""
 
@@ -186,6 +193,17 @@ class TestCost:
         expected = breakdown.weighted_distortion + 2.5 * math.sqrt(breakdown.discontinuity)
         assert breakdown.total == pytest.approx(expected, rel=1e-12)
 
+    def test_sum_that_overflows_is_a_range_error(self):
+        """Weighted distortion 1e308 and lambda * sqrt(discontinuity)
+        5e159 * sqrt(4e296) = 1e308 are each finite; their sum is not."""
+        grid = spiral_order(2, 1)
+        weights = unify_weights({FrameCoord(0, 0): 1.0, FrameCoord(1, 0): 1e-160})
+        d = DistortionSet({FrameCoord(0, 0): 1e308, FrameCoord(1, 0): 0.0})
+        assert cost(grid, weights, d, 0.0).total == 1e308
+        assert cost(grid, weights, d, 1.0).discontinuity == pytest.approx(4e296)
+        with pytest.raises(ValueError, match="problem scale is outside floating-point range"):
+            cost(grid, weights, d, 5e159)
+
     def test_negative_lambda(self):
         grid, weights = pair_grid()
         d = DistortionSet({c: 1.0 for c in grid.coding_order})
@@ -256,6 +274,14 @@ class TestBdRate:
         anchor = self.anchor()
         test = [RDPoint(rate=p.rate * 0.90, quality=p.quality) for p in anchor]
         assert bd_rate(anchor, test) == pytest.approx(-10.0, abs=1e-6)
+
+    @pytest.mark.parametrize("spacing", [1e-3, 1e-6])
+    def test_close_qualities_stay_well_conditioned(self, spacing):
+        """Each cubic is fitted in its curve's own scaled quality range, so
+        qualities a hair apart near 35 dB keep the exact 10%."""
+        anchor = close_quality_curve(spacing)
+        test = [RDPoint(rate=p.rate * 1.10, quality=p.quality) for p in anchor]
+        assert bd_rate(anchor, test) == pytest.approx(10.0, rel=1e-9)
 
     def test_exact_cubic_oracle(self):
         # Both curves have log10(rate) exactly cubic in quality, so the

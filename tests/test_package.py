@@ -35,6 +35,10 @@ def test_every_exported_name_resolves():
         assert hasattr(lfalloc, name), name
 
 
+def test_dir_lists_every_exported_name():
+    assert set(lfalloc.__all__) <= set(dir(lfalloc))
+
+
 def run_fresh(code: str) -> None:
     """Run code in a fresh interpreter under `-W error`, with the package on
     the path; it fails by raising."""
