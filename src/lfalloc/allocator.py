@@ -38,7 +38,6 @@ import operator
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -218,11 +217,14 @@ def _as_vector(problem: AllocationProblem, rates) -> np.ndarray:
 def evaluate_cost(problem: AllocationProblem, rates) -> CostBreakdown:
     """Joint cost of an allocation under the problem's models, weights
     (its w, read at construction) and lambda; a rate that is not positive
-    raises DomainError."""
+    raises DomainError, and an SSE past the float range reaches
+    joint_cost as inf, which raises its range ValueError."""
     vec = _as_vector(problem, rates)
     if np.any(vec <= 0.0):
         raise DomainError("rate must be positive")
-    return joint_cost(problem.grid, problem.w, problem.alpha * vec ** problem.beta, problem.lam)
+    with np.errstate(over="ignore"):
+        sse = problem.alpha * vec ** problem.beta
+    return joint_cost(problem.grid, problem.w, sse, problem.lam)
 
 
 def _result(
@@ -868,7 +870,7 @@ def write_problem_file(problem: AllocationProblem, path) -> None:
     lines.extend(
         f"frame: {c.u},{c.v}," + ",".join(map(records.number, values)) for c, *values in vectors
     )
-    Path(path).write_text("\n".join(lines) + "\n")
+    records.write(path, lines)
 
 
 def read_problem_file(path, **overrides) -> AllocationProblem:
@@ -958,7 +960,7 @@ def write_allocation_file(result: AllocationResult, path) -> None:
     lines.append(f"# kkt_residual {records.number(result.kkt_residual)}")
     lines.append(f"# iterations {result.iterations}")
     lines.append(f"# budget_used {records.number(result.budget_used)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    records.write(path, lines)
 
 
 def read_allocation_file(path) -> tuple[dict[FrameCoord, float], dict[str, float]]:

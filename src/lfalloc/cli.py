@@ -32,7 +32,6 @@ import functools
 import logging
 import os
 import sys
-from pathlib import Path
 
 from . import allocator, metrics, rdmodel, records
 from .errors import (
@@ -81,10 +80,10 @@ def _configure_logging() -> None:
 
 
 def _emit(text: str, output: str | None) -> None:
-    """Print text; also write it (newline-terminated) when an output path is given."""
+    """Print text; also write its lines to output when a path is given."""
     print(text)
     if output is not None:
-        Path(output).write_text(text + "\n")
+        records.write(output, text.splitlines())
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -182,7 +181,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     quality = metrics.wpsnr(breakdown.total, args.pixels)
     report = metrics.format_cost_breakdown(breakdown) + f"wpsnr_db {records.number(quality)}\n"
     if args.output is not None:
-        Path(args.output).write_text(report)
+        records.write(args.output, report.splitlines())
     print(f"weighted_distortion {breakdown.weighted_distortion:.4g}")
     print(f"discontinuity {breakdown.discontinuity:.4g}")
     print(f"lambda {breakdown.lam:.4g}")

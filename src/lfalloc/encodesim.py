@@ -103,7 +103,6 @@ import logging
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -788,7 +787,7 @@ def write_mock_config(setup: MockSetup, path) -> None:
     raw = setup.grid.align(setup.weights.raw, "weights")
     for c, (a, b), weight in zip(setup.grid.coding_order, params, raw):
         lines.append(f"frame: {c.u},{c.v}," + ",".join(map(records.number, (a, b, weight))))
-    Path(path).write_text("\n".join(lines) + "\n")
+    records.write(path, lines)
 
 
 def read_mock_config(path) -> MockSetup:
@@ -860,7 +859,7 @@ def write_trace_csv(trace: IterationTrace, path) -> None:
             f"wpsnr {records.number(entry.wpsnr_db)}"
         )
     lines.append(f"# converged {str(trace.converged).lower()}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    records.write(path, lines)
 
 
 def read_trace_csv(path) -> ParsedTrace:

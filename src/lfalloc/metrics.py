@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -163,7 +162,7 @@ _CURVE_FIELDS = (records.finite, records.finite)
 def write_curve_csv(points: list[RDPoint], path) -> None:
     lines = [CURVE_HEADER]
     lines.extend(f"{records.number(p.rate)},{records.number(p.quality)}" for p in points)
-    Path(path).write_text("\n".join(lines) + "\n")
+    records.write(path, lines)
 
 
 def read_curve_csv(path) -> list[RDPoint]:
@@ -180,7 +179,7 @@ _SSE_FIELDS = (records.integer,) * 2 + (records.nonnegative,)
 def write_sse_csv(distortions: DistortionSet, path) -> None:
     lines = [SSE_HEADER]
     lines.extend(f"{c.u},{c.v},{records.number(v)}" for c, v in distortions.sse.items())
-    Path(path).write_text("\n".join(lines) + "\n")
+    records.write(path, lines)
 
 
 def read_sse_csv(path) -> DistortionSet:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -126,7 +125,7 @@ def write_samples_csv(samples: dict[str, list[RDSample]], path) -> None:
             f"{frame_id},{s.qp},{records.number(s.rate)},{records.number(s.sse)}"
             for s in frame_samples
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    records.write(path, lines)
 
 
 def read_samples_csv(path) -> dict[str, list[RDSample]]:
@@ -150,4 +149,4 @@ def write_models_csv(models: dict[str, RDModelParams], path) -> None:
         f"{frame_id}," + ",".join(map(records.number, (m.alpha, m.beta, m.r_squared)))
         for frame_id, m in models.items()
     )
-    Path(path).write_text("\n".join(lines) + "\n")
+    records.write(path, lines)

@@ -33,8 +33,10 @@ of fields, with no look at any one record. It reads each column by its
 converter's own base and tests it, as a whole, by that converter's own
 checks; it gives None on any defect, which it does not phrase.
 
-Writers format every float field with number(), so a file reads back as
-the values it was written from.
+Every file is written by write(): UTF-8, the encoding read() decodes,
+with a '\\n' after each line on every platform, so a file the library
+writes reads back. Writers format every float field with number(), so a
+file reads back as the values it was written from.
 """
 
 from __future__ import annotations
@@ -100,6 +102,11 @@ def fields(text: str, converters, spec: str, sep: str | None = ",", defaults=())
             raise ValueError(f"expected '{spec}', got {text.strip()!r}")
         parts += defaults[len(defaults) - missing :]
     return [convert(part) for convert, part in zip(converters, parts)]
+
+
+def write(path, lines) -> None:
+    """Write the text lines to path, each followed by '\\n', as UTF-8."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read(source, record, header: str | None = None, *, comments: bool = False) -> list:

@@ -1116,6 +1116,37 @@ def test_non_utf8_input_is_named(tmp_path, capsys, command):
     assert err.startswith(f"error: {path}: "), err
 
 
+def test_fit_under_an_ascii_locale_writes_a_non_ascii_frame_id(tmp_path):
+    """Files are UTF-8 whatever the locale: under the C locale with UTF-8
+    mode off, `fit` reads the frame id été and writes it back in UTF-8.
+    PYTHONIOENCODING lets the fitted frame's stdout line print."""
+    rates = (1e5, 2e5, 4e5, 8e5)
+    samples = {"été": [RDSample(30 + k, r, 4.46e7 * r**-0.261) for k, r in enumerate(rates)]}
+    write_samples_csv(samples, tmp_path / "samples.csv")
+    locale = dict(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="utf-8")
+    done = run_cli(tmp_path, "fit", "samples.csv", "--output", "models.csv", **locale)
+    assert done.returncode == EXIT_OK, done.stderr
+    written = (tmp_path / "models.csv").read_bytes()
+    assert written.decode("utf-8").splitlines()[1].startswith("été,")
+    expected = tmp_path / "expected.csv"
+    write_models_csv({"été": fit_power_model(samples["été"])}, expected)
+    assert written == expected.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["fit", "allocate", "simulate", "metrics", "bdrate", "spiral"])
+def test_written_files_name_their_encoding(tmp_path, command):
+    """No command that writes a file falls back on the locale's encoding,
+    which `-X warn_default_encoding` reports as an EncodingWarning."""
+    if command == "spiral":
+        argv = ["spiral", "3", "3", "--output", str(tmp_path / "out.txt")]
+    else:
+        argv = cli_inputs(command, tmp_path)[0]
+    warn = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    done = run_python(tmp_path, *warn, "-m", "lfalloc.cli", *argv)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert (tmp_path / "out.txt").exists()
+
+
 def scaled_problem(
     rate_scale=1.0,
     sse_scale=1.0,

@@ -345,10 +345,16 @@ class TestBdRate:
             bd_rate(anchor, far)
 
     def test_rate_difference_outside_float_range(self):
+        """A percentage past the float range, and a log-rate gap of 600
+        decades, whose 10 ** gap overflows before the percentage."""
         anchor = [RDPoint(rate=float(i), quality=30.0 + i) for i in range(1, 5)]
         huge = [RDPoint(rate=1e308 * (0.5 + 0.1 * i), quality=30.0 + i) for i in range(1, 5)]
         with pytest.raises(DomainError, match="outside floating-point range"):
             bd_rate(anchor, huge)
+        tiny = [RDPoint(rate=1e-300 * i, quality=30.0 + i) for i in range(1, 5)]
+        vast = [RDPoint(rate=1e300 * i, quality=30.0 + i) for i in range(1, 5)]
+        with pytest.raises(DomainError, match="outside floating-point range"):
+            bd_rate(tiny, vast)
 
     def test_nonpositive_rate(self):
         bad = self.anchor()

@@ -181,7 +181,7 @@ def main(argv=None) -> int:
     if args.command == "run":
         with tempfile.TemporaryDirectory() as scratch:
             records = run_tree(args.tree.resolve(), Path(scratch) / "trace.csv")
-        args.output.write_text(json.dumps(records, indent=1) + "\n")
+        args.output.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
         settled = sum(r["settled"] for r in records)
         calls, passes = (sum(r[key] for r in records) for key in ("calls", "passes"))
         print(
@@ -194,7 +194,9 @@ def main(argv=None) -> int:
             return 1
         return 0
     sys.path.insert(0, str(ROOT / "src"))
-    parent, change = (json.loads(path.read_text()) for path in (args.parent, args.change))
+    parent, change = (
+        json.loads(path.read_text(encoding="utf-8")) for path in (args.parent, args.change)
+    )
     print(format_summary(summarize(parent, change)))
     return 0
 

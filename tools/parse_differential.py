@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         records, failures = run_tree(args.tree.resolve())
-        args.output.write_text(json.dumps(records, indent=1) + "\n")
+        args.output.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
         counts = Counter(r["outcome"] for r in records).most_common()
         print(", ".join(f"{count:,} {outcome}" for outcome, count in counts))
         for failure in failures[:EXAMPLES]:
@@ -325,7 +325,9 @@ def main(argv=None) -> int:
         if failures:
             print(f"{len(failures)} of {len(records)} mutants fail", file=sys.stderr)
         return 1 if failures else 0
-    parent, change = (json.loads(path.read_text()) for path in (args.parent, args.change))
+    parent, change = (
+        json.loads(path.read_text(encoding="utf-8")) for path in (args.parent, args.change)
+    )
     result = compare(parent, change)
     print(format_comparison(result))
     return 1 if result["differ"] else 0

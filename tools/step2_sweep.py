@@ -426,7 +426,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         records = run_tree(args.tree.resolve())
-        args.output.write_text(json.dumps(records, indent=1) + "\n")
+        args.output.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
         for name in sets(records):
             members = [r for r in records if r["set"] == name]
             print(f"{name}: " + " / ".join(f"{c:,} {o}" for o, c in tally(members).items()))
@@ -439,7 +439,9 @@ def main(argv=None) -> int:
         for failure in failures:
             print(failure, file=sys.stderr)
         return 1 if failures else 0
-    parent, change = (json.loads(path.read_text()) for path in (args.parent, args.change))
+    parent, change = (
+        json.loads(path.read_text(encoding="utf-8")) for path in (args.parent, args.change)
+    )
     summary = summarize(parent, change)
     print(format_summary(summary))
     if any(figures["transitions"] for figures in summary.values()):
