@@ -882,9 +882,10 @@ def read_problem_file(path, **overrides) -> AllocationProblem:
     value that replaces the file's; None keeps the file's. The problem is
     built once, so a floor that neither gives follows the budget in
     effect. The file's own values are checked as they are read, so an
-    override the problem rejects raises its ValueError, which names the
-    quantity and not the file; a problem rejected with no override names
-    the file.
+    override the problem rejects raises its ValueError or InfeasibleBudget,
+    which names the quantity and not the file; a problem rejected with no
+    override names the file, in a ParseError or, for a floor over the
+    budget, an InfeasibleBudget.
 
     The frame columns go into coding order whole, through the grid's
     lattice_index. The problem's models are a read-only table over its
@@ -911,12 +912,14 @@ def read_problem_file(path, **overrides) -> AllocationProblem:
         return AllocationProblem(
             grid=grid, weights=weights, models=_ModelTable(grid, alpha, beta), **scalars
         )
-    except ValueError as exc:
+    except (ValueError, InfeasibleBudget) as exc:
         # The file's own values passed their converters; without an
-        # override only the floor derived from its budget can fail here.
+        # override only the floor derived from its budget, or its floor
+        # over its frames, can fail here.
         if any(value is not None for value in overrides.values()):
             raise
-        raise ParseError(f"{path}: {exc}") from exc
+        named = InfeasibleBudget if isinstance(exc, InfeasibleBudget) else ParseError
+        raise named(f"{path}: {exc}") from exc
     except DegenerateWeights as exc:
         raise DegenerateWeights(f"{path}: {exc}") from exc
 

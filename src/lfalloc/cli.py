@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import logging
 import os
 import sys
@@ -91,14 +92,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
     models = {}
     for key, frame_samples in samples.items():
         try:
-            models[key] = fit = rdmodel.fit_power_model(frame_samples)
+            models[key] = rdmodel.fit_power_model(frame_samples)
         except _MODEL_ERRORS as exc:
             raise type(exc)(f"frame {key}: {exc}") from exc
+    rdmodel.write_models_csv(models, args.output)
+    for key, fit in models.items():
         print(
             f"frame {key}: alpha {fit.alpha:.4g}, beta {fit.beta:.4g}, "
             f"r_squared {fit.r_squared:.4g} ({fit.sample_count} samples)"
         )
-    rdmodel.write_models_csv(models, args.output)
     print(f"wrote {len(models)} models to {args.output}")
     return EXIT_OK
 
@@ -256,6 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _configure_logging()
+    # A character stdout's encoding cannot hold prints escaped, not as an
+    # error; a stream that is not a TextIOWrapper holds text in memory.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         return globals()["cmd_" + args.command](args)

@@ -68,21 +68,19 @@ def cost(
 
 def joint_cost(grid: FrameGrid, w: np.ndarray, d: np.ndarray, lam: float) -> CostBreakdown:
     """cost() over coding-order vectors of unified weights w and SSE d. A
-    lam that is negative or not finite, or a cost that overflows, raises
-    ValueError instead of giving a cost that is not a number."""
+    lam that is negative or not finite, or a cost that is not finite (a
+    sum that overflows, an SSE that is inf or nan), raises ValueError
+    instead of giving a cost that is not a number."""
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ValueError("lambda must be nonnegative and finite")
     pairs = grid.coupled_pairs
     gate = np.minimum(w[pairs.i], w[pairs.j])
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            wd = float(np.sum(w * w * d))
-            disc = float(np.sum(pairs.delta * (gate * (d[pairs.i] - d[pairs.j])) ** 2))
-    except FloatingPointError as exc:
-        raise ValueError(f"problem scale is outside floating-point range ({exc})") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        wd = float(np.sum(w * w * d))
+        disc = float(np.sum(pairs.delta * (gate * (d[pairs.i] - d[pairs.j])) ** 2))
     total = wd + lam * math.sqrt(disc)
-    if total == math.inf:
-        raise ValueError("problem scale is outside floating-point range (joint cost overflow)")
+    if not math.isfinite(total):
+        raise ValueError("problem scale is outside floating-point range")
     return CostBreakdown(weighted_distortion=wd, discontinuity=disc, lam=lam, total=total)
 
 
@@ -90,16 +88,20 @@ def wpsnr(total_cost: float, pixel_count: int) -> float:
     """Quality in dB from the joint cost spread over all pixels.
 
     pixel_count is the total pixel count across every frame of the light
-    field. A zero cost returns math.inf, the lossless sentinel, instead of
-    raising.
+    field; one that does not convert to a float raises ValueError. A zero
+    cost returns math.inf, the lossless sentinel, instead of raising.
     """
     if pixel_count <= 0:
         raise ValueError("pixel count must be positive")
+    try:
+        pixels = float(pixel_count)
+    except OverflowError:
+        raise ValueError("pixel count is outside floating-point range") from None
     if total_cost < 0.0:
         raise DomainError("total cost must be nonnegative")
     if total_cost == 0.0:
         return math.inf
-    return 20.0 * math.log10(PEAK_SAMPLE_VALUE / math.sqrt(total_cost / pixel_count))
+    return 20.0 * math.log10(PEAK_SAMPLE_VALUE / math.sqrt(total_cost / pixels))
 
 
 def bd_rate(anchor: list[RDPoint], test: list[RDPoint]) -> float:

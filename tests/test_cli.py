@@ -245,14 +245,17 @@ class TestAllocateCommand:
         assert not output.exists()
 
     def test_floor_derived_from_the_file_names_the_file(self, tmp_path, capsys):
-        # The default floor of a subnormal budget underflows to 0.
+        # The default floor of a subnormal budget underflows to 0; the
+        # file's own floor over its one frame exceeds its budget.
         problem = tmp_path / "problem.txt"
-        problem.write_text(
-            "width: 1\nheight: 1\nbudget: 5e-324\nlambda: 0\nframe: 0,0,1,1e8,-0.3\n"
-        )
-        assert main(["allocate", str(problem), "--output", str(tmp_path / "a.csv")]) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err == f"error: {problem}: min_rate must be positive and finite\n"
+        for keys, code, message in (
+            ("budget: 5e-324", EXIT_INPUT, "min_rate must be positive and finite"),
+            ("budget: 3\nmin_rate: 4", EXIT_INFEASIBLE,
+             "rate floor 4.0 x 1 frames exceeds budget 3.0"),
+        ):
+            problem.write_text(f"width: 1\nheight: 1\n{keys}\nlambda: 0\nframe: 0,0,1,1e8,-0.3\n")
+            assert main(["allocate", str(problem), "--output", str(tmp_path / "a.csv")]) == code
+            assert capsys.readouterr().err == f"error: {problem}: {message}\n"
 
     @pytest.mark.parametrize("extra", ["repeat", "off_grid"])
     def test_extra_frame_line_is_input_error(self, tmp_path, capsys, extra):
@@ -1119,18 +1122,23 @@ def test_non_utf8_input_is_named(tmp_path, capsys, command):
 def test_fit_under_an_ascii_locale_writes_a_non_ascii_frame_id(tmp_path):
     """Files are UTF-8 whatever the locale: under the C locale with UTF-8
     mode off, `fit` reads the frame id été and writes it back in UTF-8.
-    PYTHONIOENCODING lets the fitted frame's stdout line print."""
+    The fitted frame's stdout line prints it in UTF-8 under
+    PYTHONIOENCODING=utf-8, and escaped without it (an empty value is unset)."""
     rates = (1e5, 2e5, 4e5, 8e5)
     samples = {"été": [RDSample(30 + k, r, 4.46e7 * r**-0.261) for k, r in enumerate(rates)]}
     write_samples_csv(samples, tmp_path / "samples.csv")
-    locale = dict(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="utf-8")
-    done = run_cli(tmp_path, "fit", "samples.csv", "--output", "models.csv", **locale)
-    assert done.returncode == EXIT_OK, done.stderr
-    written = (tmp_path / "models.csv").read_bytes()
-    assert written.decode("utf-8").splitlines()[1].startswith("été,")
     expected = tmp_path / "expected.csv"
     write_models_csv({"été": fit_power_model(samples["été"])}, expected)
-    assert written == expected.read_bytes()
+    for io_encoding, frame in (("utf-8", "frame été: "), ("", "frame \\xe9t\\xe9: ")):
+        locale = dict(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        locale["PYTHONIOENCODING"] = io_encoding
+        done = run_cli(tmp_path, "fit", "samples.csv", "--output", "models.csv", **locale)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.startswith(frame)
+        written = (tmp_path / "models.csv").read_bytes()
+        assert written.decode("utf-8").splitlines()[1].startswith("été,")
+        assert written == expected.read_bytes()
+        (tmp_path / "models.csv").unlink()
 
 
 @pytest.mark.parametrize("command", ["fit", "allocate", "simulate", "metrics", "bdrate", "spiral"])
@@ -1336,6 +1344,18 @@ def test_huge_lambda_exits_without_a_traceback(tmp_path, command):
     done = run_cli(tmp_path, *argv, "--lambda", "1e300", "--output", "out.csv")
     assert done.returncode in (EXIT_OK, EXIT_INPUT), done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["metrics", "simulate"])
+def test_pixel_count_past_the_float_range_is_input_error(tmp_path, capsys, command):
+    argv, path = cli_inputs(command, tmp_path)
+    pixels = str(10**400)
+    if command == "metrics":
+        argv += ["--pixels", pixels]
+    else:
+        path.write_text(path.read_text().replace("frame_pixels: 100000", f"frame_pixels: {pixels}"))
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: pixel count is outside floating-point range\n"
 
 
 def test_library_readers_reject_defects(tmp_path):

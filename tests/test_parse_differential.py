@@ -3,37 +3,11 @@ records, and the gate of its run on a few mutants."""
 
 import itertools
 import json
-import random
 import sys
-from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from conftest import TOOLS, load_tool
-from lfalloc import (
-    DistortionSet,
-    FrameCoord,
-    LfallocError,
-    MockEncoder,
-    RDPoint,
-    RDSample,
-    allocate,
-    read_allocation_file,
-    read_curve_csv,
-    read_samples_csv,
-    read_sse_csv,
-    read_trace_csv,
-    read_weight_map_csv,
-    run_to_convergence,
-    write_allocation_file,
-    write_curve_csv,
-    write_samples_csv,
-    write_sse_csv,
-    write_trace_csv,
-)
-from test_allocator import coupled_square
-from test_encodesim import small_grid_setup
 
 differential = load_tool("parse_differential")
 
@@ -275,7 +249,7 @@ def test_all_zero_weight_mutants_read_as_degenerate_weights_naming_the_file(
     assert all(r["message"].startswith("FILE: ") for r in zero)
 
 
-@pytest.mark.parametrize("error", ["ParseError", "DegenerateWeights"])
+@pytest.mark.parametrize("error", ["ParseError", "DegenerateWeights", "InfeasibleBudget"])
 def test_run_fails_when_an_input_error_names_no_file(error, tmp_path, monkeypatch, capsys):
     import lfalloc
 
@@ -303,83 +277,26 @@ def test_run_fails_when_an_all_zero_weights_mutant_ends_otherwise(
     monkeypatch.setattr(differential, "COUNT", 6)
 
     def infeasible(path):
-        raise lfalloc.InfeasibleBudget("rate floor exceeds budget")
+        raise lfalloc.InfeasibleBudget(f"{path}: rate floor exceeds budget")
 
     monkeypatch.setattr(lfalloc, "read_problem_file", infeasible)
     monkeypatch.setattr(lfalloc, "read_mock_config", infeasible)
     output = tmp_path / "records.json"
     assert differential.main(["run", str(TOOLS.parent), "--output", str(output)]) == 1
     err = capsys.readouterr().err
-    assert "seed 2: all weights zero, but InfeasibleBudget: rate floor exceeds budget" in err
+    assert "seed 2: all weights zero, but InfeasibleBudget: FILE: rate floor exceeds budget" in err
     assert err.endswith("4 of 6 mutants fail\n")
 
 
-def sound_files(directory: Path) -> list[tuple]:
-    """(reader, lines of a sound file for it) for each of the six readers
-    the differential skips: each file from its writer, the weight map by
-    hand."""
-    setup = small_grid_setup(gamma=0.2)
-    trace = run_to_convergence(MockEncoder(setup.config), setup.grid, setup.weights, 4e6, 10.0, 2)
-    written = (
-        (read_sse_csv, write_sse_csv, DistortionSet({FrameCoord(u, 0): 1e4 * u for u in range(3)})),
-        (read_curve_csv, write_curve_csv, [RDPoint(1e5 * 2**i, 30.0 + 3.0 * i) for i in range(4)]),
-        (
-            read_samples_csv,
-            write_samples_csv,
-            {f: [RDSample(30 + k, 1e5 * 2**k, 1e4 / 2**k) for k in range(3)] for f in "ab"},
-        ),
-        (read_allocation_file, write_allocation_file, allocate(coupled_square())),
-        (read_trace_csv, write_trace_csv, trace),
-    )
-    path = directory / "sound.txt"
-    files = [(read_weight_map_csv, ["# weights", "1,0.5,0.25", "0.75,1,0", "-0.0,0.5,1"])]
-    for read, write, value in written:
-        write(value, path)
-        files.append((read, path.read_text().splitlines()))
-    return files
-
-
-def reader_mutants(directory: Path, count: int):
-    """count seeded (reader, bytes) mutants of sound_files, the readers
-    taking turns: one to three edits of mutate each and, in one in a
-    hundred, a byte that is not UTF-8."""
-    files = sound_files(directory)
-    for seed in range(count):
-        read, lines = files[seed % len(files)]
-        rng = random.Random(seed)
-        # As ': line', a line's comma-separated fields are mutate's fields.
-        lines = [": " + line for line in lines]
-        for _ in range(rng.choice((1, 1, 2, 3))):
-            differential.mutate(rng, lines)
-        text = "\n".join(line[2:] if line.startswith(": ") else line for line in lines)
-        data = (text + "\n").encode()
-        if rng.random() < 0.01:
-            at = rng.randint(0, len(data))
-            data = data[:at] + b"\xff" + data[at:]
-        yield read, data
-
-
-def test_other_readers_end_ok_or_in_a_package_error_naming_the_file(tmp_path):
-    """The SSE, curve, samples, weight-map, allocation and trace readers on
-    600 mutants: each ends in a value or in an LfallocError whose message
-    begins with the file's path, and each reader meets both."""
-    path = tmp_path / "input.txt"
-    outcomes, failures = Counter(), []
-    for seed, (read, data) in enumerate(reader_mutants(tmp_path, 600)):
-        path.write_bytes(data)
-        try:
-            read(path)
-            outcome = "ok"
-        except LfallocError as exc:
-            outcome = type(exc).__name__
-            if not str(exc).startswith(f"{path}: "):
-                failures.append(f"seed {seed}: {read.__name__}: names no file: {exc}")
-        except Exception as exc:  # every other outcome is a failure
-            outcome = type(exc).__name__
-            failures.append(f"seed {seed}: {read.__name__}: {outcome}: {exc}")
-        outcomes[read.__name__, outcome] += 1
-    assert failures == []
-    names = {name for name, _ in outcomes}
-    assert len(names) == 6
-    assert {name for name, outcome in outcomes if outcome == "ok"} == names
-    assert {name for name, outcome in outcomes if outcome == "ParseError"} == names
+def test_other_readers_end_ok_or_in_a_package_error_naming_the_file(tmp_path, monkeypatch):
+    """600 mutants of the SSE, curve, samples, weight-map, allocation and
+    trace formats, drawn from seed 0 on: the run's gate holds each to a
+    value or an LfallocError whose message begins with the file's path,
+    and each reader meets both a value and a ParseError."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(differential, "CSV_FROM", 0)
+    monkeypatch.setattr(differential, "COUNT", 600)
+    output = tmp_path / "records.json"
+    assert differential.main(["run", str(TOOLS.parent), "--output", str(output)]) == 0
+    outcomes = {(r["kind"], r["outcome"]) for r in json.loads(output.read_text())}
+    assert outcomes == {(kind, o) for kind in differential.CSV_KINDS for o in ("ok", "ParseError")}

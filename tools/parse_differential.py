@@ -1,20 +1,22 @@
 """Parse differential: the outcome of two source trees' file readers on seeded mutants.
 
-`run` writes COUNT seeded mutants of generated problem files and mock
-configs, the two kinds alternating, and reads each with read_problem_file
-or read_mock_config of TREE/src. It records the exception type and
-message, with the file's path shown as FILE, or, for a file that reads,
-"ok" and a digest of the file that TREE's writer writes back from it
-and of what the writer does not read: a problem's models items and
-unified weights (problem.w), and a mock's unified weights, since the
-written file carries raw weights only.
+`run` writes COUNT seeded mutants of the eight input formats and reads
+each with the reader of TREE/src for its kind: problem files and mock
+configs in turn, then, from seed CSV_FROM on, each of CSV_KINDS in turn.
+It records the exception type and message, with the file's path shown
+as FILE, or, for a file that reads, "ok" and a digest. Where a writer
+takes what the reader gives, the digest covers the file that TREE's
+writer writes back from the value read, and what it does not write: a
+problem's models items and unified weights (problem.w), and a mock's
+unified weights, since the written file carries raw weights only. For
+the weight map, allocation and trace, it covers the value's repr.
 `run` reads every mutant twice in one process, prints how many end in
 each outcome, most first, and exits 1 when any mutant ends in anything
 else than "ok" or one of the package's own errors (LfallocError): a
 traceback, or a warning when Python runs with `-W error`, as CI does. It
 also exits 1 when the second read ends otherwise than the first, as it
-would if a reader carried state from one read into the next, and when a
-ParseError or DegenerateWeights message does not begin with FILE.
+would if a reader carried state from one read into the next, and when
+the message of a package error does not begin with FILE.
 `compare` prints how many records differ between two runs, how the line
 each error names moved (MOVES), and examples; it exits 1 when any record
 differs. A change run may append mutants after the parent's: those are
@@ -26,15 +28,17 @@ compared with nothing, and counted apart by outcome.
 
 The mutants depend only on the seed, never on either tree: each base file
 is generated here as text (1x1 to 5x5 grids, keys and frame lines in
-random order), then takes one to three seeded edits: a field made
-non-finite, negative or not a number, a field dropped or added, a line
-repeated, moved or deleted, an unknown key, a line without its colon, an
-`order:` line that may hold a bad entry, a frame moved off the grid or
-onto another frame, or a byte that is not UTF-8. Files with two or three
-edits test that the first bad line is the one named. The mutants from
-seed ZERO_WEIGHTS_FROM on take no edit: they are sound files whose every
-weight is 0 or -0.0, and `run` exits 1 when one does not end in
-DegenerateWeights.
+random order for the key-value formats), then takes one to three seeded
+edits: a field made non-finite, negative or not a number, a field dropped
+or added, a line repeated, moved or deleted, an unknown key, a line
+without its colon, an `order:` line that may hold a bad entry, a frame
+moved off the grid or onto another frame, or a byte that is not UTF-8.
+A record of the CSV formats is edited as the value of a key-value line,
+so its comma-separated fields are the fields edited. Files with two or
+three edits test that the first bad line is the one named. The mutants
+from seed ZERO_WEIGHTS_FROM up to CSV_FROM take no edit: they are sound
+problem files and mock configs whose every weight is 0 or -0.0, and `run`
+exits 1 when one does not end in DegenerateWeights.
 """
 
 from __future__ import annotations
@@ -49,10 +53,10 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-COUNT = 6040
+COUNT = 7240
 ZERO_WEIGHTS_FROM = 6000
-# The errors whose message must begin with the path of the file at fault.
-NAMED = ("ParseError", "DegenerateWeights")
+CSV_FROM = 6040
+CSV_KINDS = ("sse", "curve", "samples", "weight_map", "allocation", "trace")
 EXAMPLES = 5
 # How the line an error names moved from the parent's record to the
 # change's; "the same line" includes no line on either side.
@@ -124,6 +128,41 @@ def _shuffled(rng: random.Random, keys: list[str], frames: list[str]) -> list[st
     return rng.sample(lines, len(lines)) if rng.random() < 0.25 else lines
 
 
+def csv_lines(rng: random.Random, kind: str) -> list[str]:
+    """A sound file of kind, one of CSV_KINDS, as lines."""
+    width, height, coords = _grid(rng)
+    frames = rng.sample(coords, len(coords))
+    if kind == "sse":
+        sse = [f"{u},{v},{rng.choice((0.0, 10 ** rng.uniform(2, 6)))!r}" for u, v in frames]
+        return ["u,v,sse", *sse]
+    if kind == "curve":
+        points = [f"{1e5 * 2**k!r},{30 + 3 * k + rng.random()!r}" for k in range(rng.randint(1, 6))]
+        return ["rate_bits,quality_db", *points]
+    if kind == "samples":
+        lines = ["frame_index,qp,rate_bits,sse"]
+        for frame in rng.sample(("0", "1", "a", "été"), rng.randint(1, 3)):
+            rates = [1e5 * 2**k * rng.uniform(0.8, 1.2) for k in range(rng.randint(1, 4))]
+            lines += [f"{frame},{30 + k},{r!r},{4e7 * r**-0.3!r}" for k, r in enumerate(rates)]
+        return lines
+    if kind == "weight_map":
+        rows = [",".join(_weight(rng, False) for _ in range(width)) for _ in range(height)]
+        return rng.choice(([], ["# weights"])) + rows
+    if kind == "allocation":
+        rates = [f"{u},{v},{rng.uniform(5e5, 2e6)!r}" for u, v in frames]
+        names = "weighted_distortion discontinuity lambda total kkt_residual iterations budget_used"
+        diagnostics = [f"# {name} {rng.uniform(0, 1e6)!r}" for name in names.split()]
+        return ["u,v,rate_bits", *rates, "# diagnostics", *diagnostics]
+    lines = ["iteration,u,v,qp,rate_bits,sse,alpha,beta"]
+    for k in range(1, rng.randint(2, 4)):
+        for u, v in frames:
+            law = 10 ** rng.uniform(7.5, 8.5), rng.uniform(-0.45, -0.22)
+            values = rng.randint(20, 40), rng.uniform(5e5, 2e6), 1e4 * rng.random(), *law
+            lines.append(f"{k},{u},{v}," + ",".join(map(repr, values)))
+        cost, quality = rng.uniform(1e5, 1e7), rng.uniform(30, 45)
+        lines.append(f"# iteration {k} total_cost {cost!r} wpsnr {quality!r}")
+    return lines + [f"# converged {rng.choice(('true', 'false'))}"]
+
+
 def _order_line(rng: random.Random) -> str:
     pairs = [f"{rng.randint(0, 4)},{rng.randint(0, 4)}" for _ in range(rng.randint(1, 6))]
     if rng.random() < 0.7:
@@ -172,16 +211,24 @@ def mutate(rng: random.Random, lines: list[str]) -> None:
 
 
 def mutant(seed: int) -> tuple[str, bytes]:
-    """The kind ("problem" or "mock") and bytes of mutant seed: from seed
-    ZERO_WEIGHTS_FROM on, a sound file with every weight zero."""
+    """The kind and bytes of mutant seed: a problem file or mock config,
+    from seed ZERO_WEIGHTS_FROM on a sound one with every weight zero, and
+    from CSV_FROM on a file of each of CSV_KINDS in turn."""
     rng = random.Random(seed)
-    kind = ("problem", "mock")[seed % 2]
-    zero = seed >= ZERO_WEIGHTS_FROM
-    lines = problem_lines(rng, zero) if kind == "problem" else mock_lines(rng, zero)
-    if zero:
-        return kind, ("\n".join(lines) + "\n").encode()
+    if seed >= CSV_FROM:
+        kind = CSV_KINDS[(seed - CSV_FROM) % len(CSV_KINDS)]
+        # As ': record', a record's comma-separated fields are mutate's fields.
+        lines = [": " + line for line in csv_lines(rng, kind)]
+    else:
+        kind = ("problem", "mock")[seed % 2]
+        zero = seed >= ZERO_WEIGHTS_FROM
+        lines = problem_lines(rng, zero) if kind == "problem" else mock_lines(rng, zero)
+        if zero:
+            return kind, ("\n".join(lines) + "\n").encode()
     for _ in range(rng.choice((1, 1, 2, 3))):
         mutate(rng, lines)
+    if kind in CSV_KINDS:
+        lines = [line.removeprefix(": ") for line in lines]
     data = ("\n".join(lines) + "\n").encode()
     if rng.random() < 0.01:
         at = rng.randint(0, len(data))
@@ -191,39 +238,52 @@ def mutant(seed: int) -> tuple[str, bytes]:
 
 def run_tree(tree: Path) -> tuple[list[dict], list[str]]:
     """One record per mutant, read with the lfalloc of tree, and a line for
-    each mutant whose outcome is neither "ok" nor an LfallocError, is a
-    NAMED error whose message does not begin with FILE, is not
+    each mutant whose outcome is neither "ok" nor an LfallocError, is an
+    LfallocError whose message does not begin with FILE, is not
     DegenerateWeights for an all-zero-weights mutant, or whose second
     read ends otherwise than its first."""
     sys.path.insert(0, str(tree / "src"))
-    from lfalloc import (
-        LfallocError,
-        read_mock_config,
-        read_problem_file,
-        write_mock_config,
-        write_problem_file,
-    )
+    import lfalloc
+
+    def text(value) -> bytes:
+        return repr(value).encode()
+
+    def written(write, unwritten=lambda value: b""):
+        """The digest data of a value: the file write writes back from it to
+        back, the loop's second temporary file, then unwritten(value)."""
+
+        def data(value) -> bytes:
+            write(value, back)
+            return back.read_bytes() + unwritten(value)
+
+        return data
 
     def unwritten_problem(problem) -> bytes:
-        return repr((list(problem.models.items()), problem.w.tolist())).encode()
+        return text((list(problem.models.items()), problem.w.tolist()))
 
     def unwritten_mock(setup) -> bytes:
-        return repr(list(setup.weights.unified.items())).encode()
+        return text(list(setup.weights.unified.items()))
 
     readers = {
-        "problem": (read_problem_file, write_problem_file, unwritten_problem),
-        "mock": (read_mock_config, write_mock_config, unwritten_mock),
+        "problem": (
+            lfalloc.read_problem_file, written(lfalloc.write_problem_file, unwritten_problem)
+        ),
+        "mock": (lfalloc.read_mock_config, written(lfalloc.write_mock_config, unwritten_mock)),
+        "sse": (lfalloc.read_sse_csv, written(lfalloc.write_sse_csv)),
+        "curve": (lfalloc.read_curve_csv, written(lfalloc.write_curve_csv)),
+        "samples": (lfalloc.read_samples_csv, written(lfalloc.write_samples_csv)),
+        "weight_map": (lfalloc.read_weight_map_csv, text),
+        "allocation": (lfalloc.read_allocation_file, text),
+        "trace": (lfalloc.read_trace_csv, text),
     }
 
-    def outcome(read, write, unwritten, path: Path, back: Path) -> tuple[str, str, bool]:
+    def outcome(read, digest) -> tuple[str, str, bool]:
         """(outcome, message, whether it is "ok" or an LfallocError)."""
         try:
-            value = read(path)
-            write(value, back)
-            data = back.read_bytes() + unwritten(value)
+            data = digest(read(path))
         except Exception as exc:  # every outcome is recorded, not raised
             message = str(exc).replace(str(path), "FILE")
-            return type(exc).__name__, message, isinstance(exc, LfallocError)
+            return type(exc).__name__, message, isinstance(exc, lfalloc.LfallocError)
         return "ok", hashlib.sha256(data).hexdigest()[:16], True
 
     records, failures = [], []
@@ -232,13 +292,13 @@ def run_tree(tree: Path) -> tuple[list[dict], list[str]]:
         for seed in range(COUNT):
             kind, data = mutant(seed)
             path.write_bytes(data)
-            first, again = (outcome(*readers[kind], path, back) for _ in range(2))
+            first, again = (outcome(*readers[kind]) for _ in range(2))
             records.append(dict(seed=seed, kind=kind, outcome=first[0], message=first[1]))
             if not first[2]:
                 failures.append(f"seed {seed}: {first[0]}: {first[1]}")
-            elif first[0] in NAMED and not first[1].startswith("FILE: "):
+            elif first[0] != "ok" and not first[1].startswith("FILE: "):
                 failures.append(f"seed {seed}: {first[0]} names no file: {first[1]}")
-            elif seed >= ZERO_WEIGHTS_FROM and first[0] != "DegenerateWeights":
+            elif ZERO_WEIGHTS_FROM <= seed < CSV_FROM and first[0] != "DegenerateWeights":
                 failures.append(f"seed {seed}: all weights zero, but {first[0]}: {first[1]}")
             elif again != first:
                 failures.append(f"seed {seed}: {first[0]}, read again: {again[0]}: {again[1]}")
