@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import records
+from . import errors, records
 from .errors import DegenerateWeights, DomainError, InfeasibleBudget, NotConverged, ParseError
 from .lightfield import PROXIMITY_RADIUS, FrameCoord, FrameGrid, WeightSet, spiral_order
 from .metrics import CostBreakdown, format_cost_breakdown, joint_cost
@@ -907,21 +907,15 @@ def read_problem_file(path, **overrides) -> AllocationProblem:
     vectors[:, grid.lattice_index[u, v]] = frame
     vectors.setflags(write=False)
     raw, alpha, beta = vectors
-    try:
+    # The file's own values passed their converters; without an override
+    # only the floor derived from its budget, or its floor over its frames,
+    # can fail here. With one, only its weights are the file's to name.
+    overridden = any(value is not None for value in overrides.values())
+    with errors.named(path, DegenerateWeights) if overridden else errors.named(path):
         weights = WeightSet(raw=dict(zip(grid.coding_order, raw.tolist())))
         return AllocationProblem(
             grid=grid, weights=weights, models=_ModelTable(grid, alpha, beta), **scalars
         )
-    except (ValueError, InfeasibleBudget) as exc:
-        # The file's own values passed their converters; without an
-        # override only the floor derived from its budget, or its floor
-        # over its frames, can fail here.
-        if any(value is not None for value in overrides.values()):
-            raise
-        named = InfeasibleBudget if isinstance(exc, InfeasibleBudget) else ParseError
-        raise named(f"{path}: {exc}") from exc
-    except DegenerateWeights as exc:
-        raise DegenerateWeights(f"{path}: {exc}") from exc
 
 
 # The problem reader keeps the coding order of each `order:` text, and

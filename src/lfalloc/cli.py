@@ -34,7 +34,7 @@ import logging
 import os
 import sys
 
-from . import allocator, metrics, rdmodel, records
+from . import allocator, errors, metrics, rdmodel, records
 from .errors import (
     DegenerateWeights,
     DomainError,
@@ -91,10 +91,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     samples = rdmodel.read_samples_csv(args.samples)
     models = {}
     for key, frame_samples in samples.items():
-        try:
+        with errors.named(f"{args.samples}: frame {key}", *_MODEL_ERRORS):
             models[key] = rdmodel.fit_power_model(frame_samples)
-        except _MODEL_ERRORS as exc:
-            raise type(exc)(f"frame {key}: {exc}") from exc
     rdmodel.write_models_csv(models, args.output)
     for key, fit in models.items():
         print(
@@ -170,10 +168,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     distortions = _load_distortions(args.input)
     width, height, raw = read_weight_map_csv(args.weights)
     grid = spiral_order(width, height)
-    try:
+    with errors.named(args.weights, DegenerateWeights):
         weights = unify_weights(raw)
-    except DegenerateWeights as exc:
-        raise DegenerateWeights(f"{args.weights}: {exc}") from exc
     try:
         breakdown = metrics.cost(grid, weights, distortions, args.lam)
     except IncompleteInput as exc:
@@ -193,9 +189,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_bdrate(args: argparse.Namespace) -> int:
-    anchor = metrics.read_curve_csv(args.anchor)
-    test = metrics.read_curve_csv(args.test)
-    value = metrics.bd_rate(anchor, test)
+    paths = args.anchor, args.test
+    curves = [metrics.read_curve_csv(path) for path in paths]
+    # Both files read before either curve is judged, each by bd_rate's own check.
+    for path, points in zip(paths, curves):
+        with errors.named(path, InsufficientPoints, DomainError):
+            metrics._log_rate_curve(points)
+    value = metrics.bd_rate(*curves)
     # Adding 0.0 turns a negative zero after rounding into zero.
     _emit(f"{round(value, 2) + 0.0:.2f}%", args.output)
     return EXIT_OK

@@ -107,9 +107,9 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from . import records
+from . import errors, records
 from .allocator import AllocationProblem, AllocationResult, _ModelTable, allocate
-from .errors import DegenerateWeights, EncodeFailed, InsufficientSamples, NotConverged, ParseError
+from .errors import EncodeFailed, InsufficientSamples, NotConverged, ParseError
 from .lightfield import FrameCoord, FrameGrid, WeightSet, spiral_order
 from .metrics import CostBreakdown, joint_cost, wpsnr
 from .rdmodel import RDModelParams, RDSample, fit_power_model
@@ -540,7 +540,7 @@ def _encode_pass(
     qp = (QP_MIN + QP_MAX) // 2
     qps, rates, sses, models, slopes, retargets = {}, {}, {}, {}, {}, {}
     for coord, target in zip(grid.coding_order, grid.align(targets, "targets")):
-        try:
+        with errors.named(f"frame ({coord.u},{coord.v})", EncodeFailed):
             offer = held = None
             if previous is not None:
                 held = previous.qps[coord]
@@ -558,8 +558,6 @@ def _encode_pass(
                     retargets[coord] = retarget
                     offer = commit.model, commit.slope
                     commit = _commit(encode, coord, retarget, qp, ref, offer)
-        except EncodeFailed as exc:
-            raise EncodeFailed(f"frame ({coord.u},{coord.v}): {exc}") from exc
         qp = qps[coord] = commit.qp
         rates[coord] = commit.rate
         sses[coord] = commit.sse
@@ -803,16 +801,12 @@ def read_mock_config(path) -> MockSetup:
     width, height = values.pop("width"), values.pop("height")
     # Both tables keep the order of the frame lines.
     coords = list(map(FrameCoord, u.tolist(), v.tolist()))
-    try:
+    with errors.named(path):
         config = MockEncoderConfig(
             frame_params=dict(zip(coords, zip(a.tolist(), b.tolist()))),
             **{_MOCK_FIELDS.get(key, key): value for key, value in values.items()},
         )
         weights = WeightSet(raw=dict(zip(coords, weight.tolist())))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except DegenerateWeights as exc:
-        raise DegenerateWeights(f"{path}: {exc}") from exc
     return MockSetup(config=config, grid=spiral_order(width, height), weights=weights)
 
 

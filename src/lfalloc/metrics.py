@@ -104,6 +104,20 @@ def wpsnr(total_cost: float, pixel_count: int) -> float:
     return 20.0 * math.log10(PEAK_SAMPLE_VALUE / math.sqrt(total_cost / pixels))
 
 
+def _log_rate_curve(points: list[RDPoint]) -> tuple[np.ndarray, np.ndarray]:
+    """A curve's qualities, ascending, and the log10 of their rates: the one
+    check of a single curve that bd_rate makes."""
+    if len(points) < 4:
+        raise InsufficientPoints(f"need at least 4 points, got {len(points)}")
+    if any(p.rate <= 0.0 for p in points):
+        raise DomainError("rates must be positive")
+    ordered = sorted(points, key=lambda p: p.quality)
+    quality = np.array([p.quality for p in ordered])
+    if len(np.unique(quality)) < 4:
+        raise InsufficientPoints("need at least 4 distinct quality values")
+    return quality, np.log10([p.rate for p in ordered])
+
+
 def bd_rate(anchor: list[RDPoint], test: list[RDPoint]) -> float:
     """Average rate difference of test over anchor, in percent.
 
@@ -115,18 +129,7 @@ def bd_rate(anchor: list[RDPoint], test: list[RDPoint]) -> float:
     well conditioned. A percentage outside floating-point range raises
     DomainError.
     """
-    curves = []
-    for points in (anchor, test):
-        if len(points) < 4:
-            raise InsufficientPoints(f"need at least 4 points, got {len(points)}")
-        if any(p.rate <= 0.0 for p in points):
-            raise DomainError("rates must be positive")
-        ordered = sorted(points, key=lambda p: p.quality)
-        quality = np.array([p.quality for p in ordered])
-        if len(np.unique(quality)) < 4:
-            raise InsufficientPoints("need at least 4 distinct quality values")
-        log_rate = np.log10([p.rate for p in ordered])
-        curves.append((quality, log_rate))
+    curves = [_log_rate_curve(anchor), _log_rate_curve(test)]
     lo = max(quality[0] for quality, _ in curves)
     hi = min(quality[-1] for quality, _ in curves)
     if not hi > lo:

@@ -134,8 +134,19 @@ class TestFitCommand:
         samples.write_text("frame_index,qp,rate_bits,sse\n0,30,1e300,1e-300\n0,31,2e300,1e-301\n")
         done = run_cli(tmp_path, "fit", "samples.csv", "--output", "m.csv")
         assert done.returncode == EXIT_MODEL
-        assert done.stderr.startswith("error: frame 0: fitted alpha exp(")
+        assert done.stderr.startswith("error: samples.csv: frame 0: fitted alpha exp(")
         assert "Traceback" not in done.stderr and not (tmp_path / "m.csv").exists()
+
+    def test_a_model_error_names_the_samples_file_and_the_frame(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        write_reference_samples(samples)
+        with samples.open("a", encoding="utf-8") as lines:
+            lines.write("7,30,1e5,1e6\n7,31,1e5,9e5\n")
+        code = main(["fit", str(samples), "--output", str(tmp_path / "m.csv")])
+        assert code == EXIT_MODEL
+        message = "frame 7: need at least 2 distinct rates, got 2 samples"
+        assert capsys.readouterr().err == f"error: {samples}: {message}\n"
+        assert not (tmp_path / "m.csv").exists()
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = main(["fit", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "m.csv")])
@@ -567,6 +578,26 @@ class TestBdrateCommand:
         write_curve_csv(anchor, a)
         assert main(["bdrate", str(a), str(a)]) == EXIT_METRIC
         capsys.readouterr()
+
+    @pytest.mark.parametrize("side", ["anchor", "test"])
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([(1e5, 30.0), (2e5, 34.0), (4e5, 38.0)], "need at least 4 points, got 3"),
+            (
+                [(1e5, 30.0), (2e5, 34.0), (3e5, 34.0), (4e5, 38.0)],
+                "need at least 4 distinct quality values",
+            ),
+            ([(1e5, 30.0), (0.0, 34.0), (4e5, 38.0), (8e5, 42.0)], "rates must be positive"),
+        ],
+        ids=["three_points", "three_qualities", "zero_rate"],
+    )
+    def test_a_curve_fault_names_its_file(self, tmp_path, capsys, side, points, message):
+        a, t = self.curves(tmp_path, 1.10)
+        bad = a if side == "anchor" else t
+        write_curve_csv([RDPoint(rate=r, quality=q) for r, q in points], bad)
+        assert main(["bdrate", str(a), str(t)]) == EXIT_METRIC
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     def test_overflowing_rate_difference_is_metric_error(self, tmp_path):
         anchor = [RDPoint(rate=float(i), quality=30.0 + i) for i in range(1, 5)]

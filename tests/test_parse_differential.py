@@ -3,6 +3,7 @@ records, and the gate of its run on a few mutants."""
 
 import itertools
 import json
+import re
 import sys
 
 import pytest
@@ -288,11 +289,15 @@ def test_run_fails_when_an_all_zero_weights_mutant_ends_otherwise(
     assert err.endswith("4 of 6 mutants fail\n")
 
 
-def test_other_readers_end_ok_or_in_a_package_error_naming_the_file(tmp_path, monkeypatch):
+def test_other_readers_end_ok_or_in_a_package_error_naming_the_file(
+    tmp_path, monkeypatch, capsys
+):
     """600 mutants of the SSE, curve, samples, weight-map, allocation and
     trace formats, drawn from seed 0 on: the run's gate holds each to a
     value or an LfallocError whose message begins with the file's path,
-    and each reader meets both a value and a ParseError."""
+    and each reader meets both a value and a ParseError. fit and bdrate,
+    run on the samples and curves that read, each end both in success and
+    in an error that names the mutant."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(differential, "CSV_FROM", 0)
     monkeypatch.setattr(differential, "COUNT", 600)
@@ -300,3 +305,42 @@ def test_other_readers_end_ok_or_in_a_package_error_naming_the_file(tmp_path, mo
     assert differential.main(["run", str(TOOLS.parent), "--output", str(output)]) == 0
     outcomes = {(r["kind"], r["outcome"]) for r in json.loads(output.read_text())}
     assert outcomes == {(kind, o) for kind in differential.CSV_KINDS for o in ("ok", "ParseError")}
+    exits = re.findall(r"\d+ (\w+ exit \d)", capsys.readouterr().out)
+    assert sorted(exits) == ["bdrate exit 0", "bdrate exit 5", "fit exit 0", "fit exit 3"]
+
+
+@pytest.mark.parametrize(
+    "command, error, failure",
+    [
+        ("cmd_fit", "InsufficientSamples", "fit FILE --output OUTPUT: names no file: unnamed"),
+        ("cmd_bdrate", "InsufficientPoints", "bdrate FILE SOUND: names no file: unnamed"),
+        ("cmd_bdrate", "NoOverlap", None),
+        ("cmd_fit", "KeyError", "fit FILE --output OUTPUT: KeyError: 'unnamed'"),
+    ],
+)
+def test_run_fails_when_a_command_error_names_no_file(
+    command, error, failure, tmp_path, monkeypatch, capsys
+):
+    """A fit or bdrate error must begin with the mutant's path, except a
+    bdrate error about both curves; a traceback always fails."""
+    import lfalloc
+    import lfalloc.cli
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(differential, "CSV_FROM", 0)
+    monkeypatch.setattr(differential, "COUNT", 120)
+    kind = getattr(lfalloc, error, KeyError)
+    message = differential.BOTH_CURVES[0] if kind is lfalloc.NoOverlap else "unnamed"
+
+    def unnamed(args):
+        raise kind(message)
+
+    monkeypatch.setattr(lfalloc.cli, command, unnamed)
+    output = tmp_path / "records.json"
+    code = differential.main(["run", str(TOOLS.parent), "--output", str(output)])
+    out, err = capsys.readouterr()
+    assert f" {command.removeprefix('cmd_')} " in out
+    if failure is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 1 and f": {failure}\n" in err

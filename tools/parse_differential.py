@@ -17,6 +17,13 @@ traceback, or a warning when Python runs with `-W error`, as CI does. It
 also exits 1 when the second read ends otherwise than the first, as it
 would if a reader carried state from one read into the next, and when
 the message of a package error does not begin with FILE.
+`run` also runs `lfalloc fit` on every samples file that reads, and
+`lfalloc bdrate` on every curve that reads, against the sound curve of
+seed SOUND_CURVE, once in each order. It exits 1 when a command ends in
+a traceback, or in an error whose message does not begin with FILE; a
+bdrate error about both curves (BOTH_CURVES) names neither. It prints
+how many runs end in each exit code. The records hold the readers'
+outcomes only.
 `compare` prints how many records differ between two runs, how the line
 each error names moved (MOVES), and examples; it exits 1 when any record
 differs. A change run may append mutants after the parent's: those are
@@ -44,7 +51,9 @@ exits 1 when one does not end in DegenerateWeights.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import random
 import re
@@ -66,6 +75,19 @@ MOVES = (
     "a line where the parent named none",
     "no line where the parent named one",
     "the same line with another message",
+)
+# The commands run on each mutant of a kind that reads: FILE is the
+# mutant, SOUND the sound curve of seed SOUND_CURVE (six points) and
+# OUTPUT the loop's second temporary file.
+COMMANDS = {
+    "samples": (("fit", "FILE", "--output", "OUTPUT"),),
+    "curve": (("bdrate", "FILE", "SOUND"), ("bdrate", "SOUND", "FILE")),
+}
+SOUND_CURVE = 6
+# The bdrate errors that involve both curves, so name neither file.
+BOTH_CURVES = (
+    "curves share no quality interval",
+    "rate difference is outside floating-point range",
 )
 TOKENS = ("nan", "inf", "-inf", "-1", "-0.0", "1.5", "x", "", "1e400", "0", "7")
 
@@ -236,14 +258,16 @@ def mutant(seed: int) -> tuple[str, bytes]:
     return kind, data
 
 
-def run_tree(tree: Path) -> tuple[list[dict], list[str]]:
-    """One record per mutant, read with the lfalloc of tree, and a line for
+def run_tree(tree: Path) -> tuple[list[dict], list[str], Counter]:
+    """One record per mutant, read with the lfalloc of tree; a line for
     each mutant whose outcome is neither "ok" nor an LfallocError, is an
     LfallocError whose message does not begin with FILE, is not
     DegenerateWeights for an all-zero-weights mutant, or whose second
-    read ends otherwise than its first."""
+    read ends otherwise than its first, and for each of its COMMANDS that
+    fails; and how many command runs end in each exit code."""
     sys.path.insert(0, str(tree / "src"))
     import lfalloc
+    import lfalloc.cli
 
     def text(value) -> bytes:
         return repr(value).encode()
@@ -286,9 +310,27 @@ def run_tree(tree: Path) -> tuple[list[dict], list[str]]:
             return type(exc).__name__, message, isinstance(exc, lfalloc.LfallocError)
         return "ok", hashlib.sha256(data).hexdigest()[:16], True
 
-    records, failures = [], []
+    def command(argv) -> tuple[str, str | None]:
+        """Run one of COMMANDS: the name and exit code it ends in, and a
+        failure, or None."""
+        files = dict(FILE=str(path), SOUND=str(sound), OUTPUT=str(back))
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = lfalloc.cli.main([files.get(arg, arg) for arg in argv])
+        except Exception as exc:  # a traceback is a failure, not the end of the run
+            return f"{argv[0]} traceback", f"{type(exc).__name__}: {exc}"
+        message = err.getvalue().removeprefix("error: ").rstrip("\n")
+        if code and message not in BOTH_CURVES and not message.startswith(f"{path}: "):
+            return f"{argv[0]} exit {code}", "names no file: " + message
+        return f"{argv[0]} exit {code}", None
+
+    records, failures, exits = [], [], Counter()
     with tempfile.TemporaryDirectory() as tmp:
         path, back = Path(tmp) / "input.txt", Path(tmp) / "back.txt"
+        sound = Path(tmp) / "sound.csv"
+        sound_lines = csv_lines(random.Random(SOUND_CURVE), "curve")
+        sound.write_bytes(("\n".join(sound_lines) + "\n").encode())
         for seed in range(COUNT):
             kind, data = mutant(seed)
             path.write_bytes(data)
@@ -302,7 +344,15 @@ def run_tree(tree: Path) -> tuple[list[dict], list[str]]:
                 failures.append(f"seed {seed}: all weights zero, but {first[0]}: {first[1]}")
             elif again != first:
                 failures.append(f"seed {seed}: {first[0]}, read again: {again[0]}: {again[1]}")
-    return records, failures
+            elif first[0] == "ok":
+                for argv in COMMANDS.get(kind, ()):
+                    name, failure = command(argv)
+                    exits[name] += 1
+                    if failure is not None:
+                        failure = failure.replace(str(path), "FILE")
+                        failures.append(f"seed {seed}: {' '.join(argv)}: {failure}")
+                        break
+    return records, failures, exits
 
 
 def named_line(record: dict) -> int | None:
@@ -376,10 +426,11 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path, help="records of the changed tree")
     args = parser.parse_args(argv)
     if args.command == "run":
-        records, failures = run_tree(args.tree.resolve())
+        records, failures, exits = run_tree(args.tree.resolve())
         args.output.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-        counts = Counter(r["outcome"] for r in records).most_common()
-        print(", ".join(f"{count:,} {outcome}" for outcome, count in counts))
+        for counts in (Counter(r["outcome"] for r in records), exits):
+            if counts:
+                print(", ".join(f"{n:,} {outcome}" for outcome, n in counts.most_common()))
         for failure in failures[:EXAMPLES]:
             print(failure, file=sys.stderr)
         if failures:
